@@ -23,6 +23,13 @@ batch is moved by one and the same finite composition of 1-Lipschitz
 projection steps, so results for any two inputs of one call are themselves
 1-Lipschitz related (up to float rounding); per-call adaptive stopping of
 the scalar variants guarantees only the stated tolerance per point.
+
+The batch engine stops evaluating a row once a full sweep moved it by
+exactly 0.0.  This is exact, not an approximation: a row that does not move
+over a whole sweep sees the same inputs on every later sweep, so each later
+step would move it by 0.0 again.  Batch results therefore equal those of
+running every row through every sweep, and the sweep count and stopping rule
+are those of the whole batch.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .lipfun import (
     Max,
     Min,
     _compile,
+    _compile_grid,
     bounds_of,
     domain_dim,
     eval_grid,
@@ -264,9 +272,11 @@ def detect_noncontraction(trace: IterationTrace, window: int = None) -> str:
 # membership
 
 
-def _pair_evaluators(Q):
-    lower = [None if isinstance(b, Infinite) else _compile(b) for b in Q.lower]
-    upper = [None if isinstance(b, Infinite) else _compile(b) for b in Q.upper]
+def _pair_evaluators(Q, compile_):
+    """Evaluators of the finite bounds built by ``compile_``; ``None`` for a
+    missing bound."""
+    lower = [None if isinstance(b, Infinite) else compile_(b) for b in Q.lower]
+    upper = [None if isinstance(b, Infinite) else compile_(b) for b in Q.upper]
     return lower, upper
 
 
@@ -345,7 +355,7 @@ def _scalar_sweeps(Q, x, threshold, max_sweeps, fixed_steps=None):
     ``fixed_steps`` single steps with no stopping rule.
     """
     n = Q.n
-    lower, upper = _pair_evaluators(Q)
+    lower, upper = _pair_evaluators(Q, _compile)
     pos = list(x)
     disp = []
 
@@ -380,37 +390,65 @@ def _scalar_sweeps(Q, x, threshold, max_sweeps, fixed_steps=None):
 
 
 def _batch_sweeps(Q, X, threshold, max_sweeps, record):
-    """Batch twin of :func:`_scalar_sweeps` on one shared sweep schedule."""
+    """Batch twin of :func:`_scalar_sweeps` on one shared sweep schedule.
+
+    Every bound is compiled once per call, and the rows are held as the
+    columns of a transposed copy of ``X`` so that each projection step reads
+    its hat points with one precomputed column-index list.  A row whose full
+    sweep moved it by exactly 0.0 leaves the active set and is never
+    evaluated again: every step of that sweep saw the row's current point
+    and left it in place, so a later sweep sees the same inputs at every
+    step and moves it by 0.0 again.  The output therefore equals that of
+    running every row through every sweep, and the whole batch still goes
+    through one shared composition of projection steps.
+
+    Stops after the first full sweep whose largest displacement over the
+    batch is at most ``threshold``, raising after ``max_sweeps``.  With
+    ``record``, the second result holds one displacement vector over all
+    rows per step, with 0.0 for frozen rows; otherwise it is ``None``.
+    """
     n = Q.n
-    X = np.array(X, dtype=float)
+    lower, upper = _pair_evaluators(Q, _compile_grid)
+    others = [[j for j in range(n) if j != i] for i in range(n)]
+    out = np.array(X, dtype=float)
+    XT = out.T.copy()                   # active rows as columns
+    rows = np.arange(len(out))          # their row numbers in ``out``
     disp = [] if record else None
     for _ in range(max_sweeps):
         worst = 0.0
+        moved = np.zeros(len(rows), dtype=bool)
         for i in range(n):
-            H = np.delete(X, i, axis=1)
-            lo = None if isinstance(Q.lower[i], Infinite) else eval_grid(Q.lower[i], H)
-            up = None if isinstance(Q.upper[i], Infinite) else eval_grid(Q.upper[i], H)
+            H = XT[others[i]]
+            lo = None if lower[i] is None else lower[i](H)
+            up = None if upper[i] is None else upper[i](H)
             if lo is not None and up is not None:
                 crossed = lo > up
                 if crossed.any():
                     j = int(np.argmax(crossed))
                     raise InconsistentBoundsError(
-                        f"bounds cross on axis {i} at {tuple(X[j])}: "
+                        f"bounds cross on axis {i} at {tuple(XT[:, j])}: "
                         f"lower={lo[j]!r} > upper={up[j]!r}")
-            new = X[:, i]
+            new = XT[i]
             if lo is not None:
                 new = np.maximum(lo, new)
             if up is not None:
                 new = np.minimum(up, new)
-            d = new - X[:, i]
-            X[:, i] = new
+            d = new - XT[i]
+            XT[i] = new
+            moved |= d != 0.0
             if record:
-                disp.append(d)
+                full = np.zeros(len(out))
+                full[rows] = d
+                disp.append(full)
             m = float(np.abs(d).max()) if len(d) else 0.0
             if m > worst:
                 worst = m
         if worst <= threshold:
-            return X, disp
+            out[rows] = XT.T
+            return out, disp
+        if not moved.all():
+            out[rows[~moved]] = XT[:, ~moved].T
+            XT, rows = XT.compress(moved, axis=1), rows[moved]
     raise MaxSweepsExceededError(
         f"no convergence within {max_sweeps} sweeps (threshold {threshold:g})")
 
@@ -448,7 +486,7 @@ def cyclic_retract(Q: BoxLipschitzSet, x, tol: float = 1e-6,
     if lam >= 1.0:
         raise UnsupportedSetError(
             f"cyclic retraction requires Lipschitz level < 1, set has {lam:g}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     threshold = tol * (1.0 - lam)
     pos, disp = _scalar_sweeps(Q, x, threshold, max_sweeps)
@@ -471,7 +509,7 @@ def cyclic_retract_many(Q: BoxLipschitzSet, X, tol: float = 1e-6,
     if lam >= 1.0:
         raise UnsupportedSetError(
             f"cyclic retraction requires Lipschitz level < 1, set has {lam:g}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     threshold = tol * (1.0 - lam)
     final, disp = _batch_sweeps(Q, X, threshold, max_sweeps, record)
@@ -519,7 +557,7 @@ def enclosure_bounds(Q: BoxLipschitzSet, box) -> tuple:
 
 def relaxation_order(span: float, tol: float) -> int:
     """Shrink index ``k`` making the relaxed-set defect ``span / k <= tol``."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if span < 0:
         raise ValueError("span must be nonnegative")

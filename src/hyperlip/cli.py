@@ -124,15 +124,16 @@ def _trace_summary(trace):
 
 
 def _threads() -> int:
+    """Worker threads from ``HYPERLIP_THREADS``: 1 when unset, one per CPU
+    when 0, and never more than the CPUs."""
     raw = os.environ.get("HYPERLIP_THREADS")
     if raw is None:
         return 1
     count = int(raw)
-    if count == 0:
-        return os.cpu_count() or 1
     if count < 0:
         raise ValueError("HYPERLIP_THREADS must be nonnegative")
-    return count
+    cpus = os.cpu_count() or 1
+    return cpus if count == 0 else min(count, cpus)
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,55 @@ def _compile(f: LipExpr) -> Callable:
     raise TypeError(f"not a LipExpr: {f!r}")
 
 
+def _compile_grid(f: LipExpr) -> Callable:
+    """Build a batch evaluator (hot path of the batch engine).
+
+    The evaluator takes points as the columns of a ``(dim, N)`` array and
+    returns the ``N`` values.  It does the per-element arithmetic of
+    :func:`_compile` in the same order, so the two agree bit for bit.  Every
+    reduction runs over the leading axis, one elementwise step per contiguous
+    row of ``N`` values.  A McShane's sample arrays are built once, with the
+    evaluator.
+    """
+    if isinstance(f, Const):
+        v = f.value
+        return lambda YT: np.full(YT.shape[1], v)
+    if isinstance(f, Infinite):
+        v = math.inf if f.sign > 0 else -math.inf
+        return lambda YT: np.full(YT.shape[1], v)
+    if isinstance(f, DistCone):
+        off, so = f.offset, f.orientation * f.scale
+        if len(f.center) == 0:
+            return lambda YT: np.full(YT.shape[1], off)
+        c = np.asarray(f.center)[:, None]
+        return lambda YT: so * np.abs(c - YT).max(axis=0) + off
+    if isinstance(f, Min):
+        subs = [_compile_grid(c) for c in f.children]
+        return lambda YT: np.minimum.reduce([g(YT) for g in subs])
+    if isinstance(f, Max):
+        subs = [_compile_grid(c) for c in f.children]
+        return lambda YT: np.maximum.reduce([g(YT) for g in subs])
+    if isinstance(f, Blend):
+        g = _compile_grid(f.inner)
+        fac, anchor = f.factor, f.anchor
+        return lambda YT: fac * (g(YT) - anchor) + anchor
+    if isinstance(f, McShane):
+        P = np.asarray([p for p, _ in f.samples]).T[:, :, None]    # (dim, S, 1)
+        vals = np.asarray([v for _, v in f.samples])[:, None]      # (S, 1)
+        s = f.scale
+
+        def dist(YT):                                              # (S, N)
+            if len(P) == 0:
+                return np.zeros((P.shape[1], YT.shape[1]))
+            D = YT[:, None, :] - P
+            return np.abs(D, out=D).max(axis=0)
+
+        if f.mode == "inf":
+            return lambda YT: (vals + s * dist(YT)).min(axis=0)
+        return lambda YT: (vals - s * dist(YT)).max(axis=0)
+    raise TypeError(f"not a LipExpr: {f!r}")
+
+
 def eval_grid(f: LipExpr, Y: np.ndarray) -> np.ndarray:
     """Evaluate ``f`` at every row of ``Y`` (shape ``(N, dim)``) at once."""
     Y = np.asarray(Y, dtype=float)
@@ -293,33 +342,7 @@ def eval_grid(f: LipExpr, Y: np.ndarray) -> np.ndarray:
     d = domain_dim(f)
     if d is not None and Y.shape[1] != d:
         raise ValueError(f"expression expects dimension {d}, got grid of dimension {Y.shape[1]}")
-    n = Y.shape[0]
-    if isinstance(f, Const):
-        return np.full(n, f.value)
-    if isinstance(f, Infinite):
-        return np.full(n, math.inf if f.sign > 0 else -math.inf)
-    if isinstance(f, DistCone):
-        if len(f.center) == 0:
-            return np.full(n, f.offset)
-        dist = np.abs(np.asarray(f.center) - Y).max(axis=1)
-        return f.orientation * f.scale * dist + f.offset
-    if isinstance(f, Min):
-        return np.minimum.reduce([eval_grid(c, Y) for c in f.children])
-    if isinstance(f, Max):
-        return np.maximum.reduce([eval_grid(c, Y) for c in f.children])
-    if isinstance(f, Blend):
-        return f.factor * (eval_grid(f.inner, Y) - f.anchor) + f.anchor
-    if isinstance(f, McShane):
-        pts = np.asarray([p for p, _ in f.samples])
-        vals = np.asarray([v for _, v in f.samples])
-        if pts.shape[1] == 0:
-            dist = np.zeros((n, len(vals)))
-        else:
-            dist = np.abs(Y[:, None, :] - pts[None, :, :]).max(axis=2)
-        if f.mode == "inf":
-            return (vals[None, :] + f.scale * dist).min(axis=1)
-        return (vals[None, :] - f.scale * dist).max(axis=1)
-    raise TypeError(f"not a LipExpr: {f!r}")
+    return _compile_grid(f)(np.ascontiguousarray(Y.T))
 
 
 def lip_bound(f: LipExpr) -> float:

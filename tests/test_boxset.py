@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperlip import boxset
 from hyperlip.boxset import (
     BoxLipschitzSet,
     DivergenceDetectedError,
@@ -44,8 +45,60 @@ from hyperlip.instances import (
     sample_members,
     vee_notch_instance,
 )
-from hyperlip.lipfun import Const, DistCone, Infinite
+from hyperlip.lipfun import Const, DistCone, Infinite, eval_grid
 from hyperlip.metric import sup_dist
+
+
+def _all_rows_sweeps(Q, X, threshold, max_sweeps, record):
+    """Reference batch engine: every row goes through every sweep, each bound
+    is evaluated by ``eval_grid`` on hat points cut out with ``np.delete``."""
+    X = np.array(X, dtype=float)
+    disp = [] if record else None
+    for _ in range(max_sweeps):
+        worst = 0.0
+        for i in range(Q.n):
+            H = np.delete(X, i, axis=1)
+            lo = None if isinstance(Q.lower[i], Infinite) else eval_grid(Q.lower[i], H)
+            up = None if isinstance(Q.upper[i], Infinite) else eval_grid(Q.upper[i], H)
+            if lo is not None and up is not None:
+                crossed = lo > up
+                if crossed.any():
+                    j = int(np.argmax(crossed))
+                    raise InconsistentBoundsError(
+                        f"bounds cross on axis {i} at {tuple(X[j])}: "
+                        f"lower={lo[j]!r} > upper={up[j]!r}")
+            new = X[:, i]
+            if lo is not None:
+                new = np.maximum(lo, new)
+            if up is not None:
+                new = np.minimum(up, new)
+            d = new - X[:, i]
+            X[:, i] = new
+            if record:
+                disp.append(d)
+            m = float(np.abs(d).max()) if len(d) else 0.0
+            if m > worst:
+                worst = m
+        if worst <= threshold:
+            return X, disp
+    raise MaxSweepsExceededError(f"no convergence within {max_sweeps} sweeps")
+
+
+def _assert_engine_matches_reference(Q, X, tol, monkeypatch):
+    """``cyclic_retract_many`` gives the same points and displacements with
+    the shipped engine as with the reference engine."""
+    with monkeypatch.context() as m:
+        m.setattr(boxset, "_batch_sweeps", _all_rows_sweeps)
+        want, want_traces = cyclic_retract_many(Q, X, tol, record=True)
+    got, traces = cyclic_retract_many(Q, X, tol, record=True)
+    assert np.array_equal(got, want)
+    D = np.array([t.displacements for t in traces])
+    assert np.array_equal(D, np.array([t.displacements for t in want_traces]))
+    # the comparison covers frozen rows: some row sits still for a whole
+    # sweep before the last one
+    sweeps = D.reshape(len(X), -1, Q.n)
+    assert (sweeps[:, :-1] == 0.0).all(axis=2).any()
+    return got
 
 
 class TestConstruction:
@@ -174,6 +227,13 @@ class TestCyclicRetract:
         with pytest.raises(UnsupportedSetError):
             cyclic_retract(vee_notch_instance(), (0.0, 0.0))
 
+    def test_nan_tolerance_is_refused(self):
+        Q = half_rate_instance()
+        with pytest.raises(ValueError, match="tol"):
+            cyclic_retract(Q, (3.0, -2.0), math.nan)
+        with pytest.raises(ValueError, match="tol"):
+            cyclic_retract_many(Q, np.array([[3.0, -2.0]]), math.nan)
+
     def test_budget_exhaustion_raises(self):
         Q = half_rate_instance()
         with pytest.raises(MaxSweepsExceededError):
@@ -223,6 +283,52 @@ class TestBatchEngine:
             dout = sup_dist(tuple(out[i]), tuple(out[j]))
             assert dout <= din + 1e-12
 
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("lam", [0.3, 0.9])
+    def test_engine_matches_the_all_rows_loop(self, n, lam, monkeypatch):
+        rng = np.random.default_rng(100 * n + int(10 * lam))
+        Q = random_mcshane_instance(n, lam, rng, samples=8)
+        members = sample_members(Q, rng.uniform(-0.5, 0.5, (3, n)))
+        X = np.vstack([members, rng.uniform(-3, 3, (40, n))])
+        # a tolerance this fine drives rows through sweeps with moves of a
+        # few ulps, which must not freeze them
+        out = _assert_engine_matches_reference(Q, X, 1e-12, monkeypatch)
+        assert np.array_equal(out[:3], np.array(members))
+
+    def test_engine_matches_on_a_truncated_set(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        Q = random_mcshane_instance(3, 0.9, rng)
+        w = sample_members(Q, [(0.0, 0.0, 0.0)])[0]
+        Qt = truncated_set(Q, w, 2.0)
+        X = np.vstack([np.zeros(3), rng.uniform(-3, 3, (30, 3))])
+        out = _assert_engine_matches_reference(Qt, X, 1e-6, monkeypatch)
+        assert np.array_equal(out[0], np.zeros(3))
+
+    def test_engine_matches_on_a_shrunk_set(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        Q = random_mcshane_instance(3, 1.0, rng)
+        l, u = enclosure_bounds(Q, [(-4.0, 4.0)] * 3)
+        Qk = shrink_set(Q, relaxation_order(u - l, 0.5), l, u)
+        members = sample_members(Qk, rng.uniform(-0.5, 0.5, (2, 3)))
+        X = np.vstack([members, rng.uniform(-3, 3, (30, 3))])
+        out = _assert_engine_matches_reference(Qk, X, 0.1, monkeypatch)
+        assert np.array_equal(out[:2], np.array(members))
+
+    def test_crossing_bounds_raise_after_rows_froze(self, monkeypatch):
+        # upper_0 dips below lower_0 where |x_1| > 4; lower_1 pushes the
+        # second row there in its first sweep, while the first row, a member,
+        # is frozen after that sweep
+        Q = BoxLipschitzSet([Const(0.0), DistCone((0.0,), 3.0, 0.9, 1)],
+                            [DistCone((0.0,), 2.0, 0.5, -1), Const(10.0)])
+        X = np.array([[0.1, 3.2], [10.0, 0.0]])
+        with monkeypatch.context() as m:
+            m.setattr(boxset, "_batch_sweeps", _all_rows_sweeps)
+            with pytest.raises(InconsistentBoundsError) as want:
+                cyclic_retract_many(Q, X, 1e-6)
+        with pytest.raises(InconsistentBoundsError) as got:
+            cyclic_retract_many(Q, X, 1e-6)
+        assert str(got.value) == str(want.value)
+
     def test_every_row_meets_the_tolerance(self, rng):
         Q = random_mcshane_instance(3, 0.5, rng)
         X = rng.uniform(-3, 3, (25, 3))
@@ -255,8 +361,9 @@ class TestEnclosure:
     def test_relaxation_order_known_values(self):
         assert relaxation_order(1.0, 0.25) == 5
         assert relaxation_order(0.0, 0.5) == 1
-        with pytest.raises(ValueError):
-            relaxation_order(1.0, 0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                relaxation_order(1.0, tol)
 
 
 class TestShrinkFamily:

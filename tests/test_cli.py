@@ -5,11 +5,13 @@ Commands run in process through main(argv); one test goes through the
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from hyperlip import cli
 from hyperlip.boxset import set_to_obj
 from hyperlip.cli import main
 from hyperlip.instances import (
@@ -66,6 +68,18 @@ class TestRetract:
         assert out["strategy"] == "shrink"
         assert out["violation"] <= 1e-3
         assert out["k"] >= 2
+
+    @pytest.mark.parametrize("make", [half_rate_instance, vee_notch_instance])
+    def test_nan_tolerance_is_an_input_error(self, capsys, set_file, tmp_path, make):
+        path = set_file(make())
+        code = main(["retract", "--set", path,
+                     "--point", dump(tmp_path, "x.json", [0.0, -3.0]), "--tol", "nan"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "tol" in json.loads(lines[0])["error"]
 
     def test_unbounded_set_needs_witness(self, capsys, set_file, tmp_path):
         path = set_file(diagonal_halfspace_instance())
@@ -192,6 +206,16 @@ class TestHull:
             "hull", "enumerate", "--metric", metric, "--resolution", "0.25"])
         assert code == 0
         assert out["count"] == 5
+
+    def test_thread_count_is_capped_at_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("HYPERLIP_THREADS", raising=False)
+        assert cli._threads() == 1
+        for raw, want in (("1", 1), ("2", 2), ("8", 2), ("0", 2)):
+            monkeypatch.setenv("HYPERLIP_THREADS", raw)
+            assert cli._threads() == want
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._threads() == 1
 
     def test_negative_thread_env_rejected(self, capsys, tmp_path, monkeypatch):
         metric = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])
