@@ -15,7 +15,6 @@ from .boxset import (
     MaxSweepsExceededError,
     UnsupportedSetError,
     check_decay_certificate,
-    coord_retract,
     cyclic_iterate,
     cyclic_retract,
     cyclic_retract_many,
@@ -35,7 +34,7 @@ from .boxset import (
     violation,
     violation_many,
 )
-from .extension import NotLipschitzError, extend_into_Q, kuratowski_embed, mcshane_extend_component
+from .extension import NotLipschitzError, extend_into_Q, kuratowski_embed
 from .hull import ExtremalityError, attach_point, enumerate_extremal_grid, extremal_zero_classification, in_delta, is_extremal
 from .lipfun import (
     Blend,
@@ -62,11 +61,9 @@ from .metric import (
     FiniteMetricSpace,
     as_point,
     check_metric_axioms,
-    clamp,
     cone_contains,
     hat,
     hausdorff_distance,
-    insert_coord,
     sup_dist,
 )
 from .reconstruct import (
@@ -74,7 +71,6 @@ from .reconstruct import (
     ReconstructionConfig,
     ReconstructionReport,
     choose_cone,
-    epsilon_of,
     membership_from_samples,
     synthesize_bounds,
     verify_reconstruction,

@@ -70,7 +70,6 @@ __all__ = [
     "DivergenceDetectedError",
     "violation",
     "violation_many",
-    "coord_retract",
     "cyclic_iterate",
     "cyclic_retract",
     "cyclic_retract_many",
@@ -280,6 +279,17 @@ def _pair_evaluators(Q, compile_):
     return lower, upper
 
 
+def _rows(Q, X) -> np.ndarray:
+    """``X`` as an ``(N, Q.n)`` float array; like :func:`as_point`, rejects
+    non-finite coordinates."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != Q.n:
+        raise ValueError(f"expected shape (N, {Q.n}), got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("point coordinates must be finite")
+    return X
+
+
 def violation(Q: BoxLipschitzSet, x) -> float:
     """Worst constraint deficit of ``x``; 0 exactly when ``x`` is a member."""
     x = as_point(x)
@@ -302,9 +312,7 @@ def violation(Q: BoxLipschitzSet, x) -> float:
 
 def violation_many(Q: BoxLipschitzSet, X) -> np.ndarray:
     """Vectorized :func:`violation` over the rows of ``X``."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != Q.n:
-        raise ValueError(f"expected shape (N, {Q.n}), got {X.shape}")
+    X = _rows(Q, X)
     worst = np.zeros(X.shape[0])
     for i in range(Q.n):
         H = np.delete(X, i, axis=1)
@@ -322,25 +330,6 @@ def violation_many(Q: BoxLipschitzSet, X) -> np.ndarray:
         if up is not None:
             np.maximum(worst, X[:, i] - up, out=worst)
     return worst
-
-
-def coord_retract(Q: BoxLipschitzSet, i: int, x) -> Point:
-    """Project coordinate ``i`` of ``x`` onto its bound interval.
-
-    Leaves every other coordinate untouched; jointly 1-Lipschitz in ``x``.
-    """
-    x = as_point(x)
-    if len(x) != Q.n:
-        raise ValueError(f"point of dimension {len(x)} in a set of dimension {Q.n}")
-    if not 0 <= i < Q.n:
-        raise IndexError(f"axis {i} out of range for dimension {Q.n}")
-    xh = hat(x, i)
-    lo = -math.inf if isinstance(Q.lower[i], Infinite) else _compile(Q.lower[i])(xh)
-    up = math.inf if isinstance(Q.upper[i], Infinite) else _compile(Q.upper[i])(xh)
-    if lo > up:
-        raise InconsistentBoundsError(
-            f"bounds cross on axis {i} at {x}: lower={lo!r} > upper={up!r}")
-    return x[:i] + (min(max(lo, x[i]), up),) + x[i + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +491,7 @@ def cyclic_retract_many(Q: BoxLipschitzSet, X, tol: float = 1e-6,
     The shared schedule makes the realized map a single composition of
     projection steps, hence 1-Lipschitz across the whole batch.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != Q.n:
-        raise ValueError(f"expected shape (N, {Q.n}), got {X.shape}")
+    X = _rows(Q, X)
     lam = Q.lip_bound
     if lam >= 1.0:
         raise UnsupportedSetError(
@@ -561,7 +548,10 @@ def relaxation_order(span: float, tol: float) -> int:
         raise ValueError("tol must be positive")
     if span < 0:
         raise ValueError("span must be nonnegative")
-    return int(math.ceil(span / tol)) + 1
+    ratio = span / tol
+    if not math.isfinite(ratio):
+        raise ValueError(f"span / tol overflows: span={span!r}, tol={tol!r}")
+    return int(math.ceil(ratio)) + 1
 
 
 def shrink_set(Q: BoxLipschitzSet, k: int, l: float, u: float) -> BoxLipschitzSet:
@@ -688,9 +678,7 @@ def retract_lambda_one_general_many(Q: BoxLipschitzSet, witness, X, tol: float,
                                     max_sweeps: int = None) -> np.ndarray:
     """Batch :func:`retract_lambda_one_general` with one common radius."""
     w = _check_witness(Q, witness)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != Q.n:
-        raise ValueError(f"expected shape (N, {Q.n}), got {X.shape}")
+    X = _rows(Q, X)
     wa = np.asarray(w)
     r = 2.0 * float(np.abs(X - wa).max(initial=0.0)) + 1.0
     Qt = truncated_set(Q, w, r)
@@ -699,8 +687,32 @@ def retract_lambda_one_general_many(Q: BoxLipschitzSet, witness, X, tol: float,
     return points + wa
 
 
+def _auto_box(Q, x):
+    """Working box of the shrink strategy for a start ``x``: the cube of
+    half-width ``2 (1 + max |x_i| + s)``, ``s`` the largest bound magnitude
+    at the hat origin."""
+    zero_hat = (0.0,) * (Q.n - 1)
+    scale = max(0.0, *(abs(_compile(b)(zero_hat)) for b in Q.lower + Q.upper))
+    R = 2.0 * (1.0 + max(abs(c) for c in x) + scale)
+    return [(-R, R)] * Q.n
+
+
 def _probe_steps(n):
-    return max(40 * n, 8 * (4 * n))
+    """Length of the raw-iteration probe run after a failed relaxation."""
+    return 40 * n
+
+
+def _check_relaxed(Q, start, gap, tol):
+    """Raise :class:`DivergenceDetectedError` when a level-1 relaxation from
+    ``start`` missed ``Q`` by a ``gap`` above ``tol``; the error carries the
+    verdict of the raw iteration probed from ``start``."""
+    if gap <= tol:
+        return
+    probe = cyclic_iterate(Q, start, _probe_steps(Q.n))
+    verdict = detect_noncontraction(probe)
+    raise DivergenceDetectedError(
+        f"relaxation missed the set by {gap:g} (> tol {tol:g}); "
+        f"raw iteration verdict: {verdict}", verdict, probe)
 
 
 def find_point(Q: BoxLipschitzSet, tol: float = 1e-9, max_sweeps: int = None) -> Point:
@@ -719,25 +731,12 @@ def find_point(Q: BoxLipschitzSet, tol: float = 1e-9, max_sweeps: int = None) ->
         point, _ = cyclic_retract(Q, origin, tol,
                                   max_sweeps if max_sweeps is not None else 100_000)
         return point
-    if Q.all_finite:
-        scale = 0.0
-        for i in range(Q.n):
-            zero_hat = (0.0,) * (Q.n - 1)
-            for b in (Q.lower[i], Q.upper[i]):
-                scale = max(scale, abs(_compile(b)(zero_hat)))
-        R = 2.0 * (1.0 + scale)
-        box = [(-R, R)] * Q.n
-        point = retract_lambda_one_bounded(Q, origin, tol, box, max_sweeps)
-        gap = violation(Q, point)
-        if gap <= tol:
-            return point
-        probe = cyclic_iterate(Q, origin, _probe_steps(Q.n))
-        verdict = detect_noncontraction(probe)
-        raise DivergenceDetectedError(
-            f"relaxation missed the set by {gap:g} (> tol {tol:g}); "
-            f"raw iteration verdict: {verdict}", verdict, probe)
-    raise UnsupportedSetError(
-        "no strategy for level-1 sets with missing bounds and no witness")
+    if not Q.all_finite:
+        raise UnsupportedSetError(
+            "no strategy for level-1 sets with missing bounds and no witness")
+    point = retract_lambda_one_bounded(Q, origin, tol, _auto_box(Q, origin), max_sweeps)
+    _check_relaxed(Q, origin, violation(Q, point), tol)
+    return point
 
 
 # ---------------------------------------------------------------------------

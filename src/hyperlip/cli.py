@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from . import boxset, extension, hull, instances, reconstruct, svgplot
+from . import boxset, hull, instances, svgplot
 from .boxset import (
     BoxLipschitzSet,
     DivergenceDetectedError,
@@ -140,73 +139,44 @@ def _threads() -> int:
 # retract
 
 
-def _auto_box(Q, x):
-    scale = 0.0
-    zero_hat = (0.0,) * (Q.n - 1)
-    for b in Q.lower + Q.upper:
-        scale = max(scale, abs(boxset._compile(b)(zero_hat)))
-    R = 2.0 * (1.0 + max(abs(c) for c in x) + scale)
-    return [(-R, R)] * Q.n
-
-
 def cmd_retract(args) -> int:
     Q = _load_set(args.set)
     x = _load_point(args.point)
     tol = args.tol
-    lam = Q.lip_bound
-    if lam < 1.0:
-        budget = args.max_sweeps if args.max_sweeps else 100_000
-        point, trace = cyclic_retract(Q, x, tol, budget)
-        result = {"strategy": "cyclic", "point": list(point),
-                  "violation": violation(Q, point),
-                  "sweeps": trace.steps // Q.n,
-                  "trace_summary": _trace_summary(trace)}
-        _write_trace(args, trace)
-        _emit(result)
-        return 0
-    if Q.all_finite:
-        box = _load_box(args.box) if args.box else _auto_box(Q, x)
-        l, u = enclosure_bounds(Q, box)
-        k = relaxation_order(u - l, tol)
-        budget = args.max_sweeps if args.max_sweeps else 50 * k + 1000
-        Qk = shrink_set(Q, k, l, u)
-        point, trace = cyclic_retract(Qk, x, tol / 4, budget)
-        v = violation(Q, point)
-        result = {"strategy": "shrink", "point": list(point), "violation": v,
-                  "k": k, "enclosure": [l, u],
-                  "sweeps": trace.steps // Q.n,
-                  "trace_summary": _trace_summary(trace)}
-        _write_trace(args, trace)
-        if v <= tol:
-            _emit(result)
-            return 0
-        probe = cyclic_iterate(Q, x, 40 * Q.n)
-        result["verdict"] = detect_noncontraction(probe)
-        _emit(result)
-        return 2
-    if not args.witness:
-        _err({"error": "level-1 set with missing bounds needs --witness"})
-        return 1
-    w = _load_point(args.witness)
-    vw = violation(Q, w)
-    if vw != 0.0:
-        _err({"error": f"witness is not a member (violation {vw:g})"})
-        return 1
-    r = 2.0 * sup_dist(x, w) + 1.0
-    Qt = truncated_set(Q, w, r)
-    k = relaxation_order(2.0 * r, tol)
-    budget = args.max_sweeps if args.max_sweeps else 50 * k + 1000
-    Qk = shrink_set(Qt, k, -r, r)
-    xt = tuple(a - b for a, b in zip(x, w))
-    moved, trace = cyclic_retract(Qk, xt, tol / 4, budget)
-    point = tuple(a + b for a, b in zip(moved, w))
-    result = {"strategy": "truncate", "point": list(point),
-              "violation": violation(Q, point), "k": k, "radius": r,
-              "sweeps": trace.steps // Qt.n,
-              "trace_summary": _trace_summary(trace)}
+    level_one = Q.lip_bound >= 1.0
+    w = None
+    if not level_one:
+        target, result = Q, {"strategy": "cyclic"}
+        budget = args.max_sweeps or 100_000
+    else:
+        if Q.all_finite:
+            box = _load_box(args.box) if args.box else boxset._auto_box(Q, x)
+            l, u = enclosure_bounds(Q, box)
+            base, result = Q, {"strategy": "shrink", "enclosure": [l, u]}
+        elif not args.witness:
+            _err({"error": "level-1 set with missing bounds needs --witness"})
+            return 1
+        else:
+            w = boxset._check_witness(Q, _load_point(args.witness))
+            r = 2.0 * sup_dist(x, w) + 1.0
+            l, u = -r, r
+            base, result = truncated_set(Q, w, r), {"strategy": "truncate", "radius": r}
+        k = result["k"] = relaxation_order(u - l, tol)
+        target = shrink_set(base, k, l, u)
+        budget = args.max_sweeps or 50 * k + 1000
+    start = x if w is None else tuple(a - b for a, b in zip(x, w))
+    moved, trace = cyclic_retract(target, start, tol / 4 if level_one else tol, budget)
+    point = moved if w is None else tuple(a + b for a, b in zip(moved, w))
+    result.update(point=list(point), violation=violation(Q, point),
+                  sweeps=trace.steps // Q.n, trace_summary=_trace_summary(trace))
     _write_trace(args, trace)
+    code = 0
+    if level_one and result["violation"] > tol:
+        probe = cyclic_iterate(Q, x, boxset._probe_steps(Q.n))
+        result["verdict"] = detect_noncontraction(probe)
+        code = 2
     _emit(result)
-    return 0
+    return code
 
 
 def _write_trace(args, trace):
@@ -516,7 +486,7 @@ def main(argv=None) -> int:
     except (InconsistentBoundsError, UnsupportedSetError) as exc:
         _err({"error": str(exc)})
         return 1
-    except (ValueError, IndexError, TypeError, KeyError) as exc:
+    except (ValueError, IndexError, TypeError, KeyError, RecursionError) as exc:
         _err({"error": str(exc)})
         return 1
     except DivergenceDetectedError as exc:

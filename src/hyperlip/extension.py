@@ -19,16 +19,17 @@ import numpy as np
 
 from .boxset import (
     BoxLipschitzSet,
+    _check_relaxed,
     cyclic_retract_many,
     retract_lambda_one_bounded_many,
     retract_lambda_one_general_many,
     violation,
+    violation_many,
 )
 from .metric import FiniteMetricSpace, Point, as_point, sup_dist
 
 __all__ = [
     "NotLipschitzError",
-    "mcshane_extend_component",
     "extend_into_Q",
     "kuratowski_embed",
 ]
@@ -54,37 +55,6 @@ def _check_subset(B: FiniteMetricSpace, A) -> list:
     return A
 
 
-def _check_scalar_lipschitz(B, A, values, tol):
-    for p, a in enumerate(A):
-        for q in range(p + 1, len(A)):
-            b = A[q]
-            excess = abs(values[p] - values[q]) - B.d(a, b)
-            if excess > tol:
-                raise NotLipschitzError(
-                    f"values differ by more than the distance on pair ({a}, {b}) "
-                    f"(excess {excess:g})", (a, b))
-
-
-def mcshane_extend_component(B: FiniteMetricSpace, A, values, b: int,
-                             tol: float = 1e-9) -> float:
-    """Maximal 1-Lipschitz extension of scalar data on ``A`` evaluated at ``b``.
-
-    The formula is ``min over a in A of values[a] + d(a, b)``; points of ``A``
-    short-circuit to their given value, which keeps the agreement on ``A``
-    exact even when the data are Lipschitz only up to rounding.
-    """
-    A = _check_subset(B, A)
-    values = [float(v) for v in values]
-    if len(values) != len(A):
-        raise ValueError("need exactly one value per subset index")
-    if not 0 <= b < B.size:
-        raise IndexError(f"index {b} out of range for a space of size {B.size}")
-    _check_scalar_lipschitz(B, A, values, tol)
-    if b in A:
-        return values[A.index(b)]
-    return min(v + B.d(a, b) for a, v in zip(A, values))
-
-
 def _extend_all_components(B, A, phi_rows):
     """Coordinate-wise inf-envelope extension to every point of B at once."""
     M = B.matrix
@@ -108,7 +78,10 @@ def extend_into_Q(B: FiniteMetricSpace, A, phi, Q: BoxLipschitzSet,
     extended points when omitted), and the witness-anchored strategy when
     bounds are missing (``witness`` required).  All image points go through
     one shared retraction call, so the composite map is 1-Lipschitz on ``B``
-    and agrees with ``phi`` on ``A`` exactly.
+    and agrees with ``phi`` on ``A`` exactly.  At level 1 an image that still
+    violates ``Q`` by more than ``tol`` raises
+    :class:`~hyperlip.boxset.DivergenceDetectedError`, with the verdict of the
+    raw iteration probed from the worst row's extended point.
     """
     A = _check_subset(B, A)
     phi_rows = [as_point(p) for p in phi]
@@ -145,6 +118,10 @@ def extend_into_Q(B: FiniteMetricSpace, A, phi, Q: BoxLipschitzSet,
         if witness is None:
             raise ValueError("level-1 set with missing bounds needs a witness member")
         final = retract_lambda_one_general_many(Q, witness, ext, tol)
+    if Q.lip_bound >= 1.0:
+        gaps = violation_many(Q, final)
+        worst = int(np.argmax(gaps))
+        _check_relaxed(Q, tuple(ext[worst]), float(gaps[worst]), tol)
     return [tuple(row) for row in final]
 
 

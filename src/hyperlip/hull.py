@@ -164,7 +164,10 @@ def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float,
         raise ValueError(f"grid enumeration supports at most 5 points, got {m}")
     D = X.matrix
     diam = float(D.max())
-    count = int(math.floor(diam / resolution + 1e-9)) + 1
+    steps = diam / resolution
+    if not math.isfinite(steps):
+        raise ValueError(f"diam / resolution overflows: diam={diam!r}, resolution={resolution!r}")
+    count = int(math.floor(steps + 1e-9)) + 1
     if count ** m > GRID_CANDIDATE_CAP:
         raise ValueError(
             f"grid too large: {count}^{m} candidates exceed the cap {GRID_CANDIDATE_CAP}")

@@ -5,9 +5,9 @@ Points are plain tuples of floats measured in the supremum norm
 point of the zero-dimensional space, at distance 0 from itself.  Axis
 indices are 0-based throughout the package.
 
-Extended reals are ordinary floats; ``math.inf`` and ``-math.inf`` are legal
-wherever a bound rather than a coordinate is expected (``clamp`` in
-particular).  Coordinates of points are always finite.
+Coordinates of points are always finite: :func:`as_point` rejects ``nan``
+and infinities.  A missing coordinate bound is an ``Infinite`` expression
+of :mod:`hyperlip.lipfun`, never an infinite coordinate.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "as_point",
     "sup_dist",
     "hat",
-    "insert_coord",
-    "clamp",
     "ConeDescriptor",
     "cone_contains",
     "cone_contains_general",
@@ -74,27 +72,6 @@ def hat(x: Sequence[float], i: int) -> Point:
     if not 0 <= i < n:
         raise IndexError(f"axis {i} out of range for dimension {n}")
     return tuple(x[:i]) + tuple(x[i + 1:])
-
-
-def insert_coord(x_hat: Sequence[float], i: int, value: float) -> Point:
-    """Inverse of :func:`hat`: reinsert ``value`` at position ``i``."""
-    if not 0 <= i <= len(x_hat):
-        raise IndexError(f"axis {i} out of range for dimension {len(x_hat) + 1}")
-    return tuple(x_hat[:i]) + (float(value),) + tuple(x_hat[i:])
-
-
-def clamp(lo: float, hi: float, x: float) -> float:
-    """Nearest-point projection of ``x`` onto the interval ``[lo, hi]``.
-
-    ``lo`` may be ``-inf`` and ``hi`` may be ``+inf``.  As a map of all three
-    arguments this is jointly 1-Lipschitz in the sup norm, which is what makes
-    single-coordinate retraction steps non-expansive.
-    """
-    if math.isnan(lo) or math.isnan(hi) or math.isnan(x):
-        raise ValueError("clamp arguments must not be NaN")
-    if lo > hi:
-        raise ValueError(f"empty interval: lo={lo!r} > hi={hi!r}")
-    return min(max(lo, x), hi)
 
 
 @dataclass(frozen=True)

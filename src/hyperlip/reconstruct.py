@@ -23,13 +23,12 @@ import numpy as np
 
 from .boxset import BoxLipschitzSet, violation_many
 from .lipfun import DistCone, Infinite, Max, Min
-from .metric import ConeDescriptor, Point, as_point, cone_contains, hat, sup_dist
+from .metric import ConeDescriptor, Point, as_point, cone_contains, hat
 
 __all__ = [
     "ConeOverlapError",
     "ReconstructionConfig",
     "ReconstructionReport",
-    "epsilon_of",
     "epsilon_many",
     "choose_cone",
     "synthesize_bounds",
@@ -110,34 +109,6 @@ def epsilon_many(inside, X, chunk: int = 64):
         arg[s:s + chunk] = scores.argmax(axis=1)
         eps[s:s + chunk] = scores.max(axis=1)
     return eps, arg
-
-
-def epsilon_of(inside, x: Point):
-    """Margin and witness for a single exterior point.
-
-    Raises when ``x`` sits in the sample (margin would be trivial) or when
-    the computed margin is not positive, which happens exactly when ``x``
-    lies metrically between two inside points and therefore cannot be
-    separated by any cone.  Also enforces the a-priori cap
-    ``eps <= 2 * min_q ||x - q||``.
-    """
-    x = as_point(x)
-    pts = [as_point(p) for p in inside]
-    if not pts:
-        raise ValueError("need at least one inside sample")
-    dmin = min(sup_dist(x, q) for q in pts)
-    if dmin == 0.0:
-        raise ValueError(f"{x} is an inside sample, no margin exists")
-    eps, arg = epsilon_many(pts, [x])
-    eps = float(eps[0])
-    if eps <= 0.0:
-        raise ValueError(
-            f"margin of {x} is not positive; the point is metrically between "
-            f"inside samples")
-    if eps > 2.0 * dmin + 1e-12:
-        raise ArithmeticError(
-            f"margin {eps!r} exceeds twice the sample distance {dmin!r}")
-    return eps, pts[int(arg[0])]
 
 
 def choose_cone(x: Point, p_x: Point, eps: float, a: float) -> ConeDescriptor:

@@ -15,7 +15,6 @@ from hyperlip.boxset import (
     MaxSweepsExceededError,
     UnsupportedSetError,
     check_decay_certificate,
-    coord_retract,
     cyclic_iterate,
     cyclic_retract,
     cyclic_retract_many,
@@ -24,6 +23,7 @@ from hyperlip.boxset import (
     find_point,
     relaxation_order,
     retract_lambda_one_bounded,
+    retract_lambda_one_bounded_many,
     retract_lambda_one_general,
     retract_lambda_one_general_many,
     set_from_obj,
@@ -155,21 +155,22 @@ class TestViolation:
 
 
 class TestCoordRetract:
+    """Single-axis projection steps, run through :func:`cyclic_iterate`."""
+
     def test_projects_one_coordinate_only(self):
         Q = vee_notch_instance()
-        # x2 must be at least |x1|
-        moved = coord_retract(Q, 1, (2.0, 0.0))
-        assert moved == (2.0, 2.0)
-        assert coord_retract(Q, 0, (2.0, 0.0)) == (2.0, 0.0)
+        # x2 must be at least |x1|: step 0 leaves (2, 0) alone, step 1 lifts x2
+        trace = cyclic_iterate(Q, (2.0, 0.0), 2)
+        assert trace.displacements == (0.0, 2.0)
+        assert trace.final == (2.0, 2.0)
+        # x1 must lie in [-3, 3]; the step on axis 0 leaves x2 below its bound
+        assert cyclic_iterate(Q, (5.0, 0.0), 1).final == (3.0, 0.0)
 
     def test_member_is_fixed_exactly(self):
         Q = vee_notch_instance()
-        for i in (0, 1):
-            assert coord_retract(Q, i, (1.0, 2.0)) == (1.0, 2.0)
-
-    def test_axis_out_of_range(self):
-        with pytest.raises(IndexError):
-            coord_retract(box_instance([(0.0, 1.0)]), 1, (0.0,))
+        trace = cyclic_iterate(Q, (1.0, 2.0), 2)
+        assert trace.displacements == (0.0, 0.0)
+        assert trace.final == (1.0, 2.0)
 
 
 class TestExactDynamics:
@@ -233,6 +234,12 @@ class TestCyclicRetract:
             cyclic_retract(Q, (3.0, -2.0), math.nan)
         with pytest.raises(ValueError, match="tol"):
             cyclic_retract_many(Q, np.array([[3.0, -2.0]]), math.nan)
+
+    def test_non_finite_rows_are_refused(self):
+        # a NaN row would make every sweep maximum NaN and stop the batch
+        # after one sweep with the other rows far outside the set
+        with pytest.raises(ValueError, match="finite"):
+            cyclic_retract_many(half_rate_instance(), [[math.nan, 0.0], [100.0, -100.0]], 1e-6)
 
     def test_budget_exhaustion_raises(self):
         Q = half_rate_instance()
@@ -365,6 +372,11 @@ class TestEnclosure:
             with pytest.raises(ValueError):
                 relaxation_order(1.0, tol)
 
+    def test_relaxation_order_refuses_overflow(self):
+        for span, tol in ((6.0, 1e-320), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="overflows"):
+                relaxation_order(span, tol)
+
 
 class TestShrinkFamily:
     def test_family_is_nested_and_contains_the_set(self, rng):
@@ -410,6 +422,12 @@ class TestLevelOneBounded:
         for m in ((0.0, 0.0), (1.0, 2.0), (-2.0, 3.0)):
             assert violation(Q, m) == 0.0
             assert retract_lambda_one_bounded(Q, m, 1e-6, box) == m
+
+    def test_batch_refuses_non_finite_rows(self):
+        Q = vee_notch_instance()
+        box = [(-4.0, 4.0), (-4.0, 4.0)]
+        with pytest.raises(ValueError, match="finite"):
+            retract_lambda_one_bounded_many(Q, [[0.0, -3.0], [math.nan, 0.0]], 1e-3, box)
 
     def test_cycle_instance_lands_near_the_origin(self):
         Q = origin_cycle_instance()
@@ -472,6 +490,12 @@ class TestFindPoint:
             find_point(empty_drift_instance(), tol=1e-3)
         assert err.value.verdict == "stalled"
         assert err.value.trace.steps > 0
+
+    def test_working_box(self):
+        # bound magnitudes at the hat origin: 3 (both x1 bounds, x2's cap)
+        Q = vee_notch_instance()
+        assert boxset._auto_box(Q, (0.0, 0.0)) == [(-8.0, 8.0)] * 2
+        assert boxset._auto_box(Q, (1.0, -5.0)) == [(-18.0, 18.0)] * 2
 
     def test_unbounded_level_one_is_unsupported(self):
         with pytest.raises(UnsupportedSetError):

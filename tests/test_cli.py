@@ -35,6 +35,18 @@ def run(capsys, argv):
     return code, out, err
 
 
+def input_error(capsys, argv):
+    """Run ``argv`` expecting exit 1, no stdout and one JSON line on stderr;
+    returns that line's object."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
 def dump(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -72,14 +84,9 @@ class TestRetract:
     @pytest.mark.parametrize("make", [half_rate_instance, vee_notch_instance])
     def test_nan_tolerance_is_an_input_error(self, capsys, set_file, tmp_path, make):
         path = set_file(make())
-        code = main(["retract", "--set", path,
-                     "--point", dump(tmp_path, "x.json", [0.0, -3.0]), "--tol", "nan"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert "tol" in json.loads(lines[0])["error"]
+        err = input_error(capsys, ["retract", "--set", path, "--point",
+                                   dump(tmp_path, "x.json", [0.0, -3.0]), "--tol", "nan"])
+        assert "tol" in err["error"]
 
     def test_unbounded_set_needs_witness(self, capsys, set_file, tmp_path):
         path = set_file(diagonal_halfspace_instance())
@@ -118,6 +125,41 @@ class TestRetract:
         assert code == 2
         assert out["verdict"] == "stalled"
         assert out["violation"] > 1e-2
+
+    def test_truncate_residual_is_checked(self, capsys, set_file, tmp_path, monkeypatch):
+        """A truncate result that misses the set exits 2 with a probe verdict."""
+        original = cli.cyclic_retract
+
+        def moved(*args, **kwargs):
+            (a, b), trace = original(*args, **kwargs)
+            return (a - 1e-3, b + 1e-3), trace   # off the diagonal x2 = x1
+
+        monkeypatch.setattr(cli, "cyclic_retract", moved)
+        path = set_file(diagonal_halfspace_instance())
+        code, out, _ = run(capsys, [
+            "retract", "--set", path, "--point", dump(tmp_path, "x.json", [2.0, 5.0]),
+            "--witness", dump(tmp_path, "w.json", [0.0, 0.0]), "--tol", "1e-6"])
+        assert code == 2
+        assert out["strategy"] == "truncate"
+        assert out["violation"] > 1e-6
+        assert out["verdict"] in ("stalled", "decaying")
+
+    def test_overflowing_tolerance_is_an_input_error(self, capsys, set_file, tmp_path):
+        path = set_file(vee_notch_instance())
+        err = input_error(capsys, ["retract", "--set", path, "--point",
+                                   dump(tmp_path, "x.json", [0.0, -3.0]), "--tol", "1e-320"])
+        assert "overflows" in err["error"]
+
+    def test_deeply_nested_set_is_an_input_error(self, capsys, tmp_path):
+        # written as text: json.dump itself overflows the stack at this depth
+        depth = 600
+        bound = ('{"type":"min","children":[' * depth + '{"type":"const","value":3.0}'
+                 + "]}" * depth)
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"n":1,"lower":[{"type":"const","value":0.0}],"upper":[%s]}' % bound)
+        err = input_error(capsys, ["retract", "--set", str(deep),
+                                   "--point", dump(tmp_path, "x.json", [5.0])])
+        assert "error" in err
 
     def test_trace_file(self, capsys, set_file, tmp_path):
         path = set_file(half_rate_instance())
@@ -198,6 +240,12 @@ class TestHull:
         assert [0.0, 1.0] in out["functions"]
         assert [0.5, 0.5] in out["functions"]
         assert out["functions"] == sorted(out["functions"])
+
+    def test_overflowing_resolution_is_an_input_error(self, capsys, tmp_path):
+        metric = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])
+        err = input_error(capsys, ["hull", "enumerate", "--metric", metric,
+                                   "--resolution", "1e-320"])
+        assert "overflows" in err["error"]
 
     def test_thread_env(self, capsys, tmp_path, monkeypatch):
         metric = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from hyperlip.boxset import violation, violation_many
+from hyperlip import boxset, extension
+from hyperlip.boxset import DivergenceDetectedError, violation, violation_many
 from hyperlip.extension import (
     NotLipschitzError,
+    _extend_all_components,
     extend_into_Q,
     kuratowski_embed,
-    mcshane_extend_component,
 )
 from hyperlip.instances import (
+    box_instance,
     diagonal_halfspace_instance,
     random_mcshane_instance,
     sample_members,
@@ -28,23 +30,30 @@ def _three_point_space():
     return FiniteMetricSpace(D)
 
 
+def _envelope(B, A, values):
+    """Inf-envelope extension of scalar data, one value per point of ``B``."""
+    return list(_extend_all_components(B, A, [[v] for v in values])[:, 0])
+
+
 class TestScalarExtension:
+    """The coordinatewise inf-envelope, and the input checks of
+    :func:`extend_into_Q` that guard it."""
+
     def test_worked_example(self):
         B = _three_point_space()
         # data 0 at point 0 and 1 at point 1; at point 2 the envelope takes
         # min(0 + d(0,2), 1 + d(1,2)) = min(1.0, 2.5)
-        assert mcshane_extend_component(B, [0, 1], [0.0, 1.0], 2) == 1.0
+        assert _envelope(B, [0, 1], [0.0, 1.0])[2] == 1.0
 
     def test_agreement_on_the_subset_is_exact(self):
         B = _three_point_space()
-        assert mcshane_extend_component(B, [0, 1], [0.125, 1.375], 1) == 1.375
+        assert _envelope(B, [0, 1], [0.125, 1.375])[1] == 1.375
 
     def test_extension_is_one_lipschitz(self, rng):
         B = random_metric(rng, 9)
         A = [0, 2, 5]
         base = rng.uniform(-1, 1)
-        values = [base, base + 0.5, base - 0.5]
-        ext = [mcshane_extend_component(B, A, values, b) for b in range(9)]
+        ext = _envelope(B, A, [base, base + 0.5, base - 0.5])
         for i in range(9):
             for j in range(9):
                 assert abs(ext[i] - ext[j]) <= B.d(i, j) + 1e-12
@@ -54,7 +63,7 @@ class TestScalarExtension:
         B = random_metric(rng, 7)
         A = [1, 4]
         values = [0.0, 0.75]
-        ext = [mcshane_extend_component(B, A, values, b) for b in range(7)]
+        ext = _envelope(B, A, values)
         # the lower envelope max(v_a - d(a, b)) is another extension
         lower = [max(v - B.d(a, b) for a, v in zip(A, values)) for b in range(7)]
         for lo, hi in zip(lower, ext):
@@ -62,20 +71,22 @@ class TestScalarExtension:
 
     def test_non_lipschitz_data_rejected_with_witness(self):
         B = _three_point_space()
+        Q = box_instance([(-10.0, 10.0)])
         with pytest.raises(NotLipschitzError) as err:
-            mcshane_extend_component(B, [0, 2], [0.0, 9.0], 1)
+            extend_into_Q(B, [0, 2], [(0.0,), (9.0,)], Q)
         assert err.value.witness == (0, 2)
 
     def test_subset_validation(self):
         B = _three_point_space()
+        Q = box_instance([(-10.0, 10.0)])
         with pytest.raises(ValueError):
-            mcshane_extend_component(B, [], [], 0)
+            extend_into_Q(B, [], [], Q)
         with pytest.raises(ValueError):
-            mcshane_extend_component(B, [0, 0], [1.0, 1.0], 1)
+            extend_into_Q(B, [0, 0], [(1.0,), (1.0,)], Q)
         with pytest.raises(IndexError):
-            mcshane_extend_component(B, [0, 7], [1.0, 1.0], 1)
+            extend_into_Q(B, [0, 7], [(1.0,), (1.0,)], Q)
         with pytest.raises(ValueError):
-            mcshane_extend_component(B, [0, 1], [1.0], 2)
+            extend_into_Q(B, [0, 1], [(1.0,)], Q)
 
 
 class TestExtendIntoSet:
@@ -142,6 +153,24 @@ class TestExtendIntoSet:
         with pytest.raises(NotLipschitzError) as err:
             extend_into_Q(B, [0, 1], [members[0], far], Q)
         assert err.value.witness == (0, 1)
+
+    @pytest.mark.parametrize("make, members, witness, strategy, shift", [
+        (vee_notch_instance, [(0.0, 0.0), (1.0, 2.0)], None,
+         "retract_lambda_one_bounded_many", (0.0, -1.0)),
+        (diagonal_halfspace_instance, [(1.0, 0.0), (3.0, 2.0)], (0.0, 0.0),
+         "retract_lambda_one_general_many", (-1.0, 1.0)),
+    ])
+    def test_level_one_residual_is_checked(self, monkeypatch, make, members, witness,
+                                           strategy, shift):
+        """A level-1 result that misses the set raises with a probe verdict."""
+        original = getattr(extension, strategy)
+        monkeypatch.setattr(extension, strategy,
+                            lambda *a, **k: original(*a, **k) + np.asarray(shift))
+        B = embedded_metric(members + [(2.0, -1.0)])
+        with pytest.raises(DivergenceDetectedError) as err:
+            extend_into_Q(B, [0, 1], members, make(), tol=1e-4, witness=witness)
+        assert err.value.verdict in ("stalled", "decaying")
+        assert err.value.trace.steps == boxset._probe_steps(2)
 
 
 class TestKuratowski:

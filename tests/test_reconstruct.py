@@ -10,7 +10,6 @@ from hyperlip.reconstruct import (
     ReconstructionConfig,
     choose_cone,
     epsilon_many,
-    epsilon_of,
     membership_from_samples,
     synthesize_bounds,
     verify_reconstruction,
@@ -34,42 +33,41 @@ def _square_samples(step=0.25):
 class TestMargin:
     def test_singleton_sample(self):
         # with one inside point the margin is twice the distance
-        eps, p = epsilon_of([(0.0, 0.0)], (3.0, 1.0))
-        assert eps == 6.0
-        assert p == (0.0, 0.0)
+        eps, arg = epsilon_many([(0.0, 0.0)], [(3.0, 1.0)])
+        assert eps[0] == 6.0
+        assert arg[0] == 0
 
     def test_point_beside_a_segment(self):
         inside = [(t * 0.1, 0.0) for t in range(11)]
-        eps, p = epsilon_of(inside, (0.5, 1.0))
+        eps, arg = epsilon_many(inside, [(0.5, 1.0)])
         # the midpoint wins the max: from p = (0.5, 0) the cheapest detour
         # through any q costs 1.0 + 1.0 - 0.5
-        assert eps == pytest.approx(1.5)
-        assert p == (0.5, 0.0)
+        assert eps[0] == pytest.approx(1.5)
+        assert inside[arg[0]] == (0.5, 0.0)
 
     def test_collinear_exterior_point_has_no_margin(self):
         # x between two samples on a line is metrically between them
         inside = [(0.0, 0.0), (2.0, 0.0)]
-        with pytest.raises(ValueError):
-            epsilon_of(inside, (1.0, 0.0))
+        eps, _ = epsilon_many(inside, [(1.0, 0.0)])
+        assert eps[0] == 0.0
+        with pytest.raises(ValueError, match="not positive"):
+            synthesize_bounds(ReconstructionConfig(tuple(inside), ((1.0, 0.0),)))
 
     def test_sample_point_rejected(self):
-        with pytest.raises(ValueError):
-            epsilon_of([(0.0, 0.0)], (0.0, 0.0))
+        eps, _ = epsilon_many([(0.0, 0.0)], [(0.0, 0.0)])
+        assert eps[0] == 0.0
+        with pytest.raises(ValueError, match="not positive"):
+            synthesize_bounds(ReconstructionConfig(((0.0, 0.0),), ((0.0, 0.0),)))
 
     def test_batch_matches_scalar(self, rng):
+        """Margins do not depend on the batch or chunk a point is computed in."""
         inside = [tuple(v) for v in rng.uniform(-1, 1, (6, 3))]
         X = rng.uniform(-3, 3, (20, 3))
-        eps, arg = epsilon_many(inside, X)
-        for row, e in zip(X, eps):
-            x = tuple(row)
-            if min(abs(row - np.asarray(p)).max() for p in inside) == 0.0:
-                continue
-            if e <= 0.0:
-                with pytest.raises(ValueError):
-                    epsilon_of(inside, x)
-            else:
-                scalar, _ = epsilon_of(inside, x)
-                assert scalar == e
+        eps, arg = epsilon_many(inside, X, chunk=7)
+        for row, e, a in zip(X, eps, arg):
+            one, one_arg = epsilon_many(inside, [row])
+            assert one[0] == e
+            assert one_arg[0] == a
 
     def test_margin_capped_by_twice_the_distance(self, rng):
         inside = [tuple(v) for v in rng.uniform(-1, 1, (8, 2))]
