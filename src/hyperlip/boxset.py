@@ -200,9 +200,6 @@ class IterationTrace:
         first = self.displacements[:self.dim]
         return max(abs(d) for d in first) if first else 0.0
 
-    def coordinate_of_step(self, k: int) -> int:
-        return k % self.dim
-
     def points(self) -> list:
         """All iterates, starting point first, one per step thereafter."""
         pos = list(self.start)
@@ -247,24 +244,22 @@ def check_decay_certificate(trace: IterationTrace, lam: float, slack: float = 1e
     return bad
 
 
-def detect_noncontraction(trace: IterationTrace, window: int = None) -> str:
+def detect_noncontraction(trace: IterationTrace) -> str:
     """Classify the tail of a trace as ``'decaying'`` or ``'stalled'``.
 
-    Compares the largest displacement magnitude over the last ``window``
+    Compares the largest displacement magnitude over the last ``4 * dim``
     steps against the window before it; no decay (within a relative 1e-9)
     means the iteration is not contracting, which is how level-1 sets with
-    empty or degenerate solution sets surface in practice.
+    empty or degenerate solution sets surface in practice.  A tail of exact
+    zeros is a reached fixed point and reads ``'decaying'``.
     """
-    if window is None:
-        window = 4 * trace.dim
-    if window < 1:
-        raise ValueError("window must be positive")
+    window = 4 * trace.dim
     d = [abs(v) for v in trace.displacements]
     if len(d) < 2 * window:
         raise ValueError(f"trace too short: need at least {2 * window} steps, have {len(d)}")
     last = max(d[-window:])
     prev = max(d[-2 * window:-window])
-    return "stalled" if last >= (1.0 - STALL_RTOL) * prev else "decaying"
+    return "stalled" if last > 0.0 and last >= (1.0 - STALL_RTOL) * prev else "decaying"
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +267,16 @@ def detect_noncontraction(trace: IterationTrace, window: int = None) -> str:
 
 
 def _pair_evaluators(Q, compile_):
-    """Evaluators of the finite bounds built by ``compile_``; ``None`` for a
-    missing bound."""
-    lower = [None if isinstance(b, Infinite) else compile_(b) for b in Q.lower]
-    upper = [None if isinstance(b, Infinite) else compile_(b) for b in Q.upper]
-    return lower, upper
+    """Evaluators of the bounds built by ``compile_``; a missing bound
+    evaluates to ``-inf`` (lower) or ``+inf`` (upper)."""
+    return [compile_(b) for b in Q.lower], [compile_(b) for b in Q.upper]
+
+
+def _crossed(i, point, lo, up) -> InconsistentBoundsError:
+    """The error for a lower bound above the upper one on axis ``i``."""
+    point = tuple(float(c) for c in point)
+    return InconsistentBoundsError(
+        f"bounds cross on axis {i} at {point}: lower={float(lo)!r} > upper={float(up)!r}")
 
 
 def _rows(Q, X) -> np.ndarray:
@@ -295,18 +295,14 @@ def violation(Q: BoxLipschitzSet, x) -> float:
     x = as_point(x)
     if len(x) != Q.n:
         raise ValueError(f"point of dimension {len(x)} in a set of dimension {Q.n}")
+    lower, upper = _pair_evaluators(Q, _compile)
     worst = 0.0
     for i in range(Q.n):
         xh = hat(x, i)
-        lo = None if isinstance(Q.lower[i], Infinite) else _compile(Q.lower[i])(xh)
-        up = None if isinstance(Q.upper[i], Infinite) else _compile(Q.upper[i])(xh)
-        if lo is not None and up is not None and lo > up:
-            raise InconsistentBoundsError(
-                f"bounds cross on axis {i} at {x}: lower={lo!r} > upper={up!r}")
-        if lo is not None and lo - x[i] > worst:
-            worst = lo - x[i]
-        if up is not None and x[i] - up > worst:
-            worst = x[i] - up
+        lo, up = lower[i](xh), upper[i](xh)
+        if lo > up:
+            raise _crossed(i, x, lo, up)
+        worst = max(worst, lo - x[i], x[i] - up)
     return worst
 
 
@@ -316,19 +312,13 @@ def violation_many(Q: BoxLipschitzSet, X) -> np.ndarray:
     worst = np.zeros(X.shape[0])
     for i in range(Q.n):
         H = np.delete(X, i, axis=1)
-        lo = None if isinstance(Q.lower[i], Infinite) else eval_grid(Q.lower[i], H)
-        up = None if isinstance(Q.upper[i], Infinite) else eval_grid(Q.upper[i], H)
-        if lo is not None and up is not None:
-            crossed = lo > up
-            if crossed.any():
-                j = int(np.argmax(crossed))
-                raise InconsistentBoundsError(
-                    f"bounds cross on axis {i} at {tuple(X[j])}: "
-                    f"lower={lo[j]!r} > upper={up[j]!r}")
-        if lo is not None:
-            np.maximum(worst, lo - X[:, i], out=worst)
-        if up is not None:
-            np.maximum(worst, X[:, i] - up, out=worst)
+        lo, up = eval_grid(Q.lower[i], H), eval_grid(Q.upper[i], H)
+        crossed = lo > up
+        if crossed.any():
+            j = int(np.argmax(crossed))
+            raise _crossed(i, X[j], lo[j], up[j])
+        np.maximum(worst, lo - X[:, i], out=worst)
+        np.maximum(worst, X[:, i] - up, out=worst)
     return worst
 
 
@@ -350,11 +340,9 @@ def _scalar_sweeps(Q, x, threshold, max_sweeps, fixed_steps=None):
 
     def step(i):
         xh = pos[:i] + pos[i + 1:]
-        lo = -math.inf if lower[i] is None else lower[i](xh)
-        up = math.inf if upper[i] is None else upper[i](xh)
+        lo, up = lower[i](xh), upper[i](xh)
         if lo > up:
-            raise InconsistentBoundsError(
-                f"bounds cross on axis {i} at {tuple(pos)}: lower={lo!r} > upper={up!r}")
+            raise _crossed(i, pos, lo, up)
         new = min(max(lo, pos[i]), up)
         d = new - pos[i]
         pos[i] = new
@@ -408,20 +396,12 @@ def _batch_sweeps(Q, X, threshold, max_sweeps, record):
         moved = np.zeros(len(rows), dtype=bool)
         for i in range(n):
             H = XT[others[i]]
-            lo = None if lower[i] is None else lower[i](H)
-            up = None if upper[i] is None else upper[i](H)
-            if lo is not None and up is not None:
-                crossed = lo > up
-                if crossed.any():
-                    j = int(np.argmax(crossed))
-                    raise InconsistentBoundsError(
-                        f"bounds cross on axis {i} at {tuple(XT[:, j])}: "
-                        f"lower={lo[j]!r} > upper={up[j]!r}")
-            new = XT[i]
-            if lo is not None:
-                new = np.maximum(lo, new)
-            if up is not None:
-                new = np.minimum(up, new)
+            lo, up = lower[i](H), upper[i](H)
+            crossed = lo > up
+            if crossed.any():
+                j = int(np.argmax(crossed))
+                raise _crossed(i, XT[:, j], lo[j], up[j])
+            new = np.minimum(up, np.maximum(lo, XT[i]))
             d = new - XT[i]
             XT[i] = new
             moved |= d != 0.0

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -122,19 +121,6 @@ def _trace_summary(trace):
     }
 
 
-def _threads() -> int:
-    """Worker threads from ``HYPERLIP_THREADS``: 1 when unset, one per CPU
-    when 0, and never more than the CPUs."""
-    raw = os.environ.get("HYPERLIP_THREADS")
-    if raw is None:
-        return 1
-    count = int(raw)
-    if count < 0:
-        raise ValueError("HYPERLIP_THREADS must be nonnegative")
-    cpus = os.cpu_count() or 1
-    return cpus if count == 0 else min(count, cpus)
-
-
 # ---------------------------------------------------------------------------
 # retract
 
@@ -221,7 +207,7 @@ def cmd_hull(args) -> int:
         _err({"error": f"unknown hull action {args.action!r}"})
         return 1
     X = _load_matrix(args.metric)
-    found = hull.enumerate_extremal_grid(X, args.resolution, workers=_threads())
+    found = hull.enumerate_extremal_grid(X, args.resolution)
     _emit({"count": len(found), "functions": [list(f) for f in found]})
     return 0
 

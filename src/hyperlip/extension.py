@@ -34,6 +34,9 @@ __all__ = [
     "kuratowski_embed",
 ]
 
+# rounding slack allowed when checking that the input map is 1-Lipschitz
+_LIP_TOL = 1e-9
+
 
 class NotLipschitzError(ValueError):
     """Input data violate the required Lipschitz bound; carries a witness."""
@@ -67,8 +70,7 @@ def _extend_all_components(B, A, phi_rows):
 
 
 def extend_into_Q(B: FiniteMetricSpace, A, phi, Q: BoxLipschitzSet,
-                  tol: float = 1e-6, witness: Point = None, box=None,
-                  lip_tol: float = 1e-9) -> list:
+                  tol: float = 1e-6, witness: Point = None, box=None) -> list:
     """Extend a 1-Lipschitz map ``A -> Q`` to all of ``B``, staying in ``Q``.
 
     ``phi`` lists one point of ``Q`` per index of ``A`` (violation must be
@@ -99,7 +101,7 @@ def extend_into_Q(B: FiniteMetricSpace, A, phi, Q: BoxLipschitzSet,
         for q in range(p + 1, len(A)):
             j = A[q]
             excess = sup_dist(phi_rows[p], phi_rows[q]) - B.d(i, j)
-            if excess > lip_tol:
+            if excess > _LIP_TOL:
                 raise NotLipschitzError(
                     f"map stretches pair ({i}, {j}) by {excess:g}", (i, j))
 

@@ -16,6 +16,7 @@ polyhedral structure.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 GRID_CANDIDATE_CAP = 10 ** 8
+# candidates held in memory at once across all scan threads
+_ROWS_IN_FLIGHT = 100_000
 
 
 class ExtremalityError(RuntimeError):
@@ -54,13 +57,7 @@ def _values(X, f):
 def in_delta(X: FiniteMetricSpace, f, tol: float = 1e-12) -> bool:
     """Whether ``f(x) + f(y) >= d(x, y) - tol`` for all pairs (x = y included,
     which forces nonnegative values)."""
-    vals = _values(X, f)
-    m = X.size
-    for i in range(m):
-        for j in range(i, m):
-            if vals[i] + vals[j] < X.d(i, j) - tol:
-                return False
-    return True
+    return bool(_admissible(X.matrix, np.array([_values(X, f)]), tol)[0])
 
 
 def is_extremal(X: FiniteMetricSpace, f, tol: float = 1e-12) -> bool:
@@ -69,15 +66,10 @@ def is_extremal(X: FiniteMetricSpace, f, tol: float = 1e-12) -> bool:
     Checks ``f(x) <= max_y (d(x, y) - f(y)) + tol`` for every ``x``; the
     reverse inequality is admissibility, which is a precondition here.
     """
-    vals = _values(X, f)
-    if not in_delta(X, vals, tol):
+    F = np.array([_values(X, f)])
+    if not _admissible(X.matrix, F, tol)[0]:
         raise ValueError("function is not admissible on this space")
-    m = X.size
-    for i in range(m):
-        best = max(X.d(i, j) - vals[j] for j in range(m))
-        if vals[i] > best + tol:
-            return False
-    return True
+    return bool(_minimal(X.matrix, F, tol)[0])
 
 
 def extremal_zero_classification(X: FiniteMetricSpace, f, tol: float = 1e-12):
@@ -132,23 +124,44 @@ def attach_point(X: FiniteMetricSpace, f) -> FiniteMetricSpace:
     return FiniteMetricSpace(out)
 
 
-def _scan_block(D, V, shape, start, stop, tol):
-    """Extremality scan of candidates with flat indices [start, stop)."""
-    idx = np.unravel_index(np.arange(start, stop), shape)
-    F = np.column_stack([V[ix] for ix in idx])
+def _admissible(D, F, tol):
+    """Which rows of ``F`` satisfy ``F[i] + F[j] >= D[i, j] - tol`` for all
+    ``i <= j``."""
     m = D.shape[0]
     ok = np.ones(F.shape[0], dtype=bool)
     for i in range(m):
         for j in range(i, m):
             np.logical_and(ok, F[:, i] + F[:, j] >= D[i, j] - tol, out=ok)
-    for i in range(m):
+    return ok
+
+
+def _minimal(D, F, tol):
+    """Which rows of ``F`` satisfy ``F[i] <= max_j (D[i, j] - F[j]) + tol``
+    for all ``i``."""
+    ok = np.ones(F.shape[0], dtype=bool)
+    for i in range(D.shape[0]):
         best = (D[i][None, :] - F).max(axis=1)
         np.logical_and(ok, F[:, i] <= best + tol, out=ok)
+    return ok
+
+
+def _scan_block(D, V, shape, start, stop, tol):
+    """Extremality scan of candidates with flat indices [start, stop)."""
+    idx = np.unravel_index(np.arange(start, stop), shape)
+    F = np.column_stack([V[ix] for ix in idx])
+    ok = _admissible(D, F, tol) & _minimal(D, F, tol)
     return [tuple(map(float, row)) for row in F[ok]]
 
 
-def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float,
-                            workers: int = None) -> list:
+def _cpus() -> int:
+    """CPUs this process may run on (so ``taskset`` limits the scan)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float) -> list:
     """All grid points of ``[0, diam]^|X|`` passing the extremality test.
 
     The step is ``resolution`` and the test tolerance is ``resolution / 2``:
@@ -156,6 +169,8 @@ def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float,
     set it approximates while rejecting the neighbors one step off it.
     Rows of the distance matrix, snapped to the grid, are always included.
     Spaces larger than 5 points or grids beyond 10^8 candidates are refused.
+    The scan runs on one thread per CPU the process may run on, in blocks
+    sized so that at most 100 000 candidates are held at once.
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
@@ -175,14 +190,12 @@ def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float,
     tol = resolution / 2.0
     shape = (count,) * m
     total = count ** m
-    block = 200_000
+    cpus = _cpus()
+    block = _ROWS_IN_FLIGHT // cpus
     ranges = [(s, min(s + block, total)) for s in range(0, total, block)]
-    if workers is not None and workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: _scan_block(D, V, shape, r[0], r[1], tol),
-                                  ranges))
-    else:
-        parts = [_scan_block(D, V, shape, s, e, tol) for s, e in ranges]
+    with ThreadPoolExecutor(max_workers=min(cpus, len(ranges))) as pool:
+        parts = list(pool.map(lambda r: _scan_block(D, V, shape, r[0], r[1], tol),
+                              ranges))
     found = {pt for part in parts for pt in part}
     top = float(V[-1])
     for x in range(m):

@@ -135,27 +135,25 @@ def _mcshane_repair(points, raw, lam):
 
 
 def random_mcshane_instance(n: int, lam: float, rng: np.random.Generator,
-                            *, samples: int = 4, gap: float = 1.0,
-                            span: float = 2.0) -> BoxLipschitzSet:
+                            *, samples: int = 4) -> BoxLipschitzSet:
     """Random nonempty set of syntactic level exactly ``lam``.
 
     Each lower bound is a sup-mode McShane envelope of repaired random
     samples and the matching upper bound is the inf-mode envelope of the
-    same samples lifted by ``gap``; the lift guarantees upper - lower >= gap
-    everywhere, so the set has a uniformly thick interior.
+    same samples lifted by 1; the lift guarantees upper - lower >= 1
+    everywhere, so the set has a uniformly thick interior.  Sample sites are
+    drawn from ``[-2, 2]^(n-1)``.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    if gap <= 0.0:
-        raise ValueError("gap must be positive")
     lower = []
     upper = []
     for _ in range(n):
-        pts = [tuple(rng.uniform(-span, span, n - 1)) for _ in range(samples)]
+        pts = [tuple(rng.uniform(-2.0, 2.0, n - 1)) for _ in range(samples)]
         raw = rng.uniform(-1.0, 1.0, samples)
         vals = _mcshane_repair(pts, raw, lam)
         lower.append(McShane(tuple(zip(pts, vals)), lam, "sup"))
-        upper.append(McShane(tuple((p, v + gap) for p, v in zip(pts, vals)),
+        upper.append(McShane(tuple((p, v + 1.0) for p, v in zip(pts, vals)),
                              lam, "inf"))
     return BoxLipschitzSet(lower, upper)
 

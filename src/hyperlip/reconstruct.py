@@ -145,7 +145,7 @@ def _cone_hits(cone: ConeDescriptor, P: np.ndarray) -> np.ndarray:
     return (t >= 0.0) & (off <= t)
 
 
-def synthesize_bounds(cfg: ReconstructionConfig, n: int = None) -> BoxLipschitzSet:
+def synthesize_bounds(cfg: ReconstructionConfig) -> BoxLipschitzSet:
     """Bounds whose solution set contains the inside sample and excludes
     every exterior sample.
 
@@ -155,10 +155,7 @@ def synthesize_bounds(cfg: ReconstructionConfig, n: int = None) -> BoxLipschitzS
     whole inside sample; an overlap means the separation hypothesis failed
     (``a`` too large, or the sampled set is not of the representable kind).
     """
-    if n is None:
-        n = cfg.n
-    elif n != cfg.n:
-        raise ValueError(f"declared dimension {n} does not match samples of dimension {cfg.n}")
+    n = cfg.n
     P = np.asarray(cfg.inside, dtype=float)
     uppers = [[] for _ in range(n)]
     lowers = [[] for _ in range(n)]

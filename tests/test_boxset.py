@@ -65,8 +65,8 @@ def _all_rows_sweeps(Q, X, threshold, max_sweeps, record):
                 if crossed.any():
                     j = int(np.argmax(crossed))
                     raise InconsistentBoundsError(
-                        f"bounds cross on axis {i} at {tuple(X[j])}: "
-                        f"lower={lo[j]!r} > upper={up[j]!r}")
+                        f"bounds cross on axis {i} at {tuple(X[j].tolist())}: "
+                        f"lower={float(lo[j])!r} > upper={float(up[j])!r}")
             new = X[:, i]
             if lo is not None:
                 new = np.maximum(lo, new)
@@ -141,6 +141,15 @@ class TestViolation:
         with pytest.raises(InconsistentBoundsError):
             violation(Q, (0.5,))
 
+    def test_crossing_message_is_the_same_on_both_paths(self):
+        Q = BoxLipschitzSet([Const(1.0), Const(0.0)], [Const(0.0), Const(1.0)])
+        with pytest.raises(InconsistentBoundsError) as one:
+            violation(Q, (0.5, 0.5))
+        with pytest.raises(InconsistentBoundsError) as many:
+            violation_many(Q, [[0.5, 0.5]])
+        assert str(one.value) == str(many.value) == \
+            "bounds cross on axis 0 at (0.5, 0.5): lower=1.0 > upper=0.0"
+
     def test_batch_matches_scalar(self, rng):
         Q = random_mcshane_instance(3, 0.5, rng)
         X = rng.uniform(-3, 3, (40, 3))
@@ -201,6 +210,15 @@ class TestExactDynamics:
                          (origin_cycle_instance(), (0.0, 1.0))):
             trace = cyclic_iterate(Q, start, 16)
             assert detect_noncontraction(trace) == "stalled"
+
+    def test_reached_fixed_point_is_decaying(self):
+        # the first sweep lands in the set; every later move is exactly 0
+        for Q, start in ((vee_notch_instance(), (0.0, -3.0)),
+                         (box_instance([(0, 1), (0, 1)]), (5.0, 5.0))):
+            trace = cyclic_iterate(Q, start, 80)
+            assert any(trace.displacements[:2])
+            assert not any(trace.displacements[2:])
+            assert detect_noncontraction(trace) == "decaying"
 
 
 class TestCyclicRetract:

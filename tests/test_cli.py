@@ -5,7 +5,6 @@ Commands run in process through main(argv); one test goes through the
 """
 
 import json
-import os
 import subprocess
 import sys
 
@@ -246,32 +245,6 @@ class TestHull:
         err = input_error(capsys, ["hull", "enumerate", "--metric", metric,
                                    "--resolution", "1e-320"])
         assert "overflows" in err["error"]
-
-    def test_thread_env(self, capsys, tmp_path, monkeypatch):
-        metric = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])
-        monkeypatch.setenv("HYPERLIP_THREADS", "2")
-        code, out, _ = run(capsys, [
-            "hull", "enumerate", "--metric", metric, "--resolution", "0.25"])
-        assert code == 0
-        assert out["count"] == 5
-
-    def test_thread_count_is_capped_at_the_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.delenv("HYPERLIP_THREADS", raising=False)
-        assert cli._threads() == 1
-        for raw, want in (("1", 1), ("2", 2), ("8", 2), ("0", 2)):
-            monkeypatch.setenv("HYPERLIP_THREADS", raw)
-            assert cli._threads() == want
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert cli._threads() == 1
-
-    def test_negative_thread_env_rejected(self, capsys, tmp_path, monkeypatch):
-        metric = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])
-        monkeypatch.setenv("HYPERLIP_THREADS", "-1")
-        code, _, err = run(capsys, [
-            "hull", "enumerate", "--metric", metric, "--resolution", "0.25"])
-        assert code == 1
-        assert "HYPERLIP_THREADS" in err["error"]
 
 
 class TestReconstruct:

@@ -1,8 +1,11 @@
 """Tests for admissible/extremal functions and the grid enumeration."""
 
+import os
+
 import numpy as np
 import pytest
 
+from hyperlip import hull
 from hyperlip.hull import (
     attach_point,
     enumerate_extremal_grid,
@@ -43,6 +46,12 @@ class TestAdmissibility:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             in_delta(_two_point(), (1.0,))
+
+    def test_nan_values_are_not_admissible(self):
+        X = _two_point()
+        assert not in_delta(X, (float("nan"), 1.0))
+        with pytest.raises(ValueError):
+            is_extremal(X, (float("nan"), 1.0))
 
 
 class TestExtremality:
@@ -152,10 +161,69 @@ class TestEnumeration:
         found = enumerate_extremal_grid(X, 0.25)
         assert (0.0, 1.0) in found
 
-    def test_workers_give_the_same_answer(self):
+    def test_workers_give_the_same_answer(self, monkeypatch):
+        # three CPUs split the 41^3 candidates into three blocks
+        monkeypatch.setattr(hull, "_cpus", lambda: 3)
         X = _tripod()
-        assert enumerate_extremal_grid(X, 0.25) == \
-            enumerate_extremal_grid(X, 0.25, workers=4)
+        V = np.array([j * 0.05 for j in range(41)])
+        whole = hull._scan_block(X.matrix, V, (41,) * 3, 0, 41 ** 3, 0.025)
+        rows = {tuple(float(v) for v in X.row(x)) for x in range(3)}
+        assert enumerate_extremal_grid(X, 0.05) == sorted(set(whole) | rows)
+
+    def test_pool_size_and_rows_in_flight(self, monkeypatch):
+        asked, sizes = [], []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        scan = hull._scan_block
+
+        def recording_scan(D, V, shape, start, stop, tol):
+            sizes.append(stop - start)
+            return scan(D, V, shape, start, stop, tol)
+
+        want = enumerate_extremal_grid(_tripod(), 0.05)
+        monkeypatch.setattr(hull, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(hull, "_scan_block", recording_scan)
+        for cpus in (1, 2, 3, 64):
+            asked.clear()
+            sizes.clear()
+            monkeypatch.setattr(hull, "_cpus", lambda: cpus)
+            assert enumerate_extremal_grid(_tripod(), 0.05) == want
+            assert sum(sizes) == 41 ** 3
+            assert asked == [min(cpus, len(sizes))]
+            assert asked[0] * max(sizes) <= hull._ROWS_IN_FLIGHT
+
+    def test_cpu_count_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert hull._cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert hull._cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert hull._cpus() == 1
+
+    def test_one_row_checks_match_the_scan(self, rng):
+        for m, res in ((2, 0.25), (3, 0.25), (4, 0.5)):
+            X = random_metric(rng, m)
+            count = int(np.floor(X.matrix.max() / res + 1e-9)) + 1
+            V = np.array([j * res for j in range(count)])
+            tol = res / 2.0
+            found = set(hull._scan_block(X.matrix, V, (count,) * m, 0, count ** m, tol))
+            for ix in np.ndindex(*(count,) * m):
+                f = tuple(float(V[k]) for k in ix)
+                extremal = in_delta(X, f, tol) and is_extremal(X, f, tol)
+                assert extremal == (f in found)
 
     def test_size_limits(self, rng):
         X = random_metric(rng, 6)
