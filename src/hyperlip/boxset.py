@@ -12,10 +12,11 @@ set; the grammar keeps it in [0, 1].
 Retraction onto such a set runs single-coordinate projections cyclically.
 Below level 1 the displacement sequence decays geometrically sweep over
 sweep, which both terminates the iteration and certifies the result; at
-level exactly 1 the iteration can stall or drift, and the two relaxation
-routines (:func:`retract_lambda_one_bounded`,
-:func:`retract_lambda_one_general`) replace the set by a slightly shrunken
-or ball-truncated one whose level is strictly below 1.
+level exactly 1 the iteration can stall or drift, and one relaxation rule
+(``_level_one``, behind :func:`retract_lambda_one_bounded`,
+:func:`retract_lambda_one_general`, :func:`find_point` and the CLI) replaces
+the set by a slightly shrunken or ball-truncated one whose level is strictly
+below 1.
 
 Every iterative routine here also has a ``*_many`` batch variant that runs
 all inputs on one shared sweep schedule.  A shared schedule means the whole
@@ -59,7 +60,7 @@ from .lipfun import (
     shrink,
     translated,
 )
-from .metric import Point, as_point, hat, sup_dist
+from .metric import Point, as_point, hat
 
 __all__ = [
     "BoxLipschitzSet",
@@ -283,8 +284,10 @@ def _rows(Q, X) -> np.ndarray:
     """``X`` as an ``(N, Q.n)`` float array; like :func:`as_point`, rejects
     non-finite coordinates."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != Q.n:
-        raise ValueError(f"expected shape (N, {Q.n}), got {X.shape}")
+    if X.ndim != 2:
+        raise ValueError(f"expected rows of points, got shape {X.shape}")
+    if X.shape[1] != Q.n:
+        raise ValueError(f"points of dimension {X.shape[1]} in a set of dimension {Q.n}")
     if not np.isfinite(X).all():
         raise ValueError("point coordinates must be finite")
     return X
@@ -555,43 +558,6 @@ def shrink_set(Q: BoxLipschitzSet, k: int, l: float, u: float) -> BoxLipschitzSe
     return BoxLipschitzSet(lower, upper)
 
 
-def _relax(Q, tol, l, u):
-    k = relaxation_order(u - l, tol)
-    return shrink_set(Q, k, l, u), k
-
-
-def _relax_sweep_budget(k, max_sweeps):
-    return max_sweeps if max_sweeps is not None else 50 * k + 1000
-
-
-def retract_lambda_one_bounded(Q: BoxLipschitzSet, x, tol: float, box,
-                               max_sweeps: int = None) -> Point:
-    """Approximate retraction onto a finite-bounded set at Lipschitz level 1.
-
-    Shrinks the bounds by ``1 - 1/k`` toward their enclosures over ``box``,
-    with ``k = ceil((u - l)/tol) + 1``, and retracts onto the shrunken set,
-    which is again of the same class but strictly below level 1.  Members of
-    the original set inside the working box are also members of the shrunken
-    set and are returned unchanged.  As long as the iterates stay where the
-    enclosures are valid, the result violates the original bounds by at most
-    ``(u - l + tol)/k <= tol``.
-    """
-    x = as_point(x)
-    l, u = enclosure_bounds(Q, box)
-    Qk, k = _relax(Q, tol, l, u)
-    point, _ = cyclic_retract(Qk, x, tol / 4, _relax_sweep_budget(k, max_sweeps))
-    return point
-
-
-def retract_lambda_one_bounded_many(Q: BoxLipschitzSet, X, tol: float, box,
-                                    max_sweeps: int = None) -> np.ndarray:
-    """Batch :func:`retract_lambda_one_bounded` on one shared schedule."""
-    l, u = enclosure_bounds(Q, box)
-    Qk, k = _relax(Q, tol, l, u)
-    points, _ = cyclic_retract_many(Qk, X, tol / 4, _relax_sweep_budget(k, max_sweeps))
-    return points
-
-
 def truncated_set(Q: BoxLipschitzSet, witness, r: float) -> BoxLipschitzSet:
     """Intersect ``Q`` with the ball of radius ``r`` around a member.
 
@@ -625,56 +591,104 @@ def truncated_set(Q: BoxLipschitzSet, witness, r: float) -> BoxLipschitzSet:
     return BoxLipschitzSet(lower, upper)
 
 
-def _check_witness(Q, witness):
-    w = as_point(witness)
-    v = violation(Q, w)
-    if v != 0.0:
-        raise ValueError(f"witness {w} is not a member (violation {v:g})")
-    return w
+def _auto_box(Q, X):
+    """Working box of the shrink strategy for the starts ``X`` (one point or
+    rows of points): the cube of half-width ``2 (1 + max |x_ij| + s)``, ``s``
+    the largest bound magnitude at the hat origin."""
+    zero_hat = (0.0,) * (Q.n - 1)
+    scale = max(0.0, *(abs(_compile(b)(zero_hat)) for b in Q.lower + Q.upper))
+    R = 2.0 * (1.0 + float(np.abs(np.asarray(X, dtype=float)).max(initial=0.0)) + scale)
+    return [(-R, R)] * Q.n
 
 
-def retract_lambda_one_general(Q: BoxLipschitzSet, witness, x, tol: float,
-                               max_sweeps: int = None) -> Point:
-    """Retraction at level 1 with possibly unbounded or missing bounds.
+def _level_one(Q, X, tol, box=None, witness=None):
+    """The relaxation rule of every level-1 retraction of the starts ``X``.
 
-    Needs one known member.  Truncates the set to the ball of radius
-    ``r = 2 * sup_dist(x, witness) + 1`` around the witness, which keeps every
-    member the iteration could be asked to fix, then runs the bounded
-    strategy on the truncated set whose enclosures ``[-r, r]`` hold globally.
+    With all bounds finite, shrink toward the enclosures ``[l, u]`` over
+    ``box`` (default: :func:`_auto_box` of ``X``).  Otherwise truncate to the
+    ball of radius ``r = 2 max ||x - w|| + 1`` around the member ``witness``,
+    which keeps every member the iteration could be asked to fix, and shrink
+    the truncation (centred on ``w``) toward ``[-r, r]``.  Either way
+    ``k = relaxation_order(u - l, tol)``.  Returns ``(target, w, engine_tol,
+    max_sweeps, report)``: the relaxed set, of level below 1; the centre to
+    subtract from the starts and add back (``None`` when shrinking); the
+    cyclic run's tolerance ``tol / 4`` and budget ``50 k + 1000``; and the
+    ``strategy`` with ``k`` and the ``enclosure`` or ``radius``.
     """
-    w = _check_witness(Q, witness)
+    X = _rows(Q, X)
+    if Q.all_finite:
+        l, u = enclosure_bounds(Q, _auto_box(Q, X) if box is None else box)
+        base, w, report = Q, None, {"strategy": "shrink", "enclosure": [l, u]}
+    elif witness is None:
+        raise UnsupportedSetError("a level-1 set with missing bounds needs a witness member")
+    else:
+        w = as_point(witness)
+        v = violation(Q, w)
+        if v != 0.0:
+            raise ValueError(f"witness {w} is not a member (violation {v:g})")
+        r = 2.0 * float(np.abs(X - np.asarray(w)).max(initial=0.0)) + 1.0
+        l, u = -r, r
+        base, report = truncated_set(Q, w, r), {"strategy": "truncate", "radius": r}
+    k = report["k"] = relaxation_order(u - l, tol)
+    return shrink_set(base, k, l, u), w, tol / 4, 50 * k + 1000, report
+
+
+def _retract_level_one(Q, x, tol, box=None, witness=None) -> Point:
+    """Retract one point onto the relaxed set of :func:`_level_one`."""
     x = as_point(x)
-    if len(x) != Q.n:
-        raise ValueError(f"point of dimension {len(x)} in a set of dimension {Q.n}")
-    r = 2.0 * sup_dist(x, w) + 1.0
-    Qt = truncated_set(Q, w, r)
-    Qk, k = _relax(Qt, tol, -r, r)
-    xt = tuple(a - b for a, b in zip(x, w))
-    point, _ = cyclic_retract(Qk, xt, tol / 4, _relax_sweep_budget(k, max_sweeps))
+    target, w, engine_tol, budget, _ = _level_one(Q, [x], tol, box, witness)
+    if w is None:
+        return cyclic_retract(target, x, engine_tol, budget)[0]
+    point, _ = cyclic_retract(target, tuple(a - b for a, b in zip(x, w)), engine_tol, budget)
     return tuple(a + b for a, b in zip(point, w))
 
 
-def retract_lambda_one_general_many(Q: BoxLipschitzSet, witness, X, tol: float,
-                                    max_sweeps: int = None) -> np.ndarray:
-    """Batch :func:`retract_lambda_one_general` with one common radius."""
-    w = _check_witness(Q, witness)
-    X = _rows(Q, X)
+def _retract_level_one_many(Q, X, tol, box=None, witness=None) -> np.ndarray:
+    """Batch :func:`_retract_level_one` on one shared schedule."""
+    target, w, engine_tol, budget, _ = _level_one(Q, X, tol, box, witness)
+    if w is None:
+        return cyclic_retract_many(target, X, engine_tol, budget)[0]
     wa = np.asarray(w)
-    r = 2.0 * float(np.abs(X - wa).max(initial=0.0)) + 1.0
-    Qt = truncated_set(Q, w, r)
-    Qk, k = _relax(Qt, tol, -r, r)
-    points, _ = cyclic_retract_many(Qk, X - wa, tol / 4, _relax_sweep_budget(k, max_sweeps))
-    return points + wa
+    return cyclic_retract_many(target, X - wa, engine_tol, budget)[0] + wa
 
 
-def _auto_box(Q, x):
-    """Working box of the shrink strategy for a start ``x``: the cube of
-    half-width ``2 (1 + max |x_i| + s)``, ``s`` the largest bound magnitude
-    at the hat origin."""
-    zero_hat = (0.0,) * (Q.n - 1)
-    scale = max(0.0, *(abs(_compile(b)(zero_hat)) for b in Q.lower + Q.upper))
-    R = 2.0 * (1.0 + max(abs(c) for c in x) + scale)
-    return [(-R, R)] * Q.n
+def retract_lambda_one_bounded(Q: BoxLipschitzSet, x, tol: float, box) -> Point:
+    """Approximate retraction onto a finite-bounded set at Lipschitz level 1.
+
+    Shrinks the bounds by ``1 - 1/k`` toward their enclosures over ``box``
+    (``None`` for the default box of :func:`_level_one`), with
+    ``k = ceil((u - l)/tol) + 1``, and retracts onto the shrunken set, which
+    is again of the same class but strictly below level 1.  Members of the
+    original set inside the working box are also members of the shrunken
+    set and are returned unchanged.  As long as the iterates stay where the
+    enclosures are valid, the result violates the original bounds by at most
+    ``(u - l + tol)/k <= tol``.  A set with missing bounds is truncated as in
+    :func:`retract_lambda_one_general`, which needs a witness.
+    """
+    return _retract_level_one(Q, x, tol, box=box)
+
+
+def retract_lambda_one_bounded_many(Q: BoxLipschitzSet, X, tol: float, box) -> np.ndarray:
+    """Batch :func:`retract_lambda_one_bounded` on one shared schedule."""
+    return _retract_level_one_many(Q, X, tol, box=box)
+
+
+def retract_lambda_one_general(Q: BoxLipschitzSet, witness, x, tol: float) -> Point:
+    """Retraction at level 1 with possibly unbounded or missing bounds.
+
+    Needs one known member.  Truncates the set to the ball of radius
+    ``r = 2 * sup_dist(x, witness) + 1`` around the witness and runs the
+    shrinking strategy on the truncation, whose enclosures ``[-r, r]`` hold
+    globally (the rule of :func:`_level_one`).  A set whose bounds are all
+    finite is shrunk over the default box instead, like
+    :func:`retract_lambda_one_bounded` with ``box=None``.
+    """
+    return _retract_level_one(Q, x, tol, witness=witness)
+
+
+def retract_lambda_one_general_many(Q: BoxLipschitzSet, witness, X, tol: float) -> np.ndarray:
+    """Batch :func:`retract_lambda_one_general` with one common radius."""
+    return _retract_level_one_many(Q, X, tol, witness=witness)
 
 
 def _probe_steps(n):
@@ -695,7 +709,7 @@ def _check_relaxed(Q, start, gap, tol):
         f"raw iteration verdict: {verdict}", verdict, probe)
 
 
-def find_point(Q: BoxLipschitzSet, tol: float = 1e-9, max_sweeps: int = None) -> Point:
+def find_point(Q: BoxLipschitzSet, tol: float = 1e-9) -> Point:
     """Produce some member of ``Q`` (within ``tol``) by retracting the origin.
 
     Below level 1 the iteration converges outright.  At level 1 with all
@@ -708,13 +722,8 @@ def find_point(Q: BoxLipschitzSet, tol: float = 1e-9, max_sweeps: int = None) ->
     """
     origin = (0.0,) * Q.n
     if Q.lip_bound < 1.0:
-        point, _ = cyclic_retract(Q, origin, tol,
-                                  max_sweeps if max_sweeps is not None else 100_000)
-        return point
-    if not Q.all_finite:
-        raise UnsupportedSetError(
-            "no strategy for level-1 sets with missing bounds and no witness")
-    point = retract_lambda_one_bounded(Q, origin, tol, _auto_box(Q, origin), max_sweeps)
+        return cyclic_retract(Q, origin, tol)[0]
+    point = _retract_level_one(Q, origin, tol)
     _check_relaxed(Q, origin, violation(Q, point), tol)
     return point
 
@@ -738,11 +747,13 @@ def set_from_obj(obj) -> BoxLipschitzSet:
     if not isinstance(obj, dict):
         raise ValueError("malformed set object")
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         raw_lower = obj["lower"]
         raw_upper = obj["upper"]
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in set object") from exc
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"set dimension n must be an integer, got {n!r}")
     if len(raw_lower) != n or len(raw_upper) != n:
         raise ValueError("bound lists do not match the declared dimension")
 

@@ -21,6 +21,9 @@ import sys
 import numpy as np
 
 from . import boxset, hull, instances, svgplot
+# ``enclosure_bounds``, ``relaxation_order``, ``shrink_set`` and
+# ``truncated_set`` are no longer called here (``boxset._level_one`` is the
+# relaxation rule), but bench/tracing.py patches these bindings.
 from .boxset import (
     BoxLipschitzSet,
     DivergenceDetectedError,
@@ -128,36 +131,22 @@ def _trace_summary(trace):
 def cmd_retract(args) -> int:
     Q = _load_set(args.set)
     x = _load_point(args.point)
-    tol = args.tol
     level_one = Q.lip_bound >= 1.0
     w = None
-    if not level_one:
-        target, result = Q, {"strategy": "cyclic"}
-        budget = args.max_sweeps or 100_000
+    if level_one:
+        box = _load_box(args.box) if args.box else None
+        witness = _load_point(args.witness) if args.witness else None
+        target, w, tol, budget, result = boxset._level_one(Q, [x], args.tol, box, witness)
     else:
-        if Q.all_finite:
-            box = _load_box(args.box) if args.box else boxset._auto_box(Q, x)
-            l, u = enclosure_bounds(Q, box)
-            base, result = Q, {"strategy": "shrink", "enclosure": [l, u]}
-        elif not args.witness:
-            _err({"error": "level-1 set with missing bounds needs --witness"})
-            return 1
-        else:
-            w = boxset._check_witness(Q, _load_point(args.witness))
-            r = 2.0 * sup_dist(x, w) + 1.0
-            l, u = -r, r
-            base, result = truncated_set(Q, w, r), {"strategy": "truncate", "radius": r}
-        k = result["k"] = relaxation_order(u - l, tol)
-        target = shrink_set(base, k, l, u)
-        budget = args.max_sweeps or 50 * k + 1000
+        target, tol, budget, result = Q, args.tol, 100_000, {"strategy": "cyclic"}
     start = x if w is None else tuple(a - b for a, b in zip(x, w))
-    moved, trace = cyclic_retract(target, start, tol / 4 if level_one else tol, budget)
+    moved, trace = cyclic_retract(target, start, tol, args.max_sweeps or budget)
     point = moved if w is None else tuple(a + b for a, b in zip(moved, w))
     result.update(point=list(point), violation=violation(Q, point),
                   sweeps=trace.steps // Q.n, trace_summary=_trace_summary(trace))
     _write_trace(args, trace)
     code = 0
-    if level_one and result["violation"] > tol:
+    if level_one and result["violation"] > args.tol:
         probe = cyclic_iterate(Q, x, boxset._probe_steps(Q.n))
         result["verdict"] = detect_noncontraction(probe)
         code = 2

@@ -76,11 +76,12 @@ def extend_into_Q(B: FiniteMetricSpace, A, phi, Q: BoxLipschitzSet,
     ``phi`` lists one point of ``Q`` per index of ``A`` (violation must be
     exactly 0).  The coordinatewise extension is retracted with the strategy
     the set admits: plain cyclic iteration below level 1, the shrinking
-    strategy for finite bounds at level 1 (``box`` optional, derived from the
-    extended points when omitted), and the witness-anchored strategy when
-    bounds are missing (``witness`` required).  All image points go through
-    one shared retraction call, so the composite map is 1-Lipschitz on ``B``
-    and agrees with ``phi`` on ``A`` exactly.  At level 1 an image that still
+    strategy for finite bounds at level 1 (``box`` optional, by default the
+    library's working box around the extended points), and the
+    witness-anchored strategy when bounds are missing (``witness``
+    required).  All image points go through one shared retraction call, so
+    the composite map is 1-Lipschitz on ``B`` and agrees with ``phi`` on
+    ``A`` exactly.  At level 1 an image that still
     violates ``Q`` by more than ``tol`` raises
     :class:`~hyperlip.boxset.DivergenceDetectedError`, with the verdict of the
     raw iteration probed from the worst row's extended point.
@@ -110,15 +111,8 @@ def extend_into_Q(B: FiniteMetricSpace, A, phi, Q: BoxLipschitzSet,
     if Q.lip_bound < 1.0:
         final, _ = cyclic_retract_many(Q, ext, tol)
     elif Q.all_finite:
-        if box is None:
-            lo = ext.min(axis=0)
-            hi = ext.max(axis=0)
-            pad = 1.0 + float((hi - lo).max())
-            box = [(float(a) - pad, float(b) + pad) for a, b in zip(lo, hi)]
         final = retract_lambda_one_bounded_many(Q, ext, tol, box)
     else:
-        if witness is None:
-            raise ValueError("level-1 set with missing bounds needs a witness member")
         final = retract_lambda_one_general_many(Q, witness, ext, tol)
     if Q.lip_bound >= 1.0:
         gaps = violation_many(Q, final)

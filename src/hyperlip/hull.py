@@ -102,15 +102,16 @@ def extremal_zero_classification(X: FiniteMetricSpace, f, tol: float = 1e-12):
 def attach_point(X: FiniteMetricSpace, f) -> FiniteMetricSpace:
     """Extend the space by one new point at distance ``f(x)`` from each ``x``.
 
-    ``f`` must be admissible, 1-Lipschitz with respect to d, and strictly
-    positive; those three facts make the extended matrix a metric, which the
-    returned space re-validates.
+    ``f`` must be finite, admissible, 1-Lipschitz with respect to d, and
+    strictly positive; those facts make the extended matrix a metric, which
+    the returned space re-validates.
     """
     vals = _values(X, f)
     m = X.size
     for i in range(m):
-        if vals[i] <= 0.0:
-            raise ValueError(f"attach distance at index {i} is not positive: {vals[i]!r}")
+        if not (math.isfinite(vals[i]) and vals[i] > 0.0):
+            raise ValueError(f"attach distance at index {i} is not finite and positive: "
+                             f"{vals[i]!r}")
     for i in range(m):
         for j in range(i + 1, m):
             if vals[i] + vals[j] < X.d(i, j):

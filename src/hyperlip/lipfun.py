@@ -37,7 +37,6 @@ __all__ = [
     "McShane",
     "Infinite",
     "domain_dim",
-    "eval_at",
     "eval_grid",
     "lip_bound",
     "verify_lipschitz_on_grid",
@@ -227,22 +226,6 @@ def domain_dim(f: LipExpr):
     raise TypeError(f"not a LipExpr: {f!r}")
 
 
-def _check_arg(f, y):
-    d = domain_dim(f)
-    if d is not None and len(y) != d:
-        raise ValueError(f"expression expects dimension {d}, got point of dimension {len(y)}")
-
-
-def eval_at(f: LipExpr, y: Sequence[float]) -> float:
-    """Evaluate ``f`` at a single point.
-
-    ``Infinite`` evaluates to the corresponding signed ``inf``; every other
-    node is finite everywhere.
-    """
-    _check_arg(f, y)
-    return _compile(f)(tuple(y))
-
-
 def _compile(f: LipExpr) -> Callable:
     """Build a plain-Python evaluator closure (hot path of the scalar engine)."""
     if isinstance(f, Const):
@@ -370,12 +353,10 @@ def verify_lipschitz_on_grid(f: LipExpr, grid, lam: float, tol: float = 1e-12):
     pts = [as_point(y) for y in grid]
     if not pts:
         raise ValueError("empty grid")
-    vals = []
-    for y in pts:
-        v = eval_at(f, y)
+    vals = eval_grid(f, pts).tolist()
+    for y, v in zip(pts, vals):
         if not math.isfinite(v):
             raise ValueError(f"expression is not finite at {y}")
-        vals.append(v)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if abs(vals[i] - vals[j]) > lam * sup_dist(pts[i], pts[j]) + tol:

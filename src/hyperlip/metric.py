@@ -170,16 +170,26 @@ class MetricCheckReport:
         return "\n".join(lines)
 
 
+@np.errstate(over="ignore")
 def check_metric_axioms(D, tol: float = DEFAULT_TOL) -> MetricCheckReport:
     """Audit a square matrix against the metric axioms.
 
     Reports every violated instance of symmetry, zero diagonal, positivity,
     separation (zero entries off the diagonal) and the triangle inequality,
-    each with witness indices and the size of the violation.
+    each with witness indices and the size of the violation.  A matrix with
+    entries that are not finite numbers gets only one ``finite`` violation
+    per such entry, of size ``inf``: the other axioms are not checked on it.
+    Sums and differences too large for a float count as ``inf``.
     """
     M = np.asarray(D, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
+    bad = np.argwhere(~np.isfinite(M))
+    if len(bad):
+        return MetricCheckReport([MetricViolation("finite", (int(i), int(j)), math.inf)
+                                  for i, j in bad])
     m = M.shape[0]
     out = []
     for i in range(m):

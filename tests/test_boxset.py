@@ -493,6 +493,53 @@ class TestTruncation:
             retract_lambda_one_general(Q, (0.0, 1.0), (4.0, 4.0), 1e-4)
 
 
+class TestLevelOneRule:
+    """``boxset._level_one``, the one relaxation rule of every level-1 path."""
+
+    def test_shrink_over_a_given_box(self):
+        Q = vee_notch_instance()
+        box = [(-4.0, 4.0), (-4.0, 4.0)]
+        target, w, engine_tol, budget, report = boxset._level_one(Q, [(0.0, -3.0)], 1e-2, box)
+        l, u = enclosure_bounds(Q, box)
+        k = relaxation_order(u - l, 1e-2)
+        assert report == {"strategy": "shrink", "enclosure": [l, u], "k": k}
+        assert w is None
+        assert (engine_tol, budget) == (1e-2 / 4, 50 * k + 1000)
+        assert target == shrink_set(Q, k, l, u)
+
+    def test_default_box_covers_every_row(self):
+        Q = vee_notch_instance()
+        X = [(0.0, 1.0), (-6.0, 2.0), (1.0, 3.0)]
+        box = boxset._auto_box(Q, X)
+        assert box == boxset._auto_box(Q, X[1])
+        *_, report = boxset._level_one(Q, X, 1e-2)
+        assert report["enclosure"] == list(enclosure_bounds(Q, box))
+
+    def test_truncate_around_the_witness(self):
+        Q = diagonal_halfspace_instance()
+        X = [(0.0, 4.0), (3.0, -2.0)]
+        target, w, engine_tol, budget, report = boxset._level_one(
+            Q, X, 1e-2, witness=(1.0, 1.0))
+        k = relaxation_order(14.0, 1e-2)
+        assert report == {"strategy": "truncate", "radius": 7.0, "k": k}
+        assert w == (1.0, 1.0)
+        assert (engine_tol, budget) == (1e-2 / 4, 50 * k + 1000)
+        assert target == shrink_set(truncated_set(Q, w, 7.0), k, -7.0, 7.0)
+
+    def test_one_missing_witness_error(self):
+        Q = diagonal_halfspace_instance()
+        box = [(-4.0, 4.0), (-4.0, 4.0)]
+        calls = [lambda: find_point(Q),
+                 lambda: retract_lambda_one_bounded(Q, (0.0, 4.0), 1e-3, box),
+                 lambda: retract_lambda_one_general_many(Q, None, [(0.0, 4.0)], 1e-3)]
+        messages = set()
+        for call in calls:
+            with pytest.raises(UnsupportedSetError) as err:
+                call()
+            messages.add(str(err.value))
+        assert messages == {"a level-1 set with missing bounds needs a witness member"}
+
+
 class TestFindPoint:
     def test_contractive_set(self, rng):
         Q = random_mcshane_instance(3, 0.5, rng)

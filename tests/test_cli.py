@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from hyperlip import cli
-from hyperlip.boxset import set_to_obj
+from hyperlip.boxset import UnsupportedSetError, find_point, set_to_obj
 from hyperlip.cli import main
 from hyperlip.instances import (
     box_instance,
@@ -160,6 +160,22 @@ class TestRetract:
                                    "--point", dump(tmp_path, "x.json", [5.0])])
         assert "error" in err
 
+    @pytest.mark.parametrize("n", ["1e400", "1.5", "true"])
+    def test_non_integer_dimension_is_an_input_error(self, capsys, tmp_path, n):
+        bad = tmp_path / "set.json"
+        bad.write_text('{"n": %s, "lower": ["-inf"], "upper": ["+inf"]}' % n)
+        err = input_error(capsys, ["retract", "--set", str(bad),
+                                   "--point", dump(tmp_path, "x.json", [0.0])])
+        assert "integer" in err["error"]
+
+    def test_missing_witness_message_is_the_library_one(self, capsys, set_file, tmp_path):
+        path = set_file(diagonal_halfspace_instance())
+        err = input_error(capsys, ["retract", "--set", path,
+                                   "--point", dump(tmp_path, "x.json", [2.0, 5.0])])
+        with pytest.raises(UnsupportedSetError) as lib:
+            find_point(diagonal_halfspace_instance())
+        assert err["error"] == str(lib.value)
+
     def test_trace_file(self, capsys, set_file, tmp_path):
         path = set_file(half_rate_instance())
         trace = tmp_path / "trace.csv"
@@ -216,6 +232,15 @@ class TestExtend:
         assert max(out["violations"]) <= 1e-6
         assert out["lipschitz_check"]["ok"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_space_is_an_input_error(self, capsys, tmp_path):
+        _, phi, Q = self._files(tmp_path, [[0.2, 0.3], [0.9, 0.1]])
+        space = tmp_path / "space.json"
+        space.write_text("[[0, 1e400, 1], [1e400, 0, 1], [1, 1, 0]]")
+        err = input_error(capsys, ["extend", "--space", str(space), "--subset", "0,1",
+                                   "--map", phi, "--set", Q])
+        assert "finite" in err["error"]
+
     def test_expanding_map_rejected(self, capsys, tmp_path):
         space, phi, Q = self._files(tmp_path, [[0.0, 0.0], [0.0, 1.0]])
         # d(b0, b1) = 1 but the images sit 1 apart only in coordinate 1;
@@ -245,6 +270,14 @@ class TestHull:
         err = input_error(capsys, ["hull", "enumerate", "--metric", metric,
                                    "--resolution", "1e-320"])
         assert "overflows" in err["error"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_metric_is_an_input_error(self, capsys, tmp_path):
+        metric = tmp_path / "d.json"
+        metric.write_text("[[0, 1e400], [1e400, 0]]")
+        err = input_error(capsys, ["hull", "enumerate", "--metric", str(metric),
+                                   "--resolution", "0.25"])
+        assert "finite" in err["error"]
 
 
 class TestReconstruct:
@@ -321,6 +354,21 @@ class TestVerify:
         assert code == 2
         assert not out["ok"]
         assert any(v["kind"] == "triangle" for v in out["violations"])
+
+    def test_metric_nan_tolerance_is_an_input_error(self, capsys, tmp_path):
+        matrix = dump(tmp_path, "d.json",
+                      [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+        err = input_error(capsys, ["verify", "metric", "--matrix", matrix, "--tol", "nan"])
+        assert "tol" in err["error"]
+
+    def test_metric_with_nan_entries_fails(self, capsys, tmp_path):
+        matrix = tmp_path / "d.json"
+        matrix.write_text("[[0, NaN], [NaN, 0]]")
+        code, out, err = run(capsys, ["verify", "metric", "--matrix", str(matrix)])
+        assert code == 2
+        assert err is None
+        assert not out["ok"]
+        assert {v["kind"] for v in out["violations"]} == {"finite"}
 
 
 class TestPlot:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from hyperlip import boxset, extension
-from hyperlip.boxset import DivergenceDetectedError, violation, violation_many
+from hyperlip.boxset import (
+    DivergenceDetectedError,
+    UnsupportedSetError,
+    violation,
+    violation_many,
+)
 from hyperlip.extension import (
     NotLipschitzError,
     _extend_all_components,
@@ -133,7 +138,7 @@ class TestExtendIntoSet:
         members = [(1.0, 0.0), (3.0, 2.0)]
         pts = members + [tuple(rng.uniform(-2, 4, 2)) for _ in range(2)]
         B = embedded_metric(pts)
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedSetError, match="witness"):
             extend_into_Q(B, [0, 1], members, Q, tol=1e-4)
         ext = extend_into_Q(B, [0, 1], members, Q, tol=1e-4, witness=(0.0, 0.0))
         assert ext[0] == members[0]
@@ -153,6 +158,15 @@ class TestExtendIntoSet:
         with pytest.raises(NotLipschitzError) as err:
             extend_into_Q(B, [0, 1], [members[0], far], Q)
         assert err.value.witness == (0, 1)
+
+    def test_level_one_default_box_is_the_library_box(self, rng):
+        Q = vee_notch_instance()
+        members = [(0.0, 0.0), (1.0, 2.0)]
+        B = embedded_metric(members + [tuple(rng.uniform(-3, 3, 2)) for _ in range(3)])
+        ext = _extend_all_components(B, [0, 1], members)
+        box = boxset._auto_box(Q, ext)
+        assert extend_into_Q(B, [0, 1], members, Q, tol=1e-3) == \
+            extend_into_Q(B, [0, 1], members, Q, tol=1e-3, box=box)
 
     @pytest.mark.parametrize("make, members, witness, strategy, shift", [
         (vee_notch_instance, [(0.0, 0.0), (1.0, 2.0)], None,

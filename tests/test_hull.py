@@ -1,5 +1,6 @@
 """Tests for admissible/extremal functions and the grid enumeration."""
 
+import math
 import os
 
 import numpy as np
@@ -125,6 +126,11 @@ class TestAttach:
         X = _two_point()
         with pytest.raises(ValueError):
             attach_point(X, (0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_distances(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            attach_point(_two_point(), (bad, 1.0))
 
     def test_rejects_expanding_functions(self):
         X = _two_point(d=1.0)

@@ -23,7 +23,6 @@ from hyperlip.lipfun import (
     Min,
     bounds_of,
     domain_dim,
-    eval_at,
     eval_grid,
     expr_dumps,
     expr_from_obj,
@@ -34,6 +33,7 @@ from hyperlip.lipfun import (
     shrink,
     translated,
     verify_lipschitz_on_grid,
+    _compile,
 )
 from hyperlip.instances import linear_window
 
@@ -77,7 +77,7 @@ def test_grid_evaluation_matches_pointwise(f):
     Y = np.array(GRID)
     vals = eval_grid(f, Y)
     for y, v in zip(GRID, vals):
-        assert eval_at(f, y) == v
+        assert _compile(f)(y) == v
 
 
 @given(exprs)
@@ -107,7 +107,7 @@ def test_shifted_adds_a_constant(f, delta):
     g = shifted(f, delta)
     assert lip_bound(g) == pytest.approx(lip_bound(f), abs=1e-12)
     for y in GRID[::5]:
-        assert eval_at(g, y) == pytest.approx(eval_at(f, y) + delta, abs=1e-9)
+        assert _compile(g)(y) == pytest.approx(_compile(f)(y) + delta, abs=1e-9)
 
 
 @given(exprs, point2)
@@ -116,7 +116,7 @@ def test_translated_composes_with_a_shift_of_the_argument(f, v):
     g = translated(f, v)
     for y in GRID[::5]:
         moved = tuple(a + b for a, b in zip(y, v))
-        assert eval_at(g, y) == pytest.approx(eval_at(f, moved), abs=1e-9)
+        assert _compile(g)(y) == pytest.approx(_compile(f)(moved), abs=1e-9)
 
 
 @given(exprs, unit, coord)
@@ -125,42 +125,42 @@ def test_shrink_scales_the_constant_and_pulls_toward_the_anchor(f, factor, ancho
     g = shrink(f, factor, anchor)
     assert lip_bound(g) == pytest.approx(factor * lip_bound(f), abs=1e-12)
     for y in GRID[::5]:
-        v = eval_at(f, y)
-        w = eval_at(g, y)
+        v = _compile(f)(y)
+        w = _compile(g)(y)
         assert w == pytest.approx(factor * (v - anchor) + anchor, abs=1e-9)
         assert abs(w - anchor) <= abs(v - anchor) + 1e-12
 
 
 class TestNodeSemantics:
     def test_const(self):
-        assert eval_at(Const(2.5), (9.0, 9.0)) == 2.5
+        assert _compile(Const(2.5))((9.0, 9.0)) == 2.5
         assert lip_bound(Const(2.5)) == 0.0
 
     def test_distcone_value(self):
         f = DistCone((1.0, -1.0), 0.5, 0.5, 1)
-        assert eval_at(f, (1.0, -1.0)) == 0.5
-        assert eval_at(f, (3.0, 0.0)) == 0.5 + 0.5 * 2.0
+        assert _compile(f)((1.0, -1.0)) == 0.5
+        assert _compile(f)((3.0, 0.0)) == 0.5 + 0.5 * 2.0
 
     def test_distcone_downward(self):
         f = DistCone((0.0,), 1.0, 1.0, -1)
-        assert eval_at(f, (3.0,)) == -2.0
+        assert _compile(f)((3.0,)) == -2.0
 
     def test_min_max(self):
         f = Min(Const(1.0), Const(2.0))
         g = Max(Const(1.0), Const(2.0))
-        assert eval_at(f, (0.0, 0.0)) == 1.0
-        assert eval_at(g, (0.0, 0.0)) == 2.0
+        assert _compile(f)((0.0, 0.0)) == 1.0
+        assert _compile(g)((0.0, 0.0)) == 2.0
 
     def test_blend_midpoint(self):
         f = Blend(Const(4.0), 0.5, 0.0)
-        assert eval_at(f, (0.0,)) == 2.0
+        assert _compile(f)((0.0,)) == 2.0
 
     def test_mcshane_envelopes_bracket_the_data(self):
         samples = (((0.0,), 0.0), ((4.0,), 1.0))
         upper = McShane(samples, 0.5, "inf")
         lower = McShane(samples, 0.5, "sup")
         for t in (-1.0, 0.0, 1.0, 2.0, 3.0, 5.0):
-            assert eval_at(lower, (t,)) <= eval_at(upper, (t,)) + 1e-12
+            assert _compile(lower)((t,)) <= _compile(upper)((t,)) + 1e-12
 
     def test_mcshane_interpolates_consistent_data(self):
         # values with slopes within the scale are reproduced exactly
@@ -168,25 +168,25 @@ class TestNodeSemantics:
         for mode in ("inf", "sup"):
             f = McShane(samples, 0.5, mode)
             for p, v in samples:
-                assert eval_at(f, p) == v
+                assert _compile(f)(p) == v
 
     def test_mcshane_flattens_inconsistent_data(self):
         # a jump steeper than the scale cannot be interpolated; the upper
         # envelope dips below the too-high sample
         samples = (((0.0,), 0.0), ((1.0,), 5.0))
         f = McShane(samples, 1.0, "inf")
-        assert eval_at(f, (1.0,)) == 1.0
+        assert _compile(f)((1.0,)) == 1.0
 
     def test_zero_dimensional_domain(self):
         f = McShane((((), 1.5),), 1.0, "inf")
-        assert eval_at(f, ()) == 1.5
+        assert _compile(f)(()) == 1.5
         g = DistCone((), 2.0, 1.0, 1)
-        assert eval_at(g, ()) == 2.0
+        assert _compile(g)(()) == 2.0
         assert bounds_of(g, []) == (2.0 - 1e-12, 2.0 + 1e-12)
 
     def test_infinite_evaluates_to_signed_inf(self):
-        assert eval_at(Infinite(1), (0.0,)) == math.inf
-        assert eval_at(Infinite(-1), (0.0,)) == -math.inf
+        assert _compile(Infinite(1))((0.0,)) == math.inf
+        assert _compile(Infinite(-1))((0.0,)) == -math.inf
 
 
 class TestValidation:
@@ -234,7 +234,7 @@ class TestAudit:
         witness = verify_lipschitz_on_grid(f, grid, 0.4)
         assert witness is not None
         y, z = witness
-        assert abs(eval_at(f, y) - eval_at(f, z)) > 0.4 * abs(y[0] - z[0])
+        assert abs(_compile(f)(y) - _compile(f)(z)) > 0.4 * abs(y[0] - z[0])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -273,17 +273,17 @@ class TestLinearWindow:
     def test_identity_on_dyadic_points(self):
         f = linear_window(1.0, 0.0)
         for t in (-8.0, -0.5, 0.0, 0.25, 7.0):
-            assert eval_at(f, (t,)) == t
+            assert _compile(f)((t,)) == t
 
     def test_negative_slope(self):
         f = linear_window(-1.0, 1.0)
         for t in (-4.0, 0.0, 2.0):
-            assert eval_at(f, (t,)) == 1.0 - t
+            assert _compile(f)((t,)) == 1.0 - t
 
     def test_half_slope(self):
         f = linear_window(0.5, -1.0)
         for t in (-6.0, 0.0, 3.0):
-            assert eval_at(f, (t,)) == 0.5 * t - 1.0
+            assert _compile(f)((t,)) == 0.5 * t - 1.0
 
     def test_slope_beyond_one_rejected(self):
         with pytest.raises(ValueError):

@@ -194,6 +194,24 @@ class TestMetricAxioms:
         report = check_metric_axioms(D)
         assert any(v.kind == "diagonal" for v in report.violations)
 
+    def test_non_finite_entries_are_reported_alone(self):
+        # every comparison with NaN is False, so no other check would fire
+        report = check_metric_axioms([[0.0, math.nan], [math.nan, 0.0]])
+        assert [(v.kind, v.indices, v.amount) for v in report.violations] == [
+            ("finite", (0, 1), math.inf), ("finite", (1, 0), math.inf)]
+        report = check_metric_axioms([[0.0, math.inf, 1.0], [math.inf, 0.0, 1.0],
+                                      [1.0, 1.0, 5.0]])
+        assert {v.kind for v in report.violations} == {"finite"}
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_arithmetic_warnings(self):
+        assert not check_metric_axioms(np.full((3, 3), math.inf)).ok
+        # finite entries whose sums overflow count as inf
+        D = [[0.0, 1e308, 1e308], [1e308, 0.0, -1e308], [1e308, 1e308, 0.0]]
+        kinds = {v.kind for v in check_metric_axioms(D).violations}
+        assert kinds == {"symmetry", "positivity", "triangle"}
+        assert check_metric_axioms([[0.0, 1e308], [1e308, 0.0]]).ok
+
 
 class TestFiniteMetricSpace:
     def test_constructor_validates(self):
@@ -207,6 +225,10 @@ class TestFiniteMetricSpace:
         assert X.d(0, 1) == 3.0
         assert X.d(1, 2) == 1.0
         assert X.row(0) == (0.0, 3.0, 2.0)
+
+    def test_nan_distances_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMetricSpace([[0.0, math.nan], [math.nan, 0.0]])
 
     def test_matrix_is_read_only(self, rng):
         X = random_metric(rng, 4)
