@@ -526,7 +526,11 @@ def enclosure_bounds(Q: BoxLipschitzSet, box) -> tuple:
 
 
 def relaxation_order(span: float, tol: float) -> int:
-    """Shrink index ``k`` making the relaxed-set defect ``span / k <= tol``."""
+    """Shrink index ``k`` making the relaxed-set defect ``span / k <= tol``.
+
+    Refuses a ``tol`` so small that the shrink factor ``1 - 1/k`` of
+    :func:`shrink_set` rounds to 1, which would leave the set at level 1.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if span < 0:
@@ -534,7 +538,11 @@ def relaxation_order(span: float, tol: float) -> int:
     ratio = span / tol
     if not math.isfinite(ratio):
         raise ValueError(f"span / tol overflows: span={span!r}, tol={tol!r}")
-    return int(math.ceil(ratio)) + 1
+    k = int(math.ceil(ratio)) + 1
+    if 1.0 - 1.0 / k == 1.0:
+        raise ValueError(f"tol={tol!r} is below what the relaxation can represent: "
+                         f"its shrink factor 1 - 1/k rounds to 1 at k={k} (span={span!r})")
+    return k
 
 
 def shrink_set(Q: BoxLipschitzSet, k: int, l: float, u: float) -> BoxLipschitzSet:

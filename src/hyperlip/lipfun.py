@@ -349,7 +349,12 @@ def verify_lipschitz_on_grid(f: LipExpr, grid, lam: float, tol: float = 1e-12):
     Returns ``None`` when ``|f(y) - f(y')| <= lam * ||y - y'|| + tol`` for
     every pair, otherwise the first offending pair ``(y, y')``.  This is the
     independent check the syntactic :func:`lip_bound` is tested against.
+    ``lam`` and ``tol`` must be nonnegative (NaN is refused).
     """
+    if not lam >= 0.0:
+        raise ValueError(f"lam must be nonnegative, got {lam!r}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     pts = [as_point(y) for y in grid]
     if not pts:
         raise ValueError("empty grid")
@@ -500,6 +505,13 @@ _SIGN_STR = {1: "+", -1: "-"}
 _STR_SIGN = {"+": 1, "-": -1}
 
 
+def _sign_from_obj(obj, field: str, kind: str) -> int:
+    value = obj[field]
+    if not isinstance(value, str) or value not in _STR_SIGN:
+        raise ValueError(f"unknown {field} {value!r} in {kind!r} expression")
+    return _STR_SIGN[value]
+
+
 def expr_to_obj(f: LipExpr):
     if isinstance(f, Const):
         return {"type": "const", "value": f.value}
@@ -530,7 +542,7 @@ def expr_from_obj(obj) -> LipExpr:
             return Const(obj["value"])
         if kind == "distcone":
             return DistCone(tuple(obj["center"]), obj["offset"], obj["scale"],
-                            _STR_SIGN[obj["orientation"]])
+                            _sign_from_obj(obj, "orientation", kind))
         if kind == "min":
             return Min(tuple(expr_from_obj(c) for c in obj["children"]))
         if kind == "max":
@@ -541,7 +553,7 @@ def expr_from_obj(obj) -> LipExpr:
             return McShane(tuple((tuple(p), v) for p, v in obj["samples"]),
                            obj["scale"], obj["mode"])
         if kind == "inf":
-            return Infinite(_STR_SIGN[obj["sign"]])
+            return Infinite(_sign_from_obj(obj, "sign", kind))
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in {kind!r} expression") from exc
     raise ValueError(f"unknown expression type {kind!r}")

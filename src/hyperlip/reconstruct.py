@@ -9,7 +9,8 @@ axis-cone whose apex is pulled back from x by a * eps along that axis.  For
 a below 1/4 the cone misses every inside point, so the cone's supporting
 inequality is valid on the whole sample; collecting the inequalities of all
 exterior points, grouped per axis and direction, yields a candidate set
-Q_rec that contains the sample and excludes every exterior point used.
+Q_rec that contains the sample and excludes every exterior point used.  Only
+the inequalities no other one of their group makes redundant are kept.
 
 The constant a is kept below 1/8, the threshold under which the synthesized
 lower bound stays below the synthesized upper bound on each axis.
@@ -17,13 +18,14 @@ lower bound stays below the synthesized upper bound on each axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boxset import BoxLipschitzSet, violation_many
 from .lipfun import DistCone, Infinite, Max, Min
-from .metric import ConeDescriptor, Point, as_point, cone_contains, hat
+from .metric import ConeDescriptor, Point, as_point, hat
 
 __all__ = [
     "ConeOverlapError",
@@ -37,6 +39,9 @@ __all__ = [
 ]
 
 A_MAX = 0.125
+# bytes of scratch one block may hold: the margin temporary, the overlap
+# test and the dominated-cone test are all blocked to this size
+_BLOCK_BYTES = 1 << 20
 
 
 class ConeOverlapError(RuntimeError):
@@ -87,28 +92,69 @@ class ReconstructionConfig:
         return len(self.inside[0])
 
 
+def _sup_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``(len(A), len(B))`` sup-norm distances, one coordinate at a time so
+    that no ``(len(A), len(B), n)`` temporary is built."""
+    D = np.zeros((A.shape[0], B.shape[0]))
+    for k in range(A.shape[1]):
+        np.maximum(D, np.abs(A[:, k, None] - B[None, :, k]), out=D)
+    return D
+
+
 def epsilon_many(inside, X, chunk: int = 64):
     """Vectorized margins for many exterior points at once.
 
     Returns ``(eps, witness_index)`` arrays where, for each row x of ``X``,
     ``eps = max_p min_q (||x-p|| + ||x-q|| - ||p-q||)`` over the inside
-    sample and ``witness_index`` is an attaining p.
+    sample and ``witness_index`` is an attaining p (the first one on ties).
+    Rows go in blocks of at most ``chunk`` rows, and candidates p in blocks,
+    so that the ``(rows, p's, S)`` temporary fits in ``_BLOCK_BYTES``; the
+    result does not depend on the block sizes.  The ``(S, S)`` table of
+    inside distances is held whole.
     """
     P = np.asarray(inside, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != P.shape[1]:
         raise ValueError(f"expected exterior shape (N, {P.shape[1]}), got {X.shape}")
-    Dpq = np.abs(P[:, None, :] - P[None, :, :]).max(axis=2)
-    eps = np.empty(X.shape[0])
-    arg = np.empty(X.shape[0], dtype=int)
-    for s in range(0, X.shape[0], chunk):
-        block = X[s:s + chunk]
-        dx = np.abs(block[:, None, :] - P[None, :, :]).max(axis=2)   # (c, S)
-        # per p: ||x-p|| + min_q(||x-q|| - ||p-q||)
-        scores = dx + (dx[:, None, :] - Dpq[None, :, :]).min(axis=2)
-        arg[s:s + chunk] = scores.argmax(axis=1)
-        eps[s:s + chunk] = scores.max(axis=1)
+    S = P.shape[0]
+    if S == 0:
+        raise ValueError("need at least one inside sample")
+    rows = min(chunk, max(1, _BLOCK_BYTES // (8 * S * S)))
+    cols = max(1, _BLOCK_BYTES // (8 * S * rows))
+    Dpq = _sup_dist(P, P)
+    eps = np.full(X.shape[0], -np.inf)
+    arg = np.zeros(X.shape[0], dtype=int)
+    for r in range(0, X.shape[0], rows):
+        dx = _sup_dist(X[r:r + rows], P)                              # (r, S)
+        best, which = eps[r:r + rows], arg[r:r + rows]                # views
+        for c in range(0, S, cols):
+            # per p: ||x-p|| + min_q(||x-q|| - ||p-q||)
+            scores = dx[:, c:c + cols] + (dx[:, None, :] - Dpq[None, c:c + cols, :]).min(axis=2)
+            top = scores.argmax(axis=1)
+            value = scores[np.arange(top.size), top]
+            # argmax's rule across blocks: a NaN wins, ties keep the first p
+            better = ~(value <= best) & ~np.isnan(best)
+            best[better] = value[better]
+            which[better] = top[better] + c
     return eps, arg
+
+
+def _cones(X: np.ndarray, W: np.ndarray, eps: np.ndarray, a: float):
+    """Cone of every exterior row ``x`` of ``X`` with witness row ``p`` of
+    ``W`` and margin ``eps``: the axis of ``x - p``'s largest magnitude
+    (ties to the smallest index), the sign of that coordinate, and the apex
+    coordinate ``x_axis - sign * a * eps`` (the other apex coordinates are
+    ``x``'s).  The last array says which rows have a usable cone: ``x != p``,
+    a finite apex, and ``x`` strictly interior to its cone.
+    """
+    D = X - W
+    rows = np.arange(X.shape[0])
+    axis = np.abs(D).argmax(axis=1)
+    sign = np.where(D[rows, axis] > 0.0, 1, -1)
+    x_axis = X[rows, axis]
+    apex = x_axis - sign * (a * eps)
+    ok = (D != 0.0).any(axis=1) & np.isfinite(apex) & (sign * (x_axis - apex) > 0.0)
+    return axis, sign, apex, ok
 
 
 def choose_cone(x: Point, p_x: Point, eps: float, a: float) -> ConeDescriptor:
@@ -126,23 +172,96 @@ def choose_cone(x: Point, p_x: Point, eps: float, a: float) -> ConeDescriptor:
         raise ValueError("eps must be positive")
     if x == p_x:
         raise ValueError("witness coincides with the exterior point")
-    diffs = [x[i] - p_x[i] for i in range(len(x))]
-    axis = max(range(len(x)), key=lambda i: (abs(diffs[i]), -i))
-    sign = 1 if diffs[axis] > 0 else -1
-    apex = list(x)
-    apex[axis] -= sign * a * eps
-    cone = ConeDescriptor(tuple(apex), axis, sign)
-    if not cone_contains(cone, x, strict=True, tol=0.0):
+    axis, sign, apex, ok = _cones(np.array([x]), np.array([p_x]), np.array([eps]), a)
+    i = int(axis[0])
+    cone = ConeDescriptor(x[:i] + (float(apex[0]),) + x[i + 1:], i, int(sign[0]))
+    if not ok[0]:
         raise ArithmeticError(f"{x} is not strictly interior to its own cone {cone}")
     return cone
 
 
-def _cone_hits(cone: ConeDescriptor, P: np.ndarray) -> np.ndarray:
-    apex = np.asarray(cone.apex)
-    t = (P[:, cone.axis] - apex[cone.axis]) * cone.sign
-    off = np.abs(np.delete(P, cone.axis, axis=1) - np.delete(apex, cone.axis)).max(
-        axis=1, initial=0.0)
-    return (t >= 0.0) & (off <= t)
+def _first_overlap(P, X, axis, sign, apex):
+    """First row (in order) whose cone contains an inside sample, with the
+    index of the first such sample; ``None`` when no cone does."""
+    hit = np.zeros(X.shape[0], dtype=bool)
+    first = np.zeros(X.shape[0], dtype=int)
+    # about four (rows, S) temporaries per block
+    step = max(1, _BLOCK_BYTES // (32 * P.shape[0]))
+    for i in range(P.shape[1]):
+        rows = np.flatnonzero(axis == i)
+        Xh, Ph = np.delete(X[rows], i, axis=1), np.delete(P, i, axis=1)
+        for b in range(0, rows.size, step):
+            r = rows[b:b + step]
+            t = (P[None, :, i] - apex[r, None]) * sign[r, None]
+            hits = (t >= 0.0) & (_sup_dist(Xh[b:b + step], Ph) <= t)
+            hit[r] = hits.any(axis=1)
+            first[r] = hits.argmax(axis=1)
+    if not hit.any():
+        return None
+    j = int(np.argmax(hit))
+    return j, int(first[j])
+
+
+def _two_diff(a, b):
+    """``a - b`` as the exact unevaluated sum ``s + t`` of two doubles, with
+    ``s`` the rounded difference (Knuth's TwoSum)."""
+    s = a - b
+    v = s - a
+    return s, (a - (s - v)) - (b + v)
+
+
+def _exact_le(s1, t1, s2, t2):
+    """``s1 + t1 <= s2 + t2`` in real arithmetic, for pairs from
+    :func:`_two_diff` (rounding is monotone, so the heads decide unless they
+    are equal)."""
+    return (s1 < s2) | ((s1 == s2) & (t1 <= t2))
+
+
+def _dominates(Ci, oi, Cj, oj):
+    """``(len(oi), len(oj))`` mask of ``oi + ||Ci - Cj|| <= oj``, decided in
+    real arithmetic one coordinate at a time from error-free differences."""
+    gap = _two_diff(oj[None, :], oi[:, None])
+    le = _exact_le(0.0, 0.0, *gap)
+    for k in range(Ci.shape[1]):
+        s, t = _two_diff(Ci[:, None, k], Cj[None, :, k])
+        le &= _exact_le(np.abs(s), np.where(s < 0.0, -t, t), *gap)
+    return le
+
+
+def _nondominated(C: np.ndarray, o: np.ndarray, sign: int) -> np.ndarray:
+    """Mask of the cones of one axis and direction that no other cone makes
+    redundant.
+
+    Upper cones (``sign=+1``, joined by a Min) are ``y -> o + ||y - c||``;
+    cone i makes cone j redundant when ``o_i + ||c_i - c_j|| <= o_j`` (the
+    triangle inequality, tight at ``c_j``).  Lower cones (``sign=-1``,
+    joined by a Max) use the mirror rule.  The inequality is decided in real
+    arithmetic, so a dropped cone is nowhere tighter than the one that drops
+    it, and cones that tie (as along a slope-1 edge) go too; of identical
+    cones the first is kept.
+
+    A cone can only be dropped by one of no larger offset, so the cones are
+    visited by increasing offset (stable, so identical cones keep their
+    order) and each is tested against the cones kept before it: by
+    transitivity, a cone dropped by a dropped cone is dropped by a kept one.
+    """
+    o = sign * o
+    order = np.argsort(o, kind="stable")
+    kept = order[:0]
+    # about eight float temporaries of (kept + rows, rows) cells per block
+    cells = _BLOCK_BYTES // 64
+    start = 0
+    while start < o.size:
+        rows = max(1, (math.isqrt(kept.size ** 2 + 4 * cells) - kept.size) // 2)
+        J = order[start:start + rows]
+        start += rows
+        I = np.concatenate([kept, J])
+        beats = _dominates(C[I], o[I], C[J], o[J])
+        beats[kept.size:] &= np.triu(np.ones((J.size, J.size), dtype=bool), k=1)
+        kept = np.concatenate([kept, J[~beats.any(axis=0)]])
+    keep = np.zeros(o.size, dtype=bool)
+    keep[kept] = True
+    return keep
 
 
 def synthesize_bounds(cfg: ReconstructionConfig) -> BoxLipschitzSet:
@@ -150,37 +269,48 @@ def synthesize_bounds(cfg: ReconstructionConfig) -> BoxLipschitzSet:
     every exterior sample.
 
     One distance cone per exterior point, grouped by (axis, direction) into
-    a Min for upper bounds and a Max for lower bounds; directions with no
-    exterior points stay unconstrained.  Every cone is checked against the
-    whole inside sample; an overlap means the separation hypothesis failed
-    (``a`` too large, or the sampled set is not of the representable kind).
+    a Min for upper bounds and a Max for lower bounds, keeping only the
+    cones no other cone of the group makes redundant (in input order);
+    directions with no exterior points stay unconstrained.  Every cone is
+    checked against the whole inside sample; an overlap means the separation
+    hypothesis failed (``a`` too large, or the sampled set is not of the
+    representable kind).  Errors name the first offending exterior point in
+    input order.
     """
     n = cfg.n
+    lower = [Infinite(-1)] * n
+    upper = [Infinite(1)] * n
+    if not cfg.outside:
+        return BoxLipschitzSet(lower, upper)
     P = np.asarray(cfg.inside, dtype=float)
-    uppers = [[] for _ in range(n)]
-    lowers = [[] for _ in range(n)]
-    if cfg.outside:
-        eps, arg = epsilon_many(cfg.inside, cfg.outside)
-        for j, x in enumerate(cfg.outside):
-            e = float(eps[j])
-            if e <= 0.0:
-                raise ValueError(
-                    f"margin of {x} is not positive; the point is metrically "
-                    f"between inside samples")
-            cone = choose_cone(x, cfg.inside[int(arg[j])], e, cfg.a)
-            hits = _cone_hits(cone, P)
-            if hits.any():
-                q = tuple(P[int(np.argmax(hits))])
-                raise ConeOverlapError(
-                    f"cone of exterior point {x} contains inside sample {q}", x, q)
-            i = cone.axis
-            center = hat(x, i)
-            if cone.sign > 0:
-                uppers[i].append(DistCone(center, x[i] - cfg.a * e, 1.0, 1))
-            else:
-                lowers[i].append(DistCone(center, x[i] + cfg.a * e, 1.0, -1))
-    lower = [Max(tuple(fam)) if fam else Infinite(-1) for fam in lowers]
-    upper = [Min(tuple(fam)) if fam else Infinite(1) for fam in uppers]
+    X = np.asarray(cfg.outside, dtype=float)
+    eps, arg = epsilon_many(P, X)
+    axis, sign, apex, ok = _cones(X, P[arg], eps, cfg.a)
+    bad = (eps <= 0.0) | ~ok
+    first_bad = int(np.argmax(bad)) if bad.any() else X.shape[0]
+    head = slice(0, first_bad)
+    overlap = _first_overlap(P, X[head], axis[head], sign[head], apex[head])
+    if overlap is not None:
+        j, q = overlap
+        x, q = cfg.outside[j], tuple(P[q])
+        raise ConeOverlapError(f"cone of exterior point {x} contains inside sample {q}", x, q)
+    if first_bad < X.shape[0]:
+        x = cfg.outside[first_bad]
+        if eps[first_bad] <= 0.0:
+            raise ValueError(
+                f"margin of {x} is not positive; the point is metrically "
+                f"between inside samples")
+        # the one-row kernel raises the error this row's flags stand for
+        choose_cone(x, cfg.inside[int(arg[first_bad])], float(eps[first_bad]), cfg.a)
+        raise ArithmeticError(f"no usable cone for exterior point {x}")
+    for i in range(n):
+        for s, bounds, family in ((1, upper, Min), (-1, lower, Max)):
+            rows = np.flatnonzero((axis == i) & (sign == s))
+            if rows.size == 0:
+                continue
+            kept = rows[_nondominated(np.delete(X[rows], i, axis=1), apex[rows], s)]
+            bounds[i] = family(tuple(DistCone(hat(cfg.outside[j], i), float(apex[j]), 1.0, s)
+                                     for j in kept))
     return BoxLipschitzSet(lower, upper)
 
 

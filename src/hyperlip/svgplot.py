@@ -10,6 +10,8 @@ polylines; cones are translucent triangles reaching the edge of the viewport
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .boxset import BoxLipschitzSet, violation_many
@@ -22,6 +24,8 @@ CONE_FILL = "#fdae6b"
 ORBIT_STROKE = "#d62728"
 FRAME_STROKE = "#444444"
 MEMBER_TOL = 1e-9
+# largest raster of set membership tests one scene may ask for
+MAX_CELLS = 4_000_000
 
 
 def _fmt(v: float) -> str:
@@ -42,7 +46,7 @@ def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
         raise ValueError("box sides must have positive length")
     if Q is not None and Q.n != 2:
         raise ValueError(f"plotting needs a planar set, got dimension {Q.n}")
-    if resolution <= 0.0:
+    if not resolution > 0.0:
         raise ValueError("resolution must be positive")
     span_x = x1 - x0
     span_y = y1 - y0
@@ -60,8 +64,14 @@ def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
     ]
 
     if Q is not None:
-        nx = max(1, int(round(span_x / resolution)))
-        ny = max(1, int(round(span_y / resolution)))
+        cells_x, cells_y = span_x / resolution, span_y / resolution
+        if not (math.isfinite(cells_x) and math.isfinite(cells_y)):
+            raise ValueError(f"box span / resolution overflows at resolution={resolution!r}")
+        nx = max(1, int(round(cells_x)))
+        ny = max(1, int(round(cells_y)))
+        if nx * ny > MAX_CELLS:
+            raise ValueError(f"resolution={resolution!r} asks for {nx} x {ny} cells, "
+                             f"more than {MAX_CELLS}")
         cx = x0 + (np.arange(nx) + 0.5) * span_x / nx
         cy = y0 + (np.arange(ny) + 0.5) * span_y / ny
         cell_w = width / nx

@@ -390,6 +390,13 @@ class TestEnclosure:
             with pytest.raises(ValueError):
                 relaxation_order(1.0, tol)
 
+    def test_relaxation_order_refuses_a_factor_that_rounds_to_one(self):
+        # k = 2**53 + 1 still shrinks; from k = 2**54 on, 1 - 1/k == 1.0
+        assert relaxation_order(1.0, 2.0 ** -53) == 2 ** 53 + 1
+        for tol in (2.0 ** -54, 1e-17):
+            with pytest.raises(ValueError, match=f"tol={tol!r}"):
+                relaxation_order(1.0, tol)
+
     def test_relaxation_order_refuses_overflow(self):
         for span, tol in ((6.0, 1e-320), (math.inf, 1.0)):
             with pytest.raises(ValueError, match="overflows"):

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from hyperlip import cli
+from hyperlip import cli, svgplot
 from hyperlip.boxset import UnsupportedSetError, find_point, set_to_obj
 from hyperlip.cli import main
 from hyperlip.instances import (
@@ -86,6 +86,17 @@ class TestRetract:
         err = input_error(capsys, ["retract", "--set", path, "--point",
                                    dump(tmp_path, "x.json", [0.0, -3.0]), "--tol", "nan"])
         assert "tol" in err["error"]
+
+    def test_tolerance_below_the_shrink_factor_is_an_input_error(
+            self, capsys, set_file, tmp_path):
+        path = set_file(vee_notch_instance())
+        x = dump(tmp_path, "x.json", [0.0, -3.0])
+        code, _, _ = run(capsys, ["retract", "--set", path, "--point", x, "--tol", "1e-15"])
+        assert code == 0
+        for tol in ("1e-16", "1e-17"):
+            err = input_error(capsys, ["retract", "--set", path, "--point", x, "--tol", tol])
+            assert f"tol={float(tol)!r}" in err["error"]
+            assert "Lipschitz level" not in err["error"]
 
     def test_unbounded_set_needs_witness(self, capsys, set_file, tmp_path):
         path = set_file(diagonal_halfspace_instance())
@@ -341,6 +352,17 @@ class TestVerify:
         assert not out["ok"]
         assert out["witness"] is not None
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lam", "nan"), ("--lam", "-1"), ("--tol", "nan"), ("--tol", "-1")])
+    def test_lipschitz_bad_numbers_are_input_errors(self, capsys, tmp_path, flag, value):
+        expr = dump(tmp_path, "f.json", {
+            "type": "distcone", "center": [0.0], "offset": 0.0,
+            "scale": 1.0, "orientation": "+"})
+        grid = dump(tmp_path, "g.json", [[0.0], [1.0]])
+        argv = ["verify", "lipschitz", "--expr", expr, "--grid", grid, "--lam", "0.5"]
+        err = input_error(capsys, argv + [flag, value])
+        assert flag[2:] in err["error"]
+
     def test_metric_pass(self, capsys, tmp_path):
         matrix = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])
         code, out, _ = run(capsys, ["verify", "metric", "--matrix", matrix])
@@ -384,6 +406,21 @@ class TestPlot:
         text = out_path.read_text()
         assert text.startswith("<svg")
         assert out["bytes"] == len(text.encode())
+
+    @pytest.mark.parametrize("resolution, words", [
+        ("1e-320", "overflows"), ("3e-4", "cells"), ("nan", "positive")])
+    def test_tiny_resolution_is_an_input_error(self, capsys, tmp_path, set_file,
+                                               monkeypatch, resolution, words):
+        def no_raster(*args):
+            raise AssertionError("the membership raster was built")
+
+        monkeypatch.setattr(svgplot, "violation_many", no_raster)
+        err = input_error(capsys, [
+            "plot", "--set", set_file(vee_notch_instance()),
+            "--box", dump(tmp_path, "b.json", [[0.0, 1.0], [0.0, 1.0]]),
+            "--resolution", resolution, "--out", str(tmp_path / "scene.svg")])
+        assert words in err["error"]
+        assert not (tmp_path / "scene.svg").exists()
 
 
 class TestSelftest:

@@ -244,6 +244,13 @@ class TestAudit:
         with pytest.raises(ValueError):
             verify_lipschitz_on_grid(Infinite(1), [(0.0,)], 1.0)
 
+    @pytest.mark.parametrize("lam, tol", [
+        (math.nan, 0.0), (-1.0, 0.0), (1.0, math.nan), (1.0, -1e-12)])
+    def test_bad_lam_or_tol_rejected(self, lam, tol):
+        f = DistCone((0.0,), 0.0, 1.0, 1)
+        with pytest.raises(ValueError, match="lam" if lam != 1.0 else "tol"):
+            verify_lipschitz_on_grid(f, [(0.0,), (1.0,)], lam, tol)
+
 
 class TestJSONForm:
     def test_known_object_shape(self):
@@ -265,6 +272,19 @@ class TestJSONForm:
             expr_from_obj({"value": 0.0})
         with pytest.raises(ValueError):
             expr_from_obj({"type": "const"})
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"type": "distcone", "center": [0.0], "offset": 0.0, "scale": 1.0,
+          "orientation": "?"}, "orientation"),
+        ({"type": "inf", "sign": "?"}, "sign"),
+        ({"type": "inf", "sign": ["+"]}, "sign"),
+    ])
+    def test_unknown_sign_is_not_a_missing_field(self, obj, field):
+        with pytest.raises(ValueError, match=f"unknown {field} .* in '{obj['type']}'"):
+            expr_from_obj(obj)
+        del obj[field]
+        with pytest.raises(ValueError, match=f"missing field '{field}'"):
+            expr_from_obj(obj)
 
 
 class TestLinearWindow:

@@ -1,10 +1,14 @@
 """Tests for margin computation, cone choice, and bound synthesis."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from hyperlip.boxset import violation, violation_many
-from hyperlip.metric import cone_contains
+from hyperlip import reconstruct
+from hyperlip.boxset import BoxLipschitzSet, violation, violation_many
+from hyperlip.lipfun import DistCone, Infinite, Max, Min, expr_dumps
+from hyperlip.metric import ConeDescriptor, cone_contains, hat
 from hyperlip.reconstruct import (
     ConeOverlapError,
     ReconstructionConfig,
@@ -20,6 +24,144 @@ def _grid(lo, hi, step):
     k = int(round((hi - lo) / step))
     return [(lo + i * step, lo + j * step)
             for i in range(k + 1) for j in range(k + 1)]
+
+
+def _reference_margins(inside, X, chunk=64):
+    """Reference margins: whole ``(chunk, S, S)`` blocks of
+    ``||x-p|| + ||x-q|| - ||p-q||``."""
+    P = np.asarray(inside, dtype=float)
+    X = np.asarray(X, dtype=float)
+    Dpq = np.abs(P[:, None, :] - P[None, :, :]).max(axis=2)
+    eps = np.empty(X.shape[0])
+    arg = np.empty(X.shape[0], dtype=int)
+    for s in range(0, X.shape[0], chunk):
+        dx = np.abs(X[s:s + chunk, None, :] - P[None, :, :]).max(axis=2)
+        scores = dx + (dx[:, None, :] - Dpq[None, :, :]).min(axis=2)
+        arg[s:s + chunk] = scores.argmax(axis=1)
+        eps[s:s + chunk] = scores.max(axis=1)
+    return eps, arg
+
+
+def _reference_cone(x, p_x, eps, a):
+    """Reference cone choice, one exterior point at a time."""
+    diffs = [x[i] - p_x[i] for i in range(len(x))]
+    axis = max(range(len(x)), key=lambda i: (abs(diffs[i]), -i))
+    sign = 1 if diffs[axis] > 0 else -1
+    apex = list(x)
+    apex[axis] -= sign * a * eps
+    cone = ConeDescriptor(tuple(apex), axis, sign)
+    if not cone_contains(cone, x, strict=True, tol=0.0):
+        raise ArithmeticError(f"{x} is not strictly interior to its own cone {cone}")
+    return cone
+
+
+def _reference_hits(cone, P):
+    apex = np.asarray(cone.apex)
+    t = (P[:, cone.axis] - apex[cone.axis]) * cone.sign
+    off = np.abs(np.delete(P, cone.axis, axis=1) - np.delete(apex, cone.axis)).max(
+        axis=1, initial=0.0)
+    return (t >= 0.0) & (off <= t)
+
+
+def _reference_synthesis(cfg):
+    """Reference synthesis: the per-exterior-point loop, one cone per
+    exterior point checked against the whole inside sample, no pruning.
+    Margins come from ``reconstruct.epsilon_many`` as bound at call time."""
+    P = np.asarray(cfg.inside, dtype=float)
+    uppers = [[] for _ in range(cfg.n)]
+    lowers = [[] for _ in range(cfg.n)]
+    if cfg.outside:
+        eps, arg = reconstruct.epsilon_many(cfg.inside, cfg.outside)
+        for j, x in enumerate(cfg.outside):
+            e = float(eps[j])
+            if e <= 0.0:
+                raise ValueError(
+                    f"margin of {x} is not positive; the point is metrically "
+                    f"between inside samples")
+            cone = _reference_cone(x, cfg.inside[int(arg[j])], e, cfg.a)
+            hits = _reference_hits(cone, P)
+            if hits.any():
+                q = tuple(P[int(np.argmax(hits))])
+                raise ConeOverlapError(
+                    f"cone of exterior point {x} contains inside sample {q}", x, q)
+            i = cone.axis
+            if cone.sign > 0:
+                uppers[i].append(DistCone(hat(x, i), x[i] - cfg.a * e, 1.0, 1))
+            else:
+                lowers[i].append(DistCone(hat(x, i), x[i] + cfg.a * e, 1.0, -1))
+    lower = [Max(tuple(fam)) if fam else Infinite(-1) for fam in lowers]
+    upper = [Min(tuple(fam)) if fam else Infinite(1) for fam in uppers]
+    return BoxLipschitzSet(lower, upper)
+
+
+def _exact_nondominated(cones, sign):
+    """The cones no other cone makes redundant, by the rule of the
+    benchmark's ``cone_counts``: upper cone i makes upper cone j redundant
+    when ``o_i + ||a_i - a_j|| <= o_j`` (lower cones: the mirror rule), and
+    of two identical cones the first is kept.  The inequality is evaluated
+    exactly, on integers over a common power-of-two denominator."""
+    values = [Fraction(v) for c in cones for v in (c.offset, *c.center)]
+    den = max(v.denominator for v in values)
+    ints = np.array([int(v * den) for v in values], dtype=object).reshape(len(cones), -1)
+    o, A = sign * ints[:, 0], ints[:, 1:]
+    K = len(cones)
+    d = np.abs(A[:, None, :] - A[None, :, :]).max(axis=2, initial=0)
+    le = (o[:, None] + d <= o[None, :]).astype(bool) & ~np.eye(K, dtype=bool)
+    beats = le & (~le.T | np.triu(np.ones((K, K), dtype=bool), k=1))
+    return tuple(c for c, beaten in zip(cones, beats.any(axis=0)) if not beaten)
+
+
+def _families(Q):
+    """Each bound's cones (upper bounds first), or the bound itself."""
+    return [b.children if isinstance(b, (Min, Max)) else b for b in Q.upper + Q.lower]
+
+
+def _keep_all(C, o, sign):
+    return np.ones(o.size, dtype=bool)
+
+
+def _bench_grid(per_unit, shape):
+    """Inside and outside samples, and the grid, of a shape on the grid of
+    step ``1/per_unit`` over [-1, 3]^2 (as the benchmark builds them)."""
+    count = 4 * per_unit
+    idx = [(i, j) for i in range(count + 1) for j in range(count + 1)]
+    grid = tuple((-1.0 + i / per_unit, -1.0 + j / per_unit) for i, j in idx)
+    inside = tuple(p for p, ij in zip(grid, idx) if shape(*ij))
+    outside = tuple(p for p, ij in zip(grid, idx) if not shape(*ij))
+    return inside, outside, grid
+
+
+def _square_shape(s):
+    return lambda i, j: s <= i <= 2 * s and s <= j <= 2 * s
+
+
+def _step_shape(s):
+    def inside(i, j):
+        a, b = i - s, j - s
+        return 0 <= a <= 2 * s and 0 <= b <= 2 * s and a <= s + min(b, s)
+    return inside
+
+
+def _ell_shape(i0, j0, W, t, flip_a, flip_b, swap):
+    """An L with its inner corner cut at slope 1, as in the benchmark."""
+    def inside(i, j):
+        a, b = i - i0, j - j0
+        if swap:
+            a, b = b, a
+        if flip_a:
+            a = W - a
+        if flip_b:
+            b = W - b
+        return 0 <= a <= W and 0 <= b <= W and a <= t + min(b, W - t)
+    return inside
+
+
+_SHAPES = {
+    "square": _square_shape(8),
+    "step": _step_shape(8),
+    "ell": _ell_shape(5, 9, 13, 4, True, False, False),
+    "ell-swapped": _ell_shape(10, 4, 14, 5, False, True, True),
+}
 
 
 def _square_samples(step=0.25):
@@ -213,3 +355,133 @@ class TestVerification:
             ReconstructionConfig(((0.0, 0.0),), ())), [])
         assert report.checked == 0
         assert report.ok
+
+
+class TestArrayPasses:
+    """The array passes against the per-exterior-point reference."""
+
+    @pytest.mark.parametrize("name", sorted(_SHAPES))
+    def test_unpruned_cones_equal_the_reference(self, name, monkeypatch):
+        inside, outside, _ = _bench_grid(8, _SHAPES[name])
+        cfg = ReconstructionConfig(inside, outside, a=0.1)
+        monkeypatch.setattr(reconstruct, "_nondominated", _keep_all)
+        Q = synthesize_bounds(cfg)
+        ref = _reference_synthesis(cfg)
+        assert Q == ref
+        # same offset bits, signed zeros included, in the same order
+        assert [expr_dumps(b) for b in Q.upper + Q.lower] == \
+            [expr_dumps(b) for b in ref.upper + ref.lower]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_unpruned_cones_in_other_dimensions(self, n, rng, monkeypatch):
+        inside = tuple(tuple(v) for v in rng.uniform(-1, 1, (12, n)))
+        outside = tuple(tuple(v) for v in rng.uniform(-4, 4, (40, n))
+                        if np.abs(v).max() > 1.5)
+        cfg = ReconstructionConfig(inside, outside, a=0.05)
+        monkeypatch.setattr(reconstruct, "_nondominated", _keep_all)
+        assert synthesize_bounds(cfg) == _reference_synthesis(cfg)
+
+    def test_kernel_matches_the_reference_cone(self, rng):
+        X = rng.uniform(-2, 2, (200, 3))
+        W = rng.uniform(-2, 2, (200, 3))
+        X[:20, 1] = X[:20, 0] + W[:20, 1] - W[:20, 0]   # ties between axes
+        eps = rng.uniform(0.1, 1.0, 200)
+        axis, sign, apex, ok = reconstruct._cones(X, W, eps, 0.05)
+        assert ok.all()
+        for j in range(200):
+            cone = _reference_cone(tuple(X[j]), tuple(W[j]), float(eps[j]), 0.05)
+            assert (cone.axis, cone.sign) == (axis[j], sign[j])
+            assert cone.apex[cone.axis] == apex[j]
+            assert cone == choose_cone(tuple(X[j]), tuple(W[j]), float(eps[j]), 0.05)
+
+    @pytest.mark.parametrize("name", sorted(_SHAPES))
+    def test_pruned_set_is_the_nondominated_subset(self, name):
+        inside, outside, grid = _bench_grid(8, _SHAPES[name])
+        cfg = ReconstructionConfig(inside, outside, a=0.1)
+        Q = synthesize_bounds(cfg)
+        ref = _reference_synthesis(cfg)
+        signs = [1] * cfg.n + [-1] * cfg.n
+        assert _families(Q) == [
+            _exact_nondominated(f, s) if isinstance(f, tuple) else f
+            for f, s in zip(_families(ref), signs)]
+        assert sum(map(len, _families(Q))) < sum(map(len, _families(ref))) / 4
+        G = np.asarray(grid)
+        assert ((violation_many(Q, G) <= 1e-9) == (violation_many(ref, G) <= 1e-9)).all()
+
+    def test_a_cone_ahead_only_after_rounding_is_kept(self):
+        # 0.05625 + 0.0625 rounds to 0.11875, but exceeds it by ~7e-18 in
+        # real arithmetic: the second cone is tighter at its centre
+        C = np.array([[0.0], [0.0625], [0.125]])
+        o = np.array([0.05625, 0.11875, 0.18125])
+        assert 0.05625 + 0.0625 <= 0.11875
+        assert Fraction(0.05625) + Fraction(0.0625) > Fraction(0.11875)
+        assert reconstruct._nondominated(C, o, 1).tolist() == [True, True, False]
+        assert reconstruct._nondominated(C, -o, -1).tolist() == [True, True, False]
+
+    def test_identical_cones_keep_the_first(self):
+        C = np.array([[1.0], [0.0], [1.0], [1.0]])
+        o = np.array([2.0, 5.0, 2.0, 2.0])
+        assert reconstruct._nondominated(C, o, 1).tolist() == [True, False, False, False]
+        assert reconstruct._nondominated(C, o, -1).tolist() == [False, True, False, False]
+
+    @pytest.mark.parametrize("inside, outside", [
+        # margins: (1, 0) and (0.5, 0) lie between the two samples
+        (((0.0, 0.0), (2.0, 0.0)),
+         ((5.0, 5.0), (1.0, 0.0), (-3.0, 1.0), (0.5, 0.0))),
+        # interior: a * eps vanishes next to 1e17 for the middle two points
+        (((1e17, 0.0),),
+         ((1e17 + 64, 0.0), (1e17 + 16, 0.0), (1e17 + 32, 0.0), (1e17, 9.0))),
+        # an interior failure ahead of a margin failure
+        (((1e17, 0.0), (1e17 + 256, 0.0)),
+         ((1e17 + 512, 4.0), (1e17 + 272, 0.0), (1e17 + 128, 0.0))),
+    ])
+    def test_errors_name_the_first_offender(self, inside, outside):
+        cfg = ReconstructionConfig(inside, outside, a=0.1)
+        with pytest.raises((ValueError, ArithmeticError)) as ref:
+            _reference_synthesis(cfg)
+        with pytest.raises(type(ref.value)) as got:
+            synthesize_bounds(cfg)
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("outside", [
+        ((3.0, 3.0), (-2.0, 0.5), (0.5, -2.5), (2.5, 0.5)),
+        ((1.0, 1.0), (3.0, 3.0), (-2.0, 0.5), (0.0, 0.0)),
+        ((-2.0, 0.5), (1.0, 1.0), (3.0, 3.0), (0.0, 0.0)),
+    ])
+    def test_overlaps_name_the_first_offender(self, outside, monkeypatch):
+        """Margins inflated tenfold push every cone onto inside samples; an
+        exterior point that is also a sample still fails on its margin."""
+        inside = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+        margins = reconstruct.epsilon_many
+
+        def inflated(inside, X, chunk=64):
+            eps, arg = margins(inside, X, chunk)
+            return 10.0 * eps, arg
+
+        monkeypatch.setattr(reconstruct, "epsilon_many", inflated)
+        cfg = ReconstructionConfig(inside, outside, a=0.1)
+        with pytest.raises((ValueError, ConeOverlapError)) as ref:
+            _reference_synthesis(cfg)
+        with pytest.raises(type(ref.value)) as got:
+            synthesize_bounds(cfg)
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
+        if isinstance(ref.value, ConeOverlapError):
+            assert got.value.exterior == ref.value.exterior
+            assert got.value.inside == ref.value.inside
+
+    @pytest.mark.parametrize("name", ["square", "step"])
+    @pytest.mark.parametrize("candidates", [1, 7])
+    def test_margins_do_not_depend_on_the_block_size(self, name, candidates, monkeypatch):
+        """One-row blocks, with the candidates p split into blocks of 1 or 7
+        (ties between blocks must keep the first p)."""
+        inside, outside, _ = _bench_grid(8, _SHAPES[name])
+        outside = outside[::3]
+        eps, arg = epsilon_many(inside, outside)
+        ref_eps, ref_arg = _reference_margins(inside, outside)
+        monkeypatch.setattr(reconstruct, "_BLOCK_BYTES", 8 * len(inside) * candidates)
+        one_eps, one_arg = epsilon_many(inside, outside)
+        for e, a in ((eps, arg), (one_eps, one_arg)):
+            assert e.tobytes() == ref_eps.tobytes()
+            assert (a == ref_arg).all()
