@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -72,12 +73,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _dumps(obj, allow_nan=True) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=allow_nan)
 
 
-def _emit(obj):
-    sys.stdout.write(_dumps(obj) + "\n")
+def _emit(obj, allow_nan=True):
+    sys.stdout.write(_dumps(obj, allow_nan) + "\n")
+
+
+def _amount(v):
+    """An amount for strict JSON: an infinite one is written ``"+inf"`` or
+    ``"-inf"``, as set files write missing bounds."""
+    return {math.inf: "+inf", -math.inf: "-inf"}.get(v, v)
 
 
 def _err(obj):
@@ -243,7 +250,8 @@ def cmd_verify(args) -> int:
         report = check_metric_axioms(M, tol=args.tol)
         _emit({"ok": report.ok,
                "violations": [{"kind": v.kind, "indices": list(v.indices),
-                               "amount": v.amount} for v in report.violations]})
+                               "amount": _amount(v.amount)} for v in report.violations]},
+              allow_nan=False)
         return 0 if report.ok else 2
     _err({"error": f"unknown verify target {args.target!r}"})
     return 1

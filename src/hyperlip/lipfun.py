@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 BOUNDS_SLACK = 1e-12
+# bytes one block of the pairwise Lipschitz audit may hold per temporary
+_PAIR_BLOCK_BYTES = 1 << 20
 
 
 class LipExpr:
@@ -358,14 +360,25 @@ def verify_lipschitz_on_grid(f: LipExpr, grid, lam: float, tol: float = 1e-12):
     pts = [as_point(y) for y in grid]
     if not pts:
         raise ValueError("empty grid")
-    vals = eval_grid(f, pts).tolist()
-    for y, v in zip(pts, vals):
+    vals = eval_grid(f, pts)
+    for y, v in zip(pts, vals.tolist()):
         if not math.isfinite(v):
             raise ValueError(f"expression is not finite at {y}")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(vals[i] - vals[j]) > lam * sup_dist(pts[i], pts[j]) + tol:
-                return pts[i], pts[j]
+    Y = np.asarray(pts)
+    N = len(pts)
+    # rows i in blocks against the columns j > r, each (rows, N) temporary
+    # within _PAIR_BLOCK_BYTES.  The test is symmetric and never holds for
+    # i == j, so the first offending (i, j) in row-major order has j > i.
+    rows = max(1, _PAIR_BLOCK_BYTES // (8 * N))
+    for r in range(0, N - 1, rows):
+        i = np.arange(r, min(r + rows, N - 1))
+        d = np.zeros((i.size, N - r - 1))
+        for k in range(Y.shape[1]):
+            np.maximum(d, np.abs(Y[i, k, None] - Y[None, r + 1:, k]), out=d)
+        bad = np.abs(vals[i, None] - vals[None, r + 1:]) > lam * d + tol
+        if bad.any():
+            a, b = divmod(int(bad.argmax()), N - r - 1)
+            return pts[r + a], pts[r + 1 + b]
     return None
 
 

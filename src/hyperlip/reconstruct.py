@@ -42,6 +42,9 @@ A_MAX = 0.125
 # bytes of scratch one block may hold: the margin temporary, the overlap
 # test and the dominated-cone test are all blocked to this size
 _BLOCK_BYTES = 1 << 20
+# inside samples nearest to an exterior point whose distances bound every
+# candidate's margin score in the pruned witness search
+_ANCHORS = 8
 
 
 class ConeOverlapError(RuntimeError):
@@ -78,12 +81,14 @@ class ReconstructionConfig:
         if not 0.0 < self.a < A_MAX:
             raise ValueError(f"a must lie strictly between 0 and {A_MAX}, got {self.a!r}")
         if self.membership is not None:
-            for p in inside:
-                if not self.membership(p):
-                    raise ValueError(f"inside sample {p} fails the membership oracle")
-            for x in outside:
-                if self.membership(x):
-                    raise ValueError(f"outside sample {x} passes the membership oracle")
+            member = _batch(self.membership)(np.array(inside + outside, dtype=float))
+            bad = np.flatnonzero(np.r_[~member[:len(inside)], member[len(inside):]])
+            if bad.size:
+                j = int(bad[0])
+                if j < len(inside):
+                    raise ValueError(f"inside sample {inside[j]} fails the membership oracle")
+                raise ValueError(f"outside sample {outside[j - len(inside)]} passes "
+                                 f"the membership oracle")
         object.__setattr__(self, "inside", inside)
         object.__setattr__(self, "outside", outside)
 
@@ -107,36 +112,79 @@ def epsilon_many(inside, X, chunk: int = 64):
     Returns ``(eps, witness_index)`` arrays where, for each row x of ``X``,
     ``eps = max_p min_q (||x-p|| + ||x-q|| - ||p-q||)`` over the inside
     sample and ``witness_index`` is an attaining p (the first one on ties).
-    Rows go in blocks of at most ``chunk`` rows, and candidates p in blocks,
-    so that the ``(rows, p's, S)`` temporary fits in ``_BLOCK_BYTES``; the
-    result does not depend on the block sizes.  The ``(S, S)`` table of
-    inside distances is held whole.
+
+    The search is exact and pruned.  With ``A`` the ``_ANCHORS`` inside
+    samples nearest to x, candidate p's score ``d(x,p) + min_q (d(x,q) -
+    d(p,q))`` is bounded by ``UB(p) = d(x,p) + min_{q in A} (d(x,q) -
+    d(p,q))``.  The two use the same float operations (the distance table
+    is exactly symmetric) and a minimum over fewer q is no smaller, so
+    ``UB >= score`` holds in floating point.  Each row scores its candidates
+    in order of (-UB, index), one per pass, and is done once the next one
+    has ``UB < best``, or ``UB == best`` and an index above the witness's:
+    no candidate left can then beat the witness or tie it with a lower
+    index.
+
+    Rows go in blocks of at most ``chunk``, so that the ``(rows, anchors,
+    S)`` bound temporary fits in ``_BLOCK_BYTES``; the result does not
+    depend on the block sizes.  The ``(S, S)`` table of inside distances is
+    held whole.  Non-finite coordinates raise ``ValueError``, and so do
+    coordinates whose differences overflow.
     """
     P = np.asarray(inside, dtype=float)
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != P.shape[1]:
-        raise ValueError(f"expected exterior shape (N, {P.shape[1]}), got {X.shape}")
+    if P.ndim != 2 or X.ndim != 2 or X.shape[1] != P.shape[1]:
+        raise ValueError(f"expected exterior shape (N, {P.shape[-1]}), got {X.shape}")
     S = P.shape[0]
     if S == 0:
         raise ValueError("need at least one inside sample")
-    rows = min(chunk, max(1, _BLOCK_BYTES // (8 * S * S)))
-    cols = max(1, _BLOCK_BYTES // (8 * S * rows))
-    Dpq = _sup_dist(P, P)
-    eps = np.full(X.shape[0], -np.inf)
-    arg = np.zeros(X.shape[0], dtype=int)
+    if not (np.isfinite(P).all() and np.isfinite(X).all()):
+        raise ValueError("sample coordinates must be finite")
+    # finite distances, so that no score or bound is NaN
+    with np.errstate(over="ignore"):
+        spread = np.ptp(np.concatenate([P, X]), axis=0)
+    if not np.isfinite(spread).all():
+        raise ValueError("sample coordinates are too far apart for finite distances")
+    D = _sup_dist(P, P)
+    rows = min(chunk, max(1, _BLOCK_BYTES // (8 * S * min(_ANCHORS, S))))
+    eps = np.empty(X.shape[0])
+    arg = np.empty(X.shape[0], dtype=int)
     for r in range(0, X.shape[0], rows):
-        dx = _sup_dist(X[r:r + rows], P)                              # (r, S)
-        best, which = eps[r:r + rows], arg[r:r + rows]                # views
-        for c in range(0, S, cols):
-            # per p: ||x-p|| + min_q(||x-q|| - ||p-q||)
-            scores = dx[:, c:c + cols] + (dx[:, None, :] - Dpq[None, c:c + cols, :]).min(axis=2)
-            top = scores.argmax(axis=1)
-            value = scores[np.arange(top.size), top]
-            # argmax's rule across blocks: a NaN wins, ties keep the first p
-            better = ~(value <= best) & ~np.isnan(best)
-            best[better] = value[better]
-            which[better] = top[better] + c
+        _search(_sup_dist(X[r:r + rows], P), D, eps[r:r + rows], arg[r:r + rows])
     return eps, arg
+
+
+def _search(dx, D, eps, arg):
+    """Pruned witness search for one block of rows: ``dx`` holds the rows'
+    ``(rows, S)`` distances to the inside sample, ``D`` the inside
+    distances; the margins and witnesses go to ``eps`` and ``arg``."""
+    b, S = dx.shape
+    k = min(_ANCHORS, S)
+    at = np.arange(b)
+    near = np.argpartition(dx, k - 1, axis=1)[:, :k]
+    T = D[near]                                                   # (b, k, S)
+    np.subtract(dx[at[:, None], near, None], T, out=T)
+    ub = dx + T.min(axis=1)
+    live = at
+    best = np.full(b, -np.inf)
+    which = np.full(b, S)
+    while live.size:
+        # each row's next candidate in order of (-UB, index)
+        p = ub.argmax(axis=1)
+        at = np.arange(live.size)
+        u = ub[at, p]
+        go = (u > best) | ((u == best) & (p < which))
+        if not go.all():
+            eps[live[~go]] = best[~go]
+            arg[live[~go]] = which[~go]
+            live, dx, ub, best, which, p = live[go], dx[go], ub[go], best[go], which[go], p[go]
+            at = at[:live.size]
+        T = D[p]
+        np.subtract(dx, T, out=T)
+        score = dx[at, p] + T.min(axis=1)
+        better = (score > best) | ((score == best) & (p < which))
+        best = np.where(better, score, best)
+        which = np.where(better, p, which)
+        ub[at, p] = -np.inf
 
 
 def _cones(X: np.ndarray, W: np.ndarray, eps: np.ndarray, a: float):
@@ -292,7 +340,7 @@ def synthesize_bounds(cfg: ReconstructionConfig) -> BoxLipschitzSet:
     overlap = _first_overlap(P, X[head], axis[head], sign[head], apex[head])
     if overlap is not None:
         j, q = overlap
-        x, q = cfg.outside[j], tuple(P[q])
+        x, q = cfg.outside[j], cfg.inside[q]
         raise ConeOverlapError(f"cone of exterior point {x} contains inside sample {q}", x, q)
     if first_bad < X.shape[0]:
         x = cfg.outside[first_bad]
@@ -340,29 +388,59 @@ class ReconstructionReport:
 
 def verify_reconstruction(membership, Q_rec: BoxLipschitzSet, grid,
                           tol: float = 1e-9) -> ReconstructionReport:
-    """Compare an oracle with reconstructed membership on a point grid."""
-    pts = [as_point(p) for p in grid]
-    if not pts:
+    """Compare an oracle with reconstructed membership on a point grid.
+
+    The oracle is asked once, for the whole grid (see :func:`_batch`).
+    Grid coordinates must be finite."""
+    G = np.asarray(grid, dtype=float)
+    if not len(G):
         return ReconstructionReport(0, (), ())
-    v = violation_many(Q_rec, np.asarray(pts))
-    false_inside = []
-    false_outside = []
-    for p, vi in zip(pts, v):
-        truth = bool(membership(p))
-        inside_rec = vi <= tol
-        if inside_rec and not truth:
-            false_inside.append(p)
-        elif truth and not inside_rec:
-            false_outside.append(p)
-    return ReconstructionReport(len(pts), tuple(false_inside), tuple(false_outside))
+    if G.ndim != 2:
+        raise ValueError(f"expected grid points of equal dimension, got shape {G.shape}")
+    if not np.isfinite(G).all():
+        raise ValueError(f"point coordinates must be finite, got {float(G[~np.isfinite(G)][0])!r}")
+    truth = _batch(membership)(G)
+    inside_rec = violation_many(Q_rec, G) <= tol
+
+    def points(mask):
+        return tuple(map(tuple, G[mask].tolist()))
+
+    return ReconstructionReport(G.shape[0], points(inside_rec & ~truth), points(truth & ~inside_rec))
+
+
+class _SampleMembership:
+    """Accepts exactly the points within ``tol`` of an inside sample: one
+    point by calling the oracle, the rows of an ``(N, n)`` array with
+    :meth:`many`."""
+
+    def __init__(self, inside, tol):
+        self._P = np.asarray([as_point(p) for p in inside], dtype=float)
+        self._tol = tol
+
+    def __call__(self, x) -> bool:
+        return bool(self.many(np.asarray([as_point(x)]))[0])
+
+    def many(self, G) -> np.ndarray:
+        G = np.asarray(G, dtype=float)
+        out = np.empty(G.shape[0], dtype=bool)
+        step = max(1, _BLOCK_BYTES // (8 * max(1, self._P.shape[0])))
+        for r in range(0, G.shape[0], step):
+            out[r:r + step] = (_sup_dist(G[r:r + step], self._P) <= self._tol).any(axis=1)
+        return out
+
+
+def _batch(membership):
+    """The batch form of a membership oracle: its ``many`` method when it
+    has one, else a loop that asks it about each row as a point tuple."""
+    many = getattr(membership, "many", None)
+    if many is not None:
+        return many
+    return lambda G: np.array([bool(membership(tuple(g))) for g in G.tolist()], dtype=bool)
 
 
 def membership_from_samples(inside, tol: float = 1e-9):
-    """Oracle that accepts exactly the points within ``tol`` of a sample."""
-    P = np.asarray([as_point(p) for p in inside], dtype=float)
+    """Oracle that accepts exactly the points within ``tol`` of a sample.
 
-    def contains(x):
-        x = np.asarray(as_point(x))
-        return bool((np.abs(P - x).max(axis=1) <= tol).any())
-
-    return contains
+    It answers for one point when called, and for the rows of an
+    ``(N, n)`` array through its ``many`` method, with the same booleans."""
+    return _SampleMembership(inside, tol)

@@ -392,6 +392,29 @@ class TestVerify:
         assert not out["ok"]
         assert {v["kind"] for v in out["violations"]} == {"finite"}
 
+    @pytest.mark.parametrize("text, kinds", [
+        ("[[0, NaN], [NaN, 0]]", {"finite"}),
+        ("[[0, Infinity], [1, -Infinity]]", {"finite"}),
+        ("[[0, 1e308], [-1e308, 0]]", {"symmetry"}),
+    ])
+    def test_metric_output_is_strict_json(self, capsys, tmp_path, text, kinds):
+        """Infinite amounts are written "+inf", never as a bare JSON
+        constant (NaN, Infinity), on every line the command prints."""
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        matrix = tmp_path / "d.json"
+        matrix.write_text(text)
+        code = main(["verify", "metric", "--matrix", str(matrix)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        out = json.loads(lines[0], parse_constant=refuse)
+        assert {v["kind"] for v in out["violations"]} == kinds
+        assert {v["amount"] for v in out["violations"] if v["kind"] in kinds} == {"+inf"}
+
 
 class TestPlot:
     def test_writes_svg(self, capsys, tmp_path, set_file):

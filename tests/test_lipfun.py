@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperlip import lipfun
 from hyperlip.lipfun import (
     Blend,
     Const,
@@ -36,6 +37,7 @@ from hyperlip.lipfun import (
     _compile,
 )
 from hyperlip.instances import linear_window
+from hyperlip.metric import sup_dist
 
 DIM = 2
 
@@ -250,6 +252,33 @@ class TestAudit:
         f = DistCone((0.0,), 0.0, 1.0, 1)
         with pytest.raises(ValueError, match="lam" if lam != 1.0 else "tol"):
             verify_lipschitz_on_grid(f, [(0.0,), (1.0,)], lam, tol)
+
+    @pytest.mark.parametrize("n, planted", [(1, 0), (2, 3), (3, 1), (4, 6)])
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    def test_first_pair_matches_the_pair_loop(self, n, planted, rows, rng, monkeypatch):
+        """Grid points on the unit sphere around the origin, where
+        ``||y||`` is constant, plus ``planted`` points at radius 1.5 that
+        break the claim ``lam = 0.5`` against nearby sphere points; blocks
+        of the default size, or of 1 and 7 rows."""
+        def reference(f, grid, lam, tol):
+            vals = eval_grid(f, grid).tolist()
+            for i in range(len(grid)):
+                for j in range(i + 1, len(grid)):
+                    if abs(vals[i] - vals[j]) > lam * sup_dist(grid[i], grid[j]) + tol:
+                        return grid[i], grid[j]
+            return None
+
+        U = rng.uniform(-1.0, 1.0, (300, n))
+        U[np.arange(300), rng.integers(0, n, 300)] = rng.choice([-1.0, 1.0], 300)
+        spots = rng.choice(300, planted, replace=False)
+        U[spots] *= 1.5
+        grid = [tuple(u) for u in U]
+        f = DistCone((0.0,) * n, 0.0, 1.0, 1)
+        if rows is not None:
+            monkeypatch.setattr(lipfun, "_PAIR_BLOCK_BYTES", 8 * len(grid) * rows)
+        want = reference(f, grid, 0.5, 1e-12)
+        assert (want is None) == (planted == 0)
+        assert verify_lipschitz_on_grid(f, grid, 0.5, tol=1e-12) == want
 
 
 class TestJSONForm:

@@ -81,7 +81,7 @@ def _reference_synthesis(cfg):
             cone = _reference_cone(x, cfg.inside[int(arg[j])], e, cfg.a)
             hits = _reference_hits(cone, P)
             if hits.any():
-                q = tuple(P[int(np.argmax(hits))])
+                q = cfg.inside[int(np.argmax(hits))]
                 raise ConeOverlapError(
                     f"cone of exterior point {x} contains inside sample {q}", x, q)
             i = cone.axis
@@ -471,6 +471,25 @@ class TestArrayPasses:
             assert got.value.exterior == ref.value.exterior
             assert got.value.inside == ref.value.inside
 
+    def test_overlap_error_carries_plain_floats(self, monkeypatch):
+        """The overlap error names both points as tuples of Python floats,
+        in its message and in its attributes."""
+        margins = reconstruct.epsilon_many
+
+        def inflated(inside, X, chunk=64):
+            eps, arg = margins(inside, X, chunk)
+            return 10.0 * eps, arg
+
+        monkeypatch.setattr(reconstruct, "epsilon_many", inflated)
+        inside = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+        with pytest.raises(ConeOverlapError) as got:
+            synthesize_bounds(ReconstructionConfig(inside, ((3.0, 3.0),), a=0.1))
+        assert str(got.value) == \
+            "cone of exterior point (3.0, 3.0) contains inside sample (1.0, 1.0)"
+        assert got.value.exterior == (3.0, 3.0)
+        assert got.value.inside == (1.0, 1.0)
+        assert {type(c) for c in got.value.exterior + got.value.inside} == {float}
+
     @pytest.mark.parametrize("name", ["square", "step"])
     @pytest.mark.parametrize("candidates", [1, 7])
     def test_margins_do_not_depend_on_the_block_size(self, name, candidates, monkeypatch):
@@ -485,3 +504,97 @@ class TestArrayPasses:
         for e, a in ((eps, arg), (one_eps, one_arg)):
             assert e.tobytes() == ref_eps.tobytes()
             assert (a == ref_arg).all()
+
+
+class TestPrunedSearch:
+    """The pruned witness search against the all-candidates reference, and
+    the batch membership oracle against the per-point test."""
+
+    def test_square_at_step_one_sixteenth(self):
+        inside, outside, _ = _bench_grid(16, _square_shape(16))
+        eps, arg = epsilon_many(inside, outside)
+        ref_eps, ref_arg = _reference_margins(inside, outside, chunk=4)
+        assert eps.tobytes() == ref_eps.tobytes()
+        assert (arg == ref_arg).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_integer_lattice_with_duplicate_samples(self, n, rng):
+        """Ties everywhere: integer points, each inside sample listed
+        twice in a shuffled order, exterior points on the same lattice
+        (some of them samples, with margin 0); eight draws per dimension."""
+        side = {1: 12, 2: 6, 3: 4, 4: 3}[n]
+        for _ in range(8):
+            inside = rng.integers(0, side, (40, n)).astype(float)
+            inside = np.concatenate([inside, inside])[rng.permutation(80)]
+            outside = rng.integers(-2, side + 2, (300, n)).astype(float)
+            eps, arg = epsilon_many(inside, outside)
+            ref_eps, ref_arg = _reference_margins(inside, outside, chunk=8)
+            assert eps.tobytes() == ref_eps.tobytes()
+            assert (arg == ref_arg).all()
+            assert (eps == 0.0).any() and (eps > 0.0).any()
+
+    @pytest.mark.parametrize("inside, outside, message", [
+        ([(0.0, np.nan)], [(1.0, 1.0)], "must be finite"),
+        ([(0.0, 0.0)], [(np.inf, 1.0)], "must be finite"),
+        ([(0.0, 0.0), (1.0, 1.0)], [(1.0, 1.0), (-np.inf, np.nan)], "must be finite"),
+        ([(-1e308, 0.0)], [(1e308, 0.0)], "too far apart"),
+    ])
+    def test_non_finite_input_is_refused(self, inside, outside, message):
+        with pytest.raises(ValueError, match=message):
+            epsilon_many(inside, outside)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.25, 0.0])
+    def test_batch_oracle_matches_the_per_point_test(self, tol):
+        """On a grid of step 1/8 around samples on a grid of step 1/4, and
+        on points placed exactly ``tol`` (and one ulp beyond) from a sample."""
+        def per_point(x):
+            return bool((np.abs(P - np.asarray(x)).max(axis=1) <= tol).any())
+
+        inside = [(i / 4, j / 4) for i in range(5) for j in range(5) if (i + j) % 3]
+        P = np.asarray(inside)
+        grid = [(i / 8, j / 8) for i in range(-3, 12) for j in range(-3, 12)]
+        for x, y in inside[::4]:
+            grid += [(x + tol, y), (x, y - tol), (x + tol, y + tol),
+                     (np.nextafter(x + tol, np.inf), y)]
+        oracle = membership_from_samples(inside, tol=tol)
+        want = [per_point(g) for g in grid]
+        assert oracle.many(np.asarray(grid)).tolist() == want
+        assert [oracle(g) for g in grid] == want
+        assert any(want) and not all(want)
+
+    def test_oracles_are_asked_once_per_batch(self):
+        """A batch oracle is asked once by the config and once by the
+        verification; a plain callable is asked about every point."""
+        inside, outside, every = _square_samples(0.25)
+        truth = membership_from_samples(inside)
+
+        class Counting:
+            calls = 0
+
+            def __call__(self, x):
+                raise AssertionError("asked about one point")
+
+            def many(self, G):
+                self.calls += 1
+                return truth.many(G)
+
+        oracle = Counting()
+        cfg = ReconstructionConfig(tuple(inside), tuple(outside), membership=oracle)
+        assert oracle.calls == 1
+        report = verify_reconstruction(oracle, synthesize_bounds(cfg), every)
+        assert oracle.calls == 2
+        assert report.ok and report.checked == len(every)
+        asked = []
+        plain = verify_reconstruction(lambda p: asked.append(p) or truth(p),
+                                      synthesize_bounds(cfg), every)
+        assert plain == report
+        assert asked == [tuple(map(float, p)) for p in every]
+
+    def test_config_names_the_first_oracle_failure(self):
+        mem = membership_from_samples([(0.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(ValueError, match=r"inside sample \(5.0, 5.0\) fails"):
+            ReconstructionConfig(((0.0, 0.0), (5.0, 5.0), (6.0, 6.0)), ((1.0, 1.0),),
+                                 membership=mem)
+        with pytest.raises(ValueError, match=r"outside sample \(1.0, 1.0\) passes"):
+            ReconstructionConfig(((0.0, 0.0),), ((3.0, 3.0), (1.0, 1.0), (0.0, 0.0)),
+                                 membership=mem)
