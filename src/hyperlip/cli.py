@@ -68,17 +68,17 @@ class _Parser(argparse.ArgumentParser):
     """argparse with usage problems reported as input errors (exit 1)."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         _err({"error": message})
         raise SystemExit(1)
 
 
-def _dumps(obj, allow_nan=True) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=allow_nan)
+def _dumps(obj) -> str:
+    """Canonical strict JSON: a NaN or infinite float raises ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _emit(obj, allow_nan=True):
-    sys.stdout.write(_dumps(obj, allow_nan) + "\n")
+def _emit(obj):
+    sys.stdout.write(_dumps(obj) + "\n")
 
 
 def _amount(v):
@@ -151,7 +151,9 @@ def cmd_retract(args) -> int:
     point = moved if w is None else tuple(a + b for a, b in zip(moved, w))
     result.update(point=list(point), violation=violation(Q, point),
                   sweeps=trace.steps // Q.n, trace_summary=_trace_summary(trace))
-    _write_trace(args, trace)
+    if args.trace_out:
+        with open(args.trace_out, "w") as fh:
+            fh.write(trace_to_csv(trace))
     code = 0
     if level_one and result["violation"] > args.tol:
         probe = cyclic_iterate(Q, x, boxset._probe_steps(Q.n))
@@ -159,12 +161,6 @@ def cmd_retract(args) -> int:
         code = 2
     _emit(result)
     return code
-
-
-def _write_trace(args, trace):
-    if getattr(args, "trace_out", None):
-        with open(args.trace_out, "w") as fh:
-            fh.write(trace_to_csv(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +209,12 @@ def cmd_hull(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    inside = [as_point(p) for p in _load_json(args.inside)]
-    outside = [as_point(p) for p in _load_json(args.outside)]
-    cfg = ReconstructionConfig(tuple(inside), tuple(outside), a=args.a)
+    cfg = ReconstructionConfig(_load_json(args.inside), _load_json(args.outside), a=args.a)
     Q_rec = synthesize_bounds(cfg)
     out = {"set": set_to_obj(Q_rec), "report": None}
     if args.verify_grid:
         grid = [as_point(p) for p in _load_json(args.verify_grid)]
-        oracle = membership_from_samples(inside)
+        oracle = membership_from_samples(cfg.inside)
         report = verify_reconstruction(oracle, Q_rec, grid)
         out["report"] = {
             "checked": report.checked,
@@ -250,8 +244,7 @@ def cmd_verify(args) -> int:
         report = check_metric_axioms(M, tol=args.tol)
         _emit({"ok": report.ok,
                "violations": [{"kind": v.kind, "indices": list(v.indices),
-                               "amount": _amount(v.amount)} for v in report.violations]},
-              allow_nan=False)
+                               "amount": _amount(v.amount)} for v in report.violations]})
         return 0 if report.ok else 2
     _err({"error": f"unknown verify target {args.target!r}"})
     return 1
@@ -469,7 +462,7 @@ def main(argv=None) -> int:
     except (InconsistentBoundsError, UnsupportedSetError) as exc:
         _err({"error": str(exc)})
         return 1
-    except (ValueError, IndexError, TypeError, KeyError, RecursionError) as exc:
+    except (ValueError, IndexError, TypeError, KeyError, RecursionError, OSError) as exc:
         _err({"error": str(exc)})
         return 1
     except DivergenceDetectedError as exc:

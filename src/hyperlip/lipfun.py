@@ -14,6 +14,30 @@ absence of a constraint.
 
 Expressions are immutable and hashable, compare by value, and round-trip
 bit-exactly through the JSON form (:func:`expr_dumps` / :func:`expr_loads`).
+
+The evaluators do not read the grammar.  :func:`_lower` rewrites an
+expression into four kinds, and each kind holds its scalar closure (for
+:func:`_compile`), batch closure (for :func:`_compile_grid`) and interval
+enclosure (for :func:`bounds_of`) side by side:
+
+- a constant: ``Const``; ``Infinite`` as ``+inf`` or ``-inf``; and on the
+  zero-dimensional domain, where every distance is 0, a ``DistCone`` as its
+  offset and each ``McShane`` sample as ``slope * 0.0 + value`` under a node;
+- a cone family: ``min`` or ``max`` over the cones ``y -> slope * ||center
+  - y|| + offset`` of its rows ``(center, offset)``, with one slope.  A
+  ``DistCone`` is one row of slope ``orientation * scale``; a ``McShane`` is
+  its samples, a ``min`` of slope ``scale`` in mode ``inf`` and a ``max`` of
+  slope ``-scale`` in mode ``sup``.  A ``Min``/``Max`` whose children all
+  lower to one-row families of one slope is one family, rows in child order;
+- a ``min``/``max`` node over the lowered children, in their order;
+- a blend node.
+
+Every row does the float operations of its grammar node's definition and
+every reduction sees the same operands in the same order, so the values are
+those of evaluating the grammar node by node, bit for bit.  That is why a
+family with more than one row is not merged into its parent: numpy's 1-D
+min/max over more than 8 values does not choose between ``0.0`` and ``-0.0``
+by position.
 """
 
 from __future__ import annotations
@@ -21,11 +45,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .metric import as_point, sup_dist
+from .metric import as_point
 
 __all__ = [
     "LipExpr",
@@ -111,35 +135,33 @@ class DistCone(LipExpr):
 
 
 @dataclass(frozen=True, init=False)
-class Min(LipExpr):
+class _MinMax(LipExpr):
+    """Pointwise minimum (:class:`Min`) or maximum (:class:`Max`) of a
+    nonempty family."""
+
+    children: tuple
+
+    def __init__(self, *children):
+        if len(children) == 1 and not isinstance(children[0], LipExpr):
+            children = tuple(children[0])
+        name = type(self).__name__
+        if not children:
+            raise ValueError(f"{name} needs at least one child")
+        object.__setattr__(self, "children",
+                           tuple(_require_inner(c, f"{name} child") for c in children))
+        _common_dim(self.children)
+
+
+class Min(_MinMax):
     """Pointwise minimum of a nonempty family."""
 
-    children: tuple
-
-    def __init__(self, *children):
-        if len(children) == 1 and not isinstance(children[0], LipExpr):
-            children = tuple(children[0])
-        if not children:
-            raise ValueError("Min needs at least one child")
-        object.__setattr__(self, "children",
-                           tuple(_require_inner(c, "Min child") for c in children))
-        _common_dim(self.children)
+    agg = min
 
 
-@dataclass(frozen=True, init=False)
-class Max(LipExpr):
+class Max(_MinMax):
     """Pointwise maximum of a nonempty family."""
 
-    children: tuple
-
-    def __init__(self, *children):
-        if len(children) == 1 and not isinstance(children[0], LipExpr):
-            children = tuple(children[0])
-        if not children:
-            raise ValueError("Max needs at least one child")
-        object.__setattr__(self, "children",
-                           tuple(_require_inner(c, "Max child") for c in children))
-        _common_dim(self.children)
+    agg = max
 
 
 @dataclass(frozen=True)
@@ -221,53 +243,165 @@ def domain_dim(f: LipExpr):
         return len(f.center)
     if isinstance(f, McShane):
         return len(f.samples[0][0])
-    if isinstance(f, (Min, Max)):
+    if isinstance(f, _MinMax):
         return _common_dim(f.children)
     if isinstance(f, Blend):
         return domain_dim(f.inner)
     raise TypeError(f"not a LipExpr: {f!r}")
 
 
+# ---------------------------------------------------------------------------
+# Lowering: the four kinds the evaluators read (module docstring)
+
+_UFUNC = {min: np.minimum, max: np.maximum}
+
+
+class _Const(NamedTuple):
+    value: float
+
+    def closure(self):
+        v = self.value
+        return lambda y: v
+
+    def grid(self):
+        v = self.value
+        return lambda YT: np.full(YT.shape[1], v)
+
+    def interval(self, box):
+        return self.value, self.value
+
+
+class _Cones(NamedTuple):
+    """``agg`` (``min`` or ``max``) over the cones ``y -> slope * ||center -
+    y|| + offset``, one per row ``(center, offset)`` of ``rows``."""
+
+    agg: Callable
+    slope: float
+    rows: tuple
+
+    def closure(self):
+        if len(self.rows) == 1:
+            # one cone, the common bound: no row loop and no aggregate
+            (c, off), = self.rows
+
+            def cone(y, c=c, off=off, slope=self.slope):
+                best = 0.0
+                for a, b in zip(c, y):
+                    d = abs(a - b)
+                    if d > best:
+                        best = d
+                return slope * best + off
+            return cone
+
+        def cones(y, rows=self.rows, agg=self.agg, slope=self.slope):
+            vals = []
+            for c, off in rows:
+                best = 0.0
+                for a, b in zip(c, y):
+                    d = abs(a - b)
+                    if d > best:
+                        best = d
+                vals.append(slope * best + off)
+            return agg(vals)
+        return cones
+
+    def grid(self):
+        slope = self.slope
+        if len(self.rows) == 1:
+            (c, off), = self.rows
+            c = np.asarray(c, dtype=float)[:, None]                   # (dim, 1)
+            return lambda YT: slope * np.abs(c - YT).max(axis=0) + off
+        C = np.asarray([c for c, _ in self.rows]).T[:, :, None]       # (dim, R, 1)
+        off = np.asarray([o for _, o in self.rows])[:, None]          # (R, 1)
+        ufunc = _UFUNC[self.agg]
+
+        def cones(YT):
+            D = YT[:, None, :] - C
+            V = np.abs(D, out=D).max(axis=0)
+            V *= slope
+            V += off
+            return ufunc.reduce(V)
+        return cones
+
+    def interval(self, box):
+        los, his = [], []
+        for c, off in self.rows:
+            lo, hi = _interval_dist(c, box)
+            a, b = self.slope * lo + off, self.slope * hi + off
+            if b < a:
+                a, b = b, a
+            los.append(a)
+            his.append(b)
+        return self.agg(los), self.agg(his)
+
+
+class _Node(NamedTuple):
+    """``agg`` (``min`` or ``max``) over lowered children, in their order."""
+
+    agg: Callable
+    children: tuple
+
+    def closure(self):
+        subs, agg = [k.closure() for k in self.children], self.agg
+        return lambda y: agg([h(y) for h in subs])
+
+    def grid(self):
+        subs, ufunc = [k.grid() for k in self.children], _UFUNC[self.agg]
+        return lambda YT: ufunc.reduce([h(YT) for h in subs])
+
+    def interval(self, box):
+        parts = [k.interval(box) for k in self.children]
+        return self.agg(p[0] for p in parts), self.agg(p[1] for p in parts)
+
+
+class _Blend(NamedTuple):
+    inner: tuple
+    factor: float
+    anchor: float
+
+    def closure(self):
+        g, fac, anchor = self.inner.closure(), self.factor, self.anchor
+        return lambda y: fac * (g(y) - anchor) + anchor
+
+    def grid(self):
+        g, fac, anchor = self.inner.grid(), self.factor, self.anchor
+        return lambda YT: fac * (g(YT) - anchor) + anchor
+
+    def interval(self, box):
+        lo, hi = self.inner.interval(box)
+        return (self.factor * (lo - self.anchor) + self.anchor,
+                self.factor * (hi - self.anchor) + self.anchor)
+
+
+def _lower(f: LipExpr):
+    """Rewrite ``f`` into the four kinds the evaluators read."""
+    if isinstance(f, Const):
+        return _Const(f.value)
+    if isinstance(f, Infinite):
+        return _Const(f.sign * math.inf)
+    if isinstance(f, DistCone):
+        if not f.center:
+            return _Const(f.offset)
+        return _Cones(min, f.orientation * f.scale, ((f.center, f.offset),))
+    if isinstance(f, McShane):
+        agg, slope = (min, f.scale) if f.mode == "inf" else (max, -f.scale)
+        if not f.samples[0][0]:
+            return _Node(agg, tuple(_Const(slope * 0.0 + v) for _, v in f.samples))
+        return _Cones(agg, slope, f.samples)
+    if isinstance(f, Blend):
+        return _Blend(_lower(f.inner), f.factor, f.anchor)
+    if isinstance(f, _MinMax):
+        kids = tuple(_lower(c) for c in f.children)
+        if all(isinstance(k, _Cones) and len(k.rows) == 1 for k in kids) and \
+                len({k.slope.hex() for k in kids}) == 1:    # one slope, bit for bit
+            return _Cones(f.agg, kids[0].slope, tuple(k.rows[0] for k in kids))
+        return _Node(f.agg, kids)
+    raise TypeError(f"not a LipExpr: {f!r}")
+
+
 def _compile(f: LipExpr) -> Callable:
     """Build a plain-Python evaluator closure (hot path of the scalar engine)."""
-    if isinstance(f, Const):
-        v = f.value
-        return lambda y: v
-    if isinstance(f, Infinite):
-        v = math.inf if f.sign > 0 else -math.inf
-        return lambda y: v
-    if isinstance(f, DistCone):
-        c, off, s, o = f.center, f.offset, f.scale, f.orientation
-        if len(c) == 0:
-            return lambda y: off
-        def cone(y, c=c, off=off, so=o * s):
-            best = 0.0
-            for a, b in zip(c, y):
-                d = abs(a - b)
-                if d > best:
-                    best = d
-            return so * best + off
-        return cone
-    if isinstance(f, Min):
-        subs = [_compile(c) for c in f.children]
-        return lambda y: min(g(y) for g in subs)
-    if isinstance(f, Max):
-        subs = [_compile(c) for c in f.children]
-        return lambda y: max(g(y) for g in subs)
-    if isinstance(f, Blend):
-        g = _compile(f.inner)
-        fac, anchor = f.factor, f.anchor
-        return lambda y: fac * (g(y) - anchor) + anchor
-    if isinstance(f, McShane):
-        pts = [p for p, _ in f.samples]
-        vals = [v for _, v in f.samples]
-        s = f.scale
-        agg = min if f.mode == "inf" else max
-        sgn = 1.0 if f.mode == "inf" else -1.0
-        def envelope(y, pts=pts, vals=vals, s=s, agg=agg, sgn=sgn):
-            return agg(v + sgn * s * sup_dist(p, y) for p, v in zip(pts, vals))
-        return envelope
-    raise TypeError(f"not a LipExpr: {f!r}")
+    return _lower(f).closure()
 
 
 def _compile_grid(f: LipExpr) -> Callable:
@@ -277,46 +411,10 @@ def _compile_grid(f: LipExpr) -> Callable:
     returns the ``N`` values.  It does the per-element arithmetic of
     :func:`_compile` in the same order, so the two agree bit for bit.  Every
     reduction runs over the leading axis, one elementwise step per contiguous
-    row of ``N`` values.  A McShane's sample arrays are built once, with the
+    row of ``N`` values.  A family's row arrays are built once, with the
     evaluator.
     """
-    if isinstance(f, Const):
-        v = f.value
-        return lambda YT: np.full(YT.shape[1], v)
-    if isinstance(f, Infinite):
-        v = math.inf if f.sign > 0 else -math.inf
-        return lambda YT: np.full(YT.shape[1], v)
-    if isinstance(f, DistCone):
-        off, so = f.offset, f.orientation * f.scale
-        if len(f.center) == 0:
-            return lambda YT: np.full(YT.shape[1], off)
-        c = np.asarray(f.center)[:, None]
-        return lambda YT: so * np.abs(c - YT).max(axis=0) + off
-    if isinstance(f, Min):
-        subs = [_compile_grid(c) for c in f.children]
-        return lambda YT: np.minimum.reduce([g(YT) for g in subs])
-    if isinstance(f, Max):
-        subs = [_compile_grid(c) for c in f.children]
-        return lambda YT: np.maximum.reduce([g(YT) for g in subs])
-    if isinstance(f, Blend):
-        g = _compile_grid(f.inner)
-        fac, anchor = f.factor, f.anchor
-        return lambda YT: fac * (g(YT) - anchor) + anchor
-    if isinstance(f, McShane):
-        P = np.asarray([p for p, _ in f.samples]).T[:, :, None]    # (dim, S, 1)
-        vals = np.asarray([v for _, v in f.samples])[:, None]      # (S, 1)
-        s = f.scale
-
-        def dist(YT):                                              # (S, N)
-            if len(P) == 0:
-                return np.zeros((P.shape[1], YT.shape[1]))
-            D = YT[:, None, :] - P
-            return np.abs(D, out=D).max(axis=0)
-
-        if f.mode == "inf":
-            return lambda YT: (vals + s * dist(YT)).min(axis=0)
-        return lambda YT: (vals - s * dist(YT)).max(axis=0)
-    raise TypeError(f"not a LipExpr: {f!r}")
+    return _lower(f).grid()
 
 
 def eval_grid(f: LipExpr, Y: np.ndarray) -> np.ndarray:
@@ -338,7 +436,7 @@ def lip_bound(f: LipExpr) -> float:
         return 0.0
     if isinstance(f, (DistCone, McShane)):
         return f.scale
-    if isinstance(f, (Min, Max)):
+    if isinstance(f, _MinMax):
         return max(lip_bound(c) for c in f.children)
     if isinstance(f, Blend):
         return f.factor * lip_bound(f.inner)
@@ -351,21 +449,27 @@ def verify_lipschitz_on_grid(f: LipExpr, grid, lam: float, tol: float = 1e-12):
     Returns ``None`` when ``|f(y) - f(y')| <= lam * ||y - y'|| + tol`` for
     every pair, otherwise the first offending pair ``(y, y')``.  This is the
     independent check the syntactic :func:`lip_bound` is tested against.
-    ``lam`` and ``tol`` must be nonnegative (NaN is refused).
+    ``lam`` and ``tol`` must be finite and nonnegative, and the differences
+    of grid coordinates and of values finite.
     """
-    if not lam >= 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam!r}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     pts = [as_point(y) for y in grid]
     if not pts:
         raise ValueError("empty grid")
-    vals = eval_grid(f, pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = eval_grid(f, pts)
     for y, v in zip(pts, vals.tolist()):
         if not math.isfinite(v):
             raise ValueError(f"expression is not finite at {y}")
     Y = np.asarray(pts)
     N = len(pts)
+    with np.errstate(over="ignore"):
+        spread = np.ptp(np.column_stack([Y, vals]), axis=0)
+    if not np.isfinite(spread).all():
+        raise ValueError("grid points or values are too far apart for finite differences")
     # rows i in blocks against the columns j > r, each (rows, N) temporary
     # within _PAIR_BLOCK_BYTES.  The test is symmetric and never holds for
     # i == j, so the first offending (i, j) in row-major order has j > i.
@@ -375,7 +479,8 @@ def verify_lipschitz_on_grid(f: LipExpr, grid, lam: float, tol: float = 1e-12):
         d = np.zeros((i.size, N - r - 1))
         for k in range(Y.shape[1]):
             np.maximum(d, np.abs(Y[i, k, None] - Y[None, r + 1:, k]), out=d)
-        bad = np.abs(vals[i, None] - vals[None, r + 1:]) > lam * d + tol
+        with np.errstate(over="ignore"):    # a huge lam * d rounds up to inf
+            bad = np.abs(vals[i, None] - vals[None, r + 1:]) > lam * d + tol
         if bad.any():
             a, b = divmod(int(bad.argmax()), N - r - 1)
             return pts[r + a], pts[r + 1 + b]
@@ -407,41 +512,6 @@ def _interval_dist(center, box):
     return lo, hi
 
 
-def _interval(f, box):
-    if isinstance(f, Const):
-        return f.value, f.value
-    if isinstance(f, DistCone):
-        lo, hi = _interval_dist(f.center, box)
-        a = f.orientation * f.scale * lo + f.offset
-        b = f.orientation * f.scale * hi + f.offset
-        return (a, b) if a <= b else (b, a)
-    if isinstance(f, Min):
-        parts = [_interval(c, box) for c in f.children]
-        return min(p[0] for p in parts), min(p[1] for p in parts)
-    if isinstance(f, Max):
-        parts = [_interval(c, box) for c in f.children]
-        return max(p[0] for p in parts), max(p[1] for p in parts)
-    if isinstance(f, Blend):
-        lo, hi = _interval(f.inner, box)
-        return (f.factor * (lo - f.anchor) + f.anchor,
-                f.factor * (hi - f.anchor) + f.anchor)
-    if isinstance(f, McShane):
-        los = []
-        his = []
-        for p, v in f.samples:
-            lo, hi = _interval_dist(p, box)
-            if f.mode == "inf":
-                los.append(v + f.scale * lo)
-                his.append(v + f.scale * hi)
-            else:
-                los.append(v - f.scale * hi)
-                his.append(v - f.scale * lo)
-        if f.mode == "inf":
-            return min(los), min(his)
-        return max(los), max(his)
-    raise TypeError(f"interval evaluation undefined for {type(f).__name__}")
-
-
 def bounds_of(f: LipExpr, box) -> tuple:
     """A sound enclosure of the range of ``f`` over an axis-aligned box.
 
@@ -461,25 +531,21 @@ def bounds_of(f: LipExpr, box) -> tuple:
     d = domain_dim(f)
     if d is not None and len(box) != d:
         raise ValueError(f"expression expects dimension {d}, got box of dimension {len(box)}")
-    lo, hi = _interval(f, box)
+    lo, hi = _lower(f).interval(box)
     return lo - BOUNDS_SLACK, hi + BOUNDS_SLACK
 
 
 def shifted(f: LipExpr, delta: float) -> LipExpr:
     """The function ``y -> f(y) + delta``, rebuilt inside the grammar."""
     delta = _require_finite(delta, "shift")
-    if delta == 0.0:
-        return f
-    if isinstance(f, Infinite):
+    if delta == 0.0 or isinstance(f, Infinite):
         return f
     if isinstance(f, Const):
         return Const(f.value + delta)
     if isinstance(f, DistCone):
         return DistCone(f.center, f.offset + delta, f.scale, f.orientation)
-    if isinstance(f, Min):
-        return Min(tuple(shifted(c, delta) for c in f.children))
-    if isinstance(f, Max):
-        return Max(tuple(shifted(c, delta) for c in f.children))
+    if isinstance(f, _MinMax):
+        return type(f)(tuple(shifted(c, delta) for c in f.children))
     if isinstance(f, Blend):
         # factor*(g - a) + a + delta == factor*((g+delta) - (a+delta)) + (a+delta)
         return Blend(shifted(f.inner, delta), f.factor, f.anchor + delta)
@@ -491,18 +557,16 @@ def shifted(f: LipExpr, delta: float) -> LipExpr:
 def translated(f: LipExpr, v: Sequence[float]) -> LipExpr:
     """The function ``y -> f(y + v)``, rebuilt inside the grammar."""
     v = as_point(v)
-    if isinstance(f, (Const, Infinite)):
-        return f
     d = domain_dim(f)
-    if d is not None and len(v) != d:
+    if d is None:
+        return f
+    if len(v) != d:
         raise ValueError(f"expression expects dimension {d}, got shift of dimension {len(v)}")
     if isinstance(f, DistCone):
         center = tuple(c - w for c, w in zip(f.center, v))
         return DistCone(center, f.offset, f.scale, f.orientation)
-    if isinstance(f, Min):
-        return Min(tuple(translated(c, v) for c in f.children))
-    if isinstance(f, Max):
-        return Max(tuple(translated(c, v) for c in f.children))
+    if isinstance(f, _MinMax):
+        return type(f)(tuple(translated(c, v) for c in f.children))
     if isinstance(f, Blend):
         return Blend(translated(f.inner, v), f.factor, f.anchor)
     if isinstance(f, McShane):
@@ -531,10 +595,8 @@ def expr_to_obj(f: LipExpr):
     if isinstance(f, DistCone):
         return {"type": "distcone", "center": list(f.center), "offset": f.offset,
                 "scale": f.scale, "orientation": _SIGN_STR[f.orientation]}
-    if isinstance(f, Min):
-        return {"type": "min", "children": [expr_to_obj(c) for c in f.children]}
-    if isinstance(f, Max):
-        return {"type": "max", "children": [expr_to_obj(c) for c in f.children]}
+    if isinstance(f, _MinMax):
+        return {"type": f.agg.__name__, "children": [expr_to_obj(c) for c in f.children]}
     if isinstance(f, Blend):
         return {"type": "blend", "inner": expr_to_obj(f.inner), "factor": f.factor,
                 "anchor": f.anchor}
@@ -556,10 +618,8 @@ def expr_from_obj(obj) -> LipExpr:
         if kind == "distcone":
             return DistCone(tuple(obj["center"]), obj["offset"], obj["scale"],
                             _sign_from_obj(obj, "orientation", kind))
-        if kind == "min":
-            return Min(tuple(expr_from_obj(c) for c in obj["children"]))
-        if kind == "max":
-            return Max(tuple(expr_from_obj(c) for c in obj["children"]))
+        if kind in ("min", "max"):
+            return (Min if kind == "min" else Max)(tuple(expr_from_obj(c) for c in obj["children"]))
         if kind == "blend":
             return Blend(expr_from_obj(obj["inner"]), obj["factor"], obj["anchor"])
         if kind == "mcshane":

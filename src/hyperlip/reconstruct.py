@@ -56,6 +56,19 @@ class ConeOverlapError(RuntimeError):
         self.inside = inside
 
 
+def _as_points(samples) -> tuple:
+    """``tuple(as_point(p) for p in samples)``: one array conversion when the
+    samples form a finite ``(N, n)`` table, else point by point, so that a
+    bad sample raises ``as_point``'s error."""
+    try:
+        A = np.array(samples, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        A = None
+    if A is not None and A.ndim == 2 and np.isfinite(A).all():
+        return tuple(map(tuple, A.tolist()))
+    return tuple(as_point(p) for p in samples)
+
+
 @dataclass(frozen=True)
 class ReconstructionConfig:
     """Sampled data for bound synthesis.
@@ -71,8 +84,7 @@ class ReconstructionConfig:
     membership: object = None
 
     def __post_init__(self):
-        inside = tuple(as_point(p) for p in self.inside)
-        outside = tuple(as_point(p) for p in self.outside)
+        inside, outside = _as_points(self.inside), _as_points(self.outside)
         if not inside:
             raise ValueError("need at least one inside sample")
         dims = {len(p) for p in inside} | {len(p) for p in outside}

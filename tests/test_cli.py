@@ -27,10 +27,8 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     out = json.loads(captured.out) if captured.out.strip() else None
-    # stderr carries one JSON object on its last line (argparse may print a
-    # usage line above it)
     err_text = captured.err.strip()
-    err = json.loads(err_text.splitlines()[-1]) if err_text else None
+    err = json.loads(err_text) if err_text else None
     return code, out, err
 
 
@@ -218,8 +216,14 @@ class TestRetract:
         assert err is not None
 
     def test_usage_error(self, capsys):
-        code, _, err = run(capsys, ["retract", "--point", "x.json"])
-        assert code == 1
+        err = input_error(capsys, ["retract", "--point", "x.json"])
+        assert "--set" in err["error"]
+
+    def test_unwritable_trace_file(self, capsys, set_file, tmp_path):
+        err = input_error(capsys, [
+            "retract", "--set", set_file(half_rate_instance()),
+            "--point", dump(tmp_path, "x.json", [1.0, 1.0]), "--trace-out", str(tmp_path)])
+        assert str(tmp_path) in err["error"]
 
 
 class TestExtend:
@@ -444,6 +448,14 @@ class TestPlot:
             "--resolution", resolution, "--out", str(tmp_path / "scene.svg")])
         assert words in err["error"]
         assert not (tmp_path / "scene.svg").exists()
+
+    def test_unwritable_output(self, capsys, tmp_path, set_file):
+        out_path = tmp_path / "missing" / "scene.svg"
+        err = input_error(capsys, [
+            "plot", "--set", set_file(vee_notch_instance()),
+            "--box", dump(tmp_path, "b.json", [[0.0, 1.0], [0.0, 1.0]]),
+            "--resolution", "0.25", "--out", str(out_path)])
+        assert "No such file or directory" in err["error"] and str(out_path) in err["error"]
 
 
 class TestSelftest:

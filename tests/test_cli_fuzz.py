@@ -1,12 +1,15 @@
-"""The CLI's exit-code contract on malformed JSON input.
+"""The CLI's exit-code contract on malformed input.
 
-Each case is a well-formed ``retract``, ``extend``, ``hull enumerate`` or
-``verify metric`` request in which at most one input file (set, point,
-witness, box, map or metric) is replaced by a hypothesis-built malformed
-value.  Every run exits 0, 1 or 2, with numpy warnings turned into errors.
-A nonzero exit leaves exactly one JSON-object line: on stderr for an error,
-or on stdout for a report (``"verdict"`` from a level-1 retraction that
-missed the set, ``"ok": false`` from ``verify``), never on both.
+Each case is a well-formed ``retract``, ``extend``, ``hull enumerate``,
+``verify metric``, ``reconstruct``, ``verify lipschitz`` or ``plot`` request
+in which at most one input file is replaced by a hypothesis-built malformed
+value, and whose numeric flags (``--a``, ``--lam``, ``--tol``,
+``--resolution``) are drawn from hostile numbers too.  Every run exits 0, 1
+or 2, with numpy warnings turned into errors.  A nonzero exit leaves exactly
+one JSON-object line: on stderr for an error, or on stdout for a report
+(``"verdict"`` from a level-1 retraction that missed the set, ``"ok": false``
+from ``verify``), never on both.  Every line is strict JSON: ``NaN`` and
+``Infinity`` fail the parse.
 """
 
 import contextlib
@@ -73,8 +76,19 @@ sets = st.one_of(
     st.builds(lambda n, obj: dict(obj, n=n), scalars, _set(1)),
     anything,
 )
+point_lists = st.one_of(st.lists(points, max_size=4), anything)
+cone_lists = st.one_of(
+    st.lists(st.fixed_dictionaries({"apex": points, "axis": small, "sign": scalars}), max_size=2),
+    anything)
 MALFORMED = {"set": sets, "point": points, "witness": points, "box": boxes,
-             "map": anything, "metric": matrices}
+             "map": anything, "metric": matrices, "inside": point_lists,
+             "outside": point_lists, "verify-grid": point_lists, "grid": point_lists,
+             "orbit": point_lists, "cones": cone_lists,
+             "expr": st.one_of(_bound(2, "+inf"), anything)}
+# numeric flag values as typed on a command line
+flags = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-320", "1e308",
+                                   "x", ""]),
+                  st.floats(min_value=1e-3, max_value=4.0).map(repr))
 
 # the sets of the well-formed requests, with their members among small
 # integer points (the empty drift set has none)
@@ -127,24 +141,62 @@ def metric_requests(draw):
     return _mutate(draw, {"metric": _sup_matrix(draw(grids))})
 
 
+@st.composite
+def reconstruct_requests(draw):
+    cells = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2,
+                          max_size=12, unique=True))
+    k = draw(st.integers(1, len(cells) - 1))
+    files = {"inside": cells[:k], "outside": cells[k:]}
+    if draw(st.booleans()):
+        files["verify-grid"] = cells
+    return draw(flags), _mutate(draw, files)
+
+
+@st.composite
+def lipschitz_requests(draw):
+    files = {"expr": draw(_bound(2, "+inf")), "grid": draw(grids)}
+    return draw(flags), draw(flags), _mutate(draw, files)
+
+
+@st.composite
+def plot_requests(draw):
+    files = {"box": [[-3, 3], [-3, 3]]}
+    if draw(st.booleans()):
+        files["set"] = set_to_obj(SETS[draw(st.integers(0, len(SETS) - 1))])
+    if draw(st.booleans()):
+        files["orbit"] = draw(grids)
+    if draw(st.booleans()):
+        files["cones"] = [{"apex": p, "axis": draw(st.integers(0, 1)), "sign": "+"}
+                          for p in draw(grids)]
+    return draw(flags), _mutate(draw, files)
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
 def _json_line(text):
-    """The object of a text that is exactly one JSON-object line, else None."""
+    """The object of a text that is exactly one strict JSON-object line,
+    else None."""
     lines = text.splitlines()
     if len(lines) != 1 or not text.endswith("\n"):
         return None
-    obj = json.loads(lines[0])
+    obj = json.loads(lines[0], parse_constant=_refuse)
     return obj if isinstance(obj, dict) else None
 
 
-def _run(argv, files):
+def _run(argv, files, out_name=None):
     """Write ``files`` (name -> JSON value) to a temporary directory, run
-    ``main`` on ``argv`` plus one ``--<name> <path>`` pair per file, and
-    check the exit-code contract.  Returns the exit code."""
+    ``main`` on ``argv`` plus one ``--<name> <path>`` pair per file (and
+    ``--out`` to the file ``out_name`` there, when given), and check the
+    exit-code contract.  Returns the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, obj in files.items():
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(obj))
             argv = argv + [f"--{name}", str(path)]
+        if out_name is not None:
+            argv = argv + ["--out", str(Path(tmp) / out_name)]
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
@@ -196,3 +248,31 @@ def test_extend(files):
 def test_hull_and_verify_metric(files):
     _run(["hull", "enumerate", "--resolution", "0.5"], files)
     _run(["verify", "metric"], {"matrix": files["metric"]})
+
+
+@SETTINGS
+@given(reconstruct_requests())
+@example(("0.1", {"inside": [[0, 0]], "outside": [[1, 0]], "verify-grid": [[0, 0], [1e308, 0]]}))
+def test_reconstruct(request):
+    a, files = request
+    _run(["reconstruct", f"--a={a}"], files)
+
+
+@SETTINGS
+@given(lipschitz_requests())
+@example(("inf", "0", {"expr": {"type": "const", "value": 0.0}, "grid": [[0, 0], [1, 1]]}))
+@example(("1", "1e-12", {"expr": {"type": "distcone", "center": [0, 0], "offset": 1e308,
+                                  "scale": 1.0, "orientation": "+"},
+                         "grid": [[0, 0], [1e308, 1e308]]}))
+def test_verify_lipschitz(request):
+    lam, tol, files = request
+    _run(["verify", "lipschitz", f"--lam={lam}", f"--tol={tol}"], files)
+
+
+@SETTINGS
+@given(plot_requests())
+@example(("0.5", {"box": [[-3, 3], [-3, 3]], "cones": [{"apex": [0, 0], "axis": 1e400,
+                                                      "sign": "+"}]}))
+def test_plot(request):
+    resolution, files = request
+    _run(["plot", f"--resolution={resolution}"], files, out_name="scene.svg")

@@ -6,12 +6,13 @@ force over all pairs of a sample grid.  Everything else (serialization,
 interval enclosures, structural rewrites) hangs off the same strategy.
 """
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperlip import lipfun
 from hyperlip.lipfun import (
@@ -35,6 +36,7 @@ from hyperlip.lipfun import (
     translated,
     verify_lipschitz_on_grid,
     _compile,
+    _compile_grid,
 )
 from hyperlip.instances import linear_window
 from hyperlip.metric import sup_dist
@@ -44,25 +46,30 @@ DIM = 2
 coord = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 point2 = st.lists(coord, min_size=DIM, max_size=DIM).map(tuple)
+signed = st.one_of(st.sampled_from((0.0, -0.0)), coord)
 
 
-def _leaf():
-    consts = st.builds(Const, coord)
-    cones = st.builds(DistCone, point2, coord, unit, st.sampled_from((-1, 1)))
-    samples = st.lists(st.tuples(point2, coord), min_size=1, max_size=3).map(tuple)
-    envelopes = st.builds(McShane, samples, unit, st.sampled_from(("inf", "sup")))
-    return st.one_of(consts, cones, envelopes)
-
-
-def _combine(children):
-    return st.one_of(
-        st.lists(children, min_size=1, max_size=3).map(lambda cs: Min(*cs)),
-        st.lists(children, min_size=1, max_size=3).map(lambda cs: Max(*cs)),
-        st.builds(Blend, children, unit, coord),
+def _exprs(values, dim):
+    """Expressions on dimension ``dim`` whose coordinates, offsets, sample
+    values and anchors are drawn from ``values``."""
+    point = st.lists(values, min_size=dim, max_size=dim).map(tuple)
+    samples = st.lists(st.tuples(point, values), min_size=1, max_size=3).map(tuple)
+    leaves = st.one_of(
+        st.builds(Const, values),
+        st.builds(DistCone, point, values, unit, st.sampled_from((-1, 1))),
+        st.builds(McShane, samples, unit, st.sampled_from(("inf", "sup"))),
     )
 
+    def combine(children):
+        return st.one_of(
+            st.lists(children, min_size=1, max_size=3).map(lambda cs: Min(*cs)),
+            st.lists(children, min_size=1, max_size=3).map(lambda cs: Max(*cs)),
+            st.builds(Blend, children, unit, values),
+        )
+    return st.recursive(leaves, combine, max_leaves=6)
 
-exprs = st.recursive(_leaf(), _combine, max_leaves=6)
+
+exprs = _exprs(coord, DIM)
 
 GRID = [(a * 1.25, b * 1.25) for a in range(-2, 3) for b in range(-2, 3)]
 
@@ -131,6 +138,176 @@ def test_shrink_scales_the_constant_and_pulls_toward_the_anchor(f, factor, ancho
         w = _compile(g)(y)
         assert w == pytest.approx(factor * (v - anchor) + anchor, abs=1e-9)
         assert abs(w - anchor) <= abs(v - anchor) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluators with one branch per grammar node, each the node's
+# definition evaluated directly; the lowered evaluators must match them bit
+# for bit.
+
+
+def _ref_compile(f):
+    if isinstance(f, Const):
+        v = f.value
+        return lambda y: v
+    if isinstance(f, Infinite):
+        v = math.inf if f.sign > 0 else -math.inf
+        return lambda y: v
+    if isinstance(f, DistCone):
+        c, off, s, o = f.center, f.offset, f.scale, f.orientation
+        if len(c) == 0:
+            return lambda y: off
+        def cone(y, c=c, off=off, so=o * s):
+            best = 0.0
+            for a, b in zip(c, y):
+                d = abs(a - b)
+                if d > best:
+                    best = d
+            return so * best + off
+        return cone
+    if isinstance(f, Min):
+        subs = [_ref_compile(c) for c in f.children]
+        return lambda y: min(g(y) for g in subs)
+    if isinstance(f, Max):
+        subs = [_ref_compile(c) for c in f.children]
+        return lambda y: max(g(y) for g in subs)
+    if isinstance(f, Blend):
+        g = _ref_compile(f.inner)
+        fac, anchor = f.factor, f.anchor
+        return lambda y: fac * (g(y) - anchor) + anchor
+    pts = [p for p, _ in f.samples]
+    vals = [v for _, v in f.samples]
+    s = f.scale
+    agg = min if f.mode == "inf" else max
+    sgn = 1.0 if f.mode == "inf" else -1.0
+    return lambda y: agg(v + sgn * s * sup_dist(p, y) for p, v in zip(pts, vals))
+
+
+def _ref_compile_grid(f):
+    if isinstance(f, Const):
+        v = f.value
+        return lambda YT: np.full(YT.shape[1], v)
+    if isinstance(f, Infinite):
+        v = math.inf if f.sign > 0 else -math.inf
+        return lambda YT: np.full(YT.shape[1], v)
+    if isinstance(f, DistCone):
+        off, so = f.offset, f.orientation * f.scale
+        if len(f.center) == 0:
+            return lambda YT: np.full(YT.shape[1], off)
+        c = np.asarray(f.center)[:, None]
+        return lambda YT: so * np.abs(c - YT).max(axis=0) + off
+    if isinstance(f, Min):
+        subs = [_ref_compile_grid(c) for c in f.children]
+        return lambda YT: np.minimum.reduce([g(YT) for g in subs])
+    if isinstance(f, Max):
+        subs = [_ref_compile_grid(c) for c in f.children]
+        return lambda YT: np.maximum.reduce([g(YT) for g in subs])
+    if isinstance(f, Blend):
+        g = _ref_compile_grid(f.inner)
+        fac, anchor = f.factor, f.anchor
+        return lambda YT: fac * (g(YT) - anchor) + anchor
+    P = np.asarray([p for p, _ in f.samples]).T[:, :, None]
+    vals = np.asarray([v for _, v in f.samples])[:, None]
+    s = f.scale
+
+    def dist(YT):
+        if len(P) == 0:
+            return np.zeros((P.shape[1], YT.shape[1]))
+        D = YT[:, None, :] - P
+        return np.abs(D, out=D).max(axis=0)
+
+    if f.mode == "inf":
+        return lambda YT: (vals + s * dist(YT)).min(axis=0)
+    return lambda YT: (vals - s * dist(YT)).max(axis=0)
+
+
+def _ref_interval_dist(center, box):
+    lo = 0.0
+    hi = 0.0
+    for c, (a, b) in zip(center, box):
+        far = max(abs(c - a), abs(c - b))
+        near = 0.0 if a <= c <= b else min(abs(c - a), abs(c - b))
+        if near > lo:
+            lo = near
+        if far > hi:
+            hi = far
+    return lo, hi
+
+
+def _ref_interval(f, box):
+    if isinstance(f, Const):
+        return f.value, f.value
+    if isinstance(f, DistCone):
+        lo, hi = _ref_interval_dist(f.center, box)
+        a = f.orientation * f.scale * lo + f.offset
+        b = f.orientation * f.scale * hi + f.offset
+        return (a, b) if a <= b else (b, a)
+    if isinstance(f, (Min, Max)):
+        agg = min if isinstance(f, Min) else max
+        parts = [_ref_interval(c, box) for c in f.children]
+        return agg(p[0] for p in parts), agg(p[1] for p in parts)
+    if isinstance(f, Blend):
+        lo, hi = _ref_interval(f.inner, box)
+        return (f.factor * (lo - f.anchor) + f.anchor,
+                f.factor * (hi - f.anchor) + f.anchor)
+    los, his = [], []
+    for p, v in f.samples:
+        lo, hi = _ref_interval_dist(p, box)
+        if f.mode == "inf":
+            los.append(v + f.scale * lo)
+            his.append(v + f.scale * hi)
+        else:
+            los.append(v - f.scale * hi)
+            his.append(v - f.scale * lo)
+    if f.mode == "inf":
+        return min(los), min(his)
+    return max(los), max(his)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+VALUES = (-1.25, -0.0, 0.0, 2.5)
+BOXES = ([(-0.0, 0.0)] * 3, [(-2.5, 1.25)] * 3, [(-2.5, -0.0), (0.0, 1.25), (-1.25, 2.5)])
+
+
+@st.composite
+def _signed_exprs(draw):
+    dim = draw(st.integers(0, 3))
+    return dim, draw(_exprs(signed, dim))
+
+
+@given(_signed_exprs())
+@settings(max_examples=400, deadline=None)
+@example((2, Min(Const(0.0), DistCone((1.0, 1.0), -0.0, 0.0, -1))))
+@example((1, Max(Const(-0.0), McShane((((0.0,), 0.0), ((1.0,), -0.0)), 0.0, "inf"))))
+# slopes 0.0 and -0.0 are two slopes
+@example((1, Min(DistCone((0.0,), 0.0, 0.0, 1), DistCone((1.0,), -0.0, 0.0, -1))))
+# the zero-dimensional domain: a cone is its offset, a sample slope * 0.0 + value
+@example((0, DistCone((), -0.0, 0.5, 1)))
+@example((0, McShane((((), -0.0), ((), 1.0)), 0.5, "inf")))
+# a one-row family beside an 8-row one of the same slope (-0.0): merged into
+# 9 rows, the 1-D column reduction picks 0.0 where the nested ones pick -0.0
+@example((1, Max(DistCone((0.0,), 0.0, 0.0, -1),
+                 McShane(tuple(((float(i),), 0.0) for i in range(7)) + (((7.0,), -0.0),),
+                         0.0, "sup"))))
+def test_evaluators_match_the_per_node_reference(case):
+    """Scalar and batch values and bounds_of, compared as float bits (so
+    ``0.0`` against ``-0.0`` counts), at points and boxes with signed zeros;
+    the batch closure also at a single column, where numpy reduces in 1-D."""
+    dim, f = case
+    Y = list(itertools.product(VALUES, repeat=dim))
+    scalar, ref = _compile(f), _ref_compile(f)
+    assert _hex(scalar(y) for y in Y) == _hex(ref(y) for y in Y)
+    YT = np.ascontiguousarray(np.asarray(Y, dtype=float).reshape(len(Y), dim).T)
+    grid, ref_grid = _compile_grid(f), _ref_compile_grid(f)
+    for cols in (YT, YT[:, :1].copy()):
+        assert grid(cols).tobytes() == ref_grid(cols).tobytes()
+    for box in BOXES:
+        lo, hi = _ref_interval(f, box[:dim])
+        want = (lo - lipfun.BOUNDS_SLACK, hi + lipfun.BOUNDS_SLACK)
+        assert _hex(bounds_of(f, box[:dim])) == _hex(want)
 
 
 class TestNodeSemantics:

@@ -273,6 +273,36 @@ class TestConfig:
         with pytest.raises(ValueError):
             ReconstructionConfig(((0.0, 0.0), (1.0,)), ())
 
+    # each bad sample, alone or after a ragged or non-finite earlier one:
+    # the message names the first offender in inside-then-outside order
+    @pytest.mark.parametrize("inside, outside, exc, message", [
+        (((0.0, float("inf")),), (), ValueError, "point coordinates must be finite, got inf"),
+        (((0.0, 0.0),), ((1.0, 2.0), (float("nan"), 0.0)), ValueError,
+         "point coordinates must be finite, got nan"),
+        (((0.0, 0.0), (1.0,)), ((0.0, -np.inf),), ValueError,
+         "point coordinates must be finite, got -inf"),
+        (((0.0, 0.0), (1.0,)), (), ValueError, "mixed sample dimensions [1, 2]"),
+        (((0.0, 0.0),), ((1.0, 2.0, 3.0),), ValueError, "mixed sample dimensions [2, 3]"),
+        (((0.0, "x"),), (), ValueError, "could not convert string to float: 'x'"),
+        (((0.0, 0.0),), ((None, 1.0),), TypeError,
+         "float() argument must be a string or a real number, not 'NoneType'"),
+        (((0.0, 0.0), 5), (), TypeError, "'int' object is not iterable"),
+        (((10 ** 400, 0.0),), (), OverflowError, "int too large to convert to float"),
+        ((), ((0.0, 0.0),), ValueError, "need at least one inside sample"),
+    ])
+    def test_bad_samples_keep_the_point_messages(self, inside, outside, exc, message):
+        with pytest.raises(exc) as err:
+            ReconstructionConfig(inside, outside)
+        assert str(err.value) == message
+
+    def test_samples_are_stored_as_tuples_of_floats(self):
+        cfg = ReconstructionConfig(np.array([[0, 1], [-0.0, 2.5]]), [[True, 3]])
+        assert cfg.inside == ((0.0, 1.0), (-0.0, 2.5))
+        assert cfg.outside == ((1.0, 3.0),)
+        for p in cfg.inside + cfg.outside:
+            assert type(p) is tuple and all(type(c) is float for c in p)
+        assert str(cfg.inside[1][0]) == "-0.0"
+
 
 class TestSynthesis:
     def test_square_is_recovered_on_its_own_grid(self):
