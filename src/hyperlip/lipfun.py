@@ -77,6 +77,9 @@ __all__ = [
 BOUNDS_SLACK = 1e-12
 # bytes one block of the pairwise Lipschitz audit may hold per temporary
 _PAIR_BLOCK_BYTES = 1 << 20
+# bytes of the distance table one block of a cone family's batch kernel may
+# hold; 1 MiB blocks made the 12,000-row batch retractions ~1.8x slower
+_GRID_BLOCK_BYTES = 16 << 20
 
 
 class LipExpr:
@@ -306,21 +309,25 @@ class _Cones(NamedTuple):
         return cones
 
     def grid(self):
-        slope = self.slope
-        if len(self.rows) == 1:
-            (c, off), = self.rows
-            c = np.asarray(c, dtype=float)[:, None]                   # (dim, 1)
-            return lambda YT: slope * np.abs(c - YT).max(axis=0) + off
+        slope, ufunc = self.slope, _UFUNC[self.agg]
         C = np.asarray([c for c, _ in self.rows]).T[:, :, None]       # (dim, R, 1)
         off = np.asarray([o for _, o in self.rows])[:, None]          # (R, 1)
-        ufunc = _UFUNC[self.agg]
+        # columns per block, so the (dim, R, block) table stays within
+        # _GRID_BLOCK_BYTES however many points one call passes
+        block = max(1, _GRID_BLOCK_BYTES // (8 * C.shape[0] * C.shape[1]))
 
-        def cones(YT):
+        def table(YT):
             D = YT[:, None, :] - C
             V = np.abs(D, out=D).max(axis=0)
             V *= slope
             V += off
             return ufunc.reduce(V)
+
+        def cones(YT):
+            if YT.shape[1] <= block:
+                return table(YT)
+            return np.concatenate([table(YT[:, s:s + block])
+                                   for s in range(0, YT.shape[1], block)])
         return cones
 
     def interval(self, box):
@@ -412,7 +419,9 @@ def _compile_grid(f: LipExpr) -> Callable:
     :func:`_compile` in the same order, so the two agree bit for bit.  Every
     reduction runs over the leading axis, one elementwise step per contiguous
     row of ``N`` values.  A family's row arrays are built once, with the
-    evaluator.
+    evaluator, and its ``(dim, R, N)`` distance table is cut into blocks of
+    columns of at most ``_GRID_BLOCK_BYTES``, so a large grid costs no more
+    scratch than one block.
     """
     return _lower(f).grid()
 
@@ -500,8 +509,7 @@ def shrink(f: LipExpr, factor: float, anchor: float) -> Blend:
 
 def _interval_dist(center, box):
     """Range of ``||center - y||`` over an axis-aligned box (sup norm)."""
-    lo = 0.0
-    hi = 0.0
+    lo = hi = 0.0
     for c, (a, b) in zip(center, box):
         far = max(abs(c - a), abs(c - b))
         near = 0.0 if a <= c <= b else min(abs(c - a), abs(c - b))

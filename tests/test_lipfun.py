@@ -9,6 +9,7 @@ interval enclosures, structural rewrites) hangs off the same strategy.
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,7 +296,8 @@ def _signed_exprs(draw):
 def test_evaluators_match_the_per_node_reference(case):
     """Scalar and batch values and bounds_of, compared as float bits (so
     ``0.0`` against ``-0.0`` counts), at points and boxes with signed zeros;
-    the batch closure also at a single column, where numpy reduces in 1-D."""
+    the batch closure also at a single column, where numpy reduces in 1-D,
+    and with a family's columns cut into blocks of one and of a few."""
     dim, f = case
     Y = list(itertools.product(VALUES, repeat=dim))
     scalar, ref = _compile(f), _ref_compile(f)
@@ -304,10 +306,34 @@ def test_evaluators_match_the_per_node_reference(case):
     grid, ref_grid = _compile_grid(f), _ref_compile_grid(f)
     for cols in (YT, YT[:, :1].copy()):
         assert grid(cols).tobytes() == ref_grid(cols).tobytes()
+    for block_bytes in (1, 56):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
+            assert _compile_grid(f)(YT).tobytes() == ref_grid(YT).tobytes()
     for box in BOXES:
         lo, hi = _ref_interval(f, box[:dim])
         want = (lo - lipfun.BOUNDS_SLACK, hi + lipfun.BOUNDS_SLACK)
         assert _hex(bounds_of(f, box[:dim])) == _hex(want)
+
+
+def test_family_kernel_scratch_is_capped(monkeypatch):
+    """A family of R cones over N points never holds its whole (dim, R, N)
+    distance table: numpy's allocations stay within a few blocks."""
+    monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", 1 << 20)
+    rng = np.random.default_rng(3)
+    dim, R, N = 3, 100, 10_000                   # table: 24 MB, 24 blocks
+    f = McShane(tuple((tuple(rng.uniform(-1, 1, dim)), float(rng.uniform()))
+                      for _ in range(R)), 1.0, "inf")
+    YT = rng.uniform(-2, 2, (dim, N))
+    grid = _compile_grid(f)
+    tracemalloc.start()
+    try:
+        got = grid(YT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * lipfun._GRID_BLOCK_BYTES
+    assert got.tobytes() == _ref_compile_grid(f)(YT).tobytes()
 
 
 class TestNodeSemantics:
