@@ -51,9 +51,7 @@ from .lipfun import (
     expr_loads,
     expr_to_obj,
     lip_bound,
-    shifted,
     shrink,
-    translated,
     verify_lipschitz_on_grid,
 )
 from .metric import (

@@ -56,9 +56,7 @@ from .lipfun import (
     expr_from_obj,
     expr_to_obj,
     lip_bound,
-    shifted,
     shrink,
-    translated,
 )
 from .metric import Point, as_point, hat
 
@@ -545,57 +543,50 @@ def relaxation_order(span: float, tol: float) -> int:
     return k
 
 
-def shrink_set(Q: BoxLipschitzSet, k: int, l: float, u: float) -> BoxLipschitzSet:
-    """Shrink every bound by ``1 - 1/k`` toward the enclosures ``l`` and ``u``.
+def shrink_set(Q: BoxLipschitzSet, k: int, l, u) -> BoxLipschitzSet:
+    """Shrink every bound by ``1 - 1/k`` toward the anchors ``l`` and ``u``.
 
-    Upper bounds contract toward ``u`` and lower bounds toward ``l``, so the
-    result contains the original set wherever ``l`` and ``u`` really enclose
-    the bound values, and its Lipschitz level drops to ``(1-1/k) * lip_bound``.
-    The shrunken sets are nested over increasing ``k`` and their intersection
-    recovers the original set.
+    ``l`` and ``u`` are numbers, or one anchor per axis.  The upper bounds of
+    axis ``i`` contract toward ``u_i`` and its lower bounds toward ``l_i``,
+    so the result contains the original set wherever the anchors really
+    enclose the bound values, and its Lipschitz level drops to
+    ``(1-1/k) * lip_bound``.  The shrunken sets are nested over increasing
+    ``k`` and their intersection recovers the original set.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if not Q.all_finite:
         raise UnsupportedSetError("shrinking needs all bounds finite")
-    if l > u:
-        raise ValueError(f"anchors cross: l={l!r} > u={u!r}")
+    lows, ups = (np.broadcast_to(np.asarray(a, dtype=float), Q.n).tolist() for a in (l, u))
+    for a, b in zip(lows, ups):
+        if a > b:
+            raise ValueError(f"anchors cross: l={a!r} > u={b!r}")
     lam_k = 1.0 - 1.0 / k
-    lower = [shrink(b, lam_k, l) for b in Q.lower]
-    upper = [shrink(b, lam_k, u) for b in Q.upper]
+    lower = [shrink(b, lam_k, a) for b, a in zip(Q.lower, lows)]
+    upper = [shrink(b, lam_k, a) for b, a in zip(Q.upper, ups)]
     return BoxLipschitzSet(lower, upper)
 
 
 def truncated_set(Q: BoxLipschitzSet, witness, r: float) -> BoxLipschitzSet:
-    """Intersect ``Q`` with the ball of radius ``r`` around a member.
+    """Intersect ``Q`` with the ball of radius ``r`` around a member ``w``.
 
-    The result is expressed in coordinates translated so the witness sits at
-    the origin: every bound is composed with the translation and clamped into
-    ``[-r, r]`` (missing bounds become the constants ``-r`` or ``r``).  All
-    bounds of the truncated set are finite with values in ``[-r, r]``, so its
-    enclosures are globally valid.
+    The result keeps ``Q``'s coordinates: every bound of axis ``i`` is
+    clamped into ``[w_i - r, w_i + r]``, and a missing bound becomes the
+    matching end of that interval.  All bounds of the truncated set are
+    finite, so the anchors ``w_i - r`` and ``w_i + r`` enclose them
+    globally, and a member of ``Q`` inside the ball stays a member.
     """
     w = as_point(witness)
     if len(w) != Q.n:
         raise ValueError(f"witness of dimension {len(w)} for a set of dimension {Q.n}")
     if r <= 0:
         raise ValueError("radius must be positive")
-    low_cut, high_cut = Const(-r), Const(r)
     lower = []
     upper = []
-    for i in range(Q.n):
-        wh = hat(w, i)
-        lo, up = Q.lower[i], Q.upper[i]
-        if isinstance(lo, Infinite):
-            lower.append(low_cut)
-        else:
-            moved = shifted(translated(lo, wh), -w[i])
-            lower.append(Min(Max(moved, low_cut), high_cut))
-        if isinstance(up, Infinite):
-            upper.append(high_cut)
-        else:
-            moved = shifted(translated(up, wh), -w[i])
-            upper.append(Min(Max(moved, low_cut), high_cut))
+    for lo, up, c in zip(Q.lower, Q.upper, w):
+        low_cut, high_cut = Const(c - r), Const(c + r)
+        lower.append(low_cut if isinstance(lo, Infinite) else Min(Max(lo, low_cut), high_cut))
+        upper.append(high_cut if isinstance(up, Infinite) else Min(Max(up, low_cut), high_cut))
     return BoxLipschitzSet(lower, upper)
 
 
@@ -616,17 +607,19 @@ def _level_one(Q, X, tol, box=None, witness=None):
     ``box`` (default: :func:`_auto_box` of ``X``).  Otherwise truncate to the
     ball of radius ``r = 2 max ||x - w|| + 1`` around the member ``witness``,
     which keeps every member the iteration could be asked to fix, and shrink
-    the truncation (centred on ``w``) toward ``[-r, r]``.  Either way
-    ``k = relaxation_order(u - l, tol)``.  Returns ``(target, w, engine_tol,
-    max_sweeps, report)``: the relaxed set, of level below 1; the centre to
-    subtract from the starts and add back (``None`` when shrinking); the
-    cyclic run's tolerance ``tol / 4`` and budget ``50 k + 1000``; and the
+    the truncation toward the anchors ``w_i - r`` and ``w_i + r`` of each
+    axis.  The relaxed set keeps ``Q``'s coordinates, so the starts go in
+    as they are and members come back bit for bit.  Either way
+    ``k = relaxation_order(span, tol)``, ``span`` the largest ``u_i - l_i``
+    (``2 r`` when the anchors are exact).  Returns ``(target, engine_tol,
+    max_sweeps, report)``: the relaxed set, of level below 1; the cyclic
+    run's tolerance ``tol / 4`` and budget ``50 k + 1000``; and the
     ``strategy`` with ``k`` and the ``enclosure`` or ``radius``.
     """
     X = _rows(Q, X)
     if Q.all_finite:
         l, u = enclosure_bounds(Q, _auto_box(Q, X) if box is None else box)
-        base, w, report = Q, None, {"strategy": "shrink", "enclosure": [l, u]}
+        base, report = Q, {"strategy": "shrink", "enclosure": [l, u]}
     elif witness is None:
         raise UnsupportedSetError("a level-1 set with missing bounds needs a witness member")
     else:
@@ -635,29 +628,23 @@ def _level_one(Q, X, tol, box=None, witness=None):
         if v != 0.0:
             raise ValueError(f"witness {w} is not a member (violation {v:g})")
         r = 2.0 * float(np.abs(X - np.asarray(w)).max(initial=0.0)) + 1.0
-        l, u = -r, r
+        l, u = [c - r for c in w], [c + r for c in w]
         base, report = truncated_set(Q, w, r), {"strategy": "truncate", "radius": r}
-    k = report["k"] = relaxation_order(u - l, tol)
-    return shrink_set(base, k, l, u), w, tol / 4, 50 * k + 1000, report
+    k = report["k"] = relaxation_order(float(np.max(np.subtract(u, l))), tol)
+    return shrink_set(base, k, l, u), tol / 4, 50 * k + 1000, report
 
 
 def _retract_level_one(Q, x, tol, box=None, witness=None) -> Point:
     """Retract one point onto the relaxed set of :func:`_level_one`."""
     x = as_point(x)
-    target, w, engine_tol, budget, _ = _level_one(Q, [x], tol, box, witness)
-    if w is None:
-        return cyclic_retract(target, x, engine_tol, budget)[0]
-    point, _ = cyclic_retract(target, tuple(a - b for a, b in zip(x, w)), engine_tol, budget)
-    return tuple(a + b for a, b in zip(point, w))
+    target, engine_tol, budget, _ = _level_one(Q, [x], tol, box, witness)
+    return cyclic_retract(target, x, engine_tol, budget)[0]
 
 
 def _retract_level_one_many(Q, X, tol, box=None, witness=None) -> np.ndarray:
     """Batch :func:`_retract_level_one` on one shared schedule."""
-    target, w, engine_tol, budget, _ = _level_one(Q, X, tol, box, witness)
-    if w is None:
-        return cyclic_retract_many(target, X, engine_tol, budget)[0]
-    wa = np.asarray(w)
-    return cyclic_retract_many(target, X - wa, engine_tol, budget)[0] + wa
+    target, engine_tol, budget, _ = _level_one(Q, X, tol, box, witness)
+    return cyclic_retract_many(target, X, engine_tol, budget)[0]
 
 
 def retract_lambda_one_bounded(Q: BoxLipschitzSet, x, tol: float, box) -> Point:
@@ -686,8 +673,9 @@ def retract_lambda_one_general(Q: BoxLipschitzSet, witness, x, tol: float) -> Po
 
     Needs one known member.  Truncates the set to the ball of radius
     ``r = 2 * sup_dist(x, witness) + 1`` around the witness and runs the
-    shrinking strategy on the truncation, whose enclosures ``[-r, r]`` hold
-    globally (the rule of :func:`_level_one`).  A set whose bounds are all
+    shrinking strategy on the truncation, whose enclosures
+    ``[w_i - r, w_i + r]`` hold globally (the rule of :func:`_level_one`).
+    Members inside the ball come back bit for bit.  A set whose bounds are all
     finite is shrunk over the default box instead, like
     :func:`retract_lambda_one_bounded` with ``box=None``.
     """

@@ -139,16 +139,13 @@ def cmd_retract(args) -> int:
     Q = _load_set(args.set)
     x = _load_point(args.point)
     level_one = Q.lip_bound >= 1.0
-    w = None
     if level_one:
         box = _load_box(args.box) if args.box else None
         witness = _load_point(args.witness) if args.witness else None
-        target, w, tol, budget, result = boxset._level_one(Q, [x], args.tol, box, witness)
+        target, tol, budget, result = boxset._level_one(Q, [x], args.tol, box, witness)
     else:
         target, tol, budget, result = Q, args.tol, 100_000, {"strategy": "cyclic"}
-    start = x if w is None else tuple(a - b for a, b in zip(x, w))
-    moved, trace = cyclic_retract(target, start, tol, args.max_sweeps or budget)
-    point = moved if w is None else tuple(a + b for a, b in zip(moved, w))
+    point, trace = cyclic_retract(target, x, tol, args.max_sweeps or budget)
     result.update(point=list(point), violation=violation(Q, point),
                   sweeps=trace.steps // Q.n, trace_summary=_trace_summary(trace))
     if args.trace_out:
@@ -254,15 +251,25 @@ def cmd_verify(args) -> int:
 # plot
 
 
+_CONE_SIGNS = {"+": 1, "-": -1, 1: 1, -1: -1}
+
+
+def _load_cone(obj) -> ConeDescriptor:
+    """One cone of ``plot --cones``: an ``apex``, a JSON integer ``axis`` and
+    a ``sign`` of ``"+"``, ``"-"``, 1 or -1."""
+    apex, axis, sign = as_point(obj["apex"]), obj["axis"], obj["sign"]
+    if not isinstance(axis, int) or isinstance(axis, bool):
+        raise ValueError(f"cone axis must be an integer, got {axis!r}")
+    if not isinstance(sign, (str, int)) or isinstance(sign, bool) or sign not in _CONE_SIGNS:
+        raise ValueError(f"cone sign must be \"+\", \"-\", 1 or -1, got {sign!r}")
+    return ConeDescriptor(apex, axis, _CONE_SIGNS[sign])
+
+
 def cmd_plot(args) -> int:
     Q = _load_set(args.set) if args.set else None
     box = _load_box(args.box)
     orbit = [as_point(p) for p in _load_json(args.orbit)] if args.orbit else None
-    cones = None
-    if args.cones:
-        cones = [ConeDescriptor(as_point(c["apex"]), int(c["axis"]),
-                                1 if c["sign"] in ("+", 1) else -1)
-                 for c in _load_json(args.cones)]
+    cones = [_load_cone(c) for c in _load_json(args.cones)] if args.cones else None
     svg = svgplot.render_scene(box, Q=Q, orbit=orbit, cones=cones,
                                resolution=args.resolution)
     with open(args.out, "w") as fh:

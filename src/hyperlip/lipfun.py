@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,6 @@ __all__ = [
     "verify_lipschitz_on_grid",
     "shrink",
     "bounds_of",
-    "shifted",
-    "translated",
     "expr_to_obj",
     "expr_from_obj",
     "expr_dumps",
@@ -541,46 +539,6 @@ def bounds_of(f: LipExpr, box) -> tuple:
         raise ValueError(f"expression expects dimension {d}, got box of dimension {len(box)}")
     lo, hi = _lower(f).interval(box)
     return lo - BOUNDS_SLACK, hi + BOUNDS_SLACK
-
-
-def shifted(f: LipExpr, delta: float) -> LipExpr:
-    """The function ``y -> f(y) + delta``, rebuilt inside the grammar."""
-    delta = _require_finite(delta, "shift")
-    if delta == 0.0 or isinstance(f, Infinite):
-        return f
-    if isinstance(f, Const):
-        return Const(f.value + delta)
-    if isinstance(f, DistCone):
-        return DistCone(f.center, f.offset + delta, f.scale, f.orientation)
-    if isinstance(f, _MinMax):
-        return type(f)(tuple(shifted(c, delta) for c in f.children))
-    if isinstance(f, Blend):
-        # factor*(g - a) + a + delta == factor*((g+delta) - (a+delta)) + (a+delta)
-        return Blend(shifted(f.inner, delta), f.factor, f.anchor + delta)
-    if isinstance(f, McShane):
-        return McShane(tuple((p, v + delta) for p, v in f.samples), f.scale, f.mode)
-    raise TypeError(f"not a LipExpr: {f!r}")
-
-
-def translated(f: LipExpr, v: Sequence[float]) -> LipExpr:
-    """The function ``y -> f(y + v)``, rebuilt inside the grammar."""
-    v = as_point(v)
-    d = domain_dim(f)
-    if d is None:
-        return f
-    if len(v) != d:
-        raise ValueError(f"expression expects dimension {d}, got shift of dimension {len(v)}")
-    if isinstance(f, DistCone):
-        center = tuple(c - w for c, w in zip(f.center, v))
-        return DistCone(center, f.offset, f.scale, f.orientation)
-    if isinstance(f, _MinMax):
-        return type(f)(tuple(translated(c, v) for c in f.children))
-    if isinstance(f, Blend):
-        return Blend(translated(f.inner, v), f.factor, f.anchor)
-    if isinstance(f, McShane):
-        samples = tuple((tuple(c - w for c, w in zip(p, v)), val) for p, val in f.samples)
-        return McShane(samples, f.scale, f.mode)
-    raise TypeError(f"not a LipExpr: {f!r}")
 
 
 # ---------------------------------------------------------------------------

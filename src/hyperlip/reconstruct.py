@@ -355,13 +355,18 @@ def synthesize_bounds(cfg: ReconstructionConfig) -> BoxLipschitzSet:
         x, q = cfg.outside[j], cfg.inside[q]
         raise ConeOverlapError(f"cone of exterior point {x} contains inside sample {q}", x, q)
     if first_bad < X.shape[0]:
-        x = cfg.outside[first_bad]
-        if eps[first_bad] <= 0.0:
+        x, e = cfg.outside[first_bad], float(eps[first_bad])
+        if e <= 0.0:
             raise ValueError(
                 f"margin of {x} is not positive; the point is metrically "
                 f"between inside samples")
+        if apex[first_bad] == X[first_bad, axis[first_bad]]:
+            # a zero margin in exact arithmetic can read as a rounding residue
+            raise ValueError(
+                f"margin {e!r} of {x} is not positive beyond rounding: the apex of its "
+                f"cone rounds onto the point")
         # the one-row kernel raises the error this row's flags stand for
-        choose_cone(x, cfg.inside[int(arg[first_bad])], float(eps[first_bad]), cfg.a)
+        choose_cone(x, cfg.inside[int(arg[first_bad])], e, cfg.a)
         raise ArithmeticError(f"no usable cone for exterior point {x}")
     for i in range(n):
         for s, bounds, family in ((1, upper, Min), (-1, lower, Max)):

@@ -470,11 +470,15 @@ class TestTruncation:
         Qt = truncated_set(Q, w, 3.0)
         assert Qt.all_finite
         assert Qt.lip_bound <= 1.0
-        # members near the witness, moved to witness coordinates, stay members
-        for m in ((2.0, 1.0), (0.0, -1.0), (1.0, 1.0)):
+        # the truncation keeps the set's coordinates: missing bounds become
+        # the ends of [w_i - r, w_i + r], and members inside the ball stay
+        # members as they are
+        assert Qt.lower == (Const(-2.0), Const(-2.0))
+        assert Qt.upper[0] == Const(4.0)
+        for m in ((2.0, 1.0), (0.0, -1.0), (1.0, 1.0), (3.9, 0.1)):
             assert violation(Q, m) == 0.0
-            shifted_m = tuple(a - b for a, b in zip(m, w))
-            assert violation(Qt, shifted_m) == 0.0
+            assert violation(Qt, m) == 0.0
+        assert violation(Qt, (4.5, 0.0)) == pytest.approx(0.5)
 
     def test_general_retraction_meets_tolerance(self):
         Q = diagonal_halfspace_instance()
@@ -483,9 +487,8 @@ class TestTruncation:
 
     def test_general_retraction_fixes_members_exactly(self):
         Q = diagonal_halfspace_instance()
-        # integer data keeps the translate-retract-translate round trip exact
-        for m in ((2.0, 1.0), (3.0, 3.0), (-1.0, -2.0)):
-            point = retract_lambda_one_general(Q, (1.0, 1.0), m, 1e-4)
+        for m in ((2.1, 1.3), (0.7, 0.7), (-1.0 / 3.0, -2.9)):
+            point = retract_lambda_one_general(Q, (1.1, 0.3), m, 1e-4)
             assert point == m
 
     def test_batch_variant_agrees_with_tolerance(self, rng):
@@ -506,13 +509,12 @@ class TestLevelOneRule:
     def test_shrink_over_a_given_box(self):
         Q = vee_notch_instance()
         box = [(-4.0, 4.0), (-4.0, 4.0)]
-        target, w, engine_tol, budget, report = boxset._level_one(Q, [(0.0, -3.0)], 1e-2, box)
+        target, engine_tol, budget, report = boxset._level_one(Q, [(0.0, -3.0)], 1e-2, box)
         l, u = enclosure_bounds(Q, box)
         k = relaxation_order(u - l, 1e-2)
         assert report == {"strategy": "shrink", "enclosure": [l, u], "k": k}
-        assert w is None
         assert (engine_tol, budget) == (1e-2 / 4, 50 * k + 1000)
-        assert target == shrink_set(Q, k, l, u)
+        assert target == shrink_set(Q, k, l, u) == shrink_set(Q, k, [l, l], [u, u])
 
     def test_default_box_covers_every_row(self):
         Q = vee_notch_instance()
@@ -525,13 +527,13 @@ class TestLevelOneRule:
     def test_truncate_around_the_witness(self):
         Q = diagonal_halfspace_instance()
         X = [(0.0, 4.0), (3.0, -2.0)]
-        target, w, engine_tol, budget, report = boxset._level_one(
-            Q, X, 1e-2, witness=(1.0, 1.0))
-        k = relaxation_order(14.0, 1e-2)
-        assert report == {"strategy": "truncate", "radius": 7.0, "k": k}
-        assert w == (1.0, 1.0)
+        w = (2.0, 0.5)
+        target, engine_tol, budget, report = boxset._level_one(Q, X, 1e-2, witness=w)
+        # r = 2 * 3.5 + 1; each axis is anchored at w_i -/+ r
+        k = relaxation_order(16.0, 1e-2)
+        assert report == {"strategy": "truncate", "radius": 8.0, "k": k}
         assert (engine_tol, budget) == (1e-2 / 4, 50 * k + 1000)
-        assert target == shrink_set(truncated_set(Q, w, 7.0), k, -7.0, 7.0)
+        assert target == shrink_set(truncated_set(Q, w, 8.0), k, [-6.0, -7.5], [10.0, 8.5])
 
     def test_one_missing_witness_error(self):
         Q = diagonal_halfspace_instance()

@@ -449,6 +449,29 @@ class TestPlot:
         assert words in err["error"]
         assert not (tmp_path / "scene.svg").exists()
 
+    @pytest.mark.parametrize("axis, sign, field", [
+        ("1e400", '"+"', "axis"), ("1.5", '"+"', "axis"), ("true", '"+"', "axis"),
+        ("1", '"?"', "sign")])
+    def test_malformed_cone_is_an_input_error(self, capsys, tmp_path, axis, sign, field):
+        cones = tmp_path / "c.json"
+        cones.write_text(f'[{{"apex": [0, 0], "axis": {axis}, "sign": {sign}}}]')
+        err = input_error(capsys, [
+            "plot", "--box", dump(tmp_path, "b.json", [[-3.0, 3.0], [-3.0, 3.0]]),
+            "--cones", str(cones), "--resolution", "0.5",
+            "--out", str(tmp_path / "scene.svg")])
+        assert err["error"].startswith(f"cone {field} must be")
+        assert not (tmp_path / "scene.svg").exists()
+
+    def test_cone_signs(self, capsys, tmp_path):
+        obj = [{"apex": [0, 0], "axis": a, "sign": s}
+               for a, s in ((0, "+"), (1, "-"), (0, 1), (1, -1))]
+        code, _, _ = run(capsys, [
+            "plot", "--box", dump(tmp_path, "b.json", [[-3.0, 3.0], [-3.0, 3.0]]),
+            "--cones", dump(tmp_path, "c.json", obj), "--resolution", "0.5",
+            "--out", str(tmp_path / "scene.svg")])
+        assert code == 0
+        assert [c.sign for c in (cli._load_cone(c) for c in obj)] == [1, -1, 1, -1]
+
     def test_unwritable_output(self, capsys, tmp_path, set_file):
         out_path = tmp_path / "missing" / "scene.svg"
         err = input_error(capsys, [

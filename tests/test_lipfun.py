@@ -32,9 +32,7 @@ from hyperlip.lipfun import (
     expr_loads,
     expr_to_obj,
     lip_bound,
-    shifted,
     shrink,
-    translated,
     verify_lipschitz_on_grid,
     _compile,
     _compile_grid,
@@ -46,7 +44,6 @@ DIM = 2
 
 coord = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-point2 = st.lists(coord, min_size=DIM, max_size=DIM).map(tuple)
 signed = st.one_of(st.sampled_from((0.0, -0.0)), coord)
 
 
@@ -109,24 +106,6 @@ def test_bounds_enclose_sampled_values(f):
     vals = eval_grid(f, inside)
     assert (vals >= lo).all()
     assert (vals <= hi).all()
-
-
-@given(exprs, st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
-@settings(deadline=None)
-def test_shifted_adds_a_constant(f, delta):
-    g = shifted(f, delta)
-    assert lip_bound(g) == pytest.approx(lip_bound(f), abs=1e-12)
-    for y in GRID[::5]:
-        assert _compile(g)(y) == pytest.approx(_compile(f)(y) + delta, abs=1e-9)
-
-
-@given(exprs, point2)
-@settings(deadline=None)
-def test_translated_composes_with_a_shift_of_the_argument(f, v):
-    g = translated(f, v)
-    for y in GRID[::5]:
-        moved = tuple(a + b for a, b in zip(y, v))
-        assert _compile(g)(y) == pytest.approx(_compile(f)(moved), abs=1e-9)
 
 
 @given(exprs, unit, coord)

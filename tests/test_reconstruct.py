@@ -78,7 +78,13 @@ def _reference_synthesis(cfg):
                 raise ValueError(
                     f"margin of {x} is not positive; the point is metrically "
                     f"between inside samples")
-            cone = _reference_cone(x, cfg.inside[int(arg[j])], e, cfg.a)
+            try:
+                cone = _reference_cone(x, cfg.inside[int(arg[j])], e, cfg.a)
+            except ArithmeticError:
+                # the apex rounds onto x: the margin is lost in rounding
+                raise ValueError(
+                    f"margin {e!r} of {x} is not positive beyond rounding: the apex of "
+                    f"its cone rounds onto the point") from None
             hits = _reference_hits(cone, P)
             if hits.any():
                 q = cfg.inside[int(np.argmax(hits))]
@@ -194,6 +200,23 @@ class TestMargin:
         assert eps[0] == 0.0
         with pytest.raises(ValueError, match="not positive"):
             synthesize_bounds(ReconstructionConfig(tuple(inside), ((1.0, 0.0),)))
+
+    def test_rounding_residue_margin_is_an_input_error(self):
+        # a 3-D L on the step-1/3 grid: (5/3, 1/3, 1/3) is metrically between
+        # inside samples, but its margin reads 2.2e-16 instead of 0, and
+        # 0.1 * eps vanishes against the point's coordinate
+        side = [(i - 3) / 3 for i in range(13)]
+        pts = [(u, v, w) for u in side for v in side for w in side]
+        inside = [p for p in pts if min(p) >= 0.0 and max(p) <= 2.0
+                  and not (p[0] > 1.5 and p[1] < 0.5)]
+        outside = [p for p in pts if p not in set(inside)]
+        x = (5 / 3, 1 / 3, 1 / 3)
+        eps, _ = epsilon_many(inside, [x])
+        assert 0.0 < eps[0] < 1e-15
+        with pytest.raises(ValueError) as err:
+            synthesize_bounds(ReconstructionConfig(inside, outside, a=0.1))
+        assert str(err.value) == (f"margin {float(eps[0])!r} of {x} is not positive beyond "
+                                  f"rounding: the apex of its cone rounds onto the point")
 
     def test_sample_point_rejected(self):
         eps, _ = epsilon_many([(0.0, 0.0)], [(0.0, 0.0)])
@@ -458,10 +481,10 @@ class TestArrayPasses:
         # margins: (1, 0) and (0.5, 0) lie between the two samples
         (((0.0, 0.0), (2.0, 0.0)),
          ((5.0, 5.0), (1.0, 0.0), (-3.0, 1.0), (0.5, 0.0))),
-        # interior: a * eps vanishes next to 1e17 for the middle two points
+        # rounding: a * eps vanishes next to 1e17 for the middle two points
         (((1e17, 0.0),),
          ((1e17 + 64, 0.0), (1e17 + 16, 0.0), (1e17 + 32, 0.0), (1e17, 9.0))),
-        # an interior failure ahead of a margin failure
+        # a margin lost in rounding ahead of a zero margin
         (((1e17, 0.0), (1e17 + 256, 0.0)),
          ((1e17 + 512, 4.0), (1e17 + 272, 0.0), (1e17 + 128, 0.0))),
     ])
