@@ -130,5 +130,5 @@ def kuratowski_embed(X: FiniteMetricSpace, basepoint: int = 0) -> list:
     m = X.size
     if not 0 <= basepoint < m:
         raise IndexError(f"basepoint {basepoint} out of range for size {m}")
-    base = X.row(basepoint)
-    return [tuple(X.d(x, y) - base[y] for y in range(m)) for x in range(m)]
+    M = X.matrix
+    return [tuple(r) for r in (M - M[basepoint]).tolist()]

@@ -54,10 +54,15 @@ def _values(X, f):
     return vals
 
 
+def _columns(X, f):
+    """``f`` as one candidate: an ``(m, 1)`` table of one-element columns."""
+    return np.array(_values(X, f))[:, None]
+
+
 def in_delta(X: FiniteMetricSpace, f, tol: float = 1e-12) -> bool:
     """Whether ``f(x) + f(y) >= d(x, y) - tol`` for all pairs (x = y included,
     which forces nonnegative values)."""
-    return bool(_admissible(X.matrix, np.array([_values(X, f)]), tol)[0])
+    return bool(_admissible(X.matrix, _columns(X, f), tol)[0])
 
 
 def is_extremal(X: FiniteMetricSpace, f, tol: float = 1e-12) -> bool:
@@ -66,10 +71,10 @@ def is_extremal(X: FiniteMetricSpace, f, tol: float = 1e-12) -> bool:
     Checks ``f(x) <= max_y (d(x, y) - f(y)) + tol`` for every ``x``; the
     reverse inequality is admissibility, which is a precondition here.
     """
-    F = np.array([_values(X, f)])
-    if not _admissible(X.matrix, F, tol)[0]:
+    C = _columns(X, f)
+    if not _admissible(X.matrix, C, tol)[0]:
         raise ValueError("function is not admissible on this space")
-    return bool(_minimal(X.matrix, F, tol)[0])
+    return bool(_minimal(X.matrix, C, tol)[0])
 
 
 def extremal_zero_classification(X: FiniteMetricSpace, f, tol: float = 1e-12):
@@ -108,50 +113,61 @@ def attach_point(X: FiniteMetricSpace, f) -> FiniteMetricSpace:
     """
     vals = _values(X, f)
     m = X.size
-    for i in range(m):
-        if not (math.isfinite(vals[i]) and vals[i] > 0.0):
-            raise ValueError(f"attach distance at index {i} is not finite and positive: "
-                             f"{vals[i]!r}")
-    for i in range(m):
-        for j in range(i + 1, m):
-            if vals[i] + vals[j] < X.d(i, j):
-                raise ValueError(f"not admissible on pair ({i}, {j})")
-            if abs(vals[i] - vals[j]) > X.d(i, j):
-                raise ValueError(f"not 1-Lipschitz on pair ({i}, {j})")
+    v = np.array(vals)
+    bad = ~(np.isfinite(v) & (v > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"attach distance at index {i} is not finite and positive: "
+                         f"{vals[i]!r}")
+    D = X.matrix
+    with np.errstate(over="ignore"):
+        short = v[:, None] + v[None, :] < D
+    stretch = np.abs(v[:, None] - v[None, :]) > D
+    bad = np.triu(short | stretch, 1)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), m)
+        if short[i, j]:
+            raise ValueError(f"not admissible on pair ({i}, {j})")
+        raise ValueError(f"not 1-Lipschitz on pair ({i}, {j})")
     out = np.zeros((m + 1, m + 1))
-    out[:m, :m] = X.matrix
+    out[:m, :m] = D
     out[m, :m] = vals
     out[:m, m] = vals
     return FiniteMetricSpace(out)
 
 
-def _admissible(D, F, tol):
-    """Which rows of ``F`` satisfy ``F[i] + F[j] >= D[i, j] - tol`` for all
-    ``i <= j``."""
+def _admissible(D, C, tol):
+    """Which candidates satisfy ``C[i] + C[j] >= D[i, j] - tol`` for all
+    ``i <= j``; ``C`` holds one column of values per point."""
     m = D.shape[0]
-    ok = np.ones(F.shape[0], dtype=bool)
+    ok = np.ones(C.shape[1], dtype=bool)
     for i in range(m):
         for j in range(i, m):
-            np.logical_and(ok, F[:, i] + F[:, j] >= D[i, j] - tol, out=ok)
+            np.logical_and(ok, C[i] + C[j] >= D[i, j] - tol, out=ok)
     return ok
 
 
-def _minimal(D, F, tol):
-    """Which rows of ``F`` satisfy ``F[i] <= max_j (D[i, j] - F[j]) + tol``
-    for all ``i``."""
-    ok = np.ones(F.shape[0], dtype=bool)
-    for i in range(D.shape[0]):
-        best = (D[i][None, :] - F).max(axis=1)
-        np.logical_and(ok, F[:, i] <= best + tol, out=ok)
+def _minimal(D, C, tol):
+    """Which candidates satisfy ``C[i] <= max_j (D[i, j] - C[j]) + tol`` for
+    all ``i``; the maximum is kept running over the columns, because numpy
+    reduces a short last axis one row at a time."""
+    m = D.shape[0]
+    ok = np.ones(C.shape[1], dtype=bool)
+    best = np.empty(C.shape[1])
+    for i in range(m):
+        np.subtract(D[i, 0], C[0], out=best)
+        for j in range(1, m):
+            np.maximum(best, D[i, j] - C[j], out=best)
+        np.logical_and(ok, C[i] <= best + tol, out=ok)
     return ok
 
 
 def _scan_block(D, V, shape, start, stop, tol):
     """Extremality scan of candidates with flat indices [start, stop)."""
-    idx = np.unravel_index(np.arange(start, stop), shape)
-    F = np.column_stack([V[ix] for ix in idx])
-    ok = _admissible(D, F, tol) & _minimal(D, F, tol)
-    return [tuple(map(float, row)) for row in F[ok]]
+    C = V[np.asarray(np.unravel_index(np.arange(start, stop), shape))]
+    # most candidates fail admissibility, so only the rest are tested further
+    C = C[:, _admissible(D, C, tol)]
+    return list(zip(*C[:, _minimal(D, C, tol)].tolist()))
 
 
 def _cpus() -> int:

@@ -213,6 +213,15 @@ class TestKuratowski:
                         for i in range(6) for j in range(6))
             assert worst <= 1e-12
 
+    def test_entries_match_the_per_entry_formula_to_the_bit(self, rng):
+        for m in (1, 2, 7, 30):
+            X = embedded_metric([tuple(p) for p in rng.uniform(-1e3, 1e3, (m, 3))])
+            for b in range(m):
+                emb = kuratowski_embed(X, basepoint=b)
+                assert [[float.hex(v) for v in row] for row in emb] == [
+                    [float.hex(X.d(x, y) - X.d(b, y)) for y in range(m)] for x in range(m)]
+                assert all(type(v) is float for row in emb for v in row)
+
     def test_basepoint_range_checked(self):
         X = _three_point_space()
         with pytest.raises(IndexError):

@@ -113,6 +113,22 @@ class TestZeroClassification:
 
 
 
+def _reference_attach_fault(X, vals):
+    """The first fault the pair-by-pair loop of ``attach_point`` reported."""
+    m = X.size
+    for i in range(m):
+        if not (math.isfinite(vals[i]) and vals[i] > 0.0):
+            return (f"attach distance at index {i} is not finite and positive: "
+                    f"{vals[i]!r}")
+    for i in range(m):
+        for j in range(i + 1, m):
+            if vals[i] + vals[j] < X.d(i, j):
+                return f"not admissible on pair ({i}, {j})"
+            if abs(vals[i] - vals[j]) > X.d(i, j):
+                return f"not 1-Lipschitz on pair ({i}, {j})"
+    return None
+
+
 class TestAttach:
     def test_attaching_an_extremal_function_gives_a_metric(self, rng):
         X = random_metric(rng, 5)
@@ -136,6 +152,57 @@ class TestAttach:
         X = _two_point(d=1.0)
         with pytest.raises(ValueError):
             attach_point(X, (0.25, 3.0))
+
+    @pytest.mark.parametrize("f, message", [
+        ((0.2, 0.3, 5.0), "not admissible on pair (0, 1)"),
+        ((0.2, 5.0, 0.3), "not 1-Lipschitz on pair (0, 1)"),
+        ((5.0, 0.2, 0.3), "not 1-Lipschitz on pair (0, 1)"),
+        ((1.0, 1.5, 0.2), "not 1-Lipschitz on pair (1, 2)"),
+        ((0.9, 0.5, 0.4), "not admissible on pair (1, 2)"),
+        ((1.0, math.nan, -1.0), "attach distance at index 1 is not finite and positive: nan"),
+        ((1.0, 0.5, -0.0), "attach distance at index 2 is not finite and positive: -0.0"),
+    ])
+    def test_first_fault_is_reported(self, f, message):
+        X = FiniteMetricSpace(np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(ValueError) as err:
+            attach_point(X, f)
+        assert str(err.value) == message
+
+    def test_first_fault_matches_the_pairwise_reference(self):
+        """Seeded inputs with admissibility and Lipschitz faults at different
+        pairs report the fault the pair-by-pair loop met first."""
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(200):
+            m = int(rng.integers(2, 9))
+            X = random_metric(rng, m)
+            f = rng.uniform(0.05, 2.5, m)
+            f[rng.random(m) < 0.05] = rng.choice([0.0, -1.0, math.inf, math.nan])
+            want = _reference_attach_fault(X, [float(v) for v in f])
+            if want is None:
+                assert attach_point(X, f).size == m + 1
+                continue
+            with pytest.raises(ValueError) as err:
+                attach_point(X, f)
+            assert str(err.value) == want
+            seen.add(want.split(" on ")[0].split(" at ")[0])
+        assert seen == {"not admissible", "not 1-Lipschitz", "attach distance"}
+
+
+def _reference_scan(D, V, shape, start, stop, tol):
+    """The extremality scan over an ``(N, m)`` row table that the column scan
+    replaced, kept as the reference for its found list."""
+    idx = np.unravel_index(np.arange(start, stop), shape)
+    F = np.column_stack([V[ix] for ix in idx])
+    m = D.shape[0]
+    ok = np.ones(F.shape[0], dtype=bool)
+    for i in range(m):
+        for j in range(i, m):
+            np.logical_and(ok, F[:, i] + F[:, j] >= D[i, j] - tol, out=ok)
+    for i in range(m):
+        best = (D[i][None, :] - F).max(axis=1)
+        np.logical_and(ok, F[:, i] <= best + tol, out=ok)
+    return [tuple(map(float, row)) for row in F[ok]]
 
 
 class TestEnumeration:
@@ -230,6 +297,25 @@ class TestEnumeration:
                 f = tuple(float(V[k]) for k in ix)
                 extremal = in_delta(X, f, tol) and is_extremal(X, f, tol)
                 assert extremal == (f in found)
+
+    def test_scan_matches_the_row_table_reference(self, rng):
+        """The column scan finds the same candidates, in the same order, as
+        the reference row-table checks it replaced, for 1 to 5 points; a
+        negative and a NaN grid value are among the candidates."""
+        for m in range(1, 6):
+            for _ in range(3):
+                X = random_metric(rng, m)
+                count = {1: 40, 2: 30, 3: 14, 4: 9, 5: 6}[m]
+                V = rng.uniform(-0.1, 2.0, count)
+                V[int(rng.integers(count))] = math.nan
+                shape = (count,) * m
+                total = count ** m
+                start = int(rng.integers(total // 2))
+                for tol in (0.0, 0.1, 0.3):
+                    want = _reference_scan(X.matrix, V, shape, start, total, tol)
+                    got = hull._scan_block(X.matrix, V, shape, start, total, tol)
+                    assert got == want
+                    assert all(type(v) is float for f in got for v in f)
 
     def test_size_limits(self, rng):
         X = random_metric(rng, 6)

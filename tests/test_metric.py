@@ -213,6 +213,81 @@ class TestMetricAxioms:
         assert check_metric_axioms([[0.0, 1e308], [1e308, 0.0]]).ok
 
 
+def _reference_axioms(D, tol):
+    """The pair-by-pair audit that ``check_metric_axioms`` replaced, kept as
+    the reference for its violations, their order and their amounts."""
+    M = np.asarray(D, dtype=float)
+    bad = np.argwhere(~np.isfinite(M))
+    if len(bad):
+        return [("finite", (int(i), int(j)), math.inf) for i, j in bad]
+    m = M.shape[0]
+    out = []
+    with np.errstate(over="ignore"):
+        for i in range(m):
+            if abs(M[i, i]) > tol:
+                out.append(("diagonal", (i,), float(abs(M[i, i]))))
+        for i in range(m):
+            for j in range(i + 1, m):
+                gap = abs(M[i, j] - M[j, i])
+                if gap > tol:
+                    out.append(("symmetry", (i, j), float(gap)))
+                if M[i, j] < -tol:
+                    out.append(("positivity", (i, j), float(-M[i, j])))
+                elif abs(M[i, j]) <= tol:
+                    out.append(("separation", (i, j), float(abs(M[i, j]))))
+        for k in range(m):
+            excess = M - np.add.outer(M[:, k], M[k, :])
+            for i, j in zip(*np.nonzero(excess > tol)):
+                if i != j and i != k and j != k:
+                    out.append(("triangle", (int(i), int(k), int(j)), float(excess[i, j])))
+    return [(kind, idx, float.hex(amount)) for kind, idx, amount in out]
+
+
+def _hostile_matrix(rng, m):
+    """A seeded matrix breaking the axioms in one of several ways."""
+    kind = int(rng.integers(6))
+    D = rng.uniform(0.5, 2.0, (m, m))
+    if kind != 0:
+        D = (D + D.T) / 2.0
+    np.fill_diagonal(D, 0.0)
+    if kind == 1:
+        D[rng.random((m, m)) < 0.1] *= -1.0
+    elif kind == 2:
+        D[rng.random((m, m)) < 0.1] = 0.0
+    elif kind == 3:
+        D[rng.random((m, m)) < 0.2] = 1e308 * rng.choice([-1.0, 1.0])
+    elif kind == 4:
+        P = rng.uniform(-1e6, 1e6, (m, 3))
+        D = np.abs(P[:, None, :] - P[None, :, :]).max(axis=2)
+    else:
+        D[rng.random((m, m)) < 0.05] = rng.uniform(-3.0, 5.0)
+    if rng.random() < 0.2:
+        np.fill_diagonal(D, rng.uniform(-1e-11, 1e-11, m))
+    return D
+
+
+class TestAxiomAudit:
+    def test_matches_the_pairwise_reference(self):
+        """Same violations, same order, same amounts to the bit, on asymmetric,
+        negative, zero, overflowing and sup-norm matrices of 1-30 points."""
+        rng = np.random.default_rng(1510)
+        kinds = set()
+        for _ in range(150):
+            D = _hostile_matrix(rng, int(rng.integers(1, 31)))
+            for tol in (0.0, 1e-12, 0.3):
+                got = [(v.kind, v.indices, float.hex(v.amount))
+                       for v in check_metric_axioms(D, tol).violations]
+                assert got == _reference_axioms(D, tol)
+                kinds.update(v[0] for v in got)
+        assert kinds == {"diagonal", "symmetry", "positivity", "separation", "triangle"}
+
+    def test_order_is_diagonal_then_pairs_then_triangles(self):
+        D = np.array([[0.5, 1.0, 9.0], [2.0, 0.0, 0.0], [9.0, 0.0, 0.0]])
+        got = [(v.kind, v.indices) for v in check_metric_axioms(D).violations]
+        assert got == [("diagonal", (0,)), ("symmetry", (0, 1)), ("separation", (1, 2)),
+                       ("triangle", (0, 1, 2)), ("triangle", (2, 1, 0))]
+
+
 class TestFiniteMetricSpace:
     def test_constructor_validates(self):
         with pytest.raises(ValueError):
@@ -225,6 +300,26 @@ class TestFiniteMetricSpace:
         assert X.d(0, 1) == 3.0
         assert X.d(1, 2) == 1.0
         assert X.row(0) == (0.0, 3.0, 2.0)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e5, 1e6, 1e300])
+    def test_from_points_allows_rounding_at_large_coordinates(self, scale):
+        """Sup-norm distances of far-out points carry rounding of a few ulps
+        of the coordinates, which must not read as a broken triangle."""
+        P = np.random.default_rng(0).uniform(-scale, scale, (60, 3))
+        X = FiniteMetricSpace.from_points(P)
+        assert X.size == 60
+        assert X.d(3, 7) == float(np.abs(P[3] - P[7]).max())
+
+    def test_from_points_refuses_a_duplicate_point(self):
+        P = np.random.default_rng(0).uniform(-1e4, 1e4, (60, 3))
+        P[17] = P[4]
+        with pytest.raises(ValueError, match=r"separation at \(4, 17\)"):
+            FiniteMetricSpace.from_points(P)
+
+    def test_matrices_keep_the_absolute_tolerance(self):
+        D = np.array([[0.0, 1.0, 2.0 + 1e-11], [1.0, 0.0, 1.0], [2.0 + 1e-11, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="triangle"):
+            FiniteMetricSpace(D)
 
     def test_nan_distances_rejected(self):
         with pytest.raises(ValueError, match="finite"):
