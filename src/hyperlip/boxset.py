@@ -344,8 +344,11 @@ def _scalar_sweeps(Q, x, threshold, max_sweeps, fixed_steps=None):
         lo, up = lower[i](xh), upper[i](xh)
         if lo > up:
             raise _crossed(i, pos, lo, up)
-        new = min(max(lo, pos[i]), up)
-        d = new - pos[i]
+        c = pos[i]
+        # only a coordinate strictly outside moves, onto bound + 0.0, so a
+        # member keeps its bits (a -0.0 too) and a moved zero is +0.0
+        new = lo + 0.0 if c < lo else up + 0.0 if c > up else c
+        d = new - c
         pos[i] = new
         disp.append(d)
         return d
@@ -402,8 +405,14 @@ def _batch_sweeps(Q, X, threshold, max_sweeps, record):
             if crossed.any():
                 j = int(np.argmax(crossed))
                 raise _crossed(i, XT[:, j], lo[j], up[j])
-            new = np.minimum(up, np.maximum(lo, XT[i]))
-            d = new - XT[i]
+            c = XT[i]
+            new = np.minimum(up, np.maximum(lo, c))
+            # the scalar rule's bits: min and max match it except on zeros,
+            # where a coordinate already zero stays and a moved one is +0.0
+            zero = new == 0.0
+            if zero.any():
+                new[zero] = np.where(c[zero] == 0.0, c[zero], 0.0)
+            d = new - c
             XT[i] = new
             moved |= d != 0.0
             if record:

@@ -14,6 +14,7 @@ prints a report that is byte-identical across runs with the same seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -391,7 +392,10 @@ def cmd_selftest(args) -> int:
 # wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = _Parser(prog="hyperlip",
                      description="Lipschitz-bounded sets in the sup norm: "
                                  "retraction, extension, hulls, reconstruction")

@@ -162,12 +162,55 @@ def _minimal(D, C, tol):
     return ok
 
 
-def _scan_block(D, V, shape, start, stop, tol):
-    """Extremality scan of candidates with flat indices [start, stop)."""
-    C = V[np.asarray(np.unravel_index(np.arange(start, stop), shape))]
+def _extremal(D, C, tol):
+    """The candidates of the ``(m, N)`` table ``C`` that pass the
+    extremality test, as tuples in table order."""
     # most candidates fail admissibility, so only the rest are tested further
     C = C[:, _admissible(D, C, tol)]
     return list(zip(*C[:, _minimal(D, C, tol)].tolist()))
+
+
+def _prefixes(V, k, start, stop):
+    """The grid points of ``k`` coordinates over the values ``V`` with flat
+    (row-major) indices [start, stop), as a ``(k, N)`` table."""
+    flat = np.arange(start, stop)
+    idx = np.empty((k, len(flat)), dtype=np.intp)
+    for j in range(k - 1, -1, -1):
+        flat, idx[j] = np.divmod(flat, len(V))
+    return V[idx]
+
+
+def _scan_block(D, V, start, stop, tol, resolution):
+    """Extremality scan of the candidates whose first m - 1 coordinates have
+    flat prefix indices [start, stop), over the last-coordinate window
+    minimality allows.
+
+    A prefix f_0 .. f_{m-2} failing admissibility on its own pairs fails it
+    on the full table.  Otherwise admissibility on the pairs (j, m - 1) and
+    minimality of the last row confine the last value to
+    ``[M - tol, max(M, 0) + tol]`` with ``M = max_j (D[m - 1, j] - f_j)``.
+    Its index window is widened by one step on each side to cover rounding,
+    and ``M`` is taken as ``max(M, 0)`` at both ends, which moves only a
+    lower end that is clipped to 0 anyway.  The full test then runs on every
+    candidate of each window, so the found list is that of the whole grid.
+    """
+    m = D.shape[0]
+    k = m - 1
+    P = _prefixes(V, k, start, stop)
+    P = P[:, _admissible(D[:k, :k], P, tol)]
+    top = np.zeros(P.shape[1])
+    for j in range(k):
+        np.maximum(top, D[k, j] - P[j], out=top)
+    last = len(V) - 1
+    lo = np.clip(np.floor((top - tol) / resolution).astype(np.intp) - 1, 0, last)
+    hi = np.clip(np.ceil((top + tol) / resolution).astype(np.intp) + 1, 0, last)
+    width = hi - lo + 1
+    rep = np.repeat(np.arange(P.shape[1]), width)
+    first = np.cumsum(width) - width
+    C = np.empty((m, len(rep)))
+    C[:k] = P[:, rep]
+    C[k] = V[lo[rep] + np.arange(len(rep)) - first[rep]]
+    return _extremal(D, C, tol)
 
 
 def _cpus() -> int:
@@ -185,9 +228,17 @@ def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float) -> list:
     the half-step keeps every grid point within reach of the true extremal
     set it approximates while rejecting the neighbors one step off it.
     Rows of the distance matrix, snapped to the grid, are always included.
-    Spaces larger than 5 points or grids beyond 10^8 candidates are refused.
-    The scan runs on one thread per CPU the process may run on, in blocks
-    sized so that at most 100 000 candidates are held at once.
+    Spaces larger than 5 points or grids beyond 10^8 candidates are refused;
+    the cap counts the whole grid, ``count^|X|``.
+
+    Not every grid point is tested.  The scan enumerates the grid's prefixes
+    of ``|X| - 1`` coordinates, drops those inadmissible on their own pairs,
+    and gives each remaining one the window of last values that
+    admissibility and minimality allow, one step wider on each side.  Every
+    candidate outside the windows fails the test, so the found list is that
+    of the full grid scan.  The scan runs on one thread per CPU the process
+    may run on, in blocks of prefixes sized so that at most 100 000
+    candidates are held at once.
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
@@ -205,14 +256,17 @@ def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float) -> list:
             f"grid too large: {count}^{m} candidates exceed the cap {GRID_CANDIDATE_CAP}")
     V = np.array([j * resolution for j in range(count)])
     tol = resolution / 2.0
-    shape = (count,) * m
-    total = count ** m
+    total = count ** (m - 1)
     cpus = _cpus()
-    block = _ROWS_IN_FLIGHT // cpus
+    # a window [floor(b) - 1, ceil(a) + 1] with a - b = 2 tol / resolution,
+    # up to rounding, holds at most ceil(a - b) + 4 <= int(2 tol / resolution)
+    # + 5 grid values
+    span = min(count, int(2.0 * tol / resolution) + 5)
+    block = _ROWS_IN_FLIGHT // cpus // span
     ranges = [(s, min(s + block, total)) for s in range(0, total, block)]
     with ThreadPoolExecutor(max_workers=min(cpus, len(ranges))) as pool:
-        parts = list(pool.map(lambda r: _scan_block(D, V, shape, r[0], r[1], tol),
-                              ranges))
+        parts = list(pool.map(
+            lambda r: _scan_block(D, V, r[0], r[1], tol, resolution), ranges))
     found = {pt for part in parts for pt in part}
     top = float(V[-1])
     for x in range(m):

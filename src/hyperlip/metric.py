@@ -243,27 +243,40 @@ class FiniteMetricSpace:
     def from_points(cls, points) -> "FiniteMetricSpace":
         """Metric space of sup-norm distances between the given points.
 
-        The matrix is audited at ``DEFAULT_TOL + 4 * eps * S``, where ``S`` is
-        the largest coordinate magnitude and ``eps`` the float epsilon, so
-        that rounding in the distances is not taken for a broken triangle.
-        With ``u = eps / 2``, each computed coordinate difference is the
-        exact one times ``(1 + delta)``, ``|delta| <= u``, and the maximum is
-        exact, so each computed distance ``a`` satisfies
-        ``(1 - u) d <= a <= (1 + u) d`` for the true distance ``d <= 2 S``.
-        The true distances obey ``d(x, z) <= d(x, y) + d(y, z)``, and the
-        computed sum is at least ``(1 - u)`` times the sum of the computed
-        terms, so ``fl|x - z| - fl(fl|x - y| + fl|y - z|)`` is at most
-        ``((1 + u) - (1 - u)^2) d(x, z) < 3 u d(x, z) <= 3 eps S``.  Points
-        closer than that tolerance are refused as coincident.
+        The matrix is built one coordinate at a time, as a running maximum of
+        ``|a - b|``, so symmetry, the zero diagonal and positivity hold
+        exactly.  The triangle inequality holds up to rounding: with
+        ``u = eps / 2``, each computed coordinate difference is the exact one
+        times ``(1 + delta)``, ``|delta| <= u``, and the maximum is exact, so
+        each computed distance ``a`` satisfies ``(1 - u) d <= a <= (1 + u) d``
+        for the true distance ``d <= 2 S``, where ``S`` is the largest
+        coordinate magnitude.  The true distances obey
+        ``d(x, z) <= d(x, y) + d(y, z)``, and the computed sum is at least
+        ``(1 - u)`` times the sum of the computed terms, so
+        ``fl|x - z| - fl(fl|x - y| + fl|y - z|)`` is at most
+        ``((1 + u) - (1 - u)^2) d(x, z) < 3 u d(x, z) <= 3 eps S``.  The
+        matrix is held to the axioms at ``DEFAULT_TOL + 4 * eps * S``, where
+        no triangle can fail, so only the two remaining axioms are checked:
+        every distance is finite (a difference may overflow), and points
+        closer than that tolerance are refused as coincident.  A refusal
+        carries the text of the full :func:`check_metric_axioms` report.
         """
         P = np.asarray([as_point(p) for p in points], dtype=float)
-        if P.shape[0] == 0:
+        if len(P) == 0:
             raise ValueError("need at least one point")
-        if P.shape[1] == 0:
-            return cls(np.zeros((P.shape[0], P.shape[0])))
-        M = np.abs(P[:, None, :] - P[None, :, :]).max(axis=2)
-        S = float(np.abs(P).max())
-        return cls(M, tol=DEFAULT_TOL + 4.0 * np.finfo(float).eps * S)
+        m, n = P.shape
+        M = np.zeros((m, m))
+        with np.errstate(over="ignore"):
+            for c in range(n):
+                np.maximum(M, np.abs(P[:, c, None] - P[None, :, c]), out=M)
+        tol = DEFAULT_TOL + 4.0 * np.finfo(float).eps * float(np.abs(P).max(initial=0.0))
+        # the diagonal's m zeros are the only entries allowed within tol
+        if not (np.isfinite(M).all() and np.count_nonzero(M <= tol) == m):
+            raise ValueError(str(check_metric_axioms(M, tol)))
+        X = cls.__new__(cls)            # the checks above settle what __init__ audits
+        M.setflags(write=False)
+        X._d = M
+        return X
 
     @property
     def size(self) -> int:

@@ -67,11 +67,12 @@ def _all_rows_sweeps(Q, X, threshold, max_sweeps, record):
                     raise InconsistentBoundsError(
                         f"bounds cross on axis {i} at {tuple(X[j].tolist())}: "
                         f"lower={float(lo[j])!r} > upper={float(up[j])!r}")
+            # a coordinate moves only when strictly outside, onto bound + 0.0
             new = X[:, i]
             if lo is not None:
-                new = np.maximum(lo, new)
+                new = np.where(new < lo, lo + 0.0, new)
             if up is not None:
-                new = np.minimum(up, new)
+                new = np.where(new > up, up + 0.0, new)
             d = new - X[:, i]
             X[:, i] = new
             if record:
@@ -291,12 +292,18 @@ class TestCyclicRetract:
 
 class TestBatchEngine:
     def test_single_row_batch_matches_scalar_exactly(self, rng):
-        Q = random_mcshane_instance(3, 0.9, rng)
-        start = rng.uniform(-3, 3, 3)
-        point, trace = cyclic_retract(Q, tuple(start), 1e-7)
-        batch, traces = cyclic_retract_many(Q, start[None, :], 1e-7, record=True)
-        assert tuple(batch[0]) == point
-        assert traces[0].displacements == trace.displacements
+        """Same bits on both engines, signed zeros included: starts with -0.0
+        coordinates on sets whose bounds evaluate to +0.0 and -0.0."""
+        cases = [(random_mcshane_instance(3, 0.9, rng), tuple(rng.uniform(-3, 3, 3)))]
+        for bounds in ([(0.0, 1.0), (-1.0, 1.0)], [(-0.0, 1.0), (-1.0, -0.0)]):
+            for start in ((-0.0, 0.5), (0.0, -0.0), (-0.0, -0.0), (-1.0, 2.0)):
+                cases.append((box_instance(bounds), start))
+        hexes = lambda values: [float(v).hex() for v in values]
+        for Q, start in cases:
+            point, trace = cyclic_retract(Q, start, 1e-7)
+            batch, traces = cyclic_retract_many(Q, np.array([start]), 1e-7, record=True)
+            assert hexes(batch[0]) == hexes(point)
+            assert hexes(traces[0].displacements) == hexes(trace.displacements)
 
     def test_shared_schedule_is_one_lipschitz(self, rng):
         Q = random_mcshane_instance(2, 0.9, rng)

@@ -505,3 +505,25 @@ class TestSelftest:
         payload = json.loads(runs[0].stdout)
         assert payload["seed"] == 2
         assert set(payload) >= {"retract", "extension", "hull", "kuratowski"}
+
+
+class TestOneParser:
+    def test_reused_parser_answers_like_a_fresh_process(self, capsys, tmp_path):
+        """The parser is built once per process; invalid commands, then valid
+        ones, through that one parser give a fresh process's exit code,
+        stdout and stderr."""
+        metric = dump(tmp_path, "m.json", [[0.0, 2.0, 2.0], [2.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
+        commands = [
+            ["hull", "enumerate", "--metric", metric],
+            ["hull", "enumerate", "--metric", metric, "--resolution", "0.5"],
+            ["bogus"],
+            ["verify", "metric", "--matrix", metric, "--tol", "x"],
+            ["verify", "metric", "--matrix", metric],
+        ]
+        assert cli._build_parser() is cli._build_parser()
+        for argv in commands:
+            code = main(argv)
+            got = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "hyperlip", *argv],
+                                   capture_output=True, text=True)
+            assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)

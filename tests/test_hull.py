@@ -1,5 +1,6 @@
 """Tests for admissible/extremal functions and the grid enumeration."""
 
+import itertools
 import math
 import os
 
@@ -189,9 +190,20 @@ class TestAttach:
         assert seen == {"not admissible", "not 1-Lipschitz", "attach distance"}
 
 
+def _table(V, shape, start, stop):
+    """Grid candidates with flat indices [start, stop) as an ``(m, N)`` table."""
+    return V[np.asarray(np.unravel_index(np.arange(start, stop), shape))]
+
+
+def _grid(X, resolution):
+    count = int(np.floor(X.matrix.max() / resolution + 1e-9)) + 1
+    return count, np.array([j * resolution for j in range(count)])
+
+
 def _reference_scan(D, V, shape, start, stop, tol):
     """The extremality scan over an ``(N, m)`` row table that the column scan
-    replaced, kept as the reference for its found list."""
+    replaced, kept as the reference for its found list; over the whole grid
+    it is the full-grid scan the window scan replaced."""
     idx = np.unravel_index(np.arange(start, stop), shape)
     F = np.column_stack([V[ix] for ix in idx])
     m = D.shape[0]
@@ -235,16 +247,17 @@ class TestEnumeration:
         assert (0.0, 1.0) in found
 
     def test_workers_give_the_same_answer(self, monkeypatch):
-        # three CPUs split the 41^3 candidates into three blocks
+        # a smaller budget splits the 41^2 prefixes into several blocks
+        monkeypatch.setattr(hull, "_ROWS_IN_FLIGHT", 5000)
         monkeypatch.setattr(hull, "_cpus", lambda: 3)
         X = _tripod()
-        V = np.array([j * 0.05 for j in range(41)])
-        whole = hull._scan_block(X.matrix, V, (41,) * 3, 0, 41 ** 3, 0.025)
+        count, V = _grid(X, 0.05)
+        whole = _reference_scan(X.matrix, V, (count,) * 3, 0, count ** 3, 0.025)
         rows = {tuple(float(v) for v in X.row(x)) for x in range(3)}
         assert enumerate_extremal_grid(X, 0.05) == sorted(set(whole) | rows)
 
     def test_pool_size_and_rows_in_flight(self, monkeypatch):
-        asked, sizes = [], []
+        asked, prefixes, held = [], [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -259,23 +272,32 @@ class TestEnumeration:
             def map(self, fn, items):
                 return map(fn, items)
 
-        scan = hull._scan_block
+        scan, extremal = hull._scan_block, hull._extremal
 
-        def recording_scan(D, V, shape, start, stop, tol):
-            sizes.append(stop - start)
-            return scan(D, V, shape, start, stop, tol)
+        def recording_scan(D, V, start, stop, tol, resolution):
+            prefixes.append(stop - start)
+            return scan(D, V, start, stop, tol, resolution)
+
+        def recording_extremal(D, C, tol):
+            held.append(C.shape[1])
+            return extremal(D, C, tol)
 
         want = enumerate_extremal_grid(_tripod(), 0.05)
         monkeypatch.setattr(hull, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(hull, "_scan_block", recording_scan)
-        for cpus in (1, 2, 3, 64):
+        monkeypatch.setattr(hull, "_extremal", recording_extremal)
+        for budget, cpus in itertools.product((100_000, 700), (1, 2, 3, 64)):
+            monkeypatch.setattr(hull, "_ROWS_IN_FLIGHT", budget)
             asked.clear()
-            sizes.clear()
+            prefixes.clear()
+            held.clear()
             monkeypatch.setattr(hull, "_cpus", lambda: cpus)
             assert enumerate_extremal_grid(_tripod(), 0.05) == want
-            assert sum(sizes) == 41 ** 3
-            assert asked == [min(cpus, len(sizes))]
-            assert asked[0] * max(sizes) <= hull._ROWS_IN_FLIGHT
+            assert sum(prefixes) == 41 ** 2
+            assert asked == [min(cpus, len(prefixes))]
+            assert asked[0] * max(held) <= hull._ROWS_IN_FLIGHT
+            # the windows hold far fewer candidates than the grid
+            assert sum(held) < 41 ** 3 / 10
 
     def test_cpu_count_follows_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -289,10 +311,9 @@ class TestEnumeration:
     def test_one_row_checks_match_the_scan(self, rng):
         for m, res in ((2, 0.25), (3, 0.25), (4, 0.5)):
             X = random_metric(rng, m)
-            count = int(np.floor(X.matrix.max() / res + 1e-9)) + 1
-            V = np.array([j * res for j in range(count)])
+            count, V = _grid(X, res)
             tol = res / 2.0
-            found = set(hull._scan_block(X.matrix, V, (count,) * m, 0, count ** m, tol))
+            found = set(hull._extremal(X.matrix, _table(V, (count,) * m, 0, count ** m), tol))
             for ix in np.ndindex(*(count,) * m):
                 f = tuple(float(V[k]) for k in ix)
                 extremal = in_delta(X, f, tol) and is_extremal(X, f, tol)
@@ -313,9 +334,33 @@ class TestEnumeration:
                 start = int(rng.integers(total // 2))
                 for tol in (0.0, 0.1, 0.3):
                     want = _reference_scan(X.matrix, V, shape, start, total, tol)
-                    got = hull._scan_block(X.matrix, V, shape, start, total, tol)
+                    got = hull._extremal(X.matrix, _table(V, shape, start, total), tol)
                     assert got == want
                     assert all(type(v) is float for f in got for v in f)
+
+    def test_window_scan_matches_the_full_grid_scan(self):
+        """The window scan finds the full-grid scan's candidates, in the same
+        order, on 200 seeded spaces of 1 to 5 points whose diameter is not a
+        whole number of steps; the enumeration's list is then the same."""
+        rng = np.random.default_rng(11)
+        for t in range(200):
+            m = t % 5 + 1
+            D = rng.uniform(0.2, 2.0, (m, m))
+            D = (D + D.T) / 2.0
+            np.fill_diagonal(D, 0.0)
+            for k in range(m):
+                D = np.minimum(D, D[:, k, None] + D[None, k, :])
+            X = FiniteMetricSpace(D)
+            steps = {1: 1, 2: 40, 3: 16, 4: 9, 5: 6}[m] + rng.uniform(0.1, 0.9)
+            res = max(float(D.max()), 1.0) / steps
+            count, V = _grid(X, res)
+            shape = (count,) * m
+            tol = res / 2.0
+            want = _reference_scan(D, V, shape, 0, count ** m, tol)
+            assert hull._scan_block(D, V, 0, count ** (m - 1), tol, res) == want
+            rows = {tuple(min(max(float(round(v / res) * res), 0.0), float(V[-1]))
+                          for v in X.row(x)) for x in range(m)}
+            assert enumerate_extremal_grid(X, res) == sorted(set(want) | rows)
 
     def test_size_limits(self, rng):
         X = random_metric(rng, 6)

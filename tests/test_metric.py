@@ -316,6 +316,47 @@ class TestFiniteMetricSpace:
         with pytest.raises(ValueError, match=r"separation at \(4, 17\)"):
             FiniteMetricSpace.from_points(P)
 
+    @staticmethod
+    def _reference(P):
+        """The sup-norm matrix of ``P`` built as one ``(m, m, n)`` array, and
+        the tolerance ``from_points`` holds it to."""
+        P = np.asarray(P, dtype=float)
+        with np.errstate(over="ignore"):
+            M = np.abs(P[:, None, :] - P[None, :, :]).max(axis=2)
+        return M, 1e-12 + 4.0 * np.finfo(float).eps * float(np.abs(P).max())
+
+    def test_from_points_passes_the_full_audit(self):
+        """The axioms ``from_points`` leaves unchecked hold: the full audit of
+        each matrix at its own tolerance is empty, at scales 1 to 1e300."""
+        rng = np.random.default_rng(44)
+        for scale in (1.0, 1e4, 1e8, 1e100, 1e300):
+            for _ in range(8):
+                m, n = int(rng.integers(1, 50)), int(rng.integers(1, 5))
+                # rows of magnitudes down to 1e-6 of the scale
+                P = rng.uniform(-scale, scale, (m, n)) * 10.0 ** -rng.uniform(0, 6, (m, 1))
+                X = FiniteMetricSpace.from_points(P)
+                M, tol = self._reference(P)
+                assert X.matrix.tobytes() == M.tobytes()
+                assert check_metric_axioms(X.matrix, tol).ok
+
+    @pytest.mark.parametrize("points", [
+        [(0.0, 1.0), (2.0, 3.0), (0.0, 1.0), (2.0, 3.0 + 1e-13)],
+        [(1e308,), (-1e308,)],
+        [(1e308, 0.0), (5.0, 1.0), (-1e308, 1.0), (5.0, 1.0)],
+    ])
+    def test_from_points_refusals_carry_the_full_audit_text(self, points):
+        M, tol = self._reference(points)
+        with pytest.raises(ValueError) as err:
+            FiniteMetricSpace.from_points(points)
+        assert str(err.value) == str(check_metric_axioms(M, tol))
+
+    def test_from_points_overflow_is_refused_without_a_warning(self):
+        """Coordinates farther apart than the float range give an infinite
+        distance: a plain input error, with no numpy overflow warning (which
+        the suite turns into an error)."""
+        with pytest.raises(ValueError, match=r"finite at \(0, 1\)"):
+            FiniteMetricSpace.from_points([(1e308,), (-1e308,)])
+
     def test_matrices_keep_the_absolute_tolerance(self):
         D = np.array([[0.0, 1.0, 2.0 + 1e-11], [1.0, 0.0, 1.0], [2.0 + 1e-11, 1.0, 0.0]])
         with pytest.raises(ValueError, match="triangle"):
