@@ -38,10 +38,14 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+# ``_compile`` and ``eval_grid`` are no longer called here (the engines and
+# ``violation*`` read paired evaluators), but bench/tracing.py patches these
+# bindings.
 from .lipfun import (
     Const,
     Infinite,
@@ -49,7 +53,8 @@ from .lipfun import (
     Max,
     Min,
     _compile,
-    _compile_grid,
+    _compile_grid_pair,
+    _compile_pair,
     bounds_of,
     domain_dim,
     eval_grid,
@@ -121,6 +126,12 @@ class BoxLipschitzSet:
     is a property of function values and is checked lazily: querying
     :func:`violation` at a point where they cross raises
     :class:`InconsistentBoundsError`.
+
+    The set holds its compiled bounds: :attr:`_pairs` has one scalar
+    evaluator per axis, which returns ``(lower_i, upper_i)`` at a hat point,
+    built on first use and kept for the set's lifetime.  A missing bound
+    evaluates to ``-inf`` (lower) or ``+inf`` (upper).  The batch
+    evaluators (:func:`_grid_pairs`) are built per call.
     """
 
     def __init__(self, lower: Sequence[LipExpr], upper: Sequence[LipExpr]):
@@ -163,6 +174,11 @@ class BoxLipschitzSet:
     def lip_bound(self) -> float:
         """Maximal Lipschitz constant over all finite bounds (0 if none)."""
         return self._lam
+
+    @cached_property
+    def _pairs(self) -> tuple:
+        """Per axis, ``y -> (lower_i(y), upper_i(y))`` at a hat point ``y``."""
+        return tuple(_compile_pair(lo, up) for lo, up in zip(self._lower, self._upper))
 
     @property
     def all_finite(self) -> bool:
@@ -265,10 +281,13 @@ def detect_noncontraction(trace: IterationTrace) -> str:
 # membership
 
 
-def _pair_evaluators(Q, compile_):
-    """Evaluators of the bounds built by ``compile_``; a missing bound
-    evaluates to ``-inf`` (lower) or ``+inf`` (upper)."""
-    return [compile_(b) for b in Q.lower], [compile_(b) for b in Q.upper]
+def _grid_pairs(Q) -> list:
+    """Per axis, ``YT -> (lower values, upper values)`` at the hat points
+    held as the columns of ``YT``.  Built per call rather than kept on the
+    set like :attr:`BoxLipschitzSet._pairs`: kept, the small row arrays of
+    every set a batch workload touches stay allocated between the engine's
+    large temporaries, which raised the benchmark's peak RSS by ~1 MB."""
+    return [_compile_grid_pair(lo, up) for lo, up in zip(Q.lower, Q.upper)]
 
 
 def _crossed(i, point, lo, up) -> InconsistentBoundsError:
@@ -296,11 +315,9 @@ def violation(Q: BoxLipschitzSet, x) -> float:
     x = as_point(x)
     if len(x) != Q.n:
         raise ValueError(f"point of dimension {len(x)} in a set of dimension {Q.n}")
-    lower, upper = _pair_evaluators(Q, _compile)
     worst = 0.0
-    for i in range(Q.n):
-        xh = hat(x, i)
-        lo, up = lower[i](xh), upper[i](xh)
+    for i, pair in enumerate(Q._pairs):
+        lo, up = pair(hat(x, i))
         if lo > up:
             raise _crossed(i, x, lo, up)
         worst = max(worst, lo - x[i], x[i] - up)
@@ -310,10 +327,10 @@ def violation(Q: BoxLipschitzSet, x) -> float:
 def violation_many(Q: BoxLipschitzSet, X) -> np.ndarray:
     """Vectorized :func:`violation` over the rows of ``X``."""
     X = _rows(Q, X)
+    XT = np.ascontiguousarray(X.T)
     worst = np.zeros(X.shape[0])
-    for i in range(Q.n):
-        H = np.delete(X, i, axis=1)
-        lo, up = eval_grid(Q.lower[i], H), eval_grid(Q.upper[i], H)
+    for i, pair in enumerate(_grid_pairs(Q)):
+        lo, up = pair(np.delete(XT, i, axis=0))
         crossed = lo > up
         if crossed.any():
             j = int(np.argmax(crossed))
@@ -335,13 +352,12 @@ def _scalar_sweeps(Q, x, threshold, max_sweeps, fixed_steps=None):
     ``fixed_steps`` single steps with no stopping rule.
     """
     n = Q.n
-    lower, upper = _pair_evaluators(Q, _compile)
+    pairs = Q._pairs
     pos = list(x)
     disp = []
 
     def step(i):
-        xh = pos[:i] + pos[i + 1:]
-        lo, up = lower[i](xh), upper[i](xh)
+        lo, up = pairs[i](pos[:i] + pos[i + 1:])
         if lo > up:
             raise _crossed(i, pos, lo, up)
         c = pos[i]
@@ -373,14 +389,14 @@ def _scalar_sweeps(Q, x, threshold, max_sweeps, fixed_steps=None):
 def _batch_sweeps(Q, X, threshold, max_sweeps, record):
     """Batch twin of :func:`_scalar_sweeps` on one shared sweep schedule.
 
-    Every bound is compiled once per call, and the rows are held as the
-    columns of a transposed copy of ``X`` so that each projection step reads
-    its hat points with one precomputed column-index list.  A row whose full
-    sweep moved it by exactly 0.0 leaves the active set and is never
-    evaluated again: every step of that sweep saw the row's current point
-    and left it in place, so a later sweep sees the same inputs at every
-    step and moves it by 0.0 again.  The output therefore equals that of
-    running every row through every sweep, and the whole batch still goes
+    Each step reads its axis's paired evaluator, compiled once per call, and
+    the rows are held as the columns of a transposed copy of ``X`` so that
+    each step reads its hat points with one precomputed column-index list.
+    A row whose full sweep moved it by exactly 0.0 leaves the active set and
+    is never evaluated again: every step of that sweep saw the row's current
+    point and left it in place, so a later sweep sees the same inputs at
+    every step and moves it by 0.0 again.  The output therefore equals that
+    of running every row through every sweep, and the whole batch still goes
     through one shared composition of projection steps.
 
     Stops after the first full sweep whose largest displacement over the
@@ -389,7 +405,7 @@ def _batch_sweeps(Q, X, threshold, max_sweeps, record):
     rows per step, with 0.0 for frozen rows; otherwise it is ``None``.
     """
     n = Q.n
-    lower, upper = _pair_evaluators(Q, _compile_grid)
+    pairs = _grid_pairs(Q)
     others = [[j for j in range(n) if j != i] for i in range(n)]
     out = np.array(X, dtype=float)
     XT = out.T.copy()                   # active rows as columns
@@ -399,8 +415,7 @@ def _batch_sweeps(Q, X, threshold, max_sweeps, record):
         worst = 0.0
         moved = np.zeros(len(rows), dtype=bool)
         for i in range(n):
-            H = XT[others[i]]
-            lo, up = lower[i](H), upper[i](H)
+            lo, up = pairs[i](XT[others[i]])
             crossed = lo > up
             if crossed.any():
                 j = int(np.argmax(crossed))
@@ -604,7 +619,7 @@ def _auto_box(Q, X):
     rows of points): the cube of half-width ``2 (1 + max |x_ij| + s)``, ``s``
     the largest bound magnitude at the hat origin."""
     zero_hat = (0.0,) * (Q.n - 1)
-    scale = max(0.0, *(abs(_compile(b)(zero_hat)) for b in Q.lower + Q.upper))
+    scale = max(0.0, *(abs(v) for pair in Q._pairs for v in pair(zero_hat)))
     R = 2.0 * (1.0 + float(np.abs(np.asarray(X, dtype=float)).max(initial=0.0)) + scale)
     return [(-R, R)] * Q.n
 

@@ -38,6 +38,18 @@ those of evaluating the grammar node by node, bit for bit.  That is why a
 family with more than one row is not merged into its parent: numpy's 1-D
 min/max over more than 8 values does not choose between ``0.0`` and ``-0.0``
 by position.
+
+A set's axis reads its two bounds at the same hat point, so the pair
+``(lower_i, upper_i)`` lowers as one unit (:func:`_compile_pair`,
+:func:`_compile_grid_pair`), whose evaluator returns ``(lo, up)``.  When
+each side is a cone family under zero or more blends and the two families
+have equal centres, as the lower and upper envelopes of one set of samples
+and their shrunken blends do, one kernel takes the distances ``max_k |c_k -
+y_k|`` once and each family reduces them with its own slope, offsets,
+aggregate and blends.  Every value keeps its own float expression, so it
+has the bits of evaluating its side alone.  Any other pair evaluates its
+two sides apart.  A single family is the one-family case of the same
+kernel.
 """
 
 from __future__ import annotations
@@ -281,52 +293,12 @@ class _Cones(NamedTuple):
     rows: tuple
 
     def closure(self):
-        if len(self.rows) == 1:
-            # one cone, the common bound: no row loop and no aggregate
-            (c, off), = self.rows
-
-            def cone(y, c=c, off=off, slope=self.slope):
-                best = 0.0
-                for a, b in zip(c, y):
-                    d = abs(a - b)
-                    if d > best:
-                        best = d
-                return slope * best + off
-            return cone
-
-        def cones(y, rows=self.rows, agg=self.agg, slope=self.slope):
-            vals = []
-            for c, off in rows:
-                best = 0.0
-                for a, b in zip(c, y):
-                    d = abs(a - b)
-                    if d > best:
-                        best = d
-                vals.append(slope * best + off)
-            return agg(vals)
-        return cones
+        kernel = _cones_closure(((self, ()),))
+        return lambda y: kernel(y)[0]
 
     def grid(self):
-        slope, ufunc = self.slope, _UFUNC[self.agg]
-        C = np.asarray([c for c, _ in self.rows]).T[:, :, None]       # (dim, R, 1)
-        off = np.asarray([o for _, o in self.rows])[:, None]          # (R, 1)
-        # columns per block, so the (dim, R, block) table stays within
-        # _GRID_BLOCK_BYTES however many points one call passes
-        block = max(1, _GRID_BLOCK_BYTES // (8 * C.shape[0] * C.shape[1]))
-
-        def table(YT):
-            D = YT[:, None, :] - C
-            V = np.abs(D, out=D).max(axis=0)
-            V *= slope
-            V += off
-            return ufunc.reduce(V)
-
-        def cones(YT):
-            if YT.shape[1] <= block:
-                return table(YT)
-            return np.concatenate([table(YT[:, s:s + block])
-                                   for s in range(0, YT.shape[1], block)])
-        return cones
+        kernel = _cones_grid(((self, ()),))
+        return lambda YT: kernel(YT)[0]
 
     def interval(self, box):
         los, his = [], []
@@ -338,6 +310,83 @@ class _Cones(NamedTuple):
             los.append(a)
             his.append(b)
         return self.agg(los), self.agg(his)
+
+
+def _heads(families):
+    """Per ``(family, blends)``: its aggregate, slope, offsets and blends."""
+    return [(k.agg, k.slope, [off for _, off in k.rows], blends) for k, blends in families]
+
+
+def _centres(family):
+    return [c for c, _ in family.rows]
+
+
+def _cones_closure(families):
+    """Scalar kernel of cone families with equal centres, each under its
+    blends ``(factor, anchor)``, innermost first: ``y -> [value of each]``.
+    Each centre's distance ``max_k |c_k - y_k|`` is taken once; each family
+    reduces its own ``slope * best + offset`` over the rows, then applies
+    its blends."""
+    centres = _centres(families[0][0])
+    heads = _heads(families)
+    one = len(centres) == 1
+
+    def cones(y):
+        bests = []
+        for c in centres:
+            best = 0.0
+            for a, b in zip(c, y):
+                d = abs(a - b)
+                if d > best:
+                    best = d
+            bests.append(best)
+        out = []
+        for agg, slope, offs, blends in heads:
+            if one:         # agg of one value is that value
+                v = slope * bests[0] + offs[0]
+            else:
+                v = agg([slope * best + off for best, off in zip(bests, offs)])
+            for fac, anchor in blends:
+                v = fac * (v - anchor) + anchor
+            out.append(v)
+        return out
+    return cones
+
+
+def _cones_grid(families):
+    """Batch kernel of :func:`_cones_closure`, points as the columns of
+    ``YT``.  It runs over blocks of columns whose ``(dim, R, block)``
+    difference table stays within ``_GRID_BLOCK_BYTES``.  A block releases
+    that table once its ``(R, block)`` distances are taken; each family but
+    the last scales a copy of them, the last scales them in place, and each
+    reduces into its slice of the output.  So a block holds the difference
+    table and the distances, or the distances and one copy, never all
+    three."""
+    C = np.asarray(_centres(families[0][0])).T[:, :, None]      # (dim, R, 1)
+    heads = [(slope, np.asarray(offs)[:, None], _UFUNC[agg], blends)
+             for agg, slope, offs, blends in _heads(families)]
+    block = max(1, _GRID_BLOCK_BYTES // (8 * C.shape[0] * C.shape[1]))
+    last = len(heads) - 1
+
+    def table(YT, out):
+        D = YT[:, None, :] - C
+        best = np.abs(D, out=D).max(axis=0)
+        del D
+        for j, (slope, off, ufunc, blends) in enumerate(heads):
+            V = best * slope if j < last else np.multiply(best, slope, out=best)
+            V += off
+            v = ufunc.reduce(V, axis=0, out=out[j])
+            for fac, anchor in blends:          # fac * (v - anchor) + anchor
+                v -= anchor
+                v *= fac
+                v += anchor
+
+    def cones(YT):
+        out = [np.empty(YT.shape[1]) for _ in heads]
+        for s in range(0, YT.shape[1], block):
+            table(YT[:, s:s + block], [v[s:s + block] for v in out])
+        return out
+    return cones
 
 
 class _Node(NamedTuple):
@@ -404,6 +453,29 @@ def _lower(f: LipExpr):
     raise TypeError(f"not a LipExpr: {f!r}")
 
 
+def _family(k):
+    """``(family, blends)`` when the lowered ``k`` is a cone family under
+    zero or more blends, as ``(factor, anchor)`` innermost first; else
+    ``None``."""
+    blends = ()
+    while isinstance(k, _Blend):
+        blends = ((k.factor, k.anchor),) + blends
+        k = k.inner
+    return (k, blends) if isinstance(k, _Cones) else None
+
+
+def _paired(lower, upper, kernel, build):
+    """One evaluator ``y -> (lo, up)`` of an axis's lowered bounds: ``kernel``
+    over both families when they share centres, else each side's ``build``."""
+    sides = _family(lower), _family(upper)
+    if None in sides or _centres(sides[0][0]) != _centres(sides[1][0]):
+        f, g = build(lower), build(upper)
+        return lambda y: (f(y), g(y))
+    # equal centres give equal distances bit for bit, 0.0 against -0.0 too,
+    # since |a - b| drops the sign of a zero difference
+    return kernel(sides)
+
+
 def _compile(f: LipExpr) -> Callable:
     """Build a plain-Python evaluator closure (hot path of the scalar engine)."""
     return _lower(f).closure()
@@ -417,11 +489,23 @@ def _compile_grid(f: LipExpr) -> Callable:
     :func:`_compile` in the same order, so the two agree bit for bit.  Every
     reduction runs over the leading axis, one elementwise step per contiguous
     row of ``N`` values.  A family's row arrays are built once, with the
-    evaluator, and its ``(dim, R, N)`` distance table is cut into blocks of
+    evaluator, and its ``(dim, R, N)`` difference table is cut into blocks of
     columns of at most ``_GRID_BLOCK_BYTES``, so a large grid costs no more
     scratch than one block.
     """
     return _lower(f).grid()
+
+
+def _compile_pair(lower: LipExpr, upper: LipExpr) -> Callable:
+    """Scalar evaluator ``y -> (lower(y), upper(y))`` of one axis's bounds,
+    equal to :func:`_compile` of each side bit for bit."""
+    return _paired(_lower(lower), _lower(upper), _cones_closure, lambda k: k.closure())
+
+
+def _compile_grid_pair(lower: LipExpr, upper: LipExpr) -> Callable:
+    """Batch evaluator ``YT -> (lower values, upper values)`` of one axis's
+    bounds, equal to :func:`_compile_grid` of each side bit for bit."""
+    return _paired(_lower(lower), _lower(upper), _cones_grid, lambda k: k.grid())
 
 
 def eval_grid(f: LipExpr, Y: np.ndarray) -> np.ndarray:

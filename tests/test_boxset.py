@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperlip import boxset
+from hyperlip import boxset, lipfun
 from hyperlip.boxset import (
     BoxLipschitzSet,
     DivergenceDetectedError,
@@ -45,7 +45,7 @@ from hyperlip.instances import (
     sample_members,
     vee_notch_instance,
 )
-from hyperlip.lipfun import Const, DistCone, Infinite, eval_grid
+from hyperlip.lipfun import Const, DistCone, Infinite, _compile, _compile_grid, eval_grid
 from hyperlip.metric import sup_dist
 
 
@@ -162,6 +162,57 @@ class TestViolation:
         Q = box_instance([(0.0, 1.0)])
         with pytest.raises(ValueError):
             violation(Q, (0.0, 0.0))
+
+
+class TestPairedEvaluators:
+    """A set's per-axis evaluators give each bound's own bits: the scalar
+    pairs against ``_compile`` and the batch pairs against ``_compile_grid``
+    of each side, as ``float.hex`` and ``tobytes`` so that signed zeros
+    count, the batch pairs also cut into several blocks."""
+
+    @staticmethod
+    def _sets(n):
+        rng = np.random.default_rng(40 + n)
+        Q = random_mcshane_instance(n, 1.0, rng, samples=6)
+        l, u = enclosure_bounds(Q, [(-3.0, 3.0)] * n)
+        w = sample_members(random_mcshane_instance(n, 0.5, rng), [(0.0,) * n])[0]
+        return {"envelopes": Q,                                  # shared centres
+                "shrunk": shrink_set(Q, 7, l, u),                # shared under blends
+                "truncated": truncated_set(Q, w, 2.0)}           # nodes: apart
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pairs_give_each_bounds_bits(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        X = rng.uniform(-3.0, 3.0, (40, n))
+        X[:5] = np.where(rng.uniform(size=(5, n)) < 0.5, 0.0, -0.0)
+        hexes = lambda values: [float(v).hex() for v in values]
+        for Q in self._sets(n).values():
+            assert Q._pairs is Q._pairs                          # built once
+            XT = np.ascontiguousarray(X.T)
+            # the default, and blocks of 7 of the 40 columns
+            for block_bytes in (lipfun._GRID_BLOCK_BYTES, 8 * (n - 1) * 6 * 7):
+                monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
+                for i, grid in enumerate(boxset._grid_pairs(Q)):
+                    H = np.delete(XT, i, axis=0)
+                    for got, bound in zip(grid(H), (Q.lower[i], Q.upper[i])):
+                        assert got.tobytes() == _compile_grid(bound)(H).tobytes()
+            for i, pair in enumerate(Q._pairs):
+                lower, upper = _compile(Q.lower[i]), _compile(Q.upper[i])
+                for x in X:
+                    y = tuple(np.delete(x, i).tolist())
+                    assert hexes(pair(y)) == hexes((lower(y), upper(y)))
+
+    def test_shared_centres_are_found_where_expected(self, monkeypatch):
+        """Each axis of the envelope and shrunk sets builds one scalar kernel
+        over both families; the truncated sets build none."""
+        kernel = lipfun._cones_closure
+        built = []
+        monkeypatch.setattr(lipfun, "_cones_closure",
+                            lambda families: built.append(len(families)) or kernel(families))
+        for name, Q in self._sets(3).items():
+            built.clear()
+            Q._pairs
+            assert built == ([2] * 3 if name != "truncated" else [1] * 6), name
 
 
 class TestCoordRetract:

@@ -36,6 +36,8 @@ from hyperlip.lipfun import (
     verify_lipschitz_on_grid,
     _compile,
     _compile_grid,
+    _compile_grid_pair,
+    _compile_pair,
 )
 from hyperlip.instances import linear_window
 from hyperlip.metric import sup_dist
@@ -313,6 +315,141 @@ def test_family_kernel_scratch_is_capped(monkeypatch):
         tracemalloc.stop()
     assert peak < 3 * lipfun._GRID_BLOCK_BYTES
     assert got.tobytes() == _ref_compile_grid(f)(YT).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# One axis's bounds as one unit: the paired evaluators must give each side's
+# own bits, whether or not the two sides share their distances.
+
+
+def _assert_pair_matches_sides(lower, upper, Y):
+    """``_compile_pair`` and ``_compile_grid_pair`` of ``(lower, upper)``
+    against ``_compile`` and ``_compile_grid`` of each side at the points
+    ``Y``, as float bits; the batch pair also at one column and with its
+    columns cut into blocks of one and of a few, against each side cut
+    alike (a numpy reduction over one column of more than 8 rows may pick
+    another zero than over several, pair or not)."""
+    f, g = _compile(lower), _compile(upper)
+    pair = _compile_pair(lower, upper)
+    assert [_hex(pair(y)) for y in Y] == [_hex((f(y), g(y))) for y in Y]
+    YT = np.ascontiguousarray(np.asarray(Y, dtype=float).reshape(len(Y), -1).T)
+    for block_bytes in (None, 1, 56):
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
+            grid = _compile_grid_pair(lower, upper)
+            want = [_compile_grid(b) for b in (lower, upper)]
+            for cols in (YT, YT[:, :1].copy()):
+                lo, up = grid(cols)
+                assert lo.tobytes() == want[0](cols).tobytes()
+                assert up.tobytes() == want[1](cols).tobytes()
+
+
+def _blended(f, blends):
+    for factor, anchor in blends:
+        f = Blend(f, factor, anchor)
+    return f
+
+
+@st.composite
+def _shared_pairs(draw):
+    """Envelope pairs on one set of sample sites (the pairs that share
+    distances), each side under zero to two blends, with signed zeros."""
+    dim = draw(st.integers(1, 3))
+    point = st.lists(signed, min_size=dim, max_size=dim).map(tuple)
+    sites = draw(st.lists(point, min_size=1, max_size=10))
+    blends = st.lists(st.tuples(unit, signed), max_size=2)
+    sides = []
+    for _ in range(2):
+        vals = draw(st.lists(signed, min_size=len(sites), max_size=len(sites)))
+        env = McShane(tuple(zip(sites, vals)), draw(unit), draw(st.sampled_from(("inf", "sup"))))
+        sides.append(_blended(env, draw(blends)))
+    return dim, sides[0], sides[1]
+
+
+@given(_shared_pairs())
+@settings(max_examples=200, deadline=None)
+# ten rows with a -0.0 among equal 0.0 values: a one-column block reduces
+# them in 1-D and picks another zero than the full table
+@example((1, McShane(((((0.0,), 0.0),) * 8 + (((1.0,), 0.0),) * 2), 0.0, "inf"),
+          McShane(((((0.0,), 0.0),) * 7 + (((0.0,), -0.0),) + (((1.0,), 0.0),) * 2),
+                  1.0, "sup")))
+def test_shared_pairs_give_each_sides_bits(case):
+    dim, lower, upper = case
+    _assert_pair_matches_sides(lower, upper, list(itertools.product(VALUES, repeat=dim)))
+
+
+SITES = ((0.5, -1.25), (2.5, 0.0), (-1.25, -0.0))
+
+
+def _envelopes(sites, lift=1.0, scale=0.75):
+    vals = [0.25, -0.5, 1.0]
+    return (McShane(tuple(zip(sites, vals)), scale, "sup"),
+            McShane(tuple((p, v + lift) for p, v in zip(sites, vals)), scale, "inf"))
+
+
+PAIRS = {
+    "shared envelopes": _envelopes(SITES),
+    "shared under different blends": (shrink(_envelopes(SITES)[0], 0.5, -3.0),
+                                      shrink(shrink(_envelopes(SITES)[1], 0.25, 3.0), 0.5, 1.0)),
+    "blend on one side only": (_envelopes(SITES)[0], shrink(_envelopes(SITES)[1], 0.5, 2.0)),
+    "one centre differs": (_envelopes(SITES)[0],
+                           _envelopes(SITES[:2] + ((-1.25, 0.5),))[1]),
+    "one centre fewer": (_envelopes(SITES)[0], _envelopes(SITES[:2])[1]),
+    "centres 0.0 against -0.0": (_envelopes(((0.0, 0.0), (1.0, -0.0), (-0.0, 2.5)))[0],
+                                 _envelopes(((-0.0, -0.0), (1.0, 0.0), (0.0, 2.5)))[1]),
+    "equal cones": (DistCone((1.0, -1.0), 0.5, 0.5, -1), DistCone((1.0, -1.0), 2.0, 0.25, 1)),
+    "a cone family against a node": (_envelopes(SITES)[0],
+                                     Min(Max(_envelopes(SITES)[1], Const(-1.0)), Const(2.0))),
+    "a constant side": (Const(-0.0), _envelopes(SITES)[1]),
+    "missing lower": (Infinite(-1), _envelopes(SITES)[1]),
+    "missing upper": (_envelopes(SITES)[0], Infinite(1)),
+    "both missing": (Infinite(-1), Infinite(1)),
+}
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_paired_evaluators_give_each_sides_bits(name):
+    lower, upper = PAIRS[name]
+    _assert_pair_matches_sides(lower, upper, list(itertools.product(VALUES + (-2.0,), repeat=2)))
+
+
+def test_zero_dimensional_pairs_give_each_sides_bits():
+    """On the hat space of a one-dimensional set every bound is a constant
+    or a node of constants; the batch pair still sees the number of points."""
+    for lower, upper in [(McShane((((), -0.0), ((), 1.0)), 0.5, "sup"),
+                          McShane((((), 1.0), ((), 2.0)), 0.5, "inf")),
+                         (DistCone((), -0.0, 0.5, 1), Infinite(1)),
+                         (Infinite(-1), shrink(DistCone((), 2.0, 1.0, -1), 0.5, 0.0))]:
+        _assert_pair_matches_sides(lower, upper, [()] * 3)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_paired_kernel_scratch_is_one_block(monkeypatch, dim):
+    """A paired evaluation over 100k points allocates the two outputs and,
+    per block, one (dim, R, block) difference table, released before the
+    (R, block) distances are reduced: the families share one distance
+    table, the last one scaling it in place."""
+    monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", 1 << 20)
+    rng = np.random.default_rng(4)
+    R, N = 16, 100_000
+    sites = [tuple(rng.uniform(-1, 1, dim)) for _ in range(R)]
+    vals = rng.uniform(-1, 1, R)
+    lower = shrink(McShane(tuple(zip(sites, vals)), 0.9, "sup"), 0.5, -2.0)
+    upper = McShane(tuple((p, v + 1.0) for p, v in zip(sites, vals)), 0.9, "inf")
+    YT = rng.uniform(-2, 2, (dim, N))
+    grid = _compile_grid_pair(lower, upper)
+    block = lipfun._GRID_BLOCK_BYTES // (8 * dim * R)
+    tracemalloc.start()
+    try:
+        lo, up = grid(YT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    differences, distances, outputs = 8 * dim * R * block, 8 * R * block, 2 * 8 * N
+    assert peak <= differences + distances + outputs + (64 << 10)
+    assert lo.tobytes() == _compile_grid(lower)(YT).tobytes()
+    assert up.tobytes() == _compile_grid(upper)(YT).tobytes()
 
 
 class TestNodeSemantics:
