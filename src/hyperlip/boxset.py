@@ -43,9 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-# ``_compile`` and ``eval_grid`` are no longer called here (the engines and
-# ``violation*`` read paired evaluators), but bench/tracing.py patches these
-# bindings.
+# ``_compile`` is no longer called here (the engines and ``violation`` read
+# paired evaluators), but bench/tracing.py patches this binding.
 from .lipfun import (
     Const,
     Infinite,
@@ -327,10 +326,10 @@ def violation(Q: BoxLipschitzSet, x) -> float:
 def violation_many(Q: BoxLipschitzSet, X) -> np.ndarray:
     """Vectorized :func:`violation` over the rows of ``X``."""
     X = _rows(Q, X)
-    XT = np.ascontiguousarray(X.T)
     worst = np.zeros(X.shape[0])
-    for i, pair in enumerate(_grid_pairs(Q)):
-        lo, up = pair(np.delete(XT, i, axis=0))
+    for i in range(Q.n):
+        H = np.delete(X, i, axis=1)
+        lo, up = eval_grid(Q.lower[i], H), eval_grid(Q.upper[i], H)
         crossed = lo > up
         if crossed.any():
             j = int(np.argmax(crossed))
