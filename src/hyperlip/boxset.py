@@ -461,6 +461,21 @@ def cyclic_iterate(Q: BoxLipschitzSet, x, steps: int) -> IterationTrace:
     return IterationTrace(Q.n, x, tuple(disp), tuple(pos))
 
 
+def _threshold(Q, tol, max_sweeps):
+    """The sweep stopping bound ``tol * (1 - lip_bound)`` of a cyclic
+    retraction, after refusing a level of 1 or more, a ``tol`` that is not
+    positive and a sweep budget below 1."""
+    lam = Q.lip_bound
+    if lam >= 1.0:
+        raise UnsupportedSetError(
+            f"cyclic retraction requires Lipschitz level < 1, set has {lam:g}")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
+    return tol * (1.0 - lam)
+
+
 def cyclic_retract(Q: BoxLipschitzSet, x, tol: float = 1e-6,
                    max_sweeps: int = 100_000):
     """Retract ``x`` onto a set of Lipschitz level strictly below 1.
@@ -475,13 +490,7 @@ def cyclic_retract(Q: BoxLipschitzSet, x, tol: float = 1e-6,
     x = as_point(x)
     if len(x) != Q.n:
         raise ValueError(f"point of dimension {len(x)} in a set of dimension {Q.n}")
-    lam = Q.lip_bound
-    if lam >= 1.0:
-        raise UnsupportedSetError(
-            f"cyclic retraction requires Lipschitz level < 1, set has {lam:g}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    threshold = tol * (1.0 - lam)
+    threshold = _threshold(Q, tol, max_sweeps)
     pos, disp = _scalar_sweeps(Q, x, threshold, max_sweeps)
     return tuple(pos), IterationTrace(Q.n, x, tuple(disp), tuple(pos))
 
@@ -496,13 +505,7 @@ def cyclic_retract_many(Q: BoxLipschitzSet, X, tol: float = 1e-6,
     projection steps, hence 1-Lipschitz across the whole batch.
     """
     X = _rows(Q, X)
-    lam = Q.lip_bound
-    if lam >= 1.0:
-        raise UnsupportedSetError(
-            f"cyclic retraction requires Lipschitz level < 1, set has {lam:g}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    threshold = tol * (1.0 - lam)
+    threshold = _threshold(Q, tol, max_sweeps)
     final, disp = _batch_sweeps(Q, X, threshold, max_sweeps, record)
     traces = None
     if record:

@@ -16,8 +16,6 @@ polyhedral structure.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,7 +32,7 @@ __all__ = [
 ]
 
 GRID_CANDIDATE_CAP = 10 ** 8
-# candidates held in memory at once across all scan threads
+# candidates held in memory at once
 _ROWS_IN_FLIGHT = 100_000
 
 
@@ -213,14 +211,6 @@ def _scan_block(D, V, start, stop, tol, resolution):
     return _extremal(D, C, tol)
 
 
-def _cpus() -> int:
-    """CPUs this process may run on (so ``taskset`` limits the scan)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float) -> list:
     """All grid points of ``[0, diam]^|X|`` passing the extremality test.
 
@@ -236,12 +226,11 @@ def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float) -> list:
     and gives each remaining one the window of last values that
     admissibility and minimality allow, one step wider on each side.  Every
     candidate outside the windows fails the test, so the found list is that
-    of the full grid scan.  The scan runs on one thread per CPU the process
-    may run on, in blocks of prefixes sized so that at most 100 000
-    candidates are held at once.
+    of the full grid scan.  The scan runs in one thread, over blocks of
+    prefixes sized so that at most 100 000 candidates are held at once.
     """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
     m = X.size
     if m > 5:
         raise ValueError(f"grid enumeration supports at most 5 points, got {m}")
@@ -257,17 +246,14 @@ def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float) -> list:
     V = np.array([j * resolution for j in range(count)])
     tol = resolution / 2.0
     total = count ** (m - 1)
-    cpus = _cpus()
     # a window [floor(b) - 1, ceil(a) + 1] with a - b = 2 tol / resolution,
     # up to rounding, holds at most ceil(a - b) + 4 <= int(2 tol / resolution)
     # + 5 grid values
     span = min(count, int(2.0 * tol / resolution) + 5)
-    block = _ROWS_IN_FLIGHT // cpus // span
-    ranges = [(s, min(s + block, total)) for s in range(0, total, block)]
-    with ThreadPoolExecutor(max_workers=min(cpus, len(ranges))) as pool:
-        parts = list(pool.map(
-            lambda r: _scan_block(D, V, r[0], r[1], tol, resolution), ranges))
-    found = {pt for part in parts for pt in part}
+    block = _ROWS_IN_FLIGHT // span
+    found = set()
+    for start in range(0, total, block):
+        found.update(_scan_block(D, V, start, min(start + block, total), tol, resolution))
     top = float(V[-1])
     for x in range(m):
         snapped = tuple(min(max(float(round(v / resolution) * resolution), 0.0), top)

@@ -305,6 +305,14 @@ class TestCyclicRetract:
         with pytest.raises(ValueError, match="tol"):
             cyclic_retract_many(Q, np.array([[3.0, -2.0]]), math.nan)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_sweep_budget_below_one_is_refused(self, budget):
+        Q = half_rate_instance()
+        with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
+            cyclic_retract(Q, (3.0, -2.0), 1e-6, budget)
+        with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
+            cyclic_retract_many(Q, np.array([[3.0, -2.0]]), 1e-6, budget)
+
     def test_non_finite_rows_are_refused(self):
         # a NaN row would make every sweep maximum NaN and stop the batch
         # after one sweep with the other rows far outside the set

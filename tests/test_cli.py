@@ -85,6 +85,25 @@ class TestRetract:
                                    dump(tmp_path, "x.json", [0.0, -3.0]), "--tol", "nan"])
         assert "tol" in err["error"]
 
+    @pytest.mark.parametrize("make", [half_rate_instance, vee_notch_instance])
+    @pytest.mark.parametrize("budget", ["-3", "-1"])
+    def test_negative_sweep_budget_is_an_input_error(self, capsys, set_file, tmp_path,
+                                                     make, budget):
+        path = set_file(make())
+        err = input_error(capsys, ["retract", "--set", path, "--point",
+                                   dump(tmp_path, "x.json", [0.0, -3.0]),
+                                   "--max-sweeps", budget])
+        assert f"max_sweeps must be at least 1, got {budget}" in err["error"]
+
+    def test_zero_sweep_budget_means_the_default(self, capsys, set_file, tmp_path):
+        path = set_file(half_rate_instance())
+        x = dump(tmp_path, "x.json", [3.0, -2.0])
+        _, want, _ = run(capsys, ["retract", "--set", path, "--point", x])
+        code, out, _ = run(capsys, ["retract", "--set", path, "--point", x,
+                                    "--max-sweeps", "0"])
+        assert code == 0
+        assert out == want
+
     def test_tolerance_below_the_shrink_factor_is_an_input_error(
             self, capsys, set_file, tmp_path):
         path = set_file(vee_notch_instance())
@@ -285,6 +304,12 @@ class TestHull:
         err = input_error(capsys, ["hull", "enumerate", "--metric", metric,
                                    "--resolution", "1e-320"])
         assert "overflows" in err["error"]
+
+    def test_infinite_resolution_is_an_input_error(self, capsys, tmp_path):
+        metric = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])
+        err = input_error(capsys, ["hull", "enumerate", "--metric", metric,
+                                   "--resolution", "inf"])
+        assert "resolution must be finite and positive" in err["error"]
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_metric_is_an_input_error(self, capsys, tmp_path):

@@ -1,8 +1,9 @@
 """Tests for admissible/extremal functions and the grid enumeration."""
 
-import itertools
 import math
-import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -246,32 +247,17 @@ class TestEnumeration:
         found = enumerate_extremal_grid(X, 0.25)
         assert (0.0, 1.0) in found
 
-    def test_workers_give_the_same_answer(self, monkeypatch):
+    def test_blocks_give_the_same_answer(self, monkeypatch):
         # a smaller budget splits the 41^2 prefixes into several blocks
         monkeypatch.setattr(hull, "_ROWS_IN_FLIGHT", 5000)
-        monkeypatch.setattr(hull, "_cpus", lambda: 3)
         X = _tripod()
         count, V = _grid(X, 0.05)
         whole = _reference_scan(X.matrix, V, (count,) * 3, 0, count ** 3, 0.025)
         rows = {tuple(float(v) for v in X.row(x)) for x in range(3)}
         assert enumerate_extremal_grid(X, 0.05) == sorted(set(whole) | rows)
 
-    def test_pool_size_and_rows_in_flight(self, monkeypatch):
-        asked, prefixes, held = [], [], []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+    def test_block_size_and_rows_in_flight(self, monkeypatch):
+        prefixes, held = [], []
         scan, extremal = hull._scan_block, hull._extremal
 
         def recording_scan(D, V, start, stop, tol, resolution):
@@ -283,30 +269,38 @@ class TestEnumeration:
             return extremal(D, C, tol)
 
         want = enumerate_extremal_grid(_tripod(), 0.05)
-        monkeypatch.setattr(hull, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(hull, "_scan_block", recording_scan)
         monkeypatch.setattr(hull, "_extremal", recording_extremal)
-        for budget, cpus in itertools.product((100_000, 700), (1, 2, 3, 64)):
+        for budget in (100_000, 700):
             monkeypatch.setattr(hull, "_ROWS_IN_FLIGHT", budget)
-            asked.clear()
             prefixes.clear()
             held.clear()
-            monkeypatch.setattr(hull, "_cpus", lambda: cpus)
             assert enumerate_extremal_grid(_tripod(), 0.05) == want
             assert sum(prefixes) == 41 ** 2
-            assert asked == [min(cpus, len(prefixes))]
-            assert asked[0] * max(held) <= hull._ROWS_IN_FLIGHT
+            assert max(held) <= hull._ROWS_IN_FLIGHT
             # the windows hold far fewer candidates than the grid
             assert sum(held) < 41 ** 3 / 10
 
-    def test_cpu_count_follows_the_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert hull._cpus() == 3
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert hull._cpus() == 6
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert hull._cpus() == 1
+    def test_scan_starts_no_thread(self, monkeypatch):
+        want = enumerate_extremal_grid(_tripod(), 0.05)
+
+        def refuse(self):
+            raise AssertionError("the scan started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert enumerate_extremal_grid(_tripod(), 0.05) == want
+
+    def test_importing_the_cli_loads_no_thread_pool(self):
+        code = ("import hyperlip.cli, sys; "
+                "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
+
+    @pytest.mark.parametrize("resolution", [math.inf, math.nan, -1.0, 0.0])
+    def test_resolution_must_be_finite_and_positive(self, resolution):
+        with pytest.raises(ValueError, match="finite and positive"):
+            enumerate_extremal_grid(_tripod(), resolution)
 
     def test_one_row_checks_match_the_scan(self, rng):
         for m, res in ((2, 0.25), (3, 0.25), (4, 0.5)):
