@@ -26,7 +26,7 @@ from .boxset import (
     violation,
     violation_many,
 )
-from .metric import FiniteMetricSpace, Point, as_point, sup_dist
+from .metric import FiniteMetricSpace, Point, as_point, sup_dists
 
 __all__ = [
     "NotLipschitzError",
@@ -98,13 +98,14 @@ def extend_into_Q(B: FiniteMetricSpace, A, phi, Q: BoxLipschitzSet,
         v = violation(Q, p)
         if v != 0.0:
             raise ValueError(f"image of index {a} is not a member (violation {v:g})")
-    for p, i in enumerate(A):
-        for q in range(p + 1, len(A)):
-            j = A[q]
-            excess = sup_dist(phi_rows[p], phi_rows[q]) - B.d(i, j)
-            if excess > _LIP_TOL:
-                raise NotLipschitzError(
-                    f"map stretches pair ({i}, {j}) by {excess:g}", (i, j))
+    P = np.asarray(phi_rows)
+    excess = sup_dists(P, P) - B.matrix[np.ix_(A, A)]
+    stretched = np.triu(excess > _LIP_TOL, 1)
+    if stretched.any():     # the first stretched pair in A's order
+        p, q = divmod(int(stretched.argmax()), len(A))
+        i, j = A[p], A[q]
+        raise NotLipschitzError(
+            f"map stretches pair ({i}, {j}) by {float(excess[p, q]):g}", (i, j))
 
     ext = _extend_all_components(B, A, phi_rows)
 

@@ -61,7 +61,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .metric import as_point
+from .metric import as_point, sup_dists
 
 __all__ = [
     "LipExpr",
@@ -567,9 +567,7 @@ def verify_lipschitz_on_grid(f: LipExpr, grid, lam: float, tol: float = 1e-12):
     rows = max(1, _PAIR_BLOCK_BYTES // (8 * N))
     for r in range(0, N - 1, rows):
         i = np.arange(r, min(r + rows, N - 1))
-        d = np.zeros((i.size, N - r - 1))
-        for k in range(Y.shape[1]):
-            np.maximum(d, np.abs(Y[i, k, None] - Y[None, r + 1:, k]), out=d)
+        d = sup_dists(Y[i], Y[r + 1:])
         with np.errstate(over="ignore"):    # a huge lam * d rounds up to inf
             bad = np.abs(vals[i, None] - vals[None, r + 1:]) > lam * d + tol
         if bad.any():

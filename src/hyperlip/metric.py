@@ -22,6 +22,7 @@ __all__ = [
     "Point",
     "as_point",
     "sup_dist",
+    "sup_dists",
     "hat",
     "ConeDescriptor",
     "cone_contains",
@@ -60,6 +61,22 @@ def sup_dist(x: Sequence[float], y: Sequence[float]) -> float:
         if d > best:
             best = d
     return best
+
+
+@np.errstate(over="ignore")
+def sup_dists(A, B) -> np.ndarray:
+    """``(len(A), len(B))`` table of sup-norm distances between the rows of
+    two ``(N, n)`` arrays.
+
+    It is built one coordinate at a time, as a running maximum of ``|a - b|``
+    from zeros, so no ``(N, M, n)`` temporary is made, every entry is a
+    ``+0.0`` or above, and ``n = 0`` gives all zeros.  A difference too large
+    for a float reads ``inf``, as in :func:`sup_dist`.
+    """
+    D = np.zeros((A.shape[0], B.shape[0]))
+    for k in range(A.shape[1]):
+        np.maximum(D, np.abs(A[:, k, None] - B[None, :, k]), out=D)
+    return D
 
 
 def hat(x: Sequence[float], i: int) -> Point:
@@ -136,9 +153,7 @@ def hausdorff_distance(A, B) -> float:
         raise ValueError("hausdorff_distance requires nonempty sets")
     if pa.shape[1:] != pb.shape[1:]:
         raise ValueError("dimension mismatch between the two sets")
-    if pa.shape[1] == 0:
-        return 0.0
-    diffs = np.abs(pa[:, None, :] - pb[None, :, :]).max(axis=2)
+    diffs = sup_dists(pa, pb)
     forward = diffs.min(axis=1).max()
     backward = diffs.min(axis=0).max()
     return float(max(forward, backward))
@@ -243,12 +258,12 @@ class FiniteMetricSpace:
     def from_points(cls, points) -> "FiniteMetricSpace":
         """Metric space of sup-norm distances between the given points.
 
-        The matrix is built one coordinate at a time, as a running maximum of
-        ``|a - b|``, so symmetry, the zero diagonal and positivity hold
-        exactly.  The triangle inequality holds up to rounding: with
-        ``u = eps / 2``, each computed coordinate difference is the exact one
-        times ``(1 + delta)``, ``|delta| <= u``, and the maximum is exact, so
-        each computed distance ``a`` satisfies ``(1 - u) d <= a <= (1 + u) d``
+        The matrix is :func:`sup_dists` of the points with themselves, so
+        symmetry, the zero diagonal and positivity hold exactly.  The
+        triangle inequality holds up to rounding: with ``u = eps / 2``, each
+        computed coordinate difference is the exact one times
+        ``(1 + delta)``, ``|delta| <= u``, and the maximum is exact, so each
+        computed distance ``a`` satisfies ``(1 - u) d <= a <= (1 + u) d``
         for the true distance ``d <= 2 S``, where ``S`` is the largest
         coordinate magnitude.  The true distances obey
         ``d(x, z) <= d(x, y) + d(y, z)``, and the computed sum is at least
@@ -264,14 +279,10 @@ class FiniteMetricSpace:
         P = np.asarray([as_point(p) for p in points], dtype=float)
         if len(P) == 0:
             raise ValueError("need at least one point")
-        m, n = P.shape
-        M = np.zeros((m, m))
-        with np.errstate(over="ignore"):
-            for c in range(n):
-                np.maximum(M, np.abs(P[:, c, None] - P[None, :, c]), out=M)
+        M = sup_dists(P, P)
         tol = DEFAULT_TOL + 4.0 * np.finfo(float).eps * float(np.abs(P).max(initial=0.0))
-        # the diagonal's m zeros are the only entries allowed within tol
-        if not (np.isfinite(M).all() and np.count_nonzero(M <= tol) == m):
+        # the diagonal's zeros are the only entries allowed within tol
+        if not (np.isfinite(M).all() and np.count_nonzero(M <= tol) == len(M)):
             raise ValueError(str(check_metric_axioms(M, tol)))
         X = cls.__new__(cls)            # the checks above settle what __init__ audits
         M.setflags(write=False)

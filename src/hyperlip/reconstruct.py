@@ -25,7 +25,7 @@ import numpy as np
 
 from .boxset import BoxLipschitzSet, violation_many
 from .lipfun import DistCone, Infinite, Max, Min
-from .metric import ConeDescriptor, Point, as_point, hat
+from .metric import ConeDescriptor, Point, as_point, hat, sup_dists
 
 __all__ = [
     "ConeOverlapError",
@@ -109,15 +109,6 @@ class ReconstructionConfig:
         return len(self.inside[0])
 
 
-def _sup_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``(len(A), len(B))`` sup-norm distances, one coordinate at a time so
-    that no ``(len(A), len(B), n)`` temporary is built."""
-    D = np.zeros((A.shape[0], B.shape[0]))
-    for k in range(A.shape[1]):
-        np.maximum(D, np.abs(A[:, k, None] - B[None, :, k]), out=D)
-    return D
-
-
 def epsilon_many(inside, X, chunk: int = 64):
     """Vectorized margins for many exterior points at once.
 
@@ -156,12 +147,12 @@ def epsilon_many(inside, X, chunk: int = 64):
         spread = np.ptp(np.concatenate([P, X]), axis=0)
     if not np.isfinite(spread).all():
         raise ValueError("sample coordinates are too far apart for finite distances")
-    D = _sup_dist(P, P)
+    D = sup_dists(P, P)
     rows = min(chunk, max(1, _BLOCK_BYTES // (8 * S * min(_ANCHORS, S))))
     eps = np.empty(X.shape[0])
     arg = np.empty(X.shape[0], dtype=int)
     for r in range(0, X.shape[0], rows):
-        _search(_sup_dist(X[r:r + rows], P), D, eps[r:r + rows], arg[r:r + rows])
+        _search(sup_dists(X[r:r + rows], P), D, eps[r:r + rows], arg[r:r + rows])
     return eps, arg
 
 
@@ -253,7 +244,7 @@ def _first_overlap(P, X, axis, sign, apex):
         for b in range(0, rows.size, step):
             r = rows[b:b + step]
             t = (P[None, :, i] - apex[r, None]) * sign[r, None]
-            hits = (t >= 0.0) & (_sup_dist(Xh[b:b + step], Ph) <= t)
+            hits = (t >= 0.0) & (sup_dists(Xh[b:b + step], Ph) <= t)
             hit[r] = hits.any(axis=1)
             first[r] = hits.argmax(axis=1)
     if not hit.any():
@@ -442,7 +433,7 @@ class _SampleMembership:
         out = np.empty(G.shape[0], dtype=bool)
         step = max(1, _BLOCK_BYTES // (8 * max(1, self._P.shape[0])))
         for r in range(0, G.shape[0], step):
-            out[r:r + step] = (_sup_dist(G[r:r + step], self._P) <= self._tol).any(axis=1)
+            out[r:r + step] = (sup_dists(G[r:r + step], self._P) <= self._tol).any(axis=1)
         return out
 
 

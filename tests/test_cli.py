@@ -4,23 +4,28 @@ Commands run in process through main(argv); one test goes through the
 ``python3 -m hyperlip`` entry point to pin byte-level determinism.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hyperlip import cli, svgplot
-from hyperlip.boxset import UnsupportedSetError, find_point, set_to_obj
+from hyperlip.boxset import BoxLipschitzSet, UnsupportedSetError, find_point, set_to_obj
 from hyperlip.cli import main
 from hyperlip.instances import (
     box_instance,
     diagonal_halfspace_instance,
     empty_drift_instance,
     half_rate_instance,
+    random_mcshane_instance,
+    sample_members,
     vee_notch_instance,
 )
 from hyperlip.lipfun import Const, expr_to_obj
+from hyperlip.metric import sup_dist
 
 
 def run(capsys, argv):
@@ -204,6 +209,12 @@ class TestRetract:
             find_point(diagonal_halfspace_instance())
         assert err["error"] == str(lib.value)
 
+    def test_crossing_bounds_are_an_input_error(self, capsys, set_file, tmp_path):
+        path = set_file(BoxLipschitzSet([Const(1.0), Const(0.0)], [Const(0.0), Const(1.0)]))
+        err = input_error(capsys, ["retract", "--set", path, "--point",
+                                   dump(tmp_path, "x.json", [0.5, 0.5])])
+        assert err["error"].startswith("bounds cross on axis 0")
+
     def test_trace_file(self, capsys, set_file, tmp_path):
         path = set_file(half_rate_instance())
         trace = tmp_path / "trace.csv"
@@ -287,6 +298,39 @@ class TestExtend:
         assert code == 1
         assert err["witness"] == [0, 1]
 
+    @staticmethod
+    def _case(name):
+        """Space matrix, subset, images and set of one ``extend`` run."""
+        box = set_to_obj(box_instance([(0.0, 1.0), (0.0, 1.0)]))
+        if name == "one":
+            return [[0.0]], "0", [[0.5, 0.5]], box
+        if name == "four":        # max_excess is 5.55e-17, at the pair (1, 3)
+            b = [(0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (0.3, 0.4)]
+            return [[sup_dist(p, q) for q in b] for p in b], "1,2", [[0.2, 0.3], [0.9, 0.1]], box
+        rng = np.random.default_rng(7)
+        Q = random_mcshane_instance(2, 0.5, rng)
+        pts = [tuple(p) for p in rng.uniform(-2.0, 2.0, (12, 2))]
+        return ([[sup_dist(p, q) for q in pts] for p in pts], "0,1,2,3",
+                [list(m) for m in sample_members(Q, pts[:4])], set_to_obj(Q))
+
+    @pytest.mark.parametrize("case", ["four", "one", "random"])
+    def test_lipschitz_check_matches_the_pairwise_loop(self, capsys, tmp_path, case):
+        matrix, subset, images, Q = self._case(case)
+        code, out, _ = run(capsys, [
+            "extend", "--space", dump(tmp_path, "d.json", matrix), "--subset", subset,
+            "--map", dump(tmp_path, "phi.json", images),
+            "--set", dump(tmp_path, "q.json", Q)])
+        assert code == 0
+        m, ext = len(matrix), out["map"]
+        worst = 0.0
+        for i in range(m):
+            for j in range(i + 1, m):
+                worst = max(worst, sup_dist(ext[i], ext[j]) - matrix[i][j])
+        check = out["lipschitz_check"]
+        assert check["pairs"] == m * (m - 1) // 2
+        assert check["max_excess"] == worst
+        assert check["ok"] == (worst <= 1e-12)
+
 
 class TestHull:
     def test_segment_enumeration(self, capsys, tmp_path):
@@ -304,6 +348,12 @@ class TestHull:
         err = input_error(capsys, ["hull", "enumerate", "--metric", metric,
                                    "--resolution", "1e-320"])
         assert "overflows" in err["error"]
+
+    def test_unknown_action_is_an_input_error(self, capsys, tmp_path):
+        metric = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])
+        err = input_error(capsys, ["hull", "bogus", "--metric", metric,
+                                   "--resolution", "0.25"])
+        assert "invalid choice: 'bogus'" in err["error"]
 
     def test_infinite_resolution_is_an_input_error(self, capsys, tmp_path):
         metric = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])
@@ -391,6 +441,10 @@ class TestVerify:
         argv = ["verify", "lipschitz", "--expr", expr, "--grid", grid, "--lam", "0.5"]
         err = input_error(capsys, argv + [flag, value])
         assert flag[2:] in err["error"]
+
+    def test_unknown_target_is_an_input_error(self, capsys):
+        err = input_error(capsys, ["verify", "bogus"])
+        assert "invalid choice: 'bogus'" in err["error"]
 
     def test_metric_pass(self, capsys, tmp_path):
         matrix = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])
@@ -520,6 +574,16 @@ class TestSelftest:
         main(["selftest", "--seed", "1"])
         b = capsys.readouterr().out
         assert a != b
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "4131decf6645872dc08642d16ecce7298560cfee043802018a48386067320fb2"),
+        (3, "0460696483b34700ace4b76fac801f893ffbc1e42e5967a19432a374dec0ce0f"),
+    ])
+    def test_report_bytes_are_pinned(self, capsys, seed, digest):
+        """A change that only restructures code keeps these bytes; one that
+        means to change the report updates the digests with it."""
+        assert main(["selftest", "--seed", str(seed)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_module_entry_point(self):
         cmd = [sys.executable, "-m", "hyperlip", "selftest", "--seed", "2"]

@@ -159,6 +159,16 @@ class TestExtendIntoSet:
             extend_into_Q(B, [0, 1], [members[0], far], Q)
         assert err.value.witness == (0, 1)
 
+    def test_first_stretched_pair_in_the_subsets_order_is_named(self):
+        # every pair is 1 apart; in A's order the pairs stretch by 0.5, 1
+        # and 1, so neither index order nor the largest stretch names (3, 0)
+        B = FiniteMetricSpace(np.ones((4, 4)) - np.eye(4))
+        Q = box_instance([(0.0, 4.0), (0.0, 4.0)])
+        with pytest.raises(NotLipschitzError) as err:
+            extend_into_Q(B, [3, 0, 2], [(0.0, 0.0), (1.5, 0.0), (0.0, 2.0)], Q)
+        assert str(err.value) == "map stretches pair (3, 0) by 0.5"
+        assert err.value.witness == (3, 0)
+
     def test_level_one_default_box_is_the_library_box(self, rng):
         Q = vee_notch_instance()
         members = [(0.0, 0.0), (1.0, 2.0)]

@@ -18,6 +18,7 @@ from hyperlip.metric import (
     hat,
     hausdorff_distance,
     sup_dist,
+    sup_dists,
 )
 
 from conftest import random_metric
@@ -60,6 +61,36 @@ class TestPoints:
     @given(vectors(3), vectors(3), vectors(3))
     def test_sup_dist_triangle(self, x, y, z):
         assert sup_dist(x, z) <= sup_dist(x, y) + sup_dist(y, z) + 1e-9
+
+
+def row_lists(n):
+    """Up to five rows of ``n`` coordinates, signed zeros among them."""
+    coord = st.one_of(st.sampled_from([0.0, -0.0]), finite)
+    return st.lists(st.lists(coord, min_size=n, max_size=n), max_size=5).map(
+        lambda rows: np.array(rows, dtype=float).reshape(-1, n))
+
+
+class TestSupDists:
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(row_lists(n), row_lists(n))))
+    def test_matches_the_broadcast_table_to_the_bit(self, AB):
+        A, B = AB
+        want = np.abs(A[:, None] - B[None]).max(axis=2)
+        got = sup_dists(A, B)
+        assert got.shape == (len(A), len(B))
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_dimensional_rows_are_at_distance_zero(self):
+        D = sup_dists(np.empty((3, 0)), np.empty((2, 0)))
+        assert D.tobytes() == np.zeros((3, 2)).tobytes()
+
+    def test_empty_sides(self):
+        B = np.ones((4, 2))
+        assert sup_dists(np.empty((0, 2)), B).shape == (0, 4)
+        assert sup_dists(B, np.empty((0, 2))).shape == (4, 0)
+
+    def test_an_overflowing_difference_reads_inf_without_a_warning(self):
+        D = sup_dists(np.array([[1e308, 0.0]]), np.array([[-1e308, 1.0]]))
+        assert D.tolist() == [[math.inf]] == [[sup_dist((1e308, 0.0), (-1e308, 1.0))]]
 
 
 def clamp(lo, hi, x):
@@ -166,6 +197,17 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hausdorff_distance([], [(0.0,)])
+
+    def test_zero_dimensional_sets_are_at_distance_zero(self):
+        assert hausdorff_distance([(), ()], [()]) == 0.0
+
+    @pytest.mark.parametrize("k, l, n", [(1, 1, 1), (5, 7, 2), (9, 4, 3), (12, 12, 5)])
+    def test_matches_the_pairwise_loop(self, rng, k, l, n):
+        A = [tuple(v) for v in rng.uniform(-1, 1, (k, n))]
+        B = [tuple(v) for v in rng.uniform(-1, 1, (l, n))]
+        forward = max(min(sup_dist(a, b) for b in B) for a in A)
+        backward = max(min(sup_dist(a, b) for a in A) for b in B)
+        assert hausdorff_distance(A, B) == max(forward, backward)
 
 
 class TestMetricAxioms:
