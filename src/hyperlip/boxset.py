@@ -390,9 +390,12 @@ def _batch_sweeps(Q, X, threshold, max_sweeps, record):
 
     Each step reads its axis's paired evaluator, compiled once per call, and
     the rows are held as the columns of a transposed copy of ``X`` so that
-    each step reads its hat points with one precomputed column-index list.
-    A row whose full sweep moved it by exactly 0.0 leaves the active set and
-    is never evaluated again: every step of that sweep saw the row's current
+    each step gathers its hat points with one ``take`` of a precomputed
+    index array.  One per-row accumulator holds the largest ``|d|`` of the
+    sweep so far; the sweep's largest displacement and the rows it moved are
+    read from it once, after the sweep, rather than at every step.  A row
+    whose full sweep moved it by exactly 0.0 leaves the active set and is
+    never evaluated again: every step of that sweep saw the row's current
     point and left it in place, so a later sweep sees the same inputs at
     every step and moves it by 0.0 again.  The output therefore equals that
     of running every row through every sweep, and the whole batch still goes
@@ -405,40 +408,37 @@ def _batch_sweeps(Q, X, threshold, max_sweeps, record):
     """
     n = Q.n
     pairs = _grid_pairs(Q)
-    others = [[j for j in range(n) if j != i] for i in range(n)]
+    others = [np.array([j for j in range(n) if j != i], dtype=np.intp) for i in range(n)]
     out = np.array(X, dtype=float)
     XT = out.T.copy()                   # active rows as columns
     rows = np.arange(len(out))          # their row numbers in ``out``
     disp = [] if record else None
     for _ in range(max_sweeps):
-        worst = 0.0
-        moved = np.zeros(len(rows), dtype=bool)
+        size = np.zeros(len(rows))      # per row, the sweep's largest |d|
         for i in range(n):
-            lo, up = pairs[i](XT[others[i]])
+            lo, up = pairs[i](XT.take(others[i], axis=0))
             crossed = lo > up
-            if crossed.any():
+            if np.count_nonzero(crossed):
                 j = int(np.argmax(crossed))
                 raise _crossed(i, XT[:, j], lo[j], up[j])
             c = XT[i]
             new = np.minimum(up, np.maximum(lo, c))
             # the scalar rule's bits: min and max match it except on zeros,
             # where a coordinate already zero stays and a moved one is +0.0
-            zero = new == 0.0
-            if zero.any():
+            if np.count_nonzero(new) < len(new):
+                zero = new == 0.0
                 new[zero] = np.where(c[zero] == 0.0, c[zero], 0.0)
             d = new - c
             XT[i] = new
-            moved |= d != 0.0
             if record:
                 full = np.zeros(len(out))
                 full[rows] = d
                 disp.append(full)
-            m = float(np.abs(d).max()) if len(d) else 0.0
-            if m > worst:
-                worst = m
-        if worst <= threshold:
+            np.maximum(size, np.abs(d), out=size)
+        if size.max(initial=0.0) <= threshold:
             out[rows] = XT.T
             return out, disp
+        moved = size != 0.0
         if not moved.all():
             out[rows[~moved]] = XT[:, ~moved].T
             XT, rows = XT.compress(moved, axis=1), rows[moved]

@@ -355,36 +355,67 @@ def _cones_closure(families):
 
 def _cones_grid(families):
     """Batch kernel of :func:`_cones_closure`, points as the columns of
-    ``YT``.  It runs over blocks of columns whose ``(dim, R, block)``
-    difference table stays within ``_GRID_BLOCK_BYTES``.  A block releases
-    that table once its ``(R, block)`` distances are taken; each family but
-    the last scales a copy of them, the last scales them in place, and each
-    reduces into its slice of the output.  So a block holds the difference
-    table and the distances, or the distances and one copy, never all
-    three."""
-    C = np.asarray(_centres(families[0][0])).T[:, :, None]      # (dim, R, 1)
+    ``YT``.  The columns run in blocks whose ``(dim, R, block)`` difference
+    table stays within ``_GRID_BLOCK_BYTES``.  When they fit in one block,
+    as a batch engine step's usually do, the table is built once and each
+    reduction allocates its own output; otherwise each block reduces into
+    its slice of preallocated outputs.  A block releases its difference
+    table once its ``(R, block)`` distances are taken; each family but the
+    last scales a copy of them, the last scales them in place.  So a block
+    holds the difference table and the distances, or the distances and one
+    copy, never all three.  A reduction over an axis of length 1 (a
+    one-dimensional hat space, a one-row family) is skipped, since it would
+    return that element.  The centres are held C-contiguous, so that the
+    difference table is too and the reduction over ``dim`` reads whole
+    ``(R, block)`` slabs; that reduction is of absolute values, whose zeros
+    are all ``+0.0``, so its order does not change a bit.
+
+    numpy reduces the rows of a one-column table as one 1-D run, which does
+    not keep the same one of ``0.0`` and ``-0.0`` as its row-by-row
+    reduction of a wider table.  So a one-column block is evaluated as two
+    copies of its column, keeping the first, and a value does not depend on
+    how the points fall into blocks."""
+    C = np.asarray(_centres(families[0][0])).T.copy()[:, :, None]    # (dim, R, 1)
+    dim, R = C.shape[:2]
     heads = [(slope, np.asarray(offs)[:, None], _UFUNC[agg], blends)
              for agg, slope, offs, blends in _heads(families)]
-    block = max(1, _GRID_BLOCK_BYTES // (8 * C.shape[0] * C.shape[1]))
+    block = max(1, _GRID_BLOCK_BYTES // (8 * dim * R))
     last = len(heads) - 1
+    allocate = [None] * len(heads)
 
     def table(YT, out):
+        """Each family's values at the columns of ``YT``, reduced into its
+        entry of ``out``, or into a new array where that entry is ``None``."""
         D = YT[:, None, :] - C
-        best = np.abs(D, out=D).max(axis=0)
+        np.abs(D, out=D)
+        best = D[0] if dim == 1 else np.maximum.reduce(D, axis=0)
         del D
-        for j, (slope, off, ufunc, blends) in enumerate(heads):
+        vals = []
+        for j, ((slope, off, ufunc, blends), o) in enumerate(zip(heads, out)):
             V = best * slope if j < last else np.multiply(best, slope, out=best)
             V += off
-            v = ufunc.reduce(V, axis=0, out=out[j])
+            v = V[0] if R == 1 and o is None else ufunc.reduce(V, axis=0, out=o)
             for fac, anchor in blends:          # fac * (v - anchor) + anchor
                 v -= anchor
                 v *= fac
                 v += anchor
+            vals.append(v)
+        return vals
 
     def cones(YT):
-        out = [np.empty(YT.shape[1]) for _ in heads]
-        for s in range(0, YT.shape[1], block):
-            table(YT[:, s:s + block], [v[s:s + block] for v in out])
+        N = YT.shape[1]
+        if N == 1:
+            return [v[:1] for v in table(np.concatenate((YT, YT), axis=1), allocate)]
+        if N <= block:
+            return table(YT, allocate)
+        out = [np.empty(N) for _ in heads]
+        for s in range(0, N, block):
+            cols = YT[:, s:s + block]
+            if cols.shape[1] == 1:
+                for o, v in zip(out, cones(cols)):
+                    o[s] = v[0]
+            else:
+                table(cols, [o[s:s + block] for o in out])
         return out
     return cones
 

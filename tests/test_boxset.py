@@ -1,5 +1,6 @@
 """Tests for bounded-by-Lipschitz-functions sets and their retractions."""
 
+import hashlib
 import json
 import math
 
@@ -85,21 +86,47 @@ def _all_rows_sweeps(Q, X, threshold, max_sweeps, record):
     raise MaxSweepsExceededError(f"no convergence within {max_sweeps} sweeps")
 
 
-def _assert_engine_matches_reference(Q, X, tol, monkeypatch):
-    """``cyclic_retract_many`` gives the same points and displacements with
-    the shipped engine as with the reference engine."""
+def _assert_engine_matches_reference(Q, X, tol, monkeypatch, block_bytes=None):
+    """``cyclic_retract_many`` gives the same points and displacements, bit
+    for bit, with the shipped engine as with the reference engine; with
+    ``block_bytes``, the shipped engine's kernels run in blocks that small."""
     with monkeypatch.context() as m:
         m.setattr(boxset, "_batch_sweeps", _all_rows_sweeps)
         want, want_traces = cyclic_retract_many(Q, X, tol, record=True)
-    got, traces = cyclic_retract_many(Q, X, tol, record=True)
-    assert np.array_equal(got, want)
+    with monkeypatch.context() as m:
+        if block_bytes is not None:
+            m.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
+        got, traces = cyclic_retract_many(Q, X, tol, record=True)
+    assert got.tobytes() == want.tobytes()
     D = np.array([t.displacements for t in traces])
-    assert np.array_equal(D, np.array([t.displacements for t in want_traces]))
+    assert D.tobytes() == np.array([t.displacements for t in want_traces]).tobytes()
     # the comparison covers frozen rows: some row sits still for a whole
     # sweep before the last one
     sweeps = D.reshape(len(X), -1, Q.n)
     assert (sweeps[:, :-1] == 0.0).all(axis=2).any()
-    return got
+    return got, sweeps
+
+
+def _engine_digest(case):
+    """sha256 of the points and the recorded displacements of a seeded batch
+    shaped like one of the benchmark's: a level-0.9 set in dimension 8, or
+    the shrink of the level-1 origin cycle."""
+    rng = np.random.default_rng(1515)
+    if case == "n=8 lam=0.9":
+        Q = random_mcshane_instance(8, 0.9, rng, samples=16)
+        members = sample_members(Q, rng.uniform(-0.5, 0.5, (4, 8)))
+        X = np.vstack([members, rng.uniform(-3.0, 3.0, (36, 8))])
+        out, traces = cyclic_retract_many(Q, X, 1e-6, record=True)
+    else:
+        Q, box = origin_cycle_instance(), [(-2.0, 2.0)] * 2
+        X = np.vstack([np.zeros((1, 2)), rng.uniform(-2.0, 2.0, (49, 2))])
+        out = retract_lambda_one_bounded_many(Q, X, 1e-3, box)
+        target, engine_tol, budget, _ = boxset._level_one(Q, X, 1e-3, box)
+        again, traces = cyclic_retract_many(target, X, engine_tol, budget, record=True)
+        assert again.tobytes() == out.tobytes()
+    digest = hashlib.sha256(out.tobytes())
+    digest.update(np.array([t.displacements for t in traces]).tobytes())
+    return digest.hexdigest()
 
 
 class TestConstruction:
@@ -383,7 +410,7 @@ class TestBatchEngine:
         X = np.vstack([members, rng.uniform(-3, 3, (40, n))])
         # a tolerance this fine drives rows through sweeps with moves of a
         # few ulps, which must not freeze them
-        out = _assert_engine_matches_reference(Q, X, 1e-12, monkeypatch)
+        out, _ = _assert_engine_matches_reference(Q, X, 1e-12, monkeypatch)
         assert np.array_equal(out[:3], np.array(members))
 
     def test_engine_matches_on_a_truncated_set(self, monkeypatch):
@@ -392,7 +419,7 @@ class TestBatchEngine:
         w = sample_members(Q, [(0.0, 0.0, 0.0)])[0]
         Qt = truncated_set(Q, w, 2.0)
         X = np.vstack([np.zeros(3), rng.uniform(-3, 3, (30, 3))])
-        out = _assert_engine_matches_reference(Qt, X, 1e-6, monkeypatch)
+        out, _ = _assert_engine_matches_reference(Qt, X, 1e-6, monkeypatch)
         assert np.array_equal(out[0], np.zeros(3))
 
     def test_engine_matches_on_a_shrunk_set(self, monkeypatch):
@@ -402,8 +429,54 @@ class TestBatchEngine:
         Qk = shrink_set(Q, relaxation_order(u - l, 0.5), l, u)
         members = sample_members(Qk, rng.uniform(-0.5, 0.5, (2, 3)))
         X = np.vstack([members, rng.uniform(-3, 3, (30, 3))])
-        out = _assert_engine_matches_reference(Qk, X, 0.1, monkeypatch)
+        out, _ = _assert_engine_matches_reference(Qk, X, 0.1, monkeypatch)
         assert np.array_equal(out[:2], np.array(members))
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_engine_matches_with_kernels_in_blocks(self, columns, monkeypatch):
+        """Kernels cut into blocks of one and of three columns, 43 rows: the
+        last block of every step that holds all rows is one column wide."""
+        rng = np.random.default_rng(9)
+        Q = random_mcshane_instance(4, 0.9, rng, samples=16)
+        members = sample_members(Q, rng.uniform(-0.5, 0.5, (3, 4)))
+        X = np.vstack([members, rng.uniform(-3, 3, (40, 4))])
+        _assert_engine_matches_reference(Q, X, 1e-9, monkeypatch,
+                                         block_bytes=8 * 3 * 16 * columns)
+
+    def test_engine_matches_once_one_row_is_left(self, monkeypatch):
+        """Members freeze after the first sweep; the one row left moves on
+        alone for several sweeps."""
+        rng = np.random.default_rng(10)
+        Q = random_mcshane_instance(3, 0.9, rng, samples=12)
+        members = sample_members(Q, rng.uniform(-0.5, 0.5, (5, 3)))
+        X = np.vstack([members, [[3.0, -3.0, 3.0]]])
+        out, sweeps = _assert_engine_matches_reference(Q, X, 1e-12, monkeypatch)
+        assert np.array_equal(out[:5], np.array(members))
+        moving = (sweeps != 0.0).any(axis=2).sum(axis=0)
+        assert moving[0] == 1 and len(moving) > 3
+
+    @pytest.mark.parametrize("name, digest", [
+        ("n=8 lam=0.9", "8eab8e8a4ee30319955651341f86e1d2349c891af1f8e45d096e61811c032fc9"),
+        ("origin-cycle shrink", "9010d326a669b765609ea61e719b06c24c0c7e6e747c779668d0aed968db9316"),
+    ])
+    def test_output_bytes_are_pinned(self, name, digest):
+        """A change that only restructures the engine or its kernels keeps
+        these bytes; one that means to change them updates the digests."""
+        assert _engine_digest(name) == digest
+
+    def test_zero_row_batches(self):
+        """Every batch entry point answers an empty batch with empty rows."""
+        rng = np.random.default_rng(11)
+        Q = random_mcshane_instance(3, 0.9, rng)
+        out, traces = cyclic_retract_many(Q, np.zeros((0, 3)), 1e-6, record=True)
+        assert out.shape == (0, 3) and traces == []
+        assert cyclic_retract_many(Q, np.zeros((0, 3)), 1e-6)[0].shape == (0, 3)
+        assert violation_many(Q, np.zeros((0, 3))).shape == (0,)
+        V, H = vee_notch_instance(), diagonal_halfspace_instance()
+        assert retract_lambda_one_bounded_many(V, np.zeros((0, 2)), 1e-3,
+                                               [(-4.0, 4.0)] * 2).shape == (0, 2)
+        assert retract_lambda_one_general_many(H, (0.0, 0.0), np.zeros((0, 2)),
+                                               1e-3).shape == (0, 2)
 
     def test_crossing_bounds_raise_after_rows_froze(self, monkeypatch):
         # upper_0 dips below lower_0 where |x_1| > 4; lower_1 pushes the

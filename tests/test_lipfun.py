@@ -379,6 +379,27 @@ def test_shared_pairs_give_each_sides_bits(case):
     _assert_pair_matches_sides(lower, upper, list(itertools.product(VALUES, repeat=dim)))
 
 
+def test_batch_values_do_not_depend_on_the_block_layout():
+    """Ten rows with a -0.0 among equal 0.0 values: numpy reduces the rows
+    of a one-column block in 1-D, which keeps another zero than the
+    row-by-row reduction of a wider block, unless the kernel pads it."""
+    f = McShane(((((0.0,), 0.0),) * 7 + (((0.0,), -0.0),) + (((1.0,), 0.0),) * 2),
+                1.0, "sup")
+    g = McShane(tuple((p, v + 1.0) for p, v in f.samples), 1.0, "inf")
+    YT = np.array([VALUES])
+    want = _compile_grid(f)(YT)
+    want_pair = [v.tobytes() for v in _compile_grid_pair(f, g)(YT)]
+    for block_bytes in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
+            grid, pair = _compile_grid(f), _compile_grid_pair(f, g)
+            assert grid(YT).tobytes() == want.tobytes()
+            assert [v.tobytes() for v in pair(YT)] == want_pair
+            for j in range(YT.shape[1]):
+                assert grid(YT[:, j:j + 1]).tobytes() == want[j:j + 1].tobytes()
+
+
 SITES = ((0.5, -1.25), (2.5, 0.0), (-1.25, -0.0))
 
 

@@ -323,6 +323,26 @@ class TestAxiomAudit:
                 kinds.update(v[0] for v in got)
         assert kinds == {"diagonal", "symmetry", "positivity", "separation", "triangle"}
 
+    def test_triangle_screen_matches_the_outer_sum(self):
+        """The screen forms ``d(i, k) + d(k, j)`` row by row; on random and
+        sup-norm metrics of 40-90 points, as they are and with entries
+        raised to break triangles, it reports what ``np.add.outer`` does."""
+        rng = np.random.default_rng(1515)
+        broken = 0
+        for m in (40, 61, 90):
+            P = rng.uniform(-1.0, 1.0, (m, 3))
+            for D in (random_metric(rng, m).matrix.copy(), sup_dists(P, P)):
+                i, j = rng.choice(m, (2, m // 10), replace=False)
+                D[i, j] = D[j, i] = D[i, j] + rng.uniform(0.5, 3.0, m // 10)
+                for tol in (0.0, 1e-12, 0.5):
+                    got = [(v.kind, v.indices, float.hex(v.amount))
+                           for v in check_metric_axioms(D, tol).violations]
+                    assert got == _reference_axioms(D, tol)
+                    broken += any(v[0] == "triangle" for v in got)
+            clean = sup_dists(P, P)
+            assert check_metric_axioms(clean).ok and _reference_axioms(clean, 0.0) == []
+        assert broken >= 12
+
     def test_order_is_diagonal_then_pairs_then_triangles(self):
         D = np.array([[0.5, 1.0, 9.0], [2.0, 0.0, 0.0], [9.0, 0.0, 0.0]])
         got = [(v.kind, v.indices) for v in check_metric_axioms(D).violations]
