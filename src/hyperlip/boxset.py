@@ -18,6 +18,16 @@ level exactly 1 the iteration can stall or drift, and one relaxation rule
 the set by a slightly shrunken or ball-truncated one whose level is strictly
 below 1.
 
+That relaxed set ``Q_k`` is the last term of a family nested decreasing in
+``k`` whose intersection is the set, and one cyclic run on it contracts only
+at the rate ``1 - 1/k``, with ``k`` of order ``span / tol``.  So a level-1
+retraction (``_retract_staged``) walks the family instead: a short first run
+at the final ``k``, and when that does not converge, warm-started runs at
+``k / 10**j, ..., k / 10`` and a last run at ``k`` under the one-run stopping
+rule.  Each run is again a composition of single-coordinate projections
+onto a set containing the original inside the working box, so the guarantees
+below hold for the whole walk, and the sweeps no longer grow like ``1/tol``.
+
 Every iterative routine here also has a ``*_many`` batch variant that runs
 all inputs on one shared sweep schedule.  A shared schedule means the whole
 batch is moved by one and the same finite composition of 1-Lipschitz
@@ -37,7 +47,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -93,6 +103,12 @@ __all__ = [
 ]
 
 STALL_RTOL = 1e-9
+# level-1 continuation (``_retract_staged``): sweeps of the first run at the
+# final order k, the ratio of one stage's order to the next, and the least
+# order of a stage
+_FIRST_SWEEPS = 64
+_STAGE_RATIO = 10
+_STAGE_FLOOR = 10
 
 
 class InconsistentBoundsError(ValueError):
@@ -100,7 +116,14 @@ class InconsistentBoundsError(ValueError):
 
 
 class MaxSweepsExceededError(RuntimeError):
-    """The sweep budget ran out before the stopping rule fired."""
+    """The sweep budget ran out before the stopping rule fired.
+
+    ``state`` holds what the call would have returned had its stopping rule
+    fired after the last sweep, so that a caller can go on from there."""
+
+    def __init__(self, message, state=None):
+        super().__init__(message)
+        self.state = state
 
 
 class UnsupportedSetError(ValueError):
@@ -347,8 +370,9 @@ def _scalar_sweeps(Q, x, threshold, max_sweeps, fixed_steps=None):
     """Run cyclic projections; returns (final list, displacement list).
 
     Either iterate full sweeps until the largest displacement of a sweep is
-    at most ``threshold`` (raising after ``max_sweeps``), or run exactly
-    ``fixed_steps`` single steps with no stopping rule.
+    at most ``threshold`` (raising after ``max_sweeps``, with those two lists
+    as the error's ``state``), or run exactly ``fixed_steps`` single steps
+    with no stopping rule.
     """
     n = Q.n
     pairs = Q._pairs
@@ -382,7 +406,7 @@ def _scalar_sweeps(Q, x, threshold, max_sweeps, fixed_steps=None):
         if worst <= threshold:
             return pos, disp
     raise MaxSweepsExceededError(
-        f"no convergence within {max_sweeps} sweeps (threshold {threshold:g})")
+        f"no convergence within {max_sweeps} sweeps (threshold {threshold:g})", (pos, disp))
 
 
 def _batch_sweeps(Q, X, threshold, max_sweeps, record):
@@ -402,7 +426,8 @@ def _batch_sweeps(Q, X, threshold, max_sweeps, record):
     through one shared composition of projection steps.
 
     Stops after the first full sweep whose largest displacement over the
-    batch is at most ``threshold``, raising after ``max_sweeps``.  With
+    batch is at most ``threshold``, raising after ``max_sweeps`` with the
+    points and displacements so far as the error's ``state``.  With
     ``record``, the second result holds one displacement vector over all
     rows per step, with 0.0 for frozen rows; otherwise it is ``None``.
     """
@@ -442,8 +467,9 @@ def _batch_sweeps(Q, X, threshold, max_sweeps, record):
         if not moved.all():
             out[rows[~moved]] = XT[:, ~moved].T
             XT, rows = XT.compress(moved, axis=1), rows[moved]
+    out[rows] = XT.T
     raise MaxSweepsExceededError(
-        f"no convergence within {max_sweeps} sweeps (threshold {threshold:g})")
+        f"no convergence within {max_sweeps} sweeps (threshold {threshold:g})", (out, disp))
 
 
 def cyclic_iterate(Q: BoxLipschitzSet, x, steps: int) -> IterationTrace:
@@ -485,14 +511,22 @@ def cyclic_retract(Q: BoxLipschitzSet, x, tol: float = 1e-6,
     is then within ``tol`` of the true limit and its residual
     :func:`violation` is at most ``lip_bound * (1 - lip_bound) * tol``.
 
-    Returns ``(point, trace)``.
+    Returns ``(point, trace)``; so does the ``state`` of the
+    :class:`MaxSweepsExceededError` raised when the budget runs out.
     """
     x = as_point(x)
     if len(x) != Q.n:
         raise ValueError(f"point of dimension {len(x)} in a set of dimension {Q.n}")
     threshold = _threshold(Q, tol, max_sweeps)
-    pos, disp = _scalar_sweeps(Q, x, threshold, max_sweeps)
-    return tuple(pos), IterationTrace(Q.n, x, tuple(disp), tuple(pos))
+
+    def result(pos, disp):
+        return tuple(pos), IterationTrace(Q.n, x, tuple(disp), tuple(pos))
+
+    try:
+        return result(*_scalar_sweeps(Q, x, threshold, max_sweeps))
+    except MaxSweepsExceededError as exc:
+        exc.state = result(*exc.state)
+        raise
 
 
 def cyclic_retract_many(Q: BoxLipschitzSet, X, tol: float = 1e-6,
@@ -500,19 +534,27 @@ def cyclic_retract_many(Q: BoxLipschitzSet, X, tol: float = 1e-6,
     """Batch :func:`cyclic_retract` on one shared sweep schedule.
 
     Returns ``(points, traces)`` where ``traces`` is a list of per-row
-    :class:`IterationTrace` objects when ``record`` is true, else ``None``.
-    The shared schedule makes the realized map a single composition of
-    projection steps, hence 1-Lipschitz across the whole batch.
+    :class:`IterationTrace` objects when ``record`` is true, else ``None``;
+    so does the ``state`` of the :class:`MaxSweepsExceededError` raised when
+    the budget runs out.  The shared schedule makes the realized map a
+    single composition of projection steps, hence 1-Lipschitz across the
+    whole batch.
     """
     X = _rows(Q, X)
     threshold = _threshold(Q, tol, max_sweeps)
-    final, disp = _batch_sweeps(Q, X, threshold, max_sweeps, record)
-    traces = None
-    if record:
-        D = np.stack(disp, axis=0) if disp else np.zeros((0, X.shape[0]))
-        traces = [IterationTrace(Q.n, tuple(X[j]), tuple(D[:, j]), tuple(final[j]))
-                  for j in range(X.shape[0])]
-    return final, traces
+
+    def result(final, disp):
+        if not record:
+            return final, None
+        D = np.stack(disp, axis=0)
+        return final, [IterationTrace(Q.n, tuple(X[j]), tuple(D[:, j]), tuple(final[j]))
+                       for j in range(X.shape[0])]
+
+    try:
+        return result(*_batch_sweeps(Q, X, threshold, max_sweeps, record))
+    except MaxSweepsExceededError as exc:
+        exc.state = result(*exc.state)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +680,12 @@ def _level_one(Q, X, tol, box=None, witness=None):
     as they are and members come back bit for bit.  Either way
     ``k = relaxation_order(span, tol)``, ``span`` the largest ``u_i - l_i``
     (``2 r`` when the anchors are exact).  Returns ``(target, engine_tol,
-    max_sweeps, report)``: the relaxed set, of level below 1; the cyclic
-    run's tolerance ``tol / 4`` and budget ``50 k + 1000``; and the
-    ``strategy`` with ``k`` and the ``enclosure`` or ``radius``.
+    max_sweeps, report)``: the relaxed set ``shrink_set(base, k, l, u)``, of
+    level below 1; the tolerance ``tol / 4`` and budget ``50 k + 1000`` of
+    the last cyclic run on it; and the ``strategy`` with ``k`` and the
+    ``enclosure`` or ``radius``.  The sets of smaller order on the way to
+    ``target`` are built from it by :func:`_stage`, only when
+    :func:`_retract_staged` needs them.
     """
     X = _rows(Q, X)
     if Q.all_finite:
@@ -657,20 +702,116 @@ def _level_one(Q, X, tol, box=None, witness=None):
         l, u = [c - r for c in w], [c + r for c in w]
         base, report = truncated_set(Q, w, r), {"strategy": "truncate", "radius": r}
     k = report["k"] = relaxation_order(float(np.max(np.subtract(u, l))), tol)
-    return shrink_set(base, k, l, u), tol / 4, 50 * k + 1000, report
+    return shrink_set(base, k, l, u), tol / 4, _sweep_budget(k), report
+
+
+def _sweep_budget(k):
+    """Sweep budget of a cyclic run on a relaxed set of order ``k``."""
+    return 50 * k + 1000
+
+
+def _stage_orders(k):
+    """The orders ``k // 10**j, ..., k // 10, k`` of the warm-started stages,
+    none below the floor."""
+    orders = [k]
+    while orders[-1] // _STAGE_RATIO >= _STAGE_FLOOR:
+        orders.append(orders[-1] // _STAGE_RATIO)
+    return orders[::-1]
+
+
+def _stage(target, k):
+    """The relaxed set of order ``k`` of the family :func:`_level_one`'s
+    ``target`` belongs to: every bound of ``target`` is a blend, and its
+    factor becomes ``1 - 1/k``.  This is ``shrink_set(base, k, l, u)`` for
+    the ``base`` and anchors ``target`` was shrunk from."""
+    lam = 1.0 - 1.0 / k
+    return BoxLipschitzSet(*([replace(b, factor=lam) for b in side]
+                             for side in (target.lower, target.upper)))
+
+
+def _joined(a, b):
+    """Trace ``a`` followed by trace ``b``, row by row for lists of traces;
+    ``b`` when ``a`` is ``None``."""
+    if a is None:
+        return b
+    if isinstance(a, list):
+        return [_joined(s, t) for s, t in zip(a, b)]
+    return IterationTrace(a.dim, a.start, a.displacements + b.displacements, b.final)
+
+
+def _retract_staged(Q, X, tol, box=None, witness=None, *, many, record=False,
+                    max_sweeps=None):
+    """Retract the start ``X`` (a point, or rows of points with ``many``) at
+    level 1 by continuation in ``k``; returns ``(points, trace, report)``.
+
+    The relaxed sets ``Q_k`` of :func:`_level_one` are nested, decreasing in
+    ``k``.  A first run at the final order ``k`` gets ``_FIRST_SWEEPS``
+    sweeps; when it converges, that is the whole run, the one-run result bit
+    for bit.  Otherwise the points it reached go through the stages
+    ``k // 10**j, ..., k // 10`` of :func:`_stage_orders`, each a cyclic run
+    warm-started from the last, and then a last run at ``k`` with
+    :func:`_level_one`'s threshold and budget, whose exhaustion raises.  An
+    intermediate stage that runs out of its own budget hands its points on.
+    Each run is a composition of single-coordinate projections onto a
+    relaxation that contains ``Q`` inside the working box, so the whole run
+    is too: 1-Lipschitz, on one schedule for the whole batch, and fixing
+    members of ``Q`` inside the box bit for bit.  The last run stops by the
+    one-run rule, so the violation bound ``(u - l + tol)/k`` is unchanged.
+
+    ``trace`` joins the runs' traces: one :class:`IterationTrace` for a
+    point, per-row traces with ``many`` and ``record``, else ``None``.  Every
+    run ends on a whole sweep, so step ``s`` still moves axis ``s % n``.
+    ``max_sweeps``, when given, caps the sweeps of all runs together, counted
+    on the trace, and running out of it raises.
+    """
+    target, engine_tol, budget, report = _level_one(Q, X if many else [X], tol, box, witness)
+    if many:
+        def retract(T, Y, b):
+            return cyclic_retract_many(T, Y, engine_tol, b, record)
+    else:
+        def retract(T, y, b):
+            return cyclic_retract(T, y, engine_tol, b)
+    left = max_sweeps
+    capped = f"no convergence within {max_sweeps} sweeps over all stages"
+    trace = None
+
+    def run(T, start, own, last=False):
+        """One cyclic run on ``T`` with the budget ``own``, or what is left
+        of ``max_sweeps``: its points, and whether it converged."""
+        nonlocal left, trace
+        if left == 0:
+            raise MaxSweepsExceededError(capped)
+        b = own if left is None else min(own, left)
+        try:
+            points, t = retract(T, start, b)
+            done = True
+        except MaxSweepsExceededError as exc:
+            if b < own:
+                raise MaxSweepsExceededError(capped) from None
+            if last:
+                raise
+            (points, t), done = exc.state, False
+        trace = _joined(trace, t)
+        if left is not None:
+            left -= t.steps // Q.n
+        return points, done
+
+    points, done = run(target, X, _FIRST_SWEEPS)
+    if not done:
+        for k in _stage_orders(report["k"])[:-1]:
+            points, _ = run(_stage(target, k), points, _sweep_budget(k))
+        points, _ = run(target, points, budget, last=True)
+    return points, trace, report
 
 
 def _retract_level_one(Q, x, tol, box=None, witness=None) -> Point:
-    """Retract one point onto the relaxed set of :func:`_level_one`."""
-    x = as_point(x)
-    target, engine_tol, budget, _ = _level_one(Q, [x], tol, box, witness)
-    return cyclic_retract(target, x, engine_tol, budget)[0]
+    """Retract one point onto ``Q`` at level 1 (:func:`_retract_staged`)."""
+    return _retract_staged(Q, as_point(x), tol, box, witness, many=False)[0]
 
 
 def _retract_level_one_many(Q, X, tol, box=None, witness=None) -> np.ndarray:
     """Batch :func:`_retract_level_one` on one shared schedule."""
-    target, engine_tol, budget, _ = _level_one(Q, X, tol, box, witness)
-    return cyclic_retract_many(target, X, engine_tol, budget)[0]
+    return _retract_staged(Q, X, tol, box, witness, many=True)[0]
 
 
 def retract_lambda_one_bounded(Q: BoxLipschitzSet, x, tol: float, box) -> Point:
@@ -679,11 +820,15 @@ def retract_lambda_one_bounded(Q: BoxLipschitzSet, x, tol: float, box) -> Point:
     Shrinks the bounds by ``1 - 1/k`` toward their enclosures over ``box``
     (``None`` for the default box of :func:`_level_one`), with
     ``k = ceil((u - l)/tol) + 1``, and retracts onto the shrunken set, which
-    is again of the same class but strictly below level 1.  Members of the
-    original set inside the working box are also members of the shrunken
-    set and are returned unchanged.  As long as the iterates stay where the
-    enclosures are valid, the result violates the original bounds by at most
-    ``(u - l + tol)/k <= tol``.  A set with missing bounds is truncated as in
+    is again of the same class but strictly below level 1.  The retraction
+    runs at ``k`` for a few sweeps and, when that does not settle it, goes
+    through the shrunken sets of order ``k / 10**j, ..., k / 10`` and ends
+    with the run at ``k``, each warm-started from the last, so its sweeps do
+    not grow like ``1/tol``.  Members of the original set inside the working
+    box are members of every shrunken set and are returned unchanged.  As
+    long as the iterates stay where the enclosures are valid, the result
+    violates the original bounds by at most ``(u - l + tol)/k <= tol``.  A
+    set with missing bounds is truncated as in
     :func:`retract_lambda_one_general`, which needs a witness.
     """
     return _retract_level_one(Q, x, tol, box=box)

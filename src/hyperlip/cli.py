@@ -148,10 +148,11 @@ def cmd_retract(args) -> int:
     if level_one:
         box = _load_box(args.box) if args.box else None
         witness = _load_point(args.witness) if args.witness else None
-        target, tol, budget, result = boxset._level_one(Q, [x], args.tol, box, witness)
+        point, trace, result = boxset._retract_staged(
+            Q, x, args.tol, box, witness, many=False, max_sweeps=args.max_sweeps or None)
     else:
-        target, tol, budget, result = Q, args.tol, 100_000, {"strategy": "cyclic"}
-    point, trace = cyclic_retract(target, x, tol, args.max_sweeps or budget)
+        point, trace = cyclic_retract(Q, x, args.tol, args.max_sweeps or 100_000)
+        result = {"strategy": "cyclic"}
     result.update(point=list(point), violation=violation(Q, point),
                   sweeps=trace.steps // Q.n, trace_summary=_trace_summary(trace))
     if args.trace_out:

@@ -20,9 +20,13 @@ expression into four kinds, and each kind holds its scalar closure (for
 :func:`_compile`), batch closure (for :func:`_compile_grid`) and interval
 enclosure (for :func:`bounds_of`) side by side:
 
-- a constant: ``Const``; ``Infinite`` as ``+inf`` or ``-inf``; and on the
+- a constant: ``Const``; ``Infinite`` as ``+inf`` or ``-inf``; on the
   zero-dimensional domain, where every distance is 0, a ``DistCone`` as its
   offset and each ``McShane`` sample as ``slope * 0.0 + value`` under a node;
+  and at scale 0 a ``DistCone`` as ``slope * 0.0 + offset`` and a
+  ``McShane`` as on that domain.  ``slope * 0.0`` has the bits of ``slope *
+  d`` at every finite distance ``d``, and is no NaN where ``d`` overflowed
+  to ``inf``;
 - a cone family: ``min`` or ``max`` over the cones ``y -> slope * ||center
   - y|| + offset`` of its rows ``(center, offset)``, with one slope.  A
   ``DistCone`` is one row of slope ``orientation * scale``; a ``McShane`` is
@@ -467,10 +471,12 @@ def _lower(f: LipExpr):
     if isinstance(f, DistCone):
         if not f.center:
             return _Const(f.offset)
+        if f.scale == 0.0:
+            return _Const(f.orientation * f.scale * 0.0 + f.offset)
         return _Cones(min, f.orientation * f.scale, ((f.center, f.offset),))
     if isinstance(f, McShane):
         agg, slope = (min, f.scale) if f.mode == "inf" else (max, -f.scale)
-        if not f.samples[0][0]:
+        if not f.samples[0][0] or slope == 0.0:
             return _Node(agg, tuple(_Const(slope * 0.0 + v) for _, v in f.samples))
         return _Cones(agg, slope, f.samples)
     if isinstance(f, Blend):

@@ -46,8 +46,16 @@ from hyperlip.instances import (
     sample_members,
     vee_notch_instance,
 )
-from hyperlip.lipfun import Const, DistCone, Infinite, _compile, _compile_grid, eval_grid
-from hyperlip.metric import sup_dist
+from hyperlip.lipfun import (
+    Const,
+    DistCone,
+    Infinite,
+    McShane,
+    _compile,
+    _compile_grid,
+    eval_grid,
+)
+from hyperlip.metric import sup_dist, sup_dists
 
 
 def _all_rows_sweeps(Q, X, threshold, max_sweeps, record):
@@ -110,7 +118,8 @@ def _assert_engine_matches_reference(Q, X, tol, monkeypatch, block_bytes=None):
 def _engine_digest(case):
     """sha256 of the points and the recorded displacements of a seeded batch
     shaped like one of the benchmark's: a level-0.9 set in dimension 8, or
-    the shrink of the level-1 origin cycle."""
+    the shrink of the level-1 origin cycle, whose traces are those of all
+    its stages."""
     rng = np.random.default_rng(1515)
     if case == "n=8 lam=0.9":
         Q = random_mcshane_instance(8, 0.9, rng, samples=16)
@@ -121,8 +130,7 @@ def _engine_digest(case):
         Q, box = origin_cycle_instance(), [(-2.0, 2.0)] * 2
         X = np.vstack([np.zeros((1, 2)), rng.uniform(-2.0, 2.0, (49, 2))])
         out = retract_lambda_one_bounded_many(Q, X, 1e-3, box)
-        target, engine_tol, budget, _ = boxset._level_one(Q, X, 1e-3, box)
-        again, traces = cyclic_retract_many(target, X, engine_tol, budget, record=True)
+        again, traces, _ = boxset._retract_staged(Q, X, 1e-3, box, many=True, record=True)
         assert again.tobytes() == out.tobytes()
     digest = hashlib.sha256(out.tobytes())
     digest.update(np.array([t.displacements for t in traces]).tobytes())
@@ -457,7 +465,7 @@ class TestBatchEngine:
 
     @pytest.mark.parametrize("name, digest", [
         ("n=8 lam=0.9", "8eab8e8a4ee30319955651341f86e1d2349c891af1f8e45d096e61811c032fc9"),
-        ("origin-cycle shrink", "9010d326a669b765609ea61e719b06c24c0c7e6e747c779668d0aed968db9316"),
+        ("origin-cycle shrink", "d847c8f5b73fe15a4ef69e28b412755789d751ff637dd4be94535ae2af69a236"),
     ])
     def test_output_bytes_are_pinned(self, name, digest):
         """A change that only restructures the engine or its kernels keeps
@@ -686,6 +694,206 @@ class TestLevelOneRule:
                 call()
             messages.add(str(err.value))
         assert messages == {"a level-1 set with missing bounds needs a witness member"}
+
+
+def _level_one_cases():
+    """Level-1 batches by strategy: ``(Q, X, tol, box, witness)``."""
+    rng = np.random.default_rng(1616)
+    mcshane = random_mcshane_instance(3, 1.0, rng, samples=8)
+    return {
+        "origin cycle": (origin_cycle_instance(),
+                         np.vstack([np.zeros((1, 2)), rng.uniform(-2.0, 2.0, (39, 2))]),
+                         1e-4, [(-2.0, 2.0)] * 2, None),
+        "vee notch": (vee_notch_instance(), rng.uniform(-4.0, 4.0, (40, 2)), 1e-4,
+                      [(-4.0, 4.0)] * 2, None),
+        "diagonal half-plane": (diagonal_halfspace_instance(), rng.uniform(-5.0, 5.0, (40, 2)),
+                                1e-4, None, (0.0, 0.0)),
+        "McShane lam=1": (mcshane, rng.uniform(-3.0, 3.0, (40, 3)), 1e-4, None, None),
+    }
+
+
+def _stages_run(monkeypatch):
+    """Spy on ``boxset._stage``: the list of orders it builds sets for."""
+    orders = []
+    stage = boxset._stage
+    monkeypatch.setattr(boxset, "_stage", lambda target, k: orders.append(k) or stage(target, k))
+    return orders
+
+
+class TestStagedLevelOne:
+    """Level-1 retraction by continuation in ``k`` (``boxset._retract_staged``)."""
+
+    def test_stage_orders(self):
+        assert boxset._stage_orders(4002) == [40, 400, 4002]
+        assert boxset._stage_orders(12002) == [12, 120, 1200, 12002]
+        assert boxset._stage_orders(99) == [99]
+        assert boxset._stage_orders(1) == [1]
+
+    def test_a_stage_is_the_shrink_of_its_order(self):
+        Q = vee_notch_instance()
+        box = [(-4.0, 4.0)] * 2
+        target, *_ = boxset._level_one(Q, [(0.0, -3.0)], 1e-3, box)
+        l, u = enclosure_bounds(Q, box)
+        assert boxset._stage(target, 37) == shrink_set(Q, 37, l, u)
+        H, w = diagonal_halfspace_instance(), (2.0, 0.5)
+        target, *_ = boxset._level_one(H, [(0.0, 4.0), (3.0, -2.0)], 1e-2, witness=w)
+        assert boxset._stage(target, 37) == shrink_set(truncated_set(H, w, 8.0), 37,
+                                                       [-6.0, -7.5], [10.0, 8.5])
+
+    @pytest.mark.parametrize("name", ["vee notch", "diagonal half-plane", "McShane lam=1"])
+    def test_a_first_run_that_converges_is_the_one_run_result(self, name, monkeypatch):
+        Q, X, tol, box, witness = _level_one_cases()[name]
+        orders = _stages_run(monkeypatch)
+        out, traces, report = boxset._retract_staged(Q, X, tol, box, witness,
+                                                     many=True, record=True)
+        assert orders == []
+        target, engine_tol, budget, _ = boxset._level_one(Q, X, tol, box, witness)
+        want, want_traces = cyclic_retract_many(target, X, engine_tol, budget, record=True)
+        assert out.tobytes() == want.tobytes()
+        assert np.array([t.displacements for t in traces]).tobytes() == \
+            np.array([t.displacements for t in want_traces]).tobytes()
+
+    def test_the_origin_cycle_goes_through_the_stages(self, monkeypatch):
+        Q, X, tol, box, _ = _level_one_cases()["origin cycle"]
+        orders = _stages_run(monkeypatch)
+        out, traces, report = boxset._retract_staged(Q, X, tol, box, many=True, record=True)
+        k = report["k"]
+        assert orders == boxset._stage_orders(k)[:-1] and len(orders) >= 2
+        # far fewer sweeps than the one run at k, which takes ~0.11 k
+        sweeps = len(traces[0].displacements) // Q.n
+        assert boxset._FIRST_SWEEPS < sweeps < 200 < k // 100
+        assert (violation_many(Q, out) <= tol).all()
+        assert out[0].tobytes() == X[0].tobytes()           # the member
+        # each row's joined trace ends on its point, and its displacements
+        # add up to it (up to the rounding of the running sums)
+        for x, row, t in zip(X, out, traces):
+            assert t.start == tuple(x) and np.array(t.final).tobytes() == row.tobytes()
+            assert np.abs(np.array(t.points()[-1]) - row).max() <= 1e-12
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-6])
+    def test_one_point_and_one_row_agree(self, tol):
+        """The scalar and batch engines give one row the same bits, and the
+        stage decisions of a one-row batch are that row's."""
+        Q = origin_cycle_instance()
+        for x in [(2.0, -1.5), (0.3, 1.7), (-0.25, 0.0)]:
+            point, trace, report = boxset._retract_staged(Q, x, tol, many=False)
+            rows, traces, again = boxset._retract_staged(Q, [x], tol, many=True, record=True)
+            assert np.array(point).tobytes() == rows[0].tobytes()
+            assert np.array(trace.displacements).tobytes() == \
+                np.array(traces[0].displacements).tobytes()
+            assert report == again
+            assert violation(Q, point) <= tol
+
+    @pytest.mark.parametrize("name", list(_level_one_cases()))
+    @pytest.mark.parametrize("first", [None, 1])
+    def test_every_stage_stays_in_the_working_box(self, name, first, monkeypatch):
+        """The small-``k`` stages pull the bounds hard toward anchors that
+        enclose them only inside the working box; every iterate of every
+        stage stays there.  With a first run of one sweep, every case goes
+        through the stages."""
+        if first is not None:
+            monkeypatch.setattr(boxset, "_FIRST_SWEEPS", first)
+        Q, X, tol, box, witness = _level_one_cases()[name]
+        _, traces, report = boxset._retract_staged(Q, X, tol, box, witness,
+                                                   many=True, record=True)
+        if witness is not None:
+            r = report["radius"]
+            box = [(c - r, c + r) for c in witness]
+        elif box is None:
+            box = boxset._auto_box(Q, X)
+        # the replay sums displacements, which may round by an ulp or so
+        lo, hi = np.array(box).T + [[-1e-12], [1e-12]]
+        for t in traces:
+            P = np.array(t.points())
+            assert ((lo <= P) & (P <= hi)).all()
+
+    @pytest.mark.parametrize("strategy", ["cyclic", "origin cycle", "vee notch",
+                                          "diagonal half-plane", "McShane lam=1"])
+    def test_pairwise_sup_distances_do_not_grow(self, strategy, monkeypatch):
+        orders = _stages_run(monkeypatch)
+        if strategy == "cyclic":
+            rng = np.random.default_rng(1617)
+            Q = random_mcshane_instance(3, 0.9, rng, samples=8)
+            X = rng.uniform(-3.0, 3.0, (40, 3))
+            out, _ = cyclic_retract_many(Q, X, 1e-6)
+        else:
+            Q, X, tol, box, witness = _level_one_cases()[strategy]
+            out = boxset._retract_level_one_many(Q, X, tol, box, witness)
+            assert bool(orders) == (strategy == "origin cycle")
+        assert (sup_dists(out, out) <= sup_dists(X, X)).all()
+
+    def test_the_sweep_cap_counts_every_run(self):
+        Q, x = origin_cycle_instance(), (2.0, -1.5)
+        point, trace, _ = boxset._retract_staged(Q, x, 1e-3, many=False)
+        sweeps = trace.steps // Q.n
+        again, same, _ = boxset._retract_staged(Q, x, 1e-3, many=False, max_sweeps=sweeps)
+        assert again == point and same.displacements == trace.displacements
+        for cap in (sweeps - 1, boxset._FIRST_SWEEPS + 1, 3):
+            with pytest.raises(MaxSweepsExceededError, match=f"within {cap} sweeps over all"):
+                boxset._retract_staged(Q, x, 1e-3, many=False, max_sweeps=cap)
+
+
+class TestExhaustedState:
+    """``MaxSweepsExceededError.state`` is the result after the last sweep."""
+
+    def test_scalar(self):
+        Q, x = origin_cycle_instance(), (0.0, 1.0)
+        target, *_ = boxset._level_one(Q, [x], 1e-3)
+        with pytest.raises(MaxSweepsExceededError) as err:
+            cyclic_retract(target, x, 1e-3, max_sweeps=3)
+        point, trace = err.value.state
+        want = cyclic_iterate(target, x, 3 * Q.n)
+        assert point == want.final == trace.final
+        assert trace.displacements == want.displacements and trace.start == x
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_batch(self, record):
+        Q = origin_cycle_instance()
+        X = np.array([[0.0, 1.0], [0.0, 0.0], [2.0, -1.5]])
+        target, *_ = boxset._level_one(Q, X, 1e-3)
+        with pytest.raises(MaxSweepsExceededError) as err:
+            cyclic_retract_many(target, X, 1e-3, max_sweeps=3, record=record)
+        out, traces = err.value.state
+        for j, x in enumerate(X):
+            want = cyclic_iterate(target, tuple(x), 3 * Q.n)
+            assert tuple(out[j]) == want.final
+            if record:
+                assert traces[j].displacements == want.displacements
+        assert traces is None or len(traces) == len(X)
+
+
+class TestScaleZeroFamilies:
+    """A cone family of scale 0 is its offsets, also where a distance
+    overflows to ``inf`` (``0.0 * inf`` would be NaN)."""
+
+    Q = BoxLipschitzSet([McShane((((1e308,), -1.0), ((-1.0,), -2.0)), 0.0, "sup"),
+                         Const(-5.0)],
+                        [Const(1.0), Const(5.0)])
+    x = (0.0, -1e308)
+
+    def test_both_engines_agree(self):
+        point, _ = cyclic_retract(self.Q, self.x, 1e-6)
+        rows, _ = cyclic_retract_many(self.Q, [self.x], 1e-6)
+        assert point == (0.0, -5.0)
+        assert np.array(point).tobytes() == rows[0].tobytes()
+
+    def test_violations_are_finite_and_equal(self):
+        one, many = violation(self.Q, self.x), violation_many(self.Q, [self.x])
+        assert math.isfinite(one) and np.isfinite(many).all()
+        assert np.array([one]).tobytes() == many.tobytes()
+
+    @pytest.mark.parametrize("bound", [
+        McShane((((1e308,), -1.0), ((-1.0,), -2.0)), 0.0, "sup"),
+        McShane((((1e308,), -1.0), ((-1.0,), -2.0)), 0.0, "inf"),
+        DistCone((1e308,), -0.0, 0.0, 1),
+        DistCone((1e308,), 3.0, 0.0, -1),
+    ])
+    def test_evaluators_give_the_offsets(self, bound):
+        far = _compile(bound)((-1e308,))
+        assert far == _compile(bound)((0.5,))
+        assert math.isfinite(far)
+        grid = eval_grid(bound, [[-1e308], [0.5]])
+        assert grid.tobytes() == np.array([far, far]).tobytes()
 
 
 class TestFindPoint:

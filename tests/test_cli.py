@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from hyperlip import cli, svgplot
+from hyperlip import boxset, cli, svgplot
 from hyperlip.boxset import BoxLipschitzSet, UnsupportedSetError, find_point, set_to_obj
 from hyperlip.cli import main
 from hyperlip.instances import (
@@ -20,6 +20,7 @@ from hyperlip.instances import (
     diagonal_halfspace_instance,
     empty_drift_instance,
     half_rate_instance,
+    origin_cycle_instance,
     random_mcshane_instance,
     sample_members,
     vee_notch_instance,
@@ -160,13 +161,13 @@ class TestRetract:
 
     def test_truncate_residual_is_checked(self, capsys, set_file, tmp_path, monkeypatch):
         """A truncate result that misses the set exits 2 with a probe verdict."""
-        original = cli.cyclic_retract
+        original = boxset.cyclic_retract
 
         def moved(*args, **kwargs):
             (a, b), trace = original(*args, **kwargs)
             return (a - 1e-3, b + 1e-3), trace   # off the diagonal x2 = x1
 
-        monkeypatch.setattr(cli, "cyclic_retract", moved)
+        monkeypatch.setattr(boxset, "cyclic_retract", moved)
         path = set_file(diagonal_halfspace_instance())
         code, out, _ = run(capsys, [
             "retract", "--set", path, "--point", dump(tmp_path, "x.json", [2.0, 5.0]),
@@ -175,6 +176,35 @@ class TestRetract:
         assert out["strategy"] == "truncate"
         assert out["violation"] > 1e-6
         assert out["verdict"] in ("stalled", "decaying")
+
+    def test_origin_cycle_at_a_tiny_tolerance(self, capsys, set_file, tmp_path):
+        """The stages keep a level-1 run from growing like 1/tol: one run at
+        this tolerance's k would take ~1e9 sweeps and a trace to match."""
+        path = set_file(origin_cycle_instance())
+        trace = tmp_path / "t.csv"
+        code, out, err = run(capsys, [
+            "retract", "--set", path, "--point", dump(tmp_path, "x.json", [2.0, -1.5]),
+            "--tol", "1e-9", "--trace-out", str(trace)])
+        assert code == 0 and err is None
+        assert out["strategy"] == "shrink" and out["k"] > 10 ** 10
+        assert out["sweeps"] < 200 and out["violation"] <= 1e-9
+        # the trace joins every stage's whole sweeps: step % 2 is the axis
+        assert out["trace_summary"]["steps"] == 2 * out["sweeps"]
+        lines = trace.read_text().splitlines()[1:]
+        assert len(lines) == 2 * out["sweeps"]
+        assert [int(line.split(",")[1]) for line in lines] == [k % 2 for k in range(len(lines))]
+
+    def test_sweep_cap_counts_every_stage(self, capsys, set_file, tmp_path):
+        path = set_file(origin_cycle_instance())
+        argv = ["retract", "--set", path, "--point", dump(tmp_path, "x.json", [2.0, -1.5]),
+                "--tol", "1e-3"]
+        _, want, _ = run(capsys, argv)
+        sweeps = want["sweeps"]
+        code, out, _ = run(capsys, argv + ["--max-sweeps", str(sweeps)])
+        assert code == 0 and out == want
+        code, out, err = run(capsys, argv + ["--max-sweeps", str(sweeps - 1)])
+        assert code == 2 and out is None
+        assert err == {"error": f"no convergence within {sweeps - 1} sweeps over all stages"}
 
     def test_overflowing_tolerance_is_an_input_error(self, capsys, set_file, tmp_path):
         path = set_file(vee_notch_instance())
@@ -576,8 +606,8 @@ class TestSelftest:
         assert a != b
 
     @pytest.mark.parametrize("seed, digest", [
-        (0, "4131decf6645872dc08642d16ecce7298560cfee043802018a48386067320fb2"),
-        (3, "0460696483b34700ace4b76fac801f893ffbc1e42e5967a19432a374dec0ce0f"),
+        (0, "2770770bf89ad1e7d73a1e2b22a33910cdcd7daea0cea6ef38007c2d579202ee"),
+        (3, "4f011aa535496fa4e03726af50a203b894e110a1b3f5822d3636c20ff5c71309"),
     ])
     def test_report_bytes_are_pinned(self, capsys, seed, digest):
         """A change that only restructures code keeps these bytes; one that
