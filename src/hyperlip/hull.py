@@ -32,7 +32,8 @@ __all__ = [
 ]
 
 GRID_CANDIDATE_CAP = 10 ** 8
-# candidates held in memory at once
+# candidates in any one table of the scan; depth first, it holds one per
+# coordinate at most
 _ROWS_IN_FLIGHT = 100_000
 
 
@@ -168,47 +169,105 @@ def _extremal(D, C, tol):
     return list(zip(*C[:, _minimal(D, C, tol)].tolist()))
 
 
-def _prefixes(V, k, start, stop):
-    """The grid points of ``k`` coordinates over the values ``V`` with flat
-    (row-major) indices [start, stop), as a ``(k, N)`` table."""
+def _extend(V, P, base, ends, start, stop):
+    """Candidates [start, stop) of the list that follows each column of the
+    ``(k, N)`` table ``P`` by each value of its window of ``V``, in order,
+    as a ``(k + 1, stop - start)`` table.
+
+    Column ``c``'s window fills the places from ``ends[c - 1]`` (0 for the
+    first column) up to ``ends[c]``, and place ``r`` takes ``V[base[c] +
+    r]``.
+    """
     flat = np.arange(start, stop)
-    idx = np.empty((k, len(flat)), dtype=np.intp)
-    for j in range(k - 1, -1, -1):
-        flat, idx[j] = np.divmod(flat, len(V))
-    return V[idx]
+    rep = np.searchsorted(ends, flat, side="right")
+    C = np.empty((P.shape[0] + 1, len(flat)))
+    C[:-1] = P[:, rep]
+    C[-1] = V[base[rep] + flat]
+    return C
 
 
-def _scan_block(D, V, start, stop, tol, resolution):
-    """Extremality scan of the candidates whose first m - 1 coordinates have
-    flat prefix indices [start, stop), over the last-coordinate window
-    minimality allows.
+def _prune(D, C, tol, slack):
+    """The columns of the ``(k, N)`` table ``C`` of first coordinates that
+    pass two necessary conditions of the extremality test.
 
-    A prefix f_0 .. f_{m-2} failing admissibility on its own pairs fails it
-    on the full table.  Otherwise admissibility on the pairs (j, m - 1) and
-    minimality of the last row confine the last value to
-    ``[M - tol, max(M, 0) + tol]`` with ``M = max_j (D[m - 1, j] - f_j)``.
-    Its index window is widened by one step on each side to cover rounding,
-    and ``M`` is taken as ``max(M, 0)`` at both ends, which moves only a
-    lower end that is clipped to 0 anyway.  The full test then runs on every
-    candidate of each window, so the found list is that of the whole grid.
+    Admissibility: the last coordinate, new at this level, with each known
+    one, in the float expression of :func:`_admissible`; the other pairs
+    were tested a level up.
+
+    Early minimality: each unknown ``f_u`` has the floor ``L_u = max(0,
+    max_{j known}(D[u, j] - f_j) - tol)``, and each known ``f_l`` must pass
+    minimality with every unknown at its floor, ``f_l <= max(max_{j
+    known}(D[l, j] - f_j), max_{u unknown}(D[l, u] - L_u)) + slack``.  A
+    candidate passing the full test has ``f_u >= L_u`` up to a few ulps of
+    ``diam + tol``, because grid values are nonnegative and admissibility
+    gives ``f_u >= D[u, j] - f_j - tol`` up to rounding.  So
+    ``D[l, u] - f_u`` exceeds ``D[l, u] - L_u`` by no more than that, and
+    the condition holds with ``slack = tol`` plus that rounding error.  The
+    scan passes ``slack = tol + resolution``: the step is ``2 * tol``, and
+    under the cap of 10^8 grid points at least ``diam * 1e-8``, so it is
+    far more than a few ulps of ``diam + tol``.
     """
     m = D.shape[0]
-    k = m - 1
-    P = _prefixes(V, k, start, stop)
-    P = P[:, _admissible(D[:k, :k], P, tol)]
+    i = C.shape[0] - 1
+    ok = C[0] + C[i] >= D[0, i] - tol
+    for j in range(1, i + 1):
+        np.logical_and(ok, C[j] + C[i] >= D[j, i] - tol, out=ok)
+    C = C[:, ok]
+    known = range(i + 1)
+    floors = []
+    for u in range(i + 1, m):
+        L = np.zeros(C.shape[1])
+        for j in known:
+            np.maximum(L, D[u, j] - C[j], out=L)
+        L -= tol
+        floors.append((u, np.maximum(L, 0.0, out=L)))
+    ok = np.ones(C.shape[1], dtype=bool)
+    best = np.empty(C.shape[1])
+    for l in known:
+        np.subtract(D[l, 0], C[0], out=best)
+        for j in known[1:]:
+            np.maximum(best, D[l, j] - C[j], out=best)
+        for u, L in floors:
+            np.maximum(best, D[l, u] - L, out=best)
+        np.logical_and(ok, C[l] <= best + slack, out=ok)
+    return C[:, ok]
+
+
+def _scan(D, V, P, tol, resolution, found):
+    """Extend the ``(k, N)`` table ``P`` of first coordinates by coordinate
+    ``k``, depth first: each table of at most ``_ROWS_IN_FLIGHT`` extended
+    candidates is pruned and extended further before the next is built.
+    Candidates of all ``m`` coordinates go through :func:`_extremal` into
+    the set ``found``.
+
+    With ``M = max(0, max_{j < k}(D[k, j] - f_j))``, admissibility puts
+    ``f_k`` at or above ``M - tol``, and on the last coordinate minimality
+    puts it at or below ``M + tol`` (the term ``-f_k`` of its own row only
+    matters below ``tol / 2``).  Coordinate ``k`` runs over the grid values
+    from one step below the first bound, to cover rounding, up to the top
+    of the grid, or on the last coordinate up to one step above the second.
+    """
+    m, k = D.shape[0], P.shape[0]
     top = np.zeros(P.shape[1])
     for j in range(k):
         np.maximum(top, D[k, j] - P[j], out=top)
     last = len(V) - 1
     lo = np.clip(np.floor((top - tol) / resolution).astype(np.intp) - 1, 0, last)
-    hi = np.clip(np.ceil((top + tol) / resolution).astype(np.intp) + 1, 0, last)
+    hi = last
+    if k == m - 1:
+        hi = np.clip(np.ceil((top + tol) / resolution).astype(np.intp) + 1, 0, last)
     width = hi - lo + 1
-    rep = np.repeat(np.arange(P.shape[1]), width)
-    first = np.cumsum(width) - width
-    C = np.empty((m, len(rep)))
-    C[:k] = P[:, rep]
-    C[k] = V[lo[rep] + np.arange(len(rep)) - first[rep]]
-    return _extremal(D, C, tol)
+    ends = np.cumsum(width)
+    base = lo + width - ends
+    total = int(ends[-1])
+    for start in range(0, total, _ROWS_IN_FLIGHT):
+        C = _extend(V, P, base, ends, start, min(start + _ROWS_IN_FLIGHT, total))
+        if k == m - 1:
+            found.update(_extremal(D, C, tol))
+        else:
+            C = _prune(D, C, tol, tol + resolution)
+            if C.shape[1]:
+                _scan(D, V, C, tol, resolution, found)
 
 
 def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float) -> list:
@@ -221,13 +280,20 @@ def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float) -> list:
     Spaces larger than 5 points or grids beyond 10^8 candidates are refused;
     the cap counts the whole grid, ``count^|X|``.
 
-    Not every grid point is tested.  The scan enumerates the grid's prefixes
-    of ``|X| - 1`` coordinates, drops those inadmissible on their own pairs,
-    and gives each remaining one the window of last values that
-    admissibility and minimality allow, one step wider on each side.  Every
-    candidate outside the windows fails the test, so the found list is that
-    of the full grid scan.  The scan runs in one thread, over blocks of
-    prefixes sized so that at most 100 000 candidates are held at once.
+    Not every grid point is tested.  The scan builds candidates one
+    coordinate at a time, and each coordinate gets a window.  It starts one
+    step below the floor that admissibility with the known coordinates
+    allows; on the last coordinate it also ends one step above the cap that
+    minimality allows.  After each coordinate is added, the prefixes are
+    pruned by two necessary conditions of the test: admissibility of the
+    new pairs, and minimality of every known coordinate with each unknown
+    one at its floor.  The floors are exact up to a few ulps of ``diam +
+    tol``, and this minimality check allows one step more than the test,
+    which is at least ``diam * 1e-8`` under the cap.  So no candidate that
+    passes the test is pruned, the full test runs on every candidate that
+    is left, and the found list is that of the full grid scan.  The scan
+    runs in one thread, depth first, and no table of candidates it holds has
+    more than 100 000 columns, one per candidate.
     """
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
@@ -245,15 +311,8 @@ def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float) -> list:
             f"grid too large: {count}^{m} candidates exceed the cap {GRID_CANDIDATE_CAP}")
     V = np.array([j * resolution for j in range(count)])
     tol = resolution / 2.0
-    total = count ** (m - 1)
-    # a window [floor(b) - 1, ceil(a) + 1] with a - b = 2 tol / resolution,
-    # up to rounding, holds at most ceil(a - b) + 4 <= int(2 tol / resolution)
-    # + 5 grid values
-    span = min(count, int(2.0 * tol / resolution) + 5)
-    block = _ROWS_IN_FLIGHT // span
     found = set()
-    for start in range(0, total, block):
-        found.update(_scan_block(D, V, start, min(start + block, total), tol, resolution))
+    _scan(D, V, np.empty((0, 1)), tol, resolution, found)
     top = float(V[-1])
     for x in range(m):
         snapped = tuple(min(max(float(round(v / resolution) * resolution), 0.0), top)

@@ -26,7 +26,10 @@ enclosure (for :func:`bounds_of`) side by side:
   and at scale 0 a ``DistCone`` as ``slope * 0.0 + offset`` and a
   ``McShane`` as on that domain.  ``slope * 0.0`` has the bits of ``slope *
   d`` at every finite distance ``d``, and is no NaN where ``d`` overflowed
-  to ``inf``;
+  to ``inf``.  A ``Blend`` of factor 0 is ``factor * 0.0 + anchor``, its
+  value at every finite inner value, and no NaN where the inner value
+  overflowed; at anchor ``-0.0`` it stays a blend, of its inner value
+  clamped into [-1, 1];
 - a cone family: ``min`` or ``max`` over the cones ``y -> slope * ||center
   - y|| + offset`` of its rows ``(center, offset)``, with one slope.  A
   ``DistCone`` is one row of slope ``orientation * scale``; a ``McShane`` is
@@ -480,7 +483,14 @@ def _lower(f: LipExpr):
             return _Node(agg, tuple(_Const(slope * 0.0 + v) for _, v in f.samples))
         return _Cones(agg, slope, f.samples)
     if isinstance(f, Blend):
-        return _Blend(_lower(f.inner), f.factor, f.anchor)
+        inner = _lower(f.inner)
+        if f.factor == 0.0:
+            if f.anchor or math.copysign(1.0, f.anchor) > 0.0:
+                return _Const(f.factor * 0.0 + f.anchor)
+            # at anchor -0.0 the value is a zero whose sign follows the inner
+            # value's sign, which clamping into [-1, 1] keeps
+            inner = _Node(max, (_Node(min, (inner, _Const(1.0))), _Const(-1.0)))
+        return _Blend(inner, f.factor, f.anchor)
     if isinstance(f, _MinMax):
         kids = tuple(_lower(c) for c in f.children)
         if all(isinstance(k, _Cones) and len(k.rows) == 1 for k in kids) and \

@@ -47,10 +47,13 @@ from hyperlip.instances import (
     vee_notch_instance,
 )
 from hyperlip.lipfun import (
+    Blend,
     Const,
     DistCone,
     Infinite,
+    Max,
     McShane,
+    Min,
     _compile,
     _compile_grid,
     eval_grid,
@@ -894,6 +897,140 @@ class TestScaleZeroFamilies:
         assert math.isfinite(far)
         grid = eval_grid(bound, [[-1e308], [0.5]])
         assert grid.tobytes() == np.array([far, far]).tobytes()
+
+
+class TestFactorZeroBlends:
+    """A blend of factor 0 is its anchor, also where its inner value
+    overflows to ``inf`` (``0.0 * (inf - anchor)`` would be NaN).
+    ``shrink_set`` makes such blends at ``k = 1``."""
+
+    blend = Blend(DistCone((1e308,), 0.0, 1.0, 1), 0.0, 2.0)
+    far = (-1e308,)
+
+    def test_evaluators_give_the_anchor(self):
+        assert _compile(self.blend)(self.far) == 2.0
+        assert eval_grid(self.blend, [self.far, (0.5,)]).tolist() == [2.0, 2.0]
+
+    @pytest.mark.parametrize("other", [
+        Const(5.0),
+        Blend(DistCone((1e308,), 1.0, 1.0, 1), 0.0, 3.0),
+        DistCone((0.0,), 1.0, 1.0, -1),
+    ])
+    def test_paired_evaluators_give_the_anchor(self, other):
+        lo, up = lipfun._compile_pair(self.blend, other)(self.far)
+        los, ups = lipfun._compile_grid_pair(self.blend, other)(np.array([self.far]).T)
+        assert lo == 2.0 and los.tolist() == [2.0]
+        assert up == _compile(other)(self.far)
+        assert ups.tobytes() == eval_grid(other, [self.far]).tobytes()
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_a_negative_zero_anchor_keeps_the_inner_sign(self, orientation):
+        """At anchor -0.0 the value is a zero signed by the inner value, as
+        at a finite point where the inner value has the same sign."""
+        f = Blend(DistCone((1e308,), 0.0, 1.0, orientation), 0.0, -0.0)
+        want = _compile(f)((0.5,))
+        assert want == 0.0 and math.copysign(1.0, want) == (1.0 if orientation > 0 else -1.0)
+        assert _compile(f)(self.far).hex() == want.hex()
+        with np.errstate(over="ignore"):        # the distance overflows
+            grid = eval_grid(f, [self.far, (0.5,)])
+        assert grid.tobytes() == np.array([want, want]).tobytes()
+
+    def test_order_one_relaxation_through_both_engines(self):
+        Q = BoxLipschitzSet([DistCone((1e308,), 0.0, 1.0, -1), Const(-1.0)],
+                            [DistCone((1e308,), 0.0, 1.0, 1), Const(1.0)])
+        R = shrink_set(Q, 1, -2.0, 2.0)
+        rows = [(0.5, -1e308), (3.0, 0.0), (-1.0, 1e308), (0.0, 0.0)]
+        points, _ = cyclic_retract_many(R, rows, 1e-6)
+        assert np.isfinite(points).all()
+        for x, got in zip(rows, points):
+            point, _ = cyclic_retract(R, x, 1e-6)
+            assert np.array(point).tobytes() == got.tobytes()
+        assert points.tolist() == [[0.5, -2.0], [2.0, 0.0], [-1.0, 2.0], [0.0, 0.0]]
+
+
+def _zero_tie_set(rng, n, pinned):
+    """A contractive set whose bounds take exact zeros of both signs at
+    dyadic hat points: McShane envelopes of scale 1/2 over dyadic samples
+    valued 0.0, -0.0 or -1 (lower) and 0.0, -0.0 or 1 (upper).  With
+    ``pinned``, axis 0's bounds are the ``Max`` and the ``Min`` of their
+    envelope and a zero of either sign, so that axis is pinned to a tie of
+    zeros."""
+    sides = {"sup": [], "inf": []}
+    for i in range(n):
+        for mode, values, node in (("sup", (0.0, -0.0, -1.0), Max), ("inf", (0.0, -0.0, 1.0), Min)):
+            pts = [tuple(p) for p in rng.integers(-2, 3, (4, n - 1)) / 2.0]
+            env = McShane(tuple(zip(pts, map(float, rng.choice(values, 4)))), 0.5, mode)
+            if pinned and i == 0:
+                env = node(env, Const(float(rng.choice((0.0, -0.0)))))
+            sides[mode].append(env)
+    return BoxLipschitzSet(sides["sup"], sides["inf"])
+
+
+class TestZeroSignsOfBounds:
+    """The scalar and batch evaluators may give a zero bound value opposite
+    signs at a ``Min``/``Max``/``McShane`` tie.  The engines cannot see it:
+    they compare with ``<`` and ``>``, which treat the two zeros as equal,
+    and move a coordinate onto ``bound + 0.0``, which is ``+0.0`` for both.
+    So flipping the sign of every zero bound value leaves every output byte
+    of both engines as it is."""
+
+    @staticmethod
+    def _flipping(monkeypatch, flips):
+        pair, grid_pair = boxset._compile_pair, boxset._compile_grid_pair
+
+        def flip(v):
+            if v == 0.0:
+                flips.append(1)
+                return -v
+            return v
+
+        def flip_all(v):
+            zero = v == 0.0
+            flips.append(int(zero.sum()))
+            return np.where(zero, -v, v)
+
+        def scalar(lo, up):
+            f = pair(lo, up)
+            return lambda y: tuple(flip(v) for v in f(y))
+
+        def batch(lo, up):
+            f = grid_pair(lo, up)
+            return lambda YT: tuple(flip_all(v) for v in f(YT))
+
+        monkeypatch.setattr(boxset, "_compile_pair", scalar)
+        monkeypatch.setattr(boxset, "_compile_grid_pair", batch)
+
+    @staticmethod
+    def _outputs(Q, rows):
+        out = []
+        for x in rows:
+            point, trace = cyclic_retract(Q, x, 1e-9)
+            out.append(np.array(point).tobytes() + np.array(trace.displacements).tobytes())
+        points, traces = cyclic_retract_many(Q, rows, 1e-9, record=True)
+        out.append(points.tobytes())
+        out += [np.array(t.displacements).tobytes() for t in traces]
+        return out
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_flipped_zero_bounds_leave_the_bytes(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        cases = []
+        for n, pinned in ((2, False), (2, True), (3, False), (3, True), (4, True)):
+            rows = rng.integers(-4, 5, (12, n)) / 4.0
+            rows[rng.random(rows.shape) < 0.2] = -0.0
+            cases.append((n, pinned, int(rng.integers(1 << 30)),
+                          [tuple(map(float, r)) for r in rows]))
+
+        def outputs():
+            return [self._outputs(_zero_tie_set(np.random.default_rng(s), n, pinned), rows)
+                    for n, pinned, s, rows in cases]
+
+        want = outputs()
+        flips = []
+        self._flipping(monkeypatch, flips)
+        got = outputs()
+        assert got == want
+        assert sum(flips) > 0
 
 
 class TestFindPoint:

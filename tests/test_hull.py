@@ -218,6 +218,26 @@ def _reference_scan(D, V, shape, start, stop, tol):
     return [tuple(map(float, row)) for row in F[ok]]
 
 
+def _full_grid(X, res):
+    """The enumeration's list from the full-grid scan: every grid point that
+    passes the test, and the snapped distance rows."""
+    count, V = _grid(X, res)
+    m = X.size
+    found = _reference_scan(X.matrix, V, (count,) * m, 0, count ** m, res / 2.0)
+    rows = {tuple(min(max(float(round(v / res) * res), 0.0), float(V[-1]))
+                  for v in X.row(x)) for x in range(m)}
+    return sorted(set(found) | rows)
+
+
+def _five_point():
+    """A seeded 5-point space of diameter 1.5, built as the benchmark's hull
+    workload builds its spaces."""
+    D = np.random.default_rng(0).uniform(1.0, 2.0, (5, 5))
+    D = (D + D.T) / 2.0
+    np.fill_diagonal(D, 0.0)
+    return FiniteMetricSpace(D * (1.5 / D.max()))
+
+
 class TestEnumeration:
     def test_two_point_segment_at_fine_resolution(self):
         X = _two_point(d=1.0)
@@ -248,7 +268,7 @@ class TestEnumeration:
         assert (0.0, 1.0) in found
 
     def test_blocks_give_the_same_answer(self, monkeypatch):
-        # a smaller budget splits the 41^2 prefixes into several blocks
+        # a smaller budget splits the tables of the 41^3 grid into several
         monkeypatch.setattr(hull, "_ROWS_IN_FLIGHT", 5000)
         X = _tripod()
         count, V = _grid(X, 0.05)
@@ -257,29 +277,59 @@ class TestEnumeration:
         assert enumerate_extremal_grid(X, 0.05) == sorted(set(whole) | rows)
 
     def test_block_size_and_rows_in_flight(self, monkeypatch):
-        prefixes, held = [], []
-        scan, extremal = hull._scan_block, hull._extremal
+        """Every table the scan builds, at every coordinate, and every table
+        it prunes or tests holds at most ``_ROWS_IN_FLIGHT`` candidates."""
+        tables = []
+        extend, prune, extremal = hull._extend, hull._prune, hull._extremal
 
-        def recording_scan(D, V, start, stop, tol, resolution):
-            prefixes.append(stop - start)
-            return scan(D, V, start, stop, tol, resolution)
+        def recording_extend(V, P, base, ends, start, stop):
+            C = extend(V, P, base, ends, start, stop)
+            tables.append(("extend", C.shape[0], C.shape[1]))
+            return C
+
+        def recording_prune(D, C, tol, slack):
+            tables.append(("prune", C.shape[0], C.shape[1]))
+            return prune(D, C, tol, slack)
 
         def recording_extremal(D, C, tol):
+            tables.append(("extremal", C.shape[0], C.shape[1]))
+            return extremal(D, C, tol)
+
+        monkeypatch.setattr(hull, "_extend", recording_extend)
+        monkeypatch.setattr(hull, "_prune", recording_prune)
+        monkeypatch.setattr(hull, "_extremal", recording_extremal)
+        spaces = ((_tripod(), 0.05), (_five_point(), 0.1))
+        want = [enumerate_extremal_grid(X, res) for X, res in spaces]
+        for budget in (100_000, 700):
+            monkeypatch.setattr(hull, "_ROWS_IN_FLIGHT", budget)
+            for (X, res), found in zip(spaces, want):
+                tables.clear()
+                assert enumerate_extremal_grid(X, res) == found
+                assert {k for _, k, _ in tables} == set(range(1, X.size + 1))
+                assert max(n for _, _, n in tables) <= budget
+                # the windows hold far fewer candidates than the grid
+                held = sum(n for kind, _, n in tables if kind == "extremal")
+                assert held < (round(X.matrix.max() / res) + 1) ** X.size / 10
+        # a budget of 700 splits some of the 5-point space's tables
+        assert any(kind == "extend" and n == 700 for kind, _, n in tables)
+
+    def test_extremal_tests_few_candidates(self, monkeypatch):
+        """A work count, not a timing: the candidates that reach the full
+        test.  The last-coordinate windows alone passed 4 292 on the tripod
+        at 0.05 and 75 051 on the seeded 5-point space at 0.1; pruning every
+        coordinate must keep each under a quarter of that."""
+        held = []
+        extremal = hull._extremal
+
+        def counting_extremal(D, C, tol):
             held.append(C.shape[1])
             return extremal(D, C, tol)
 
-        want = enumerate_extremal_grid(_tripod(), 0.05)
-        monkeypatch.setattr(hull, "_scan_block", recording_scan)
-        monkeypatch.setattr(hull, "_extremal", recording_extremal)
-        for budget in (100_000, 700):
-            monkeypatch.setattr(hull, "_ROWS_IN_FLIGHT", budget)
-            prefixes.clear()
+        monkeypatch.setattr(hull, "_extremal", counting_extremal)
+        for X, res, before in ((_tripod(), 0.05, 4292), (_five_point(), 0.1, 75051)):
             held.clear()
-            assert enumerate_extremal_grid(_tripod(), 0.05) == want
-            assert sum(prefixes) == 41 ** 2
-            assert max(held) <= hull._ROWS_IN_FLIGHT
-            # the windows hold far fewer candidates than the grid
-            assert sum(held) < 41 ** 3 / 10
+            enumerate_extremal_grid(X, res)
+            assert 0 < sum(held) < before / 4
 
     def test_scan_starts_no_thread(self, monkeypatch):
         want = enumerate_extremal_grid(_tripod(), 0.05)
@@ -332,11 +382,13 @@ class TestEnumeration:
                     assert got == want
                     assert all(type(v) is float for f in got for v in f)
 
-    def test_window_scan_matches_the_full_grid_scan(self):
-        """The window scan finds the full-grid scan's candidates, in the same
-        order, on 200 seeded spaces of 1 to 5 points whose diameter is not a
-        whole number of steps; the enumeration's list is then the same."""
+    def test_window_scan_matches_the_full_grid_scan(self, monkeypatch):
+        """The window scan finds the full-grid scan's candidates on 200
+        seeded spaces of 1 to 5 points whose diameter is not a whole number
+        of steps, also with tables of at most 50 candidates; the
+        enumeration's list is then the same."""
         rng = np.random.default_rng(11)
+        cases = []
         for t in range(200):
             m = t % 5 + 1
             D = rng.uniform(0.2, 2.0, (m, m))
@@ -344,17 +396,34 @@ class TestEnumeration:
             np.fill_diagonal(D, 0.0)
             for k in range(m):
                 D = np.minimum(D, D[:, k, None] + D[None, k, :])
-            X = FiniteMetricSpace(D)
             steps = {1: 1, 2: 40, 3: 16, 4: 9, 5: 6}[m] + rng.uniform(0.1, 0.9)
-            res = max(float(D.max()), 1.0) / steps
-            count, V = _grid(X, res)
-            shape = (count,) * m
-            tol = res / 2.0
-            want = _reference_scan(D, V, shape, 0, count ** m, tol)
-            assert hull._scan_block(D, V, 0, count ** (m - 1), tol, res) == want
-            rows = {tuple(min(max(float(round(v / res) * res), 0.0), float(V[-1]))
-                          for v in X.row(x)) for x in range(m)}
-            assert enumerate_extremal_grid(X, res) == sorted(set(want) | rows)
+            cases.append((FiniteMetricSpace(D), max(float(D.max()), 1.0) / steps))
+        for budget in (100_000, 50):
+            monkeypatch.setattr(hull, "_ROWS_IN_FLIGHT", budget)
+            for X, res in cases:
+                assert enumerate_extremal_grid(X, res) == _full_grid(X, res)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["equilateral", "line", "tripod"])
+    def test_special_metrics_match_the_full_grid_scan(self, monkeypatch, kind, m):
+        """Metrics whose hulls have flat faces and ties, where a window end
+        meets a grid value: all distances equal, points on a line, and the
+        ends of a tripod's legs (d(x, y) = a_x + a_y), at a resolution that
+        divides every distance and at two that do not."""
+        if kind == "equilateral":
+            D = np.ones((m, m)) - np.eye(m)
+        else:
+            a = np.array([0.5, 1.0, 0.75, 0.25, 1.25][:m])
+            D = np.abs(np.cumsum(a)[:, None] - np.cumsum(a)[None, :])
+            if kind == "tripod":
+                D = (a[:, None] + a[None, :]) * (1.0 - np.eye(m))
+        X = FiniteMetricSpace(D)
+        coarse = {2: 1, 3: 1, 4: 2, 5: 4}[m]
+        for res in (0.125 * coarse, 0.13 * coarse, 0.1 * coarse):
+            want = _full_grid(X, res)
+            for budget in (100_000, 50):
+                monkeypatch.setattr(hull, "_ROWS_IN_FLIGHT", budget)
+                assert enumerate_extremal_grid(X, res) == want
 
     def test_size_limits(self, rng):
         X = random_metric(rng, 6)

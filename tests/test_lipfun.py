@@ -266,6 +266,8 @@ def _signed_exprs(draw):
 @example((1, Max(Const(-0.0), McShane((((0.0,), 0.0), ((1.0,), -0.0)), 0.0, "inf"))))
 # slopes 0.0 and -0.0 are two slopes
 @example((1, Min(DistCone((0.0,), 0.0, 0.0, 1), DistCone((1.0,), -0.0, 0.0, -1))))
+# factor 0 at anchor -0.0: a zero whose sign follows the inner value's
+@example((1, Blend(DistCone((0.0,), 0.0, 1.0, -1), 0.0, -0.0)))
 # the zero-dimensional domain: a cone is its offset, a sample slope * 0.0 + value
 @example((0, DistCone((), -0.0, 0.5, 1)))
 @example((0, McShane((((), -0.0), ((), 1.0)), 0.5, "inf")))
