@@ -22,6 +22,7 @@ from .boxset import (
     enclosure_bounds,
     find_point,
     relaxation_order,
+    retract,
     retract_lambda_one_bounded,
     retract_lambda_one_bounded_many,
     retract_lambda_one_general,

@@ -13,16 +13,17 @@ Retraction onto such a set runs single-coordinate projections cyclically.
 Below level 1 the displacement sequence decays geometrically sweep over
 sweep, which both terminates the iteration and certifies the result; at
 level exactly 1 the iteration can stall or drift, and one relaxation rule
-(``_level_one``, behind :func:`retract_lambda_one_bounded`,
-:func:`retract_lambda_one_general`, :func:`find_point` and the CLI) replaces
-the set by a slightly shrunken or ball-truncated one whose level is strictly
-below 1.
+(``_level_one``) replaces the set by a slightly shrunken or ball-truncated
+one whose level is strictly below 1.  :func:`retract` is the one entry
+point that picks the strategy (cyclic, shrink or truncate) from the set;
+:func:`find_point`, the ``retract_lambda_one_*`` functions,
+:func:`hyperlip.extension.extend_into_Q` and the CLI all go through it.
 
 That relaxed set ``Q_k`` is the last term of a family nested decreasing in
 ``k`` whose intersection is the set, and one cyclic run on it contracts only
 at the rate ``1 - 1/k``, with ``k`` of order ``span / tol``.  So a level-1
-retraction (``_retract_staged``) walks the family instead: a short first run
-at the final ``k``, and when that does not converge, warm-started runs at
+retraction walks the family instead: a short first run at the final ``k``,
+and when that does not converge, warm-started runs at
 ``k / 10**j, ..., k / 10`` and a last run at ``k`` under the one-run stopping
 rule.  Each run is again a composition of single-coordinate projections
 onto a set containing the original inside the working box, so the guarantees
@@ -48,7 +49,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -72,7 +73,7 @@ from .lipfun import (
     lip_bound,
     shrink,
 )
-from .metric import Point, as_point, hat
+from .metric import Point, as_point, hat, sup_dists
 
 __all__ = [
     "BoxLipschitzSet",
@@ -94,6 +95,7 @@ __all__ = [
     "truncated_set",
     "retract_lambda_one_general",
     "retract_lambda_one_general_many",
+    "retract",
     "find_point",
     "detect_noncontraction",
     "check_decay_certificate",
@@ -103,7 +105,7 @@ __all__ = [
 ]
 
 STALL_RTOL = 1e-9
-# level-1 continuation (``_retract_staged``): sweeps of the first run at the
+# level-1 continuation (:func:`retract`): sweeps of the first run at the
 # final order k, the ratio of one stage's order to the next, and the least
 # order of a stage
 _FIRST_SWEEPS = 64
@@ -685,7 +687,7 @@ def _level_one(Q, X, tol, box=None, witness=None):
     the last cyclic run on it; and the ``strategy`` with ``k`` and the
     ``enclosure`` or ``radius``.  The sets of smaller order on the way to
     ``target`` are built from it by :func:`_stage`, only when
-    :func:`_retract_staged` needs them.
+    :func:`retract` needs them.
     """
     X = _rows(Q, X)
     if Q.all_finite:
@@ -698,10 +700,13 @@ def _level_one(Q, X, tol, box=None, witness=None):
         v = violation(Q, w)
         if v != 0.0:
             raise ValueError(f"witness {w} is not a member (violation {v:g})")
-        r = 2.0 * float(np.abs(X - np.asarray(w)).max(initial=0.0)) + 1.0
+        r = 2.0 * float(sup_dists(X, np.asarray([w])).max(initial=0.0)) + 1.0
+        if not math.isfinite(r):
+            raise ValueError(f"the truncation radius around witness {w} overflows: r={r!r}")
         l, u = [c - r for c in w], [c + r for c in w]
         base, report = truncated_set(Q, w, r), {"strategy": "truncate", "radius": r}
-    k = report["k"] = relaxation_order(float(np.max(np.subtract(u, l))), tol)
+    with np.errstate(over="ignore"):    # relaxation_order refuses an inf span
+        k = report["k"] = relaxation_order(float(np.max(np.subtract(u, l))), tol)
     return shrink_set(base, k, l, u), tol / 4, _sweep_budget(k), report
 
 
@@ -739,17 +744,20 @@ def _joined(a, b):
     return IterationTrace(a.dim, a.start, a.displacements + b.displacements, b.final)
 
 
-def _retract_staged(Q, X, tol, box=None, witness=None, *, many, record=False,
-                    max_sweeps=None):
-    """Retract the start ``X`` (a point, or rows of points with ``many``) at
-    level 1 by continuation in ``k``; returns ``(points, trace, report)``.
+def retract(Q: BoxLipschitzSet, X, tol: float, box=None, witness=None, *, many: bool,
+            record: bool = False, max_sweeps: int = None):
+    """Retract the start ``X`` (a point, or rows of points with ``many``)
+    onto ``Q`` with the strategy the set admits; returns ``(points, trace,
+    report)``.  Below level 1 that is one :func:`cyclic_retract` (with
+    ``many``, :func:`cyclic_retract_many`) run with the budget ``max_sweeps
+    or 100_000``, and ``report`` is ``{"strategy": "cyclic"}``.
 
-    The relaxed sets ``Q_k`` of :func:`_level_one` are nested, decreasing in
-    ``k``.  A first run at the final order ``k`` gets ``_FIRST_SWEEPS``
-    sweeps; when it converges, that is the whole run, the one-run result bit
-    for bit.  Otherwise the points it reached go through the stages
-    ``k // 10**j, ..., k // 10`` of :func:`_stage_orders`, each a cyclic run
-    warm-started from the last, and then a last run at ``k`` with
+    At level 1 it walks the relaxed sets ``Q_k`` of :func:`_level_one`,
+    nested, decreasing in ``k``.  A first run at the final order ``k`` gets
+    ``_FIRST_SWEEPS`` sweeps; when it converges, that is the whole run, the
+    one-run result bit for bit.  Otherwise the points it reached go through
+    the stages ``k // 10**j, ..., k // 10`` of :func:`_stage_orders`, each a
+    cyclic run warm-started from the last, and then a last run at ``k`` with
     :func:`_level_one`'s threshold and budget, whose exhaustion raises.  An
     intermediate stage that runs out of its own budget hands its points on.
     Each run is a composition of single-coordinate projections onto a
@@ -757,21 +765,20 @@ def _retract_staged(Q, X, tol, box=None, witness=None, *, many, record=False,
     is too: 1-Lipschitz, on one schedule for the whole batch, and fixing
     members of ``Q`` inside the box bit for bit.  The last run stops by the
     one-run rule, so the violation bound ``(u - l + tol)/k`` is unchanged.
+    ``max_sweeps``, unless ``None`` or 0, caps the sweeps of all runs
+    together, counted on the trace, and running out of it raises.
 
     ``trace`` joins the runs' traces: one :class:`IterationTrace` for a
     point, per-row traces with ``many`` and ``record``, else ``None``.  Every
     run ends on a whole sweep, so step ``s`` still moves axis ``s % n``.
-    ``max_sweeps``, when given, caps the sweeps of all runs together, counted
-    on the trace, and running out of it raises.
     """
-    target, engine_tol, budget, report = _level_one(Q, X if many else [X], tol, box, witness)
-    if many:
-        def retract(T, Y, b):
-            return cyclic_retract_many(T, Y, engine_tol, b, record)
-    else:
-        def retract(T, y, b):
-            return cyclic_retract(T, y, engine_tol, b)
-    left = max_sweeps
+    engine = partial(cyclic_retract_many, record=record) if many else cyclic_retract
+    if Q.lip_bound < 1.0:
+        points, trace = engine(Q, X, tol, max_sweeps or 100_000)
+        return points, trace, {"strategy": "cyclic"}
+    starts = X if many else [as_point(X)]
+    target, engine_tol, budget, report = _level_one(Q, starts, tol, box, witness)
+    left = max_sweeps or None
     capped = f"no convergence within {max_sweeps} sweeps over all stages"
     trace = None
 
@@ -783,7 +790,7 @@ def _retract_staged(Q, X, tol, box=None, witness=None, *, many, record=False,
             raise MaxSweepsExceededError(capped)
         b = own if left is None else min(own, left)
         try:
-            points, t = retract(T, start, b)
+            points, t = engine(T, start, engine_tol, b)
             done = True
         except MaxSweepsExceededError as exc:
             if b < own:
@@ -804,39 +811,26 @@ def _retract_staged(Q, X, tol, box=None, witness=None, *, many, record=False,
     return points, trace, report
 
 
-def _retract_level_one(Q, x, tol, box=None, witness=None) -> Point:
-    """Retract one point onto ``Q`` at level 1 (:func:`_retract_staged`)."""
-    return _retract_staged(Q, as_point(x), tol, box, witness, many=False)[0]
-
-
-def _retract_level_one_many(Q, X, tol, box=None, witness=None) -> np.ndarray:
-    """Batch :func:`_retract_level_one` on one shared schedule."""
-    return _retract_staged(Q, X, tol, box, witness, many=True)[0]
-
-
 def retract_lambda_one_bounded(Q: BoxLipschitzSet, x, tol: float, box) -> Point:
     """Approximate retraction onto a finite-bounded set at Lipschitz level 1.
 
-    Shrinks the bounds by ``1 - 1/k`` toward their enclosures over ``box``
-    (``None`` for the default box of :func:`_level_one`), with
-    ``k = ceil((u - l)/tol) + 1``, and retracts onto the shrunken set, which
-    is again of the same class but strictly below level 1.  The retraction
-    runs at ``k`` for a few sweeps and, when that does not settle it, goes
-    through the shrunken sets of order ``k / 10**j, ..., k / 10`` and ends
-    with the run at ``k``, each warm-started from the last, so its sweeps do
-    not grow like ``1/tol``.  Members of the original set inside the working
-    box are members of every shrunken set and are returned unchanged.  As
-    long as the iterates stay where the enclosures are valid, the result
-    violates the original bounds by at most ``(u - l + tol)/k <= tol``.  A
-    set with missing bounds is truncated as in
-    :func:`retract_lambda_one_general`, which needs a witness.
+    Shrinks the bounds by ``1 - 1/k`` toward their enclosures ``[l, u]`` over
+    ``box`` (``None`` for the default box of :func:`_level_one`), with
+    ``k = ceil((u - l)/tol) + 1``, and retracts onto the shrunken sets, all
+    strictly below level 1, by :func:`retract`.  Members of the original set
+    inside the box are returned unchanged.  As long as the iterates stay
+    where the enclosures are valid, the result violates the original bounds
+    by at most ``(u - l + tol)/k <= tol``.  A level-1 set with missing bounds
+    raises :class:`UnsupportedSetError`: truncating it needs a witness
+    (:func:`retract_lambda_one_general`).  Below level 1 the retraction is
+    :func:`cyclic_retract`.
     """
-    return _retract_level_one(Q, x, tol, box=box)
+    return retract(Q, x, tol, box, many=False)[0]
 
 
 def retract_lambda_one_bounded_many(Q: BoxLipschitzSet, X, tol: float, box) -> np.ndarray:
     """Batch :func:`retract_lambda_one_bounded` on one shared schedule."""
-    return _retract_level_one_many(Q, X, tol, box=box)
+    return retract(Q, X, tol, box, many=True)[0]
 
 
 def retract_lambda_one_general(Q: BoxLipschitzSet, witness, x, tol: float) -> Point:
@@ -850,17 +844,19 @@ def retract_lambda_one_general(Q: BoxLipschitzSet, witness, x, tol: float) -> Po
     finite is shrunk over the default box instead, like
     :func:`retract_lambda_one_bounded` with ``box=None``.
     """
-    return _retract_level_one(Q, x, tol, witness=witness)
+    return retract(Q, x, tol, witness=witness, many=False)[0]
 
 
 def retract_lambda_one_general_many(Q: BoxLipschitzSet, witness, X, tol: float) -> np.ndarray:
     """Batch :func:`retract_lambda_one_general` with one common radius."""
-    return _retract_level_one_many(Q, X, tol, witness=witness)
+    return retract(Q, X, tol, witness=witness, many=True)[0]
 
 
-def _probe_steps(n):
-    """Length of the raw-iteration probe run after a failed relaxation."""
-    return 40 * n
+def _probe(Q, start):
+    """The verdict and trace of the raw iteration run ``40 n`` steps from
+    ``start``: the diagnosis of a level-1 relaxation that missed the set."""
+    trace = cyclic_iterate(Q, start, 40 * Q.n)
+    return detect_noncontraction(trace), trace
 
 
 def _check_relaxed(Q, start, gap, tol):
@@ -869,8 +865,7 @@ def _check_relaxed(Q, start, gap, tol):
     verdict of the raw iteration probed from ``start``."""
     if gap <= tol:
         return
-    probe = cyclic_iterate(Q, start, _probe_steps(Q.n))
-    verdict = detect_noncontraction(probe)
+    verdict, probe = _probe(Q, start)
     raise DivergenceDetectedError(
         f"relaxation missed the set by {gap:g} (> tol {tol:g}); "
         f"raw iteration verdict: {verdict}", verdict, probe)
@@ -888,10 +883,9 @@ def find_point(Q: BoxLipschitzSet, tol: float = 1e-9) -> Point:
     unsupported (supply a witness and use the general retraction instead).
     """
     origin = (0.0,) * Q.n
-    if Q.lip_bound < 1.0:
-        return cyclic_retract(Q, origin, tol)[0]
-    point = _retract_level_one(Q, origin, tol)
-    _check_relaxed(Q, origin, violation(Q, point), tol)
+    point = retract(Q, origin, tol, many=False)[0]
+    if Q.lip_bound >= 1.0:
+        _check_relaxed(Q, origin, violation(Q, point), tol)
     return point
 
 

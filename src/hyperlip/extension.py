@@ -3,7 +3,8 @@
 Extending a 1-Lipschitz map defined on part of a finite metric space is a
 two-step affair: each coordinate is extended by the inf-envelope formula
 (the maximal 1-Lipschitz extension of scalar data), and the resulting points
-are pushed into the target set by a retraction from :mod:`hyperlip.boxset`.
+are pushed into the target set by :func:`hyperlip.boxset.retract`, which
+picks the retraction strategy the set admits.
 Because the retraction fixes the set pointwise, the composite still agrees
 with the original map, and because both steps are 1-Lipschitz, so is the
 composite.
@@ -17,10 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
+# ``cyclic_retract_many`` and ``retract_lambda_one_*_many`` are no longer
+# called here (``retract`` is), but bench/tracing.py patches these bindings.
 from .boxset import (
     BoxLipschitzSet,
     _check_relaxed,
     cyclic_retract_many,
+    retract,
     retract_lambda_one_bounded_many,
     retract_lambda_one_general_many,
     violation,
@@ -74,15 +78,15 @@ def extend_into_Q(B: FiniteMetricSpace, A, phi, Q: BoxLipschitzSet,
     """Extend a 1-Lipschitz map ``A -> Q`` to all of ``B``, staying in ``Q``.
 
     ``phi`` lists one point of ``Q`` per index of ``A`` (violation must be
-    exactly 0).  The coordinatewise extension is retracted with the strategy
-    the set admits: plain cyclic iteration below level 1, the shrinking
-    strategy for finite bounds at level 1 (``box`` optional, by default the
-    library's working box around the extended points), and the
-    witness-anchored strategy when bounds are missing (``witness``
-    required).  All image points go through one shared retraction call, so
-    the composite map is 1-Lipschitz on ``B`` and agrees with ``phi`` on
-    ``A`` exactly.  At level 1 an image that still
-    violates ``Q`` by more than ``tol`` raises
+    exactly 0).  The coordinatewise extension is retracted by
+    :func:`~hyperlip.boxset.retract`, which picks the strategy the set
+    admits: plain cyclic iteration below level 1, the shrinking strategy for
+    finite bounds at level 1 (``box`` optional, by default the library's
+    working box around the extended points), and the witness-anchored
+    strategy when bounds are missing (``witness`` required).  All image
+    points go through one shared retraction call, so the composite map is
+    1-Lipschitz on ``B`` and agrees with ``phi`` on ``A`` exactly.  At level
+    1 an image that still violates ``Q`` by more than ``tol`` raises
     :class:`~hyperlip.boxset.DivergenceDetectedError`, with the verdict of the
     raw iteration probed from the worst row's extended point.
     """
@@ -109,12 +113,7 @@ def extend_into_Q(B: FiniteMetricSpace, A, phi, Q: BoxLipschitzSet,
 
     ext = _extend_all_components(B, A, phi_rows)
 
-    if Q.lip_bound < 1.0:
-        final, _ = cyclic_retract_many(Q, ext, tol)
-    elif Q.all_finite:
-        final = retract_lambda_one_bounded_many(Q, ext, tol, box)
-    else:
-        final = retract_lambda_one_general_many(Q, witness, ext, tol)
+    final = retract(Q, ext, tol, box, witness, many=True)[0]
     if Q.lip_bound >= 1.0:
         gaps = violation_many(Q, final)
         worst = int(np.argmax(gaps))

@@ -3,17 +3,22 @@
 ``bench/tracing.py`` wraps every ``(owner, attribute)`` of its ``_SPANS``
 table, plus ``boxset._compile`` and ``reconstruct.choose_cone``, with a
 ``getattr`` that has no default, and re-runs ``boxset._batch_sweeps`` with
-its leading positional arguments.  Dropping or renaming one of them breaks
-the benchmark; these tests make that fail here first.
+its leading positional arguments.  ``bench/test_bench.py`` corrupts outputs
+through ``cli.cyclic_retract`` and ``boxset.cyclic_retract_many``, so a
+retraction that stops calling one of them escapes it.  Dropping or renaming
+one of them breaks the benchmark; these tests make that fail here first.
 """
 
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hyperlip import boxset, reconstruct
+from hyperlip import boxset, cli, reconstruct
+from hyperlip.instances import half_rate_instance, vee_notch_instance
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -38,3 +43,34 @@ def test_every_traced_binding_exists(tracing):
 def test_batch_engine_leading_parameters():
     params = list(inspect.signature(boxset._batch_sweeps).parameters)
     assert params[:5] == ["Q", "X", "threshold", "max_sweeps", "record"]
+
+
+def _spy(monkeypatch, owner, attr):
+    """Patch ``owner.attr`` with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, attr)
+
+    def spy(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, spy)
+    return calls
+
+
+def test_cli_retract_below_level_one_calls_its_cyclic_binding(monkeypatch, capsys, tmp_path):
+    calls = _spy(monkeypatch, cli, "cyclic_retract")
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(boxset.set_to_obj(half_rate_instance())))
+    point = tmp_path / "x.json"
+    point.write_text("[3.0, -2.0]")
+    assert cli.main(["retract", "--set", str(path), "--point", str(point)]) == 0
+    assert json.loads(capsys.readouterr().out)["strategy"] == "cyclic"
+    assert calls == ["cyclic_retract"]
+
+
+def test_level_one_batch_wrapper_calls_the_batch_engine(monkeypatch):
+    calls = _spy(monkeypatch, boxset, "cyclic_retract_many")
+    X = np.array([[0.0, -3.0], [1.0, 2.0]])
+    boxset.retract_lambda_one_bounded_many(vee_notch_instance(), X, 1e-3, [(-4.0, 4.0)] * 2)
+    assert calls

@@ -133,7 +133,7 @@ def _engine_digest(case):
         Q, box = origin_cycle_instance(), [(-2.0, 2.0)] * 2
         X = np.vstack([np.zeros((1, 2)), rng.uniform(-2.0, 2.0, (49, 2))])
         out = retract_lambda_one_bounded_many(Q, X, 1e-3, box)
-        again, traces, _ = boxset._retract_staged(Q, X, 1e-3, box, many=True, record=True)
+        again, traces, _ = boxset.retract(Q, X, 1e-3, box, many=True, record=True)
         assert again.tobytes() == out.tobytes()
     digest = hashlib.sha256(out.tobytes())
     digest.update(np.array([t.displacements for t in traces]).tobytes())
@@ -724,7 +724,7 @@ def _stages_run(monkeypatch):
 
 
 class TestStagedLevelOne:
-    """Level-1 retraction by continuation in ``k`` (``boxset._retract_staged``)."""
+    """Level-1 retraction by continuation in ``k`` (``boxset.retract``)."""
 
     def test_stage_orders(self):
         assert boxset._stage_orders(4002) == [40, 400, 4002]
@@ -747,8 +747,7 @@ class TestStagedLevelOne:
     def test_a_first_run_that_converges_is_the_one_run_result(self, name, monkeypatch):
         Q, X, tol, box, witness = _level_one_cases()[name]
         orders = _stages_run(monkeypatch)
-        out, traces, report = boxset._retract_staged(Q, X, tol, box, witness,
-                                                     many=True, record=True)
+        out, traces, report = boxset.retract(Q, X, tol, box, witness, many=True, record=True)
         assert orders == []
         target, engine_tol, budget, _ = boxset._level_one(Q, X, tol, box, witness)
         want, want_traces = cyclic_retract_many(target, X, engine_tol, budget, record=True)
@@ -759,7 +758,7 @@ class TestStagedLevelOne:
     def test_the_origin_cycle_goes_through_the_stages(self, monkeypatch):
         Q, X, tol, box, _ = _level_one_cases()["origin cycle"]
         orders = _stages_run(monkeypatch)
-        out, traces, report = boxset._retract_staged(Q, X, tol, box, many=True, record=True)
+        out, traces, report = boxset.retract(Q, X, tol, box, many=True, record=True)
         k = report["k"]
         assert orders == boxset._stage_orders(k)[:-1] and len(orders) >= 2
         # far fewer sweeps than the one run at k, which takes ~0.11 k
@@ -779,8 +778,8 @@ class TestStagedLevelOne:
         stage decisions of a one-row batch are that row's."""
         Q = origin_cycle_instance()
         for x in [(2.0, -1.5), (0.3, 1.7), (-0.25, 0.0)]:
-            point, trace, report = boxset._retract_staged(Q, x, tol, many=False)
-            rows, traces, again = boxset._retract_staged(Q, [x], tol, many=True, record=True)
+            point, trace, report = boxset.retract(Q, x, tol, many=False)
+            rows, traces, again = boxset.retract(Q, [x], tol, many=True, record=True)
             assert np.array(point).tobytes() == rows[0].tobytes()
             assert np.array(trace.displacements).tobytes() == \
                 np.array(traces[0].displacements).tobytes()
@@ -797,8 +796,7 @@ class TestStagedLevelOne:
         if first is not None:
             monkeypatch.setattr(boxset, "_FIRST_SWEEPS", first)
         Q, X, tol, box, witness = _level_one_cases()[name]
-        _, traces, report = boxset._retract_staged(Q, X, tol, box, witness,
-                                                   many=True, record=True)
+        _, traces, report = boxset.retract(Q, X, tol, box, witness, many=True, record=True)
         if witness is not None:
             r = report["radius"]
             box = [(c - r, c + r) for c in witness]
@@ -821,19 +819,20 @@ class TestStagedLevelOne:
             out, _ = cyclic_retract_many(Q, X, 1e-6)
         else:
             Q, X, tol, box, witness = _level_one_cases()[strategy]
-            out = boxset._retract_level_one_many(Q, X, tol, box, witness)
+            out = boxset.retract(Q, X, tol, box, witness, many=True)[0]
             assert bool(orders) == (strategy == "origin cycle")
         assert (sup_dists(out, out) <= sup_dists(X, X)).all()
 
     def test_the_sweep_cap_counts_every_run(self):
         Q, x = origin_cycle_instance(), (2.0, -1.5)
-        point, trace, _ = boxset._retract_staged(Q, x, 1e-3, many=False)
+        point, trace, _ = boxset.retract(Q, x, 1e-3, many=False)
         sweeps = trace.steps // Q.n
-        again, same, _ = boxset._retract_staged(Q, x, 1e-3, many=False, max_sweeps=sweeps)
+        again, same, _ = boxset.retract(Q, x, 1e-3, many=False, max_sweeps=sweeps)
         assert again == point and same.displacements == trace.displacements
+        assert boxset.retract(Q, x, 1e-3, many=False, max_sweeps=0)[0] == point   # no cap
         for cap in (sweeps - 1, boxset._FIRST_SWEEPS + 1, 3):
             with pytest.raises(MaxSweepsExceededError, match=f"within {cap} sweeps over all"):
-                boxset._retract_staged(Q, x, 1e-3, many=False, max_sweeps=cap)
+                boxset.retract(Q, x, 1e-3, many=False, max_sweeps=cap)
 
 
 class TestExhaustedState:

@@ -212,6 +212,14 @@ class TestRetract:
                                    dump(tmp_path, "x.json", [0.0, -3.0]), "--tol", "1e-320"])
         assert "overflows" in err["error"]
 
+    def test_overflowing_truncation_radius_is_an_input_error(self, capsys, set_file,
+                                                             tmp_path):
+        path = set_file(diagonal_halfspace_instance())
+        err = input_error(capsys, ["retract", "--set", path,
+                                   "--point", dump(tmp_path, "x.json", [1e308, -1e308]),
+                                   "--witness", dump(tmp_path, "w.json", [-1e308, -1e308])])
+        assert "truncation radius" in err["error"] and "r=inf" in err["error"]
+
     def test_deeply_nested_set_is_an_input_error(self, capsys, tmp_path):
         # written as text: json.dump itself overflows the stack at this depth
         depth = 600
@@ -360,6 +368,94 @@ class TestExtend:
         assert check["pairs"] == m * (m - 1) // 2
         assert check["max_excess"] == worst
         assert check["ok"] == (worst <= 1e-12)
+
+
+def _sup_matrix(points):
+    return [[sup_dist(p, q) for q in points] for p in points]
+
+
+_MCSHANE = random_mcshane_instance(2, 0.5, np.random.default_rng(1818))
+_MEMBERS = [list(m) for m in sample_members(_MCSHANE, [(2.0, -1.0), (-1.0, 0.5)])]
+_HALF = set_to_obj(half_rate_instance())
+_VEE = set_to_obj(vee_notch_instance())
+_CYCLE = set_to_obj(origin_cycle_instance())
+_DIAGONAL = set_to_obj(diagonal_halfspace_instance())
+# per case: the command and flags, the input files, and whether a
+# --trace-out file is written
+RETRACTION_CORPUS = {
+    "retract cyclic": (["retract", "--tol", "1e-6"],
+                       {"set": _HALF, "point": [3.0, -2.0]}, True),
+    "retract cyclic capped": (["retract", "--tol", "1e-6", "--max-sweeps", "2"],
+                              {"set": _HALF, "point": [3.0, -2.0]}, False),
+    "retract shrink vee notch": (["retract", "--tol", "1e-3"],
+                                 {"set": _VEE, "point": [0.0, -3.0],
+                                  "box": [[-4.0, 4.0], [-4.0, 4.0]]}, True),
+    "retract shrink origin cycle": (["retract", "--tol", "1e-3"],
+                                    {"set": _CYCLE, "point": [2.0, -1.5]}, True),
+    "retract shrink capped": (["retract", "--tol", "1e-3", "--max-sweeps", "70"],
+                              {"set": _CYCLE, "point": [2.0, -1.5]}, False),
+    "retract truncate": (["retract", "--tol", "1e-4"],
+                         {"set": _DIAGONAL, "point": [2.0, 5.0], "witness": [0.0, 0.0]}, True),
+    "retract empty drift": (["retract", "--tol", "1e-2"],
+                            {"set": set_to_obj(empty_drift_instance()), "point": [0.0, 0.0],
+                             "box": [[-2.0, 2.0], [-2.0, 2.0]]}, True),
+    "extend cyclic": (["extend", "--subset", "0,1", "--tol", "1e-6"],
+                      {"set": set_to_obj(_MCSHANE), "map": _MEMBERS,
+                       "space": _sup_matrix(_MEMBERS + [[2.0, 2.0], [-3.0, 2.5]])},
+                      False),
+    "extend box": (["extend", "--subset", "0,1", "--tol", "1e-3"],
+                   {"set": _VEE, "map": [[0.0, 0.0], [1.0, 2.0]],
+                    "space": _sup_matrix([(0.0, 0.0), (1.0, 2.0), (2.0, -1.0), (-1.5, 0.5)]),
+                    "box": [[-4.0, 4.0], [-4.0, 4.0]]}, False),
+    "extend witness": (["extend", "--subset", "0,1", "--tol", "1e-4"],
+                       {"set": _DIAGONAL, "map": [[1.0, 0.0], [3.0, 2.0]],
+                        "space": _sup_matrix([(1.0, 0.0), (3.0, 2.0), (2.0, -1.0), (-2.0, 4.0)]),
+                        "witness": [0.0, 0.0]}, False),
+}
+
+
+class TestRetractionBytes:
+    """Exit code, stdout, stderr and trace file of the ``retract`` and
+    ``extend`` corpus, pinned by sha256: each strategy (cyclic, shrink with
+    and without stages, truncate), the empty-drift verdict, both kinds of
+    sweep cap, and a level-1 ``extend`` with ``--box`` and with
+    ``--witness``.  A change that only restructures code keeps these bytes;
+    one that means to change an output updates the digests with it."""
+
+    @pytest.mark.parametrize("name, digest", [
+        ("retract cyclic",
+         "076f33c0ebf6af5820ab157026ce10aa47bc4336fc4c9f0493e62b10c384a7de"),
+        ("retract cyclic capped",
+         "b231ddd52a74ba40d387a8d77538a934f06033df1813f1c2a5170c22fd0da763"),
+        ("retract shrink vee notch",
+         "ad51034b988e85d13bbe98c1c6f9adaae3b16223cf471e19ff2abb5eeab696f1"),
+        ("retract shrink origin cycle",
+         "851d5cffe41680d3c350b161819a50df6ce6b461dfa550cfc21478c23db1eae5"),
+        ("retract shrink capped",
+         "aaea4f746b4cbc018e2fd444d1be5dfbb6db150574ec1d8d930ca8df7c9b1f78"),
+        ("retract truncate",
+         "8270696d67adb0b08b8f7b4bc894ded3ed8f54b8980246cf3b51b8219183512b"),
+        ("retract empty drift",
+         "ca36ac5e263fb3a73fb2b7b0f1dc2e9bebaaf49cc585677070b3465884eed749"),
+        ("extend cyclic",
+         "2fbabab5bf074525eed1db18fd2cf3fd373159a8bad2c5f5690816f7da22d836"),
+        ("extend box",
+         "fb2b28bf5f5476edf0b6afdab247bbdc038b74310fdee90a25d639bb2b137e0c"),
+        ("extend witness",
+         "7860a851f734feba5d846b8549a6f84f96557d8c5de19bdf61befab17f62e077"),
+    ])
+    def test_output_bytes_are_pinned(self, capsys, tmp_path, name, digest):
+        argv, files, traced = RETRACTION_CORPUS[name]
+        for key, obj in files.items():
+            argv = argv + [f"--{key}", dump(tmp_path, f"{key}.json", obj)]
+        trace = tmp_path / "trace.csv"
+        if traced:
+            argv = argv + ["--trace-out", str(trace)]
+        code = main(argv)
+        got = capsys.readouterr()
+        csv = trace.read_text() if traced else None
+        blob = json.dumps([code, got.out, got.err, csv]).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest, (code, got.out, got.err)
 
 
 class TestHull:

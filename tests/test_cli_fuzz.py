@@ -29,6 +29,7 @@ from hyperlip.instances import (
     diagonal_halfspace_instance,
     empty_drift_instance,
     half_rate_instance,
+    origin_cycle_instance,
     vee_notch_instance,
 )
 
@@ -225,6 +226,10 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=
 @example({"set": set_to_obj(vee_notch_instance()), "point": [1e308, -1e308]})
 @example({"set": set_to_obj(vee_notch_instance()), "point": [0.0, -3.0],
           "box": [[1e308, -1e308], [0.0, 1.0]]})
+@example({"set": set_to_obj(origin_cycle_instance()), "point": [0.0, 1.0],
+          "box": [[-1e308, 1e308], [-1e308, 1e308]]})
+@example({"set": set_to_obj(diagonal_halfspace_instance()), "point": [1e308, -1e308],
+          "witness": [-1e308, -1e308]})
 def test_retract(files):
     _run(["retract", "--tol", "0.1", "--max-sweeps", "200"], files)
 
@@ -235,6 +240,8 @@ def test_retract(files):
           "map": [[0.0, 0.0], [1.0, 1.0]]})
 @example({"set": set_to_obj(vee_notch_instance()), "map": [[0.0, 0.0], [1e308, 3.0]],
           "metric": [[0, 1e308, 0.5], [1e308, 0, 1e308], [0.5, 1e308, 0]]})
+@example({"set": set_to_obj(origin_cycle_instance()), "map": [[0.0, 0.0], [0.0, 0.0]],
+          "metric": [[0, 1], [1, 0]], "box": [[-1e308, 1e308], [-1e308, 1e308]]})
 def test_extend(files):
     _run(["extend", "--subset", "0,1", "--tol", "0.1"],
          {"space" if k == "metric" else k: v for k, v in files.items()})

@@ -178,23 +178,24 @@ class TestExtendIntoSet:
         assert extend_into_Q(B, [0, 1], members, Q, tol=1e-3) == \
             extend_into_Q(B, [0, 1], members, Q, tol=1e-3, box=box)
 
-    @pytest.mark.parametrize("make, members, witness, strategy, shift", [
-        (vee_notch_instance, [(0.0, 0.0), (1.0, 2.0)], None,
-         "retract_lambda_one_bounded_many", (0.0, -1.0)),
-        (diagonal_halfspace_instance, [(1.0, 0.0), (3.0, 2.0)], (0.0, 0.0),
-         "retract_lambda_one_general_many", (-1.0, 1.0)),
+    @pytest.mark.parametrize("make, members, witness, shift", [
+        (vee_notch_instance, [(0.0, 0.0), (1.0, 2.0)], None, (0.0, -1.0)),
+        (diagonal_halfspace_instance, [(1.0, 0.0), (3.0, 2.0)], (0.0, 0.0), (-1.0, 1.0)),
     ])
-    def test_level_one_residual_is_checked(self, monkeypatch, make, members, witness,
-                                           strategy, shift):
+    def test_level_one_residual_is_checked(self, monkeypatch, make, members, witness, shift):
         """A level-1 result that misses the set raises with a probe verdict."""
-        original = getattr(extension, strategy)
-        monkeypatch.setattr(extension, strategy,
-                            lambda *a, **k: original(*a, **k) + np.asarray(shift))
+        original = extension.retract
+
+        def moved(*args, **kwargs):
+            points, trace, report = original(*args, **kwargs)
+            return points + np.asarray(shift), trace, report
+
+        monkeypatch.setattr(extension, "retract", moved)
         B = embedded_metric(members + [(2.0, -1.0)])
         with pytest.raises(DivergenceDetectedError) as err:
             extend_into_Q(B, [0, 1], members, make(), tol=1e-4, witness=witness)
         assert err.value.verdict in ("stalled", "decaying")
-        assert err.value.trace.steps == boxset._probe_steps(2)
+        assert err.value.trace.steps == 40 * 2
 
 
 class TestKuratowski:
