@@ -20,7 +20,6 @@ from .boxset import (
     cyclic_retract_many,
     detect_noncontraction,
     enclosure_bounds,
-    find_point,
     relaxation_order,
     retract,
     retract_lambda_one_bounded,
@@ -36,7 +35,7 @@ from .boxset import (
     violation_many,
 )
 from .extension import NotLipschitzError, extend_into_Q, kuratowski_embed
-from .hull import ExtremalityError, attach_point, enumerate_extremal_grid, extremal_zero_classification, in_delta, is_extremal
+from .hull import enumerate_extremal_grid, is_extremal
 from .lipfun import (
     Blend,
     Const,
@@ -47,9 +46,7 @@ from .lipfun import (
     McShane,
     Min,
     bounds_of,
-    expr_dumps,
     expr_from_obj,
-    expr_loads,
     expr_to_obj,
     lip_bound,
     shrink,

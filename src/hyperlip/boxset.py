@@ -16,8 +16,8 @@ level exactly 1 the iteration can stall or drift, and one relaxation rule
 (``_level_one``) replaces the set by a slightly shrunken or ball-truncated
 one whose level is strictly below 1.  :func:`retract` is the one entry
 point that picks the strategy (cyclic, shrink or truncate) from the set;
-:func:`find_point`, the ``retract_lambda_one_*`` functions,
-:func:`hyperlip.extension.extend_into_Q` and the CLI all go through it.
+the ``retract_lambda_one_*`` functions, :func:`hyperlip.extension.extend_into_Q`
+and the CLI all go through it.
 
 That relaxed set ``Q_k`` is the last term of a family nested decreasing in
 ``k`` whose intersection is the set, and one cyclic run on it contracts only
@@ -96,7 +96,6 @@ __all__ = [
     "retract_lambda_one_general",
     "retract_lambda_one_general_many",
     "retract",
-    "find_point",
     "detect_noncontraction",
     "check_decay_certificate",
     "trace_to_csv",
@@ -411,6 +410,7 @@ def _scalar_sweeps(Q, x, threshold, max_sweeps, fixed_steps=None):
         f"no convergence within {max_sweeps} sweeps (threshold {threshold:g})", (pos, disp))
 
 
+@np.errstate(over="ignore")
 def _batch_sweeps(Q, X, threshold, max_sweeps, record):
     """Batch twin of :func:`_scalar_sweeps` on one shared sweep schedule.
 
@@ -432,6 +432,8 @@ def _batch_sweeps(Q, X, threshold, max_sweeps, record):
     points and displacements so far as the error's ``state``.  With
     ``record``, the second result holds one displacement vector over all
     rows per step, with 0.0 for frozen rows; otherwise it is ``None``.
+    A distance or displacement too large for a float reads ``±inf``, as in
+    the scalar engine, without a warning.
     """
     n = Q.n
     pairs = _grid_pairs(Q)
@@ -869,24 +871,6 @@ def _check_relaxed(Q, start, gap, tol):
     raise DivergenceDetectedError(
         f"relaxation missed the set by {gap:g} (> tol {tol:g}); "
         f"raw iteration verdict: {verdict}", verdict, probe)
-
-
-def find_point(Q: BoxLipschitzSet, tol: float = 1e-9) -> Point:
-    """Produce some member of ``Q`` (within ``tol``) by retracting the origin.
-
-    Below level 1 the iteration converges outright.  At level 1 with all
-    bounds finite the relaxation is tried; if the returned point still
-    violates the bounds by more than ``tol`` the set is empty or degenerate
-    at the working scale, and the raw iteration is probed to attach a
-    ``'stalled'``/``'decaying'`` verdict to the failure.  At level 1 with
-    missing bounds there is nothing to anchor the search and the call is
-    unsupported (supply a witness and use the general retraction instead).
-    """
-    origin = (0.0,) * Q.n
-    point = retract(Q, origin, tol, many=False)[0]
-    if Q.lip_bound >= 1.0:
-        _check_relaxed(Q, origin, violation(Q, point), tol)
-    return point
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,7 @@ import numpy as np
 from .metric import FiniteMetricSpace
 
 __all__ = [
-    "ExtremalityError",
-    "in_delta",
     "is_extremal",
-    "extremal_zero_classification",
-    "attach_point",
     "enumerate_extremal_grid",
     "GRID_CANDIDATE_CAP",
 ]
@@ -37,31 +33,12 @@ GRID_CANDIDATE_CAP = 10 ** 8
 _ROWS_IN_FLIGHT = 100_000
 
 
-class ExtremalityError(RuntimeError):
-    """An extremal function with a zero failed to match any distance row.
-
-    Admissibility plus extremality force such a function to be a matrix row,
-    so this error signals inconsistent input data or tolerances, not a state
-    the mathematics allows.
-    """
-
-
-def _values(X, f):
+def _columns(X, f):
+    """``f`` as one candidate: an ``(m, 1)`` table of one-element columns."""
     vals = [float(v) for v in f]
     if len(vals) != X.size:
         raise ValueError(f"need {X.size} values, got {len(vals)}")
-    return vals
-
-
-def _columns(X, f):
-    """``f`` as one candidate: an ``(m, 1)`` table of one-element columns."""
-    return np.array(_values(X, f))[:, None]
-
-
-def in_delta(X: FiniteMetricSpace, f, tol: float = 1e-12) -> bool:
-    """Whether ``f(x) + f(y) >= d(x, y) - tol`` for all pairs (x = y included,
-    which forces nonnegative values)."""
-    return bool(_admissible(X.matrix, _columns(X, f), tol)[0])
+    return np.array(vals)[:, None]
 
 
 def is_extremal(X: FiniteMetricSpace, f, tol: float = 1e-12) -> bool:
@@ -74,65 +51,6 @@ def is_extremal(X: FiniteMetricSpace, f, tol: float = 1e-12) -> bool:
     if not _admissible(X.matrix, C, tol)[0]:
         raise ValueError("function is not admissible on this space")
     return bool(_minimal(X.matrix, C, tol)[0])
-
-
-def extremal_zero_classification(X: FiniteMetricSpace, f, tol: float = 1e-12):
-    """Classify an extremal function by its zero set.
-
-    Returns ``("is_dx", x)`` when the minimum value is within ``tol`` of 0,
-    after confirming the whole vector matches row ``d_x``; returns
-    ``("no_zero", None)`` otherwise.  An extremal function with a zero that
-    matches no row raises :class:`ExtremalityError`.
-    """
-    vals = _values(X, f)
-    if not is_extremal(X, vals, tol):
-        raise ValueError("function is not extremal on this space")
-    m = X.size
-    low = min(range(m), key=lambda i: vals[i])
-    if vals[low] > tol:
-        return ("no_zero", None)
-    row = X.row(low)
-    worst = max(abs(vals[j] - row[j]) for j in range(m))
-    # a function passing the admissibility and extremality checks at tol with
-    # minimum eta deviates from the row by at most eta + 2*tol; more than
-    # that cannot come from an extremal function, only from broken input
-    if worst > vals[low] + 2.0 * tol:
-        raise ExtremalityError(
-            f"extremal function vanishes at {low} but differs from that distance "
-            f"row by {worst:g}")
-    return ("is_dx", low)
-
-
-def attach_point(X: FiniteMetricSpace, f) -> FiniteMetricSpace:
-    """Extend the space by one new point at distance ``f(x)`` from each ``x``.
-
-    ``f`` must be finite, admissible, 1-Lipschitz with respect to d, and
-    strictly positive; those facts make the extended matrix a metric, which
-    the returned space re-validates.
-    """
-    vals = _values(X, f)
-    m = X.size
-    v = np.array(vals)
-    bad = ~(np.isfinite(v) & (v > 0.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"attach distance at index {i} is not finite and positive: "
-                         f"{vals[i]!r}")
-    D = X.matrix
-    with np.errstate(over="ignore"):
-        short = v[:, None] + v[None, :] < D
-    stretch = np.abs(v[:, None] - v[None, :]) > D
-    bad = np.triu(short | stretch, 1)
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), m)
-        if short[i, j]:
-            raise ValueError(f"not admissible on pair ({i}, {j})")
-        raise ValueError(f"not 1-Lipschitz on pair ({i}, {j})")
-    out = np.zeros((m + 1, m + 1))
-    out[:m, :m] = D
-    out[m, :m] = vals
-    out[:m, m] = vals
-    return FiniteMetricSpace(out)
 
 
 def _admissible(D, C, tol):

@@ -31,7 +31,6 @@ __all__ = [
     "half_rate_instance",
     "box_instance",
     "vee_notch_instance",
-    "halfspace_instance",
     "diagonal_halfspace_instance",
     "random_mcshane_instance",
     "sample_members",
@@ -115,11 +114,6 @@ def vee_notch_instance() -> BoxLipschitzSet:
     # the cap keeps lower <= upper on the whole plane, not just over members
     vee = Min(DistCone((0.0,), 0.0, 1.0, 1), Const(3.0))
     return BoxLipschitzSet([Const(-3.0), vee], [Const(3.0), Const(3.0)])
-
-
-def halfspace_instance() -> BoxLipschitzSet:
-    """Unbounded level-0 set ``x1 >= 0`` in the plane (three bounds missing)."""
-    return BoxLipschitzSet([Const(0.0), Infinite(-1)], [Infinite(1), Infinite(1)])
 
 
 def diagonal_halfspace_instance() -> BoxLipschitzSet:

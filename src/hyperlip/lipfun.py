@@ -12,8 +12,7 @@ values, never floating ``inf`` inside arithmetic: :class:`Infinite` may not
 appear under any other constructor, and the set machinery treats it as the
 absence of a constraint.
 
-Expressions are immutable and hashable, compare by value, and round-trip
-bit-exactly through the JSON form (:func:`expr_dumps` / :func:`expr_loads`).
+Expressions are immutable and hashable, and compare by value.
 
 The evaluators do not read the grammar.  :func:`_lower` rewrites an
 expression into four kinds, and each kind holds its scalar closure (for
@@ -61,7 +60,6 @@ kernel.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -87,8 +85,6 @@ __all__ = [
     "bounds_of",
     "expr_to_obj",
     "expr_from_obj",
-    "expr_dumps",
-    "expr_loads",
 ]
 
 BOUNDS_SLACK = 1e-12
@@ -555,8 +551,13 @@ def _compile_grid_pair(lower: LipExpr, upper: LipExpr) -> Callable:
     return _paired(_lower(lower), _lower(upper), _cones_grid, lambda k: k.grid())
 
 
+@np.errstate(over="ignore")
 def eval_grid(f: LipExpr, Y: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` at every row of ``Y`` (shape ``(N, dim)``) at once."""
+    """Evaluate ``f`` at every row of ``Y`` (shape ``(N, dim)``) at once.
+
+    A value too large for a float reads ``±inf``, as in :func:`_compile`,
+    without a warning.
+    """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError(f"expected a (N, dim) array, got shape {Y.shape}")
@@ -725,12 +726,3 @@ def expr_from_obj(obj) -> LipExpr:
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in {kind!r} expression") from exc
     raise ValueError(f"unknown expression type {kind!r}")
-
-
-def expr_dumps(f: LipExpr) -> str:
-    """Canonical JSON text; serialize -> parse -> serialize is bit-exact."""
-    return json.dumps(expr_to_obj(f), sort_keys=True, separators=(",", ":"))
-
-
-def expr_loads(text: str) -> LipExpr:
-    return expr_from_obj(json.loads(text))

@@ -26,7 +26,6 @@ __all__ = [
     "hat",
     "ConeDescriptor",
     "cone_contains",
-    "cone_contains_general",
     "hausdorff_distance",
     "MetricViolation",
     "MetricCheckReport",
@@ -133,16 +132,6 @@ def cone_contains(cone: ConeDescriptor, q: Sequence[float], strict: bool = False
     if strict:
         return t > tol and off < t - tol
     return t >= -tol and off <= t + tol
-
-
-def cone_contains_general(p: Sequence[float], x: Sequence[float], q: Sequence[float],
-                          tol: float = DEFAULT_TOL) -> bool:
-    """Membership in the geodesic cone of ``x`` as seen from ``p``.
-
-    ``q`` belongs when ``x`` lies metrically between ``p`` and ``q``, i.e.
-    ``d(p,q) = d(p,x) + d(x,q)`` within ``tol``.
-    """
-    return abs(sup_dist(p, q) - (sup_dist(p, x) + sup_dist(x, q))) <= tol
 
 
 def hausdorff_distance(A, B) -> float:

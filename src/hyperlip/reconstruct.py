@@ -73,15 +73,12 @@ def _as_points(samples) -> tuple:
 class ReconstructionConfig:
     """Sampled data for bound synthesis.
 
-    ``a`` scales the apex pull-back; it must stay in (0, 1/8).  When a
-    ``membership`` oracle is supplied, the two sample lists are validated
-    against it up front.
+    ``a`` scales the apex pull-back; it must stay in (0, 1/8).
     """
 
     inside: tuple
     outside: tuple
     a: float = 0.1
-    membership: object = None
 
     def __post_init__(self):
         inside, outside = _as_points(self.inside), _as_points(self.outside)
@@ -92,15 +89,6 @@ class ReconstructionConfig:
             raise ValueError(f"mixed sample dimensions {sorted(dims)}")
         if not 0.0 < self.a < A_MAX:
             raise ValueError(f"a must lie strictly between 0 and {A_MAX}, got {self.a!r}")
-        if self.membership is not None:
-            member = _batch(self.membership)(np.array(inside + outside, dtype=float))
-            bad = np.flatnonzero(np.r_[~member[:len(inside)], member[len(inside):]])
-            if bad.size:
-                j = int(bad[0])
-                if j < len(inside):
-                    raise ValueError(f"inside sample {inside[j]} fails the membership oracle")
-                raise ValueError(f"outside sample {outside[j - len(inside)]} passes "
-                                 f"the membership oracle")
         object.__setattr__(self, "inside", inside)
         object.__setattr__(self, "outside", outside)
 
@@ -131,7 +119,7 @@ def epsilon_many(inside, X, chunk: int = 64):
     S)`` bound temporary fits in ``_BLOCK_BYTES``; the result does not
     depend on the block sizes.  The ``(S, S)`` table of inside distances is
     held whole.  Non-finite coordinates raise ``ValueError``, and so do
-    coordinates whose differences overflow.
+    coordinates whose differences, doubled, overflow.
     """
     P = np.asarray(inside, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -142,9 +130,10 @@ def epsilon_many(inside, X, chunk: int = 64):
         raise ValueError("need at least one inside sample")
     if not (np.isfinite(P).all() and np.isfinite(X).all()):
         raise ValueError("sample coordinates must be finite")
-    # finite distances, so that no score or bound is NaN
+    # margins and their search bounds reach twice the spread; finite, so
+    # that none is inf or NaN
     with np.errstate(over="ignore"):
-        spread = np.ptp(np.concatenate([P, X]), axis=0)
+        spread = 2.0 * np.ptp(np.concatenate([P, X]), axis=0)
     if not np.isfinite(spread).all():
         raise ValueError("sample coordinates are too far apart for finite distances")
     D = sup_dists(P, P)

@@ -24,17 +24,22 @@ CONE_FILL = "#fdae6b"
 ORBIT_STROKE = "#d62728"
 FRAME_STROKE = "#444444"
 MEMBER_TOL = 1e-9
+# width of the drawing in SVG units; the height keeps the box's aspect ratio
+WIDTH = 480
 # largest raster of set membership tests one scene may ask for
 MAX_CELLS = 4_000_000
 
 
 def _fmt(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError(f"scene coordinate {v} is not finite: the box or a point "
+                         f"is too large to draw")
     s = f"{v:.3f}"
     return "0.000" if s == "-0.000" else s
 
 
 def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
-                 resolution: float = 0.05, width: int = 480) -> str:
+                 resolution: float = 0.05) -> str:
     """Render a planar scene into an SVG string.
 
     ``box`` is ``((x0, x1), (y0, y1))`` in data coordinates; ``Q`` (optional)
@@ -50,17 +55,17 @@ def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
         raise ValueError("resolution must be positive")
     span_x = x1 - x0
     span_y = y1 - y0
-    height = width * span_y / span_x
+    height = WIDTH * span_y / span_x
 
     def sx(v):
-        return (v - x0) / span_x * width
+        return (v - x0) / span_x * WIDTH
 
     def sy(v):
         return height - (v - y0) / span_y * height
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
+        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(height)}">'
     ]
 
     if Q is not None:
@@ -74,7 +79,7 @@ def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
                              f"more than {MAX_CELLS}")
         cx = x0 + (np.arange(nx) + 0.5) * span_x / nx
         cy = y0 + (np.arange(ny) + 0.5) * span_y / ny
-        cell_w = width / nx
+        cell_w = WIDTH / nx
         cell_h = height / ny
         for iy in range(ny):
             row = np.column_stack([cx, np.full(nx, cy[iy])])
@@ -115,7 +120,7 @@ def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
             f'stroke-width="1.5"/>')
 
     parts.append(
-        f'<rect x="0.000" y="0.000" width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'<rect x="0.000" y="0.000" width="{_fmt(WIDTH)}" height="{_fmt(height)}" '
         f'fill="none" stroke="{FRAME_STROKE}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

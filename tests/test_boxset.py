@@ -21,7 +21,6 @@ from hyperlip.boxset import (
     cyclic_retract_many,
     detect_noncontraction,
     enclosure_bounds,
-    find_point,
     relaxation_order,
     retract_lambda_one_bounded,
     retract_lambda_one_bounded_many,
@@ -40,7 +39,6 @@ from hyperlip.instances import (
     diagonal_halfspace_instance,
     empty_drift_instance,
     half_rate_instance,
-    halfspace_instance,
     origin_cycle_instance,
     random_mcshane_instance,
     sample_members,
@@ -161,7 +159,7 @@ class TestConstruction:
 
     def test_all_finite(self):
         assert vee_notch_instance().all_finite
-        assert not halfspace_instance().all_finite
+        assert not diagonal_halfspace_instance().all_finite
 
 
 class TestViolation:
@@ -531,7 +529,7 @@ class TestEnclosure:
 
     def test_missing_bounds_are_refused(self):
         with pytest.raises(UnsupportedSetError):
-            enclosure_bounds(halfspace_instance(), [(-1.0, 1.0), (-1.0, 1.0)])
+            enclosure_bounds(diagonal_halfspace_instance(), [(-1.0, 1.0), (-1.0, 1.0)])
 
     def test_relaxation_order_known_values(self):
         assert relaxation_order(1.0, 0.25) == 5
@@ -688,7 +686,7 @@ class TestLevelOneRule:
     def test_one_missing_witness_error(self):
         Q = diagonal_halfspace_instance()
         box = [(-4.0, 4.0), (-4.0, 4.0)]
-        calls = [lambda: find_point(Q),
+        calls = [lambda: boxset.retract(Q, (0.0, 4.0), 1e-3, many=False),
                  lambda: retract_lambda_one_bounded(Q, (0.0, 4.0), 1e-3, box),
                  lambda: retract_lambda_one_general_many(Q, None, [(0.0, 4.0)], 1e-3)]
         messages = set()
@@ -1033,18 +1031,22 @@ class TestZeroSignsOfBounds:
 
 
 class TestFindPoint:
+    """Retracting the origin finds a member, or says why it cannot."""
+
     def test_contractive_set(self, rng):
         Q = random_mcshane_instance(3, 0.5, rng)
-        point = find_point(Q)
+        point = boxset.retract(Q, (0.0,) * 3, 1e-9, many=False)[0]
         assert violation(Q, point) <= 1e-9
 
     def test_level_one_nonempty(self):
-        point = find_point(vee_notch_instance(), tol=1e-6)
+        point = boxset.retract(vee_notch_instance(), (0.0, 0.0), 1e-6, many=False)[0]
         assert violation(vee_notch_instance(), point) <= 1e-6
 
     def test_empty_set_diverges_with_verdict(self):
+        Q, origin = empty_drift_instance(), (0.0, 0.0)
+        point = boxset.retract(Q, origin, 1e-3, many=False)[0]
         with pytest.raises(DivergenceDetectedError) as err:
-            find_point(empty_drift_instance(), tol=1e-3)
+            boxset._check_relaxed(Q, origin, violation(Q, point), 1e-3)
         assert err.value.verdict == "stalled"
         assert err.value.trace.steps > 0
 
@@ -1056,7 +1058,7 @@ class TestFindPoint:
 
     def test_unbounded_level_one_is_unsupported(self):
         with pytest.raises(UnsupportedSetError):
-            find_point(diagonal_halfspace_instance())
+            boxset.retract(diagonal_halfspace_instance(), (0.0, 0.0), 1e-9, many=False)
 
 
 class TestTraceOutput:
@@ -1084,7 +1086,7 @@ class TestTraceOutput:
 
 class TestSetJSON:
     def test_round_trip(self, rng):
-        for Q in (vee_notch_instance(), halfspace_instance(),
+        for Q in (vee_notch_instance(), diagonal_halfspace_instance(),
                   random_mcshane_instance(3, 0.9, rng)):
             obj = set_to_obj(Q)
             again = set_from_obj(obj)
@@ -1093,7 +1095,7 @@ class TestSetJSON:
                 json.dumps(obj, sort_keys=True)
 
     def test_infinite_bounds_encode_as_strings(self):
-        obj = set_to_obj(halfspace_instance())
+        obj = set_to_obj(diagonal_halfspace_instance())
         assert obj["upper"][0] == "+inf"
         assert obj["lower"][1] == "-inf"
 

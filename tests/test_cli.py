@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hyperlip import boxset, cli, svgplot
-from hyperlip.boxset import BoxLipschitzSet, UnsupportedSetError, find_point, set_to_obj
+from hyperlip.boxset import BoxLipschitzSet, UnsupportedSetError, retract, set_to_obj
 from hyperlip.cli import main
 from hyperlip.instances import (
     box_instance,
@@ -244,7 +244,7 @@ class TestRetract:
         err = input_error(capsys, ["retract", "--set", path,
                                    "--point", dump(tmp_path, "x.json", [2.0, 5.0])])
         with pytest.raises(UnsupportedSetError) as lib:
-            find_point(diagonal_halfspace_instance())
+            retract(diagonal_halfspace_instance(), (2.0, 5.0), 1e-6, many=False)
         assert err["error"] == str(lib.value)
 
     def test_crossing_bounds_are_an_input_error(self, capsys, set_file, tmp_path):

@@ -190,7 +190,8 @@ def _run(argv, files, out_name=None):
     """Write ``files`` (name -> JSON value) to a temporary directory, run
     ``main`` on ``argv`` plus one ``--<name> <path>`` pair per file (and
     ``--out`` to the file ``out_name`` there, when given), and check the
-    exit-code contract.  Returns the exit code."""
+    exit-code contract, and that an output file written at exit 0 holds no
+    ``nan`` or ``inf``.  Returns the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, obj in files.items():
             path = Path(tmp) / f"{name}.json"
@@ -203,6 +204,9 @@ def _run(argv, files, out_name=None):
                 contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
             code = main(argv)
+        if out_name is not None and code == 0:
+            written = (Path(tmp) / out_name).read_text()
+            assert "nan" not in written and "inf" not in written, written
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (code, out, err)
     if code == 0:
@@ -242,6 +246,13 @@ def test_retract(files):
           "metric": [[0, 1e308, 0.5], [1e308, 0, 1e308], [0.5, 1e308, 0]]})
 @example({"set": set_to_obj(origin_cycle_instance()), "map": [[0.0, 0.0], [0.0, 0.0]],
           "metric": [[0, 1], [1, 0]], "box": [[-1e308, 1e308], [-1e308, 1e308]]})
+# the batch engine's distances to a far cone centre overflow to inf
+@example({"set": {"n": 2, "lower": [{"type": "distcone", "center": [-1e308], "offset": 0.0,
+                                     "scale": 0.5, "orientation": "-"},
+                                    {"type": "const", "value": -5.0}],
+                  "upper": [{"type": "const", "value": 5.0}, {"type": "const", "value": 5.0}]},
+          "metric": [[0, 1, 1e308], [1, 0, 1e308], [1e308, 1e308, 0]],
+          "map": [[0.0, 0.0], [0.0, 0.0]]})
 def test_extend(files):
     _run(["extend", "--subset", "0,1", "--tol", "0.1"],
          {"space" if k == "metric" else k: v for k, v in files.items()})
@@ -260,6 +271,10 @@ def test_hull_and_verify_metric(files):
 @SETTINGS
 @given(reconstruct_requests())
 @example(("0.1", {"inside": [[0, 0]], "outside": [[1, 0]], "verify-grid": [[0, 0], [1e308, 0]]}))
+@example(("0.1", {"inside": [[0, 0]], "outside": [[8e307, 8.5e307]],
+                  "verify-grid": [[0, 0], [-1e308, 0]]}))
+# finite distances whose margins, up to twice as large, overflow
+@example(("0.1", {"inside": [[0, 0]], "outside": [[-1e308, -1e308]]}))
 def test_reconstruct(request):
     a, files = request
     _run(["reconstruct", f"--a={a}"], files)
@@ -280,6 +295,10 @@ def test_verify_lipschitz(request):
 @given(plot_requests())
 @example(("0.5", {"box": [[-3, 3], [-3, 3]], "cones": [{"apex": [0, 0], "axis": 1e400,
                                                       "sign": "+"}]}))
+@example(("0.5", {"box": [[-1e308, 1e308], [-1e308, 1e308]], "orbit": [[0, 0], [1, 1]]}))
+@example(("0.5", {"box": [[-3, 3], [-3, 3]], "orbit": [[1e308, 0], [0, 0]]}))
+@example(("0.5", {"box": [[-1e308, 1e308], [0, 1]],
+                  "cones": [{"apex": [1e308, 0], "axis": 1, "sign": "+"}]}))
 def test_plot(request):
     resolution, files = request
     _run(["plot", f"--resolution={resolution}"], files, out_name="scene.svg")

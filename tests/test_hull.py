@@ -9,13 +9,7 @@ import numpy as np
 import pytest
 
 from hyperlip import hull
-from hyperlip.hull import (
-    attach_point,
-    enumerate_extremal_grid,
-    extremal_zero_classification,
-    in_delta,
-    is_extremal,
-)
+from hyperlip.hull import enumerate_extremal_grid, is_extremal
 from hyperlip.metric import FiniteMetricSpace, sup_dist
 
 from conftest import random_metric
@@ -23,6 +17,12 @@ from conftest import random_metric
 
 def _two_point(d=1.0):
     return FiniteMetricSpace(np.array([[0.0, d], [d, 0.0]]))
+
+
+def _in_delta(X, f, tol=1e-12):
+    """Whether ``f(x) + f(y) >= d(x, y) - tol`` for all pairs (x = y
+    included, which forces nonnegative values)."""
+    return bool(hull._admissible(X.matrix, hull._columns(X, f), tol)[0])
 
 
 def _tripod():
@@ -35,24 +35,24 @@ class TestAdmissibility:
     def test_rows_are_admissible(self, rng):
         X = random_metric(rng, 6)
         for x in range(6):
-            assert in_delta(X, X.row(x))
+            assert _in_delta(X, X.row(x))
 
     def test_diagonal_pairs_force_nonnegativity(self):
         X = _two_point()
-        assert not in_delta(X, (-0.5, 2.0))
+        assert not _in_delta(X, (-0.5, 2.0))
 
     def test_too_small_values_fail(self):
         X = _two_point()
-        assert not in_delta(X, (0.25, 0.25))
-        assert in_delta(X, (0.25, 0.75))
+        assert not _in_delta(X, (0.25, 0.25))
+        assert _in_delta(X, (0.25, 0.75))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            in_delta(_two_point(), (1.0,))
+            _in_delta(_two_point(), (1.0,))
 
     def test_nan_values_are_not_admissible(self):
         X = _two_point()
-        assert not in_delta(X, (float("nan"), 1.0))
+        assert not _in_delta(X, (float("nan"), 1.0))
         with pytest.raises(ValueError):
             is_extremal(X, (float("nan"), 1.0))
 
@@ -79,116 +79,6 @@ class TestExtremality:
         X = _two_point(d=2.0)
         for t in (0.0, 0.5, 1.0, 1.5, 2.0):
             assert is_extremal(X, (t, 2.0 - t))
-
-
-class TestZeroClassification:
-    def test_rows_classify_as_themselves(self, rng):
-        X = random_metric(rng, 7)
-        for x in range(7):
-            kind, idx = extremal_zero_classification(X, X.row(x))
-            assert kind == "is_dx"
-            assert idx == x
-
-    def test_interior_functions_have_no_zero(self):
-        kind, idx = extremal_zero_classification(_two_point(), (0.5, 0.5))
-        assert kind == "no_zero"
-        assert idx is None
-
-    def test_zero_bearing_functions_match_their_row_within_the_bound(self, rng):
-        """Whatever passes the extremality check with a near-zero entry sits
-        within eta + 2*tol of the matching distance row; the classification
-        must accept the whole band rather than crying foul inside it."""
-        X = _tripod()
-        f = (0.05, 1.9, 2.1)
-        assert is_extremal(X, f, tol=0.2)
-        kind, idx = extremal_zero_classification(X, f, tol=0.2)
-        assert (kind, idx) == ("is_dx", 0)
-        for m in (3, 6):
-            Y = random_metric(rng, m)
-            for x in range(m):
-                tol = 0.05
-                noisy = tuple(v + rng.uniform(0.0, tol) for v in Y.row(x))
-                if not is_extremal(Y, noisy, tol=tol):
-                    continue
-                kind, idx = extremal_zero_classification(Y, noisy, tol=tol)
-                assert kind == "is_dx"
-
-
-
-def _reference_attach_fault(X, vals):
-    """The first fault the pair-by-pair loop of ``attach_point`` reported."""
-    m = X.size
-    for i in range(m):
-        if not (math.isfinite(vals[i]) and vals[i] > 0.0):
-            return (f"attach distance at index {i} is not finite and positive: "
-                    f"{vals[i]!r}")
-    for i in range(m):
-        for j in range(i + 1, m):
-            if vals[i] + vals[j] < X.d(i, j):
-                return f"not admissible on pair ({i}, {j})"
-            if abs(vals[i] - vals[j]) > X.d(i, j):
-                return f"not 1-Lipschitz on pair ({i}, {j})"
-    return None
-
-
-class TestAttach:
-    def test_attaching_an_extremal_function_gives_a_metric(self, rng):
-        X = random_metric(rng, 5)
-        f = tuple(v + 0.1 for v in X.row(2))
-        Y = attach_point(X, f)
-        assert Y.size == 6
-        assert Y.matrix[5, 2] == f[2]
-        assert (Y.matrix[:5, :5] == X.matrix).all()
-
-    def test_rejects_nonpositive_distances(self):
-        X = _two_point()
-        with pytest.raises(ValueError):
-            attach_point(X, (0.0, 1.0))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite_distances(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            attach_point(_two_point(), (bad, 1.0))
-
-    def test_rejects_expanding_functions(self):
-        X = _two_point(d=1.0)
-        with pytest.raises(ValueError):
-            attach_point(X, (0.25, 3.0))
-
-    @pytest.mark.parametrize("f, message", [
-        ((0.2, 0.3, 5.0), "not admissible on pair (0, 1)"),
-        ((0.2, 5.0, 0.3), "not 1-Lipschitz on pair (0, 1)"),
-        ((5.0, 0.2, 0.3), "not 1-Lipschitz on pair (0, 1)"),
-        ((1.0, 1.5, 0.2), "not 1-Lipschitz on pair (1, 2)"),
-        ((0.9, 0.5, 0.4), "not admissible on pair (1, 2)"),
-        ((1.0, math.nan, -1.0), "attach distance at index 1 is not finite and positive: nan"),
-        ((1.0, 0.5, -0.0), "attach distance at index 2 is not finite and positive: -0.0"),
-    ])
-    def test_first_fault_is_reported(self, f, message):
-        X = FiniteMetricSpace(np.ones((3, 3)) - np.eye(3))
-        with pytest.raises(ValueError) as err:
-            attach_point(X, f)
-        assert str(err.value) == message
-
-    def test_first_fault_matches_the_pairwise_reference(self):
-        """Seeded inputs with admissibility and Lipschitz faults at different
-        pairs report the fault the pair-by-pair loop met first."""
-        rng = np.random.default_rng(31)
-        seen = set()
-        for _ in range(200):
-            m = int(rng.integers(2, 9))
-            X = random_metric(rng, m)
-            f = rng.uniform(0.05, 2.5, m)
-            f[rng.random(m) < 0.05] = rng.choice([0.0, -1.0, math.inf, math.nan])
-            want = _reference_attach_fault(X, [float(v) for v in f])
-            if want is None:
-                assert attach_point(X, f).size == m + 1
-                continue
-            with pytest.raises(ValueError) as err:
-                attach_point(X, f)
-            assert str(err.value) == want
-            seen.add(want.split(" on ")[0].split(" at ")[0])
-        assert seen == {"not admissible", "not 1-Lipschitz", "attach distance"}
 
 
 def _table(V, shape, start, stop):
@@ -360,7 +250,7 @@ class TestEnumeration:
             found = set(hull._extremal(X.matrix, _table(V, (count,) * m, 0, count ** m), tol))
             for ix in np.ndindex(*(count,) * m):
                 f = tuple(float(V[k]) for k in ix)
-                extremal = in_delta(X, f, tol) and is_extremal(X, f, tol)
+                extremal = _in_delta(X, f, tol) and is_extremal(X, f, tol)
                 assert extremal == (f in found)
 
     def test_scan_matches_the_row_table_reference(self, rng):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperlip import lipfun
+from hyperlip.boxset import BoxLipschitzSet, cyclic_retract, cyclic_retract_many
 from hyperlip.lipfun import (
     Blend,
     Const,
@@ -27,9 +28,7 @@ from hyperlip.lipfun import (
     bounds_of,
     domain_dim,
     eval_grid,
-    expr_dumps,
     expr_from_obj,
-    expr_loads,
     expr_to_obj,
     lip_bound,
     shrink,
@@ -71,6 +70,10 @@ def _exprs(values, dim):
 
 exprs = _exprs(coord, DIM)
 
+
+def _dumps(f):
+    return json.dumps(expr_to_obj(f), sort_keys=True, separators=(",", ":"))
+
 GRID = [(a * 1.25, b * 1.25) for a in range(-2, 3) for b in range(-2, 3)]
 
 
@@ -92,10 +95,10 @@ def test_grid_evaluation_matches_pointwise(f):
 @given(exprs)
 @settings(deadline=None)
 def test_json_round_trip_is_bit_exact(f):
-    text = expr_dumps(f)
-    g = expr_loads(text)
+    text = _dumps(f)
+    g = expr_from_obj(json.loads(text))
     assert g == f
-    assert expr_dumps(g) == text
+    assert _dumps(g) == text
 
 
 @given(exprs)
@@ -475,6 +478,82 @@ def test_paired_kernel_scratch_is_one_block(monkeypatch, dim):
     assert up.tobytes() == _compile_grid(upper)(YT).tobytes()
 
 
+# ---------------------------------------------------------------------------
+# The whole float range: magnitudes near the largest float, where distances
+# overflow to inf, subnormals and signed zeros.  The scalar and batch
+# evaluators give equal values and no NaN, and so do the two engines.
+
+HOSTILE = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e308, 1e308,
+           -1.7976931348623157e308, 1.7976931348623157e308)
+wide = st.one_of(st.sampled_from(HOSTILE), st.floats(allow_nan=False, allow_infinity=False),
+                 coord)
+
+
+@st.composite
+def _wide_pairs(draw):
+    dim = draw(st.integers(0, 3))
+    point = st.lists(wide, min_size=dim, max_size=dim).map(tuple)
+    return (dim, draw(_exprs(wide, dim)), draw(_exprs(wide, dim)),
+            draw(st.lists(point, min_size=1, max_size=4)))
+
+
+@given(_wide_pairs())
+@settings(max_examples=200, deadline=None)
+def test_evaluators_agree_over_the_whole_float_range(case):
+    """``==`` treats ``0.0`` and ``-0.0`` as equal: the sign of a zero at a
+    tie is left to the engines' pin ``TestZeroSignsOfBounds``."""
+    dim, lower, upper, Y = case
+    scalar = [tuple(_compile_pair(lower, upper)(y)) for y in Y]
+    assert not any(math.isnan(v) for pair in scalar for v in pair)
+    YT = np.asarray(Y, dtype=float).reshape(len(Y), dim).T.copy()
+    with np.errstate(over="ignore"):    # the callers' policy, as in eval_grid
+        lo, up = _compile_grid_pair(lower, upper)(YT)
+    assert list(zip(lo.tolist(), up.tolist())) == scalar
+    for side, f in enumerate((lower, upper)):
+        assert eval_grid(f, YT.T).tolist() == [pair[side] for pair in scalar]
+
+
+@st.composite
+def _wide_sets(draw):
+    """A McShane set of level below 1 on whole-range sites, with values made
+    Lipschitz as in ``random_mcshane_instance``, and three starts."""
+    n = draw(st.integers(1, 3))
+    site = st.lists(wide, min_size=n - 1, max_size=n - 1).map(tuple)
+    lam = draw(st.sampled_from((0.0, 0.25, 0.5)))
+    lower, upper = [], []
+    for _ in range(n):
+        sites = draw(st.lists(site, min_size=1, max_size=3))
+        raw = draw(st.lists(wide, min_size=len(sites), max_size=len(sites)))
+        # a distance that overflows constrains nothing here, so that lam * d
+        # is never 0 * inf
+        vals = [max(r - lam * d for q, r in zip(sites, raw)
+                    if (d := sup_dist(p, q)) < math.inf) for p in sites]
+        lift = draw(st.sampled_from((0.0, 1.0, 1e300)))
+        lower.append(McShane(tuple(zip(sites, vals)), lam, "sup"))
+        upper.append(McShane(tuple((p, min(v + lift, HOSTILE[-1])) for p, v in zip(sites, vals)),
+                             lam, "inf"))
+    starts = draw(st.lists(st.lists(wide, min_size=n, max_size=n), min_size=3, max_size=3))
+    return BoxLipschitzSet(lower, upper), starts
+
+
+def _outcome(run):
+    try:
+        return np.asarray(run(), dtype=float).tobytes()
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return type(exc)
+
+
+@given(_wide_sets())
+@settings(max_examples=100, deadline=None)
+def test_engines_agree_over_the_whole_float_range(case):
+    """One row through the batch engine gives the scalar engine's bytes, or
+    the same error."""
+    Q, starts = case
+    for x in starts:
+        assert _outcome(lambda: cyclic_retract(Q, x, 1e-6, max_sweeps=100)[0]) == \
+            _outcome(lambda: cyclic_retract_many(Q, [x], 1e-6, max_sweeps=100)[0][0])
+
+
 class TestNodeSemantics:
     def test_const(self):
         assert _compile(Const(2.5))((9.0, 9.0)) == 2.5
@@ -630,11 +709,6 @@ class TestJSONForm:
         assert obj == {"type": "distcone", "center": [1.0, 2.0], "offset": 0.25,
                        "scale": 0.5, "orientation": "-"}
         assert expr_from_obj(obj) == f
-
-    def test_canonical_text_is_sorted_and_compact(self):
-        f = Max(Const(1.0), Blend(DistCone((0.5,), 0.0, 1.0, 1), 0.5, 2.0))
-        text = expr_dumps(f)
-        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
 
     def test_malformed_objects_rejected(self):
         with pytest.raises(ValueError):
