@@ -21,7 +21,7 @@ import numpy as np
 
 from .boxset import BoxLipschitzSet, MaxSweepsExceededError, _scalar_sweeps, violation
 from .lipfun import Const, DistCone, Infinite, LipExpr, McShane, Min
-from .metric import as_point, sup_dist
+from .metric import as_point, sup_dists
 
 __all__ = [
     "WINDOW_LIMIT",
@@ -122,10 +122,20 @@ def diagonal_halfspace_instance() -> BoxLipschitzSet:
                            [Infinite(1), linear_window(1.0, 0.0)])
 
 
+@np.errstate(over="ignore")
 def _mcshane_repair(points, raw, lam):
-    """Largest values below ``raw`` that are ``lam``-Lipschitz on ``points``."""
-    return [max(r - lam * sup_dist(p, q) for q, r in zip(points, raw))
-            for p in points]
+    """Smallest values at or above ``raw`` that are ``lam``-Lipschitz on
+    ``points``: at each point, ``max_q (raw_q - lam * d(p, q))``, the first
+    maximum as Python's ``max`` picks it.  A distance too large for a float
+    counts as the largest float, so that ``lam = 0`` gives ``max(raw)``
+    rather than ``0 * inf = NaN``; a difference that overflows reads
+    ``-inf``, as in float arithmetic."""
+    if not points:
+        return []
+    P = np.array(points, dtype=float)
+    D = np.minimum(sup_dists(P, P), np.finfo(float).max)
+    V = np.asarray(raw, dtype=float) - lam * D
+    return np.take_along_axis(V, V.argmax(axis=1)[:, None], axis=1)[:, 0].tolist()
 
 
 def random_mcshane_instance(n: int, lam: float, rng: np.random.Generator,

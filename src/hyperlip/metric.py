@@ -67,14 +67,21 @@ def sup_dists(A, B) -> np.ndarray:
     """``(len(A), len(B))`` table of sup-norm distances between the rows of
     two ``(N, n)`` arrays.
 
-    It is built one coordinate at a time, as a running maximum of ``|a - b|``
-    from zeros, so no ``(N, M, n)`` temporary is made, every entry is a
-    ``+0.0`` or above, and ``n = 0`` gives all zeros.  A difference too large
-    for a float reads ``inf``, as in :func:`sup_dist`.
+    It starts from ``|a_0 - b_0|`` and folds in one coordinate at a time
+    through one reused ``(N, M)`` scratch table, so no ``(N, M, n)``
+    temporary is made, every entry is a ``+0.0`` or above, and ``n = 0``
+    gives all zeros.  A difference too large for a float reads ``inf``, as
+    in :func:`sup_dist`.
     """
-    D = np.zeros((A.shape[0], B.shape[0]))
-    for k in range(A.shape[1]):
-        np.maximum(D, np.abs(A[:, k, None] - B[None, :, k]), out=D)
+    if A.shape[1] == 0:
+        return np.zeros((A.shape[0], B.shape[0]))
+    D = np.empty((A.shape[0], B.shape[0]))
+    np.abs(np.subtract(A[:, 0, None], B[None, :, 0], out=D), out=D)
+    if A.shape[1] > 1:
+        T = np.empty_like(D)
+        for k in range(1, A.shape[1]):
+            np.abs(np.subtract(A[:, k, None], B[None, :, k], out=T), out=T)
+            np.maximum(D, T, out=D)
     return D
 
 

@@ -97,7 +97,7 @@ class ReconstructionConfig:
         return len(self.inside[0])
 
 
-def epsilon_many(inside, X, chunk: int = 64):
+def epsilon_many(inside, X, chunk: int = 256):
     """Vectorized margins for many exterior points at once.
 
     Returns ``(eps, witness_index)`` arrays where, for each row x of ``X``,
@@ -115,11 +115,12 @@ def epsilon_many(inside, X, chunk: int = 64):
     no candidate left can then beat the witness or tie it with a lower
     index.
 
-    Rows go in blocks of at most ``chunk``, so that the ``(rows, anchors,
-    S)`` bound temporary fits in ``_BLOCK_BYTES``; the result does not
-    depend on the block sizes.  The ``(S, S)`` table of inside distances is
-    held whole.  Non-finite coordinates raise ``ValueError``, and so do
-    coordinates whose differences, doubled, overflow.
+    Rows go in blocks as large as ``_BLOCK_BYTES`` allows for the ``(rows,
+    anchors, S)`` bound temporary, and never above ``chunk`` rows; the
+    result does not depend on the block sizes.  The ``(S, S)`` table of
+    inside distances is held whole.  Non-finite coordinates raise
+    ``ValueError``, and so do coordinates whose differences, doubled,
+    overflow.
     """
     P = np.asarray(inside, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -282,22 +283,24 @@ def _nondominated(C: np.ndarray, o: np.ndarray, sign: int) -> np.ndarray:
 
     A cone can only be dropped by one of no larger offset, so the cones are
     visited by increasing offset (stable, so identical cones keep their
-    order) and each is tested against the cones kept before it: by
-    transitivity, a cone dropped by a dropped cone is dropped by a kept one.
+    order), in blocks.  Each block is first tested against the cones kept
+    so far, and only its survivors against the earlier cones of the block.
+    Exact dominance is transitive, so a cone dropped by a dropped cone is
+    dropped by a kept one, and the mask is the one the pairwise rule gives.
     """
     o = sign * o
     order = np.argsort(o, kind="stable")
     kept = order[:0]
-    # about eight float temporaries of (kept + rows, rows) cells per block
-    cells = _BLOCK_BYTES // 64
-    start = 0
-    while start < o.size:
-        rows = max(1, (math.isqrt(kept.size ** 2 + 4 * cells) - kept.size) // 2)
-        J = order[start:start + rows]
-        start += rows
-        I = np.concatenate([kept, J])
-        beats = _dominates(C[I], o[I], C[J], o[J])
-        beats[kept.size:] &= np.triu(np.ones((J.size, J.size), dtype=bool), k=1)
+    # each test is of at most (side, side) pairs, with about eight float
+    # temporaries per pair
+    side = max(1, math.isqrt(_BLOCK_BYTES // 64))
+    for start in range(0, o.size, side):
+        J = order[start:start + side]
+        for k in range(0, kept.size, side):
+            K = kept[k:k + side]
+            J = J[~_dominates(C[K], o[K], C[J], o[J]).any(axis=0)]
+        beats = _dominates(C[J], o[J], C[J], o[J])
+        beats &= np.triu(np.ones((J.size, J.size), dtype=bool), k=1)
         kept = np.concatenate([kept, J[~beats.any(axis=0)]])
     keep = np.zeros(o.size, dtype=bool)
     keep[kept] = True

@@ -35,6 +35,7 @@ from hyperlip.boxset import (
     violation_many,
 )
 from hyperlip.instances import (
+    _mcshane_repair,
     box_instance,
     diagonal_halfspace_instance,
     empty_drift_instance,
@@ -894,6 +895,38 @@ class TestScaleZeroFamilies:
         assert math.isfinite(far)
         grid = eval_grid(bound, [[-1e308], [0.5]])
         assert grid.tobytes() == np.array([far, far]).tobytes()
+
+
+class TestMcShaneRepair:
+    """The sample values of the random McShane sets: one table expression,
+    with the bytes of the per-pair ``max`` it replaced."""
+
+    @staticmethod
+    def _per_pair(points, raw, lam):
+        return [max(r - lam * sup_dist(p, q) for q, r in zip(points, raw)) for p in points]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.9, 1.0])
+    def test_bytes_of_the_per_pair_max(self, lam):
+        """Random sites and values, and integer sites with values from
+        {±0, ±0.5, 1}, where maxima tie and zeros carry a sign."""
+        rng = np.random.default_rng(1919)
+        for draw in range(60):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+            if draw % 3:
+                points = [tuple(rng.uniform(-2.0, 2.0, n - 1)) for _ in range(m)]
+                raw = rng.uniform(-1.0, 1.0, m)
+            else:
+                points = [tuple(map(float, rng.integers(-2, 3, n - 1))) for _ in range(m)]
+                raw = rng.choice([-0.0, 0.0, 0.5, -0.5, 1.0], m)
+            got = _mcshane_repair(points, raw, lam)
+            assert np.array(got).tobytes() == np.array(self._per_pair(points, raw, lam)).tobytes()
+            assert {type(v) for v in got} == {float}
+
+    def test_an_overflowing_distance_at_level_zero_is_not_nan(self):
+        # 0 * inf would be NaN; the distance counts as the largest float
+        assert _mcshane_repair([(1e308,), (-1e308,)], [0.0, 0.5], 0.0) == [0.5, 0.5]
+        assert _mcshane_repair([(1.7976931348623157e308,), (-1e308,)], [-1e308, 1e308], 0.5) \
+            == [1e308 - 0.5 * 1.7976931348623157e308, 1e308]
 
 
 class TestFactorZeroBlends:

@@ -38,7 +38,7 @@ from hyperlip.lipfun import (
     _compile_grid_pair,
     _compile_pair,
 )
-from hyperlip.instances import linear_window
+from hyperlip.instances import _mcshane_repair, linear_window
 from hyperlip.metric import sup_dist
 
 DIM = 2
@@ -524,10 +524,7 @@ def _wide_sets(draw):
     for _ in range(n):
         sites = draw(st.lists(site, min_size=1, max_size=3))
         raw = draw(st.lists(wide, min_size=len(sites), max_size=len(sites)))
-        # a distance that overflows constrains nothing here, so that lam * d
-        # is never 0 * inf
-        vals = [max(r - lam * d for q, r in zip(sites, raw)
-                    if (d := sup_dist(p, q)) < math.inf) for p in sites]
+        vals = _mcshane_repair(sites, raw, lam)
         lift = draw(st.sampled_from((0.0, 1.0, 1e300)))
         lower.append(McShane(tuple(zip(sites, vals)), lam, "sup"))
         upper.append(McShane(tuple((p, min(v + lift, HOSTILE[-1])) for p, v in zip(sites, vals)),

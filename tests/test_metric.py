@@ -62,11 +62,20 @@ class TestPoints:
         assert sup_dist(x, z) <= sup_dist(x, y) + sup_dist(y, z) + 1e-9
 
 
-def row_lists(n):
-    """Up to five rows of ``n`` coordinates, signed zeros among them."""
-    coord = st.one_of(st.sampled_from([0.0, -0.0]), finite)
+def row_lists(n, extra=()):
+    """Up to five rows of ``n`` coordinates, signed zeros and ``extra``
+    among them."""
+    coord = st.one_of(st.sampled_from((0.0, -0.0) + extra), finite)
     return st.lists(st.lists(coord, min_size=n, max_size=n), max_size=5).map(
-        lambda rows: np.array(rows, dtype=float).reshape(-1, n))
+        lambda rows: np.array(rows, dtype=float).reshape(len(rows), n))
+
+
+HUGE = (1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308)
+
+# the same rows as a C-ordered copy, a Fortran-ordered copy, every other
+# row of a larger array, and the transpose of a transposed copy
+LAYOUTS = (np.ascontiguousarray, np.asfortranarray,
+           lambda A: np.repeat(A, 2, axis=0)[::2], lambda A: A.T.copy().T)
 
 
 class TestSupDists:
@@ -77,6 +86,18 @@ class TestSupDists:
         got = sup_dists(A, B)
         assert got.shape == (len(A), len(B))
         assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(0, 3).flatmap(lambda n: st.tuples(
+        row_lists(n, HUGE), row_lists(n, HUGE), st.sampled_from(LAYOUTS), st.sampled_from(LAYOUTS))))
+    def test_matches_the_scalar_distance_to_the_bit(self, case):
+        """Every entry is ``sup_dist`` of its two rows, with ±0 coordinates,
+        differences that overflow to ``inf``, and rows given as sliced or
+        transposed views; no entry is below ``+0.0``."""
+        A, B, lay_a, lay_b = case
+        want = np.array([[sup_dist(a, b) for b in B.tolist()] for a in A.tolist()])
+        got = sup_dists(lay_a(A), lay_b(B))
+        assert got.tobytes() == want.reshape(len(A), len(B)).tobytes()
+        assert not np.signbit(got).any()
 
     def test_zero_dimensional_rows_are_at_distance_zero(self):
         D = sup_dists(np.empty((3, 0)), np.empty((2, 0)))

@@ -1,13 +1,15 @@
 """Tests for margin computation, cone choice, and bound synthesis."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperlip import reconstruct
-from hyperlip.boxset import BoxLipschitzSet, violation, violation_many
+from hyperlip.boxset import BoxLipschitzSet, set_to_obj, violation, violation_many
 from hyperlip.lipfun import DistCone, Infinite, Max, Min, expr_to_obj
 from hyperlip.metric import ConeDescriptor, cone_contains, hat
 from hyperlip.reconstruct import (
@@ -116,6 +118,31 @@ def _exact_nondominated(cones, sign):
     le = (o[:, None] + d <= o[None, :]).astype(bool) & ~np.eye(K, dtype=bool)
     beats = le & (~le.T | np.triu(np.ones((K, K), dtype=bool), k=1))
     return tuple(c for c, beaten in zip(cones, beats.any(axis=0)) if not beaten)
+
+
+@st.composite
+def _cone_groups(draw):
+    """One axis and direction's cones in hat dimension 1-3: dyadic centres
+    on a coarse grid, offsets either free or on a slope-1 edge of an
+    earlier cone (so that cones tie exactly), and repeated cones."""
+    dim = draw(st.integers(1, 3))
+    sign = draw(st.sampled_from((1, -1)))
+    quarter = st.integers(-8, 8).map(lambda v: v / 4)
+    cones = []
+    for _ in range(draw(st.integers(1, 40))):
+        c = tuple(draw(st.lists(quarter, min_size=dim, max_size=dim)))
+        kind = draw(st.sampled_from(("free", "edge", "repeat"))) if cones else "free"
+        if kind == "free":
+            cones.append(DistCone(c, draw(quarter), 1.0, sign))
+            continue
+        base = draw(st.sampled_from(cones))
+        if kind == "repeat":
+            cones.append(DistCone(base.center, base.offset, 1.0, sign))
+            continue
+        slack = draw(st.sampled_from((0.0, 0.25, -0.25)))
+        d = max(abs(a - b) for a, b in zip(c, base.center))
+        cones.append(DistCone(c, base.offset + sign * (d + slack), 1.0, sign))
+    return cones, sign, draw(st.sampled_from((64, 256, 1024, reconstruct._BLOCK_BYTES)))
 
 
 def _families(Q):
@@ -471,6 +498,21 @@ class TestArrayPasses:
         assert reconstruct._nondominated(C, o, 1).tolist() == [True, False, False, False]
         assert reconstruct._nondominated(C, o, -1).tolist() == [False, True, False, False]
 
+    @given(_cone_groups())
+    @settings(max_examples=300, deadline=None)
+    def test_blocked_mask_equals_the_exact_rule(self, case):
+        """With blocks of 1, 2, 4 or 128 cones the kept set spans many
+        blocks; the mask is the exact pairwise rule's, duplicates and ties
+        included."""
+        cones, sign, block_bytes = case
+        C = np.array([c.center for c in cones], dtype=float).reshape(len(cones), -1)
+        o = np.array([c.offset for c in cones])
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(reconstruct, "_BLOCK_BYTES", block_bytes)
+            keep = reconstruct._nondominated(C, o, sign)
+        want = {id(c) for c in _exact_nondominated(cones, sign)}
+        assert keep.tolist() == [id(c) in want for c in cones]
+
     @pytest.mark.parametrize("inside, outside", [
         # margins: (1, 0) and (0.5, 0) lie between the two samples
         (((0.0, 0.0), (2.0, 0.0)),
@@ -635,3 +677,45 @@ class TestPrunedSearch:
                                       synthesize_bounds(cfg), every)
         assert plain == report
         assert asked == [tuple(map(float, p)) for p in every]
+
+
+def _seeded_pin_shapes():
+    """A box and a cut L on the step-1/16 grid, placed by a fixed seed as
+    the benchmark places its shapes."""
+    rng = np.random.default_rng(2020)
+    w, h = (int(v) for v in rng.integers(6, 12, 2))
+    i0, j0 = (int(v) for v in rng.integers(4, 60 - max(w, h), 2))
+    W = int(rng.integers(8, 12))
+    t = W // 3
+    l0, m0 = (int(v) for v in rng.integers(4, 60 - W, 2))
+    flips = [bool(v) for v in rng.integers(0, 2, 3)]
+    return ((lambda i, j: i0 <= i <= i0 + w and j0 <= j <= j0 + h),
+            _ell_shape(l0, m0, W, t, *flips))
+
+
+def _synthesis_digest(case):
+    """sha256 of the synthesized set's JSON form and of its verification
+    report on the whole grid."""
+    box, ell = _seeded_pin_shapes()
+    per_unit, shape = {"square16": (16, _square_shape(16)), "box16": (16, box),
+                       "ell16": (16, ell), "step8": (8, _step_shape(8))}[case]
+    inside, outside, grid = _bench_grid(per_unit, shape)
+    Q = synthesize_bounds(ReconstructionConfig(inside, outside, a=0.1))
+    report = verify_reconstruction(membership_from_samples(inside), Q, grid)
+    blob = json.dumps([set_to_obj(Q), report.checked, report.false_inside,
+                       report.false_outside], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestOutputPins:
+    """The bytes of the synthesized sets and their reports are pinned: a
+    faster synthesis must give exactly these."""
+
+    @pytest.mark.parametrize("case, digest", [
+        ("square16", "78633891dd892a4102d1d8da3c10fa1cf7e0294dab09058855c5d73c4120a323"),
+        ("box16", "b3a27dd5cc13bd07efc1e9cdbe622277d10347a71deaf8a5dc5ad1b12c971334"),
+        ("ell16", "fea6c76c6e9bde30f920c0ce0f83a340fb425d549fde6af5d9c757481c7a92a5"),
+        ("step8", "074aa8c4387da16753692b0979ef5198b67b4112c471418b8d40ffb278b37382"),
+    ])
+    def test_synthesis_bytes(self, case, digest):
+        assert _synthesis_digest(case) == digest
