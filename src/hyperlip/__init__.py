@@ -56,6 +56,7 @@ from .metric import (
     ConeDescriptor,
     FiniteMetricSpace,
     as_point,
+    as_points,
     check_metric_axioms,
     cone_contains,
     hat,

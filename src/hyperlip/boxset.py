@@ -550,9 +550,9 @@ def cyclic_retract_many(Q: BoxLipschitzSet, X, tol: float = 1e-6,
     def result(final, disp):
         if not record:
             return final, None
-        D = np.stack(disp, axis=0)
-        return final, [IterationTrace(Q.n, tuple(X[j]), tuple(D[:, j]), tuple(final[j]))
-                       for j in range(X.shape[0])]
+        D = np.stack(disp, axis=1)      # (rows, steps)
+        return final, [IterationTrace(Q.n, tuple(x), tuple(d), tuple(f))
+                       for x, d, f in zip(X.tolist(), D.tolist(), final.tolist())]
 
     try:
         return result(*_batch_sweeps(Q, X, threshold, max_sweeps, record))

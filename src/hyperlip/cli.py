@@ -49,6 +49,7 @@ from .metric import (
     ConeDescriptor,
     FiniteMetricSpace,
     as_point,
+    as_points,
     check_metric_axioms,
     sup_dists,
 )
@@ -173,14 +174,14 @@ def cmd_retract(args) -> int:
 def cmd_extend(args) -> int:
     B = _load_matrix(args.space)
     A = [int(s) for s in args.subset.split(",") if s != ""]
-    phi = [as_point(p) for p in _load_json(args.map)]
+    phi = as_points(_load_json(args.map))
     Q = _load_set(args.set)
     witness = _load_point(args.witness) if args.witness else None
     box = _load_box(args.box) if args.box else None
     ext = extend_into_Q(B, A, phi, Q, tol=args.tol, witness=witness, box=box)
     worst = _stretch(ext, B)
     _emit({
-        "map": [[float(c) for c in p] for p in ext],
+        "map": [list(p) for p in ext],
         "violations": [float(violation(Q, p)) for p in ext],
         "lipschitz_check": {"ok": worst <= 1e-12, "pairs": B.size * (B.size - 1) // 2,
                             "max_excess": worst},
@@ -208,7 +209,7 @@ def cmd_reconstruct(args) -> int:
     Q_rec = synthesize_bounds(cfg)
     out = {"set": set_to_obj(Q_rec), "report": None}
     if args.verify_grid:
-        grid = [as_point(p) for p in _load_json(args.verify_grid)]
+        grid = as_points(_load_json(args.verify_grid))
         oracle = membership_from_samples(cfg.inside)
         report = verify_reconstruction(oracle, Q_rec, grid)
         out["report"] = {
@@ -227,7 +228,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_verify(args) -> int:
     if args.target == "lipschitz":
         f = expr_from_obj(_load_json(args.expr))
-        grid = [as_point(p) for p in _load_json(args.grid)]
+        grid = as_points(_load_json(args.grid))
         witness = verify_lipschitz_on_grid(f, grid, args.lam, tol=args.tol)
         if witness is None:
             _emit({"ok": True, "pairs": len(grid) * (len(grid) - 1) // 2})
@@ -263,7 +264,7 @@ def _load_cone(obj) -> ConeDescriptor:
 def cmd_plot(args) -> int:
     Q = _load_set(args.set) if args.set else None
     box = _load_box(args.box)
-    orbit = [as_point(p) for p in _load_json(args.orbit)] if args.orbit else None
+    orbit = as_points(_load_json(args.orbit)) if args.orbit else None
     cones = [_load_cone(c) for c in _load_json(args.cones)] if args.cones else None
     svg = svgplot.render_scene(box, Q=Q, orbit=orbit, cones=cones,
                                resolution=args.resolution)

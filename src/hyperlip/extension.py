@@ -30,7 +30,7 @@ from .boxset import (
     violation,
     violation_many,
 )
-from .metric import FiniteMetricSpace, Point, as_point, sup_dists
+from .metric import FiniteMetricSpace, Point, as_points, sup_dists
 
 __all__ = [
     "NotLipschitzError",
@@ -91,18 +91,18 @@ def extend_into_Q(B: FiniteMetricSpace, A, phi, Q: BoxLipschitzSet,
     raw iteration probed from the worst row's extended point.
     """
     A = _check_subset(B, A)
-    phi_rows = [as_point(p) for p in phi]
-    if len(phi_rows) != len(A):
+    P = as_points(phi)
+    if len(P) != len(A):
         raise ValueError("need exactly one image point per subset index")
     n = Q.n
-    for p in phi_rows:
+    for p in P:
         if len(p) != n:
             raise ValueError(f"image point of dimension {len(p)}, set has dimension {n}")
-    for a, p in zip(A, phi_rows):
+    # A is nonempty and every image point has dimension n, so P is an array
+    for a, p in zip(A, P.tolist()):
         v = violation(Q, p)
         if v != 0.0:
             raise ValueError(f"image of index {a} is not a member (violation {v:g})")
-    P = np.asarray(phi_rows)
     excess = sup_dists(P, P) - B.matrix[np.ix_(A, A)]
     stretched = np.triu(excess > _LIP_TOL, 1)
     if stretched.any():     # the first stretched pair in A's order
@@ -111,14 +111,14 @@ def extend_into_Q(B: FiniteMetricSpace, A, phi, Q: BoxLipschitzSet,
         raise NotLipschitzError(
             f"map stretches pair ({i}, {j}) by {float(excess[p, q]):g}", (i, j))
 
-    ext = _extend_all_components(B, A, phi_rows)
+    ext = _extend_all_components(B, A, P)
 
     final = retract(Q, ext, tol, box, witness, many=True)[0]
     if Q.lip_bound >= 1.0:
         gaps = violation_many(Q, final)
         worst = int(np.argmax(gaps))
-        _check_relaxed(Q, tuple(ext[worst]), float(gaps[worst]), tol)
-    return [tuple(row) for row in final]
+        _check_relaxed(Q, tuple(ext[worst].tolist()), float(gaps[worst]), tol)
+    return list(map(tuple, final.tolist()))
 
 
 def kuratowski_embed(X: FiniteMetricSpace, basepoint: int = 0) -> list:
@@ -131,4 +131,4 @@ def kuratowski_embed(X: FiniteMetricSpace, basepoint: int = 0) -> list:
     if not 0 <= basepoint < m:
         raise IndexError(f"basepoint {basepoint} out of range for size {m}")
     M = X.matrix
-    return [tuple(r) for r in (M - M[basepoint]).tolist()]
+    return list(map(tuple, (M - M[basepoint]).tolist()))

@@ -66,7 +66,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .metric import as_point, sup_dists
+from .metric import as_point, as_points, sup_dists
 
 __all__ = [
     "LipExpr",
@@ -595,16 +595,19 @@ def verify_lipschitz_on_grid(f: LipExpr, grid, lam: float, tol: float = 1e-12):
         raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    pts = [as_point(y) for y in grid]
-    if not pts:
+    Y = as_points(grid)
+    if not len(Y):
         raise ValueError("empty grid")
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = eval_grid(f, pts)
-    for y, v in zip(pts, vals.tolist()):
-        if not math.isfinite(v):
-            raise ValueError(f"expression is not finite at {y}")
-    Y = np.asarray(pts)
-    N = len(pts)
+        vals = eval_grid(f, Y)
+
+    def point(i):
+        return tuple(Y[i].tolist())
+
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise ValueError(f"expression is not finite at {point(int(finite.argmin()))}")
+    N = len(Y)
     with np.errstate(over="ignore"):
         spread = np.ptp(np.column_stack([Y, vals]), axis=0)
     if not np.isfinite(spread).all():
@@ -620,7 +623,7 @@ def verify_lipschitz_on_grid(f: LipExpr, grid, lam: float, tol: float = 1e-12):
             bad = np.abs(vals[i, None] - vals[None, r + 1:]) > lam * d + tol
         if bad.any():
             a, b = divmod(int(bad.argmax()), N - r - 1)
-            return pts[r + a], pts[r + 1 + b]
+            return point(r + a), point(r + 1 + b)
     return None
 
 

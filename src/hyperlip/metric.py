@@ -8,6 +8,9 @@ indices are 0-based throughout the package.
 Coordinates of points are always finite: :func:`as_point` rejects ``nan``
 and infinities.  A missing coordinate bound is an ``Infinite`` expression
 of :mod:`hyperlip.lipfun`, never an infinite coordinate.
+
+A set of points enters the package once, through :func:`as_points`: one
+array conversion, and one ``tolist()`` when its points leave numpy again.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 __all__ = [
     "Point",
     "as_point",
+    "as_points",
     "sup_dist",
     "sup_dists",
     "hat",
@@ -43,11 +47,37 @@ def as_point(coords: Sequence[float]) -> Point:
 
     Rejects non-finite coordinates; the empty sequence is allowed.
     """
-    pt = tuple(float(c) for c in coords)
-    for c in pt:
-        if not math.isfinite(c):
-            raise ValueError(f"point coordinates must be finite, got {c!r}")
+    pt = tuple(map(float, coords))
+    if not all(map(math.isfinite, pt)):
+        c = next(c for c in pt if not math.isfinite(c))
+        raise ValueError(f"point coordinates must be finite, got {c!r}")
     return pt
+
+
+def as_points(rows) -> np.ndarray | tuple:
+    """Coerce a sequence of points to an ``(N, n)`` float array.
+
+    Rows that numpy reads as an ``(N, n)`` table of bools, integers or
+    floats, all finite, take one conversion.  Any other rows go through
+    :func:`as_point` one at a time, so a bad point raises its error, for the
+    first bad point in order.  Either way, points of one dimension come back
+    as a new array with the bytes of ``np.array([as_point(p) for p in
+    rows], dtype=float)``; no points, or points of different dimensions,
+    come back as the tuple of their point tuples, for the caller to refuse
+    in its own terms (``np.asarray`` of it raises numpy's error).
+    """
+    try:
+        A = np.asarray(rows)
+    except (TypeError, ValueError, OverflowError):
+        A = None
+    if A is not None and A.ndim == 2 and A.dtype.kind in "biuf":
+        A = A.astype(float)
+        if np.isfinite(A).all():
+            return A
+    pts = tuple(as_point(p) for p in rows)
+    if pts and len({len(p) for p in pts}) == 1:
+        return np.array(pts, dtype=float)
+    return pts
 
 
 def sup_dist(x: Sequence[float], y: Sequence[float]) -> float:
@@ -71,8 +101,11 @@ def sup_dists(A, B) -> np.ndarray:
     through one reused ``(N, M)`` scratch table, so no ``(N, M, n)``
     temporary is made, every entry is a ``+0.0`` or above, and ``n = 0``
     gives all zeros.  A difference too large for a float reads ``inf``, as
-    in :func:`sup_dist`.
+    in :func:`sup_dist`, and rows of different dimensions raise its
+    ``ValueError``.
     """
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     if A.shape[1] == 0:
         return np.zeros((A.shape[0], B.shape[0]))
     D = np.empty((A.shape[0], B.shape[0]))
@@ -143,8 +176,8 @@ def cone_contains(cone: ConeDescriptor, q: Sequence[float], strict: bool = False
 
 def hausdorff_distance(A, B) -> float:
     """Hausdorff distance between two finite nonempty sets of points."""
-    pa = np.asarray([as_point(a) for a in A], dtype=float)
-    pb = np.asarray([as_point(b) for b in B], dtype=float)
+    pa = np.asarray(as_points(A), dtype=float)
+    pb = np.asarray(as_points(B), dtype=float)
     if len(pa) == 0 or len(pb) == 0:
         raise ValueError("hausdorff_distance requires nonempty sets")
     if pa.shape[1:] != pb.shape[1:]:
@@ -275,7 +308,7 @@ class FiniteMetricSpace:
         closer than that tolerance are refused as coincident.  A refusal
         carries the text of the full :func:`check_metric_axioms` report.
         """
-        P = np.asarray([as_point(p) for p in points], dtype=float)
+        P = np.asarray(as_points(points), dtype=float)
         if len(P) == 0:
             raise ValueError("need at least one point")
         M = sup_dists(P, P)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .boxset import BoxLipschitzSet, violation_many
 from .lipfun import DistCone, Infinite, Max, Min
-from .metric import ConeDescriptor, Point, as_point, hat, sup_dists
+from .metric import ConeDescriptor, Point, as_point, as_points, hat, sup_dists
 
 __all__ = [
     "ConeOverlapError",
@@ -56,24 +56,21 @@ class ConeOverlapError(RuntimeError):
         self.inside = inside
 
 
-def _as_points(samples) -> tuple:
-    """``tuple(as_point(p) for p in samples)``: one array conversion when the
-    samples form a finite ``(N, n)`` table, else point by point, so that a
-    bad sample raises ``as_point``'s error."""
-    try:
-        A = np.array(samples, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        A = None
-    if A is not None and A.ndim == 2 and np.isfinite(A).all():
-        return tuple(map(tuple, A.tolist()))
-    return tuple(as_point(p) for p in samples)
+def _dims(points) -> set:
+    """The dimensions of the points :func:`~hyperlip.metric.as_points`
+    returned."""
+    if isinstance(points, np.ndarray):
+        return {points.shape[1]} if len(points) else set()
+    return {len(p) for p in points}
 
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
     """Sampled data for bound synthesis.
 
-    ``a`` scales the apex pull-back; it must stay in (0, 1/8).
+    ``a`` scales the apex pull-back; it must stay in (0, 1/8).  The
+    samples are kept as tuples of point tuples, and as the read-only
+    ``(N, n)`` arrays they were converted to once.
     """
 
     inside: tuple
@@ -81,16 +78,19 @@ class ReconstructionConfig:
     a: float = 0.1
 
     def __post_init__(self):
-        inside, outside = _as_points(self.inside), _as_points(self.outside)
-        if not inside:
+        P, X = as_points(self.inside), as_points(self.outside)
+        if not len(P):
             raise ValueError("need at least one inside sample")
-        dims = {len(p) for p in inside} | {len(p) for p in outside}
+        dims = _dims(P) | _dims(X)
         if len(dims) != 1:
             raise ValueError(f"mixed sample dimensions {sorted(dims)}")
         if not 0.0 < self.a < A_MAX:
             raise ValueError(f"a must lie strictly between 0 and {A_MAX}, got {self.a!r}")
-        object.__setattr__(self, "inside", inside)
-        object.__setattr__(self, "outside", outside)
+        X = np.asarray(X, dtype=float).reshape(-1, P.shape[1])     # no samples: (0, n)
+        for name, S in (("inside", P), ("outside", X)):
+            S.setflags(write=False)
+            object.__setattr__(self, name, tuple(map(tuple, S.tolist())))
+            object.__setattr__(self, f"_{name}", S)
 
     @property
     def n(self) -> int:
@@ -325,8 +325,7 @@ def synthesize_bounds(cfg: ReconstructionConfig) -> BoxLipschitzSet:
     upper = [Infinite(1)] * n
     if not cfg.outside:
         return BoxLipschitzSet(lower, upper)
-    P = np.asarray(cfg.inside, dtype=float)
-    X = np.asarray(cfg.outside, dtype=float)
+    P, X = cfg._inside, cfg._outside
     eps, arg = epsilon_many(P, X)
     axis, sign, apex, ok = _cones(X, P[arg], eps, cfg.a)
     bad = (eps <= 0.0) | ~ok
@@ -414,7 +413,7 @@ class _SampleMembership:
     :meth:`many`."""
 
     def __init__(self, inside, tol):
-        self._P = np.asarray([as_point(p) for p in inside], dtype=float)
+        self._P = np.asarray(as_points(inside), dtype=float)
         self._tol = tol
 
     def __call__(self, x) -> bool:

@@ -43,8 +43,9 @@ def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
     """Render a planar scene into an SVG string.
 
     ``box`` is ``((x0, x1), (y0, y1))`` in data coordinates; ``Q`` (optional)
-    must be 2-dimensional; ``orbit`` is a point sequence drawn as a
-    polyline; ``cones`` is a sequence of planar :class:`ConeDescriptor`.
+    must be 2-dimensional; ``orbit`` is a point sequence, or an ``(N, 2)``
+    array read through ``tolist()``, drawn as a polyline; ``cones`` is a
+    sequence of planar :class:`ConeDescriptor`.
     """
     (x0, x1), (y0, y1) = [(float(a), float(b)) for a, b in box]
     if not (x0 < x1 and y0 < y1):
@@ -113,7 +114,9 @@ def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
         path = " ".join(f"{_fmt(sx(px))},{_fmt(sy(py))}" for px, py in pts)
         parts.append(f'<polygon points="{path}" fill="{CONE_FILL}" fill-opacity="0.5"/>')
 
-    if orbit:
+    if orbit is not None and len(orbit):
+        if isinstance(orbit, np.ndarray):
+            orbit = orbit.tolist()
         path = " ".join(f"{_fmt(sx(px))},{_fmt(sy(py))}" for px, py in orbit)
         parts.append(
             f'<polyline points="{path}" fill="none" stroke="{ORBIT_STROKE}" '

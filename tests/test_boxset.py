@@ -1108,6 +1108,33 @@ class TestTraceOutput:
             assert int(axis) == k % Q.n
             assert float(disp) == trace.displacements[k]
 
+    @staticmethod
+    def _fields(trace):
+        return [trace.start, trace.displacements, trace.final]
+
+    def test_a_one_row_batch_trace_is_the_scalar_trace(self):
+        """Batch traces hold Python floats, so a one-row batch writes the
+        scalar engine's CSV byte for byte, through the engine and through
+        ``retract``."""
+        Q = random_mcshane_instance(2, 0.5, np.random.default_rng(0), samples=4)
+        point, want = cyclic_retract(Q, (2.0, -2.0), 1e-3)
+        out, traces = cyclic_retract_many(Q, np.array([[2.0, -2.0]]), 1e-3, record=True)
+        again, more, _ = boxset.retract(Q, [(2, -2)], 1e-3, many=True, record=True)
+        assert out.tolist() == again.tolist() == [list(point)]
+        for trace in traces + more:
+            assert trace_to_csv(trace) == trace_to_csv(want)
+            assert self._fields(trace) == self._fields(want)
+            assert all(type(v) is float for field in self._fields(trace) for v in field)
+
+    def test_batch_trace_fields_are_floats(self):
+        Q = random_mcshane_instance(3, 0.5, np.random.default_rng(4), samples=8)
+        X = np.random.default_rng(5).uniform(-3.0, 3.0, (7, 3))
+        out, traces = cyclic_retract_many(Q, X, 1e-6, record=True)
+        for x, y, trace in zip(X.tolist(), out.tolist(), traces):
+            assert trace.start == tuple(x) and trace.final == tuple(y)
+            assert all(type(v) is float for field in self._fields(trace) for v in field)
+            assert "np." not in trace_to_csv(trace)
+
     def test_points_replay_the_displacements(self):
         Q = origin_cycle_instance()
         trace = cyclic_iterate(Q, (0.0, 1.0), 6)

@@ -526,6 +526,14 @@ class TestReconstruct:
         assert code == 0
         assert out["report"] is None
 
+    @pytest.mark.parametrize("grid, n", [([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 3), ([[0.0]], 1)])
+    def test_a_grid_of_another_dimension_is_an_input_error(self, capsys, tmp_path, grid, n):
+        inside, outside, _ = self._square(tmp_path)
+        err = input_error(capsys, [
+            "reconstruct", "--inside", inside, "--outside", outside,
+            "--verify-grid", dump(tmp_path, "g.json", grid)])
+        assert err == {"error": f"dimension mismatch: {n} vs 2"}
+
     def test_bad_pullback_rejected(self, capsys, tmp_path):
         inside, outside, _ = self._square(tmp_path)
         code, _, err = run(capsys, [
@@ -638,6 +646,15 @@ class TestPlot:
         text = out_path.read_text()
         assert text.startswith("<svg")
         assert out["bytes"] == len(text.encode())
+
+    def test_an_orbit_may_be_an_array(self):
+        box = [(-3.0, 3.0), (-3.0, 3.0)]
+        orbit = [(0.0, 0.0), (1.5, -2.0), (2.0, 2.0)]
+        want = svgplot.render_scene(box, orbit=orbit)
+        assert "<polyline" in want
+        assert svgplot.render_scene(box, orbit=np.array(orbit)) == want
+        assert svgplot.render_scene(box, orbit=np.empty((0, 2))) == \
+            svgplot.render_scene(box, orbit=[]) == svgplot.render_scene(box)
 
     @pytest.mark.parametrize("resolution, words", [
         ("1e-320", "overflows"), ("3e-4", "cells"), ("nan", "positive")])

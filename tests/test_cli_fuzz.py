@@ -253,6 +253,18 @@ def test_retract(files):
                   "upper": [{"type": "const", "value": 5.0}, {"type": "const", "value": 5.0}]},
           "metric": [[0, 1, 1e308], [1, 0, 1e308], [1e308, 1e308, 0]],
           "map": [[0.0, 0.0], [0.0, 0.0]]})
+# point lists that numpy cannot read as one table, or reads differently from
+# the per-point conversion
+@example({"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
+          "map": [[0.0, 0.0], [1.0]]})
+@example({"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
+          "map": [[], []]})
+@example({"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
+          "map": [[0, 2 ** 64 + 1], [True, 1]]})
+@example({"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
+          "map": [["0", "1"], [0.0, 1.0]]})
+@example({"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
+          "map": [[0.0, 1.0], [0.0, INF]]})
 def test_extend(files):
     _run(["extend", "--subset", "0,1", "--tol", "0.1"],
          {"space" if k == "metric" else k: v for k, v in files.items()})
@@ -275,6 +287,13 @@ def test_hull_and_verify_metric(files):
                   "verify-grid": [[0, 0], [-1e308, 0]]}))
 # finite distances whose margins, up to twice as large, overflow
 @example(("0.1", {"inside": [[0, 0]], "outside": [[-1e308, -1e308]]}))
+@example(("0.1", {"inside": [[0, 0]], "outside": [[1, 0]], "verify-grid": [[0, 0, 0], [1, 0, 0]]}))
+@example(("0.1", {"inside": [[0, 0]], "outside": [[1, 0]], "verify-grid": [[0.0], [1.0]]}))
+@example(("0.1", {"inside": [[0, 0]], "outside": [[1, 0]], "verify-grid": [[0, 0], [1]]}))
+@example(("0.1", {"inside": [[0, 0]], "outside": [[1, 0]], "verify-grid": [[], []]}))
+@example(("0.1", {"inside": [[0, 0]], "outside": [[1, 0]], "verify-grid": []}))
+@example(("0.1", {"inside": [[0, 0]], "outside": [[1, 0]],
+                  "verify-grid": [[2 ** 64 + 1, False], ["1", 0], [0, NAN]]}))
 def test_reconstruct(request):
     a, files = request
     _run(["reconstruct", f"--a={a}"], files)
@@ -286,6 +305,12 @@ def test_reconstruct(request):
 @example(("1", "1e-12", {"expr": {"type": "distcone", "center": [0, 0], "offset": 1e308,
                                   "scale": 1.0, "orientation": "+"},
                          "grid": [[0, 0], [1e308, 1e308]]}))
+@example(("1", "0", {"expr": {"type": "const", "value": 0.0}, "grid": [[0, 0], [1]]}))
+@example(("1", "0", {"expr": {"type": "const", "value": 0.0}, "grid": [[], []]}))
+@example(("1", "0", {"expr": {"type": "const", "value": 0.0}, "grid": []}))
+@example(("1", "0", {"expr": {"type": "const", "value": 0.0},
+                     "grid": [[2 ** 64 + 1, True], [-(2 ** 63), 0]]}))
+@example(("1", "0", {"expr": {"type": "const", "value": 0.0}, "grid": [[0, 0], [-INF, 0]]}))
 def test_verify_lipschitz(request):
     lam, tol, files = request
     _run(["verify", "lipschitz", f"--lam={lam}", f"--tol={tol}"], files)
@@ -299,6 +324,11 @@ def test_verify_lipschitz(request):
 @example(("0.5", {"box": [[-3, 3], [-3, 3]], "orbit": [[1e308, 0], [0, 0]]}))
 @example(("0.5", {"box": [[-1e308, 1e308], [0, 1]],
                   "cones": [{"apex": [1e308, 0], "axis": 1, "sign": "+"}]}))
+@example(("0.5", {"box": [[-3, 3], [-3, 3]], "orbit": [[0, 0], [1]]}))
+@example(("0.5", {"box": [[-3, 3], [-3, 3]], "orbit": [[0, 0, 0], [1, 1, 1]]}))
+@example(("0.5", {"box": [[-3, 3], [-3, 3]], "orbit": []}))
+@example(("0.5", {"box": [[-3, 3], [-3, 3]], "orbit": [[2 ** 64 + 1, True], [0, "1"]]}))
+@example(("0.5", {"box": [[-3, 3], [-3, 3]], "orbit": [[0, 0], [NAN, 0]]}))
 def test_plot(request):
     resolution, files = request
     _run(["plot", f"--resolution={resolution}"], files, out_name="scene.svg")

@@ -1,5 +1,7 @@
 """Tests for Lipschitz extension and the isometric sup-norm embedding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,30 @@ class TestScalarExtension:
             extend_into_Q(B, [0, 7], [(1.0,), (1.0,)], Q)
         with pytest.raises(ValueError):
             extend_into_Q(B, [0, 1], [(1.0,)], Q)
+
+    @pytest.mark.parametrize("phi, exc, message", [
+        ([(1.0,), (1.0, 2.0)], ValueError, "image point of dimension 2, set has dimension 1"),
+        ([(1.0, 2.0), (1.0, 2.0)], ValueError, "image point of dimension 2, set has dimension 1"),
+        ([(), ()], ValueError, "image point of dimension 0, set has dimension 1"),
+        ([(1.0,)], ValueError, "need exactly one image point per subset index"),
+        ([(1.0,), (float("nan"),)], ValueError, "point coordinates must be finite, got nan"),
+        ([(1.0,), 2.0], TypeError, "'float' object is not iterable"),
+        ([(1.0,), (20.0,)], ValueError, "image of index 1 is not a member (violation 10)"),
+    ])
+    def test_image_refusals_keep_their_messages(self, phi, exc, message):
+        B = _three_point_space()
+        Q = box_instance([(-10.0, 10.0)])
+        for images in (phi, iter(phi)):
+            with pytest.raises(exc) as err:
+                extend_into_Q(B, [0, 1], images, Q)
+            assert str(err.value) == message
+
+    def test_images_may_be_an_array(self):
+        B = _three_point_space()
+        Q = box_instance([(-10.0, 10.0)])
+        want = extend_into_Q(B, [0, 2], [(0.5,), (-0.25,)], Q)
+        assert extend_into_Q(B, [0, 2], np.array([[0.5], [-0.25]]), Q) == want
+        assert want[0] == (0.5,) and want[2] == (-0.25,)
 
 
 class TestExtendIntoSet:
@@ -196,6 +222,55 @@ class TestExtendIntoSet:
             extend_into_Q(B, [0, 1], members, make(), tol=1e-4, witness=witness)
         assert err.value.verdict in ("stalled", "decaying")
         assert err.value.trace.steps == 40 * 2
+
+
+def _extension_case(kind):
+    """One seeded extension per retraction strategy: 60 points in ``[-3,
+    3]^n``, some of them members of ``Q`` mapped to themselves."""
+    rng = np.random.default_rng(2222)
+    box = witness = None
+    if kind == "cyclic":
+        Q = random_mcshane_instance(3, 0.5, rng, samples=16)
+        members = sample_members(Q, rng.uniform(-2.0, 2.0, (5, 3)))
+        tol = 1e-6
+    elif kind == "shrink":
+        Q, box = vee_notch_instance(), [(-10.0, 10.0)] * 2
+        members = [(0.0, 0.5), (1.0, 2.0), (-1.5, 2.25), (0.25, 3.0)]
+        tol = 1e-3
+    else:
+        Q, witness = diagonal_halfspace_instance(), (0.0, 0.0)
+        members = [(0.5, 0.0), (2.0, -1.0), (-1.0, -2.5), (3.0, 3.0)]
+        tol = 1e-3
+    P = rng.uniform(-3.0, 3.0, (60, Q.n))
+    A = sorted(rng.choice(60, size=len(members), replace=False).tolist())
+    P[A] = members
+    B = FiniteMetricSpace.from_points(P)
+    return B, extend_into_Q(B, A, members, Q, tol=tol, witness=witness, box=box)
+
+
+class TestOutputs:
+    """Extension and embedding return tuples of Python floats, with the bits
+    they had when they returned numpy scalars."""
+
+    # sha256 of the extension, the distance matrix and the embedding,
+    # computed before the points left numpy through ``tolist()``
+    DIGESTS = {
+        "cyclic": "42f5e0d57886e545fd2267dc539abc044a66d97b42cf2dc40994dcfdc17564ab",
+        "shrink": "aaea077f22424b4fec0e3d660a77d9979b4620af4d7be29ee0e6e931dd5eefde",
+        "witness": "e6c48f5fddcf617c55fb2277ef1062c9ca9a0356736aee918909a42452f35856",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DIGESTS))
+    def test_extension_bytes_and_types(self, kind):
+        B, ext = _extension_case(kind)
+        emb = kuratowski_embed(B)
+        for points in (ext, emb):
+            assert type(points) is list and len(points) == B.size
+            assert all(type(p) is tuple and all(type(c) is float for c in p) for p in points)
+        digest = hashlib.sha256(np.asarray(ext, dtype=float).tobytes())
+        digest.update(B.matrix.tobytes())
+        digest.update(np.asarray(emb, dtype=float).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[kind]
 
 
 class TestKuratowski:

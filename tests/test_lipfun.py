@@ -664,6 +664,18 @@ class TestAudit:
         with pytest.raises(ValueError):
             verify_lipschitz_on_grid(Infinite(1), [(0.0,)], 1.0)
 
+    def test_the_first_point_with_an_infinite_value_is_named(self):
+        f = DistCone((0.0,), 1e308, 1.0, 1)
+        with pytest.raises(ValueError) as err:
+            verify_lipschitz_on_grid(f, np.array([[0.0], [1e308], [-1e308]]), 1.0)
+        assert str(err.value) == "expression is not finite at (1e+308,)"
+
+    def test_the_witness_is_a_pair_of_float_tuples(self):
+        witness = verify_lipschitz_on_grid(DistCone((0.0,), 0.0, 1.0, 1),
+                                           np.array([[0.0], [1.0]]), 0.5)
+        assert witness == ((0.0,), (1.0,))
+        assert all(type(c) is float for y in witness for c in y)
+
     @pytest.mark.parametrize("lam, tol", [
         (math.nan, 0.0), (-1.0, 0.0), (1.0, math.nan), (1.0, -1e-12)])
     def test_bad_lam_or_tol_rejected(self, lam, tol):

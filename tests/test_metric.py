@@ -1,17 +1,21 @@
 """Tests for the sup-norm primitives and finite metric spaces."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hyperlip.boxset import BoxLipschitzSet, cyclic_iterate
+from hyperlip import metric
 from hyperlip.lipfun import Const, Infinite
 from hyperlip.metric import (
     ConeDescriptor,
     FiniteMetricSpace,
     as_point,
+    as_points,
     check_metric_axioms,
     cone_contains,
     hat,
@@ -62,6 +66,149 @@ class TestPoints:
         assert sup_dist(x, z) <= sup_dist(x, y) + sup_dist(y, z) + 1e-9
 
 
+def _table(rows):
+    return np.array(rows, dtype=float)
+
+
+_GRID = np.random.default_rng(7).uniform(-5.0, 5.0, (5, 3))
+# rows a conversion could get wrong, each as a maker of fresh input, so that
+# generators are consumed once per use
+HOSTILE = {
+    "floats": lambda: [[1.0, 2.0], [3.0, 4.5]],
+    "tuples": lambda: ((0.5,), (-0.25,)),
+    "ragged": lambda: [(1.0,), (1.0, 2.0)],
+    "ragged after a point": lambda: [[1.0, 2.0], [3.0]],
+    "ragged with an empty point": lambda: [(), (1.0,)],
+    "scalar row": lambda: [[1.0], 5],
+    "scalar rows": lambda: [1.0, 2.0],
+    "one scalar": lambda: 3.0,
+    "nested too deep": lambda: [[[1.0]], [[2.0]]],
+    "zero-dimensional points": lambda: [(), ()],
+    "one zero-dimensional point": lambda: [[]],
+    "zero-dimensional array": lambda: np.empty((3, 0)),
+    "empty list": lambda: [],
+    "empty tuple": lambda: (),
+    "empty array": lambda: np.empty((0, 2)),
+    "ints above 2**53": lambda: [[2 ** 53 + 1, 2 ** 63 - 1], [-(2 ** 63), 3]],
+    "ints above 2**64": lambda: [[2 ** 64 + 1, 1.0], [2 ** 63, -(2 ** 63) - 1]],
+    "int too large": lambda: [[1.0, 10 ** 400]],
+    "int array": lambda: np.arange(6, dtype=np.int64).reshape(3, 2) - 2 ** 62,
+    "uint array": lambda: np.array([[2 ** 64 - 1, 2 ** 53 + 1]], dtype=np.uint64),
+    "bools": lambda: [[True, False], [False, 2]],
+    "bool array": lambda: np.array([[True], [False]]),
+    "numeric strings": lambda: [["1.5", "-2"], [" 1e3 ", "1_0"]],
+    "string points": lambda: ["12", "34"],
+    "bytes": lambda: [[b"1.5", b"2"]],
+    "string array": lambda: np.array([["0.1", "-0.0"]]),
+    "bad string": lambda: [[0.0, "x"]],
+    "hex string": lambda: [["0x10"]],
+    "inf string": lambda: [["1.0", "-inf"]],
+    "signed zeros": lambda: [[0.0, -0.0], [-0.0, 0.0]],
+    "signed zero array": lambda: np.array([[-0.0, 0.0]]),
+    "largest floats": lambda: [[1e308, -1e308], [1.7976931348623157e308, -5e-324]],
+    "fractions and decimals": lambda: [[Fraction(1, 3), Decimal("0.1")], [Fraction(-2, 7), 1]],
+    "None": lambda: [[None, 1.0]],
+    "complex": lambda: [[1 + 1j, 0.0]],
+    "complex array": lambda: np.array([[1 + 0j, 2 + 0j]]),
+    "datetime array": lambda: np.array([["2020-01-01"]], dtype="datetime64[D]"),
+    "timedelta array": lambda: np.array([[1, 2]], dtype="timedelta64[s]"),
+    "float32 array": lambda: np.array([[0.1, 1e30], [-2.5, 3.0]], dtype=np.float32),
+    "float16 array": lambda: np.array([[0.1, 65504.0]], dtype=np.float16),
+    "longdouble array": lambda: np.array([[1.0, 3.0]], dtype=np.longdouble) / 7,
+    "C array": lambda: np.ascontiguousarray(_GRID),
+    "Fortran array": lambda: np.asfortranarray(_GRID),
+    "strided array": lambda: np.repeat(_GRID, 2, axis=0)[::2, ::-1],
+    "transposed array": lambda: _GRID.T.copy().T,
+    "rows of arrays": lambda: list(_GRID),
+    "generator of tuples": lambda: (tuple(r) for r in _GRID.tolist()),
+    "generator of generators": lambda: ((c for c in r) for r in _GRID.tolist()),
+    "list of generators": lambda: [(c for c in r) for r in _GRID.tolist()],
+    "map object": lambda: map(tuple, _GRID.tolist()),
+    "dict point": lambda: [{"a": 1}],
+}
+# a nan, inf or -inf at every position of a 3 x 2 table, as lists and arrays
+for _bad in (math.nan, math.inf, -math.inf):
+    for _i in range(3):
+        for _j in range(2):
+            def _make(bad=_bad, i=_i, j=_j, wrap=list):
+                rows = [[0.5, -1.0], [2.0, 3.0], [-0.0, 4.0]]
+                rows[i][j] = bad
+                return wrap(rows)
+            HOSTILE[f"{_bad} at {_i},{_j}"] = _make
+            HOSTILE[f"{_bad} at {_i},{_j} in an array"] = lambda m=_make: m(wrap=_table)
+
+
+def _outcome(f, rows):
+    """What ``f(rows)`` returns, or the type and text of what it raises."""
+    try:
+        return f(rows)
+    except Exception as exc:        # noqa: BLE001 - the refusal is the result
+        return type(exc), str(exc)
+
+
+def _old_as_point(coords):
+    """``as_point`` as it was first written, the reference for its faster
+    form."""
+    pt = tuple(float(c) for c in coords)
+    for c in pt:
+        if not math.isfinite(c):
+            raise ValueError(f"point coordinates must be finite, got {c!r}")
+    return pt
+
+
+class TestAsPoints:
+    """``as_points`` against the per-point loop it replaces, on rows chosen
+    to break a one-shot conversion."""
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_same_bytes_and_refusals_as_the_per_point_loop(self, name):
+        make = HOSTILE[name]
+        want = _outcome(lambda rows: _table([as_point(p) for p in rows]), make())
+        got = _outcome(as_points, make())
+        if isinstance(got, np.ndarray):
+            assert got.dtype == np.float64 and got.ndim == 2
+        elif not (isinstance(got, tuple) and got and isinstance(got[0], type)):
+            # no points, or points of different dimensions: their tuples,
+            # which the caller refuses (numpy's error) or reads as no points
+            assert got == tuple(as_point(p) for p in make())
+            assert len({len(p) for p in got}) != 1
+            got = _outcome(_table, got)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray), got
+            assert got.tobytes() == want.tobytes()
+            assert got.shape == want.shape or got.size == want.size == 0
+        else:
+            assert not isinstance(got, np.ndarray) and got == want, got
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_as_point_matches_its_first_form(self, name):
+        """Each point of the corpus, and each corpus taken as one point: the
+        same tuple of floats, or the same refusal."""
+        make = HOSTILE[name]
+        pairs = [(make(), make())]
+        if not isinstance(_outcome(iter, make()), tuple):
+            pairs += zip(make(), make())
+        for p, q in pairs:
+            want, got = _outcome(_old_as_point, p), _outcome(as_point, q)
+            assert got == want
+            if not (got and isinstance(got[0], type)):
+                assert all(type(c) is float for c in got)
+
+    def test_an_array_is_converted_without_the_per_point_loop(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metric, "as_point", lambda p: calls.append(p) or as_point(p))
+        for rows in (_GRID, _GRID.tolist(), list(map(tuple, _GRID.tolist()))):
+            A = as_points(rows)
+            assert calls == [] and A.tobytes() == _GRID.tobytes()
+            assert A is not rows and A.flags.writeable
+
+    def test_the_first_bad_point_is_named(self):
+        with pytest.raises(ValueError, match="got nan"):
+            as_points([[0.0, 1.0], [math.nan, math.inf]])
+        with pytest.raises(TypeError, match="'int' object is not iterable"):
+            as_points([[0.0, 1.0], 5, [math.nan]])
+
+
 def row_lists(n, extra=()):
     """Up to five rows of ``n`` coordinates, signed zeros and ``extra``
     among them."""
@@ -107,6 +254,16 @@ class TestSupDists:
         B = np.ones((4, 2))
         assert sup_dists(np.empty((0, 2)), B).shape == (0, 4)
         assert sup_dists(B, np.empty((0, 2))).shape == (4, 0)
+
+    @pytest.mark.parametrize("na, nb", [(1, 2), (2, 1), (0, 3), (3, 0)])
+    def test_rows_of_different_dimensions_are_refused(self, na, nb):
+        """With the message of ``sup_dist``, not a table of the shared
+        coordinates or an ``IndexError``."""
+        with pytest.raises(ValueError) as err:
+            sup_dists(np.zeros((2, na)), np.zeros((3, nb)))
+        with pytest.raises(ValueError) as scalar:
+            sup_dist((0.0,) * na, (0.0,) * nb)
+        assert str(err.value) == str(scalar.value) == f"dimension mismatch: {na} vs {nb}"
 
     def test_an_overflowing_difference_reads_inf_without_a_warning(self):
         D = sup_dists(np.array([[1e308, 0.0]]), np.array([[-1e308, 1.0]]))
@@ -392,6 +549,14 @@ class TestFiniteMetricSpace:
         X = FiniteMetricSpace.from_points(P)
         assert X.size == 60
         assert X.d(3, 7) == float(np.abs(P[3] - P[7]).max())
+
+    def test_from_points_converts_an_array_without_the_per_point_loop(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metric, "as_point", lambda p: calls.append(p) or as_point(p))
+        P = np.random.default_rng(3).uniform(-1.0, 1.0, (40, 3))
+        X = FiniteMetricSpace.from_points(P)
+        assert calls == []
+        assert X.matrix.tobytes() == np.abs(P[:, None] - P[None]).max(axis=2).tobytes()
 
     def test_from_points_refuses_a_duplicate_point(self):
         P = np.random.default_rng(0).uniform(-1e4, 1e4, (60, 3))

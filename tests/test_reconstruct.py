@@ -347,6 +347,20 @@ class TestConfig:
             assert type(p) is tuple and all(type(c) is float for c in p)
         assert str(cfg.inside[1][0]) == "-0.0"
 
+    def test_no_exterior_samples_add_no_dimension(self):
+        for outside in ((), [], np.empty((0, 3))):
+            cfg = ReconstructionConfig([[0.0, 1.0]], outside)
+            assert cfg.outside == () and cfg._outside.shape == (0, 2)
+
+    def test_the_converted_arrays_are_kept_read_only(self):
+        """The arrays the samples were converted to once are what synthesis
+        reads; they hold the bits of the stored tuples."""
+        cfg = ReconstructionConfig([[0, 1], [-0.0, 2.5]], ())
+        for name in ("inside", "outside"):
+            S = getattr(cfg, f"_{name}")
+            assert S.shape == (len(getattr(cfg, name)), 2) and not S.flags.writeable
+            assert S.tobytes() == np.array(getattr(cfg, name), dtype=float).tobytes()
+
 
 class TestSynthesis:
     def test_square_is_recovered_on_its_own_grid(self):
@@ -650,6 +664,20 @@ class TestPrunedSearch:
         assert oracle.many(np.asarray(grid)).tolist() == want
         assert [oracle(g) for g in grid] == want
         assert any(want) and not all(want)
+
+    @pytest.mark.parametrize("inside, point, n, m", [
+        ([(0, 0)], (0.0,), 1, 2),
+        ([(0,)], (0.0, 5.0), 2, 1),
+        ([(0, 0), (1, 1)], (0.0, 0.0, 0.0), 3, 2),
+    ])
+    def test_points_of_another_dimension_are_refused(self, inside, point, n, m):
+        """Not answered from the shared coordinates, nor by an
+        ``IndexError``: by one call and by ``many``."""
+        oracle = membership_from_samples(inside)
+        for ask in (lambda: oracle(point), lambda: oracle.many(np.array([point]))):
+            with pytest.raises(ValueError) as err:
+                ask()
+            assert str(err.value) == f"dimension mismatch: {n} vs {m}"
 
     def test_oracles_are_asked_once_per_batch(self):
         """A batch oracle is asked once by the verification; a plain
