@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import OrderedDict
 
 import numpy as np
 
@@ -91,18 +92,62 @@ def _err(obj):
     sys.stderr.write(_dumps(obj) + "\n")
 
 
-def _load_json(path):
+def _read(path) -> str:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _decode(text, path):
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def _load_json(path):
+    return _decode(_read(path), path)
+
+
+# The sets of set files are kept by the file's full text, so one process
+# parses each distinct text once: a set is immutable and holds its compiled
+# evaluators.  The texts kept total at most this many characters (2 MiB of
+# ASCII JSON, which is what set files are); the least recently used go first.
+_SET_CACHE_CHARS = 2 << 20
+
+
+class _SetCache(OrderedDict):
+    """Set by file text, least recently used first; ``chars`` is the total
+    length of the texts."""
+
+    chars = 0
+
+    def keep(self, text, Q):
+        if len(text) > _SET_CACHE_CHARS:
+            return
+        self[text] = Q
+        self.chars += len(text)
+        while self.chars > _SET_CACHE_CHARS:
+            self.chars -= len(self.popitem(last=False)[0])
+
+
+_SETS = _SetCache()
+
+
 def _load_set(path) -> BoxLipschitzSet:
-    return set_from_obj(_load_json(path))
+    """The set in a set file.  The file is read on every call; a text seen
+    before gives the set built from it then, and a file that fails gives its
+    error again."""
+    text = _read(path)
+    Q = _SETS.get(text)
+    if Q is None:
+        Q = set_from_obj(_decode(text, path))
+        _SETS.keep(text, Q)
+    else:
+        _SETS.move_to_end(text)
+    return Q
 
 
 def _load_point(path):
@@ -210,7 +255,7 @@ def cmd_reconstruct(args) -> int:
     out = {"set": set_to_obj(Q_rec), "report": None}
     if args.verify_grid:
         grid = as_points(_load_json(args.verify_grid))
-        oracle = membership_from_samples(cfg.inside)
+        oracle = membership_from_samples(cfg._inside)
         report = verify_reconstruction(oracle, Q_rec, grid)
         out["report"] = {
             "checked": report.checked,

@@ -8,6 +8,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,6 +415,38 @@ RETRACTION_CORPUS = {
 }
 
 
+# sha256 of the exit code, stdout, stderr and trace file of each case
+RETRACTION_DIGESTS = {
+    "retract cyclic": "076f33c0ebf6af5820ab157026ce10aa47bc4336fc4c9f0493e62b10c384a7de",
+    "retract cyclic capped": "b231ddd52a74ba40d387a8d77538a934f06033df1813f1c2a5170c22fd0da763",
+    "retract shrink vee notch":
+        "ad51034b988e85d13bbe98c1c6f9adaae3b16223cf471e19ff2abb5eeab696f1",
+    "retract shrink origin cycle":
+        "851d5cffe41680d3c350b161819a50df6ce6b461dfa550cfc21478c23db1eae5",
+    "retract shrink capped": "aaea4f746b4cbc018e2fd444d1be5dfbb6db150574ec1d8d930ca8df7c9b1f78",
+    "retract truncate": "8270696d67adb0b08b8f7b4bc894ded3ed8f54b8980246cf3b51b8219183512b",
+    "retract empty drift": "ca36ac5e263fb3a73fb2b7b0f1dc2e9bebaaf49cc585677070b3465884eed749",
+    "extend cyclic": "2fbabab5bf074525eed1db18fd2cf3fd373159a8bad2c5f5690816f7da22d836",
+    "extend box": "fb2b28bf5f5476edf0b6afdab247bbdc038b74310fdee90a25d639bb2b137e0c",
+    "extend witness": "7860a851f734feba5d846b8549a6f84f96557d8c5de19bdf61befab17f62e077",
+}
+
+
+def corpus_digest(capsys, tmp_path, name):
+    """Run corpus case ``name`` with its files written to ``tmp_path``;
+    returns the sha256 of its exit code, stdout, stderr and trace file."""
+    argv, files, traced = RETRACTION_CORPUS[name]
+    for key, obj in files.items():
+        argv = argv + [f"--{key}", dump(tmp_path, f"{key}.json", obj)]
+    trace = tmp_path / "trace.csv"
+    if traced:
+        argv = argv + ["--trace-out", str(trace)]
+    code = main(argv)
+    got = capsys.readouterr()
+    csv = trace.read_text() if traced else None
+    return hashlib.sha256(json.dumps([code, got.out, got.err, csv]).encode()).hexdigest()
+
+
 class TestRetractionBytes:
     """Exit code, stdout, stderr and trace file of the ``retract`` and
     ``extend`` corpus, pinned by sha256: each strategy (cyclic, shrink with
@@ -422,40 +455,9 @@ class TestRetractionBytes:
     ``--witness``.  A change that only restructures code keeps these bytes;
     one that means to change an output updates the digests with it."""
 
-    @pytest.mark.parametrize("name, digest", [
-        ("retract cyclic",
-         "076f33c0ebf6af5820ab157026ce10aa47bc4336fc4c9f0493e62b10c384a7de"),
-        ("retract cyclic capped",
-         "b231ddd52a74ba40d387a8d77538a934f06033df1813f1c2a5170c22fd0da763"),
-        ("retract shrink vee notch",
-         "ad51034b988e85d13bbe98c1c6f9adaae3b16223cf471e19ff2abb5eeab696f1"),
-        ("retract shrink origin cycle",
-         "851d5cffe41680d3c350b161819a50df6ce6b461dfa550cfc21478c23db1eae5"),
-        ("retract shrink capped",
-         "aaea4f746b4cbc018e2fd444d1be5dfbb6db150574ec1d8d930ca8df7c9b1f78"),
-        ("retract truncate",
-         "8270696d67adb0b08b8f7b4bc894ded3ed8f54b8980246cf3b51b8219183512b"),
-        ("retract empty drift",
-         "ca36ac5e263fb3a73fb2b7b0f1dc2e9bebaaf49cc585677070b3465884eed749"),
-        ("extend cyclic",
-         "2fbabab5bf074525eed1db18fd2cf3fd373159a8bad2c5f5690816f7da22d836"),
-        ("extend box",
-         "fb2b28bf5f5476edf0b6afdab247bbdc038b74310fdee90a25d639bb2b137e0c"),
-        ("extend witness",
-         "7860a851f734feba5d846b8549a6f84f96557d8c5de19bdf61befab17f62e077"),
-    ])
+    @pytest.mark.parametrize("name, digest", RETRACTION_DIGESTS.items())
     def test_output_bytes_are_pinned(self, capsys, tmp_path, name, digest):
-        argv, files, traced = RETRACTION_CORPUS[name]
-        for key, obj in files.items():
-            argv = argv + [f"--{key}", dump(tmp_path, f"{key}.json", obj)]
-        trace = tmp_path / "trace.csv"
-        if traced:
-            argv = argv + ["--trace-out", str(trace)]
-        code = main(argv)
-        got = capsys.readouterr()
-        csv = trace.read_text() if traced else None
-        blob = json.dumps([code, got.out, got.err, csv]).encode()
-        assert hashlib.sha256(blob).hexdigest() == digest, (code, got.out, got.err)
+        assert corpus_digest(capsys, tmp_path, name) == digest
 
 
 class TestHull:
@@ -759,3 +761,150 @@ class TestOneParser:
             fresh = subprocess.run([sys.executable, "-m", "hyperlip", *argv],
                                    capture_output=True, text=True)
             assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def _const_set(value):
+    """A two-axis level-0 set whose JSON text has the same length for every
+    one-digit ``value``: axis 0 lies in ``[-value, value]``."""
+    return {"n": 2, "lower": [{"type": "const", "value": -value}, "-inf"],
+            "upper": [{"type": "const", "value": value}, "+inf"]}
+
+
+@pytest.fixture
+def fresh_sets(monkeypatch):
+    """An empty set cache for one test; returns it."""
+    cache = cli._SetCache()
+    monkeypatch.setattr(cli, "_SETS", cache)
+    return cache
+
+
+def _fresh_process(argv):
+    done = subprocess.run([sys.executable, "-m", "hyperlip", *argv],
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestOneSetParse:
+    """A process parses each distinct set text once and answers later
+    requests with the set it built then."""
+
+    def test_reused_sets_answer_like_fresh_ones(self, capsys, tmp_path, monkeypatch,
+                                                fresh_sets):
+        """The corpus forward, then in reverse order through the sets the
+        first pass built: every case keeps its pinned bytes both times."""
+        for name in RETRACTION_CORPUS:
+            assert corpus_digest(capsys, tmp_path, name) == RETRACTION_DIGESTS[name], name
+        assert len(fresh_sets) == 6
+        calls = []
+        monkeypatch.setattr(cli, "set_from_obj", lambda obj: calls.append(obj))
+        for name in reversed(RETRACTION_CORPUS):
+            assert corpus_digest(capsys, tmp_path, name) == RETRACTION_DIGESTS[name], name
+        assert calls == []
+
+    def test_a_rewritten_file_is_read_again(self, capsys, tmp_path, fresh_sets):
+        path = tmp_path / "set.json"
+        point = dump(tmp_path, "x.json", [3.0, -2.0])
+        argv = ["retract", "--set", str(path), "--point", point]
+        for value in (1.0, 2.0, 1.0):
+            path.write_text(json.dumps(_const_set(value)))
+            code, out, _ = run(capsys, argv)
+            assert code == 0 and out["point"][0] == value
+        assert path.stat().st_size == len(json.dumps(_const_set(2.0)))
+        assert len(fresh_sets) == 2
+
+    def test_a_failing_file_fails_every_time(self, capsys, tmp_path, fresh_sets):
+        """A good set, malformed JSON, a set the grammar refuses and no file
+        at one path, then the malformed JSON at another path: each request,
+        made twice, exits as a fresh process does."""
+        path, other = tmp_path / "set.json", tmp_path / "other.json"
+        point = dump(tmp_path, "x.json", [3.0, -2.0])
+        good = json.dumps(_const_set(1.0))
+        steps = [(path, good), (path, '{"n": 2,'), (path, json.dumps(dict(_const_set(1.0), n=3))),
+                 (path, None), (other, '{"n": 2,')]
+        for at, text in steps:
+            if text is None:
+                at.unlink()
+            else:
+                at.write_text(text)
+            argv = ["retract", "--set", str(at), "--point", point]
+            fresh = _fresh_process(argv)
+            assert fresh[0] == (0 if text == good else 1)
+            for _ in range(2):
+                code = main(argv)
+                got = capsys.readouterr()
+                assert (code, got.out, got.err) == fresh
+        assert list(fresh_sets) == [good]
+
+    def test_a_repeated_plot_writes_the_same_bytes(self, capsys, tmp_path, fresh_sets):
+        argv = ["plot", "--set", dump(tmp_path, "set.json", _VEE),
+                "--box", dump(tmp_path, "b.json", [[-3.0, 3.0], [-3.0, 3.0]]),
+                "--resolution", "0.25", "--out", str(tmp_path / "scene.svg")]
+        runs = []
+        for _ in range(2):
+            code = main(argv)
+            runs.append((code, capsys.readouterr(), (tmp_path / "scene.svg").read_bytes()))
+        assert runs[0][0] == 0 and runs[0] == runs[1]
+        assert len(fresh_sets) == 1
+
+
+class TestSetCacheBound:
+    """The set cache holds at most ``_SET_CACHE_CHARS`` characters of set
+    text, drops the least recently used sets first, and keys by text only.
+    The budget is patched small, so no large file is written."""
+
+    @staticmethod
+    def _texts(tmp_path, count):
+        """``count`` distinct set files of equal length; returns their paths."""
+        paths = []
+        for k in range(count):
+            obj = _const_set(1.0)
+            obj["upper"][0]["value"] = 10.0 + k
+            paths.append(dump(tmp_path, f"s{k}.json", obj))
+        return paths
+
+    def test_the_texts_kept_never_exceed_the_budget(self, tmp_path, monkeypatch, fresh_sets):
+        paths = self._texts(tmp_path, 12)
+        size = len(Path(paths[0]).read_text())
+        assert all(len(Path(p).read_text()) == size for p in paths)
+        monkeypatch.setattr(cli, "_SET_CACHE_CHARS", 4 * size + size // 2)
+        for k, path in enumerate(paths):
+            Q = cli._load_set(path)
+            assert fresh_sets.chars == sum(map(len, fresh_sets)) <= cli._SET_CACHE_CHARS
+            assert len(fresh_sets) == min(k + 1, 4)
+            assert cli._load_set(path) is Q
+        assert list(fresh_sets) == [Path(p).read_text() for p in paths[-4:]]
+
+    def test_the_least_recently_used_set_goes_first(self, tmp_path, monkeypatch, fresh_sets):
+        paths = self._texts(tmp_path, 4)
+        monkeypatch.setattr(cli, "_SET_CACHE_CHARS", 3 * len(Path(paths[0]).read_text()))
+        first = [cli._load_set(p) for p in paths[:3]]
+        assert cli._load_set(paths[0]) is first[0]      # a hit: now the most recent
+        cli._load_set(paths[3])                         # evicts paths[1]
+        assert cli._load_set(paths[0]) is first[0]
+        assert cli._load_set(paths[2]) is first[2]
+        assert cli._load_set(paths[1]) is not first[1]
+
+    def test_a_text_over_the_budget_is_parsed_and_not_kept(self, tmp_path, monkeypatch,
+                                                          fresh_sets):
+        """A set text longer than the whole budget is parsed and not kept,
+        and no other set is evicted for it."""
+        small = dump(tmp_path, "small.json", _const_set(1.0))
+        path = dump(tmp_path, "set.json", _VEE)
+        monkeypatch.setattr(cli, "_SET_CACHE_CHARS", len(Path(path).read_text()) - 1)
+        kept = cli._load_set(small)
+        Q = cli._load_set(path)
+        assert Q == vee_notch_instance()
+        assert list(fresh_sets) == [Path(small).read_text()]
+        assert fresh_sets.chars == len(Path(small).read_text())
+        assert cli._load_set(path) is not Q
+        assert cli._load_set(small) is kept
+
+    def test_nothing_is_keyed_by_path(self, tmp_path, fresh_sets):
+        text = json.dumps(_VEE)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(text)
+        b.write_text(text)
+        Q = cli._load_set(str(a))
+        assert cli._load_set(str(b)) is Q
+        assert list(fresh_sets) == [text]
+        assert fresh_sets.chars == len(text)

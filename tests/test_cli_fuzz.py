@@ -20,9 +20,11 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
+from hyperlip import cli
 from hyperlip.boxset import set_to_obj, violation
 from hyperlip.cli import main
 from hyperlip.instances import (
@@ -186,12 +188,14 @@ def _json_line(text):
     return obj if isinstance(obj, dict) else None
 
 
-def _run(argv, files, out_name=None):
+def _run(argv, files, out_name=None, times=1):
     """Write ``files`` (name -> JSON value) to a temporary directory, run
-    ``main`` on ``argv`` plus one ``--<name> <path>`` pair per file (and
-    ``--out`` to the file ``out_name`` there, when given), and check the
-    exit-code contract, and that an output file written at exit 0 holds no
-    ``nan`` or ``inf``.  Returns the exit code."""
+    ``main`` ``times`` times on ``argv`` plus one ``--<name> <path>`` pair
+    per file (and ``--out`` to the file ``out_name`` there, when given), and
+    check the exit-code contract of each run, and that an output file
+    written at exit 0 holds no ``nan`` or ``inf``.  Returns the
+    ``(code, stdout, stderr)`` of each run."""
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, obj in files.items():
             path = Path(tmp) / f"{name}.json"
@@ -199,25 +203,27 @@ def _run(argv, files, out_name=None):
             argv = argv + [f"--{name}", str(path)]
         if out_name is not None:
             argv = argv + ["--out", str(Path(tmp) / out_name)]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = main(argv)
-        if out_name is not None and code == 0:
-            written = (Path(tmp) / out_name).read_text()
-            assert "nan" not in written and "inf" not in written, written
-    out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 1, 2), (code, out, err)
-    if code == 0:
-        assert err == "" and _json_line(out) is not None, (out, err)
-    elif err:
-        assert out == "" and "error" in (_json_line(err) or {}), (code, out, err)
-    else:
-        report = _json_line(out)
-        assert code == 2 and report is not None, (code, out, err)
-        assert "verdict" in report or report.get("ok") is False, report
-    return code
+        for _ in range(times):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(argv)
+            if out_name is not None and code == 0:
+                written = (Path(tmp) / out_name).read_text()
+                assert "nan" not in written and "inf" not in written, written
+            results.append((code, out.getvalue(), err.getvalue()))
+    for code, out, err in results:
+        assert code in (0, 1, 2), (code, out, err)
+        if code == 0:
+            assert err == "" and _json_line(out) is not None, (out, err)
+        elif err:
+            assert out == "" and "error" in (_json_line(err) or {}), (code, out, err)
+        else:
+            report = _json_line(out)
+            assert code == 2 and report is not None, (code, out, err)
+            assert "verdict" in report or report.get("ok") is False, report
+    return results
 
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -234,8 +240,15 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=
           "box": [[-1e308, 1e308], [-1e308, 1e308]]})
 @example({"set": set_to_obj(diagonal_halfspace_instance()), "point": [1e308, -1e308],
           "witness": [-1e308, -1e308]})
+@example({"set": {"n": 2, "lower": [{"type": "const", "value": -1e308}, "-inf"],
+                  "upper": [{"type": "const", "value": 1e308}, "+inf"]},
+          "point": [-1e308, 1e308]})
 def test_retract(files):
-    _run(["retract", "--tol", "0.1", "--max-sweeps", "200"], files)
+    """Each request runs twice, first with an empty set cache and then
+    through the set the first run kept: both give the same bytes."""
+    with mock.patch.object(cli, "_SETS", cli._SetCache()):
+        first, second = _run(["retract", "--tol", "0.1", "--max-sweeps", "200"], files, times=2)
+    assert first == second
 
 
 @SETTINGS
