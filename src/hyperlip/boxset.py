@@ -66,11 +66,9 @@ from .lipfun import (
     _compile_grid_pair,
     _compile_pair,
     bounds_of,
-    domain_dim,
     eval_grid,
     expr_from_obj,
     expr_to_obj,
-    lip_bound,
     shrink,
 )
 from .metric import Point, as_point, hat, sup_dists
@@ -172,11 +170,10 @@ class BoxLipschitzSet:
                     if b.sign != sign:
                         raise ValueError(f"{side} bound {i} has the wrong infinity sign")
                     continue
-                d = domain_dim(b)
-                if d is not None and d != n - 1:
+                if b.dim is not None and b.dim != n - 1:
                     raise ValueError(
-                        f"{side} bound {i} works in dimension {d}, expected {n - 1}")
-                lam = max(lam, lip_bound(b))
+                        f"{side} bound {i} works in dimension {b.dim}, expected {n - 1}")
+                lam = max(lam, b.lip)
         self._lower = lower
         self._upper = upper
         self._lam = lam
@@ -768,7 +765,9 @@ def retract(Q: BoxLipschitzSet, X, tol: float, box=None, witness=None, *, many: 
     members of ``Q`` inside the box bit for bit.  The last run stops by the
     one-run rule, so the violation bound ``(u - l + tol)/k`` is unchanged.
     ``max_sweeps``, unless ``None`` or 0, caps the sweeps of all runs
-    together, counted on the trace, and running out of it raises.
+    together, counted on the trace, and running out of it raises.  The cap
+    is for a single point: a batch (``many``) given one at level 1 raises
+    ``ValueError`` before any run.
 
     ``trace`` joins the runs' traces: one :class:`IterationTrace` for a
     point, per-row traces with ``many`` and ``record``, else ``None``.  Every
@@ -778,6 +777,8 @@ def retract(Q: BoxLipschitzSet, X, tol: float, box=None, witness=None, *, many: 
     if Q.lip_bound < 1.0:
         points, trace = engine(Q, X, tol, max_sweeps or 100_000)
         return points, trace, {"strategy": "cyclic"}
+    if many and max_sweeps:
+        raise ValueError("max_sweeps caps a single point's run at level 1, not a batch's")
     starts = X if many else [as_point(X)]
     target, engine_tol, budget, report = _level_one(Q, starts, tol, box, witness)
     left = max_sweeps or None

@@ -3,8 +3,9 @@
 Subcommands: retract, extend, hull, reconstruct, verify, plot, selftest.
 All results go to stdout as canonical JSON (sorted keys, compact separators,
 shortest-round-trip floats); errors go to stderr as one JSON object.  Exit
-codes: 0 success, 1 input problems (malformed files, inconsistent or
-unsupported instances, missing witnesses), 2 mathematical contract failures
+codes: 0 success, 1 input problems (malformed files, JSON integers too
+large for a float, inconsistent or unsupported instances, missing
+witnesses), 2 mathematical contract failures
 (stalled iterations, sweep budgets, cone overlaps, failed verifications).
 
 The selftest subcommand runs a fixed battery of seeded computations and
@@ -501,7 +502,10 @@ def main(argv=None) -> int:
     except NotLipschitzError as exc:
         _err({"error": str(exc), "witness": list(exc.witness)})
         return 1
-    except (ValueError, IndexError, TypeError, KeyError, RecursionError, OSError) as exc:
+    # an OverflowError is an ArithmeticError, but the only ones raised here
+    # are JSON integers too large for a float
+    except (ValueError, IndexError, TypeError, KeyError, RecursionError, OSError,
+            OverflowError) as exc:
         _err({"error": str(exc)})
         return 1
     except DivergenceDetectedError as exc:

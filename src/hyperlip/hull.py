@@ -64,17 +64,21 @@ def _admissible(D, C, tol):
     return ok
 
 
-def _minimal(D, C, tol):
+def _minimal(D, C, tol, floors=()):
     """Which candidates satisfy ``C[i] <= max_j (D[i, j] - C[j]) + tol`` for
-    all ``i``; the maximum is kept running over the columns, because numpy
-    reduces a short last axis one row at a time."""
-    m = D.shape[0]
+    each row ``i`` of ``C``.  ``j`` runs over the rows of ``C``, then over
+    the unknowns of ``floors``, pairs ``(u, L_u)`` whose floors ``L_u`` stand
+    in for ``C[u]`` (:func:`_prune`).  The maximum is kept running over the
+    columns, because numpy reduces a short last axis one row at a time."""
+    k = C.shape[0]
     ok = np.ones(C.shape[1], dtype=bool)
     best = np.empty(C.shape[1])
-    for i in range(m):
+    for i in range(k):
         np.subtract(D[i, 0], C[0], out=best)
-        for j in range(1, m):
+        for j in range(1, k):
             np.maximum(best, D[i, j] - C[j], out=best)
+        for u, L in floors:
+            np.maximum(best, D[i, u] - L, out=best)
         np.logical_and(ok, C[i] <= best + tol, out=ok)
     return ok
 
@@ -131,24 +135,14 @@ def _prune(D, C, tol, slack):
     for j in range(1, i + 1):
         np.logical_and(ok, C[j] + C[i] >= D[j, i] - tol, out=ok)
     C = C[:, ok]
-    known = range(i + 1)
     floors = []
     for u in range(i + 1, m):
         L = np.zeros(C.shape[1])
-        for j in known:
+        for j in range(i + 1):
             np.maximum(L, D[u, j] - C[j], out=L)
         L -= tol
         floors.append((u, np.maximum(L, 0.0, out=L)))
-    ok = np.ones(C.shape[1], dtype=bool)
-    best = np.empty(C.shape[1])
-    for l in known:
-        np.subtract(D[l, 0], C[0], out=best)
-        for j in known[1:]:
-            np.maximum(best, D[l, j] - C[j], out=best)
-        for u, L in floors:
-            np.maximum(best, D[l, u] - L, out=best)
-        np.logical_and(ok, C[l] <= best + slack, out=ok)
-    return C[:, ok]
+    return C[:, _minimal(D, C, slack, floors)]
 
 
 def _scan(D, V, P, tol, resolution, found):

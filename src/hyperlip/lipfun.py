@@ -12,7 +12,10 @@ values, never floating ``inf`` inside arithmetic: :class:`Infinite` may not
 appear under any other constructor, and the set machinery treats it as the
 absence of a constraint.
 
-Expressions are immutable and hashable, and compare by value.
+Expressions are immutable and hashable, and compare by value.  Each node
+holds its ``dim`` (:func:`domain_dim`) and, but for :class:`Infinite`, its
+``lip`` (:func:`lip_bound`) from construction, from its own fields and its
+direct children's; they are not fields, so equality and ``repr`` ignore them.
 
 The evaluators do not read the grammar.  :func:`_lower` rewrites an
 expression into four kinds, and each kind holds its scalar closure (for
@@ -127,6 +130,9 @@ def _require_inner(expr, what):
 class Const(LipExpr):
     """The constant function ``y -> value``; 0-Lipschitz, any domain."""
 
+    dim = None
+    lip = 0.0
+
     value: float
 
     def __post_init__(self):
@@ -136,6 +142,9 @@ class Const(LipExpr):
 @dataclass(frozen=True)
 class DistCone(LipExpr):
     """``y -> orientation * scale * ||center - y|| + offset`` in the sup norm."""
+
+    dim = property(lambda self: len(self.center))
+    lip = property(lambda self: self.scale)
 
     center: tuple
     offset: float
@@ -165,7 +174,12 @@ class _MinMax(LipExpr):
             raise ValueError(f"{name} needs at least one child")
         object.__setattr__(self, "children",
                            tuple(_require_inner(c, f"{name} child") for c in children))
-        _common_dim(self.children)
+        dims = [c.dim for c in self.children if c.dim is not None]
+        for d in dims:
+            if d != dims[0]:
+                raise ValueError(f"mixed domain dimensions {dims[0]} and {d} in one family")
+        object.__setattr__(self, "dim", dims[0] if dims else None)
+        object.__setattr__(self, "lip", max(c.lip for c in self.children))
 
 
 class Min(_MinMax):
@@ -192,6 +206,8 @@ class Blend(LipExpr):
         _require_inner(self.inner, "Blend inner")
         object.__setattr__(self, "factor", _require_unit(self.factor, "Blend factor"))
         object.__setattr__(self, "anchor", _require_finite(self.anchor, "Blend anchor"))
+        object.__setattr__(self, "dim", self.inner.dim)
+        object.__setattr__(self, "lip", self.factor * self.inner.lip)
 
 
 @dataclass(frozen=True)
@@ -202,6 +218,9 @@ class McShane(LipExpr):
     the largest scale-Lipschitz function lying below every sample spike;
     ``mode='sup'`` is the lower envelope ``max_j (v_j - scale * ||y_j - y||)``.
     """
+
+    dim = property(lambda self: len(self.samples[0][0]))
+    lip = property(lambda self: self.scale)
 
     samples: tuple
     scale: float
@@ -231,6 +250,8 @@ class McShane(LipExpr):
 class Infinite(LipExpr):
     """A missing constraint: ``-inf`` as a lower bound or ``+inf`` as an upper."""
 
+    dim = None
+
     sign: int
 
     def __post_init__(self):
@@ -238,32 +259,15 @@ class Infinite(LipExpr):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
 
 
-def _common_dim(children) -> "int | None":
-    dim = None
-    for c in children:
-        d = domain_dim(c)
-        if d is None:
-            continue
-        if dim is None:
-            dim = d
-        elif d != dim:
-            raise ValueError(f"mixed domain dimensions {dim} and {d} in one family")
-    return dim
+def _expr(f):
+    if not isinstance(f, LipExpr):
+        raise TypeError(f"not a LipExpr: {f!r}")
+    return f
 
 
 def domain_dim(f: LipExpr):
     """Dimension of the domain of ``f``, or ``None`` when any dimension fits."""
-    if isinstance(f, (Const, Infinite)):
-        return None
-    if isinstance(f, DistCone):
-        return len(f.center)
-    if isinstance(f, McShane):
-        return len(f.samples[0][0])
-    if isinstance(f, _MinMax):
-        return _common_dim(f.children)
-    if isinstance(f, Blend):
-        return domain_dim(f.inner)
-    raise TypeError(f"not a LipExpr: {f!r}")
+    return _expr(f).dim
 
 
 # ---------------------------------------------------------------------------
@@ -571,15 +575,7 @@ def lip_bound(f: LipExpr) -> float:
     """Syntactic Lipschitz constant: an exact bound for the denoted function."""
     if isinstance(f, Infinite):
         raise ValueError("Infinite bounds carry no Lipschitz constant")
-    if isinstance(f, Const):
-        return 0.0
-    if isinstance(f, (DistCone, McShane)):
-        return f.scale
-    if isinstance(f, _MinMax):
-        return max(lip_bound(c) for c in f.children)
-    if isinstance(f, Blend):
-        return f.factor * lip_bound(f.inner)
-    raise TypeError(f"not a LipExpr: {f!r}")
+    return _expr(f).lip
 
 
 def verify_lipschitz_on_grid(f: LipExpr, grid, lam: float, tol: float = 1e-12):

@@ -834,6 +834,23 @@ class TestStagedLevelOne:
                 boxset.retract(Q, x, 1e-3, many=False, max_sweeps=cap)
 
 
+    @pytest.mark.parametrize("record", [False, True])
+    def test_a_batch_takes_no_sweep_cap_at_level_one(self, monkeypatch, record):
+        def no_work(*args):
+            raise AssertionError("a relaxation was built")
+
+        monkeypatch.setattr(boxset, "_level_one", no_work)
+        with pytest.raises(ValueError, match="not a batch's"):
+            boxset.retract(origin_cycle_instance(), [[2, -1.5], [0.5, 0.5]], 1e-3,
+                           [(-3, 3)] * 2, many=True, record=record, max_sweeps=5000)
+
+    def test_a_batch_takes_a_sweep_cap_below_level_one(self):
+        Q, X = half_rate_instance(), np.array([[3.0, -2.0], [0.5, 0.5]])
+        want, _ = cyclic_retract_many(Q, X, 1e-6, 5000)
+        out, _, report = boxset.retract(Q, X, 1e-6, many=True, max_sweeps=5000)
+        assert report == {"strategy": "cyclic"} and out.tobytes() == want.tobytes()
+
+
 class TestExhaustedState:
     """``MaxSweepsExceededError.state`` is the result after the last sweep."""
 

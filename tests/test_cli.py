@@ -705,6 +705,46 @@ class TestPlot:
         assert "No such file or directory" in err["error"] and str(out_path) in err["error"]
 
 
+class TestOverlargeIntegers:
+    """A JSON integer too large for a float is an input error (exit 1) in
+    every loader, though Python raises it as an ``ArithmeticError``."""
+
+    BIG = "1" + "0" * 400
+
+    def _text(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def _refused(self, capsys, argv):
+        assert input_error(capsys, argv) == {"error": "int too large to convert to float"}
+
+    def test_retract_point(self, capsys, tmp_path, set_file):
+        self._refused(capsys, ["retract", "--set", set_file(half_rate_instance()),
+                               "--point", self._text(tmp_path, "x.json", f"[{self.BIG}, 0]")])
+
+    def test_set_const_value(self, capsys, tmp_path):
+        text = ('{"n": 2, "lower": [{"type": "const", "value": %s}, "-inf"], '
+                '"upper": ["+inf", "+inf"]}' % self.BIG)
+        self._refused(capsys, ["retract", "--set", self._text(tmp_path, "s.json", text),
+                               "--point", dump(tmp_path, "x.json", [0.0, 0.0])])
+
+    def test_verify_metric_matrix(self, capsys, tmp_path):
+        matrix = self._text(tmp_path, "d.json", f"[[0, {self.BIG}], [{self.BIG}, 0]]")
+        self._refused(capsys, ["verify", "metric", "--matrix", matrix])
+
+    def test_hull_metric(self, capsys, tmp_path):
+        metric = self._text(tmp_path, "d.json", f"[[0, {self.BIG}], [{self.BIG}, 0]]")
+        self._refused(capsys, ["hull", "enumerate", "--metric", metric,
+                               "--resolution", "0.25"])
+
+    def test_plot_box(self, capsys, tmp_path):
+        box = self._text(tmp_path, "b.json", f"[[0, {self.BIG}], [0, 1]]")
+        self._refused(capsys, ["plot", "--box", box, "--resolution", "0.5",
+                               "--out", str(tmp_path / "scene.svg")])
+        assert not (tmp_path / "scene.svg").exists()
+
+
 class TestSelftest:
     def test_same_seed_is_byte_identical(self, capsys):
         code = main(["selftest", "--seed", "5"])

@@ -6,6 +6,7 @@ force over all pairs of a sample grid.  Everything else (serialization,
 interval enclosures, structural rewrites) hangs off the same strategy.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -22,6 +23,7 @@ from hyperlip.lipfun import (
     Const,
     DistCone,
     Infinite,
+    LipExpr,
     Max,
     McShane,
     Min,
@@ -644,6 +646,152 @@ class TestValidation:
         assert domain_dim(Const(1.0)) is None
         assert domain_dim(DistCone((0.0, 0.0), 0.0, 1.0, 1)) == 2
         assert domain_dim(Min(Const(0.0), DistCone((1.0,), 0.0, 1.0, 1))) == 1
+
+
+# ---------------------------------------------------------------------------
+# Every node holds ``dim`` and ``lip`` from construction.  The reference is the
+# walk over the whole tree that computed them on each call before.
+
+
+def _ref_dim(f):
+    if isinstance(f, (Const, Infinite)):
+        return None
+    if isinstance(f, DistCone):
+        return len(f.center)
+    if isinstance(f, McShane):
+        return len(f.samples[0][0])
+    if isinstance(f, Blend):
+        return _ref_dim(f.inner)
+    return _ref_common_dim(f.children)
+
+
+def _ref_common_dim(children):
+    dim = None
+    for c in children:
+        d = _ref_dim(c)
+        if d is None:
+            continue
+        if dim is None:
+            dim = d
+        elif d != dim:
+            raise ValueError(f"mixed domain dimensions {dim} and {d} in one family")
+    return dim
+
+
+def _ref_lip(f):
+    if isinstance(f, Const):
+        return 0.0
+    if isinstance(f, (DistCone, McShane)):
+        return f.scale
+    if isinstance(f, Blend):
+        return f.factor * _ref_lip(f.inner)
+    return max(_ref_lip(c) for c in f.children)
+
+
+def _ref_repr(v):
+    """The dataclass ``repr``: the class name and the fields, nothing more."""
+    if isinstance(v, LipExpr):
+        fields = ", ".join(f"{x.name}={_ref_repr(getattr(v, x.name))}"
+                           for x in dataclasses.fields(v))
+        return f"{type(v).__qualname__}({fields})"
+    if isinstance(v, tuple):
+        inner = ", ".join(_ref_repr(x) for x in v)
+        return f"({inner},)" if len(v) == 1 else f"({inner})"
+    return repr(v)
+
+
+FIELDS = {Const: ("value",), DistCone: ("center", "offset", "scale", "orientation"),
+          Min: ("children",), Max: ("children",), Blend: ("inner", "factor", "anchor"),
+          McShane: ("samples", "scale", "mode")}
+zero_or_unit = st.one_of(st.just(0.0), unit)
+
+
+def _leaves(dim):
+    point = st.lists(signed, min_size=dim, max_size=dim).map(tuple)
+    samples = st.lists(st.tuples(point, signed), min_size=1, max_size=3).map(tuple)
+    return st.one_of(
+        st.builds(Const, signed),
+        st.builds(DistCone, point, signed, zero_or_unit, st.sampled_from((-1, 1))),
+        st.builds(McShane, samples, zero_or_unit, st.sampled_from(("inf", "sup"))))
+
+
+def _deep(leaves, depth):
+    """Trees over ``leaves`` with a path of ``depth`` Min, Max and Blend
+    nodes from the root down."""
+    if depth == 0:
+        return leaves
+    sub = _deep(leaves, depth - 1)
+    # the deep child, up to two others, and the deep child's place among them
+    parts = st.tuples(sub, st.lists(st.one_of(leaves, sub), max_size=2), st.integers(0, 2))
+
+    def family(kind):
+        return parts.map(lambda t: kind(*t[1][:t[2]], t[0], *t[1][t[2]:]))
+    anchor = st.one_of(st.just(-0.0), signed)
+    return st.one_of(family(Min), family(Max), st.builds(Blend, sub, zero_or_unit, anchor))
+
+
+def _nodes(f):
+    yield f
+    for c in f.children if isinstance(f, (Min, Max)) else \
+            (f.inner,) if isinstance(f, Blend) else ():
+        yield from _nodes(c)
+
+
+@given(st.integers(0, 3).flatmap(lambda dim: _deep(_leaves(dim), 3)))
+@settings(max_examples=200, deadline=None)
+@example(Blend(Max(Min(Const(0.0)), DistCone((), -0.0, 0.0, 1)), 0.0, -0.0))
+def test_nodes_hold_the_walkers_dimension_and_constant(f):
+    for g in _nodes(f):
+        assert domain_dim(g) == g.dim == _ref_dim(g)
+        assert lip_bound(g).hex() == g.lip.hex() == _ref_lip(g).hex()
+        names = FIELDS[type(g)]
+        assert tuple(x.name for x in dataclasses.fields(g)) == names
+        # only nodes with children store them
+        held = ("dim", "lip") if isinstance(g, (Min, Max, Blend)) else ()
+        assert tuple(vars(g)) == names + held
+        assert hash(g) == hash(tuple(getattr(g, name) for name in names))
+        assert repr(g) == _ref_repr(g)
+        again = expr_from_obj(json.loads(_dumps(g)))
+        assert again == g and hash(again) == hash(g)
+        if isinstance(g, Blend):
+            for factor in (0.0, 0.25, 1.0):
+                h = dataclasses.replace(g, factor=factor)
+                assert h.lip.hex() == (factor * g.inner.lip).hex() == _ref_lip(h).hex()
+                assert h.dim == g.dim
+
+
+@given(st.lists(st.integers(0, 3).flatmap(lambda dim: _deep(_leaves(dim), 2)),
+                min_size=1, max_size=4),
+       st.sampled_from((Min, Max)))
+@settings(deadline=None)
+def test_mixed_dimensions_give_the_walkers_message(children, kind):
+    try:
+        want = _ref_common_dim(children)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            kind(*children)
+        assert str(err.value) == str(exc)
+    else:
+        assert kind(*children).dim == want
+
+
+def test_a_450_deep_min_chain_builds_and_evaluates():
+    f = DistCone((0.0,), 0.0, 1.0, 1)
+    for i in range(450):
+        f = Min(f, Const(i + 0.5))
+    assert (domain_dim(f), lip_bound(f)) == (1, 1.0)
+    assert _compile(f)((0.25,)) == 0.25
+    assert eval_grid(f, [[0.25], [3.0]]).tolist() == [0.25, 0.5]
+    assert bounds_of(f, [(0.0, 1.0)]) == (-lipfun.BOUNDS_SLACK, 0.5 + lipfun.BOUNDS_SLACK)
+
+
+def test_the_readers_keep_their_errors():
+    for read in (domain_dim, lip_bound):
+        with pytest.raises(TypeError, match="not a LipExpr: 1.5"):
+            read(1.5)
+    assert domain_dim(Infinite(1)) is None
+    with pytest.raises(ValueError, match="carry no Lipschitz constant"):
+        lip_bound(Infinite(-1))
 
 
 class TestAudit:
