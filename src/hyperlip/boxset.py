@@ -262,8 +262,9 @@ def check_decay_certificate(trace: IterationTrace, lam: float, slack: float = 1e
         |d_k| <= lam * max(|d_{k-dim+1}|, ..., |d_{k-1}|) + slack
         |d_k| <= D * lam ** (k // dim) + slack
 
-    where ``D`` is the first-sweep maximum.  Returns the list of violating
-    step indices (empty when the certificate holds).
+    where ``D`` is the first-sweep maximum.  A power too large for a float
+    reads ``inf``, and at ``D = 0`` the second bound is 0.  Returns the list
+    of violating step indices (empty when the certificate holds).
     """
     n = trace.dim
     d = [abs(v) for v in trace.displacements]
@@ -274,7 +275,11 @@ def check_decay_certificate(trace: IterationTrace, lam: float, slack: float = 1e
         if d[k] > lam * recent + slack:
             bad.append(k)
             continue
-        if d[k] > D * lam ** (k // n) + slack:
+        try:
+            power = lam ** (k // n)
+        except OverflowError:           # lam > 1, far into the trace
+            power = math.inf
+        if d[k] > (D * power if D else 0.0) + slack:
             bad.append(k)
     return bad
 
@@ -302,12 +307,16 @@ def detect_noncontraction(trace: IterationTrace) -> str:
 
 
 def _grid_pairs(Q) -> list:
-    """Per axis, ``YT -> (lower values, upper values)`` at the hat points
-    held as the columns of ``YT``.  Built per call rather than kept on the
-    set like :attr:`BoxLipschitzSet._pairs`: kept, the small row arrays of
-    every set a batch workload touches stay allocated between the engine's
-    large temporaries, which raised the benchmark's peak RSS by ~1 MB."""
-    return [_compile_grid_pair(lo, up) for lo, up in zip(Q.lower, Q.upper)]
+    """Per axis ``i``, ``XT -> (lower values, upper values)`` at the hat
+    points of the whole points held as the columns of ``XT``: the bounds
+    read every row of ``XT`` but ``i``.  Built per call rather than kept on
+    the set like :attr:`BoxLipschitzSet._pairs`: kept, the small row arrays
+    of every set a batch workload touches stay allocated between the
+    engine's large temporaries, which raised the benchmark's peak RSS by
+    ~1 MB."""
+    n = Q.n
+    return [_compile_grid_pair(lo, up, np.array([j for j in range(n) if j != i], dtype=np.intp))
+            for i, (lo, up) in enumerate(zip(Q.lower, Q.upper))]
 
 
 def _crossed(i, point, lo, up) -> InconsistentBoundsError:
@@ -411,17 +420,20 @@ def _scalar_sweeps(Q, x, threshold, max_sweeps, fixed_steps=None):
 def _batch_sweeps(Q, X, threshold, max_sweeps, record):
     """Batch twin of :func:`_scalar_sweeps` on one shared sweep schedule.
 
-    Each step reads its axis's paired evaluator, compiled once per call, and
-    the rows are held as the columns of a transposed copy of ``X`` so that
-    each step gathers its hat points with one ``take`` of a precomputed
-    index array.  One per-row accumulator holds the largest ``|d|`` of the
-    sweep so far; the sweep's largest displacement and the rows it moved are
-    read from it once, after the sweep, rather than at every step.  A row
-    whose full sweep moved it by exactly 0.0 leaves the active set and is
-    never evaluated again: every step of that sweep saw the row's current
-    point and left it in place, so a later sweep sees the same inputs at
-    every step and moves it by 0.0 again.  The output therefore equals that
-    of running every row through every sweep, and the whole batch still goes
+    Each step reads its axis's paired evaluator, compiled once per call.
+    The rows are held as the columns of a transposed copy ``XT`` of ``X``;
+    the evaluator reads the hat points from ``XT`` itself (a cone family
+    gathers them into its distance table, :func:`_grid_pairs`), and the
+    clipped coordinate is written straight back into ``XT``.  Each sweep
+    starts from a copy of ``XT``.  Coordinate ``i`` moves only at step
+    ``i``, from its value in that copy, so after the sweep ``|XT - start|``
+    holds every step's ``|d|``: one reduction of it gives each row's largest
+    displacement of the sweep, and so the rows it moved.  A row whose full
+    sweep moved it by exactly 0.0 leaves the active set and is never
+    evaluated again: every step of that sweep saw the row's current point
+    and left it in place, so a later sweep sees the same inputs at every
+    step and moves it by 0.0 again.  The output therefore equals that of
+    running every row through every sweep, and the whole batch still goes
     through one shared composition of projection steps.
 
     Stops after the first full sweep whose largest displacement over the
@@ -434,33 +446,32 @@ def _batch_sweeps(Q, X, threshold, max_sweeps, record):
     """
     n = Q.n
     pairs = _grid_pairs(Q)
-    others = [np.array([j for j in range(n) if j != i], dtype=np.intp) for i in range(n)]
     out = np.array(X, dtype=float)
     XT = out.T.copy()                   # active rows as columns
     rows = np.arange(len(out))          # their row numbers in ``out``
     disp = [] if record else None
     for _ in range(max_sweeps):
-        size = np.zeros(len(rows))      # per row, the sweep's largest |d|
+        start = XT.copy()
         for i in range(n):
-            lo, up = pairs[i](XT.take(others[i], axis=0))
+            lo, up = pairs[i](XT)
             crossed = lo > up
             if np.count_nonzero(crossed):
                 j = int(np.argmax(crossed))
                 raise _crossed(i, XT[:, j], lo[j], up[j])
-            c = XT[i]
-            new = np.minimum(up, np.maximum(lo, c))
+            c = start[i]                # coordinate i has not moved yet this sweep
+            new = np.minimum(up, np.maximum(lo, c), out=XT[i])
             # the scalar rule's bits: min and max match it except on zeros,
             # where a coordinate already zero stays and a moved one is +0.0
             if np.count_nonzero(new) < len(new):
                 zero = new == 0.0
                 new[zero] = np.where(c[zero] == 0.0, c[zero], 0.0)
-            d = new - c
-            XT[i] = new
             if record:
                 full = np.zeros(len(out))
-                full[rows] = d
+                full[rows] = new - c
                 disp.append(full)
-            np.maximum(size, np.abs(d), out=size)
+        size = XT - start
+        np.abs(size, out=size)
+        size = np.maximum.reduce(size, axis=0)  # per row, the sweep's largest |d|
         if size.max(initial=0.0) <= threshold:
             out[rows] = XT.T
             return out, disp

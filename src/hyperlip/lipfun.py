@@ -96,12 +96,27 @@ _PAIR_BLOCK_BYTES = 1 << 20
 # bytes of the distance table one block of a cone family's batch kernel may
 # hold; 1 MiB blocks made the 12,000-row batch retractions ~1.8x slower
 _GRID_BLOCK_BYTES = 16 << 20
+# deepest expression a constructor builds.  The walkers (``_lower``, the
+# evaluators, ``bounds_of``, the JSON form) recurse, up to five Python frames
+# per level (a ``Blend`` of factor 0 at anchor ``-0.0`` lowers to three
+# nodes), so every one of them stays within the default recursion limit
+_MAX_DEPTH = 128
+# columns up to which a block of a cone family's batch kernel gathers its
+# difference table with one ``take``; above it, broadcasting is faster
+_TAKE_COLUMNS = 2000
 
 
 class LipExpr:
-    """Base class for grammar nodes."""
+    """Base class for grammar nodes.  A leaf is one level deep; a node with
+    children holds its ``depth`` from construction."""
 
     __slots__ = ()
+    depth = 1
+
+
+def _too_deep(what, depth):
+    return ValueError(f"{what} would be {depth} levels deep; expressions may be "
+                      f"at most {_MAX_DEPTH} deep")
 
 
 def _require_finite(value, what):
@@ -180,6 +195,10 @@ class _MinMax(LipExpr):
                 raise ValueError(f"mixed domain dimensions {dims[0]} and {d} in one family")
         object.__setattr__(self, "dim", dims[0] if dims else None)
         object.__setattr__(self, "lip", max(c.lip for c in self.children))
+        depth = 1 + max(c.depth for c in self.children)
+        if depth > _MAX_DEPTH:
+            raise _too_deep(name, depth)
+        object.__setattr__(self, "depth", depth)
 
 
 class Min(_MinMax):
@@ -208,6 +227,10 @@ class Blend(LipExpr):
         object.__setattr__(self, "anchor", _require_finite(self.anchor, "Blend anchor"))
         object.__setattr__(self, "dim", self.inner.dim)
         object.__setattr__(self, "lip", self.factor * self.inner.lip)
+        depth = self.inner.depth + 1
+        if depth > _MAX_DEPTH:
+            raise _too_deep("Blend", depth)
+        object.__setattr__(self, "depth", depth)
 
 
 @dataclass(frozen=True)
@@ -283,7 +306,7 @@ class _Const(NamedTuple):
         v = self.value
         return lambda y: v
 
-    def grid(self):
+    def grid(self, hat=None):
         v = self.value
         return lambda YT: np.full(YT.shape[1], v)
 
@@ -303,8 +326,8 @@ class _Cones(NamedTuple):
         kernel = _cones_closure(((self, ()),))
         return lambda y: kernel(y)[0]
 
-    def grid(self):
-        kernel = _cones_grid(((self, ()),))
+    def grid(self, hat=None):
+        kernel = _cones_grid(((self, ()),), hat)
         return lambda YT: kernel(YT)[0]
 
     def interval(self, box):
@@ -360,43 +383,75 @@ def _cones_closure(families):
     return cones
 
 
-def _cones_grid(families):
+def _cones_grid(families, hat=None):
     """Batch kernel of :func:`_cones_closure`, points as the columns of
-    ``YT``.  The columns run in blocks whose ``(dim, R, block)`` difference
-    table stays within ``_GRID_BLOCK_BYTES``.  When they fit in one block,
-    as a batch engine step's usually do, the table is built once and each
-    reduction allocates its own output; otherwise each block reduces into
-    its slice of preallocated outputs.  A block releases its difference
-    table once its ``(R, block)`` distances are taken; each family but the
-    last scales a copy of them, the last scales them in place.  So a block
-    holds the difference table and the distances, or the distances and one
-    copy, never all three.  A reduction over an axis of length 1 (a
-    one-dimensional hat space, a one-row family) is skipped, since it would
-    return that element.  The centres are held C-contiguous, so that the
-    difference table is too and the reduction over ``dim`` reads whole
-    ``(R, block)`` slabs; that reduction is of absolute values, whose zeros
-    are all ``+0.0``, so its order does not change a bit.
+    ``YT``; with ``hat``, an index array, the points are the rows ``hat`` of
+    ``YT``, so that a caller holding whole points does not gather them
+    first.  The columns run in blocks whose difference table of ``dim * R *
+    block`` floats stays within ``_GRID_BLOCK_BYTES``; when they fit in one
+    block, as a batch engine step's usually do, the table is built once and
+    each reduction allocates its own output, otherwise each block reduces
+    into its slice of preallocated outputs.  The table has two layouts of
+    the same differences.  A block of at most ``_TAKE_COLUMNS`` columns
+    takes it as ``(dim * R, block)`` with one ``take`` of each point row
+    repeated once per centre, then subtracts a column of the centres in
+    place, which saves numpy calls on the few columns of an engine step; a
+    wider block gathers its points and broadcasts them against the centres
+    as ``(dim, R, block)``, which is faster there.  The centres are held
+    C-contiguous, so that the table is too and the reduction over ``dim``
+    reads whole ``(R, block)`` slabs; that reduction is of absolute values,
+    whose zeros are all ``+0.0``, so its order does not change a bit.  A
+    reduction over an axis of length 1 (a one-dimensional hat space, a
+    one-row family) is skipped, since it would return that element.
+
+    A block releases its difference table once its ``(R, block)`` distances
+    are taken; each family but the last scales a copy of them, the last
+    scales them in place.  So a block holds the difference table and the
+    distances, or the distances and one copy, never all three.  Two
+    families without blends (the bounds of a McShane set) in one block of
+    at most ``_TAKE_COLUMNS`` columns are scaled together into one ``(2, R,
+    block)`` array instead, each half reduced by its own aggregate: the same
+    operations per element, in fewer calls.
 
     numpy reduces the rows of a one-column table as one 1-D run, which does
     not keep the same one of ``0.0`` and ``-0.0`` as its row-by-row
     reduction of a wider table.  So a one-column block is evaluated as two
     copies of its column, keeping the first, and a value does not depend on
     how the points fall into blocks."""
-    C = np.asarray(_centres(families[0][0])).T.copy()[:, :, None]    # (dim, R, 1)
-    dim, R = C.shape[:2]
+    C = np.asarray(_centres(families[0][0])).T.copy()           # (dim, R)
+    dim, R = C.shape
+    column, C = C.reshape(dim * R, 1), C[:, :, None]
+    coords = np.arange(dim) if hat is None else np.asarray(hat, dtype=np.intp)
+    repeated = coords.repeat(R)             # the row of YT behind each table row
     heads = [(slope, np.asarray(offs)[:, None], _UFUNC[agg], blends)
              for agg, slope, offs, blends in _heads(families)]
     block = max(1, _GRID_BLOCK_BYTES // (8 * dim * R))
     last = len(heads) - 1
     allocate = [None] * len(heads)
+    plain = len(heads) == 2 and R > 1 and not any(blends for *_, blends in heads)
+    if plain:
+        slopes = np.array([slope for slope, *_ in heads])[:, None, None]     # (2, 1, 1)
+        offsets = np.stack([off for _, off, *_ in heads])                    # (2, R, 1)
+        lower, upper = (ufunc for _, _, ufunc, _ in heads)
 
     def table(YT, out):
         """Each family's values at the columns of ``YT``, reduced into its
         entry of ``out``, or into a new array where that entry is ``None``."""
-        D = YT[:, None, :] - C
+        N = YT.shape[1]
+        small = N <= _TAKE_COLUMNS
+        if small:
+            D = YT.take(repeated, axis=0)
+            D -= column
+            D = D.reshape(dim, R, N)
+        else:
+            D = (YT if hat is None else YT.take(coords, axis=0))[:, None, :] - C
         np.abs(D, out=D)
         best = D[0] if dim == 1 else np.maximum.reduce(D, axis=0)
         del D
+        if small and plain and out is allocate:
+            V = best * slopes                   # (2, R, N)
+            V += offsets
+            return [lower.reduce(V[0], axis=0), upper.reduce(V[1], axis=0)]
         vals = []
         for j, ((slope, off, ufunc, blends), o) in enumerate(zip(heads, out)):
             V = best * slope if j < last else np.multiply(best, slope, out=best)
@@ -437,8 +492,8 @@ class _Node(NamedTuple):
         subs, agg = [k.closure() for k in self.children], self.agg
         return lambda y: agg([h(y) for h in subs])
 
-    def grid(self):
-        subs, ufunc = [k.grid() for k in self.children], _UFUNC[self.agg]
+    def grid(self, hat=None):
+        subs, ufunc = [k.grid(hat) for k in self.children], _UFUNC[self.agg]
         return lambda YT: ufunc.reduce([h(YT) for h in subs])
 
     def interval(self, box):
@@ -455,8 +510,8 @@ class _Blend(NamedTuple):
         g, fac, anchor = self.inner.closure(), self.factor, self.anchor
         return lambda y: fac * (g(y) - anchor) + anchor
 
-    def grid(self):
-        g, fac, anchor = self.inner.grid(), self.factor, self.anchor
+    def grid(self, hat=None):
+        g, fac, anchor = self.inner.grid(hat), self.factor, self.anchor
         return lambda YT: fac * (g(YT) - anchor) + anchor
 
     def interval(self, box):
@@ -549,10 +604,14 @@ def _compile_pair(lower: LipExpr, upper: LipExpr) -> Callable:
     return _paired(_lower(lower), _lower(upper), _cones_closure, lambda k: k.closure())
 
 
-def _compile_grid_pair(lower: LipExpr, upper: LipExpr) -> Callable:
+def _compile_grid_pair(lower: LipExpr, upper: LipExpr, hat=None) -> Callable:
     """Batch evaluator ``YT -> (lower values, upper values)`` of one axis's
-    bounds, equal to :func:`_compile_grid` of each side bit for bit."""
-    return _paired(_lower(lower), _lower(upper), _cones_grid, lambda k: k.grid())
+    bounds, equal to :func:`_compile_grid` of each side bit for bit.  With
+    ``hat``, an index array, ``YT`` holds whole points as its columns and
+    the bounds read their rows ``hat``; every cone family takes them from
+    ``YT`` itself, inside its kernel (:func:`_cones_grid`)."""
+    return _paired(_lower(lower), _lower(upper), lambda sides: _cones_grid(sides, hat),
+                   lambda k: k.grid(hat))
 
 
 @np.errstate(over="ignore")

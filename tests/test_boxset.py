@@ -231,13 +231,39 @@ class TestPairedEvaluators:
                 monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
                 for i, grid in enumerate(boxset._grid_pairs(Q)):
                     H = np.delete(XT, i, axis=0)
-                    for got, bound in zip(grid(H), (Q.lower[i], Q.upper[i])):
+                    for got, bound in zip(grid(XT), (Q.lower[i], Q.upper[i])):
                         assert got.tobytes() == _compile_grid(bound)(H).tobytes()
             for i, pair in enumerate(Q._pairs):
                 lower, upper = _compile(Q.lower[i]), _compile(Q.upper[i])
                 for x in X:
                     y = tuple(np.delete(x, i).tolist())
                     assert hexes(pair(y)) == hexes((lower(y), upper(y)))
+
+    @pytest.mark.parametrize("columns, block_columns", [
+        (1, None), (2, None), (lipfun._TAKE_COLUMNS, None), (lipfun._TAKE_COLUMNS + 1, None),
+        # above one block: broadcast blocks and a last block of one column,
+        # and blocks gathered with one take each
+        (2 * lipfun._TAKE_COLUMNS + 3, lipfun._TAKE_COLUMNS + 1),
+        (lipfun._TAKE_COLUMNS + 1, 7),
+    ])
+    def test_engine_evaluators_give_each_bounds_bits(self, columns, block_columns,
+                                                     monkeypatch):
+        """The evaluators the batch engine steps with read the hat points
+        from whole points, at widths on both sides of the layout threshold,
+        and give each bound's ``_compile_grid`` bits at those hat points."""
+        n, R = 4, 6
+        rng = np.random.default_rng(columns)
+        X = rng.uniform(-3.0, 3.0, (columns, n))
+        zeros = columns // 8                    # points of signed zeros
+        X[:zeros] = np.where(rng.uniform(size=(zeros, n)) < 0.5, 0.0, -0.0)
+        XT = np.ascontiguousarray(X.T)
+        if block_columns is not None:
+            monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", 8 * (n - 1) * R * block_columns)
+        for name, Q in self._sets(n).items():
+            for i, grid in enumerate(boxset._grid_pairs(Q)):
+                H = np.delete(XT, i, axis=0)
+                for got, bound in zip(grid(XT), (Q.lower[i], Q.upper[i])):
+                    assert got.tobytes() == _compile_grid(bound)(H).tobytes(), (name, i)
 
     def test_shared_centres_are_found_where_expected(self, monkeypatch):
         """Each axis of the envelope and shrunk sets builds one scalar kernel
@@ -385,6 +411,21 @@ class TestCyclicRetract:
         bad = check_decay_certificate(fake, Q.lip_bound)
         assert bad == [len(doctored) - 1]
 
+    def test_certificate_above_level_one_outlives_the_float_power(self):
+        """At ``lam = 2`` the power ``lam ** (k // n)`` leaves the float range
+        after step 2048 of a two-dimensional trace; it reads ``inf``, so the
+        audit still returns the step the first bound flags."""
+        disp = [1.0] * 3000
+        disp[2500] = 3.0
+        trace = IterationTrace(2, (0.0, 0.0), tuple(disp), (0.0, 0.0))
+        assert check_decay_certificate(trace, 2.0) == [2500]
+
+    def test_certificate_with_a_still_first_sweep(self):
+        """``D = 0``: the second bound is 0 at every step, also where the
+        power overflowed, so every later move is flagged."""
+        trace = IterationTrace(2, (0.0, 0.0), (0.0, 0.0) + (1.0,) * 2998, (0.0, 0.0))
+        assert check_decay_certificate(trace, 2.0) == list(range(2, 3000))
+
 
 class TestBatchEngine:
     def test_single_row_batch_matches_scalar_exactly(self, rng):
@@ -502,6 +543,22 @@ class TestBatchEngine:
         with pytest.raises(InconsistentBoundsError) as got:
             cyclic_retract_many(Q, X, 1e-6)
         assert str(got.value) == str(want.value)
+
+    def test_crossing_bounds_mid_sweep_raise_after_rows_froze(self, monkeypatch):
+        """Axis 1 of 3 crosses in the second sweep, where ``|x_2| > 4``, at
+        the row that started at ``(-0.0, 10, 0)``; the two members froze
+        after the first sweep."""
+        Q = BoxLipschitzSet([Const(-10.0), Const(0.0), DistCone((0.0, 0.0), 3.0, 0.9, 1)],
+                            [Const(10.0), DistCone((0.0, 0.0), 2.0, 0.5, -1), Const(10.0)])
+        X = np.array([[0.0, 0.1, 3.2], [0.5, 0.2, 3.5], [-0.0, 10.0, 0.0], [0.25, 0.0, 3.0]])
+        with monkeypatch.context() as m:
+            m.setattr(boxset, "_batch_sweeps", _all_rows_sweeps)
+            with pytest.raises(InconsistentBoundsError) as want:
+                cyclic_retract_many(Q, X, 1e-6)
+        with pytest.raises(InconsistentBoundsError) as got:
+            cyclic_retract_many(Q, X, 1e-6)
+        assert str(got.value) == str(want.value) == (
+            "bounds cross on axis 1 at (-0.0, 2.0, 4.8): lower=0.0 > upper=-0.3999999999999999")
 
     def test_every_row_meets_the_tolerance(self, rng):
         Q = random_mcshane_instance(3, 0.5, rng)
@@ -879,6 +936,26 @@ class TestExhaustedState:
                 assert traces[j].displacements == want.displacements
         assert traces is None or len(traces) == len(X)
 
+    @pytest.mark.parametrize("record, digest", [
+        (False, "b9883125b423d920fe2aa3fe8d721f3023352d8c4d56adff0de5c34a55e7be8a"),
+        (True, "804123bff58095dcfe5b0c09bbb29dec73f600f4cb88a1f7c71cbd743066b9e3"),
+    ])
+    def test_batch_state_bytes_are_pinned(self, record, digest):
+        """Six sweeps of a level-0.9 batch in dimension 8: 35 of its 40 rows
+        froze before the last sweep.  The state's points, and with
+        ``record`` its displacements, keep these bytes."""
+        rng = np.random.default_rng(1515)
+        Q = random_mcshane_instance(8, 0.9, rng, samples=16)
+        members = sample_members(Q, rng.uniform(-0.5, 0.5, (4, 8)))
+        X = np.vstack([members, rng.uniform(-3.0, 3.0, (36, 8))])
+        with pytest.raises(MaxSweepsExceededError, match="within 6 sweeps") as err:
+            cyclic_retract_many(Q, X, 1e-6, max_sweeps=6, record=record)
+        out, traces = err.value.state
+        got = hashlib.sha256(out.tobytes())
+        if record:
+            got.update(np.array([t.displacements for t in traces]).tobytes())
+        assert got.hexdigest() == digest
+
 
 class TestScaleZeroFamilies:
     """A cone family of scale 0 is its offsets, also where a distance
@@ -1040,8 +1117,8 @@ class TestZeroSignsOfBounds:
             f = pair(lo, up)
             return lambda y: tuple(flip(v) for v in f(y))
 
-        def batch(lo, up):
-            f = grid_pair(lo, up)
+        def batch(lo, up, hat=None):
+            f = grid_pair(lo, up, hat)
             return lambda YT: tuple(flip_all(v) for v in f(YT))
 
         monkeypatch.setattr(boxset, "_compile_pair", scalar)

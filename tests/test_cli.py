@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperlip import boxset, cli, svgplot
+from hyperlip import boxset, cli, lipfun, svgplot
 from hyperlip.boxset import BoxLipschitzSet, UnsupportedSetError, retract, set_to_obj
 from hyperlip.cli import main
 from hyperlip.instances import (
@@ -231,6 +231,30 @@ class TestRetract:
         err = input_error(capsys, ["retract", "--set", str(deep),
                                    "--point", dump(tmp_path, "x.json", [5.0])])
         assert "error" in err
+
+    @staticmethod
+    def _blend_chain_set(tmp_path, depth):
+        """A level-0 set whose axis-0 lower bound is a chain of ``depth`` - 1
+        blends of factor 0 at anchor -0.0 over a cone, written as text."""
+        cone = '{"type":"distcone","center":[0.0],"offset":-1.0,"scale":0.5,"orientation":"+"}'
+        bound = '{"type":"blend","inner":' * (depth - 1) + cone \
+            + ',"factor":0.0,"anchor":-0.0}' * (depth - 1)
+        path = tmp_path / "chain.json"
+        path.write_text('{"n":2,"lower":[%s,"-inf"],"upper":["+inf","+inf"]}' % bound)
+        return str(path)
+
+    def test_a_set_at_the_depth_limit_retracts(self, capsys, tmp_path):
+        path = self._blend_chain_set(tmp_path, lipfun._MAX_DEPTH)
+        code, out, err = run(capsys, ["retract", "--set", path,
+                                      "--point", dump(tmp_path, "x.json", [-3.0, 2.0])])
+        assert (code, err) == (0, None)
+        assert out["point"] == [0.0, 2.0]
+
+    def test_a_set_above_the_depth_limit_is_an_input_error(self, capsys, tmp_path):
+        path = self._blend_chain_set(tmp_path, lipfun._MAX_DEPTH + 1)
+        err = input_error(capsys, ["retract", "--set", path,
+                                   "--point", dump(tmp_path, "x.json", [-3.0, 2.0])])
+        assert f"would be {lipfun._MAX_DEPTH + 1} levels deep" in err["error"]
 
     @pytest.mark.parametrize("n", ["1e400", "1.5", "true"])
     def test_non_integer_dimension_is_an_input_error(self, capsys, tmp_path, n):

@@ -678,6 +678,11 @@ def _ref_common_dim(children):
     return dim
 
 
+def _ref_depth(f):
+    kids = f.children if isinstance(f, (Min, Max)) else (f.inner,) if isinstance(f, Blend) else ()
+    return 1 + max(map(_ref_depth, kids), default=0)
+
+
 def _ref_lip(f):
     if isinstance(f, Const):
         return 0.0
@@ -744,10 +749,11 @@ def test_nodes_hold_the_walkers_dimension_and_constant(f):
     for g in _nodes(f):
         assert domain_dim(g) == g.dim == _ref_dim(g)
         assert lip_bound(g).hex() == g.lip.hex() == _ref_lip(g).hex()
+        assert g.depth == _ref_depth(g)
         names = FIELDS[type(g)]
         assert tuple(x.name for x in dataclasses.fields(g)) == names
         # only nodes with children store them
-        held = ("dim", "lip") if isinstance(g, (Min, Max, Blend)) else ()
+        held = ("dim", "lip", "depth") if isinstance(g, (Min, Max, Blend)) else ()
         assert tuple(vars(g)) == names + held
         assert hash(g) == hash(tuple(getattr(g, name) for name in names))
         assert repr(g) == _ref_repr(g)
@@ -775,14 +781,43 @@ def test_mixed_dimensions_give_the_walkers_message(children, kind):
         assert kind(*children).dim == want
 
 
-def test_a_450_deep_min_chain_builds_and_evaluates():
-    f = DistCone((0.0,), 0.0, 1.0, 1)
-    for i in range(450):
-        f = Min(f, Const(i + 0.5))
-    assert (domain_dim(f), lip_bound(f)) == (1, 1.0)
-    assert _compile(f)((0.25,)) == 0.25
-    assert eval_grid(f, [[0.25], [3.0]]).tolist() == [0.25, 0.5]
-    assert bounds_of(f, [(0.0, 1.0)]) == (-lipfun.BOUNDS_SLACK, 0.5 + lipfun.BOUNDS_SLACK)
+def _chains(depth):
+    """Expressions ``depth`` levels deep on the line: a chain of ``Min`` and
+    ``Max`` nodes, each with a constant beside the deeper child, and a chain
+    of blends of factor 0 at anchor ``-0.0``, which lower to three nodes
+    each, the most Python frames per level of any walker."""
+    nodes = DistCone((0.0,), 0.0, 1.0, 1)
+    for i in range(depth - 1):
+        nodes = (Min if i % 2 else Max)(nodes, Const(i + 0.5))
+    blends = McShane((((0.0,), 0.0), ((1.0,), 1.0)), 0.5, "inf")
+    for _ in range(depth - 1):
+        blends = Blend(blends, 0.0, -0.0)
+    return {"nodes": nodes, "blends": blends}
+
+
+@pytest.mark.parametrize("name", ["nodes", "blends"])
+def test_every_walker_passes_at_the_depth_limit(name):
+    f = _chains(lipfun._MAX_DEPTH)[name]
+    assert f.depth == lipfun._MAX_DEPTH
+    value = _compile(f)((0.25,))
+    assert eval_grid(f, [[0.25], [3.0]])[0] == value
+    lo, hi = bounds_of(f, [(0.0, 1.0)])
+    assert lo <= value <= hi
+    again = expr_from_obj(json.loads(json.dumps(expr_to_obj(f))))
+    assert again == f and again.depth == f.depth
+
+
+def test_a_node_above_the_depth_limit_is_refused():
+    limit = lipfun._MAX_DEPTH
+    chains = _chains(limit)
+    for build in (lambda: Min(chains["nodes"], Const(0.0)), lambda: Max(chains["nodes"]),
+                  lambda: Blend(chains["blends"], 0.5, 0.0),
+                  lambda: shrink(chains["blends"], 0.5, 0.0)):
+        with pytest.raises(ValueError, match=f"would be {limit + 1} levels deep"):
+            build()
+    obj = {"type": "min", "children": [expr_to_obj(chains["nodes"])]}
+    with pytest.raises(ValueError, match=f"would be {limit + 1} levels deep"):
+        expr_from_obj(json.loads(json.dumps(obj)))
 
 
 def test_the_readers_keep_their_errors():
