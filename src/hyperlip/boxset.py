@@ -14,10 +14,10 @@ Below level 1 the displacement sequence decays geometrically sweep over
 sweep, which both terminates the iteration and certifies the result; at
 level exactly 1 the iteration can stall or drift, and one relaxation rule
 (``_level_one``) replaces the set by a slightly shrunken or ball-truncated
-one whose level is strictly below 1.  :func:`retract` is the one entry
-point that picks the strategy (cyclic, shrink or truncate) from the set;
-the ``retract_lambda_one_*`` functions, :func:`hyperlip.extension.extend_into_Q`
-and the CLI all go through it.
+one whose level is strictly below 1.  :func:`retract` picks the strategy
+(cyclic, shrink or truncate) from the set; the ``retract_lambda_one_*``
+functions, :func:`hyperlip.extension.extend_into_Q` and the CLI at level 1
+go through it, and the CLI below level 1 calls :func:`cyclic_retract`.
 
 That relaxed set ``Q_k`` is the last term of a family nested decreasing in
 ``k`` whose intersection is the set, and one cyclic run on it contracts only

@@ -151,6 +151,15 @@ def _load_set(path) -> BoxLipschitzSet:
     return Q
 
 
+def _numbers(obj, what):
+    """``obj``, with no string in it: numpy and ``float`` read ``"12"`` as 12."""
+    if isinstance(obj, str):
+        raise ValueError(f"{what} must hold numbers, got {obj!r}")
+    for x in obj if isinstance(obj, list) else ():
+        _numbers(x, what)
+    return obj
+
+
 def _load_point(path):
     return as_point(_load_json(path))
 
@@ -159,12 +168,11 @@ def _load_matrix(path) -> FiniteMetricSpace:
     obj = _load_json(path)
     if isinstance(obj, dict) and "metric" in obj:
         obj = obj["metric"]
-    return FiniteMetricSpace(np.asarray(obj, dtype=float))
+    return FiniteMetricSpace(np.asarray(_numbers(obj, "a metric"), dtype=float))
 
 
 def _load_box(path):
-    obj = _load_json(path)
-    return [(float(a), float(b)) for a, b in obj]
+    return [(float(a), float(b)) for a, b in _numbers(_load_json(path), "a box")]
 
 
 def _stretch(points, X: FiniteMetricSpace) -> float:
@@ -281,7 +289,7 @@ def cmd_verify(args) -> int:
             return 0
         _emit({"ok": False, "witness": [list(witness[0]), list(witness[1])]})
         return 2
-    M = np.asarray(_load_json(args.matrix), dtype=float)
+    M = np.asarray(_numbers(_load_json(args.matrix), "a metric"), dtype=float)
     report = check_metric_axioms(M, tol=args.tol)
     _emit({"ok": report.ok,
            "violations": [{"kind": v.kind, "indices": list(v.indices),

@@ -13,14 +13,12 @@ appear under any other constructor, and the set machinery treats it as the
 absence of a constraint.
 
 Expressions are immutable and hashable, and compare by value.  Each node
-holds its ``dim`` (:func:`domain_dim`) and, but for :class:`Infinite`, its
-``lip`` (:func:`lip_bound`) from construction, from its own fields and its
-direct children's; they are not fields, so equality and ``repr`` ignore them.
-
-The evaluators do not read the grammar.  :func:`_lower` rewrites an
-expression into four kinds, and each kind holds its scalar closure (for
-:func:`_compile`), batch closure (for :func:`_compile_grid`) and interval
-enclosure (for :func:`bounds_of`) side by side:
+holds its ``dim`` (:func:`domain_dim`), its ``lip`` (:func:`lip_bound`; not
+:class:`Infinite`) and its lowered ``form`` from construction, from its own
+fields and its direct children's forms; they are not fields, so equality and
+``repr`` ignore them.  The evaluators read only the ``form``, one of four
+kinds, each with its scalar closure (for :func:`_compile`), batch closure
+(for :func:`_compile_grid`) and interval enclosure (for :func:`bounds_of`):
 
 - a constant: ``Const``; ``Infinite`` as ``+inf`` or ``-inf``; on the
   zero-dimensional domain, where every distance is 0, a ``DistCone`` as its
@@ -96,10 +94,10 @@ _PAIR_BLOCK_BYTES = 1 << 20
 # bytes of the distance table one block of a cone family's batch kernel may
 # hold; 1 MiB blocks made the 12,000-row batch retractions ~1.8x slower
 _GRID_BLOCK_BYTES = 16 << 20
-# deepest expression a constructor builds.  The walkers (``_lower``, the
-# evaluators, ``bounds_of``, the JSON form) recurse, up to five Python frames
-# per level (a ``Blend`` of factor 0 at anchor ``-0.0`` lowers to three
-# nodes), so every one of them stays within the default recursion limit
+# deepest expression a constructor builds.  The walkers (the evaluators,
+# ``bounds_of``, the JSON form) recurse, up to five Python frames per level
+# (a ``Blend`` of factor 0 at anchor ``-0.0`` lowers to three nodes), so
+# every one of them stays within the default recursion limit
 _MAX_DEPTH = 128
 # columns up to which a block of a cone family's batch kernel gathers its
 # difference table with one ``take``; above it, broadcasting is faster
@@ -114,20 +112,30 @@ class LipExpr:
     depth = 1
 
 
-def _too_deep(what, depth):
-    return ValueError(f"{what} would be {depth} levels deep; expressions may be "
-                      f"at most {_MAX_DEPTH} deep")
+def _depth(what, children):
+    depth = 1 + max(c.depth for c in children)
+    if depth > _MAX_DEPTH:
+        raise ValueError(f"{what} would be {depth} levels deep; expressions may be "
+                         f"at most {_MAX_DEPTH} deep")
+    return depth
+
+
+def _number(value, what):
+    """``float(value)``, but a string is refused: ``"12"`` is no number."""
+    if isinstance(value, str):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _require_finite(value, what):
-    v = float(value)
+    v = _number(value, what)
     if not math.isfinite(v):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return v
 
 
 def _require_unit(value, what):
-    v = float(value)
+    v = _number(value, what)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
     return v
@@ -152,6 +160,7 @@ class Const(LipExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "value", _require_finite(self.value, "Const value"))
+        object.__setattr__(self, "form", _Const(self.value))
 
 
 @dataclass(frozen=True)
@@ -172,6 +181,12 @@ class DistCone(LipExpr):
         object.__setattr__(self, "scale", _require_unit(self.scale, "DistCone scale"))
         if self.orientation not in (-1, 1):
             raise ValueError(f"orientation must be +1 or -1, got {self.orientation!r}")
+        slope = self.orientation * self.scale
+        if self.center and slope:
+            form = _Cones(min, slope, ((self.center, self.offset),))
+        else:
+            form = _Const(slope * 0.0 + self.offset if self.center else self.offset)
+        object.__setattr__(self, "form", form)
 
 
 @dataclass(frozen=True, init=False)
@@ -195,10 +210,14 @@ class _MinMax(LipExpr):
                 raise ValueError(f"mixed domain dimensions {dims[0]} and {d} in one family")
         object.__setattr__(self, "dim", dims[0] if dims else None)
         object.__setattr__(self, "lip", max(c.lip for c in self.children))
-        depth = 1 + max(c.depth for c in self.children)
-        if depth > _MAX_DEPTH:
-            raise _too_deep(name, depth)
-        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "depth", _depth(name, self.children))
+        kids = tuple(c.form for c in self.children)
+        if all(isinstance(k, _Cones) and len(k.rows) == 1 for k in kids) and \
+                len({k.slope.hex() for k in kids}) == 1:    # one slope, bit for bit
+            form = _Cones(self.agg, kids[0].slope, tuple(k.rows[0] for k in kids))
+        else:
+            form = _Node(self.agg, kids)
+        object.__setattr__(self, "form", form)
 
 
 class Min(_MinMax):
@@ -227,10 +246,16 @@ class Blend(LipExpr):
         object.__setattr__(self, "anchor", _require_finite(self.anchor, "Blend anchor"))
         object.__setattr__(self, "dim", self.inner.dim)
         object.__setattr__(self, "lip", self.factor * self.inner.lip)
-        depth = self.inner.depth + 1
-        if depth > _MAX_DEPTH:
-            raise _too_deep("Blend", depth)
-        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "depth", _depth("Blend", (self.inner,)))
+        form = _Blend(self.inner.form, self.factor, self.anchor)
+        if self.factor == 0.0 and (self.anchor or math.copysign(1.0, self.anchor) > 0.0):
+            form = _Const(self.factor * 0.0 + self.anchor)
+        elif self.factor == 0.0:
+            # at anchor -0.0 the value is a zero whose sign follows the inner
+            # value's sign, which clamping into [-1, 1] keeps
+            clamped = _Node(max, (_Node(min, (form.inner, _Const(1.0))), _Const(-1.0)))
+            form = form._replace(inner=clamped)
+        object.__setattr__(self, "form", form)
 
 
 @dataclass(frozen=True)
@@ -253,20 +278,21 @@ class McShane(LipExpr):
         if self.mode not in ("inf", "sup"):
             raise ValueError(f"mode must be 'inf' or 'sup', got {self.mode!r}")
         object.__setattr__(self, "scale", _require_unit(self.scale, "McShane scale"))
-        raw = tuple(self.samples)
-        if not raw:
-            raise ValueError("McShane needs at least one sample")
         samples = []
-        dim = None
-        for entry in raw:
-            pt, val = entry
+        for pt, val in self.samples:
             pt = as_point(pt)
-            if dim is None:
-                dim = len(pt)
-            elif len(pt) != dim:
+            if samples and len(pt) != len(samples[0][0]):
                 raise ValueError("McShane sample points must share one dimension")
             samples.append((pt, _require_finite(val, "McShane sample value")))
+        if not samples:
+            raise ValueError("McShane needs at least one sample")
         object.__setattr__(self, "samples", tuple(samples))
+        agg, slope = (min, self.scale) if self.mode == "inf" else (max, -self.scale)
+        if not samples[0][0] or slope == 0.0:
+            form = _Node(agg, tuple(_Const(slope * 0.0 + v) for _, v in self.samples))
+        else:
+            form = _Cones(agg, slope, self.samples)
+        object.__setattr__(self, "form", form)
 
 
 @dataclass(frozen=True)
@@ -280,6 +306,7 @@ class Infinite(LipExpr):
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        object.__setattr__(self, "form", _Const(self.sign * math.inf))
 
 
 def _expr(f):
@@ -294,7 +321,7 @@ def domain_dim(f: LipExpr):
 
 
 # ---------------------------------------------------------------------------
-# Lowering: the four kinds the evaluators read (module docstring)
+# The four kinds of lowered form the evaluators read (module docstring)
 
 _UFUNC = {min: np.minimum, max: np.maximum}
 
@@ -520,41 +547,6 @@ class _Blend(NamedTuple):
                 self.factor * (hi - self.anchor) + self.anchor)
 
 
-def _lower(f: LipExpr):
-    """Rewrite ``f`` into the four kinds the evaluators read."""
-    if isinstance(f, Const):
-        return _Const(f.value)
-    if isinstance(f, Infinite):
-        return _Const(f.sign * math.inf)
-    if isinstance(f, DistCone):
-        if not f.center:
-            return _Const(f.offset)
-        if f.scale == 0.0:
-            return _Const(f.orientation * f.scale * 0.0 + f.offset)
-        return _Cones(min, f.orientation * f.scale, ((f.center, f.offset),))
-    if isinstance(f, McShane):
-        agg, slope = (min, f.scale) if f.mode == "inf" else (max, -f.scale)
-        if not f.samples[0][0] or slope == 0.0:
-            return _Node(agg, tuple(_Const(slope * 0.0 + v) for _, v in f.samples))
-        return _Cones(agg, slope, f.samples)
-    if isinstance(f, Blend):
-        inner = _lower(f.inner)
-        if f.factor == 0.0:
-            if f.anchor or math.copysign(1.0, f.anchor) > 0.0:
-                return _Const(f.factor * 0.0 + f.anchor)
-            # at anchor -0.0 the value is a zero whose sign follows the inner
-            # value's sign, which clamping into [-1, 1] keeps
-            inner = _Node(max, (_Node(min, (inner, _Const(1.0))), _Const(-1.0)))
-        return _Blend(inner, f.factor, f.anchor)
-    if isinstance(f, _MinMax):
-        kids = tuple(_lower(c) for c in f.children)
-        if all(isinstance(k, _Cones) and len(k.rows) == 1 for k in kids) and \
-                len({k.slope.hex() for k in kids}) == 1:    # one slope, bit for bit
-            return _Cones(f.agg, kids[0].slope, tuple(k.rows[0] for k in kids))
-        return _Node(f.agg, kids)
-    raise TypeError(f"not a LipExpr: {f!r}")
-
-
 def _family(k):
     """``(family, blends)`` when the lowered ``k`` is a cone family under
     zero or more blends, as ``(factor, anchor)`` innermost first; else
@@ -579,29 +571,23 @@ def _paired(lower, upper, kernel, build):
 
 
 def _compile(f: LipExpr) -> Callable:
-    """Build a plain-Python evaluator closure (hot path of the scalar engine)."""
-    return _lower(f).closure()
+    """Build a plain-Python evaluator closure of one expression; the scalar
+    engine reads an axis's two bounds through :func:`_compile_pair`."""
+    return f.form.closure()
 
 
 def _compile_grid(f: LipExpr) -> Callable:
-    """Build a batch evaluator (hot path of the batch engine).
-
-    The evaluator takes points as the columns of a ``(dim, N)`` array and
-    returns the ``N`` values.  It does the per-element arithmetic of
-    :func:`_compile` in the same order, so the two agree bit for bit.  Every
-    reduction runs over the leading axis, one elementwise step per contiguous
-    row of ``N`` values.  A family's row arrays are built once, with the
-    evaluator, and its ``(dim, R, N)`` difference table is cut into blocks of
-    columns of at most ``_GRID_BLOCK_BYTES``, so a large grid costs no more
-    scratch than one block.
-    """
-    return _lower(f).grid()
+    """Build a batch evaluator of one expression: points as the columns of a
+    ``(dim, N)`` array in, their ``N`` values out, equal to :func:`_compile`'s
+    bit for bit.  The batch engine reads an axis's two bounds through
+    :func:`_compile_grid_pair`."""
+    return f.form.grid()
 
 
 def _compile_pair(lower: LipExpr, upper: LipExpr) -> Callable:
     """Scalar evaluator ``y -> (lower(y), upper(y))`` of one axis's bounds,
     equal to :func:`_compile` of each side bit for bit."""
-    return _paired(_lower(lower), _lower(upper), _cones_closure, lambda k: k.closure())
+    return _paired(lower.form, upper.form, _cones_closure, lambda k: k.closure())
 
 
 def _compile_grid_pair(lower: LipExpr, upper: LipExpr, hat=None) -> Callable:
@@ -610,7 +596,7 @@ def _compile_grid_pair(lower: LipExpr, upper: LipExpr, hat=None) -> Callable:
     ``hat``, an index array, ``YT`` holds whole points as its columns and
     the bounds read their rows ``hat``; every cone family takes them from
     ``YT`` itself, inside its kernel (:func:`_cones_grid`)."""
-    return _paired(_lower(lower), _lower(upper), lambda sides: _cones_grid(sides, hat),
+    return _paired(lower.form, upper.form, lambda sides: _cones_grid(sides, hat),
                    lambda k: k.grid(hat))
 
 
@@ -725,7 +711,7 @@ def bounds_of(f: LipExpr, box) -> tuple:
     d = domain_dim(f)
     if d is not None and len(box) != d:
         raise ValueError(f"expression expects dimension {d}, got box of dimension {len(box)}")
-    lo, hi = _lower(f).interval(box)
+    lo, hi = f.form.interval(box)
     return lo - BOUNDS_SLACK, hi + BOUNDS_SLACK
 
 

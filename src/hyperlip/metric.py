@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -45,9 +46,13 @@ DEFAULT_TOL = 1e-12
 def as_point(coords: Sequence[float]) -> Point:
     """Coerce a coordinate sequence to a point tuple.
 
-    Rejects non-finite coordinates; the empty sequence is allowed.
+    Rejects non-finite coordinates, and strings, which ``float`` would read
+    as numbers; the empty sequence is allowed.
     """
-    pt = tuple(map(float, coords))
+    raw = tuple(coords)
+    pt = tuple(map(float, raw))
+    if pt != raw and any(map(isinstance, raw, repeat(str))):    # no string equals a float
+        raise ValueError(f"point coordinates must be numbers, got {raw!r}")
     if not all(map(math.isfinite, pt)):
         c = next(c for c in pt if not math.isfinite(c))
         raise ValueError(f"point coordinates must be finite, got {c!r}")

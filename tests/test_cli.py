@@ -769,6 +769,46 @@ class TestOverlargeIntegers:
         assert not (tmp_path / "scene.svg").exists()
 
 
+class TestStringsAreNoNumbers:
+    """A JSON string is an input error (exit 1) in every loader, though
+    ``float`` and numpy read ``"12"`` as 12 and split it into ``"1"`` and
+    ``"2"`` where a sequence is due."""
+
+    @pytest.mark.parametrize("point", ["12", ["3", True]])
+    def test_retract_point(self, capsys, tmp_path, set_file, point):
+        err = input_error(capsys, ["retract", "--set", set_file(half_rate_instance()),
+                                   "--point", dump(tmp_path, "x.json", point)])
+        assert "point coordinates must be numbers" in err["error"]
+
+    def test_retract_box(self, capsys, tmp_path, set_file):
+        err = input_error(capsys, ["retract", "--set", set_file(vee_notch_instance()),
+                                   "--point", dump(tmp_path, "x.json", [0.5, 0.5]),
+                                   "--box", dump(tmp_path, "b.json", ["03", "03"])])
+        assert err == {"error": "a box must hold numbers, got '03'"}
+
+    @pytest.mark.parametrize("bound, message", [
+        ({"type": "const", "value": "-1"}, "Const value must be a number, got '-1'"),
+        ({"type": "distcone", "center": "12", "offset": -1.0, "scale": 0.5,
+          "orientation": "+"}, "point coordinates must be numbers"),
+    ])
+    def test_set_file(self, capsys, tmp_path, bound, message):
+        Q = {"n": 3, "lower": [bound, "-inf", "-inf"], "upper": ["+inf"] * 3}
+        err = input_error(capsys, ["retract", "--set", dump(tmp_path, "s.json", Q),
+                                   "--point", dump(tmp_path, "x.json", [0.5, 0.5, 0.5])])
+        assert message in err["error"]
+
+    def test_hull_metric(self, capsys, tmp_path):
+        metric = dump(tmp_path, "d.json", [["0", "1"], ["1", "0"]])
+        err = input_error(capsys, ["hull", "enumerate", "--metric", metric,
+                                   "--resolution", "0.25"])
+        assert err == {"error": "a metric must hold numbers, got '0'"}
+
+    def test_verify_metric(self, capsys, tmp_path):
+        matrix = dump(tmp_path, "d.json", [[0, "1"], [1, 0]])
+        err = input_error(capsys, ["verify", "metric", "--matrix", matrix])
+        assert err == {"error": "a metric must hold numbers, got '1'"}
+
+
 class TestSelftest:
     def test_same_seed_is_byte_identical(self, capsys):
         code = main(["selftest", "--seed", "5"])

@@ -649,8 +649,9 @@ class TestValidation:
 
 
 # ---------------------------------------------------------------------------
-# Every node holds ``dim`` and ``lip`` from construction.  The reference is the
-# walk over the whole tree that computed them on each call before.
+# Every node holds ``dim``, ``lip`` and its lowered ``form`` from construction.
+# The references are the walks over the whole tree that computed them on each
+# call before.
 
 
 def _ref_dim(f):
@@ -752,8 +753,8 @@ def test_nodes_hold_the_walkers_dimension_and_constant(f):
         assert g.depth == _ref_depth(g)
         names = FIELDS[type(g)]
         assert tuple(x.name for x in dataclasses.fields(g)) == names
-        # only nodes with children store them
-        held = ("dim", "lip", "depth") if isinstance(g, (Min, Max, Blend)) else ()
+        # every node stores its form; only nodes with children store the rest
+        held = ("dim", "lip", "depth", "form") if isinstance(g, (Min, Max, Blend)) else ("form",)
         assert tuple(vars(g)) == names + held
         assert hash(g) == hash(tuple(getattr(g, name) for name in names))
         assert repr(g) == _ref_repr(g)
@@ -764,6 +765,89 @@ def test_nodes_hold_the_walkers_dimension_and_constant(f):
                 h = dataclasses.replace(g, factor=factor)
                 assert h.lip.hex() == (factor * g.inner.lip).hex() == _ref_lip(h).hex()
                 assert h.dim == g.dim
+
+
+def _ref_lower(f):
+    """The lowering as one walk over the tree, rebuilding every form."""
+    if isinstance(f, Const):
+        return lipfun._Const(f.value)
+    if isinstance(f, Infinite):
+        return lipfun._Const(f.sign * math.inf)
+    if isinstance(f, DistCone):
+        if not f.center:
+            return lipfun._Const(f.offset)
+        if f.scale == 0.0:
+            return lipfun._Const(f.orientation * f.scale * 0.0 + f.offset)
+        return lipfun._Cones(min, f.orientation * f.scale, ((f.center, f.offset),))
+    if isinstance(f, McShane):
+        agg, slope = (min, f.scale) if f.mode == "inf" else (max, -f.scale)
+        if not f.samples[0][0] or slope == 0.0:
+            return lipfun._Node(agg, tuple(lipfun._Const(slope * 0.0 + v) for _, v in f.samples))
+        return lipfun._Cones(agg, slope, f.samples)
+    if isinstance(f, Blend):
+        inner = _ref_lower(f.inner)
+        if f.factor == 0.0:
+            if f.anchor or math.copysign(1.0, f.anchor) > 0.0:
+                return lipfun._Const(f.factor * 0.0 + f.anchor)
+            inner = lipfun._Node(max, (lipfun._Node(min, (inner, lipfun._Const(1.0))),
+                                       lipfun._Const(-1.0)))
+        return lipfun._Blend(inner, f.factor, f.anchor)
+    kids = tuple(_ref_lower(c) for c in f.children)
+    if all(isinstance(k, lipfun._Cones) and len(k.rows) == 1 for k in kids) and \
+            len({k.slope.hex() for k in kids}) == 1:
+        return lipfun._Cones(f.agg, kids[0].slope, tuple(k.rows[0] for k in kids))
+    return lipfun._Node(f.agg, kids)
+
+
+def _same_form(a, b):
+    """``a`` and ``b`` alike field by field, of the same types, with floats
+    compared by their bits."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_form, a, b))
+    return a is b or a == b
+
+
+_EDGE_NODES = [
+    DistCone((), -0.0, 0.5, -1), DistCone((), 1.5, 0.0, 1),
+    DistCone((1.0, -0.0), -0.0, 0.0, -1), DistCone((1.0,), -0.0, 0.0, 1),
+    McShane((((), -0.0), ((), 1.0)), 0.5, "inf"), McShane((((), 2.0),), 0.0, "sup"),
+    McShane((((1.0,), -0.0), ((2.0,), 1.0)), 0.0, "sup"),
+    Blend(DistCone((1.0,), 0.5, 1.0, 1), 0.0, 0.0),
+    Blend(DistCone((1.0,), 0.5, 1.0, 1), 0.0, -0.0),
+    Blend(Min(DistCone((1.0,), 0.5, 1.0, 1), Const(-0.0)), -0.0, -0.0),
+    Min(DistCone((1.0,), 0.5, 1.0, 1), DistCone((2.0,), -0.0, 1.0, 1)),
+    Max(DistCone((1.0,), 0.5, 1.0, 1), DistCone((2.0,), -0.0, 1.0, -1)),
+]
+
+
+def _check_form(g):
+    assert _same_form(g.form, _ref_lower(g))
+    if isinstance(g, Blend):
+        for factor in (0.0, -0.0, 0.25, 1.0):
+            h = dataclasses.replace(g, factor=factor)
+            assert _same_form(h.form, _ref_lower(h))
+            if isinstance(h.form, lipfun._Const):
+                continue
+            # only the blend is lowered anew, over the very inner form it holds
+            assert h.form.factor.hex() == factor.hex()
+            inner = h.form.inner if factor else h.form.inner.children[0].children[0]
+            assert inner is g.inner.form
+
+
+@given(st.integers(0, 3).flatmap(lambda dim: _deep(_leaves(dim), 3)))
+@settings(max_examples=200, deadline=None)
+def test_every_node_holds_the_walkers_form(f):
+    for g in _nodes(f):
+        _check_form(g)
+
+
+@pytest.mark.parametrize("g", [Infinite(1), Infinite(-1)] + _EDGE_NODES, ids=repr)
+def test_edge_nodes_hold_the_walkers_form(g):
+    _check_form(g)
 
 
 @given(st.lists(st.integers(0, 3).flatmap(lambda dim: _deep(_leaves(dim), 2)),

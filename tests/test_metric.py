@@ -148,8 +148,11 @@ def _outcome(f, rows):
 
 def _old_as_point(coords):
     """``as_point`` as it was first written, the reference for its faster
-    form."""
-    pt = tuple(float(c) for c in coords)
+    form, with the refusal of strings that ``float`` reads as numbers."""
+    raw = tuple(coords)
+    pt = tuple(float(c) for c in raw)
+    if any(isinstance(c, str) for c in raw):
+        raise ValueError(f"point coordinates must be numbers, got {raw!r}")
     for c in pt:
         if not math.isfinite(c):
             raise ValueError(f"point coordinates must be finite, got {c!r}")
