@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Sequence
 
@@ -626,21 +626,22 @@ def relaxation_order(span: float, tol: float) -> int:
 def shrink_set(Q: BoxLipschitzSet, k: int, l, u) -> BoxLipschitzSet:
     """Shrink every bound by ``1 - 1/k`` toward the anchors ``l`` and ``u``.
 
-    ``l`` and ``u`` are numbers, or one anchor per axis.  The upper bounds of
-    axis ``i`` contract toward ``u_i`` and its lower bounds toward ``l_i``,
-    so the result contains the original set wherever the anchors really
-    enclose the bound values, and its Lipschitz level drops to
-    ``(1-1/k) * lip_bound``.  The shrunken sets are nested over increasing
-    ``k`` and their intersection recovers the original set.
+    ``l`` and ``u`` are each one number, or a sequence of one anchor per
+    axis.  The upper bounds of axis ``i`` contract toward ``u_i`` and its
+    lower bounds toward ``l_i``, so the result contains the original set
+    wherever the anchors really enclose the bound values, and its Lipschitz
+    level drops to ``(1-1/k) * lip_bound``.  The shrunken sets are nested
+    over increasing ``k`` and their intersection recovers the original set.
+    Each new bound is a blend over ``Q``'s own, whose lowered form it shares.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if not Q.all_finite:
         raise UnsupportedSetError("shrinking needs all bounds finite")
-    lows, ups = (np.broadcast_to(np.asarray(a, dtype=float), Q.n).tolist() for a in (l, u))
-    for a, b in zip(lows, ups):
-        if a > b:
-            raise ValueError(f"anchors cross: l={a!r} > u={b!r}")
+    lows, ups = ([float(a)] * Q.n if np.isscalar(a) else [float(c) for c in a] for a in (l, u))
+    if len(lows) != Q.n or len(ups) != Q.n or any(a > b for a, b in zip(lows, ups)):
+        raise ValueError(f"anchors must be one number or {Q.n} per side, with l <= u: "
+                         f"got l={l!r}, u={u!r}")
     lam_k = 1.0 - 1.0 / k
     lower = [shrink(b, lam_k, a) for b, a in zip(Q.lower, lows)]
     upper = [shrink(b, lam_k, a) for b, a in zip(Q.upper, ups)]
@@ -681,23 +682,20 @@ def _auto_box(Q, X):
 
 
 def _level_one(Q, X, tol, box=None, witness=None):
-    """The relaxation rule of every level-1 retraction of the starts ``X``.
+    """The relaxation family of every level-1 retraction of the starts ``X``.
 
     With all bounds finite, shrink toward the enclosures ``[l, u]`` over
     ``box`` (default: :func:`_auto_box` of ``X``).  Otherwise truncate to the
     ball of radius ``r = 2 max ||x - w|| + 1`` around the member ``witness``,
     which keeps every member the iteration could be asked to fix, and shrink
     the truncation toward the anchors ``w_i - r`` and ``w_i + r`` of each
-    axis.  The relaxed set keeps ``Q``'s coordinates, so the starts go in
-    as they are and members come back bit for bit.  Either way
-    ``k = relaxation_order(span, tol)``, ``span`` the largest ``u_i - l_i``
-    (``2 r`` when the anchors are exact).  Returns ``(target, engine_tol,
-    max_sweeps, report)``: the relaxed set ``shrink_set(base, k, l, u)``, of
-    level below 1; the tolerance ``tol / 4`` and budget ``50 k + 1000`` of
-    the last cyclic run on it; and the ``strategy`` with ``k`` and the
-    ``enclosure`` or ``radius``.  The sets of smaller order on the way to
-    ``target`` are built from it by :func:`_stage`, only when
-    :func:`retract` needs them.
+    axis.  The relaxed sets keep ``Q``'s coordinates, so the starts go in
+    as they are and members come back bit for bit.  Returns ``(base, l, u,
+    report)``: ``Q`` or its truncation, the anchors, and the ``strategy``
+    with ``k = relaxation_order(span, tol)`` and the ``enclosure`` or
+    ``radius``, ``span`` the largest ``u_i - l_i`` (``2 r`` when the anchors
+    are exact).  The relaxed set of order ``j`` is ``shrink_set(base, j, l,
+    u)``, of level below 1; :func:`retract` builds those it runs on.
     """
     X = _rows(Q, X)
     if Q.all_finite:
@@ -716,8 +714,8 @@ def _level_one(Q, X, tol, box=None, witness=None):
         l, u = [c - r for c in w], [c + r for c in w]
         base, report = truncated_set(Q, w, r), {"strategy": "truncate", "radius": r}
     with np.errstate(over="ignore"):    # relaxation_order refuses an inf span
-        k = report["k"] = relaxation_order(float(np.max(np.subtract(u, l))), tol)
-    return shrink_set(base, k, l, u), tol / 4, _sweep_budget(k), report
+        report["k"] = relaxation_order(float(np.max(np.subtract(u, l))), tol)
+    return base, l, u, report
 
 
 def _sweep_budget(k):
@@ -732,16 +730,6 @@ def _stage_orders(k):
     while orders[-1] // _STAGE_RATIO >= _STAGE_FLOOR:
         orders.append(orders[-1] // _STAGE_RATIO)
     return orders[::-1]
-
-
-def _stage(target, k):
-    """The relaxed set of order ``k`` of the family :func:`_level_one`'s
-    ``target`` belongs to: every bound of ``target`` is a blend, and its
-    factor becomes ``1 - 1/k``.  This is ``shrink_set(base, k, l, u)`` for
-    the ``base`` and anchors ``target`` was shrunk from."""
-    lam = 1.0 - 1.0 / k
-    return BoxLipschitzSet(*([replace(b, factor=lam) for b in side]
-                             for side in (target.lower, target.upper)))
 
 
 def _joined(a, b):
@@ -762,14 +750,16 @@ def retract(Q: BoxLipschitzSet, X, tol: float, box=None, witness=None, *, many: 
     ``many``, :func:`cyclic_retract_many`) run with the budget ``max_sweeps
     or 100_000``, and ``report`` is ``{"strategy": "cyclic"}``.
 
-    At level 1 it walks the relaxed sets ``Q_k`` of :func:`_level_one`,
-    nested, decreasing in ``k``.  A first run at the final order ``k`` gets
-    ``_FIRST_SWEEPS`` sweeps; when it converges, that is the whole run, the
-    one-run result bit for bit.  Otherwise the points it reached go through
-    the stages ``k // 10**j, ..., k // 10`` of :func:`_stage_orders`, each a
-    cyclic run warm-started from the last, and then a last run at ``k`` with
-    :func:`_level_one`'s threshold and budget, whose exhaustion raises.  An
-    intermediate stage that runs out of its own budget hands its points on.
+    At level 1 it walks the relaxed sets ``shrink_set(base, j, l, u)`` of
+    the family :func:`_level_one` defines, nested, decreasing in ``j``, each
+    run to the engine tolerance ``tol / 4``.  A first run at the final order
+    ``k`` gets ``_FIRST_SWEEPS`` sweeps; when it converges, that is the whole
+    run, the one-run result bit for bit.  Otherwise the points it reached go
+    through the stages ``k // 10**j, ..., k // 10`` of :func:`_stage_orders`,
+    each a cyclic run warm-started from the last, and then a last run at
+    ``k``, whose exhaustion raises.  A run at order ``j`` gets
+    ``_sweep_budget(j)`` sweeps; an intermediate stage that runs out of them
+    hands its points on.
     Each run is a composition of single-coordinate projections onto a
     relaxation that contains ``Q`` inside the working box, so the whole run
     is too: 1-Lipschitz, on one schedule for the whole batch, and fixing
@@ -790,8 +780,7 @@ def retract(Q: BoxLipschitzSet, X, tol: float, box=None, witness=None, *, many: 
         return points, trace, {"strategy": "cyclic"}
     if many and max_sweeps:
         raise ValueError("max_sweeps caps a single point's run at level 1, not a batch's")
-    starts = X if many else [as_point(X)]
-    target, engine_tol, budget, report = _level_one(Q, starts, tol, box, witness)
+    base, l, u, report = _level_one(Q, X if many else [as_point(X)], tol, box, witness)
     left = max_sweeps or None
     capped = f"no convergence within {max_sweeps} sweeps over all stages"
     trace = None
@@ -804,7 +793,7 @@ def retract(Q: BoxLipschitzSet, X, tol: float, box=None, witness=None, *, many: 
             raise MaxSweepsExceededError(capped)
         b = own if left is None else min(own, left)
         try:
-            points, t = engine(T, start, engine_tol, b)
+            points, t = engine(T, start, tol / 4, b)
             done = True
         except MaxSweepsExceededError as exc:
             if b < own:
@@ -817,11 +806,12 @@ def retract(Q: BoxLipschitzSet, X, tol: float, box=None, witness=None, *, many: 
             left -= t.steps // Q.n
         return points, done
 
+    target = shrink_set(base, report["k"], l, u)
     points, done = run(target, X, _FIRST_SWEEPS)
     if not done:
-        for k in _stage_orders(report["k"])[:-1]:
-            points, _ = run(_stage(target, k), points, _sweep_budget(k))
-        points, _ = run(target, points, budget, last=True)
+        for j in _stage_orders(report["k"])[:-1]:
+            points, _ = run(shrink_set(base, j, l, u), points, _sweep_budget(j))
+        points, _ = run(target, points, _sweep_budget(report["k"]), last=True)
     return points, trace, report
 
 

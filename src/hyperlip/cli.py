@@ -26,8 +26,8 @@ import numpy as np
 
 from . import boxset, hull, instances, svgplot
 # ``enclosure_bounds``, ``relaxation_order``, ``shrink_set`` and
-# ``truncated_set`` are no longer called here (``boxset._level_one`` is the
-# relaxation rule), but bench/tracing.py patches these bindings.
+# ``truncated_set`` are no longer called here (``boxset.retract`` relaxes a
+# level-1 set), but bench/tracing.py patches these bindings.
 from .boxset import (
     BoxLipschitzSet,
     DivergenceDetectedError,
@@ -102,10 +102,19 @@ def _read(path) -> str:
 
 
 def _decode(text, path):
+    """The value of the JSON ``text``.  No input format holds a boolean, and
+    ``float`` reads ``true`` as 1.0, so a boolean anywhere is refused."""
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    items = [obj] if "true" in text or "false" in text else []
+    while items:
+        x = items.pop()
+        if isinstance(x, bool):
+            raise ValueError(f"{path} holds the boolean {json.dumps(x)}, which no input takes")
+        items.extend(x.values() if isinstance(x, dict) else x if isinstance(x, list) else ())
+    return obj
 
 
 def _load_json(path):
@@ -308,9 +317,9 @@ def _load_cone(obj) -> ConeDescriptor:
     """One cone of ``plot --cones``: an ``apex``, a JSON integer ``axis`` and
     a ``sign`` of ``"+"``, ``"-"``, 1 or -1."""
     apex, axis, sign = as_point(obj["apex"]), obj["axis"], obj["sign"]
-    if not isinstance(axis, int) or isinstance(axis, bool):
+    if not isinstance(axis, int):
         raise ValueError(f"cone axis must be an integer, got {axis!r}")
-    if not isinstance(sign, (str, int)) or isinstance(sign, bool) or sign not in _CONE_SIGNS:
+    if not isinstance(sign, (str, int)) or sign not in _CONE_SIGNS:
         raise ValueError(f"cone sign must be \"+\", \"-\", 1 or -1, got {sign!r}")
     return ConeDescriptor(apex, axis, _CONE_SIGNS[sign])
 

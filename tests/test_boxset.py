@@ -639,6 +639,28 @@ class TestShrinkFamily:
             assert violation(Q, point) <= 1e-2
 
 
+    def test_anchors_are_one_number_or_one_per_axis(self):
+        Q = vee_notch_instance()
+        l, u = enclosure_bounds(Q, [(-4.0, 4.0)] * 2)
+        assert shrink_set(Q, 7, l, u) == shrink_set(Q, 7, [l, l], (u, u)) == \
+            shrink_set(Q, 7, np.float64(l), np.array([u, u]))
+        for lo, up in ((l, [u]), ([l, l, l], u), ([l, l], [u, l - 1.0]), (u + 1.0, u)):
+            with pytest.raises(ValueError, match="anchors must be one number or 2 per side"):
+                shrink_set(Q, 7, lo, up)
+
+    @pytest.mark.parametrize("j", [2, 37, 40002])
+    def test_a_relaxed_set_blends_the_base_bounds(self, j):
+        """Every bound of ``shrink_set(base, j, l, u)`` is a blend over the
+        base's own bound and its lowered form: nothing is lowered again."""
+        Q, w = diagonal_halfspace_instance(), (2.0, 0.5)
+        for base, l, u in ((vee_notch_instance(), -2.5, 4.5),
+                           (truncated_set(Q, w, 8.0), [-6.0, -7.5], [10.0, 8.5])):
+            R = shrink_set(base, j, l, u)
+            for b, c in zip(R.lower + R.upper, base.lower + base.upper):
+                assert type(b) is Blend and b.factor == 1.0 - 1.0 / j
+                assert b.inner is c and b.form.inner is c.form
+
+
 class TestLevelOneBounded:
     def test_vee_notch_tip(self):
         Q = vee_notch_instance()
@@ -715,12 +737,11 @@ class TestLevelOneRule:
     def test_shrink_over_a_given_box(self):
         Q = vee_notch_instance()
         box = [(-4.0, 4.0), (-4.0, 4.0)]
-        target, engine_tol, budget, report = boxset._level_one(Q, [(0.0, -3.0)], 1e-2, box)
+        base, lo, up, report = boxset._level_one(Q, [(0.0, -3.0)], 1e-2, box)
         l, u = enclosure_bounds(Q, box)
         k = relaxation_order(u - l, 1e-2)
         assert report == {"strategy": "shrink", "enclosure": [l, u], "k": k}
-        assert (engine_tol, budget) == (1e-2 / 4, 50 * k + 1000)
-        assert target == shrink_set(Q, k, l, u) == shrink_set(Q, k, [l, l], [u, u])
+        assert base is Q and (lo, up) == (l, u)
 
     def test_default_box_covers_every_row(self):
         Q = vee_notch_instance()
@@ -734,12 +755,12 @@ class TestLevelOneRule:
         Q = diagonal_halfspace_instance()
         X = [(0.0, 4.0), (3.0, -2.0)]
         w = (2.0, 0.5)
-        target, engine_tol, budget, report = boxset._level_one(Q, X, 1e-2, witness=w)
+        base, l, u, report = boxset._level_one(Q, X, 1e-2, witness=w)
         # r = 2 * 3.5 + 1; each axis is anchored at w_i -/+ r
         k = relaxation_order(16.0, 1e-2)
         assert report == {"strategy": "truncate", "radius": 8.0, "k": k}
-        assert (engine_tol, budget) == (1e-2 / 4, 50 * k + 1000)
-        assert target == shrink_set(truncated_set(Q, w, 8.0), k, [-6.0, -7.5], [10.0, 8.5])
+        assert base == truncated_set(Q, w, 8.0)
+        assert (l, u) == ([-6.0, -7.5], [10.0, 8.5])
 
     def test_one_missing_witness_error(self):
         Q = diagonal_halfspace_instance()
@@ -771,11 +792,18 @@ def _level_one_cases():
     }
 
 
-def _stages_run(monkeypatch):
-    """Spy on ``boxset._stage``: the list of orders it builds sets for."""
+def _target(Q, X, tol, box=None, witness=None):
+    """The relaxed set of the final order of a level-1 retraction, and ``k``."""
+    base, l, u, report = boxset._level_one(Q, X, tol, box, witness)
+    return shrink_set(base, report["k"], l, u), report["k"]
+
+
+def _shrinks_run(monkeypatch):
+    """Spy on ``boxset.shrink_set``: the orders of the relaxed sets built."""
     orders = []
-    stage = boxset._stage
-    monkeypatch.setattr(boxset, "_stage", lambda target, k: orders.append(k) or stage(target, k))
+    shrink = boxset.shrink_set
+    monkeypatch.setattr(boxset, "shrink_set",
+                        lambda base, k, l, u: orders.append(k) or shrink(base, k, l, u))
     return orders
 
 
@@ -788,35 +816,39 @@ class TestStagedLevelOne:
         assert boxset._stage_orders(99) == [99]
         assert boxset._stage_orders(1) == [1]
 
-    def test_a_stage_is_the_shrink_of_its_order(self):
-        Q = vee_notch_instance()
-        box = [(-4.0, 4.0)] * 2
-        target, *_ = boxset._level_one(Q, [(0.0, -3.0)], 1e-3, box)
-        l, u = enclosure_bounds(Q, box)
-        assert boxset._stage(target, 37) == shrink_set(Q, 37, l, u)
-        H, w = diagonal_halfspace_instance(), (2.0, 0.5)
-        target, *_ = boxset._level_one(H, [(0.0, 4.0), (3.0, -2.0)], 1e-2, witness=w)
-        assert boxset._stage(target, 37) == shrink_set(truncated_set(H, w, 8.0), 37,
-                                                       [-6.0, -7.5], [10.0, 8.5])
+    def test_every_run_iterates_on_a_shrink(self, monkeypatch):
+        """The sets the engine runs on are the ones ``shrink_set`` built:
+        the target, each stage in turn, and the target again."""
+        built, ran = [], []
+        shrink, engine = boxset.shrink_set, boxset.cyclic_retract_many
+        monkeypatch.setattr(boxset, "shrink_set",
+                            lambda *args: built.append(shrink(*args)) or built[-1])
+        monkeypatch.setattr(boxset, "cyclic_retract_many",
+                            lambda T, *args, **kw: ran.append(T) or engine(T, *args, **kw))
+        Q, X, tol, box, _ = _level_one_cases()["origin cycle"]
+        boxset.retract(Q, X, tol, box, many=True)
+        assert len(built) >= 3 and list(map(id, ran)) == list(map(id, built + built[:1]))
+        levels = [R.lip_bound for R in built]
+        assert levels[1:] == sorted(levels[1:]) and max(levels[1:]) < levels[0] < 1.0
 
     @pytest.mark.parametrize("name", ["vee notch", "diagonal half-plane", "McShane lam=1"])
     def test_a_first_run_that_converges_is_the_one_run_result(self, name, monkeypatch):
         Q, X, tol, box, witness = _level_one_cases()[name]
-        orders = _stages_run(monkeypatch)
+        orders = _shrinks_run(monkeypatch)
         out, traces, report = boxset.retract(Q, X, tol, box, witness, many=True, record=True)
-        assert orders == []
-        target, engine_tol, budget, _ = boxset._level_one(Q, X, tol, box, witness)
-        want, want_traces = cyclic_retract_many(target, X, engine_tol, budget, record=True)
+        assert orders == [report["k"]]
+        target, k = _target(Q, X, tol, box, witness)
+        want, want_traces = cyclic_retract_many(target, X, tol / 4, 50 * k + 1000, record=True)
         assert out.tobytes() == want.tobytes()
         assert np.array([t.displacements for t in traces]).tobytes() == \
             np.array([t.displacements for t in want_traces]).tobytes()
 
     def test_the_origin_cycle_goes_through_the_stages(self, monkeypatch):
         Q, X, tol, box, _ = _level_one_cases()["origin cycle"]
-        orders = _stages_run(monkeypatch)
+        orders = _shrinks_run(monkeypatch)
         out, traces, report = boxset.retract(Q, X, tol, box, many=True, record=True)
         k = report["k"]
-        assert orders == boxset._stage_orders(k)[:-1] and len(orders) >= 2
+        assert orders == [k] + boxset._stage_orders(k)[:-1] and len(orders) >= 3
         # far fewer sweeps than the one run at k, which takes ~0.11 k
         sweeps = len(traces[0].displacements) // Q.n
         assert boxset._FIRST_SWEEPS < sweeps < 200 < k // 100
@@ -867,7 +899,7 @@ class TestStagedLevelOne:
     @pytest.mark.parametrize("strategy", ["cyclic", "origin cycle", "vee notch",
                                           "diagonal half-plane", "McShane lam=1"])
     def test_pairwise_sup_distances_do_not_grow(self, strategy, monkeypatch):
-        orders = _stages_run(monkeypatch)
+        orders = _shrinks_run(monkeypatch)
         if strategy == "cyclic":
             rng = np.random.default_rng(1617)
             Q = random_mcshane_instance(3, 0.9, rng, samples=8)
@@ -876,7 +908,7 @@ class TestStagedLevelOne:
         else:
             Q, X, tol, box, witness = _level_one_cases()[strategy]
             out = boxset.retract(Q, X, tol, box, witness, many=True)[0]
-            assert bool(orders) == (strategy == "origin cycle")
+            assert (len(orders) > 1) == (strategy == "origin cycle")
         assert (sup_dists(out, out) <= sup_dists(X, X)).all()
 
     def test_the_sweep_cap_counts_every_run(self):
@@ -908,12 +940,39 @@ class TestStagedLevelOne:
         assert report == {"strategy": "cyclic"} and out.tobytes() == want.tobytes()
 
 
+class TestStagedWalkBytes:
+    """sha256 of the points and displacements of two level-1 walks that go
+    through the stages: a batch with records, and one point."""
+
+    def test_origin_cycle_batch(self, monkeypatch):
+        orders = _shrinks_run(monkeypatch)
+        Q, X, tol, box, _ = _level_one_cases()["origin cycle"]
+        out, traces, _ = boxset.retract(Q, X, tol, box, many=True, record=True)
+        assert len(orders) > 1
+        digest = hashlib.sha256(out.tobytes())
+        digest.update(np.array([t.displacements for t in traces]).tobytes())
+        assert digest.hexdigest() == \
+            "411cc72c1d494874c9cc457f3020fa405ac342328f8521c512c6e712fb6953e9"
+
+    def test_mcshane_point(self, monkeypatch):
+        orders = _shrinks_run(monkeypatch)
+        Q = random_mcshane_instance(3, 1.0, np.random.default_rng(21), samples=8)
+        x = (-0.9407723888321202, -2.9295397312213334, 3.1190437764806624)
+        point, trace, report = boxset.retract(Q, x, 1e-6, many=False)
+        assert orders == [report["k"]] + boxset._stage_orders(report["k"])[:-1]
+        assert len(orders) > 1 and trace.steps == 300
+        digest = hashlib.sha256(np.array(point).tobytes())
+        digest.update(np.array(trace.displacements).tobytes())
+        assert digest.hexdigest() == \
+            "db36d658e0ac53493a01da4b91f68d22a754bc67b23c13839a0c2cbc0fd785db"
+
+
 class TestExhaustedState:
     """``MaxSweepsExceededError.state`` is the result after the last sweep."""
 
     def test_scalar(self):
         Q, x = origin_cycle_instance(), (0.0, 1.0)
-        target, *_ = boxset._level_one(Q, [x], 1e-3)
+        target, _ = _target(Q, [x], 1e-3)
         with pytest.raises(MaxSweepsExceededError) as err:
             cyclic_retract(target, x, 1e-3, max_sweeps=3)
         point, trace = err.value.state
@@ -925,7 +984,7 @@ class TestExhaustedState:
     def test_batch(self, record):
         Q = origin_cycle_instance()
         X = np.array([[0.0, 1.0], [0.0, 0.0], [2.0, -1.5]])
-        target, *_ = boxset._level_one(Q, X, 1e-3)
+        target, _ = _target(Q, X, 1e-3)
         with pytest.raises(MaxSweepsExceededError) as err:
             cyclic_retract_many(target, X, 1e-3, max_sweeps=3, record=record)
         out, traces = err.value.state

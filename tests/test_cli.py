@@ -707,7 +707,9 @@ class TestPlot:
             "plot", "--box", dump(tmp_path, "b.json", [[-3.0, 3.0], [-3.0, 3.0]]),
             "--cones", str(cones), "--resolution", "0.5",
             "--out", str(tmp_path / "scene.svg")])
-        assert err["error"].startswith(f"cone {field} must be")
+        # a boolean is refused on reading the file, before any cone is read
+        want = f"{cones} holds the boolean" if axis == "true" else f"cone {field} must be"
+        assert err["error"].startswith(want)
         assert not (tmp_path / "scene.svg").exists()
 
     def test_cone_signs(self, capsys, tmp_path):
@@ -774,7 +776,7 @@ class TestStringsAreNoNumbers:
     ``float`` and numpy read ``"12"`` as 12 and split it into ``"1"`` and
     ``"2"`` where a sequence is due."""
 
-    @pytest.mark.parametrize("point", ["12", ["3", True]])
+    @pytest.mark.parametrize("point", ["12", ["3", 1]])
     def test_retract_point(self, capsys, tmp_path, set_file, point):
         err = input_error(capsys, ["retract", "--set", set_file(half_rate_instance()),
                                    "--point", dump(tmp_path, "x.json", point)])
@@ -807,6 +809,51 @@ class TestStringsAreNoNumbers:
         matrix = dump(tmp_path, "d.json", [[0, "1"], [1, 0]])
         err = input_error(capsys, ["verify", "metric", "--matrix", matrix])
         assert err == {"error": "a metric must hold numbers, got '1'"}
+
+
+class TestBooleansAreNoNumbers:
+    """A JSON ``true`` or ``false`` is an input error (exit 1) in every
+    loader, though ``float`` reads it as 1.0 or 0.0: no input format holds
+    a boolean."""
+
+    def _refused(self, capsys, argv, name, value="true"):
+        err = input_error(capsys, argv)
+        assert err == {"error": f"{name} holds the boolean {value}, which no input takes"}
+
+    def test_retract_point(self, capsys, tmp_path, set_file):
+        point = dump(tmp_path, "x.json", [3, True])
+        self._refused(capsys, ["retract", "--set", set_file(half_rate_instance()),
+                               "--point", point], point)
+
+    def test_set_file(self, capsys, tmp_path):
+        Q = {"n": 2, "lower": [{"type": "const", "value": True}, "-inf"],
+             "upper": ["+inf", "+inf"]}
+        path = dump(tmp_path, "s.json", Q)
+        self._refused(capsys, ["retract", "--set", path,
+                               "--point", dump(tmp_path, "x.json", [0.0, 0.0])], path)
+
+    def test_extend_map(self, capsys, tmp_path):
+        space = dump(tmp_path, "d.json", [[0, 1], [1, 0]])
+        phi = dump(tmp_path, "map.json", [[0.5, True]])
+        self._refused(capsys, ["extend", "--space", space, "--subset", "0", "--map", phi,
+                               "--set", dump(tmp_path, "s.json", set_to_obj(
+                                   box_instance([(0.0, 1.0), (0.0, 1.0)])))], phi)
+
+    def test_hull_metric(self, capsys, tmp_path):
+        metric = dump(tmp_path, "d.json", [[False, 1], [1, False]])
+        self._refused(capsys, ["hull", "enumerate", "--metric", metric,
+                               "--resolution", "0.5"], metric, "false")
+
+    def test_retract_box(self, capsys, tmp_path, set_file):
+        box = dump(tmp_path, "b.json", [[-4, True], [-4, 4]])
+        self._refused(capsys, ["retract", "--set", set_file(vee_notch_instance()),
+                               "--point", dump(tmp_path, "x.json", [0.5, 0.5]),
+                               "--box", box], box)
+
+    def test_reconstruct_samples(self, capsys, tmp_path):
+        inside = dump(tmp_path, "in.json", [[0, 0], [0, True]])
+        self._refused(capsys, ["reconstruct", "--inside", inside,
+                               "--outside", dump(tmp_path, "out.json", [[2, 2]])], inside)
 
 
 class TestSelftest:
