@@ -63,8 +63,11 @@ from .lipfun import (
     Max,
     Min,
     _compile,
+    _MAX_DEPTH,
+    _blend_pair,
     _compile_grid_pair,
     _compile_pair,
+    _pair,
     bounds_of,
     eval_grid,
     expr_from_obj,
@@ -148,12 +151,21 @@ class BoxLipschitzSet:
     :func:`violation` at a point where they cross raises
     :class:`InconsistentBoundsError`.
 
-    The set holds its compiled bounds: :attr:`_pairs` has one scalar
-    evaluator per axis, which returns ``(lower_i, upper_i)`` at a hat point,
-    built on first use and kept for the set's lifetime.  A missing bound
-    evaluates to ``-inf`` (lower) or ``+inf`` (upper).  The batch
-    evaluators (:func:`_grid_pairs`) are built per call.
+    The evaluators read the set's lowered bounds, :attr:`_axes`, one
+    ``lipfun._Pair`` of ``(lower_i.form, upper_i.form)`` per axis.
+    :attr:`_pairs` has one scalar evaluator per axis, which returns
+    ``(lower_i, upper_i)`` at a hat point.  Both are built on first use and
+    kept for the set's lifetime.  A missing bound evaluates to ``-inf``
+    (lower) or ``+inf`` (upper).  The batch evaluators (:func:`_grid_pairs`)
+    are built per call.
+
+    A set that :func:`shrink_set` made holds its base set, the blend factor
+    and the anchors instead of bounds: its lowered pairs are its base's with
+    one more blend per side, and it builds its ``Blend`` bounds only when
+    ``lower``, ``upper`` or ``==`` asks for them.
     """
+
+    _shrink = None      # (base, factor, lower anchors, upper anchors)
 
     def __init__(self, lower: Sequence[LipExpr], upper: Sequence[LipExpr]):
         lower = tuple(lower)
@@ -161,7 +173,7 @@ class BoxLipschitzSet:
         if not lower or len(lower) != len(upper):
             raise ValueError("need one lower and one upper bound per axis")
         n = len(lower)
-        lam = 0.0
+        lam, depth, finite = 0.0, 1, True
         for side, sign, bounds in (("lower", -1, lower), ("upper", 1, upper)):
             for i, b in enumerate(bounds):
                 if not isinstance(b, LipExpr):
@@ -169,26 +181,45 @@ class BoxLipschitzSet:
                 if isinstance(b, Infinite):
                     if b.sign != sign:
                         raise ValueError(f"{side} bound {i} has the wrong infinity sign")
+                    finite = False
                     continue
                 if b.dim is not None and b.dim != n - 1:
                     raise ValueError(
                         f"{side} bound {i} works in dimension {b.dim}, expected {n - 1}")
-                lam = max(lam, b.lip)
-        self._lower = lower
-        self._upper = upper
-        self._lam = lam
+                lam, depth = max(lam, b.lip), max(depth, b.depth)
+        self._lower, self._upper = lower, upper
+        self._n, self._lam, self._depth, self._finite = n, lam, depth, finite
+
+    @classmethod
+    def _shrunk(cls, base, factor, lows, ups):
+        """The set of ``Blend(b, factor, a)`` over the bounds ``b`` of
+        ``base``, which are all finite, toward its anchors ``a``: the
+        blends' checks are the caller's, and they are built on first read."""
+        Q = cls.__new__(cls)
+        Q._lower = Q._upper = None
+        # a blend's level is factor * lip, and rounding keeps the order of a max
+        Q._n, Q._lam, Q._depth, Q._finite = base._n, factor * base._lam, base._depth + 1, True
+        Q._shrink = base, factor, lows, ups
+        return Q
+
+    def _bounds(self):
+        if self._lower is None:
+            base, factor, lows, ups = self._shrink
+            self._lower = tuple(shrink(b, factor, a) for b, a in zip(base.lower, lows))
+            self._upper = tuple(shrink(b, factor, a) for b, a in zip(base.upper, ups))
+        return self._lower, self._upper
 
     @property
     def n(self) -> int:
-        return len(self._lower)
+        return self._n
 
     @property
     def lower(self) -> tuple:
-        return self._lower
+        return self._bounds()[0]
 
     @property
     def upper(self) -> tuple:
-        return self._upper
+        return self._bounds()[1]
 
     @property
     def lip_bound(self) -> float:
@@ -196,17 +227,24 @@ class BoxLipschitzSet:
         return self._lam
 
     @cached_property
+    def _axes(self) -> tuple:
+        """Per axis, its lowered bounds as one unit (``lipfun._Pair``)."""
+        if self._shrink is None:
+            return tuple(_pair(lo.form, up.form) for lo, up in zip(self._lower, self._upper))
+        base, factor, lows, ups = self._shrink
+        return tuple(_blend_pair(p, factor, a, b) for p, a, b in zip(base._axes, lows, ups))
+
+    @cached_property
     def _pairs(self) -> tuple:
         """Per axis, ``y -> (lower_i(y), upper_i(y))`` at a hat point ``y``."""
-        return tuple(_compile_pair(lo, up) for lo, up in zip(self._lower, self._upper))
+        return tuple(_compile_pair(p) for p in self._axes)
 
     @property
     def all_finite(self) -> bool:
-        return not any(isinstance(b, Infinite) for b in self._lower + self._upper)
+        return self._finite
 
     def __eq__(self, other):
-        return (isinstance(other, BoxLipschitzSet)
-                and self._lower == other._lower and self._upper == other._upper)
+        return isinstance(other, BoxLipschitzSet) and self._bounds() == other._bounds()
 
     def __repr__(self):
         return f"BoxLipschitzSet(n={self.n}, lip_bound={self._lam:g})"
@@ -309,14 +347,14 @@ def detect_noncontraction(trace: IterationTrace) -> str:
 def _grid_pairs(Q) -> list:
     """Per axis ``i``, ``XT -> (lower values, upper values)`` at the hat
     points of the whole points held as the columns of ``XT``: the bounds
-    read every row of ``XT`` but ``i``.  Built per call rather than kept on
-    the set like :attr:`BoxLipschitzSet._pairs`: kept, the small row arrays
-    of every set a batch workload touches stay allocated between the
-    engine's large temporaries, which raised the benchmark's peak RSS by
-    ~1 MB."""
+    read every row of ``XT`` but ``i``.  Built per call from the set's
+    lowered pairs rather than kept on the set like
+    :attr:`BoxLipschitzSet._pairs`: kept, the small row arrays of every set
+    a batch workload touches stay allocated between the engine's large
+    temporaries, which raised the benchmark's peak RSS by ~1 MB."""
     n = Q.n
-    return [_compile_grid_pair(lo, up, np.array([j for j in range(n) if j != i], dtype=np.intp))
-            for i, (lo, up) in enumerate(zip(Q.lower, Q.upper))]
+    return [_compile_grid_pair(p, np.array([j for j in range(n) if j != i], dtype=np.intp))
+            for i, p in enumerate(Q._axes)]
 
 
 def _crossed(i, point, lo, up) -> InconsistentBoundsError:
@@ -633,6 +671,13 @@ def shrink_set(Q: BoxLipschitzSet, k: int, l, u) -> BoxLipschitzSet:
     level drops to ``(1-1/k) * lip_bound``.  The shrunken sets are nested
     over increasing ``k`` and their intersection recovers the original set.
     Each new bound is a blend over ``Q``'s own, whose lowered form it shares.
+
+    The result evaluates from ``Q``'s lowered pairs, each with one more
+    blend per side, and builds its ``Blend`` bounds only when they are read
+    (:class:`BoxLipschitzSet`).  Everything a blend would refuse (a factor
+    outside [0, 1], an infinite or NaN anchor, a bound at the depth limit)
+    is checked first, and refused by building the blends, with their
+    message.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -642,10 +687,12 @@ def shrink_set(Q: BoxLipschitzSet, k: int, l, u) -> BoxLipschitzSet:
     if len(lows) != Q.n or len(ups) != Q.n or any(a > b for a, b in zip(lows, ups)):
         raise ValueError(f"anchors must be one number or {Q.n} per side, with l <= u: "
                          f"got l={l!r}, u={u!r}")
-    lam_k = 1.0 - 1.0 / k
-    lower = [shrink(b, lam_k, a) for b, a in zip(Q.lower, lows)]
-    upper = [shrink(b, lam_k, a) for b, a in zip(Q.upper, ups)]
-    return BoxLipschitzSet(lower, upper)
+    lam_k = float(1.0 - 1.0 / k)
+    if 0.0 <= lam_k <= 1.0 and all(map(math.isfinite, lows + ups)) and Q._depth < _MAX_DEPTH:
+        return BoxLipschitzSet._shrunk(Q, lam_k, lows, ups)
+    # a blend refuses the factor, an anchor or the depth: it says which
+    return BoxLipschitzSet([shrink(b, lam_k, a) for b, a in zip(Q.lower, lows)],
+                           [shrink(b, lam_k, a) for b, a in zip(Q.upper, ups)])
 
 
 def truncated_set(Q: BoxLipschitzSet, witness, r: float) -> BoxLipschitzSet:

@@ -10,6 +10,11 @@ witnesses), 2 mathematical contract failures
 
 The selftest subcommand runs a fixed battery of seeded computations and
 prints a report that is byte-identical across runs with the same seed.
+
+An argv whose first word names a subcommand is parsed by that subcommand's
+parser alone; the top-level parser, which would hand it all the same words,
+parses only an argv that names none (help, no arguments, an unknown
+command).  Exit codes, stdout and stderr are those of the top-level parse.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .boxset import (
     violation,
 )
 from .extension import NotLipschitzError, extend_into_Q, kuratowski_embed
-from .lipfun import expr_from_obj, verify_lipschitz_on_grid
+from .lipfun import _boolean_in, expr_from_obj, verify_lipschitz_on_grid
 from .metric import (
     ConeDescriptor,
     FiniteMetricSpace,
@@ -67,7 +72,11 @@ __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage problems reported as input errors (exit 1)."""
+    """argparse with usage problems reported as input errors (exit 1).  The
+    top-level parser holds its subcommands' parsers by name in
+    ``commands``."""
+
+    commands = None
 
     def error(self, message):
         _err({"error": message})
@@ -108,12 +117,9 @@ def _decode(text, path):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
-    items = [obj] if "true" in text or "false" in text else []
-    while items:
-        x = items.pop()
-        if isinstance(x, bool):
-            raise ValueError(f"{path} holds the boolean {json.dumps(x)}, which no input takes")
-        items.extend(x.values() if isinstance(x, dict) else x if isinstance(x, list) else ())
+    b = _boolean_in(obj) if "true" in text or "false" in text else None
+    if b is not None:
+        raise ValueError(f"{path} holds the boolean {json.dumps(b)}, which no input takes")
     return obj
 
 
@@ -181,7 +187,14 @@ def _load_matrix(path) -> FiniteMetricSpace:
 
 
 def _load_box(path):
-    return [(float(a), float(b)) for a, b in _numbers(_load_json(path), "a box")]
+    """A box file: one ``[lo, hi]`` side per axis."""
+    box = _numbers(_load_json(path), "a box")
+    if not isinstance(box, list):
+        raise ValueError(f"a box must be a list of [lo, hi] sides, got {json.dumps(box)}")
+    for i, side in enumerate(box):
+        if not isinstance(side, list) or len(side) != 2:
+            raise ValueError(f"box side {i} must be a [lo, hi] pair, got {json.dumps(side)}")
+    return [(float(a), float(b)) for a, b in box]
 
 
 def _stretch(points, X: FiniteMetricSpace) -> float:
@@ -449,6 +462,7 @@ def _build_parser() -> _Parser:
                      description="Lipschitz-bounded sets in the sup norm: "
                                  "retraction, extension, hulls, reconstruction")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("retract", help="retract a point onto a set")
     p.add_argument("--set", required=True)
@@ -509,9 +523,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
+    # the top-level parser hands every word after a subcommand's name to that
+    # subcommand's parser, so a request that starts with one goes there
+    # directly; the top-level parser answers only an argv that names none
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -47,16 +47,20 @@ min/max over more than 8 values does not choose between ``0.0`` and ``-0.0``
 by position.
 
 A set's axis reads its two bounds at the same hat point, so the pair
-``(lower_i, upper_i)`` lowers as one unit (:func:`_compile_pair`,
-:func:`_compile_grid_pair`), whose evaluator returns ``(lo, up)``.  When
-each side is a cone family under zero or more blends and the two families
-have equal centres, as the lower and upper envelopes of one set of samples
-and their shrunken blends do, one kernel takes the distances ``max_k |c_k -
-y_k|`` once and each family reduces them with its own slope, offsets,
-aggregate and blends.  Every value keeps its own float expression, so it
-has the bits of evaluating its side alone.  Any other pair evaluates its
-two sides apart.  A single family is the one-family case of the same
-kernel.
+``(lower_i, upper_i)`` lowers as one unit, a :class:`_Pair`, which
+:func:`_compile_pair` and :func:`_compile_grid_pair` turn into an evaluator
+that returns ``(lo, up)``.  When each side is a cone family under zero or
+more blends and the two families have equal centres, as the lower and upper
+envelopes of one set of samples and their shrunken blends do, the pair holds
+the centres once, as per-coordinate tuples, and each family's aggregate,
+slope, offsets and blends; one kernel takes the distances ``max_k |c_k -
+y_k|`` once and each family reduces them with its own.  Every value keeps
+its own float expression, so it has the bits of evaluating its side alone.
+Any other pair evaluates its two sides apart.  A single family is the
+one-family case of the same kernels.  Blending both sides of a pair by one
+factor (:func:`_blend_pair`, what a relaxed set of :mod:`hyperlip.boxset`
+does to its base's pairs) keeps its centres and offsets and adds one blend
+to each side; it builds no grammar node.
 """
 
 from __future__ import annotations
@@ -247,15 +251,7 @@ class Blend(LipExpr):
         object.__setattr__(self, "dim", self.inner.dim)
         object.__setattr__(self, "lip", self.factor * self.inner.lip)
         object.__setattr__(self, "depth", _depth("Blend", (self.inner,)))
-        form = _Blend(self.inner.form, self.factor, self.anchor)
-        if self.factor == 0.0 and (self.anchor or math.copysign(1.0, self.anchor) > 0.0):
-            form = _Const(self.factor * 0.0 + self.anchor)
-        elif self.factor == 0.0:
-            # at anchor -0.0 the value is a zero whose sign follows the inner
-            # value's sign, which clamping into [-1, 1] keeps
-            clamped = _Node(max, (_Node(min, (form.inner, _Const(1.0))), _Const(-1.0)))
-            form = form._replace(inner=clamped)
-        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "form", _blend_form(self.inner.form, self.factor, self.anchor))
 
 
 @dataclass(frozen=True)
@@ -350,11 +346,11 @@ class _Cones(NamedTuple):
     rows: tuple
 
     def closure(self):
-        kernel = _cones_closure(((self, ()),))
+        kernel = _cones_closure((_head(self),), _columns(self))
         return lambda y: kernel(y)[0]
 
     def grid(self, hat=None):
-        kernel = _cones_grid(((self, ()),), hat)
+        kernel = _cones_grid((_head(self),), _columns(self), hat)
         return lambda YT: kernel(YT)[0]
 
     def interval(self, box):
@@ -369,40 +365,39 @@ class _Cones(NamedTuple):
         return self.agg(los), self.agg(his)
 
 
-def _heads(families):
-    """Per ``(family, blends)``: its aggregate, slope, offsets and blends."""
-    return [(k.agg, k.slope, [off for _, off in k.rows], blends) for k, blends in families]
+def _head(family, blends=()):
+    """What a kernel reduces a cone family with: its aggregate, slope and
+    offsets, and the blends ``(factor, anchor)`` over it, innermost first."""
+    return family.agg, family.slope, tuple(off for _, off in family.rows), blends
 
 
-def _centres(family):
-    return [c for c, _ in family.rows]
+def _columns(family):
+    """A cone family's centres as per-coordinate tuples."""
+    return tuple(zip(*(c for c, _ in family.rows)))
 
 
-def _cones_closure(families):
-    """Scalar kernel of cone families with equal centres, each under its
-    blends ``(factor, anchor)``, innermost first: ``y -> [value of each]``.
-    Each centre's distance ``max_k |c_k - y_k|`` is taken once; each family
+def _cones_closure(heads, cols):
+    """Scalar kernel of cone families with equal centres ``cols`` (as
+    :func:`_columns`), one :func:`_head` each: ``y -> [value of each]``.
+    The distances ``max_k |c_k - y_k|`` to all centres are taken once,
+    column by column: each is a running maximum from 0.0 that takes ``|c_k -
+    y_k|`` when it is larger, in coordinate order, so a NaN or a zero leaves
+    the same bits as a loop over each centre's coordinates.  Each family
     reduces its own ``slope * best + offset`` over the rows, then applies
-    its blends."""
-    centres = _centres(families[0][0])
-    heads = _heads(families)
-    one = len(centres) == 1
+    its blends.  One-row families take the one distance and each family's
+    value flat, with no list of distances and no aggregate."""
+    if len(cols[0]) == 1:
+        return _one_row(tuple(c for (c,) in cols),
+                        [(slope, offs[0], blends) for _, slope, offs, blends in heads])
+    zeros = (0.0,) * len(cols[0])
 
     def cones(y):
-        bests = []
-        for c in centres:
-            best = 0.0
-            for a, b in zip(c, y):
-                d = abs(a - b)
-                if d > best:
-                    best = d
-            bests.append(best)
+        bests = zeros
+        for col, b in zip(cols, y):
+            bests = [d if (d := abs(a - b)) > best else best for a, best in zip(col, bests)]
         out = []
         for agg, slope, offs, blends in heads:
-            if one:         # agg of one value is that value
-                v = slope * bests[0] + offs[0]
-            else:
-                v = agg([slope * best + off for best, off in zip(bests, offs)])
+            v = agg([slope * best + off for best, off in zip(bests, offs)])
             for fac, anchor in blends:
                 v = fac * (v - anchor) + anchor
             out.append(v)
@@ -410,7 +405,26 @@ def _cones_closure(families):
     return cones
 
 
-def _cones_grid(families, hat=None):
+def _one_row(centre, tails):
+    """:func:`_cones_closure` of one-row families: ``tails`` holds each
+    family's slope, offset and blends."""
+    def cones(y):
+        best = 0.0
+        for a, b in zip(centre, y):
+            d = abs(a - b)
+            if d > best:
+                best = d
+        out = []
+        for slope, off, blends in tails:
+            v = slope * best + off
+            for fac, anchor in blends:
+                v = fac * (v - anchor) + anchor
+            out.append(v)
+        return out
+    return cones
+
+
+def _cones_grid(heads, cols, hat=None):
     """Batch kernel of :func:`_cones_closure`, points as the columns of
     ``YT``; with ``hat``, an index array, the points are the rows ``hat`` of
     ``YT``, so that a caller holding whole points does not gather them
@@ -445,13 +459,13 @@ def _cones_grid(families, hat=None):
     reduction of a wider table.  So a one-column block is evaluated as two
     copies of its column, keeping the first, and a value does not depend on
     how the points fall into blocks."""
-    C = np.asarray(_centres(families[0][0])).T.copy()           # (dim, R)
+    C = np.array(cols)                      # (dim, R)
     dim, R = C.shape
     column, C = C.reshape(dim * R, 1), C[:, :, None]
     coords = np.arange(dim) if hat is None else np.asarray(hat, dtype=np.intp)
     repeated = coords.repeat(R)             # the row of YT behind each table row
     heads = [(slope, np.asarray(offs)[:, None], _UFUNC[agg], blends)
-             for agg, slope, offs, blends in _heads(families)]
+             for agg, slope, offs, blends in heads]
     block = max(1, _GRID_BLOCK_BYTES // (8 * dim * R))
     last = len(heads) - 1
     allocate = [None] * len(heads)
@@ -547,6 +561,17 @@ class _Blend(NamedTuple):
                 self.factor * (hi - self.anchor) + self.anchor)
 
 
+def _blend_form(inner, factor, anchor):
+    """The lowered form of ``Blend`` over the lowered ``inner``."""
+    if factor == 0.0 and (anchor or math.copysign(1.0, anchor) > 0.0):
+        return _Const(factor * 0.0 + anchor)
+    if factor == 0.0:
+        # at anchor -0.0 the value is a zero whose sign follows the inner
+        # value's sign, which clamping into [-1, 1] keeps
+        inner = _Node(max, (_Node(min, (inner, _Const(1.0))), _Const(-1.0)))
+    return _Blend(inner, factor, anchor)
+
+
 def _family(k):
     """``(family, blends)`` when the lowered ``k`` is a cone family under
     zero or more blends, as ``(factor, anchor)`` innermost first; else
@@ -558,16 +583,38 @@ def _family(k):
     return (k, blends) if isinstance(k, _Cones) else None
 
 
-def _paired(lower, upper, kernel, build):
-    """One evaluator ``y -> (lo, up)`` of an axis's lowered bounds: ``kernel``
-    over both families when they share centres, else each side's ``build``."""
+class _Pair(NamedTuple):
+    """One axis's lowered bounds, read at one hat point.  When both are cone
+    families under blends with equal centres, ``heads`` holds their two
+    :func:`_head` and ``cols`` the centres (:func:`_columns`), and one
+    kernel evaluates both; otherwise both are ``None``."""
+
+    lower: tuple
+    upper: tuple
+    heads: tuple = None
+    cols: tuple = None
+
+
+def _pair(lower, upper) -> _Pair:
+    """The :class:`_Pair` of the lowered bounds ``lower`` and ``upper``."""
     sides = _family(lower), _family(upper)
-    if None in sides or _centres(sides[0][0]) != _centres(sides[1][0]):
-        f, g = build(lower), build(upper)
-        return lambda y: (f(y), g(y))
     # equal centres give equal distances bit for bit, 0.0 against -0.0 too,
     # since |a - b| drops the sign of a zero difference
-    return kernel(sides)
+    if None in sides or (cols := _columns(sides[0][0])) != _columns(sides[1][0]):
+        return _Pair(lower, upper)
+    return _Pair(lower, upper, tuple(_head(*side) for side in sides), cols)
+
+
+def _blend_pair(p: _Pair, factor, low, high) -> _Pair:
+    """``_pair`` of the blends of ``p``'s lower bound toward ``low`` and of
+    its upper bound toward ``high`` by ``factor``: ``p``'s centres and
+    offsets, and one more blend on each side."""
+    lower, upper = _blend_form(p.lower, factor, low), _blend_form(p.upper, factor, high)
+    if p.heads is None or factor == 0.0:        # factor 0 is no blend over a family
+        return _Pair(lower, upper)
+    (*lo, lo_blends), (*up, up_blends) = p.heads
+    return _Pair(lower, upper, ((*lo, lo_blends + ((factor, low),)),
+                                (*up, up_blends + ((factor, high),))), p.cols)
 
 
 def _compile(f: LipExpr) -> Callable:
@@ -584,20 +631,25 @@ def _compile_grid(f: LipExpr) -> Callable:
     return f.form.grid()
 
 
-def _compile_pair(lower: LipExpr, upper: LipExpr) -> Callable:
-    """Scalar evaluator ``y -> (lower(y), upper(y))`` of one axis's bounds,
-    equal to :func:`_compile` of each side bit for bit."""
-    return _paired(lower.form, upper.form, _cones_closure, lambda k: k.closure())
+def _compile_pair(p: _Pair) -> Callable:
+    """Scalar evaluator ``y -> (lower(y), upper(y))`` of one axis's lowered
+    bounds, equal to :func:`_compile` of each side bit for bit."""
+    if p.heads is None:
+        f, g = p.lower.closure(), p.upper.closure()
+        return lambda y: (f(y), g(y))
+    return _cones_closure(p.heads, p.cols)
 
 
-def _compile_grid_pair(lower: LipExpr, upper: LipExpr, hat=None) -> Callable:
+def _compile_grid_pair(p: _Pair, hat=None) -> Callable:
     """Batch evaluator ``YT -> (lower values, upper values)`` of one axis's
-    bounds, equal to :func:`_compile_grid` of each side bit for bit.  With
-    ``hat``, an index array, ``YT`` holds whole points as its columns and
-    the bounds read their rows ``hat``; every cone family takes them from
-    ``YT`` itself, inside its kernel (:func:`_cones_grid`)."""
-    return _paired(lower.form, upper.form, lambda sides: _cones_grid(sides, hat),
-                   lambda k: k.grid(hat))
+    lowered bounds, equal to :func:`_compile_grid` of each side bit for bit.
+    With ``hat``, an index array, ``YT`` holds whole points as its columns
+    and the bounds read their rows ``hat``; every cone family takes them
+    from ``YT`` itself, inside its kernel (:func:`_cones_grid`)."""
+    if p.heads is None:
+        f, g = p.lower.grid(hat), p.upper.grid(hat)
+        return lambda YT: (f(YT), g(YT))
+    return _cones_grid(p.heads, p.cols, hat)
 
 
 @np.errstate(over="ignore")
@@ -748,7 +800,29 @@ def expr_to_obj(f: LipExpr):
     raise TypeError(f"not a LipExpr: {f!r}")
 
 
+def _boolean_in(obj):
+    """The first boolean found in the decoded JSON value ``obj``, else
+    ``None``."""
+    items = [obj]
+    while items:
+        x = items.pop()
+        if isinstance(x, bool):
+            return x
+        items.extend(x.values() if isinstance(x, dict) else x if isinstance(x, list) else ())
+    return None
+
+
 def expr_from_obj(obj) -> LipExpr:
+    """The expression of the JSON form ``obj``.  No field of it holds a
+    boolean, and ``float`` reads ``true`` as 1.0, so a boolean anywhere in
+    it is refused."""
+    b = _boolean_in(obj)
+    if b is not None:
+        raise ValueError(f"expression holds the boolean {str(b).lower()}, which is no number")
+    return _from_obj(obj)
+
+
+def _from_obj(obj) -> LipExpr:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError(f"malformed expression object: {obj!r}")
     kind = obj["type"]
@@ -759,9 +833,9 @@ def expr_from_obj(obj) -> LipExpr:
             return DistCone(tuple(obj["center"]), obj["offset"], obj["scale"],
                             _sign_from_obj(obj, "orientation", kind))
         if kind in ("min", "max"):
-            return (Min if kind == "min" else Max)(tuple(expr_from_obj(c) for c in obj["children"]))
+            return (Min if kind == "min" else Max)(tuple(_from_obj(c) for c in obj["children"]))
         if kind == "blend":
-            return Blend(expr_from_obj(obj["inner"]), obj["factor"], obj["anchor"])
+            return Blend(_from_obj(obj["inner"]), obj["factor"], obj["anchor"])
         if kind == "mcshane":
             return McShane(tuple((tuple(p), v) for p, v in obj["samples"]),
                            obj["scale"], obj["mode"])

@@ -271,7 +271,7 @@ class TestPairedEvaluators:
         kernel = lipfun._cones_closure
         built = []
         monkeypatch.setattr(lipfun, "_cones_closure",
-                            lambda families: built.append(len(families)) or kernel(families))
+                            lambda heads, cols: built.append(len(heads)) or kernel(heads, cols))
         for name, Q in self._sets(3).items():
             built.clear()
             Q._pairs
@@ -967,6 +967,90 @@ class TestStagedWalkBytes:
             "db36d658e0ac53493a01da4b91f68d22a754bc67b23c13839a0c2cbc0fd785db"
 
 
+def _nodes_built(monkeypatch):
+    """Spy on every grammar constructor: the types of the nodes built."""
+    built = []
+    for cls in (Const, DistCone, Min, Max, Blend, McShane, Infinite):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=init, **kw:
+                            built.append(type(self)) or _init(self, *args, **kw))
+    return built
+
+
+class TestRelaxedSets:
+    """A set ``shrink_set`` builds evaluates from its base's lowered pairs
+    and the new blend factor and anchors; its ``Blend`` bounds are built
+    only when ``lower``, ``upper`` or ``==`` reads them."""
+
+    @staticmethod
+    def _bases():
+        Q, w = diagonal_halfspace_instance(), (2.0, 0.5)
+        rng = np.random.default_rng(28)
+        return [(origin_cycle_instance(), -2.5, 2.5), (vee_notch_instance(), -2.5, 4.5),
+                (truncated_set(Q, w, 8.0), [-6.0, -7.5], [10.0, 8.5]),
+                (random_mcshane_instance(4, 1.0, rng, samples=8), -4.0, [4.0, 5.0, 6.0, 7.0])]
+
+    @pytest.mark.parametrize("j", [1, 2, 37, 40002])
+    def test_a_relaxed_set_evaluates_as_its_blends(self, j, monkeypatch):
+        rng = np.random.default_rng(j)
+        for base, l, u in self._bases():
+            X = rng.uniform(-3.0, 3.0, (20, base.n))
+            X[:4] = np.where(rng.uniform(size=(4, base.n)) < 0.5, 0.0, -0.0)
+            base._pairs
+            built = _nodes_built(monkeypatch)
+            R = shrink_set(base, j, l, u)
+            again = shrink_set(R, 3, -9.0, 9.0)             # a relaxation of a relaxation
+            for T in (R, again):
+                T._pairs, boxset._grid_pairs(T)
+            assert built == []
+            monkeypatch.undo()
+            # the same sets, their bounds built as blends first
+            eager = [BoxLipschitzSet(T.lower, T.upper) for T in (R, again)]
+            assert eager == [R, again]
+            for T, E in zip((R, again), eager):
+                assert T.lip_bound.hex() == E.lip_bound.hex() and T.all_finite
+                assert T._axes == E._axes
+                for x in X:
+                    assert violation(T, x).hex() == violation(E, x).hex()
+                    for i, (a, b) in enumerate(zip(T._pairs, E._pairs)):
+                        y = tuple(np.delete(x, i).tolist())
+                        assert [v.hex() for v in a(y)] == [v.hex() for v in b(y)]
+                assert cyclic_retract_many(T, X, 1e-3)[0].tobytes() == \
+                    cyclic_retract_many(E, X, 1e-3)[0].tobytes()
+
+    def test_refusals_are_the_blends(self):
+        """What a blend refuses, ``shrink_set`` refuses with its message."""
+        Q = vee_notch_instance()
+        for k, l, message in ((7, -math.inf, "Blend anchor must be finite, got -inf"),
+                              (7, math.nan, "Blend anchor must be finite, got nan"),
+                              (math.nan, -3.0, r"Blend factor must lie in \[0, 1\], got nan")):
+            with pytest.raises(ValueError, match=message):
+                shrink_set(Q, k, l, 3.0)
+        deep = DistCone((0.0,), 0.0, 0.5, 1)
+        while deep.depth < lipfun._MAX_DEPTH:
+            deep = Min(deep)
+        for R in (BoxLipschitzSet([deep, Const(-1.0)], [Const(1.0), Const(2.0)]),
+                  shrink_set(BoxLipschitzSet([deep.children[0], Const(-1.0)],
+                                             [Const(1.0), Const(2.0)]), 2, -1.0, 2.0)):
+            with pytest.raises(ValueError, match=f"would be {lipfun._MAX_DEPTH + 1} levels"):
+                shrink_set(R, 2, -1.0, 2.0)
+
+    def test_a_staged_walk_builds_no_node_and_one_pair_per_axis_and_set(self, monkeypatch):
+        """The walk of ``TestStagedWalkBytes.test_mcshane_point``: its
+        target and every stage compile one scalar pair per axis from the
+        base's pairs, and the whole retraction builds no grammar node."""
+        Q = random_mcshane_instance(3, 1.0, np.random.default_rng(21), samples=8)
+        x = (-0.9407723888321202, -2.9295397312213334, 3.1190437764806624)
+        Q._pairs
+        built, compiled = _nodes_built(monkeypatch), []
+        pair = boxset._compile_pair
+        monkeypatch.setattr(boxset, "_compile_pair", lambda p: compiled.append(p) or pair(p))
+        orders = _shrinks_run(monkeypatch)
+        boxset.retract(Q, x, 1e-6, many=False)
+        assert len(orders) > 1 and built == []
+        assert len(compiled) == Q.n * len(orders)
+
+
 class TestExhaustedState:
     """``MaxSweepsExceededError.state`` is the result after the last sweep."""
 
@@ -1100,8 +1184,9 @@ class TestFactorZeroBlends:
         DistCone((0.0,), 1.0, 1.0, -1),
     ])
     def test_paired_evaluators_give_the_anchor(self, other):
-        lo, up = lipfun._compile_pair(self.blend, other)(self.far)
-        los, ups = lipfun._compile_grid_pair(self.blend, other)(np.array([self.far]).T)
+        pair = lipfun._pair(self.blend.form, other.form)
+        lo, up = lipfun._compile_pair(pair)(self.far)
+        los, ups = lipfun._compile_grid_pair(pair)(np.array([self.far]).T)
         assert lo == 2.0 and los.tolist() == [2.0]
         assert up == _compile(other)(self.far)
         assert ups.tobytes() == eval_grid(other, [self.far]).tobytes()
@@ -1172,12 +1257,12 @@ class TestZeroSignsOfBounds:
             flips.append(int(zero.sum()))
             return np.where(zero, -v, v)
 
-        def scalar(lo, up):
-            f = pair(lo, up)
+        def scalar(p):
+            f = pair(p)
             return lambda y: tuple(flip(v) for v in f(y))
 
-        def batch(lo, up, hat=None):
-            f = grid_pair(lo, up, hat)
+        def batch(p, hat=None):
+            f = grid_pair(p, hat)
             return lambda YT: tuple(flip_all(v) for v in f(YT))
 
         monkeypatch.setattr(boxset, "_compile_pair", scalar)
@@ -1311,6 +1396,12 @@ class TestSetJSON:
         obj = set_to_obj(diagonal_halfspace_instance())
         assert obj["upper"][0] == "+inf"
         assert obj["lower"][1] == "-inf"
+
+    @pytest.mark.parametrize("bound", ['{"type": "const", "value": true}', "false"])
+    def test_a_boolean_is_no_number(self, bound):
+        text = '{"n": 2, "lower": [%s, "-inf"], "upper": ["+inf", "+inf"]}' % bound
+        with pytest.raises(ValueError, match="expression holds the boolean"):
+            set_from_obj(json.loads(text))
 
     def test_malformed_objects_rejected(self):
         with pytest.raises(ValueError):

@@ -914,6 +914,91 @@ class TestOneParser:
             assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
+class TestDispatch:
+    """An argv that starts with a subcommand's name goes straight to that
+    subcommand's parser.  Every argv gives the exit code, stdout and stderr
+    it gives through the top-level parser, which the reference reaches by
+    hiding the subcommands' parsers from ``main``."""
+
+    @staticmethod
+    def _table(tmp_path):
+        Q = dump(tmp_path, "q.json", set_to_obj(vee_notch_instance()))
+        half = dump(tmp_path, "h.json", set_to_obj(half_rate_instance()))
+        x = dump(tmp_path, "x.json", [0.5, -1.0])
+        box = dump(tmp_path, "b.json", [[-4.0, 4.0], [-4.0, 4.0]])
+        metric = dump(tmp_path, "m.json", [[0.0, 1.0], [1.0, 0.0]])
+        phi = dump(tmp_path, "phi.json", [[0.5, 0.5]])
+        expr = dump(tmp_path, "f.json", expr_to_obj(Const(2.0)))
+        grid = dump(tmp_path, "g.json", [[0.0], [1.0]])
+        inside = dump(tmp_path, "in.json", [[0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5]])
+        outside = dump(tmp_path, "out.json", [[1.5, 1.5], [-1.0, -1.0]])
+        svg = str(tmp_path / "scene.svg")
+        retract = ["retract", "--set", Q, "--point", x]
+        valid = [
+            retract + ["--tol", "1e-3", "--box", box],
+            ["retract", "--point", x, "--set", half, "--max-sweeps", "50"],
+            ["extend", "--space", metric, "--subset", "0", "--map", phi, "--set", half],
+            ["hull", "enumerate", "--metric", metric, "--resolution", "0.5"],
+            ["reconstruct", "--inside", inside, "--outside", outside, "--a", "0.1"],
+            ["verify", "lipschitz", "--expr", expr, "--grid", grid, "--lam", "0.5"],
+            ["verify", "metric", "--matrix", metric],
+            ["plot", "--set", Q, "--box", box, "--resolution", "0.5", "--out", svg],
+            ["selftest", "--seed", "1"],
+        ]
+        helps = [["-h"], ["--help"], ["retract", "--set", Q, "-h"]] + \
+            [[name, "--help"] for name in cli._build_parser().commands]
+        usage = [
+            [], ["warp"], ["retr"] + retract[1:], ["--", "retract"], ["-x"], ["retract"],
+            retract + ["--bogus"], retract + ["extra"], ["retract", "--set", Q, "--po", x],
+            retract + ["--tol=1e-3"], retract + ["--tol", "-1e-3"], retract + ["--tol"],
+            ["retract", "--set", Q], ["retract", "--set", Q, "--set", half, "--point", x],
+            retract + ["--", "--tol"], ["hull"], ["hull", "warp", "--metric", metric],
+            ["verify", "--matrix", metric], ["selftest", "--seed", "one"],
+        ]
+        return valid + helps + usage
+
+    def test_every_argv_answers_as_through_the_top_level_parser(self, capsys, tmp_path,
+                                                               monkeypatch):
+        table = self._table(tmp_path)
+        got = []
+        for argv in table:
+            got.append((main(argv), *capsys.readouterr()))
+        monkeypatch.setattr(cli._build_parser(), "commands", {})
+        for argv, answer in zip(table, got):
+            assert (main(argv), *capsys.readouterr()) == answer, argv
+        # the table holds successes, help and every kind of usage error
+        assert {code for code, *_ in got} == {0, 1}
+        assert sum(out.startswith("usage: hyperlip") for _, out, _ in got) >= 10
+
+    def test_argv_none_reads_the_process_arguments(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["hyperlip", "hull"])
+        assert main() == 1
+        assert json.loads(capsys.readouterr().err) == \
+            {"error": "the following arguments are required: action, --metric, --resolution"}
+
+
+class TestBoxSides:
+    """Each side of a box file is a ``[lo, hi]`` pair; any other side is an
+    input error that names it."""
+
+    @pytest.mark.parametrize("box, message", [
+        ([[-3, 3, 4], [-3, 3]], "box side 0 must be a [lo, hi] pair, got [-3, 3, 4]"),
+        ([[-3, 3], 4], "box side 1 must be a [lo, hi] pair, got 4"),
+        ([3, 4], "box side 0 must be a [lo, hi] pair, got 3"),
+        ({"lo": -3, "hi": 3}, 'a box must be a list of [lo, hi] sides, got {"lo": -3, "hi": 3}'),
+    ])
+    def test_retract_box(self, capsys, tmp_path, set_file, box, message):
+        err = input_error(capsys, ["retract", "--set", set_file(vee_notch_instance()),
+                                   "--point", dump(tmp_path, "x.json", [0.5, 0.5]),
+                                   "--box", dump(tmp_path, "b.json", box)])
+        assert err == {"error": message}
+
+    def test_plot_box(self, capsys, tmp_path):
+        err = input_error(capsys, ["plot", "--box", dump(tmp_path, "b.json", [[0, 1], [2]]),
+                                   "--out", str(tmp_path / "scene.svg")])
+        assert err == {"error": "box side 1 must be a [lo, hi] pair, got [2]"}
+
+
 def _const_set(value):
     """A two-axis level-0 set whose JSON text has the same length for every
     one-digit ``value``: axis 0 lies in ``[-value, value]``."""

@@ -337,19 +337,24 @@ def _assert_pair_matches_sides(lower, upper, Y):
     alike (a numpy reduction over one column of more than 8 rows may pick
     another zero than over several, pair or not)."""
     f, g = _compile(lower), _compile(upper)
-    pair = _compile_pair(lower, upper)
+    pair = _compile_pair(_pair(lower, upper))
     assert [_hex(pair(y)) for y in Y] == [_hex((f(y), g(y))) for y in Y]
     YT = np.ascontiguousarray(np.asarray(Y, dtype=float).reshape(len(Y), -1).T)
     for block_bytes in (None, 1, 56):
         with pytest.MonkeyPatch.context() as mp:
             if block_bytes is not None:
                 mp.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
-            grid = _compile_grid_pair(lower, upper)
+            grid = _compile_grid_pair(_pair(lower, upper))
             want = [_compile_grid(b) for b in (lower, upper)]
             for cols in (YT, YT[:, :1].copy()):
                 lo, up = grid(cols)
                 assert lo.tobytes() == want[0](cols).tobytes()
                 assert up.tobytes() == want[1](cols).tobytes()
+
+
+def _pair(lower, upper):
+    """The lowered pair of the bounds ``lower`` and ``upper``."""
+    return lipfun._pair(lower.form, upper.form)
 
 
 def _blended(f, blends):
@@ -395,12 +400,12 @@ def test_batch_values_do_not_depend_on_the_block_layout():
     g = McShane(tuple((p, v + 1.0) for p, v in f.samples), 1.0, "inf")
     YT = np.array([VALUES])
     want = _compile_grid(f)(YT)
-    want_pair = [v.tobytes() for v in _compile_grid_pair(f, g)(YT)]
+    want_pair = [v.tobytes() for v in _compile_grid_pair(_pair(f, g))(YT)]
     for block_bytes in (None, 1):
         with pytest.MonkeyPatch.context() as mp:
             if block_bytes is not None:
                 mp.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
-            grid, pair = _compile_grid(f), _compile_grid_pair(f, g)
+            grid, pair = _compile_grid(f), _compile_grid_pair(_pair(f, g))
             assert grid(YT).tobytes() == want.tobytes()
             assert [v.tobytes() for v in pair(YT)] == want_pair
             for j in range(YT.shape[1]):
@@ -466,7 +471,7 @@ def test_paired_kernel_scratch_is_one_block(monkeypatch, dim):
     lower = shrink(McShane(tuple(zip(sites, vals)), 0.9, "sup"), 0.5, -2.0)
     upper = McShane(tuple((p, v + 1.0) for p, v in zip(sites, vals)), 0.9, "inf")
     YT = rng.uniform(-2, 2, (dim, N))
-    grid = _compile_grid_pair(lower, upper)
+    grid = _compile_grid_pair(_pair(lower, upper))
     block = lipfun._GRID_BLOCK_BYTES // (8 * dim * R)
     tracemalloc.start()
     try:
@@ -505,11 +510,11 @@ def test_evaluators_agree_over_the_whole_float_range(case):
     """``==`` treats ``0.0`` and ``-0.0`` as equal: the sign of a zero at a
     tie is left to the engines' pin ``TestZeroSignsOfBounds``."""
     dim, lower, upper, Y = case
-    scalar = [tuple(_compile_pair(lower, upper)(y)) for y in Y]
+    scalar = [tuple(_compile_pair(_pair(lower, upper))(y)) for y in Y]
     assert not any(math.isnan(v) for pair in scalar for v in pair)
     YT = np.asarray(Y, dtype=float).reshape(len(Y), dim).T.copy()
     with np.errstate(over="ignore"):    # the callers' policy, as in eval_grid
-        lo, up = _compile_grid_pair(lower, upper)(YT)
+        lo, up = _compile_grid_pair(_pair(lower, upper))(YT)
     assert list(zip(lo.tolist(), up.tolist())) == scalar
     for side, f in enumerate((lower, upper)):
         assert eval_grid(f, YT.T).tolist() == [pair[side] for pair in scalar]
@@ -850,6 +855,106 @@ def test_edge_nodes_hold_the_walkers_form(g):
     _check_form(g)
 
 
+def _ref_cones_closure(heads, cols):
+    """The scalar cone kernel as it was before it took its distances column
+    by column: a loop over the centres, each with an inner ``zip`` over its
+    coordinates, and a list of the distances even for one row."""
+    centres = list(zip(*cols))
+    one = len(centres) == 1
+
+    def cones(y):
+        bests = []
+        for c in centres:
+            best = 0.0
+            for a, b in zip(c, y):
+                d = abs(a - b)
+                if d > best:
+                    best = d
+            bests.append(best)
+        out = []
+        for agg, slope, offs, blends in heads:
+            if one:         # agg of one value is that value
+                v = slope * bests[0] + offs[0]
+            else:
+                v = agg([slope * best + off for best, off in zip(bests, offs)])
+            for fac, anchor in blends:
+                v = fac * (v - anchor) + anchor
+            out.append(v)
+        return out
+    return cones
+
+
+# hat coordinates: signed zeros, infinities, a NaN, and magnitudes whose
+# differences from the centres overflow to inf
+EDGE_HAT = (0.0, -0.0, 1.25, -2.5, math.inf, -math.inf, math.nan, 1e308, -1.7976931348623157e308)
+OVERFLOWING = st.lists(st.sampled_from((0.0, -0.0, 1e308, -1e308)), min_size=1, max_size=3)
+
+
+def _kernel_bits(build, hats):
+    """``float.hex`` of ``build()``'s values at ``hats``, with the reference
+    kernel and with the module's own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lipfun, "_cones_closure", _ref_cones_closure)
+        f = build()
+        want = [_hex(np.ravel(f(y))) for y in hats]
+    f = build()
+    return [_hex(np.ravel(f(y))) for y in hats], want
+
+
+def _hats(dim):
+    return st.lists(st.lists(st.sampled_from(EDGE_HAT), min_size=dim, max_size=dim).map(tuple),
+                    min_size=1, max_size=8)
+
+
+@given(st.integers(0, 3).flatmap(lambda dim: st.tuples(_deep(_leaves(dim), 3), _hats(dim))))
+@settings(max_examples=200, deadline=None)
+@example((Blend(DistCone((1.0,), 0.5, 1.0, 1), 0.0, -0.0), [(-0.0,), (math.inf,), (0.0,)]))
+@example((Blend(Min(DistCone((1.0,), 0.5, 1.0, 1), DistCone((2.0,), -0.0, 1.0, 1)), 0.0, -0.0),
+          [(-0.0,), (math.nan,), (2.0,)]))
+@example((Blend(DistCone((1.0,), -0.0, 0.5, -1), 0.0, 0.0), [(1.0,)]))
+@example((McShane((((), -0.0), ((), 1.0)), 0.5, "inf"), [()]))
+def test_the_kernel_gives_the_reference_bits(case):
+    """Trees of every node kind, one-row families among them, factor-0
+    blends at anchors 0.0 and -0.0 and zero-dimensional domains."""
+    f, hats = case
+    got, want = _kernel_bits(lambda: _compile(f), hats)
+    assert got == want
+
+
+@given(_shared_pairs(), st.lists(st.tuples(unit, st.sampled_from((0.0, -0.0, -3.0, 1e308)),
+                                           st.sampled_from((0.0, -0.0, 3.0, -1e308))),
+                                 max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_the_paired_kernel_gives_the_reference_bits(case, blends):
+    """Pairs that share their centres, under the blends of their own and
+    those a relaxed set adds (:func:`lipfun._blend_pair`), factor 0 too."""
+    dim, lower, upper = case
+    p = _pair(lower, upper)
+    for factor, low, high in blends:
+        p = lipfun._blend_pair(p, factor, low, high)
+    hats = list(itertools.product(EDGE_HAT, repeat=dim)) if dim < 3 else \
+        list(itertools.product(EDGE_HAT[:4] + EDGE_HAT[6:7], repeat=dim))
+    got, want = _kernel_bits(lambda: _compile_pair(p), hats)
+    assert got == want
+
+
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.lists(OVERFLOWING.map(lambda c: tuple((c * dim)[:dim])), min_size=1, max_size=3),
+    st.lists(st.sampled_from((0.0, -0.0, 1e308, -1e308)), min_size=3, max_size=3),
+    _hats(dim))))
+@settings(deadline=None)
+def test_distances_that_overflow_give_the_reference_bits(case):
+    """Centres and hats near the largest float, whose differences overflow
+    to inf, on one-row and several-row families of both slopes' signs."""
+    centres, values, hats = case
+    for mode, blend in (("inf", None), ("sup", (0.5, -0.0))):
+        f = McShane(tuple(zip(centres, values)), 1.0, mode)
+        if blend is not None:
+            f = Blend(f, *blend)
+        got, want = _kernel_bits(lambda: _compile(f), hats)
+        assert got == want
+
+
 @given(st.lists(st.integers(0, 3).flatmap(lambda dim: _deep(_leaves(dim), 2)),
                 min_size=1, max_size=4),
        st.sampled_from((Min, Max)))
@@ -993,6 +1098,20 @@ class TestJSONForm:
             expr_from_obj({"value": 0.0})
         with pytest.raises(ValueError):
             expr_from_obj({"type": "const"})
+
+    @pytest.mark.parametrize("text", [
+        '{"type": "const", "value": true}',
+        '{"type": "distcone", "center": [false], "offset": true, "scale": 1.0, '
+        '"orientation": "+"}',
+        '{"type": "min", "children": [{"type": "blend", "factor": false, "anchor": 0.0, '
+        '"inner": {"type": "const", "value": 1.0}}]}',
+        '{"type": "mcshane", "mode": "inf", "scale": 0.5, "samples": [[[0.0], true]]}',
+    ])
+    def test_a_boolean_is_no_number(self, text):
+        """``float`` reads ``true`` as 1.0: decoded JSON with a boolean in
+        it is refused, at any depth."""
+        with pytest.raises(ValueError, match="expression holds the boolean"):
+            expr_from_obj(json.loads(text))
 
     @pytest.mark.parametrize("obj, field", [
         ({"type": "distcone", "center": [0.0], "offset": 0.0, "scale": 1.0,
