@@ -57,15 +57,22 @@ slope, offsets and blends; one kernel takes the distances ``max_k |c_k -
 y_k|`` once and each family reduces them with its own.  Every value keeps
 its own float expression, so it has the bits of evaluating its side alone.
 Any other pair evaluates its two sides apart.  A single family is the
-one-family case of the same kernels.  Blending both sides of a pair by one
-factor (:func:`_blend_pair`, what a relaxed set of :mod:`hyperlip.boxset`
-does to its base's pairs) keeps its centres and offsets and adds one blend
-to each side; it builds no grammar node.
+one-family case of the same kernels.  The scalar kernel of families of at
+most ``_STRAIGHT_ROWS`` rows is straight-line code, generated once per shape
+(hat coordinates, rows, each family's aggregate and blend count) and given
+the numbers as default arguments, so a new set of a known shape compiles
+nothing.  Blending both sides of a pair by one factor (:func:`_blend_pair`,
+what a relaxed set of :mod:`hyperlip.boxset` does to its base's pairs)
+keeps its centres and offsets and adds one blend to each side; it builds
+no grammar node.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import types
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -106,6 +113,12 @@ _MAX_DEPTH = 128
 # columns up to which a block of a cone family's batch kernel gathers its
 # difference table with one ``take``; above it, broadcasting is faster
 _TAKE_COLUMNS = 2000
+# rows up to which a scalar cone kernel is straight-line code, and of how
+# many shapes the code is kept.  A compile costs 1.4-3 ms at 16 rows and grows
+# with the rows, while the gain over the column loop shrinks: at 32 rows and
+# 2 hat coordinates it is gone, so a wider family keeps the loop
+_STRAIGHT_ROWS = 16
+_KERNEL_SHAPES = 64
 
 
 class LipExpr:
@@ -378,18 +391,24 @@ def _columns(family):
 
 def _cones_closure(heads, cols):
     """Scalar kernel of cone families with equal centres ``cols`` (as
-    :func:`_columns`), one :func:`_head` each: ``y -> [value of each]``.
-    The distances ``max_k |c_k - y_k|`` to all centres are taken once,
-    column by column: each is a running maximum from 0.0 that takes ``|c_k -
-    y_k|`` when it is larger, in coordinate order, so a NaN or a zero leaves
-    the same bits as a loop over each centre's coordinates.  Each family
-    reduces its own ``slope * best + offset`` over the rows, then applies
-    its blends.  One-row families take the one distance and each family's
-    value flat, with no list of distances and no aggregate."""
-    if len(cols[0]) == 1:
-        return _one_row(tuple(c for (c,) in cols),
-                        [(slope, offs[0], blends) for _, slope, offs, blends in heads])
-    zeros = (0.0,) * len(cols[0])
+    :func:`_columns`), one :func:`_head` each: ``y ->`` each one's value.
+    Each row's distance ``max_k |c_k - y_k|`` is a running maximum from 0.0
+    that takes ``|c_k - y_k|`` when it is larger, in coordinate order, so a
+    NaN or a zero leaves the same bits as a loop over each centre's
+    coordinates; it is taken once for all families.  Each family reduces
+    its own ``slope * distance + offset`` over the rows (one row is its own
+    value), then applies its blends.  Up to ``_STRAIGHT_ROWS`` rows this is
+    the straight-line code of :func:`_kernel_code` with the numbers as its
+    default arguments; a wider family runs the same operations column by
+    column."""
+    R = len(cols[0])
+    if R <= _STRAIGHT_ROWS:
+        numbers = [*itertools.chain(*cols)]
+        for _, slope, offs, blends in heads:
+            numbers += [slope, *offs, *itertools.chain(*blends)]
+        code = _kernel_code(len(cols), R, tuple((agg, len(b)) for agg, _, _, b in heads))
+        return types.FunctionType(code, _KERNEL_GLOBALS, None, tuple(numbers))
+    zeros = (0.0,) * R
 
     def cones(y):
         bests = zeros
@@ -405,23 +424,33 @@ def _cones_closure(heads, cols):
     return cones
 
 
-def _one_row(centre, tails):
-    """:func:`_cones_closure` of one-row families: ``tails`` holds each
-    family's slope, offset and blends."""
-    def cones(y):
-        best = 0.0
-        for a, b in zip(centre, y):
-            d = abs(a - b)
-            if d > best:
-                best = d
-        out = []
-        for slope, off, blends in tails:
-            v = slope * best + off
-            for fac, anchor in blends:
-                v = fac * (v - anchor) + anchor
-            out.append(v)
-        return out
-    return cones
+_KERNEL_GLOBALS = {"__builtins__": {"abs": abs, "max": max, "min": min}}
+
+
+@functools.lru_cache(maxsize=_KERNEL_SHAPES)
+def _kernel_code(m, R, shape):
+    """Code of :func:`_cones_closure`'s kernel ``(y, centres, then per family
+    its slope, offsets and blends' (factor, anchor))`` for ``m`` hat
+    coordinates, ``R`` rows and per family its ``(aggregate, blend count)``.
+    Its source holds names built from integers and the constant 0.0, never
+    a number of the families: ``max`` keeps its first of equal values and
+    never moves onto a NaN, so ``max(0.0, |c_0 - y_0|, ...)`` is the
+    running maximum."""
+    params = [f"c{k}_{r}" for k in range(m) for r in range(R)]
+    body = [f"{''.join(f'y{k}, ' for k in range(m))}= y"]
+    body += [f"d{r} = max(0.0, {', '.join(f'abs(c{k}_{r} - y{k})' for k in range(m))})"
+             for r in range(R)]
+    for f, (agg, blends) in enumerate(shape):
+        params += [f"s{f}", *(f"o{f}_{r}" for r in range(R))]
+        terms = ", ".join(f"s{f} * d{r} + o{f}_{r}" for r in range(R))
+        body.append(f"v{f} = {agg.__name__}({terms})" if R > 1 else f"v{f} = {terms}")
+        for b in range(blends):
+            params += [f"p{f}_{b}", f"q{f}_{b}"]
+            body.append(f"v{f} = p{f}_{b} * (v{f} - q{f}_{b}) + q{f}_{b}")
+    body.append(f"return {''.join(f'v{f}, ' for f in range(len(shape)))}")
+    namespace = {}
+    exec(f"def cones(y, {', '.join(params)}):\n " + "\n ".join(body), _KERNEL_GLOBALS, namespace)
+    return namespace["cones"].__code__
 
 
 def _cones_grid(heads, cols, hat=None):

@@ -1050,6 +1050,21 @@ class TestRelaxedSets:
         assert len(orders) > 1 and built == []
         assert len(compiled) == Q.n * len(orders)
 
+    def test_a_staged_walk_compiles_no_kernel_after_the_first_request(self, monkeypatch):
+        """The walk above, then walks at other tolerances, so other orders
+        and blend factors, on fresh copies of its set: their targets and
+        stages reuse the kernel code of the first request's shapes."""
+        x = (-0.9407723888321202, -2.9295397312213334, 3.1190437764806624)
+        orders = _shrinks_run(monkeypatch)
+        misses = []
+        for tol in (1e-6, 1e-5, 1e-3):
+            orders.clear()
+            Q = random_mcshane_instance(3, 1.0, np.random.default_rng(21), samples=8)
+            boxset.retract(Q, x, tol, many=False)
+            assert len(orders) > 2
+            misses.append(lipfun._kernel_code.cache_info().misses)
+        assert misses[1:] == misses[:1] * 2
+
 
 class TestExhaustedState:
     """``MaxSweepsExceededError.state`` is the result after the last sweep."""

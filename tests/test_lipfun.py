@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -953,6 +954,92 @@ def test_distances_that_overflow_give_the_reference_bits(case):
             f = Blend(f, *blend)
         got, want = _kernel_bits(lambda: _compile(f), hats)
         assert got == want
+
+
+# kernel numbers: signed zeros and magnitudes whose sums overflow
+KERNEL_NUMBERS = st.sampled_from((0.0, -0.0, 1e308, -1e308, 0.75, -2.5))
+
+
+@st.composite
+def _kernel_cases(draw, R):
+    """``(heads, cols, hats)`` of one or two families of ``R`` rows over
+    1-6 hat coordinates, each under 0-3 blends."""
+    m = draw(st.integers(1, 6))
+    cols = tuple(tuple(draw(st.lists(KERNEL_NUMBERS, min_size=R, max_size=R)))
+                 for _ in range(m))
+    heads = tuple((draw(st.sampled_from((min, max))),
+                   draw(st.sampled_from((1.0, -1.0, 0.5, -0.5, 0.0))),
+                   tuple(draw(st.lists(KERNEL_NUMBERS, min_size=R, max_size=R))),
+                   tuple(draw(st.lists(st.tuples(st.sampled_from((0.0, 0.5, 1.0)), KERNEL_NUMBERS),
+                                       max_size=3))))
+                  for _ in range(draw(st.integers(1, 2))))
+    hats = draw(st.lists(st.tuples(*[st.sampled_from(EDGE_HAT)] * m), min_size=1, max_size=6))
+    return heads, cols, hats
+
+
+@pytest.mark.parametrize("R", sorted({1, 2, 16, lipfun._STRAIGHT_ROWS,
+                                      lipfun._STRAIGHT_ROWS + 1}))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_generated_kernel_gives_the_reference_bits(R, data):
+    """The straight-line kernels up to the row cap, and the column loop
+    above it, at hats of signed zeros, infinities, NaN and overflow."""
+    heads, cols, hats = data.draw(_kernel_cases(R))
+    kernel, ref = lipfun._cones_closure(heads, cols), _ref_cones_closure(heads, cols)
+    for y in hats:
+        assert _hex(kernel(y)) == _hex(ref(y))
+
+
+def _misses():
+    return lipfun._kernel_code.cache_info().misses
+
+
+def test_a_family_wider_than_the_cap_compiles_nothing():
+    rng = np.random.default_rng(2000)
+    f = McShane(tuple((tuple(c), v) for c, v in zip(rng.uniform(-3.0, 3.0, (2000, 2)),
+                                                     rng.uniform(-1.0, 1.0, 2000))), 1.0, "inf")
+    before = _misses()
+    got, want = _kernel_bits(lambda: _compile(f), [(0.0, -0.0), (1.25, math.nan), (2.5, -1e308)])
+    assert got == want and _misses() == before
+
+
+def test_families_of_one_shape_share_one_kernel_code():
+    rng = np.random.default_rng(29)
+    sets = [McShane(tuple((tuple(c), v) for c, v in zip(rng.uniform(-3.0, 3.0, (5, 3)),
+                                                         rng.uniform(-1.0, 1.0, 5))), 0.5, "sup")
+            for _ in range(3)]
+    before = _misses()
+    kernels = [lipfun._cones_closure((lipfun._head(f.form),), lipfun._columns(f.form))
+               for f in sets]
+    assert _misses() - before <= 1 and len({k.__code__ for k in kernels}) == 1
+    for f in sets:
+        got, want = _kernel_bits(lambda: _compile(f), [(0.0, 1.25, -2.5), (-0.0, 0.0, 1.25)])
+        assert got == want
+
+
+def test_the_kernel_code_holds_no_number():
+    """Every number reaches a kernel as a default argument: its code holds
+    no constant but 0.0 and None, and only names built from integers
+    besides ``y`` and the builtins it calls, which are all it can reach."""
+    for m, R, shape in ((1, 1, ((min, 0),)), (3, 5, ((max, 2), (min, 3))), (6, 16, ((min, 1),))):
+        code = lipfun._kernel_code(m, R, shape)
+        assert {repr(c) for c in code.co_consts} <= {"0.0", "None"}
+        assert set(code.co_names) <= {"abs", "max", "min"}
+        assert not code.co_freevars and not code.co_cellvars
+        assert [n for n in code.co_varnames if not re.fullmatch(r"[a-z]\d+(_\d+)?", n)] == ["y"]
+    assert set(lipfun._KERNEL_GLOBALS) == {"__builtins__"}
+    assert set(lipfun._KERNEL_GLOBALS["__builtins__"]) == {"abs", "max", "min"}
+
+
+def test_the_kernel_code_cache_stays_within_its_size():
+    shapes = [(m, R) for m in range(1, 7) for R in range(1, lipfun._STRAIGHT_ROWS + 1)]
+    assert len(shapes) > lipfun._KERNEL_SHAPES
+    lipfun._kernel_code.cache_clear()
+    for m, R in shapes:
+        lipfun._cones_closure(((max, 1.0, (0.0,) * R, ((0.5, 1.0),) * 3),), ((0.0,) * R,) * m)
+    info = lipfun._kernel_code.cache_info()
+    assert info.misses == len(shapes)
+    assert info.currsize == info.maxsize == lipfun._KERNEL_SHAPES
 
 
 @given(st.lists(st.integers(0, 3).flatmap(lambda dim: _deep(_leaves(dim), 2)),

@@ -65,3 +65,20 @@ def test_every_unread_import_is_a_traced_binding():
                                                                 module.__all__)
                   if (module.__name__, n) not in traced]
     assert sorted(stray) == []
+
+
+def test_code_is_generated_in_one_place():
+    """Only the code builder of the scalar cone kernels
+    (``lipfun._kernel_code``) runs source it writes, so that code
+    generation cannot spread through the package."""
+    found = []
+    for path in sorted(Path(hyperlip.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in ("exec", "eval", "compile"):
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                found.append((path.stem, getattr(scope, "name", None), node.id))
+    assert found == [("lipfun", "_kernel_code", "exec")]
