@@ -41,6 +41,7 @@ def _columns(X, f):
     return np.array(vals)[:, None]
 
 
+@np.errstate(over="ignore")     # a sum past the largest float reads +inf
 def is_extremal(X: FiniteMetricSpace, f, tol: float = 1e-12) -> bool:
     """Whether an admissible ``f`` is pointwise minimal.
 
@@ -182,6 +183,7 @@ def _scan(D, V, P, tol, resolution, found):
                 _scan(D, V, C, tol, resolution, found)
 
 
+@np.errstate(over="ignore")     # a sum past the largest float reads +inf
 def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float) -> list:
     """All grid points of ``[0, diam]^|X|`` passing the extremality test.
 

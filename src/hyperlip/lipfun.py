@@ -61,10 +61,11 @@ one-family case of the same kernels.  The scalar kernel of families of at
 most ``_STRAIGHT_ROWS`` rows is straight-line code, generated once per shape
 (hat coordinates, rows, each family's aggregate and blend count) and given
 the numbers as default arguments, so a new set of a known shape compiles
-nothing.  Blending both sides of a pair by one factor (:func:`_blend_pair`,
-what a relaxed set of :mod:`hyperlip.boxset` does to its base's pairs)
-keeps its centres and offsets and adds one blend to each side; it builds
-no grammar node.
+nothing.  It calls nothing: its compares and branches choose as ``abs``,
+``max`` and ``min`` do, with their bits.  Blending both sides of a pair by
+one factor (:func:`_blend_pair`, what a relaxed set of :mod:`hyperlip.boxset`
+does to its base's pairs) keeps its centres and offsets and adds one blend
+to each side; it builds no grammar node.
 """
 
 from __future__ import annotations
@@ -398,9 +399,10 @@ def _cones_closure(heads, cols):
     coordinates; it is taken once for all families.  Each family reduces
     its own ``slope * distance + offset`` over the rows (one row is its own
     value), then applies its blends.  Up to ``_STRAIGHT_ROWS`` rows this is
-    the straight-line code of :func:`_kernel_code` with the numbers as its
-    default arguments; a wider family runs the same operations column by
-    column."""
+    the call-free code of :func:`_kernel_code` with the numbers as its
+    default arguments: compares and branches in place of ``abs`` and the
+    aggregate, with the same bits.  A wider family runs the same operations
+    column by column."""
     R = len(cols[0])
     if R <= _STRAIGHT_ROWS:
         numbers = [*itertools.chain(*cols)]
@@ -424,7 +426,7 @@ def _cones_closure(heads, cols):
     return cones
 
 
-_KERNEL_GLOBALS = {"__builtins__": {"abs": abs, "max": max, "min": min}}
+_KERNEL_GLOBALS = {"__builtins__": {}}
 
 
 @functools.lru_cache(maxsize=_KERNEL_SHAPES)
@@ -433,17 +435,27 @@ def _kernel_code(m, R, shape):
     its slope, offsets and blends' (factor, anchor))`` for ``m`` hat
     coordinates, ``R`` rows and per family its ``(aggregate, blend count)``.
     Its source holds names built from integers and the constant 0.0, never
-    a number of the families: ``max`` keeps its first of equal values and
-    never moves onto a NaN, so ``max(0.0, |c_0 - y_0|, ...)`` is the
-    running maximum."""
+    a number of the families, and it calls nothing.  A row's distance starts
+    at 0.0 and takes each ``|c - y|``, written ``c - y if c >= y else y -
+    c``, when it is larger: rounding is symmetric, so ``y - c`` is ``-(c -
+    y)`` and has the bits of ``abs``, and a NaN or a zero never replaces the
+    distance.  A family's value starts at its first term and takes each
+    later one when it compares larger (``max``) or smaller (``min``), which
+    is what ``max`` and ``min`` do: they keep the first of equal values and
+    never move onto a NaN."""
     params = [f"c{k}_{r}" for k in range(m) for r in range(R)]
     body = [f"{''.join(f'y{k}, ' for k in range(m))}= y"]
-    body += [f"d{r} = max(0.0, {', '.join(f'abs(c{k}_{r} - y{k})' for k in range(m))})"
-             for r in range(R)]
+    for r in range(R):
+        body.append(f"d{r} = 0.0")
+        for k in range(m):
+            body += [f"t0 = c{k}_{r} - y{k} if c{k}_{r} >= y{k} else y{k} - c{k}_{r}",
+                     f"if t0 > d{r}: d{r} = t0"]
     for f, (agg, blends) in enumerate(shape):
         params += [f"s{f}", *(f"o{f}_{r}" for r in range(R))]
-        terms = ", ".join(f"s{f} * d{r} + o{f}_{r}" for r in range(R))
-        body.append(f"v{f} = {agg.__name__}({terms})" if R > 1 else f"v{f} = {terms}")
+        body.append(f"v{f} = s{f} * d0 + o{f}_0")
+        for r in range(1, R):
+            body += [f"t0 = s{f} * d{r} + o{f}_{r}",
+                     f"if t0 {'>' if agg is max else '<'} v{f}: v{f} = t0"]
         for b in range(blends):
             params += [f"p{f}_{b}", f"q{f}_{b}"]
             body.append(f"v{f} = p{f}_{b} * (v{f} - q{f}_{b}) + q{f}_{b}")

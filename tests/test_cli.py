@@ -8,6 +8,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +495,19 @@ class TestHull:
         assert [0.0, 1.0] in out["functions"]
         assert [0.5, 0.5] in out["functions"]
         assert out["functions"] == sorted(out["functions"])
+
+    def test_sums_past_the_largest_float_warn_nothing(self, capsys, tmp_path):
+        """Candidate sums on a space of diameter 1e308 overflow to +inf,
+        which exceeds every distance: the answer holds, and with numpy's
+        warnings as errors the run still exits 0 with nothing on stderr."""
+        metric = dump(tmp_path, "d.json", [[0.0, 1e308], [1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["hull", "enumerate", "--metric", metric, "--resolution", "1e307"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["functions"] == \
+            [[float(f"{j}e307"), float(f"{10 - j}e307")] for j in range(11)]
 
     def test_overflowing_resolution_is_an_input_error(self, capsys, tmp_path):
         metric = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])

@@ -141,7 +141,14 @@ def extend_requests(draw):
 
 @st.composite
 def metric_requests(draw):
-    return _mutate(draw, {"metric": _sup_matrix(draw(grids))})
+    """A ``--resolution`` and a metric file.  The well-formed metric is
+    sometimes scaled near the largest float, and the resolution is a hostile
+    flag or a value near that scale, at which the grid stays small while
+    its sums overflow."""
+    scale = draw(st.sampled_from([1.0, 1e307]))
+    metric = [[scale * d for d in row] for row in _sup_matrix(draw(grids))]
+    resolution = draw(st.one_of(flags, st.sampled_from(["1e307", "2.5e307", "1e308"])))
+    return resolution, _mutate(draw, {"metric": metric})
 
 
 @st.composite
@@ -285,11 +292,14 @@ def test_extend(files):
 
 @SETTINGS
 @given(metric_requests())
-@example({"metric": [[0, NAN], [NAN, 0]]})
-@example({"metric": [[0, 1e400], [1e400, 0]]})
-@example({"metric": [[0, 1e308, 1e308], [1e308, 0, -1e308], [1e308, 1e308, 0]]})
-def test_hull_and_verify_metric(files):
-    _run(["hull", "enumerate", "--resolution", "0.5"], files)
+@example(("0.5", {"metric": [[0, NAN], [NAN, 0]]}))
+@example(("0.5", {"metric": [[0, 1e400], [1e400, 0]]}))
+@example(("0.5", {"metric": [[0, 1e308, 1e308], [1e308, 0, -1e308], [1e308, 1e308, 0]]}))
+# candidate sums past the largest float
+@example(("1e307", {"metric": [[0, 1e308], [1e308, 0]]}))
+def test_hull_and_verify_metric(request):
+    resolution, files = request
+    _run(["hull", "enumerate", f"--resolution={resolution}"], files)
     _run(["verify", "metric"], {"matrix": files["metric"]})
 
 

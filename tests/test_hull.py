@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,16 @@ class TestExtremality:
         assert is_extremal(X, (0.5, 0.5))
         assert not is_extremal(X, (0.8, 0.5))
         assert not is_extremal(X, (2.0, 2.0))
+
+    def test_sums_past_the_largest_float_warn_nothing(self):
+        """``f(x) + f(x)`` overflows to +inf at a row of a space of diameter
+        1e308; +inf exceeds every distance, so the row is admissible, and
+        no numpy warning is raised on the way."""
+        X = _two_point(1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_extremal(X, [0.0, 1e308])
+            assert not is_extremal(X, [1e308, 1e308])
 
     def test_inadmissible_input_is_an_error(self):
         with pytest.raises(ValueError):

@@ -1018,17 +1018,47 @@ def test_families_of_one_shape_share_one_kernel_code():
 
 
 def test_the_kernel_code_holds_no_number():
-    """Every number reaches a kernel as a default argument: its code holds
-    no constant but 0.0 and None, and only names built from integers
-    besides ``y`` and the builtins it calls, which are all it can reach."""
+    """Every number reaches a kernel as a default argument, and a kernel
+    calls nothing: its code holds no constant but 0.0 and None, no global
+    name, and only local names built from integers besides ``y``, and its
+    globals reach no builtin."""
     for m, R, shape in ((1, 1, ((min, 0),)), (3, 5, ((max, 2), (min, 3))), (6, 16, ((min, 1),))):
         code = lipfun._kernel_code(m, R, shape)
         assert {repr(c) for c in code.co_consts} <= {"0.0", "None"}
-        assert set(code.co_names) <= {"abs", "max", "min"}
+        assert code.co_names == ()
         assert not code.co_freevars and not code.co_cellvars
         assert [n for n in code.co_varnames if not re.fullmatch(r"[a-z]\d+(_\d+)?", n)] == ["y"]
-    assert set(lipfun._KERNEL_GLOBALS) == {"__builtins__"}
-    assert set(lipfun._KERNEL_GLOBALS["__builtins__"]) == {"abs", "max", "min"}
+    assert lipfun._KERNEL_GLOBALS == {"__builtins__": {}}
+    kernel = lipfun._cones_closure(((max, 1.0, (0.0, 0.5), ()),), ((1.0, 2.0),))
+    assert kernel.__globals__ is lipfun._KERNEL_GLOBALS and kernel.__builtins__ == {}
+
+
+@pytest.mark.parametrize("R", [2, 16])
+def test_ties_and_nans_keep_the_reference_order(R):
+    """The orders the hypothesis cases reach only by chance: terms equal as
+    0.0 and -0.0 in both orders, under ``min`` and under ``max``; a NaN term
+    first and later (slope 0.0 at an infinite distance); and a NaN hat
+    coordinate first and last."""
+    def check(cols, slope, offs, hats):
+        heads = ((min, slope, offs, ()), (max, slope, offs, ((0.5, -0.0),)))
+        kernel, ref = lipfun._cones_closure(heads, cols), _ref_cones_closure(heads, cols)
+        assert kernel.__code__ is lipfun._kernel_code(len(cols), R, ((min, 0), (max, 1)))
+        for y in hats:
+            assert _hex(kernel(y)) == _hex(ref(y)), y
+
+    # slope -0.0 at finite distances: each term is its offset, 0.0 or -0.0
+    near = (tuple(0.5 * r for r in range(R)), (0.0,) * R)
+    for zeros in ((0.0, -0.0), (-0.0, 0.0)):
+        check(near, -0.0, zeros * (R // 2), [(0.25, 0.0), (0.0, -0.0), (-0.0, 0.0)])
+    # a hat at x = inf is infinitely far from the row centred at x = 1.0 and
+    # a finite distance from those centred at x = inf, so at slope 0.0 that
+    # row's term is the only NaN: first, then last
+    far = ((1.0,) + (math.inf,) * (R - 1), (0.0,) + tuple(0.25 * r for r in range(1, R)))
+    offs = tuple(0.5 * (-1) ** r for r in range(R))
+    for cols in (far, tuple(c[::-1] for c in far)):
+        check(cols, 0.0, offs, [(math.inf, 0.5), (math.nan, 0.5), (0.5, math.nan),
+                                (math.nan, math.nan)])
+        check(cols, 1.0, offs, [(math.inf, 0.5), (math.nan, 0.5), (0.5, math.nan)])
 
 
 def test_the_kernel_code_cache_stays_within_its_size():
