@@ -54,9 +54,10 @@ from typing import Sequence
 
 import numpy as np
 
-# ``_compile`` is no longer called here (the engines and ``violation`` read
-# paired evaluators), but bench/tracing.py patches this binding.
+# ``_compile`` and ``bounds_of`` are no longer called here (everything reads
+# the lowered pairs), but bench/tracing.py patches these bindings.
 from .lipfun import (
+    BOUNDS_SLACK,
     Const,
     Infinite,
     LipExpr,
@@ -65,6 +66,8 @@ from .lipfun import (
     _compile,
     _MAX_DEPTH,
     _blend_pair,
+    _box,
+    _clamp_pair,
     _compile_grid_pair,
     _compile_pair,
     _pair,
@@ -159,13 +162,9 @@ class BoxLipschitzSet:
     (lower) or ``+inf`` (upper).  The batch evaluators (:func:`_grid_pairs`)
     are built per call.
 
-    A set that :func:`shrink_set` made holds its base set, the blend factor
-    and the anchors instead of bounds: its lowered pairs are its base's with
-    one more blend per side, and it builds its ``Blend`` bounds only when
-    ``lower``, ``upper`` or ``==`` asks for them.
+    A set that :func:`shrink_set` or :func:`truncated_set` made holds pairs
+    made from its base's, and builds its bounds on first read (:meth:`_made`).
     """
-
-    _shrink = None      # (base, factor, lower anchors, upper anchors)
 
     def __init__(self, lower: Sequence[LipExpr], upper: Sequence[LipExpr]):
         lower = tuple(lower)
@@ -191,22 +190,20 @@ class BoxLipschitzSet:
         self._n, self._lam, self._depth, self._finite = n, lam, depth, finite
 
     @classmethod
-    def _shrunk(cls, base, factor, lows, ups):
-        """The set of ``Blend(b, factor, a)`` over the bounds ``b`` of
-        ``base``, which are all finite, toward its anchors ``a``: the
-        blends' checks are the caller's, and they are built on first read."""
+    def _made(cls, lam, depth, axes, bounds):
+        """The set of level ``lam`` and depth ``depth`` whose lowered pairs
+        ``axes`` a maker built from another set's, and whose finite bounds
+        ``bounds()`` (two tuples) are built when first read.  A maker that
+        finds something they would refuse builds them at once instead."""
         Q = cls.__new__(cls)
         Q._lower = Q._upper = None
-        # a blend's level is factor * lip, and rounding keeps the order of a max
-        Q._n, Q._lam, Q._depth, Q._finite = base._n, factor * base._lam, base._depth + 1, True
-        Q._shrink = base, factor, lows, ups
+        Q._n, Q._lam, Q._depth, Q._finite = len(axes), lam, depth, True
+        Q._make, Q._axes = bounds, axes
         return Q
 
     def _bounds(self):
         if self._lower is None:
-            base, factor, lows, ups = self._shrink
-            self._lower = tuple(shrink(b, factor, a) for b, a in zip(base.lower, lows))
-            self._upper = tuple(shrink(b, factor, a) for b, a in zip(base.upper, ups))
+            self._lower, self._upper = self._make()
         return self._lower, self._upper
 
     @property
@@ -229,15 +226,17 @@ class BoxLipschitzSet:
     @cached_property
     def _axes(self) -> tuple:
         """Per axis, its lowered bounds as one unit (``lipfun._Pair``)."""
-        if self._shrink is None:
-            return tuple(_pair(lo.form, up.form) for lo, up in zip(self._lower, self._upper))
-        base, factor, lows, ups = self._shrink
-        return tuple(_blend_pair(p, factor, a, b) for p, a, b in zip(base._axes, lows, ups))
+        return tuple(_pair(lo.form, up.form) for lo, up in zip(self._lower, self._upper))
 
     @cached_property
     def _pairs(self) -> tuple:
         """Per axis, ``y -> (lower_i(y), upper_i(y))`` at a hat point ``y``."""
         return tuple(_compile_pair(p) for p in self._axes)
+
+    @cached_property
+    def _scale(self) -> float:
+        """The largest bound magnitude at the hat origin (:func:`_auto_box`)."""
+        return max(0.0, *(abs(v) for pair in self._pairs for v in pair((0.0,) * (self._n - 1))))
 
     @property
     def all_finite(self) -> bool:
@@ -611,6 +610,13 @@ def cyclic_retract_many(Q: BoxLipschitzSet, X, tol: float = 1e-6,
 # level-1 strategies
 
 
+def _witness(Q, witness) -> Point:
+    """``witness`` as a point of ``Q``'s dimension."""
+    if len(w := as_point(witness)) != Q.n:
+        raise ValueError(f"witness of dimension {len(w)} for a set of dimension {Q.n}")
+    return w
+
+
 def enclosure_bounds(Q: BoxLipschitzSet, box) -> tuple:
     """Common floor ``l`` and ceiling ``u`` of every bound function over an
     ambient working box (a pair per axis of the full space).
@@ -620,22 +626,15 @@ def enclosure_bounds(Q: BoxLipschitzSet, box) -> tuple:
     one-sided envelopes.  The relaxation guarantee of
     :func:`retract_lambda_one_bounded` is valid wherever these enclosures
     actually bound the functions, so the box should cover the region the
-    iterates move through.
+    iterates move through.  Each bound's enclosure is :func:`bounds_of`'s
+    bit for bit, read from the set's lowered pairs (``lipfun._Pair``).
     """
-    box = [(float(a), float(b)) for a, b in box]
-    if len(box) != Q.n:
-        raise ValueError(f"expected a box with {Q.n} sides, got {len(box)}")
+    box = _box(box, Q.n)
     if not Q.all_finite:
         raise UnsupportedSetError("enclosures need all bounds finite")
-    lows = []
-    ups = []
-    for i in range(Q.n):
-        hat_box = box[:i] + box[i + 1:]
-        for b in (Q.lower[i], Q.upper[i]):
-            a, c = bounds_of(b, hat_box)
-            lows.append(a)
-            ups.append(c)
-    l, u = min(lows), max(ups)
+    ends = [e for i, p in enumerate(Q._axes) for e in p.interval(box[:i] + box[i + 1:])]
+    # rounding is monotone: widening the extremes widens every bound alike
+    l, u = min(lo for lo, _ in ends) - BOUNDS_SLACK, max(hi for _, hi in ends) + BOUNDS_SLACK
     if l > u:
         raise InconsistentBoundsError(f"enclosures cross: l={l!r} > u={u!r}")
     return l, u
@@ -672,12 +671,9 @@ def shrink_set(Q: BoxLipschitzSet, k: int, l, u) -> BoxLipschitzSet:
     over increasing ``k`` and their intersection recovers the original set.
     Each new bound is a blend over ``Q``'s own, whose lowered form it shares.
 
-    The result evaluates from ``Q``'s lowered pairs, each with one more
-    blend per side, and builds its ``Blend`` bounds only when they are read
-    (:class:`BoxLipschitzSet`).  Everything a blend would refuse (a factor
-    outside [0, 1], an infinite or NaN anchor, a bound at the depth limit)
-    is checked first, and refused by building the blends, with their
-    message.
+    The result's pairs are ``Q``'s with one more blend per side; a blend
+    refuses a factor outside [0, 1], an anchor that is not finite and a
+    bound at the depth limit (:meth:`BoxLipschitzSet._made`).
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -688,11 +684,16 @@ def shrink_set(Q: BoxLipschitzSet, k: int, l, u) -> BoxLipschitzSet:
         raise ValueError(f"anchors must be one number or {Q.n} per side, with l <= u: "
                          f"got l={l!r}, u={u!r}")
     lam_k = float(1.0 - 1.0 / k)
+
+    def bounds():
+        return (tuple(shrink(b, lam_k, a) for b, a in zip(Q.lower, lows)),
+                tuple(shrink(b, lam_k, a) for b, a in zip(Q.upper, ups)))
+
     if 0.0 <= lam_k <= 1.0 and all(map(math.isfinite, lows + ups)) and Q._depth < _MAX_DEPTH:
-        return BoxLipschitzSet._shrunk(Q, lam_k, lows, ups)
-    # a blend refuses the factor, an anchor or the depth: it says which
-    return BoxLipschitzSet([shrink(b, lam_k, a) for b, a in zip(Q.lower, lows)],
-                           [shrink(b, lam_k, a) for b, a in zip(Q.upper, ups)])
+        # a blend's level is factor * lip, and rounding keeps the order of a max
+        axes = tuple(_blend_pair(p, lam_k, a, b) for p, a, b in zip(Q._axes, lows, ups))
+        return BoxLipschitzSet._made(lam_k * Q._lam, Q._depth + 1, axes, bounds)
+    return BoxLipschitzSet(*bounds())
 
 
 def truncated_set(Q: BoxLipschitzSet, witness, r: float) -> BoxLipschitzSet:
@@ -702,29 +703,39 @@ def truncated_set(Q: BoxLipschitzSet, witness, r: float) -> BoxLipschitzSet:
     clamped into ``[w_i - r, w_i + r]``, and a missing bound becomes the
     matching end of that interval.  All bounds of the truncated set are
     finite, so the anchors ``w_i - r`` and ``w_i + r`` enclose them
-    globally, and a member of ``Q`` inside the ball stays a member.
+    globally, and a member of ``Q`` inside the ball stays a member.  Its
+    pairs are ``Q``'s clamped (``lipfun._clamp_pair``, :meth:`~BoxLipschitzSet._made`).
     """
-    w = as_point(witness)
-    if len(w) != Q.n:
-        raise ValueError(f"witness of dimension {len(w)} for a set of dimension {Q.n}")
+    w = _witness(Q, witness)
     if r <= 0:
         raise ValueError("radius must be positive")
-    lower = []
-    upper = []
-    for lo, up, c in zip(Q.lower, Q.upper, w):
-        low_cut, high_cut = Const(c - r), Const(c + r)
-        lower.append(low_cut if isinstance(lo, Infinite) else Min(Max(lo, low_cut), high_cut))
-        upper.append(high_cut if isinstance(up, Infinite) else Min(Max(up, low_cut), high_cut))
-    return BoxLipschitzSet(lower, upper)
+    lows, highs = [c - r for c in w], [c + r for c in w]
+
+    def bounds():
+        lower, upper = [], []
+        for lo, up, a, b in zip(Q.lower, Q.upper, lows, highs):
+            low_cut, high_cut = Const(a), Const(b)
+            lower.append(low_cut if isinstance(lo, Infinite) else Min(Max(lo, low_cut), high_cut))
+            upper.append(high_cut if isinstance(up, Infinite) else Min(Max(up, low_cut), high_cut))
+        return tuple(lower), tuple(upper)
+
+    # a clamp keeps its bound's level, and adds two levels to its depth
+    if all(map(math.isfinite, lows + highs)) and Q._depth + 2 <= _MAX_DEPTH:
+        axes = tuple(_clamp_pair(p, a, b) for p, a, b in zip(Q._axes, lows, highs))
+        return BoxLipschitzSet._made(Q._lam, Q._depth + 2, axes, bounds)
+    return BoxLipschitzSet(*bounds())
 
 
 def _auto_box(Q, X):
     """Working box of the shrink strategy for the starts ``X`` (one point or
     rows of points): the cube of half-width ``2 (1 + max |x_ij| + s)``, ``s``
-    the largest bound magnitude at the hat origin."""
-    zero_hat = (0.0,) * (Q.n - 1)
-    scale = max(0.0, *(abs(v) for pair in Q._pairs for v in pair(zero_hat)))
-    R = 2.0 * (1.0 + float(np.abs(np.asarray(X, dtype=float)).max(initial=0.0)) + scale)
+    the largest bound magnitude at the hat origin, refused when it overflows."""
+    X = np.asarray(X, dtype=float).reshape(-1, Q.n)
+    far = np.abs(X).max(axis=1, initial=0.0)
+    R = 2.0 * (1.0 + float(far.max(initial=0.0)) + Q._scale)
+    if not math.isfinite(R):
+        start = tuple(X[far.argmax()].tolist()) if len(X) else ()
+        raise ValueError(f"the working box around start {start} overflows: half-width {R!r}")
     return [(-R, R)] * Q.n
 
 
@@ -736,22 +747,24 @@ def _level_one(Q, X, tol, box=None, witness=None):
     ball of radius ``r = 2 max ||x - w|| + 1`` around the member ``witness``,
     which keeps every member the iteration could be asked to fix, and shrink
     the truncation toward the anchors ``w_i - r`` and ``w_i + r`` of each
-    axis.  The relaxed sets keep ``Q``'s coordinates, so the starts go in
-    as they are and members come back bit for bit.  Returns ``(base, l, u,
+    axis.  A given box and witness are checked whichever strategy runs.
+    The relaxed sets keep ``Q``'s coordinates, so the starts go in as they
+    are and members come back bit for bit.  Returns ``(base, l, u,
     report)``: ``Q`` or its truncation, the anchors, and the ``strategy``
     with ``k = relaxation_order(span, tol)`` and the ``enclosure`` or
-    ``radius``, ``span`` the largest ``u_i - l_i`` (``2 r`` when the anchors
-    are exact).  The relaxed set of order ``j`` is ``shrink_set(base, j, l,
-    u)``, of level below 1; :func:`retract` builds those it runs on.
+    ``radius``, ``span`` the largest ``u_i - l_i``.  The relaxed set of
+    order ``j`` is ``shrink_set(base, j, l, u)``, of level below 1;
+    :func:`retract` builds those it runs on.
     """
     X = _rows(Q, X)
+    box = None if box is None else _box(box, Q.n)
+    w = None if witness is None else _witness(Q, witness)
     if Q.all_finite:
         l, u = enclosure_bounds(Q, _auto_box(Q, X) if box is None else box)
-        base, report = Q, {"strategy": "shrink", "enclosure": [l, u]}
-    elif witness is None:
+        base, span, report = Q, u - l, {"strategy": "shrink", "enclosure": [l, u]}
+    elif w is None:
         raise UnsupportedSetError("a level-1 set with missing bounds needs a witness member")
     else:
-        w = as_point(witness)
         v = violation(Q, w)
         if v != 0.0:
             raise ValueError(f"witness {w} is not a member (violation {v:g})")
@@ -760,8 +773,9 @@ def _level_one(Q, X, tol, box=None, witness=None):
             raise ValueError(f"the truncation radius around witness {w} overflows: r={r!r}")
         l, u = [c - r for c in w], [c + r for c in w]
         base, report = truncated_set(Q, w, r), {"strategy": "truncate", "radius": r}
-    with np.errstate(over="ignore"):    # relaxation_order refuses an inf span
-        report["k"] = relaxation_order(float(np.max(np.subtract(u, l))), tol)
+        span = max(b - a for a, b in zip(l, u))
+    # a span too large for a float reads inf, which relaxation_order refuses
+    report["k"] = relaxation_order(span, tol)
     return base, l, u, report
 
 

@@ -18,7 +18,8 @@ holds its ``dim`` (:func:`domain_dim`), its ``lip`` (:func:`lip_bound`; not
 fields and its direct children's forms; they are not fields, so equality and
 ``repr`` ignore them.  The evaluators read only the ``form``, one of four
 kinds, each with its scalar closure (for :func:`_compile`), batch closure
-(for :func:`_compile_grid`) and interval enclosure (for :func:`bounds_of`):
+(for :func:`_compile_grid`) and interval enclosure (for :func:`bounds_of`,
+from each row's distance range over the box, :func:`_dist_ranges`):
 
 - a constant: ``Const``; ``Infinite`` as ``+inf`` or ``-inf``; on the
   zero-dimensional domain, where every distance is 0, a ``DistCone`` as its
@@ -54,8 +55,9 @@ more blends and the two families have equal centres, as the lower and upper
 envelopes of one set of samples and their shrunken blends do, the pair holds
 the centres once, as per-coordinate tuples, and each family's aggregate,
 slope, offsets and blends; one kernel takes the distances ``max_k |c_k -
-y_k|`` once and each family reduces them with its own.  Every value keeps
-its own float expression, so it has the bits of evaluating its side alone.
+y_k|`` once and each family reduces them with its own, and the pair's
+enclosure (:meth:`_Pair.interval`) takes each distance range once.  Every
+value keeps its own float expression, so it has the bits of its side alone.
 Any other pair evaluates its two sides apart.  A single family is the
 one-family case of the same kernels.  The scalar kernel of families of at
 most ``_STRAIGHT_ROWS`` rows is straight-line code, generated once per shape
@@ -65,7 +67,9 @@ nothing.  It calls nothing: its compares and branches choose as ``abs``,
 ``max`` and ``min`` do, with their bits.  Blending both sides of a pair by
 one factor (:func:`_blend_pair`, what a relaxed set of :mod:`hyperlip.boxset`
 does to its base's pairs) keeps its centres and offsets and adds one blend
-to each side; it builds no grammar node.
+to each side; clamping both into an interval (:func:`_clamp_pair`, what a
+truncated set does) builds the clamp's lowered form.  Neither builds a
+grammar node.
 """
 
 from __future__ import annotations
@@ -368,15 +372,35 @@ class _Cones(NamedTuple):
         return lambda YT: kernel(YT)[0]
 
     def interval(self, box):
-        los, his = [], []
-        for c, off in self.rows:
-            lo, hi = _interval_dist(c, box)
-            a, b = self.slope * lo + off, self.slope * hi + off
-            if b < a:
-                a, b = b, a
-            los.append(a)
-            his.append(b)
-        return self.agg(los), self.agg(his)
+        return _enclose(_head(self), _dist_ranges(_columns(self), box))
+
+
+def _dist_ranges(cols, box):
+    """Per row of the centres ``cols`` (:func:`_columns`), the range ``(near,
+    far)`` of ``||center - y||`` over ``y`` in ``box``, as running maxima
+    from 0.0 that take only a larger term: the bits of ``max`` over ``abs``."""
+    ranges = []
+    for center in zip(*cols):
+        near = far = 0.0
+        for c, (a, b) in zip(center, box):
+            near = t if (t := a - c if c < a else c - b) > near else near
+            far = t if (t := c - a if c - a > b - c else b - c) > far else far
+        ranges.append((near, far))
+    return ranges
+
+
+def _enclose(head, ranges):
+    """The enclosure of a :func:`_head` from its rows' :func:`_dist_ranges`."""
+    agg, slope, offs, blends = head
+    los, his = [], []
+    for (near, far), off in zip(ranges, offs):
+        a, b = slope * near + off, slope * far + off
+        los.append(b if b < a else a)
+        his.append(a if b < a else b)
+    lo, hi = agg(los), agg(his)
+    for fac, anchor in blends:
+        lo, hi = fac * (lo - anchor) + anchor, fac * (hi - anchor) + anchor
+    return lo, hi
 
 
 def _head(family, blends=()):
@@ -635,6 +659,13 @@ class _Pair(NamedTuple):
     heads: tuple = None
     cols: tuple = None
 
+    def interval(self, box):
+        """Each side's ``interval``; shared centres take each range once."""
+        if self.heads is None:
+            return self.lower.interval(box), self.upper.interval(box)
+        ranges = _dist_ranges(self.cols, box)
+        return tuple(_enclose(h, ranges) for h in self.heads)
+
 
 def _pair(lower, upper) -> _Pair:
     """The :class:`_Pair` of the lowered bounds ``lower`` and ``upper``."""
@@ -656,6 +687,17 @@ def _blend_pair(p: _Pair, factor, low, high) -> _Pair:
     (*lo, lo_blends), (*up, up_blends) = p.heads
     return _Pair(lower, upper, ((*lo, lo_blends + ((factor, low),)),
                                 (*up, up_blends + ((factor, high),))), p.cols)
+
+
+def _clamp_pair(p: _Pair, low, high) -> _Pair:
+    """``p``'s bounds clamped into ``[low, high]`` as ``Min(Max(b,
+    Const(low)), Const(high))`` lowers; a missing bound (the only infinite
+    constant form) becomes the cut of its side."""
+    def clamp(form, cut):
+        if isinstance(form, _Const) and math.isinf(form.value):
+            return _Const(cut)
+        return _Node(min, (_Node(max, (form, _Const(low))), _Const(high)))
+    return _Pair(clamp(p.lower, low), clamp(p.upper, high))
 
 
 def _compile(f: LipExpr) -> Callable:
@@ -772,17 +814,18 @@ def shrink(f: LipExpr, factor: float, anchor: float) -> Blend:
     return Blend(f, factor, anchor)
 
 
-def _interval_dist(center, box):
-    """Range of ``||center - y||`` over an axis-aligned box (sup norm)."""
-    lo = hi = 0.0
-    for c, (a, b) in zip(center, box):
-        far = max(abs(c - a), abs(c - b))
-        near = 0.0 if a <= c <= b else min(abs(c - a), abs(c - b))
-        if near > lo:
-            lo = near
-        if far > hi:
-            hi = far
-    return lo, hi
+def _box(box, sides=None) -> list:
+    """``box`` as float pairs ``(lo, hi)``, ``sides`` of them when given,
+    each finite and nonempty."""
+    box = [(float(a), float(b)) for a, b in box]
+    if sides is not None and len(box) != sides:
+        raise ValueError(f"expected a box with {sides} sides, got {len(box)}")
+    for a, b in box:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("box limits must be finite")
+        if a > b:
+            raise ValueError(f"empty box side ({a}, {b})")
+    return box
 
 
 def bounds_of(f: LipExpr, box) -> tuple:
@@ -795,12 +838,7 @@ def bounds_of(f: LipExpr, box) -> tuple:
     """
     if isinstance(f, Infinite):
         raise ValueError("Infinite bounds have no finite range")
-    box = [(float(a), float(b)) for a, b in box]
-    for a, b in box:
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("box limits must be finite")
-        if a > b:
-            raise ValueError(f"empty box side ({a}, {b})")
+    box = _box(box)
     d = domain_dim(f)
     if d is not None and len(box) != d:
         raise ValueError(f"expression expects dimension {d}, got box of dimension {len(box)}")

@@ -18,7 +18,13 @@ import numpy as np
 import pytest
 
 from hyperlip import boxset, cli, reconstruct
-from hyperlip.instances import half_rate_instance, vee_notch_instance
+from hyperlip.instances import (
+    diagonal_halfspace_instance,
+    half_rate_instance,
+    origin_cycle_instance,
+    random_mcshane_instance,
+    vee_notch_instance,
+)
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -74,3 +80,27 @@ def test_level_one_batch_wrapper_calls_the_batch_engine(monkeypatch):
     X = np.array([[0.0, -3.0], [1.0, 2.0]])
     boxset.retract_lambda_one_bounded_many(vee_notch_instance(), X, 1e-3, [(-4.0, 4.0)] * 2)
     assert calls
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+def test_level_one_relaxes_through_the_traced_bindings(monkeypatch, tol):
+    """``boxset.truncate.calls`` and ``boxset.shrink.calls`` count the calls
+    of ``boxset.truncated_set`` and ``boxset.shrink_set``: one per
+    truncation and one per relaxed set a level-1 retraction runs on (the
+    final order first, then each intermediate stage's)."""
+    cases = [(random_mcshane_instance(3, 1.0, np.random.default_rng(3), samples=8),
+              (2.0, -1.0, 0.5), None, False),
+             (diagonal_halfspace_instance(), (0.0, 4.0), (0.0, 0.0), True),
+             (origin_cycle_instance(), (0.0, 1.5), None, False)]     # staged
+    for Q, x, witness, truncates in cases:
+        truncations = _spy(monkeypatch, boxset, "truncated_set")
+        orders = []
+        shrink = boxset.shrink_set
+        monkeypatch.setattr(boxset, "shrink_set",
+                            lambda base, k, l, u: orders.append(k) or shrink(base, k, l, u))
+        _, trace, report = boxset.retract(Q, x, tol, witness=witness, many=False)
+        assert len(truncations) == truncates
+        k = report["k"]
+        staged = trace.steps // Q.n > boxset._FIRST_SWEEPS
+        assert orders == [k] + (boxset._stage_orders(k)[:-1] if staged else [])
+        monkeypatch.undo()

@@ -730,6 +730,65 @@ class TestTruncation:
         with pytest.raises(ValueError):
             retract_lambda_one_general(Q, (0.0, 1.0), (4.0, 4.0), 1e-4)
 
+    @staticmethod
+    def _eager(Q, w, r):
+        """The truncation built node by node, as the grammar defines it."""
+        lower, upper = [], []
+        for lo, up, c in zip(Q.lower, Q.upper, w):
+            low_cut, high_cut = Const(c - r), Const(c + r)
+            lower.append(low_cut if isinstance(lo, Infinite) else Min(Max(lo, low_cut), high_cut))
+            upper.append(high_cut if isinstance(up, Infinite) else Min(Max(up, low_cut), high_cut))
+        return BoxLipschitzSet(lower, upper)
+
+    def test_built_from_pairs_it_means_the_grammar_truncation(self):
+        """The truncation evaluates from clamped pairs and builds its bounds
+        only when read; those equal the grammar's, as sets, bounds, lowered
+        pairs and values, also over a shrunk base that holds no bounds."""
+        rng = np.random.default_rng(31)
+        M = random_mcshane_instance(3, 1.0, rng, samples=5)
+        l, u = enclosure_bounds(M, [(-3.0, 3.0)] * 3)
+        cases = [(diagonal_halfspace_instance(), (2.0, 0.5), 8.0),
+                 (BoxLipschitzSet([Infinite(-1), Const(-1.0)], [DistCone((0.5,), 1.0, 1.0, 1),
+                                                                Infinite(1)]), (0.0, 0.0), 2.5),
+                 (M, (0.25, -0.5, 0.0), 3.0),
+                 (shrink_set(M, 9, l, u), (0.0, 0.0, -0.0), 1.5)]
+        X = rng.uniform(-4.0, 4.0, (30, 3))
+        for Q, w, r in cases:
+            T, want = truncated_set(Q, w, r), self._eager(Q, w, r)
+            assert T._lower is None                         # nothing built yet
+            assert T._axes == want._axes
+            hats = [tuple(x[:Q.n - 1]) for x in X]
+            assert [[v.hex() for v in pair(y)] for pair in T._pairs for y in hats] == \
+                [[v.hex() for v in pair(y)] for pair in want._pairs for y in hats]
+            box = [(-2.5, 1.0)] * Q.n
+            assert [v.hex() for v in enclosure_bounds(T, box)] == \
+                [v.hex() for v in enclosure_bounds(want, box)]
+            assert (T.lower, T.upper) == (want.lower, want.upper)
+            assert T == want and T.lip_bound == want.lip_bound and T.all_finite
+
+    @pytest.mark.parametrize("depth", [lipfun._MAX_DEPTH - 2, lipfun._MAX_DEPTH - 1,
+                                       lipfun._MAX_DEPTH])
+    def test_a_base_at_the_depth_limit_is_refused_as_before(self, depth):
+        bound = DistCone((0.0,), 0.0, 1.0, -1)
+        for _ in range(depth - 1):
+            bound = Blend(bound, 1.0, 0.0)
+        Q = BoxLipschitzSet([bound, Infinite(-1)], [Infinite(1), Infinite(1)])
+        assert Q._depth == depth
+        if depth + 2 <= lipfun._MAX_DEPTH:
+            assert truncated_set(Q, (-1.0, 0.0), 2.0) == self._eager(Q, (-1.0, 0.0), 2.0)
+            return
+        with pytest.raises(ValueError) as want:
+            self._eager(Q, (-1.0, 0.0), 2.0)
+        with pytest.raises(ValueError) as got:
+            truncated_set(Q, (-1.0, 0.0), 2.0)
+        assert str(got.value) == str(want.value)
+        assert f"would be {lipfun._MAX_DEPTH + 1} levels deep" in str(got.value)
+
+    def test_a_cut_past_the_largest_float_is_refused_as_before(self):
+        Q = diagonal_halfspace_instance()
+        with pytest.raises(ValueError, match="Const value must be finite, got inf"):
+            truncated_set(Q, (1e308, 0.0), 1e308)
+
 
 class TestLevelOneRule:
     """``boxset._level_one``, the one relaxation rule of every level-1 path."""
@@ -774,6 +833,61 @@ class TestLevelOneRule:
                 call()
             messages.add(str(err.value))
         assert messages == {"a level-1 set with missing bounds needs a witness member"}
+
+    @pytest.mark.parametrize("witness, box, message", [
+        ((0.0, 0.0, 0.0), None, "witness of dimension 3 for a set of dimension 2"),
+        ((0.0, 0.0), [(1.0, -1.0), (-1.0, 1.0)], "empty box side (1.0, -1.0)"),
+        ((0.0, 0.0), [(-1.0, 1.0)], "expected a box with 2 sides, got 1"),
+        ((0.0, 0.0), [(-1.0, 1.0), (0.0, math.inf)], "box limits must be finite"),
+    ])
+    def test_box_and_witness_are_checked_whatever_the_strategy(self, witness, box, message):
+        for Q in (vee_notch_instance(), diagonal_halfspace_instance()):
+            with pytest.raises(ValueError) as err:
+                boxset._level_one(Q, [(0.5, 0.5)], 1e-3, box, witness)
+            assert str(err.value) == message
+
+    def test_unused_inputs_that_are_well_formed_are_accepted(self):
+        X, box = [(0.0, -3.0)], [(-4.0, 4.0)] * 2
+        Q = vee_notch_instance()
+        assert boxset._level_one(Q, X, 1e-3, box, (5.0, 5.0)) == \
+            boxset._level_one(Q, X, 1e-3, box)
+        Q = diagonal_halfspace_instance()
+        assert boxset._level_one(Q, X, 1e-3, box, (0.0, 0.0))[1:] == \
+            boxset._level_one(Q, X, 1e-3, None, (0.0, 0.0))[1:]
+
+    def test_a_working_box_past_the_largest_float_names_the_start(self):
+        Q = vee_notch_instance()
+        for X in ([(1e308, 0.5)], [(0.0, 1.0), (2.0, -1.7e308)]):
+            with pytest.raises(ValueError) as err:
+                boxset._level_one(Q, X, 1e-3)
+            far = max(X, key=lambda x: max(map(abs, x)))
+            assert str(err.value) == f"the working box around start {far} overflows: half-width inf"
+
+    def test_the_bound_scale_is_taken_once_per_set(self, monkeypatch):
+        Q = random_mcshane_instance(3, 1.0, np.random.default_rng(5), samples=8)
+        box = boxset._auto_box(Q, [(1.0, 2.0, 3.0)])
+        monkeypatch.setitem(Q.__dict__, "_pairs", None)   # no evaluation from here on
+        assert boxset._auto_box(Q, [(1.0, 2.0, 3.0)]) == box
+
+    def test_a_level_one_request_builds_no_grammar_node(self, monkeypatch):
+        """Relaxing a parsed set, shrunk or truncated, reads its lowered pairs
+        and builds no expression: each bound is built only when read."""
+        cases = [(random_mcshane_instance(3, 1.0, np.random.default_rng(6), samples=8),
+                  (2.0, -1.0, 0.5), None),
+                 (diagonal_halfspace_instance(), (0.0, 4.0), (0.0, 0.0))]
+        built = []
+        for cls in (Const, DistCone, Min, Max, Blend, McShane, Infinite):
+            def init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", init)
+        for Q, x, witness in cases:
+            for tol in (1e-3, 1e-6):
+                point, _, _ = boxset.retract(Q, x, tol, witness=witness, many=False)
+                assert violation(Q, point) <= tol
+        assert built == []
+        Const(0.0)                                          # the spy sees a node
+        assert built == ["Const"]
 
 
 def _level_one_cases():

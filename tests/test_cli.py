@@ -222,6 +222,48 @@ class TestRetract:
                                    "--witness", dump(tmp_path, "w.json", [-1e308, -1e308])])
         assert "truncation radius" in err["error"] and "r=inf" in err["error"]
 
+    def test_overflowing_working_box_names_the_start(self, capsys, set_file, tmp_path):
+        """With no ``--box``, the working box around a start near the largest
+        float overflows; the error names that start, not a box."""
+        path = set_file(vee_notch_instance())
+        err = input_error(capsys, ["retract", "--set", path,
+                                   "--point", dump(tmp_path, "x.json", [1e308, 0.5])])
+        assert err == {"error": "the working box around start (1e+308, 0.5) overflows: "
+                                "half-width inf"}
+
+    @pytest.mark.parametrize("make", [vee_notch_instance, diagonal_halfspace_instance])
+    @pytest.mark.parametrize("witness, box, message", [
+        ([0.0, 0.0, 0.0], None, "witness of dimension 3 for a set of dimension 2"),
+        ([0.0, 0.0], [[1, -1], [-1, 1]], "empty box side (1.0, -1.0)"),
+        ([0.0, 0.0], [[-1, 1]], "expected a box with 2 sides, got 1"),
+        ([0.0, 0.0], [[-1, 1], [0, 1e400]], "box limits must be finite"),
+    ])
+    def test_level_one_box_and_witness_are_checked_whatever_the_strategy(
+            self, capsys, set_file, tmp_path, make, witness, box, message):
+        argv = ["retract", "--set", set_file(make()),
+                "--point", dump(tmp_path, "x.json", [0.5, 0.5]),
+                "--witness", dump(tmp_path, "w.json", witness)]
+        if box is not None:
+            argv += ["--box", dump(tmp_path, "b.json", box)]
+        assert input_error(capsys, argv) == {"error": message}
+
+    @pytest.mark.parametrize("make, needed, unused", [
+        (vee_notch_instance, [], ["--witness", [5.0, 5.0]]),
+        (diagonal_halfspace_instance, ["--witness", [0.0, 0.0]], ["--box", [[-1, 1], [-1, 1]]]),
+    ])
+    def test_unused_well_formed_inputs_are_accepted(self, capsys, set_file, tmp_path, make,
+                                                    needed, unused):
+        """A witness the shrink strategy does not read, and a box the truncate
+        strategy does not read, change nothing."""
+        argv = ["retract", "--set", set_file(make()),
+                "--point", dump(tmp_path, "x.json", [0.0, 4.0]), "--tol", "1e-4"]
+        if needed:
+            argv += [needed[0], dump(tmp_path, "needed.json", needed[1])]
+        code, want, err = run(capsys, argv)
+        assert (code, err) == (0, None)
+        argv += [unused[0], dump(tmp_path, "unused.json", unused[1])]
+        assert run(capsys, argv) == (0, want, None)
+
     def test_deeply_nested_set_is_an_input_error(self, capsys, tmp_path):
         # written as text: json.dump itself overflows the stack at this depth
         depth = 600

@@ -195,6 +195,30 @@ class TestExtendIntoSet:
         assert str(err.value) == "map stretches pair (3, 0) by 0.5"
         assert err.value.witness == (3, 0)
 
+    @pytest.mark.parametrize("make, members, witness, box, message", [
+        (vee_notch_instance, [(0.0, 0.0), (1.0, 2.0)], (0.0, 0.0, 0.0), None,
+         "witness of dimension 3 for a set of dimension 2"),
+        (diagonal_halfspace_instance, [(1.0, 0.0), (3.0, 2.0)], (0.0, 0.0),
+         [(1.0, -1.0), (-1.0, 1.0)], "empty box side (1.0, -1.0)"),
+        (diagonal_halfspace_instance, [(1.0, 0.0), (3.0, 2.0)], (0.0, 0.0),
+         [(-9.0, 9.0)], "expected a box with 2 sides, got 1"),
+    ])
+    def test_level_one_box_and_witness_are_checked(self, make, members, witness, box,
+                                                   message):
+        B = embedded_metric(members + [(2.0, -1.0)])
+        with pytest.raises(ValueError) as err:
+            extend_into_Q(B, [0, 1], members, make(), tol=1e-3, witness=witness, box=box)
+        assert str(err.value) == message
+
+    def test_level_one_unused_well_formed_inputs_are_accepted(self):
+        cases = [(vee_notch_instance(), [(0.0, 0.0), (1.0, 2.0)], {"witness": (5.0, 5.0)}, {}),
+                 (diagonal_halfspace_instance(), [(1.0, 0.0), (3.0, 2.0)],
+                  {"witness": (0.0, 0.0), "box": [(-1.0, 1.0)] * 2}, {"witness": (0.0, 0.0)})]
+        for Q, members, given, needed in cases:
+            B = embedded_metric(members + [(2.0, -1.0)])
+            assert extend_into_Q(B, [0, 1], members, Q, tol=1e-3, **given) == \
+                extend_into_Q(B, [0, 1], members, Q, tol=1e-3, **needed)
+
     def test_level_one_default_box_is_the_library_box(self, rng):
         Q = vee_notch_instance()
         members = [(0.0, 0.0), (1.0, 2.0)]

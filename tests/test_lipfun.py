@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperlip import lipfun
-from hyperlip.boxset import BoxLipschitzSet, cyclic_retract, cyclic_retract_many
+from hyperlip.boxset import BoxLipschitzSet, cyclic_retract, cyclic_retract_many, enclosure_bounds
 from hyperlip.lipfun import (
     Blend,
     Const,
@@ -411,6 +411,132 @@ def test_batch_values_do_not_depend_on_the_block_layout():
             assert [v.tobytes() for v in pair(YT)] == want_pair
             for j in range(YT.shape[1]):
                 assert grid(YT[:, j:j + 1]).tobytes() == want[j:j + 1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# A pair's enclosure over a box (``_Pair.interval``, which
+# ``boxset.enclosure_bounds`` reads) takes each shared row's distance range
+# once; each side keeps the bits of the per-node reference, and so does
+# bounds_of.
+
+HUGE = (1e308, -1e308, 1.7e308, -1.7e308)
+
+
+def _sides(values, dim):
+    """Box sides of ``dim`` coordinates with both limits drawn from
+    ``values``: centres fall on edges, and a side may be one point."""
+    side = st.tuples(values, values).map(lambda s: s if s[0] <= s[1] else s[::-1])
+    return st.lists(side, min_size=dim, max_size=dim)
+
+
+def _sites(f):
+    while isinstance(f, Blend):
+        f = f.inner
+    return [p for p, _ in f.samples]
+
+
+def _assert_enclosures_match(p, lower, upper, box):
+    want = [_ref_interval(f, box) for f in (lower, upper)]
+    assert [_hex(e) for e in p.interval(box)] == [_hex(w) for w in want]
+    slack = lipfun.BOUNDS_SLACK
+    for f, (lo, hi) in zip((lower, upper), want):
+        assert _hex(bounds_of(f, box)) == _hex((lo - slack, hi + slack))
+
+
+@st.composite
+def _shared_pairs_in_boxes(draw):
+    """Shared pairs under blends (a blend of factor 0 leaves its pair
+    unshared) and boxes whose limits include the sites' coordinates and
+    signed zeros."""
+    dim, lower, upper = draw(_shared_pairs())
+    coords = st.sampled_from(sorted({c for p in _sites(lower) for c in p}) + list(VALUES))
+    return lower, upper, draw(_sides(coords, dim))
+
+
+@given(_shared_pairs_in_boxes())
+@settings(max_examples=300, deadline=None)
+# a side of one point on a centre, where each distance range is (0.0, 0.0)
+@example((McShane((((0.0,), -0.0), ((0.0,), 1.0)), 1.0, "sup"),
+          McShane((((0.0,), 0.0), ((0.0,), 1.0)), 1.0, "inf"), [(-0.0, 0.0)]))
+# a centre -0.0 on the side (0.0, 0.0): both differences from it are zeros
+# of either sign, and a range that took -0.0 would give slope * -0.0 + -0.0
+@example((McShane((((-0.0,), -0.0),), 1.0, "sup"), McShane((((-0.0,), -0.0),), 1.0, "inf"),
+          [(0.0, 0.0)]))
+@example((McShane((((2.5, -0.0), -0.0),), 0.5, "sup"),
+          McShane((((2.5, -0.0), -0.0),), 0.5, "inf"), [(2.5, 2.5), (0.0, 0.0)]))
+def test_pair_enclosures_match_the_per_node_reference(case):
+    lower, upper, box = case
+    _assert_enclosures_match(_pair(lower, upper), lower, upper, box)
+
+
+@st.composite
+def _huge_pairs(draw):
+    """Envelope pairs with coordinates, values and box limits near the
+    largest float, where ``c - a`` and ``slope * far`` overflow, blended by
+    common nonzero factors as a relaxed set does."""
+    dim = draw(st.integers(1, 3))
+    pool = st.sampled_from(HUGE + VALUES)
+    sites = draw(st.lists(st.lists(pool, min_size=dim, max_size=dim).map(tuple),
+                          min_size=1, max_size=4))
+    scale = draw(st.sampled_from((1.0, 0.5)))
+    lower, upper = (McShane(tuple(zip(sites, draw(st.lists(pool, min_size=len(sites),
+                                                             max_size=len(sites))))),
+                            scale, mode) for mode in ("sup", "inf"))
+    blends = draw(st.lists(st.tuples(st.sampled_from((0.5, 1.0 - 1.0 / 7, 1.0)), pool, pool),
+                           max_size=2))
+    return lower, upper, blends, draw(_sides(pool, dim))
+
+
+@given(_huge_pairs())
+@settings(max_examples=300, deadline=None)
+@example((McShane((((1.7e308,), 1e308),), 1.0, "sup"),
+          McShane((((1.7e308,), 1.7e308),), 1.0, "inf"), [(0.5, -1e308, 1e308)],
+          [(-1.7e308, 1.7e308)]))
+def test_pair_enclosures_near_the_largest_float(case):
+    lower, upper, blends, box = case
+    p = _pair(lower, upper)
+    for factor, low, high in blends:
+        p = lipfun._blend_pair(p, factor, low, high)
+        lower, upper = Blend(lower, factor, low), Blend(upper, factor, high)
+    assert p.heads is not None
+    _assert_enclosures_match(p, lower, upper, box)
+
+
+@st.composite
+def _sets_and_boxes(draw):
+    """Sets of dimension 3 whose axes are shared envelope pairs or two
+    arbitrary expressions, boxes in [-5, 5], and points in each box."""
+    lower, upper = [], []
+    for _ in range(3):
+        if draw(st.booleans()):
+            _, lo, up = draw(_shared_pairs().filter(lambda c: c[0] == DIM))
+        else:
+            lo, up = draw(exprs), draw(exprs)
+        lower.append(lo)
+        upper.append(up)
+    box = draw(_sides(st.floats(-5.0, 5.0), 3))
+    t = st.floats(0.0, 1.0)
+    points = draw(st.lists(st.lists(t, min_size=3, max_size=3), min_size=1, max_size=8))
+    points = [[min(max(a + s * (b - a), a), b) for s, (a, b) in zip(x, box)] for x in points]
+    return BoxLipschitzSet(lower, upper), box, points + [[a for a, _ in box], [b for _, b in box]]
+
+
+@given(_sets_and_boxes())
+@settings(max_examples=200, deadline=None)
+def test_enclosure_bounds_hold_every_bound_in_the_box(case):
+    """``enclosure_bounds`` has the bits of the least and greatest ends of
+    every bound's ``bounds_of``, and every bound's value at points of the
+    box lies in it: each row's distance lies in its range, and every later
+    operation rounds monotonically."""
+    Q, box, points = case
+    l, u = enclosure_bounds(Q, box)
+    ends = [bounds_of(b, box[:i] + box[i + 1:])
+            for i in range(Q.n) for b in (Q.lower[i], Q.upper[i])]
+    assert _hex((l, u)) == _hex((min(e[0] for e in ends), max(e[1] for e in ends)))
+    for x in points:
+        for i, pair in enumerate(Q._pairs):
+            for v in pair(x[:i] + x[i + 1:]):
+                assert l <= v <= u
 
 
 SITES = ((0.5, -1.25), (2.5, 0.0), (-1.25, -0.0))
