@@ -54,10 +54,9 @@ from typing import Sequence
 
 import numpy as np
 
-# ``_compile`` and ``bounds_of`` are no longer called here (everything reads
-# the lowered pairs), but bench/tracing.py patches these bindings.
+# ``_compile`` is no longer called here (the engines and ``violation`` read
+# paired evaluators), but bench/tracing.py patches this binding.
 from .lipfun import (
-    BOUNDS_SLACK,
     Const,
     Infinite,
     LipExpr,
@@ -626,15 +625,14 @@ def enclosure_bounds(Q: BoxLipschitzSet, box) -> tuple:
     one-sided envelopes.  The relaxation guarantee of
     :func:`retract_lambda_one_bounded` is valid wherever these enclosures
     actually bound the functions, so the box should cover the region the
-    iterates move through.  Each bound's enclosure is :func:`bounds_of`'s
-    bit for bit, read from the set's lowered pairs (``lipfun._Pair``).
+    iterates move through.
     """
     box = _box(box, Q.n)
     if not Q.all_finite:
         raise UnsupportedSetError("enclosures need all bounds finite")
-    ends = [e for i, p in enumerate(Q._axes) for e in p.interval(box[:i] + box[i + 1:])]
-    # rounding is monotone: widening the extremes widens every bound alike
-    l, u = min(lo for lo, _ in ends) - BOUNDS_SLACK, max(hi for _, hi in ends) + BOUNDS_SLACK
+    ends = [bounds_of(b, box[:i] + box[i + 1:])
+            for i in range(Q.n) for b in (Q.lower[i], Q.upper[i])]
+    l, u = min(lo for lo, _ in ends), max(hi for _, hi in ends)
     if l > u:
         raise InconsistentBoundsError(f"enclosures cross: l={l!r} > u={u!r}")
     return l, u
@@ -729,12 +727,16 @@ def truncated_set(Q: BoxLipschitzSet, witness, r: float) -> BoxLipschitzSet:
 def _auto_box(Q, X):
     """Working box of the shrink strategy for the starts ``X`` (one point or
     rows of points): the cube of half-width ``2 (1 + max |x_ij| + s)``, ``s``
-    the largest bound magnitude at the hat origin, refused when it overflows."""
+    the largest bound magnitude at the hat origin, refused when it overflows:
+    for the set's bounds when ``s`` alone overflows it, else for the start."""
     X = np.asarray(X, dtype=float).reshape(-1, Q.n)
     far = np.abs(X).max(axis=1, initial=0.0)
     R = 2.0 * (1.0 + float(far.max(initial=0.0)) + Q._scale)
+    if not math.isfinite(2.0 * (1.0 + Q._scale)):
+        raise UnsupportedSetError(f"the working box overflows: the bounds reach {Q._scale!r} "
+                                  f"at the hat origin")
     if not math.isfinite(R):
-        start = tuple(X[far.argmax()].tolist()) if len(X) else ()
+        start = tuple(X[far.argmax()].tolist())
         raise ValueError(f"the working box around start {start} overflows: half-width {R!r}")
     return [(-R, R)] * Q.n
 

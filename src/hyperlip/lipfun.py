@@ -18,8 +18,7 @@ holds its ``dim`` (:func:`domain_dim`), its ``lip`` (:func:`lip_bound`; not
 fields and its direct children's forms; they are not fields, so equality and
 ``repr`` ignore them.  The evaluators read only the ``form``, one of four
 kinds, each with its scalar closure (for :func:`_compile`), batch closure
-(for :func:`_compile_grid`) and interval enclosure (for :func:`bounds_of`,
-from each row's distance range over the box, :func:`_dist_ranges`):
+(for :func:`_compile_grid`) and interval enclosure (for :func:`bounds_of`):
 
 - a constant: ``Const``; ``Infinite`` as ``+inf`` or ``-inf``; on the
   zero-dimensional domain, where every distance is 0, a ``DistCone`` as its
@@ -55,9 +54,8 @@ more blends and the two families have equal centres, as the lower and upper
 envelopes of one set of samples and their shrunken blends do, the pair holds
 the centres once, as per-coordinate tuples, and each family's aggregate,
 slope, offsets and blends; one kernel takes the distances ``max_k |c_k -
-y_k|`` once and each family reduces them with its own, and the pair's
-enclosure (:meth:`_Pair.interval`) takes each distance range once.  Every
-value keeps its own float expression, so it has the bits of its side alone.
+y_k|`` once and each family reduces them with its own.  Every value keeps
+its own float expression, so it has the bits of evaluating its side alone.
 Any other pair evaluates its two sides apart.  A single family is the
 one-family case of the same kernels.  The scalar kernel of families of at
 most ``_STRAIGHT_ROWS`` rows is straight-line code, generated once per shape
@@ -372,35 +370,19 @@ class _Cones(NamedTuple):
         return lambda YT: kernel(YT)[0]
 
     def interval(self, box):
-        return _enclose(_head(self), _dist_ranges(_columns(self), box))
-
-
-def _dist_ranges(cols, box):
-    """Per row of the centres ``cols`` (:func:`_columns`), the range ``(near,
-    far)`` of ``||center - y||`` over ``y`` in ``box``, as running maxima
-    from 0.0 that take only a larger term: the bits of ``max`` over ``abs``."""
-    ranges = []
-    for center in zip(*cols):
-        near = far = 0.0
-        for c, (a, b) in zip(center, box):
-            near = t if (t := a - c if c < a else c - b) > near else near
-            far = t if (t := c - a if c - a > b - c else b - c) > far else far
-        ranges.append((near, far))
-    return ranges
-
-
-def _enclose(head, ranges):
-    """The enclosure of a :func:`_head` from its rows' :func:`_dist_ranges`."""
-    agg, slope, offs, blends = head
-    los, his = [], []
-    for (near, far), off in zip(ranges, offs):
-        a, b = slope * near + off, slope * far + off
-        los.append(b if b < a else a)
-        his.append(a if b < a else b)
-    lo, hi = agg(los), agg(his)
-    for fac, anchor in blends:
-        lo, hi = fac * (lo - anchor) + anchor, fac * (hi - anchor) + anchor
-    return lo, hi
+        # each row's distance range (near, far) over the box, as running
+        # maxima from 0.0 that take only a larger term: the bits of max
+        # over abs, with compares and branches in place of calls
+        slope, los, his = self.slope, [], []
+        for center, off in self.rows:
+            near = far = 0.0
+            for c, (a, b) in zip(center, box):
+                near = t if (t := a - c if c < a else c - b) > near else near
+                far = t if (t := c - a if c - a > b - c else b - c) > far else far
+            lo, hi = slope * near + off, slope * far + off
+            los.append(hi if hi < lo else lo)
+            his.append(lo if hi < lo else hi)
+        return self.agg(los), self.agg(his)
 
 
 def _head(family, blends=()):
@@ -658,13 +640,6 @@ class _Pair(NamedTuple):
     upper: tuple
     heads: tuple = None
     cols: tuple = None
-
-    def interval(self, box):
-        """Each side's ``interval``; shared centres take each range once."""
-        if self.heads is None:
-            return self.lower.interval(box), self.upper.interval(box)
-        ranges = _dist_ranges(self.cols, box)
-        return tuple(_enclose(h, ranges) for h in self.heads)
 
 
 def _pair(lower, upper) -> _Pair:

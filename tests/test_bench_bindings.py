@@ -104,3 +104,13 @@ def test_level_one_relaxes_through_the_traced_bindings(monkeypatch, tol):
         staged = trace.steps // Q.n > boxset._FIRST_SWEEPS
         assert orders == [k] + (boxset._stage_orders(k)[:-1] if staged else [])
         monkeypatch.undo()
+
+
+def test_enclosure_bounds_encloses_through_the_traced_bounds_of(monkeypatch):
+    """``lipfun.bounds_of.calls`` counts the calls of ``boxset.bounds_of``:
+    one per bound of a shrunk set, as in the selftest's origin-cycle run,
+    which gives that layer a span on every workload."""
+    calls = _spy(monkeypatch, boxset, "bounds_of")
+    boxset.retract_lambda_one_bounded(origin_cycle_instance(), (0.0, 1.0), 1e-3,
+                                      [(-2.0, 2.0)] * 2)
+    assert calls == ["bounds_of"] * 4

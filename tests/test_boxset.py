@@ -863,6 +863,18 @@ class TestLevelOneRule:
             far = max(X, key=lambda x: max(map(abs, x)))
             assert str(err.value) == f"the working box around start {far} overflows: half-width inf"
 
+    def test_a_working_box_past_the_largest_float_from_the_bounds_names_them(self):
+        """Bounds of about 1e308 at the hat origin overflow the working box
+        whatever the start: the error names the bounds, not the start."""
+        cone = DistCone((0.0,), 1e308, 1.0, 1)
+        Q = BoxLipschitzSet([DistCone((0.0,), 1e308, 1.0, -1)] * 2, [cone] * 2)
+        with pytest.raises(UnsupportedSetError) as err:
+            boxset._level_one(Q, [(0.5, 0.5)], 1e-3)
+        assert str(err.value) == \
+            "the working box overflows: the bounds reach 1e+308 at the hat origin"
+        assert boxset._level_one(Q, [(0.5, 0.5)], 1e-3, [(-1.0, 1.0)] * 2)[3]["strategy"] == \
+            "shrink"
+
     def test_the_bound_scale_is_taken_once_per_set(self, monkeypatch):
         Q = random_mcshane_instance(3, 1.0, np.random.default_rng(5), samples=8)
         box = boxset._auto_box(Q, [(1.0, 2.0, 3.0)])

@@ -27,7 +27,7 @@ from hyperlip.instances import (
     sample_members,
     vee_notch_instance,
 )
-from hyperlip.lipfun import Const, expr_to_obj
+from hyperlip.lipfun import Const, DistCone, expr_to_obj
 from hyperlip.metric import sup_dist
 
 
@@ -230,6 +230,15 @@ class TestRetract:
                                    "--point", dump(tmp_path, "x.json", [1e308, 0.5])])
         assert err == {"error": "the working box around start (1e+308, 0.5) overflows: "
                                 "half-width inf"}
+
+    def test_overflowing_working_box_from_the_bounds_names_them(self, capsys, set_file,
+                                                                 tmp_path):
+        cone = DistCone((0.0,), 1e308, 1.0, 1)
+        path = set_file(BoxLipschitzSet([DistCone((0.0,), 1e308, 1.0, -1)] * 2, [cone] * 2))
+        err = input_error(capsys, ["retract", "--set", path,
+                                   "--point", dump(tmp_path, "x.json", [0.5, 0.5])])
+        assert err == {"error": "the working box overflows: the bounds reach 1e+308 "
+                                "at the hat origin"}
 
     @pytest.mark.parametrize("make", [vee_notch_instance, diagonal_halfspace_instance])
     @pytest.mark.parametrize("witness, box, message", [

@@ -414,10 +414,9 @@ def test_batch_values_do_not_depend_on_the_block_layout():
 
 
 # ---------------------------------------------------------------------------
-# A pair's enclosure over a box (``_Pair.interval``, which
-# ``boxset.enclosure_bounds`` reads) takes each shared row's distance range
-# once; each side keeps the bits of the per-node reference, and so does
-# bounds_of.
+# Each side of a pair encloses its range over a box (``interval`` of its
+# lowered form, which ``bounds_of`` widens by the slack) with the bits of the
+# per-node reference, whose distance ranges call ``abs``, ``min`` and ``max``.
 
 HUGE = (1e308, -1e308, 1.7e308, -1.7e308)
 
@@ -436,10 +435,10 @@ def _sites(f):
 
 
 def _assert_enclosures_match(p, lower, upper, box):
-    want = [_ref_interval(f, box) for f in (lower, upper)]
-    assert [_hex(e) for e in p.interval(box)] == [_hex(w) for w in want]
     slack = lipfun.BOUNDS_SLACK
-    for f, (lo, hi) in zip((lower, upper), want):
+    for form, f in ((p.lower, lower), (p.upper, upper)):
+        lo, hi = _ref_interval(f, box)
+        assert _hex(form.interval(box)) == _hex((lo, hi))
         assert _hex(bounds_of(f, box)) == _hex((lo - slack, hi + slack))
 
 
@@ -464,7 +463,11 @@ def _shared_pairs_in_boxes(draw):
           [(0.0, 0.0)]))
 @example((McShane((((2.5, -0.0), -0.0),), 0.5, "sup"),
           McShane((((2.5, -0.0), -0.0),), 0.5, "inf"), [(2.5, 2.5), (0.0, 0.0)]))
-def test_pair_enclosures_match_the_per_node_reference(case):
+# a centre 0.0 on the side (-0.0, -0.0): b - c is -0.0, which a range that
+# took an equal term would keep, and slope * -0.0 + -0.0 keeps its sign
+@example((McShane((((0.0,), -0.0),), 1.0, "sup"), McShane((((0.0,), -0.0),), 1.0, "inf"),
+          [(-0.0, -0.0)]))
+def test_enclosures_match_the_per_node_reference(case):
     lower, upper, box = case
     _assert_enclosures_match(_pair(lower, upper), lower, upper, box)
 
@@ -492,7 +495,7 @@ def _huge_pairs(draw):
 @example((McShane((((1.7e308,), 1e308),), 1.0, "sup"),
           McShane((((1.7e308,), 1.7e308),), 1.0, "inf"), [(0.5, -1e308, 1e308)],
           [(-1.7e308, 1.7e308)]))
-def test_pair_enclosures_near_the_largest_float(case):
+def test_enclosures_near_the_largest_float(case):
     lower, upper, blends, box = case
     p = _pair(lower, upper)
     for factor, low, high in blends:
