@@ -120,8 +120,10 @@ def epsilon_many(inside, X, chunk: int = 256):
     result does not depend on the block sizes.  The ``(S, S)`` table of
     inside distances is held whole.  Non-finite coordinates raise
     ``ValueError``, and so do coordinates whose differences, doubled,
-    overflow.
+    overflow.  So does a ``chunk`` below 1.
     """
+    if not chunk >= 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk!r}")
     P = np.asarray(inside, dtype=float)
     X = np.asarray(X, dtype=float)
     if P.ndim != 2 or X.ndim != 2 or X.shape[1] != P.shape[1]:
@@ -281,6 +283,54 @@ def _nondominated(C: np.ndarray, o: np.ndarray, sign: int) -> np.ndarray:
     it, and cones that tie (as along a slope-1 edge) go too; of identical
     cones the first is kept.
 
+    In hat dimension 1 the rule reads ``o_i - c_i <= o_j - c_j`` and ``o_i +
+    c_i <= o_j + c_j`` (as ``|d| = max(d, -d)``), and :func:`_swept_mask`
+    decides it for all pairs at once by one sort.  It runs while ``max|o| +
+    max|c| < 2**1022``: then ``o - c``, ``o + c`` and their :func:`_two_diff`
+    errors are exact, and both masks are the exact rule's.  Past that bound,
+    and in other dimensions, :func:`_blocked_mask` decides it.
+    """
+    o = sign * o
+    if C.shape[1] == 1:
+        c = C[:, 0]
+        if float(np.abs(o).max(initial=0.0)) + float(np.abs(c).max(initial=0.0)) < 2.0 ** 1022:
+            return _swept_mask(c, o)
+    return _blocked_mask(C, o)
+
+
+def _swept_mask(c: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """:func:`_nondominated`'s mask in hat dimension 1, for centres ``c``
+    and signed offsets ``o`` whose sums and differences are exact.
+
+    Cone i drops cone j when ``u_i <= u_j`` and ``v_i <= v_j``, with ``u =
+    o - c`` and ``v = o + c`` compared exactly as :func:`_two_diff` pairs.
+    The cones are ordered by (``u``, ``v``, index), so the cones that can
+    drop a cone are exactly the ones before it with no larger ``v``: a cone
+    is kept when its ``v`` lies strictly below every earlier one's.  Equal
+    pairs are equal cones, so of identical cones the first is kept and the
+    rest drop, as do cones that tie.  ``v`` is compared by its dense rank.
+    """
+    us, ut = _two_diff(o, c)
+    vs, vt = _two_diff(o, -c)
+    by_v = np.lexsort((vt, vs))
+    s, t = vs[by_v], vt[by_v]
+    new = np.ones(o.size, dtype=bool)
+    new[1:] = (s[1:] != s[:-1]) | (t[1:] != t[:-1])
+    rank = np.empty(o.size, dtype=np.intp)
+    rank[by_v] = np.cumsum(new)
+    order = np.lexsort((rank, ut, us))
+    r = rank[order]
+    # the least rank before each cone; ranks run from 1 to o.size
+    ahead = np.concatenate(([o.size + 1], np.minimum.accumulate(r)))[:-1]
+    keep = np.zeros(o.size, dtype=bool)
+    keep[order[r < ahead]] = True
+    return keep
+
+
+def _blocked_mask(C: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """:func:`_nondominated`'s mask by pairwise tests, for centres ``C`` and
+    signed offsets ``o``, in any hat dimension.
+
     A cone can only be dropped by one of no larger offset, so the cones are
     visited by increasing offset (stable, so identical cones keep their
     order), in blocks.  Each block is first tested against the cones kept
@@ -288,7 +338,6 @@ def _nondominated(C: np.ndarray, o: np.ndarray, sign: int) -> np.ndarray:
     Exact dominance is transitive, so a cone dropped by a dropped cone is
     dropped by a kept one, and the mask is the one the pairwise rule gives.
     """
-    o = sign * o
     order = np.argsort(o, kind="stable")
     kept = order[:0]
     # each test is of at most (side, side) pairs, with about eight float
@@ -385,12 +434,18 @@ class ReconstructionReport:
                 f"{len(self.false_outside)} false outside")
 
 
+def _check_tol(tol):
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def verify_reconstruction(membership, Q_rec: BoxLipschitzSet, grid,
                           tol: float = 1e-9) -> ReconstructionReport:
     """Compare an oracle with reconstructed membership on a point grid.
 
     The oracle is asked once, for the whole grid (see :func:`_batch`).
-    Grid coordinates must be finite."""
+    Grid coordinates must be finite, and ``tol`` finite and nonnegative."""
+    _check_tol(tol)
     G = np.asarray(grid, dtype=float)
     if not len(G):
         return ReconstructionReport(0, (), ())
@@ -441,5 +496,7 @@ def membership_from_samples(inside, tol: float = 1e-9):
     """Oracle that accepts exactly the points within ``tol`` of a sample.
 
     It answers for one point when called, and for the rows of an
-    ``(N, n)`` array through its ``many`` method, with the same booleans."""
+    ``(N, n)`` array through its ``many`` method, with the same booleans.
+    ``tol`` must be finite and nonnegative, so that every sample passes."""
+    _check_tol(tol)
     return _SampleMembership(inside, tol)

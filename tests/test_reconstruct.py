@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,50 @@ def _cone_groups(draw):
         d = max(abs(a - b) for a, b in zip(c, base.center))
         cones.append(DistCone(c, base.offset + sign * (d + slack), 1.0, sign))
     return cones, sign, draw(st.sampled_from((64, 256, 1024, reconstruct._BLOCK_BYTES)))
+
+
+# cluster bases of the hat-dimension-1 groups: small, both sides of the
+# sweep's bound (2**1022 on max|o| + max|c|), and the largest floats
+_BASES = (0.0, 1.0, 2.0 ** 1021, 4e307, 1e308, 1.7976931348623157e308)
+
+
+@st.composite
+def _line_groups(draw):
+    """One axis and direction's cones in hat dimension 1.  Centres cluster
+    around one base and offsets around another (either sign, signed zeros
+    kept), in steps of a subnormal, a quarter or the base's ulp; offsets
+    are free, on a slope-1 edge of an earlier cone (exact ties where the
+    sum rounds exactly), or repeat a cone.  Each cluster is narrow, so the
+    blocked filter's differences stay finite."""
+    sign = draw(st.sampled_from((1, -1)))
+
+    def cluster():
+        base = draw(st.sampled_from(_BASES)) * draw(st.sampled_from((1.0, -1.0)))
+        unit = draw(st.sampled_from((5e-324, 0.25, math.ulp(base))))
+        return base, unit
+
+    def near(base, unit):
+        k = draw(st.integers(-4, 4))
+        v = base + k * unit if k else base
+        return v if math.isfinite(v) else base
+
+    c_at, o_at = cluster(), cluster()
+    cones = []
+    for _ in range(draw(st.integers(1, 40))):
+        c = (near(*c_at),)
+        kind = draw(st.sampled_from(("free", "edge", "repeat"))) if cones else "free"
+        if kind == "repeat":
+            base = draw(st.sampled_from(cones))
+            cones.append(DistCone(base.center, base.offset, 1.0, sign))
+            continue
+        o = near(*o_at)
+        if kind == "edge":
+            base = draw(st.sampled_from(cones))
+            slack = draw(st.sampled_from((0.0, o_at[1], -o_at[1])))
+            o = base.offset + sign * (abs(c[0] - base.center[0]) + slack)
+        if math.isfinite(o):
+            cones.append(DistCone(c, o, 1.0, sign))
+    return cones, sign
 
 
 def _families(Q):
@@ -444,6 +489,24 @@ class TestVerification:
         assert report.checked == 0
         assert report.ok
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf, math.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        """A NaN or negative ``tol`` would have the oracle reject the
+        samples themselves, and the report list members as false outside;
+        an infinite one would accept every point."""
+        inside, outside, every = _square_samples(0.5)
+        Q = synthesize_bounds(ReconstructionConfig(tuple(inside), tuple(outside)))
+        message = f"tol must be finite and nonnegative, got {tol!r}"
+        with pytest.raises(ValueError) as err:
+            membership_from_samples(inside, tol=tol)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            verify_reconstruction(membership_from_samples(inside), Q, every, tol=tol)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            verify_reconstruction(lambda p: True, Q, [], tol=tol)
+        assert str(err.value) == message
+
 
 class TestArrayPasses:
     """The array passes against the per-exterior-point reference."""
@@ -517,15 +580,74 @@ class TestArrayPasses:
     def test_blocked_mask_equals_the_exact_rule(self, case):
         """With blocks of 1, 2, 4 or 128 cones the kept set spans many
         blocks; the mask is the exact pairwise rule's, duplicates and ties
-        included."""
+        included.  The blocked filter is called directly, as hat dimension
+        1 reaches it through ``_nondominated`` only past the sweep's bound."""
         cones, sign, block_bytes = case
         C = np.array([c.center for c in cones], dtype=float).reshape(len(cones), -1)
         o = np.array([c.offset for c in cones])
         with pytest.MonkeyPatch.context() as m:
             m.setattr(reconstruct, "_BLOCK_BYTES", block_bytes)
-            keep = reconstruct._nondominated(C, o, sign)
+            keep = reconstruct._blocked_mask(C, sign * o)
         want = {id(c) for c in _exact_nondominated(cones, sign)}
         assert keep.tolist() == [id(c) in want for c in cones]
+
+    @given(_line_groups())
+    @settings(max_examples=400, deadline=None)
+    def test_planar_mask_equals_the_exact_rule_and_the_blocked_filter(self, case):
+        """In hat dimension 1 the mask is the exact pairwise rule's and the
+        blocked filter's, whichever side of the sweep's bound the group
+        lies on: ties, repeats, signed zeros, subnormals and the largest
+        floats included."""
+        cones, sign = case
+        C = np.array([c.center for c in cones], dtype=float)
+        o = np.array([c.offset for c in cones])
+        keep = reconstruct._nondominated(C, o, sign).tolist()
+        want = {id(c) for c in _exact_nondominated(cones, sign)}
+        assert keep == [id(c) in want for c in cones]
+        assert keep == reconstruct._blocked_mask(C, sign * o).tolist()
+
+    @pytest.mark.parametrize("o, c", [
+        ([0.0, -0.0, 5e-324, -5e-324], [-0.0, 0.0, 0.0, 5e-324]),
+        ([2.0 ** 1021, 2.0 ** 1021 - 2.0 ** 969], [2.0 ** 1021 - 2.0 ** 969, 0.0]),
+        ([-1.7976931348623157e308, -1e308], [1e308, 1e308]),
+        ([1.0, 1.0], [1.7976931348623157e308, 1.7976931348623157e308]),
+    ])
+    def test_planar_edge_values(self, o, c):
+        """Signed zeros and subnormals; a group just below the sweep's bound
+        and groups at the largest floats, past it."""
+        cones = [DistCone((ci,), oi, 1.0, 1) for oi, ci in zip(o, c)]
+        for sign in (1, -1):
+            C, O = np.array([c]).T, sign * np.array(o)
+            want = {id(k) for k in _exact_nondominated(cones, 1)}
+            assert reconstruct._nondominated(C, O, sign).tolist() == \
+                [id(k) in want for k in cones]
+
+    def test_planar_groups_skip_the_pairwise_filter(self, monkeypatch):
+        """The step-1/16 square's synthesis makes no pairwise dominance
+        test; a hat-dimension-1 group past the sweep's bound and a
+        hat-dimension-2 group go through the blocked filter."""
+        calls = []
+        dominates = reconstruct._dominates
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return dominates(*args)
+
+        monkeypatch.setattr(reconstruct, "_dominates", spy)
+        inside, outside, _ = _bench_grid(16, _square_shape(16))
+        synthesize_bounds(ReconstructionConfig(inside, outside, a=0.1))
+        assert calls == []
+        o = np.array([1.0, 2.0, 1.2])
+        assert reconstruct._nondominated(np.array([[0.0], [1.0], [0.25]]), o, 1).tolist() == \
+            [True, False, True]
+        assert calls == []
+        assert reconstruct._nondominated(np.array([[1e308], [1e308], [1e308]]), o, 1).tolist() == \
+            [True, False, False]
+        assert calls and {shape[1] for shape in calls} == {1}
+        calls.clear()
+        C = np.array([[0.0, 0.0], [1.0, 0.0], [0.25, 3.0]])
+        assert reconstruct._nondominated(C, o, 1).tolist() == [True, False, True]
+        assert calls and {shape[1] for shape in calls} == {2}
 
     @pytest.mark.parametrize("inside, outside", [
         # margins: (1, 0) and (0.5, 0) lie between the two samples
@@ -645,6 +767,17 @@ class TestPrunedSearch:
     def test_non_finite_input_is_refused(self, inside, outside, message):
         with pytest.raises(ValueError, match=message):
             epsilon_many(inside, outside)
+
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_chunk_below_one_is_refused(self, chunk):
+        """Not left to ``range`` (a zero step) or to unwritten rows (a
+        negative one)."""
+        P, X = [[0.0, 0.0], [1.0, 0.0]], [[3.0, 3.0], [5.0, 1.0]]
+        eps, arg = epsilon_many(P, X, chunk=1)
+        assert (eps.tolist(), arg.tolist()) == ([5.0, 8.0], [0, 0])
+        with pytest.raises(ValueError) as err:
+            epsilon_many(P, X, chunk=chunk)
+        assert str(err.value) == f"chunk must be at least 1, got {chunk}"
 
     @pytest.mark.parametrize("tol", [1e-9, 0.25, 0.0])
     def test_batch_oracle_matches_the_per_point_test(self, tol):
