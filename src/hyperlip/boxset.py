@@ -76,7 +76,7 @@ from .lipfun import (
     expr_to_obj,
     shrink,
 )
-from .metric import Point, as_point, hat, sup_dists
+from .metric import Point, as_point, as_points, hat, sup_dists
 
 __all__ = [
     "BoxLipschitzSet",
@@ -363,23 +363,24 @@ def _crossed(i, point, lo, up) -> InconsistentBoundsError:
 
 
 def _rows(Q, X) -> np.ndarray:
-    """``X`` as an ``(N, Q.n)`` float array; like :func:`as_point`, rejects
-    non-finite coordinates."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected rows of points, got shape {X.shape}")
-    if X.shape[1] != Q.n:
+    """The points ``X`` as an ``(N, Q.n)`` float array, by :func:`as_points`;
+    no points are a batch of no rows."""
+    X = as_points(X)
+    if len(X) and X.shape[1] != Q.n:
         raise ValueError(f"points of dimension {X.shape[1]} in a set of dimension {Q.n}")
-    if not np.isfinite(X).all():
-        raise ValueError("point coordinates must be finite")
-    return X
+    return X.reshape(len(X), Q.n)
+
+
+def _point(Q, x, what="point", of="in") -> Point:
+    """The point ``x`` as a tuple of ``Q.n`` floats, by :func:`as_point`."""
+    if len(p := as_point(x)) != Q.n:
+        raise ValueError(f"{what} of dimension {len(p)} {of} a set of dimension {Q.n}")
+    return p
 
 
 def violation(Q: BoxLipschitzSet, x) -> float:
     """Worst constraint deficit of ``x``; 0 exactly when ``x`` is a member."""
-    x = as_point(x)
-    if len(x) != Q.n:
-        raise ValueError(f"point of dimension {len(x)} in a set of dimension {Q.n}")
+    x = _point(Q, x)
     worst = 0.0
     for i, pair in enumerate(Q._pairs):
         lo, up = pair(hat(x, i))
@@ -526,9 +527,7 @@ def cyclic_iterate(Q: BoxLipschitzSet, x, steps: int) -> IterationTrace:
     This is the raw iteration, valid at any Lipschitz level; it is the
     diagnostic used to watch level-1 sets stall or drift.
     """
-    x = as_point(x)
-    if len(x) != Q.n:
-        raise ValueError(f"point of dimension {len(x)} in a set of dimension {Q.n}")
+    x = _point(Q, x)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     pos, disp = _scalar_sweeps(Q, x, None, None, fixed_steps=steps)
@@ -562,9 +561,7 @@ def cyclic_retract(Q: BoxLipschitzSet, x, tol: float = 1e-6,
     Returns ``(point, trace)``; so does the ``state`` of the
     :class:`MaxSweepsExceededError` raised when the budget runs out.
     """
-    x = as_point(x)
-    if len(x) != Q.n:
-        raise ValueError(f"point of dimension {len(x)} in a set of dimension {Q.n}")
+    x = _point(Q, x)
     threshold = _threshold(Q, tol, max_sweeps)
 
     def result(pos, disp):
@@ -607,13 +604,6 @@ def cyclic_retract_many(Q: BoxLipschitzSet, X, tol: float = 1e-6,
 
 # ---------------------------------------------------------------------------
 # level-1 strategies
-
-
-def _witness(Q, witness) -> Point:
-    """``witness`` as a point of ``Q``'s dimension."""
-    if len(w := as_point(witness)) != Q.n:
-        raise ValueError(f"witness of dimension {len(w)} for a set of dimension {Q.n}")
-    return w
 
 
 def enclosure_bounds(Q: BoxLipschitzSet, box) -> tuple:
@@ -704,7 +694,7 @@ def truncated_set(Q: BoxLipschitzSet, witness, r: float) -> BoxLipschitzSet:
     globally, and a member of ``Q`` inside the ball stays a member.  Its
     pairs are ``Q``'s clamped (``lipfun._clamp_pair``, :meth:`~BoxLipschitzSet._made`).
     """
-    w = _witness(Q, witness)
+    w = _point(Q, witness, "witness", "for")
     if r <= 0:
         raise ValueError("radius must be positive")
     lows, highs = [c - r for c in w], [c + r for c in w]
@@ -760,7 +750,7 @@ def _level_one(Q, X, tol, box=None, witness=None):
     """
     X = _rows(Q, X)
     box = None if box is None else _box(box, Q.n)
-    w = None if witness is None else _witness(Q, witness)
+    w = None if witness is None else _point(Q, witness, "witness", "for")
     if Q.all_finite:
         l, u = enclosure_bounds(Q, _auto_box(Q, X) if box is None else box)
         base, span, report = Q, u - l, {"strategy": "shrink", "enclosure": [l, u]}

@@ -94,11 +94,8 @@ def extend_into_Q(B: FiniteMetricSpace, A, phi, Q: BoxLipschitzSet,
     P = as_points(phi)
     if len(P) != len(A):
         raise ValueError("need exactly one image point per subset index")
-    n = Q.n
-    for p in P:
-        if len(p) != n:
-            raise ValueError(f"image point of dimension {len(p)}, set has dimension {n}")
-    # A is nonempty and every image point has dimension n, so P is an array
+    if P.shape[1] != Q.n:
+        raise ValueError(f"image point of dimension {P.shape[1]}, set has dimension {Q.n}")
     for a, p in zip(A, P.tolist()):
         v = violation(Q, p)
         if v != 0.0:

@@ -9,8 +9,8 @@ Coordinates of points are always finite: :func:`as_point` rejects ``nan``
 and infinities.  A missing coordinate bound is an ``Infinite`` expression
 of :mod:`hyperlip.lipfun`, never an infinite coordinate.
 
-A set of points enters the package once, through :func:`as_points`: one
-array conversion, and one ``tolist()`` when its points leave numpy again.
+A set of points enters the package once, through :func:`as_points`, as
+one float ``(N, n)`` array, and leaves numpy again by one ``tolist()``.
 """
 
 from __future__ import annotations
@@ -59,30 +59,34 @@ def as_point(coords: Sequence[float]) -> Point:
     return pt
 
 
-def as_points(rows) -> np.ndarray | tuple:
-    """Coerce a sequence of points to an ``(N, n)`` float array.
+def as_points(rows) -> np.ndarray:
+    """Coerce a sequence of points to a new float ``(N, n)`` array.
 
     Rows that numpy reads as an ``(N, n)`` table of bools, integers or
-    floats, all finite, take one conversion.  Any other rows go through
-    :func:`as_point` one at a time, so a bad point raises its error, for the
-    first bad point in order.  Either way, points of one dimension come back
-    as a new array with the bytes of ``np.array([as_point(p) for p in
-    rows], dtype=float)``; no points, or points of different dimensions,
-    come back as the tuple of their point tuples, for the caller to refuse
-    in its own terms (``np.asarray`` of it raises numpy's error).
+    floats, all finite, take one conversion, and numeric values of any
+    other shape are refused as not rows of points.  Any other rows go
+    through :func:`as_point` one at a time, so a bad point raises its error,
+    for the first bad point in order; then points of different dimensions
+    raise one error that names them.  The array has the bytes of
+    ``np.array([as_point(p) for p in rows], dtype=float)``, and no points
+    give shape ``(0, 0)``.  Callers add only their own dimension checks.
     """
     try:
         A = np.asarray(rows)
     except (TypeError, ValueError, OverflowError):
         A = None
-    if A is not None and A.ndim == 2 and A.dtype.kind in "biuf":
-        A = A.astype(float)
-        if np.isfinite(A).all():
-            return A
-    pts = tuple(as_point(p) for p in rows)
-    if pts and len({len(p) for p in pts}) == 1:
-        return np.array(pts, dtype=float)
-    return pts
+    if A is not None and A.dtype.kind in "biuf":
+        if A.ndim == 2:
+            A = A.astype(float)
+            if np.isfinite(A).all():
+                return A
+        elif A.size:
+            raise ValueError(f"expected rows of points, got shape {A.shape}")
+    pts = [as_point(p) for p in rows]
+    dims = {len(p) for p in pts}
+    if len(dims) > 1:
+        raise ValueError(f"mixed point dimensions {sorted(dims)}")
+    return np.array(pts, dtype=float) if pts else np.empty((0, 0))
 
 
 def sup_dist(x: Sequence[float], y: Sequence[float]) -> float:
@@ -181,11 +185,10 @@ def cone_contains(cone: ConeDescriptor, q: Sequence[float], strict: bool = False
 
 def hausdorff_distance(A, B) -> float:
     """Hausdorff distance between two finite nonempty sets of points."""
-    pa = np.asarray(as_points(A), dtype=float)
-    pb = np.asarray(as_points(B), dtype=float)
+    pa, pb = as_points(A), as_points(B)
     if len(pa) == 0 or len(pb) == 0:
         raise ValueError("hausdorff_distance requires nonempty sets")
-    if pa.shape[1:] != pb.shape[1:]:
+    if pa.shape[1] != pb.shape[1]:
         raise ValueError("dimension mismatch between the two sets")
     diffs = sup_dists(pa, pb)
     forward = diffs.min(axis=1).max()
@@ -313,7 +316,7 @@ class FiniteMetricSpace:
         closer than that tolerance are refused as coincident.  A refusal
         carries the text of the full :func:`check_metric_axioms` report.
         """
-        P = np.asarray(as_points(points), dtype=float)
+        P = as_points(points)
         if len(P) == 0:
             raise ValueError("need at least one point")
         M = sup_dists(P, P)

@@ -56,14 +56,6 @@ class ConeOverlapError(RuntimeError):
         self.inside = inside
 
 
-def _dims(points) -> set:
-    """The dimensions of the points :func:`~hyperlip.metric.as_points`
-    returned."""
-    if isinstance(points, np.ndarray):
-        return {points.shape[1]} if len(points) else set()
-    return {len(p) for p in points}
-
-
 @dataclass(frozen=True)
 class ReconstructionConfig:
     """Sampled data for bound synthesis.
@@ -81,12 +73,11 @@ class ReconstructionConfig:
         P, X = as_points(self.inside), as_points(self.outside)
         if not len(P):
             raise ValueError("need at least one inside sample")
-        dims = _dims(P) | _dims(X)
-        if len(dims) != 1:
-            raise ValueError(f"mixed sample dimensions {sorted(dims)}")
+        if len(X) and X.shape[1] != P.shape[1]:
+            raise ValueError(f"mixed sample dimensions {sorted({P.shape[1], X.shape[1]})}")
         if not 0.0 < self.a < A_MAX:
             raise ValueError(f"a must lie strictly between 0 and {A_MAX}, got {self.a!r}")
-        X = np.asarray(X, dtype=float).reshape(-1, P.shape[1])     # no samples: (0, n)
+        X = X.reshape(len(X), P.shape[1])       # no samples: (0, n)
         for name, S in (("inside", P), ("outside", X)):
             S.setflags(write=False)
             object.__setattr__(self, name, tuple(map(tuple, S.tolist())))
@@ -120,19 +111,17 @@ def epsilon_many(inside, X, chunk: int = 256):
     result does not depend on the block sizes.  The ``(S, S)`` table of
     inside distances is held whole.  Non-finite coordinates raise
     ``ValueError``, and so do coordinates whose differences, doubled,
-    overflow.  So does a ``chunk`` below 1.
+    overflow.  So does a ``chunk`` below 1.  Both point sets are read by
+    :func:`~hyperlip.metric.as_points`.
     """
     if not chunk >= 1:
         raise ValueError(f"chunk must be at least 1, got {chunk!r}")
-    P = np.asarray(inside, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if P.ndim != 2 or X.ndim != 2 or X.shape[1] != P.shape[1]:
-        raise ValueError(f"expected exterior shape (N, {P.shape[-1]}), got {X.shape}")
+    P, X = as_points(inside), as_points(X)
+    if X.shape[1] != P.shape[1]:
+        raise ValueError(f"expected exterior shape (N, {P.shape[1]}), got {X.shape}")
     S = P.shape[0]
     if S == 0:
         raise ValueError("need at least one inside sample")
-    if not (np.isfinite(P).all() and np.isfinite(X).all()):
-        raise ValueError("sample coordinates must be finite")
     # margins and their search bounds reach twice the spread; finite, so
     # that none is inf or NaN
     with np.errstate(over="ignore"):
@@ -391,14 +380,13 @@ def synthesize_bounds(cfg: ReconstructionConfig) -> BoxLipschitzSet:
             raise ValueError(
                 f"margin of {x} is not positive; the point is metrically "
                 f"between inside samples")
-        if apex[first_bad] == X[first_bad, axis[first_bad]]:
-            # a zero margin in exact arithmetic can read as a rounding residue
-            raise ValueError(
-                f"margin {e!r} of {x} is not positive beyond rounding: the apex of its "
-                f"cone rounds onto the point")
-        # the one-row kernel raises the error this row's flags stand for
-        choose_cone(x, cfg.inside[int(arg[first_bad])], e, cfg.a)
-        raise ArithmeticError(f"no usable cone for exterior point {x}")
+        # a zero margin in exact arithmetic can read as a rounding residue.
+        # With eps > 0, x is no inside sample, so x != p; the apex moves from
+        # x toward p by a * eps <= 2 a d(x, p) < d(x, p) / 4, so it is finite,
+        # and x is strictly interior unless the apex rounds onto x
+        raise ValueError(
+            f"margin {e!r} of {x} is not positive beyond rounding: the apex of its "
+            f"cone rounds onto the point")
     for i in range(n):
         for s, bounds, family in ((1, upper, Min), (-1, lower, Max)):
             rows = np.flatnonzero((axis == i) & (sign == s))
@@ -443,17 +431,16 @@ def verify_reconstruction(membership, Q_rec: BoxLipschitzSet, grid,
                           tol: float = 1e-9) -> ReconstructionReport:
     """Compare an oracle with reconstructed membership on a point grid.
 
-    The oracle is asked once, for the whole grid (see :func:`_batch`).
-    Grid coordinates must be finite, and ``tol`` finite and nonnegative."""
+    The grid is read by :func:`~hyperlip.metric.as_points`, and the oracle
+    asked once, for the whole grid (see :func:`_batch`); it must answer one
+    boolean per grid point.  ``tol`` must be finite and nonnegative."""
     _check_tol(tol)
-    G = np.asarray(grid, dtype=float)
+    G = as_points(grid)
     if not len(G):
         return ReconstructionReport(0, (), ())
-    if G.ndim != 2:
-        raise ValueError(f"expected grid points of equal dimension, got shape {G.shape}")
-    if not np.isfinite(G).all():
-        raise ValueError(f"point coordinates must be finite, got {float(G[~np.isfinite(G)][0])!r}")
     truth = _batch(membership)(G)
+    if np.shape(truth) != (len(G),):
+        raise ValueError(f"the oracle answered shape {np.shape(truth)} for {len(G)} grid points")
     inside_rec = violation_many(Q_rec, G) <= tol
 
     def points(mask):
@@ -468,16 +455,18 @@ class _SampleMembership:
     :meth:`many`."""
 
     def __init__(self, inside, tol):
-        self._P = np.asarray(as_points(inside), dtype=float)
+        self._P = as_points(inside)
+        if not len(self._P):
+            raise ValueError("need at least one inside sample")
         self._tol = tol
 
     def __call__(self, x) -> bool:
-        return bool(self.many(np.asarray([as_point(x)]))[0])
+        return bool(self.many([as_point(x)])[0])
 
     def many(self, G) -> np.ndarray:
-        G = np.asarray(G, dtype=float)
+        G = as_points(G)
         out = np.empty(G.shape[0], dtype=bool)
-        step = max(1, _BLOCK_BYTES // (8 * max(1, self._P.shape[0])))
+        step = max(1, _BLOCK_BYTES // (8 * self._P.shape[0]))
         for r in range(0, G.shape[0], step):
             out[r:r + step] = (sup_dists(G[r:r + step], self._P) <= self._tol).any(axis=1)
         return out
@@ -497,6 +486,7 @@ def membership_from_samples(inside, tol: float = 1e-9):
 
     It answers for one point when called, and for the rows of an
     ``(N, n)`` array through its ``many`` method, with the same booleans.
+    The sample must hold at least one point, all of one dimension, and
     ``tol`` must be finite and nonnegative, so that every sample passes."""
     _check_tol(tol)
     return _SampleMembership(inside, tol)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .boxset import BoxLipschitzSet, violation_many
-from .metric import ConeDescriptor
+from .metric import ConeDescriptor, as_points
 
 __all__ = ["render_scene"]
 
@@ -43,8 +43,8 @@ def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
     """Render a planar scene into an SVG string.
 
     ``box`` is ``((x0, x1), (y0, y1))`` in data coordinates; ``Q`` (optional)
-    must be 2-dimensional; ``orbit`` is a point sequence, or an ``(N, 2)``
-    array read through ``tolist()``, drawn as a polyline; ``cones`` is a
+    must be 2-dimensional; ``orbit`` is a sequence of planar points, read by
+    :func:`~hyperlip.metric.as_points`, drawn as a polyline; ``cones`` is a
     sequence of planar :class:`ConeDescriptor`.
     """
     (x0, x1), (y0, y1) = [(float(a), float(b)) for a, b in box]
@@ -114,10 +114,11 @@ def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
         path = " ".join(f"{_fmt(sx(px))},{_fmt(sy(py))}" for px, py in pts)
         parts.append(f'<polygon points="{path}" fill="{CONE_FILL}" fill-opacity="0.5"/>')
 
-    if orbit is not None and len(orbit):
-        if isinstance(orbit, np.ndarray):
-            orbit = orbit.tolist()
-        path = " ".join(f"{_fmt(sx(px))},{_fmt(sy(py))}" for px, py in orbit)
+    orbit = as_points(() if orbit is None else orbit)
+    if len(orbit):
+        if orbit.shape[1] != 2:
+            raise ValueError(f"need planar orbit points, got dimension {orbit.shape[1]}")
+        path = " ".join(f"{_fmt(sx(px))},{_fmt(sy(py))}" for px, py in orbit.tolist())
         parts.append(
             f'<polyline points="{path}" fill="none" stroke="{ORBIT_STROKE}" '
             f'stroke-width="1.5"/>')

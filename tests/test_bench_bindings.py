@@ -12,6 +12,7 @@ one of them breaks the benchmark; these tests make that fail here first.
 import importlib.util
 import inspect
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,28 @@ def _spy(monkeypatch, owner, attr):
 
     monkeypatch.setattr(owner, attr, spy)
     return calls
+
+
+def _counting(calls, name, original):
+    def spy(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    return spy
+
+
+def test_selftest_calls_every_layer_with_a_traced_time(monkeypatch, capsys, tracing):
+    """Each ``*.self_s`` metric of ``PER_LAYER`` times the spans of one
+    layer; the selftest calls every one of them through the bindings the
+    tracer wraps, so none of those metrics reads 0.0 on every workload."""
+    calls = Counter()
+    for owner, attr, name, *_ in tracing._SPANS:
+        monkeypatch.setattr(owner, attr, _counting(calls, name, getattr(owner, attr)))
+    assert cli.main(["selftest", "--seed", "0"]) == 0
+    capsys.readouterr()
+    timed = {name.removesuffix(".self_s") for name, *_ in tracing.PER_LAYER
+             if name.endswith(".self_s")}
+    assert len(timed) == 14
+    assert sorted(layer for layer in timed if not calls[layer]) == []
 
 
 def test_cli_retract_below_level_one_calls_its_cyclic_binding(monkeypatch, capsys, tmp_path):

@@ -201,6 +201,51 @@ class TestViolation:
             violation(Q, (0.0, 0.0))
 
 
+class TestPointSetIntake:
+    """Every batch entry point reads its rows through ``as_points``, and
+    adds only its own dimension check."""
+
+    RUNS = {
+        "violation_many": lambda X: violation_many(half_rate_instance(), X),
+        "cyclic_retract_many": lambda X: cyclic_retract_many(half_rate_instance(), X),
+        "retract many, shrink": lambda X: boxset.retract(vee_notch_instance(), X, 1e-3,
+                                                         many=True),
+        "retract many, truncate": lambda X: retract_lambda_one_general_many(
+            diagonal_halfspace_instance(), (0.0, 0.0), X, 1e-3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    @pytest.mark.parametrize("X, message", [
+        ([["1", "2"]], "point coordinates must be numbers, got ('1', '2')"),
+        ([[0.0, 1.0], [2.0]], "mixed point dimensions [1, 2]"),
+        ([[0.0, 1.0], [math.inf, 2.0]], "point coordinates must be finite, got inf"),
+        ([0.0, 1.0], "expected rows of points, got shape (2,)"),
+        ([[0.0, 1.0, 2.0]], "points of dimension 3 in a set of dimension 2"),
+    ])
+    def test_bad_rows_get_the_point_set_messages(self, name, X, message):
+        with pytest.raises(ValueError) as err:
+            self.RUNS[name](X)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    @pytest.mark.parametrize("X", [[], (), np.empty((0, 3))])
+    def test_no_points_are_a_batch_of_no_rows(self, name, X):
+        out = self.RUNS[name](X)
+        out = out if isinstance(out, np.ndarray) else out[0]
+        assert out.shape == ((0,) if name == "violation_many" else (0, 2))
+
+    def test_single_points_keep_their_messages(self):
+        Q = half_rate_instance()
+        for run in (lambda x: violation(Q, x), lambda x: cyclic_retract(Q, x),
+                    lambda x: cyclic_iterate(Q, x, 1)):
+            with pytest.raises(ValueError) as err:
+                run((0.0, 1.0, 2.0))
+            assert str(err.value) == "point of dimension 3 in a set of dimension 2"
+        with pytest.raises(ValueError) as err:
+            truncated_set(Q, (0.0,), 1.0)
+        assert str(err.value) == "witness of dimension 1 for a set of dimension 2"
+
+
 class TestPairedEvaluators:
     """A set's per-axis evaluators give each bound's own bits: the scalar
     pairs against ``_compile`` and the batch pairs against ``_compile_grid``

@@ -625,6 +625,13 @@ class TestReconstruct:
             "--verify-grid", dump(tmp_path, "g.json", grid)])
         assert err == {"error": f"dimension mismatch: {n} vs 2"}
 
+    def test_a_grid_of_mixed_dimensions_is_an_input_error(self, capsys, tmp_path):
+        inside, outside, _ = self._square(tmp_path)
+        err = input_error(capsys, [
+            "reconstruct", "--inside", inside, "--outside", outside,
+            "--verify-grid", dump(tmp_path, "g.json", [[0.0, 0.0], [1.0]])])
+        assert err == {"error": "mixed point dimensions [1, 2]"}
+
     def test_bad_pullback_rejected(self, capsys, tmp_path):
         inside, outside, _ = self._square(tmp_path)
         code, _, err = run(capsys, [
@@ -666,6 +673,12 @@ class TestVerify:
         argv = ["verify", "lipschitz", "--expr", expr, "--grid", grid, "--lam", "0.5"]
         err = input_error(capsys, argv + [flag, value])
         assert flag[2:] in err["error"]
+
+    def test_lipschitz_grid_of_mixed_dimensions_is_an_input_error(self, capsys, tmp_path):
+        expr = dump(tmp_path, "f.json", expr_to_obj(Const(2.0)))
+        grid = dump(tmp_path, "g.json", [[0.0], [1.0, 2.0]])
+        err = input_error(capsys, ["verify", "lipschitz", "--expr", expr, "--grid", grid])
+        assert err == {"error": "mixed point dimensions [1, 2]"}
 
     def test_unknown_target_is_an_input_error(self, capsys):
         err = input_error(capsys, ["verify", "bogus"])
@@ -746,6 +759,19 @@ class TestPlot:
         assert svgplot.render_scene(box, orbit=np.array(orbit)) == want
         assert svgplot.render_scene(box, orbit=np.empty((0, 2))) == \
             svgplot.render_scene(box, orbit=[]) == svgplot.render_scene(box)
+
+    @pytest.mark.parametrize("orbit, message", [
+        ([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], "need planar orbit points, got dimension 3"),
+        ([[0.0, 0.0], [1.0]], "mixed point dimensions [1, 2]"),
+    ])
+    def test_an_orbit_that_is_not_planar_is_an_input_error(self, capsys, tmp_path,
+                                                           orbit, message):
+        err = input_error(capsys, [
+            "plot", "--box", dump(tmp_path, "b.json", [[-3.0, 3.0], [-3.0, 3.0]]),
+            "--orbit", dump(tmp_path, "o.json", orbit), "--resolution", "0.5",
+            "--out", str(tmp_path / "scene.svg")])
+        assert err == {"error": message}
+        assert not (tmp_path / "scene.svg").exists()
 
     @pytest.mark.parametrize("resolution, words", [
         ("1e-320", "overflows"), ("3e-4", "cells"), ("nan", "positive")])

@@ -96,7 +96,7 @@ class TestScalarExtension:
             extend_into_Q(B, [0, 1], [(1.0,)], Q)
 
     @pytest.mark.parametrize("phi, exc, message", [
-        ([(1.0,), (1.0, 2.0)], ValueError, "image point of dimension 2, set has dimension 1"),
+        ([(1.0,), (1.0, 2.0)], ValueError, "mixed point dimensions [1, 2]"),
         ([(1.0, 2.0), (1.0, 2.0)], ValueError, "image point of dimension 2, set has dimension 1"),
         ([(), ()], ValueError, "image point of dimension 0, set has dimension 1"),
         ([(1.0,)], ValueError, "need exactly one image point per subset index"),

@@ -1278,6 +1278,11 @@ class TestAudit:
         with pytest.raises(ValueError):
             verify_lipschitz_on_grid(Const(0.0), [], 1.0)
 
+    def test_a_grid_of_mixed_dimensions_gets_the_point_set_message(self):
+        with pytest.raises(ValueError) as err:
+            verify_lipschitz_on_grid(DistCone((0.0,), 0.0, 1.0, 1), [(0.0,), (1.0, 2.0)], 1.0)
+        assert str(err.value) == "mixed point dimensions [1, 2]"
+
     def test_infinite_values_rejected(self):
         with pytest.raises(ValueError):
             verify_lipschitz_on_grid(Infinite(1), [(0.0,)], 1.0)

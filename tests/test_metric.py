@@ -79,6 +79,8 @@ HOSTILE = {
     "ragged": lambda: [(1.0,), (1.0, 2.0)],
     "ragged after a point": lambda: [[1.0, 2.0], [3.0]],
     "ragged with an empty point": lambda: [(), (1.0,)],
+    "ragged three ways": lambda: [[0.0, 1.0, 2.0], [3.0], []],
+    "ragged generator": lambda: (p for p in ((), (1.0,))),
     "scalar row": lambda: [[1.0], 5],
     "scalar rows": lambda: [1.0, 2.0],
     "one scalar": lambda: 3.0,
@@ -138,6 +140,20 @@ for _bad in (math.nan, math.inf, -math.inf):
             HOSTILE[f"{_bad} at {_i},{_j} in an array"] = lambda m=_make: m(wrap=_table)
 
 
+# numbers that numpy reads in a shape other than rows of points
+NOT_ROWS = {"scalar rows": (2,), "one scalar": (), "nested too deep": (2, 1, 1)}
+
+
+def _per_point(rows):
+    """The per-point loop ``as_points`` stands for: every point through
+    ``as_point``, then one refusal of mixed dimensions, or one table."""
+    pts = [as_point(p) for p in rows]
+    dims = sorted({len(p) for p in pts})
+    if len(dims) > 1:
+        raise ValueError(f"mixed point dimensions {dims}")
+    return _table(pts)
+
+
 def _outcome(f, rows):
     """What ``f(rows)`` returns, or the type and text of what it raises."""
     try:
@@ -166,16 +182,12 @@ class TestAsPoints:
     @pytest.mark.parametrize("name", sorted(HOSTILE))
     def test_same_bytes_and_refusals_as_the_per_point_loop(self, name):
         make = HOSTILE[name]
-        want = _outcome(lambda rows: _table([as_point(p) for p in rows]), make())
+        want = _outcome(_per_point, make())
+        if name in NOT_ROWS:
+            want = ValueError, f"expected rows of points, got shape {NOT_ROWS[name]}"
         got = _outcome(as_points, make())
         if isinstance(got, np.ndarray):
             assert got.dtype == np.float64 and got.ndim == 2
-        elif not (isinstance(got, tuple) and got and isinstance(got[0], type)):
-            # no points, or points of different dimensions: their tuples,
-            # which the caller refuses (numpy's error) or reads as no points
-            assert got == tuple(as_point(p) for p in make())
-            assert len({len(p) for p in got}) != 1
-            got = _outcome(_table, got)
         if isinstance(want, np.ndarray):
             assert isinstance(got, np.ndarray), got
             assert got.tobytes() == want.tobytes()
@@ -210,6 +222,23 @@ class TestAsPoints:
             as_points([[0.0, 1.0], [math.nan, math.inf]])
         with pytest.raises(TypeError, match="'int' object is not iterable"):
             as_points([[0.0, 1.0], 5, [math.nan]])
+        # a bad point is named before the dimensions are compared
+        with pytest.raises(ValueError, match="got nan"):
+            as_points([[0.0], [1.0, 2.0], [math.nan]])
+
+    @pytest.mark.parametrize("rows", [[], (), iter(()), np.empty(0), np.empty((0, 3, 4))])
+    def test_no_points_give_an_empty_table(self, rows):
+        A = as_points(rows)
+        assert type(A) is np.ndarray and A.dtype == np.float64 and A.shape == (0, 0)
+
+    def test_mixed_dimensions_are_refused_by_every_reader(self):
+        rows = [(0.0, 0.0), (1.0,)]
+        for read in (lambda: hausdorff_distance(rows, [(0.0, 0.0)]),
+                     lambda: hausdorff_distance([(0.0, 0.0)], rows),
+                     lambda: FiniteMetricSpace.from_points(rows)):
+            with pytest.raises(ValueError) as err:
+                read()
+            assert str(err.value) == "mixed point dimensions [1, 2]"
 
 
 def row_lists(n, extra=()):

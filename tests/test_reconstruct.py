@@ -362,15 +362,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ReconstructionConfig(((0.0, 0.0), (1.0,)), ())
 
-    # each bad sample, alone or after a ragged or non-finite earlier one:
-    # the message names the first offender in inside-then-outside order
+    # each bad sample, alone or after a non-finite earlier one: the message
+    # names the first offender in inside-then-outside order, and an inside
+    # sample of mixed dimensions is refused before the outside one is read
     @pytest.mark.parametrize("inside, outside, exc, message", [
         (((0.0, float("inf")),), (), ValueError, "point coordinates must be finite, got inf"),
         (((0.0, 0.0),), ((1.0, 2.0), (float("nan"), 0.0)), ValueError,
          "point coordinates must be finite, got nan"),
-        (((0.0, 0.0), (1.0,)), ((0.0, -np.inf),), ValueError,
-         "point coordinates must be finite, got -inf"),
-        (((0.0, 0.0), (1.0,)), (), ValueError, "mixed sample dimensions [1, 2]"),
+        (((0.0, 0.0), (1.0,)), ((0.0, -np.inf),), ValueError, "mixed point dimensions [1, 2]"),
+        (((0.0, 0.0), (1.0,)), (), ValueError, "mixed point dimensions [1, 2]"),
         (((0.0, 0.0),), ((1.0, 2.0, 3.0),), ValueError, "mixed sample dimensions [2, 3]"),
         (((0.0, "x"),), (), ValueError, "could not convert string to float: 'x'"),
         (((0.0, 0.0),), ((None, 1.0),), TypeError,
@@ -506,6 +506,52 @@ class TestVerification:
         with pytest.raises(ValueError) as err:
             verify_reconstruction(lambda p: True, Q, [], tol=tol)
         assert str(err.value) == message
+
+
+class TestPointSetIntake:
+    """Samples, exterior rows, grids and oracle queries are all read by
+    ``as_points``: ``as_point``'s refusals and one for mixed dimensions."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ([["1", "2"]], "point coordinates must be numbers, got ('1', '2')"),
+        ([(0.0, 0.0), (1.0,)], "mixed point dimensions [1, 2]"),
+    ])
+    def test_every_reader_refuses_bad_rows(self, rows, message):
+        oracle = membership_from_samples([(0.0, 0.0)])
+        Q = synthesize_bounds(ReconstructionConfig(((0.0, 0.0),), ((2.0, 2.0),)))
+        for read in (lambda: epsilon_many([(0.0, 0.0)], rows),
+                     lambda: epsilon_many(rows, [(3.0, 3.0)]),
+                     lambda: verify_reconstruction(oracle, Q, rows),
+                     lambda: verify_reconstruction(lambda p: True, Q, rows),
+                     lambda: oracle.many(rows),
+                     lambda: membership_from_samples(rows)):
+            with pytest.raises(ValueError) as err:
+                read()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("inside, message", [
+        ([], "need at least one inside sample"),
+        (np.empty((0, 2)), "need at least one inside sample"),
+        ([(0.0, 0.0), (1.0,)], "mixed point dimensions [1, 2]"),
+    ])
+    def test_an_oracle_needs_one_nonempty_sample(self, inside, message):
+        """Refused when the oracle is made, so neither a call nor ``many``
+        meets an empty or mixed sample."""
+        for ask in (lambda: membership_from_samples(inside)((0.0, 0.0)),
+                    lambda: membership_from_samples(inside).many([(0.0, 0.0)])):
+            with pytest.raises(ValueError) as err:
+                ask()
+            assert str(err.value) == message
+
+    def test_an_oracle_must_answer_once_per_grid_point(self):
+        class OneAnswer:
+            def many(self, G):
+                return np.array([True])
+
+        Q = synthesize_bounds(ReconstructionConfig(((0.0, 0.0),), ((2.0, 2.0),)))
+        with pytest.raises(ValueError) as err:
+            verify_reconstruction(OneAnswer(), Q, [[0, 0], [5, 5], [1, 1]])
+        assert str(err.value) == "the oracle answered shape (1,) for 3 grid points"
 
 
 class TestArrayPasses:
