@@ -95,19 +95,27 @@ def epsilon_many(inside, X, chunk: int = 256):
     ``eps = max_p min_q (||x-p|| + ||x-q|| - ||p-q||)`` over the inside
     sample and ``witness_index`` is an attaining p (the first one on ties).
 
-    The search is exact and pruned.  With ``A`` the ``_ANCHORS`` inside
-    samples nearest to x, candidate p's score ``d(x,p) + min_q (d(x,q) -
-    d(p,q))`` is bounded by ``UB(p) = d(x,p) + min_{q in A} (d(x,q) -
-    d(p,q))``.  The two use the same float operations (the distance table
-    is exactly symmetric) and a minimum over fewer q is no smaller, so
-    ``UB >= score`` holds in floating point.  Each row scores its candidates
-    in order of (-UB, index), one per pass, and is done once the next one
-    has ``UB < best``, or ``UB == best`` and an index above the witness's:
-    no candidate left can then beat the witness or tie it with a lower
-    index.
+    The search is exact and pruned.  For any set A of inside samples,
+    candidate p's score ``d(x,p) + min_q (d(x,q) - d(p,q))`` is bounded by
+    ``UB_A(p) = d(x,p) + min_{q in A} (d(x,q) - d(p,q))``.  The two use the
+    same float operations (the distance table is exactly symmetric) and a
+    minimum over fewer q is no smaller, so ``UB_A >= score`` holds in
+    floating point.
 
-    Rows go in blocks as large as ``_BLOCK_BYTES`` allows for the ``(rows,
-    anchors, S)`` bound temporary, and never above ``chunk`` rows; the
+    A lead step settles most rows.  With A the first and the last of the
+    samples nearest to x, let ``M`` be the largest ``UB_A`` and ``p0`` the
+    first candidate reaching it; ``p0`` is scored, and when its score is
+    ``M`` the row is done with margin ``M`` and witness ``p0``: no candidate
+    scores above ``M``, and every earlier one has ``UB_A < M``, so ``p0`` is
+    the first best candidate.  The other rows take A as the ``_ANCHORS``
+    samples nearest to x, and score their candidates in order of (-UB,
+    index), one per pass, until the next one has ``UB < best``, or ``UB ==
+    best`` and an index above the witness's: no candidate left can then
+    beat the witness or tie it with a lower index.
+
+    Rows go in blocks of at most ``chunk`` rows, as large as ``_BLOCK_BYTES``
+    allows for four ``(rows, S)`` tables, and the rows the lead leaves go
+    in sub-blocks that fit the ``(rows, anchors, S)`` bound table; the
     result does not depend on the block sizes.  The ``(S, S)`` table of
     inside distances is held whole.  Non-finite coordinates raise
     ``ValueError``, and so do coordinates whose differences, doubled,
@@ -129,7 +137,7 @@ def epsilon_many(inside, X, chunk: int = 256):
     if not np.isfinite(spread).all():
         raise ValueError("sample coordinates are too far apart for finite distances")
     D = sup_dists(P, P)
-    rows = min(chunk, max(1, _BLOCK_BYTES // (8 * S * min(_ANCHORS, S))))
+    rows = min(chunk, max(1, _BLOCK_BYTES // (32 * S)))
     eps = np.empty(X.shape[0])
     arg = np.empty(X.shape[0], dtype=int)
     for r in range(0, X.shape[0], rows):
@@ -138,9 +146,40 @@ def epsilon_many(inside, X, chunk: int = 256):
 
 
 def _search(dx, D, eps, arg):
-    """Pruned witness search for one block of rows: ``dx`` holds the rows'
-    ``(rows, S)`` distances to the inside sample, ``D`` the inside
-    distances; the margins and witnesses go to ``eps`` and ``arg``."""
+    """Witness search for one block of rows: ``dx`` holds the rows' ``(rows,
+    S)`` distances to the inside sample, ``D`` the inside distances; the
+    margins and witnesses go to ``eps`` and ``arg``.  The lead step settles
+    what it can, and :func:`_pruned` takes the other rows."""
+    b, S = dx.shape
+    at = np.arange(b)
+    h = dx.min(axis=1, keepdims=True)
+    ties = dx == h
+    first = ties.argmax(axis=1)
+    last = S - 1 - ties[:, ::-1].argmax(axis=1)
+    ub = D[first]
+    np.subtract(h, ub, out=ub)
+    T = D[last]
+    np.subtract(h, T, out=T)
+    np.minimum(ub, T, out=ub)
+    ub += dx
+    p = ub.argmax(axis=1)
+    np.take(D, p, axis=0, out=T)
+    np.subtract(dx, T, out=T)
+    score = dx[at, p] + T.min(axis=1)
+    done = score == ub[at, p]
+    eps[done] = score[done]
+    arg[done] = p[done]
+    rest = np.flatnonzero(~done)
+    del ties, ub, T             # the pruned search's table takes their room
+    step = max(1, _BLOCK_BYTES // (8 * S * min(_ANCHORS, S)))
+    for r in range(0, rest.size, step):
+        live = rest[r:r + step]
+        _pruned(dx[live], D, live, eps, arg)
+
+
+def _pruned(dx, D, live, eps, arg):
+    """Pruned witness search from the ``_ANCHORS`` nearest samples, for the
+    rows ``live`` of a block, whose distances ``dx`` holds."""
     b, S = dx.shape
     k = min(_ANCHORS, S)
     at = np.arange(b)
@@ -148,7 +187,6 @@ def _search(dx, D, eps, arg):
     T = D[near]                                                   # (b, k, S)
     np.subtract(dx[at[:, None], near, None], T, out=T)
     ub = dx + T.min(axis=1)
-    live = at
     best = np.full(b, -np.inf)
     which = np.full(b, S)
     while live.size:
@@ -380,10 +418,16 @@ def synthesize_bounds(cfg: ReconstructionConfig) -> BoxLipschitzSet:
             raise ValueError(
                 f"margin of {x} is not positive; the point is metrically "
                 f"between inside samples")
-        # a zero margin in exact arithmetic can read as a rounding residue.
         # With eps > 0, x is no inside sample, so x != p; the apex moves from
         # x toward p by a * eps <= 2 a d(x, p) < d(x, p) / 4, so it is finite,
-        # and x is strictly interior unless the apex rounds onto x
+        # and x is strictly interior unless the apex rounds onto x.  When the
+        # largest a below A_MAX would move it, a is what is too small;
+        # otherwise the margin is a rounding residue of a zero one
+        x_axis = float(X[first_bad, axis[first_bad]])
+        if x_axis - int(sign[first_bad]) * (math.nextafter(A_MAX, 0.0) * e) != x_axis:
+            raise ValueError(
+                f"a = {cfg.a!r} is too small for the margin {e!r} of {x}: a * margin = "
+                f"{cfg.a * e!r} vanishes against the point, so the apex of its cone rounds onto it")
         raise ValueError(
             f"margin {e!r} of {x} is not positive beyond rounding: the apex of its "
             f"cone rounds onto the point")

@@ -632,6 +632,14 @@ class TestReconstruct:
             "--verify-grid", dump(tmp_path, "g.json", [[0.0, 0.0], [1.0]])])
         assert err == {"error": "mixed point dimensions [1, 2]"}
 
+    def test_a_pullback_too_small_for_the_margin_is_an_input_error(self, capsys, tmp_path):
+        err = input_error(capsys, [
+            "reconstruct", "--inside", dump(tmp_path, "in.json", [[0, 0], [1, 0], [0, 1], [1, 1]]),
+            "--outside", dump(tmp_path, "out.json", [[3, 3]]), "--a", "1e-320"])
+        assert err == {"error": "a = 1e-320 is too small for the margin 4.0 of (3.0, 3.0): "
+                                "a * margin = 4e-320 vanishes against the point, so the apex "
+                                "of its cone rounds onto it"}
+
     def test_bad_pullback_rejected(self, capsys, tmp_path):
         inside, outside, _ = self._square(tmp_path)
         code, _, err = run(capsys, [

@@ -278,6 +278,18 @@ class TestSupDists:
         assert got.tobytes() == want.reshape(len(A), len(B)).tobytes()
         assert not np.signbit(got).any()
 
+    @given(st.integers(0, 3).flatmap(lambda n: st.tuples(
+        row_lists(n, HUGE), row_lists(n, HUGE), st.sampled_from(LAYOUTS))))
+    def test_swapping_the_sides_transposes_the_table_to_the_bit(self, case):
+        """``sup_dists(P, P)`` is its own transpose and ``sup_dists(A, B)``
+        is ``sup_dists(B, A).T``, with ±0 coordinates and differences that
+        overflow to ``inf``; the margin search's bounds rely on both."""
+        A, B, lay = case
+        P = np.concatenate([A, B])
+        D = sup_dists(lay(P), P)
+        assert D.tobytes() == np.ascontiguousarray(D.T).tobytes()
+        assert sup_dists(A, lay(B)).tobytes() == np.ascontiguousarray(sup_dists(B, A).T).tobytes()
+
     def test_zero_dimensional_rows_are_at_distance_zero(self):
         D = sup_dists(np.empty((3, 0)), np.empty((2, 0)))
         assert D.tobytes() == np.zeros((3, 2)).tobytes()

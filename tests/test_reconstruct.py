@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -290,6 +291,17 @@ class TestMargin:
             synthesize_bounds(ReconstructionConfig(inside, outside, a=0.1))
         assert str(err.value) == (f"margin {float(eps[0])!r} of {x} is not positive beyond "
                                   f"rounding: the apex of its cone rounds onto the point")
+
+    @pytest.mark.parametrize("a", [1e-17, 1e-320])
+    def test_a_pullback_that_vanishes_names_a(self, a):
+        """The margin 4.0 is positive; what rounds away is a * margin."""
+        inside = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+        assert epsilon_many(inside, [(3.0, 3.0)])[0].tolist() == [4.0]
+        with pytest.raises(ValueError) as err:
+            synthesize_bounds(ReconstructionConfig(inside, ((3.0, 3.0),), a=a))
+        assert str(err.value) == (
+            f"a = {a!r} is too small for the margin 4.0 of (3.0, 3.0): a * margin = "
+            f"{a * 4.0!r} vanishes against the point, so the apex of its cone rounds onto it")
 
     def test_sample_point_rejected(self):
         eps, _ = epsilon_many([(0.0, 0.0)], [(0.0, 0.0)])
@@ -777,16 +789,86 @@ class TestArrayPasses:
             assert (a == ref_arg).all()
 
 
-class TestPrunedSearch:
-    """The pruned witness search against the all-candidates reference, and
-    the batch membership oracle against the per-point test."""
+def _spy_fallback(monkeypatch):
+    """The row counts of the blocks the lead step leaves to the pruned
+    search, one per call."""
+    seen = []
+    pruned = reconstruct._pruned
 
-    def test_square_at_step_one_sixteenth(self):
+    def spy(dx, *args):
+        seen.append(dx.shape[0])
+        return pruned(dx, *args)
+
+    monkeypatch.setattr(reconstruct, "_pruned", spy)
+    return seen
+
+
+def _assert_reference_margins(inside, outside):
+    eps, arg = epsilon_many(inside, outside)
+    ref_eps, ref_arg = _reference_margins(inside, outside, chunk=8)
+    assert eps.tobytes() == ref_eps.tobytes()
+    assert (arg == ref_arg).all()
+
+
+class TestPrunedSearch:
+    """The witness search (the lead step and the pruned search behind it)
+    against the all-candidates reference, and the batch membership oracle
+    against the per-point test."""
+
+    def test_square_at_step_one_sixteenth(self, monkeypatch):
+        """The benchmark's shape: the lead step settles every row."""
+        fallback = _spy_fallback(monkeypatch)
         inside, outside, _ = _bench_grid(16, _square_shape(16))
         eps, arg = epsilon_many(inside, outside)
         ref_eps, ref_arg = _reference_margins(inside, outside, chunk=4)
         assert eps.tobytes() == ref_eps.tobytes()
         assert (arg == ref_arg).all()
+        assert fallback == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_samples_settled_or_passed_on(self, n, rng, monkeypatch):
+        """Samples off any grid: the lead step settles some rows and passes
+        the others on, and both give the reference's bits."""
+        fallback = _spy_fallback(monkeypatch)
+        sizes = (1, 2, 30, 150)
+        for S in sizes:
+            inside = rng.normal(size=(S, n))
+            outside = rng.normal(scale=2.0, size=(200, n))
+            _assert_reference_margins(inside, outside)
+        assert 0 < sum(fallback) < 200 * len(sizes)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_samples_listed_twice(self, n, rng):
+        """Every nearest distance is taken twice, so the lead's first and
+        last anchors differ."""
+        for S in (1, 30, 150):
+            inside = rng.normal(size=(S, n))
+            inside = np.concatenate([inside, inside])[rng.permutation(2 * S)]
+            outside = np.concatenate([rng.normal(scale=2.0, size=(200, n)), inside[:5]])
+            _assert_reference_margins(inside, outside)
+
+    def test_one_row_blocks(self, rng, monkeypatch):
+        """One row per block, in the lead step and in the pruned search."""
+        inside = rng.normal(size=(40, 3))
+        outside = rng.normal(scale=2.0, size=(60, 3))
+        monkeypatch.setattr(reconstruct, "_BLOCK_BYTES", 1)
+        fallback = _spy_fallback(monkeypatch)
+        _assert_reference_margins(inside, outside)
+        assert fallback and set(fallback) == {1}
+
+    def test_scratch_stays_within_two_blocks(self, rng):
+        """Past the table of inside distances, the search holds at most two
+        blocks of scratch, also when most rows fall through: the lead's
+        tables are freed before the pruned search's table is made."""
+        inside = rng.normal(size=(300, 3))
+        outside = rng.normal(scale=2.0, size=(2000, 3))
+        tracemalloc.start()
+        try:
+            epsilon_many(inside, outside)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 300 ** 2 + 2 * reconstruct._BLOCK_BYTES
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_integer_lattice_with_duplicate_samples(self, n, rng):
