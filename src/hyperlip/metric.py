@@ -41,6 +41,8 @@ __all__ = [
 Point = tuple
 
 DEFAULT_TOL = 1e-12
+# bytes of the scratch table through which sup_dists folds coordinates
+_SCRATCH_BYTES = 1 << 20
 
 
 def as_point(coords: Sequence[float]) -> Point:
@@ -106,24 +108,29 @@ def sup_dists(A, B) -> np.ndarray:
     """``(len(A), len(B))`` table of sup-norm distances between the rows of
     two ``(N, n)`` arrays.
 
-    It starts from ``|a_0 - b_0|`` and folds in one coordinate at a time
-    through one reused ``(N, M)`` scratch table, so no ``(N, M, n)``
-    temporary is made, every entry is a ``+0.0`` or above, and ``n = 0``
-    gives all zeros.  A difference too large for a float reads ``inf``, as
-    in :func:`sup_dist`, and rows of different dimensions raise its
-    ``ValueError``.
+    Each block of rows starts from ``|a_0 - b_0|`` and folds in one
+    coordinate at a time through a scratch table of at most
+    ``_SCRATCH_BYTES`` (one row, when a row is larger), so the result is the
+    only ``(N, M)`` table made and no ``(N, M, n)`` temporary is.  The block
+    size does not change a bit of the result.  Every entry is a ``+0.0`` or
+    above, and ``n = 0`` gives all zeros.  A difference too large for a
+    float reads ``inf``, as in :func:`sup_dist`, and rows of different
+    dimensions raise its ``ValueError``.
     """
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     if A.shape[1] == 0:
         return np.zeros((A.shape[0], B.shape[0]))
     D = np.empty((A.shape[0], B.shape[0]))
-    np.abs(np.subtract(A[:, 0, None], B[None, :, 0], out=D), out=D)
-    if A.shape[1] > 1:
-        T = np.empty_like(D)
+    rows = max(1, _SCRATCH_BYTES // (8 * max(1, B.shape[0])))
+    T = np.empty((min(rows, A.shape[0]), B.shape[0]) if A.shape[1] > 1 else (0, 0))
+    for r in range(0, A.shape[0], rows):
+        Dr = D[r:r + rows]
+        np.abs(np.subtract(A[r:r + rows, 0, None], B[None, :, 0], out=Dr), out=Dr)
+        Tr = T[:Dr.shape[0]]
         for k in range(1, A.shape[1]):
-            np.abs(np.subtract(A[:, k, None], B[None, :, k], out=T), out=T)
-            np.maximum(D, T, out=D)
+            np.abs(np.subtract(A[r:r + rows, k, None], B[None, :, k], out=Tr), out=Tr)
+            np.maximum(Dr, Tr, out=Dr)
     return D
 
 

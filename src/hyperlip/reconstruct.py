@@ -252,17 +252,30 @@ def choose_cone(x: Point, p_x: Point, eps: float, a: float) -> ConeDescriptor:
 
 def _first_overlap(P, X, axis, sign, apex):
     """First row (in order) whose cone contains an inside sample, with the
-    index of the first such sample; ``None`` when no cone does."""
+    index of the first such sample; ``None`` when no cone does.
+
+    A sample ``q`` is in the cone of a row only if ``t = (q_axis - apex) *
+    sign >= 0``.  The rounded difference has the sign of the exact one
+    (also when it overflows), so a cone opening upward from above every
+    sample's coordinate, or downward from below every one, holds none; the
+    sample's per-axis maximum and minimum settle those rows, and only the
+    others are tested against every sample, in blocks.
+    """
     hit = np.zeros(X.shape[0], dtype=bool)
     first = np.zeros(X.shape[0], dtype=int)
+    top, bottom = P.max(axis=0), P.min(axis=0)
+    reach = np.where(sign > 0, apex <= top[axis], apex >= bottom[axis])
     # about four (rows, S) temporaries per block
     step = max(1, _BLOCK_BYTES // (32 * P.shape[0]))
     for i in range(P.shape[1]):
-        rows = np.flatnonzero(axis == i)
+        rows = np.flatnonzero(reach & (axis == i))
+        if not rows.size:
+            continue
         Xh, Ph = np.delete(X[rows], i, axis=1), np.delete(P, i, axis=1)
         for b in range(0, rows.size, step):
             r = rows[b:b + step]
-            t = (P[None, :, i] - apex[r, None]) * sign[r, None]
+            with np.errstate(over="ignore"):
+                t = (P[None, :, i] - apex[r, None]) * sign[r, None]
             hits = (t >= 0.0) & (sup_dists(Xh[b:b + step], Ph) <= t)
             hit[r] = hits.any(axis=1)
             first[r] = hits.argmax(axis=1)
@@ -477,14 +490,18 @@ def verify_reconstruction(membership, Q_rec: BoxLipschitzSet, grid,
 
     The grid is read by :func:`~hyperlip.metric.as_points`, and the oracle
     asked once, for the whole grid (see :func:`_batch`); it must answer one
-    boolean per grid point.  ``tol`` must be finite and nonnegative."""
+    boolean per grid point, as a bool array or a list of bools (an answer
+    of any other dtype is refused, not read as indices).  ``tol`` must be
+    finite and nonnegative."""
     _check_tol(tol)
     G = as_points(grid)
     if not len(G):
         return ReconstructionReport(0, (), ())
-    truth = _batch(membership)(G)
-    if np.shape(truth) != (len(G),):
-        raise ValueError(f"the oracle answered shape {np.shape(truth)} for {len(G)} grid points")
+    truth = np.asarray(_batch(membership)(G))
+    if truth.shape != (len(G),):
+        raise ValueError(f"the oracle answered shape {truth.shape} for {len(G)} grid points")
+    if truth.dtype != bool:
+        raise ValueError(f"the oracle answered dtype {truth.dtype}, not bool")
     inside_rec = violation_many(Q_rec, G) <= tol
 
     def points(mask):
@@ -496,23 +513,39 @@ def verify_reconstruction(membership, Q_rec: BoxLipschitzSet, grid,
 class _SampleMembership:
     """Accepts exactly the points within ``tol`` of an inside sample: one
     point by calling the oracle, the rows of an ``(N, n)`` array with
-    :meth:`many`."""
+    :meth:`many`.
+
+    Rounding is monotone, so a point whose rounded difference from the
+    sample's per-axis maximum exceeds ``tol`` on some axis (or from its
+    minimum falls below ``-tol``) has such a difference from every sample
+    too, and is rejected without a distance row; only the other points are
+    measured against the whole sample, in blocks."""
 
     def __init__(self, inside, tol):
         self._P = as_points(inside)
         if not len(self._P):
             raise ValueError("need at least one inside sample")
         self._tol = tol
+        self._top, self._bottom = self._P.max(axis=0), self._P.min(axis=0)
 
     def __call__(self, x) -> bool:
         return bool(self.many([as_point(x)])[0])
 
     def many(self, G) -> np.ndarray:
         G = as_points(G)
-        out = np.empty(G.shape[0], dtype=bool)
-        step = max(1, _BLOCK_BYTES // (8 * self._P.shape[0]))
-        for r in range(0, G.shape[0], step):
-            out[r:r + step] = (sup_dists(G[r:r + step], self._P) <= self._tol).any(axis=1)
+        P, tol = self._P, self._tol
+        if not len(G):
+            return np.zeros(0, dtype=bool)
+        if G.shape[1] != P.shape[1]:
+            raise ValueError(f"dimension mismatch: {G.shape[1]} vs {P.shape[1]}")
+        with np.errstate(over="ignore"):
+            far = ((G - self._top > tol) | (G - self._bottom < -tol)).any(axis=1)
+        rows = np.flatnonzero(~far)
+        out = np.zeros(G.shape[0], dtype=bool)
+        step = max(1, _BLOCK_BYTES // (8 * P.shape[0]))
+        for r in range(0, rows.size, step):
+            near = rows[r:r + step]
+            out[near] = (sup_dists(G[near], P) <= tol).any(axis=1)
         return out
 
 

@@ -1,6 +1,7 @@
 """Tests for the sup-norm primitives and finite metric spaces."""
 
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -289,6 +290,33 @@ class TestSupDists:
         D = sup_dists(lay(P), P)
         assert D.tobytes() == np.ascontiguousarray(D.T).tobytes()
         assert sup_dists(A, lay(B)).tobytes() == np.ascontiguousarray(sup_dists(B, A).T).tobytes()
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        row_lists(n, HUGE), row_lists(n, HUGE), st.sampled_from((1, 8, 24, 100)))))
+    def test_row_blocks_do_not_change_a_bit(self, case):
+        """Scratch blocks of one row, or of a few rows, give the bits of the
+        broadcast table."""
+        A, B, scratch_bytes = case
+        with np.errstate(over="ignore"):
+            want = np.abs(A[:, None] - B[None]).max(axis=2, initial=0.0)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(metric, "_SCRATCH_BYTES", scratch_bytes)
+            got = sup_dists(A, B)
+        assert got.tobytes() == want.reshape(len(A), len(B)).tobytes()
+
+    def test_scratch_stays_within_its_bound(self):
+        """Past the result, the fold holds one scratch block of at most
+        ``_SCRATCH_BYTES`` (65 rows of 2000 here), not a second table, and
+        numpy's two ufunc buffers of ``np.getbufsize()`` doubles."""
+        P = np.random.default_rng(5).normal(size=(2000, 3))
+        tracemalloc.start()
+        try:
+            D = sup_dists(P, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert D.shape == (2000, 2000)
+        assert peak - D.nbytes <= metric._SCRATCH_BYTES + 2 * 8 * np.getbufsize()
 
     def test_zero_dimensional_rows_are_at_distance_zero(self):
         D = sup_dists(np.empty((3, 0)), np.empty((2, 0)))

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hyperlip import reconstruct
 from hyperlip.boxset import BoxLipschitzSet, set_to_obj, violation, violation_many
 from hyperlip.lipfun import DistCone, Infinite, Max, Min, expr_to_obj
-from hyperlip.metric import ConeDescriptor, cone_contains, hat
+from hyperlip.metric import ConeDescriptor, cone_contains, hat, sup_dists
 from hyperlip.reconstruct import (
     ConeOverlapError,
     ReconstructionConfig,
@@ -520,6 +520,32 @@ class TestVerification:
         assert str(err.value) == message
 
 
+    def test_an_integer_answer_is_refused_not_read_as_indices(self):
+        """Ones and zeros would index the grid: four false inside and four
+        false outside, with repeated points."""
+        class Numbers:
+            def many(self, G):
+                return np.array([1, 0, 1, 0])
+
+        Q = synthesize_bounds(ReconstructionConfig(((0.0, 0.0),), ((2.0, 2.0),)))
+        with pytest.raises(ValueError) as err:
+            verify_reconstruction(Numbers(), Q, [[0, 0], [5, 5], [0, 0], [2, 2]])
+        assert str(err.value) == f"the oracle answered dtype {np.array([1]).dtype}, not bool"
+
+    def test_a_list_of_bools_is_read_as_a_mask(self):
+        inside, outside, every = _square_samples(0.5)
+        Q = synthesize_bounds(ReconstructionConfig(tuple(inside), tuple(outside)))
+        truth = membership_from_samples(inside)
+
+        class Listing:
+            def many(self, G):
+                return truth.many(G).tolist()
+
+        report = verify_reconstruction(Listing(), Q, every)
+        assert report == verify_reconstruction(truth, Q, every)
+        assert report.ok and report.checked == len(every)
+
+
 class TestPointSetIntake:
     """Samples, exterior rows, grids and oracle queries are all read by
     ``as_points``: ``as_point``'s refusals and one for mixed dimensions."""
@@ -774,17 +800,28 @@ class TestArrayPasses:
         assert {type(c) for c in got.value.exterior + got.value.inside} == {float}
 
     @pytest.mark.parametrize("name", ["square", "step"])
-    @pytest.mark.parametrize("candidates", [1, 7])
-    def test_margins_do_not_depend_on_the_block_size(self, name, candidates, monkeypatch):
-        """One-row blocks, with the candidates p split into blocks of 1 or 7
-        (ties between blocks must keep the first p)."""
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_margins_do_not_depend_on_the_block_size(self, name, rows, monkeypatch):
+        """Blocks of 1 or 7 exterior rows give the reference's bits.  A
+        row's candidates p are never split: every block holds whole rows
+        of distances to the whole sample."""
         inside, outside, _ = _bench_grid(8, _SHAPES[name])
         outside = outside[::3]
         eps, arg = epsilon_many(inside, outside)
         ref_eps, ref_arg = _reference_margins(inside, outside)
-        monkeypatch.setattr(reconstruct, "_BLOCK_BYTES", 8 * len(inside) * candidates)
-        one_eps, one_arg = epsilon_many(inside, outside)
-        for e, a in ((eps, arg), (one_eps, one_arg)):
+        seen = []
+        search = reconstruct._search
+
+        def spy(dx, *args):
+            seen.append(dx.shape)
+            return search(dx, *args)
+
+        monkeypatch.setattr(reconstruct, "_search", spy)
+        monkeypatch.setattr(reconstruct, "_BLOCK_BYTES", 32 * len(inside) * rows)
+        block_eps, block_arg = epsilon_many(inside, outside)
+        assert seen == [(min(rows, len(outside) - r), len(inside))
+                        for r in range(0, len(outside), rows)]
+        for e, a in ((eps, arg), (block_eps, block_arg)):
             assert e.tobytes() == ref_eps.tobytes()
             assert (a == ref_arg).all()
 
@@ -966,6 +1003,160 @@ class TestPrunedSearch:
                                       synthesize_bounds(cfg), every)
         assert plain == report
         assert asked == [tuple(map(float, p)) for p in every]
+
+
+def _unfiltered_overlap(P, X, axis, sign, apex):
+    """``_first_overlap`` without the sample's box: every cone against every
+    sample, one exterior row at a time."""
+    with np.errstate(over="ignore"):
+        for j in range(len(X)):
+            c = X[j].copy()
+            c[axis[j]] = apex[j]
+            hits = _reference_hits(ConeDescriptor(tuple(c), int(axis[j]), int(sign[j])), P)
+            if hits.any():
+                return j, int(np.argmax(hits))
+    return None
+
+
+def _unfiltered_membership(P, G, tol):
+    """The oracle's mask without the sample's box: a distance row for
+    every point."""
+    return (sup_dists(G, P) <= tol).any(axis=1)
+
+
+# coordinates on a coarse grid, signed zeros, a subnormal and the largest
+# floats, whose differences overflow
+_FILTER_VALUES = st.one_of(
+    st.integers(-8, 8).map(lambda v: v / 4),
+    st.sampled_from((0.0, -0.0, 5e-324, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308)))
+
+
+def _rows(draw, count, n):
+    return np.array(draw(st.lists(st.lists(_FILTER_VALUES, min_size=n, max_size=n),
+                                  min_size=count, max_size=count)), dtype=float).reshape(count, n)
+
+
+def _near(draw, v, step):
+    """``v``, or ``v`` one ulp (or ``step``) to either side, kept finite."""
+    v = float(v)
+    w = draw(st.sampled_from((v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf),
+                              v + step, v - step)))
+    return w if math.isfinite(w) else v
+
+
+@st.composite
+def _overlap_cases(draw):
+    """A sample and cones in dimension 1-4, with apexes on, or one ulp
+    beside, the sample's largest and smallest coordinate of their axis."""
+    n = draw(st.integers(1, 4))
+    P = _rows(draw, draw(st.integers(1, 6)), n)
+    count = draw(st.integers(1, 8))
+    X = _rows(draw, count, n)
+    axis = np.array(draw(st.lists(st.integers(0, n - 1), min_size=count, max_size=count)))
+    sign = np.array(draw(st.lists(st.sampled_from((1, -1)), min_size=count, max_size=count)))
+    apex = np.empty(count)
+    for j in range(count):
+        col = P[:, axis[j]]
+        edge = draw(st.sampled_from((col.max(), col.min(), -col.max(), -col.min())))
+        apex[j] = draw(st.one_of(_FILTER_VALUES, st.just(_near(draw, edge, 0.25))))
+    return P, X, axis, sign, apex
+
+
+@st.composite
+def _membership_cases(draw):
+    """A sample in dimension 1-4 and points that sit, on one axis, at or
+    one ulp beside ``tol`` past the sample's box."""
+    n = draw(st.integers(1, 4))
+    P = _rows(draw, draw(st.integers(1, 6)), n)
+    tol = draw(st.sampled_from((0.0, 1e-9, 0.25, 1.0, 1e308)))
+    G = np.concatenate([_rows(draw, draw(st.integers(0, 6)), n), P[:draw(st.integers(0, 2))]])
+    for g in G:
+        k = draw(st.integers(0, n - 1))
+        top, bottom = float(P[:, k].max()), float(P[:, k].min())
+        edge = draw(st.sampled_from((top + tol, bottom - tol, top, bottom, g[k])))
+        g[k] = _near(draw, edge if math.isfinite(edge) else g[k], tol)
+    return P, G, tol
+
+
+class TestBoxFilters:
+    """The sample's box settles cones and oracle rows exactly: the
+    filtered passes against their unfiltered forms."""
+
+    @given(_overlap_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_first_overlap_equals_the_unfiltered_test(self, case):
+        P, X, axis, sign, apex = case
+        assert reconstruct._first_overlap(P, X, axis, sign, apex) == \
+            _unfiltered_overlap(P, X, axis, sign, apex)
+
+    @given(_membership_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_oracle_mask_equals_the_unfiltered_mask(self, case):
+        P, G, tol = case
+        oracle = membership_from_samples(P, tol=tol)
+        assert oracle.many(G).tolist() == _unfiltered_membership(P, G, tol).tolist()
+
+    @pytest.mark.parametrize("tol", [0.0, 0.25])
+    def test_apex_and_points_on_the_box(self, tol):
+        """A cone whose apex is the sample's top (or bottom) coordinate
+        holds the sample point there, signed zeros included; one ulp
+        beyond, none.  A point exactly ``tol`` past the box is a member;
+        one ulp beyond, not."""
+        P = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, -0.0]])
+        # per cone: its axis, sign, apex coordinate, the exterior point's
+        # other coordinate, and the sample it holds
+        for i, s, a, other, q in ((0, 1, 1.0, 1.0, 1), (0, -1, 0.0, 0.0, 0),
+                                  (1, 1, 1.0, 1.0, 1), (1, -1, -0.0, 0.5, 2)):
+            X = np.array([[other, other]])
+            for apex, want in ((a, (0, q)), (math.nextafter(a, s * math.inf), None)):
+                cone = (np.array([i]), np.array([s]), np.array([apex]))
+                assert reconstruct._first_overlap(P, X, *cone) == want == \
+                    _unfiltered_overlap(P, X, *cone)
+        G = np.array([[1.0 + tol, 1.0], [math.nextafter(1.0 + tol, 2.0), 1.0],
+                      [0.5, -tol], [0.5, math.nextafter(-tol, -1.0)]])
+        oracle = membership_from_samples(P, tol=tol)
+        assert oracle.many(G).tolist() == [True, False, True, False] == \
+            _unfiltered_membership(P, G, tol).tolist()
+
+    @pytest.mark.parametrize("shape", ["square16", "box16"])
+    def test_boxes_take_no_overlap_rows_and_only_their_own_oracle_rows(self, shape, monkeypatch):
+        """On a box sampled at every grid point, every cone lies past the
+        sample's box, so the overlap check takes no distance row; the
+        oracle takes one for each grid point within ``tol`` of the box,
+        which are the inside samples.  An L's cones may reach into its
+        box, and some are tested."""
+        box, ell = _seeded_pin_shapes()
+        inside, outside, grid = _bench_grid(16, {"square16": _square_shape(16), "box16": box}[shape])
+        asked = []
+        dists = reconstruct.sup_dists
+
+        def spy(A, B):
+            asked.append(A.copy())
+            return dists(A, B)
+
+        def overlap_rows(inside, outside):
+            cfg = ReconstructionConfig(inside, outside, a=0.1)
+            P, X = cfg._inside, cfg._outside
+            eps, arg = epsilon_many(P, X)
+            cones = reconstruct._cones(X, P[arg], eps, cfg.a)[:3]
+            with monkeypatch.context() as m:
+                m.setattr(reconstruct, "sup_dists", spy)
+                assert reconstruct._first_overlap(P, X, *cones) is None
+            rows = sum(len(A) for A in asked)
+            asked.clear()
+            return rows, len(X)
+
+        assert overlap_rows(inside, outside)[0] == 0
+        monkeypatch.setattr(reconstruct, "sup_dists", spy)
+        mask = membership_from_samples(inside).many(np.asarray(grid))
+        members = set(inside)
+        assert mask.tolist() == [g in members for g in grid]
+        assert sorted(map(tuple, np.concatenate(asked).tolist())) == sorted(inside)
+        monkeypatch.undo()
+        asked.clear()
+        rows, total = overlap_rows(*_bench_grid(16, ell)[:2])
+        assert 0 < rows < total
 
 
 def _seeded_pin_shapes():
