@@ -519,7 +519,6 @@ class TestVerification:
             verify_reconstruction(lambda p: True, Q, [], tol=tol)
         assert str(err.value) == message
 
-
     def test_an_integer_answer_is_refused_not_read_as_indices(self):
         """Ones and zeros would index the grid: four false inside and four
         false outside, with repeated points."""
@@ -1119,15 +1118,20 @@ class TestBoxFilters:
         assert oracle.many(G).tolist() == [True, False, True, False] == \
             _unfiltered_membership(P, G, tol).tolist()
 
-    @pytest.mark.parametrize("shape", ["square16", "box16"])
-    def test_boxes_take_no_overlap_rows_and_only_their_own_oracle_rows(self, shape, monkeypatch):
-        """On a box sampled at every grid point, every cone lies past the
-        sample's box, so the overlap check takes no distance row; the
-        oracle takes one for each grid point within ``tol`` of the box,
-        which are the inside samples.  An L's cones may reach into its
-        box, and some are tested."""
+    @pytest.mark.parametrize("shape", ["square16", "box16", "ell16"])
+    def test_rows_the_box_leaves(self, shape, monkeypatch):
+        """On a box sampled at every grid point every cone lies past the
+        sample's box, so the overlap check takes no distance row, and the
+        oracle takes one for each grid point within ``tol`` of the box:
+        the inside samples.  An L's check tests some of its cones, and its
+        oracle also measures the grid points of its notch."""
         box, ell = _seeded_pin_shapes()
-        inside, outside, grid = _bench_grid(16, {"square16": _square_shape(16), "box16": box}[shape])
+        shapes = {"square16": _square_shape(16), "box16": box, "ell16": ell}
+        inside, outside, grid = _bench_grid(16, shapes[shape])
+        cfg = ReconstructionConfig(inside, outside, a=0.1)
+        P, X = cfg._inside, cfg._outside
+        eps, arg = epsilon_many(P, X)
+        cones = reconstruct._cones(X, P[arg], eps, cfg.a)[:3]
         asked = []
         dists = reconstruct.sup_dists
 
@@ -1135,28 +1139,20 @@ class TestBoxFilters:
             asked.append(A.copy())
             return dists(A, B)
 
-        def overlap_rows(inside, outside):
-            cfg = ReconstructionConfig(inside, outside, a=0.1)
-            P, X = cfg._inside, cfg._outside
-            eps, arg = epsilon_many(P, X)
-            cones = reconstruct._cones(X, P[arg], eps, cfg.a)[:3]
-            with monkeypatch.context() as m:
-                m.setattr(reconstruct, "sup_dists", spy)
-                assert reconstruct._first_overlap(P, X, *cones) is None
-            rows = sum(len(A) for A in asked)
-            asked.clear()
-            return rows, len(X)
-
-        assert overlap_rows(inside, outside)[0] == 0
         monkeypatch.setattr(reconstruct, "sup_dists", spy)
-        mask = membership_from_samples(inside).many(np.asarray(grid))
-        members = set(inside)
-        assert mask.tolist() == [g in members for g in grid]
-        assert sorted(map(tuple, np.concatenate(asked).tolist())) == sorted(inside)
-        monkeypatch.undo()
+        assert reconstruct._first_overlap(P, X, *cones) is None
+        tested = sum(map(len, asked))
         asked.clear()
-        rows, total = overlap_rows(*_bench_grid(16, ell)[:2])
-        assert 0 < rows < total
+        members = set(inside)
+        mask = membership_from_samples(inside).many(np.asarray(grid))
+        assert mask.tolist() == [g in members for g in grid]
+        measured = sorted(map(tuple, np.concatenate(asked).tolist()))
+        if shape == "ell16":
+            assert 0 < tested < len(X)
+            assert members < set(measured) and len(measured) < len(grid) / 10
+        else:
+            assert tested == 0
+            assert measured == sorted(inside)
 
 
 def _seeded_pin_shapes():
