@@ -6,7 +6,8 @@ shortest-round-trip floats); errors go to stderr as one JSON object.  Exit
 codes: 0 success, 1 input problems (malformed files, JSON integers too
 large for a float, inconsistent or unsupported instances, missing
 witnesses), 2 mathematical contract failures
-(stalled iterations, sweep budgets, cone overlaps, failed verifications).
+(stalled iterations, sweep budgets, cone overlaps, failed verifications),
+3 out of memory.
 
 The selftest subcommand runs a fixed battery of seeded computations and
 prints a report that is byte-identical across runs with the same seed.
@@ -554,6 +555,11 @@ def main(argv=None) -> int:
     except (MaxSweepsExceededError, ArithmeticError) as exc:
         _err({"error": str(exc)})
         return 2
+    # numpy's refusal names the table it could not allocate; a bare
+    # MemoryError says nothing
+    except MemoryError as exc:
+        _err({"error": f"out of memory: {exc}" if str(exc) else "out of memory"})
+        return 3
 
 
 if __name__ == "__main__":

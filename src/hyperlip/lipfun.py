@@ -201,12 +201,8 @@ class DistCone(LipExpr):
         object.__setattr__(self, "scale", _require_unit(self.scale, "DistCone scale"))
         if self.orientation not in (-1, 1):
             raise ValueError(f"orientation must be +1 or -1, got {self.orientation!r}")
-        slope = self.orientation * self.scale
-        if self.center and slope:
-            form = _Cones(min, slope, ((self.center, self.offset),))
-        else:
-            form = _Const(slope * 0.0 + self.offset if self.center else self.offset)
-        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "form", _cone_form(self.center, self.offset,
+                                                    self.orientation * self.scale))
 
 
 @dataclass(frozen=True, init=False)
@@ -231,13 +227,7 @@ class _MinMax(LipExpr):
         object.__setattr__(self, "dim", dims[0] if dims else None)
         object.__setattr__(self, "lip", max(c.lip for c in self.children))
         object.__setattr__(self, "depth", _depth(name, self.children))
-        kids = tuple(c.form for c in self.children)
-        if all(isinstance(k, _Cones) and len(k.rows) == 1 for k in kids) and \
-                len({k.slope.hex() for k in kids}) == 1:    # one slope, bit for bit
-            form = _Cones(self.agg, kids[0].slope, tuple(k.rows[0] for k in kids))
-        else:
-            form = _Node(self.agg, kids)
-        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "form", _family_form(self.agg, self.children))
 
 
 class Min(_MinMax):
@@ -617,6 +607,45 @@ def _blend_form(inner, factor, anchor):
         # value's sign, which clamping into [-1, 1] keeps
         inner = _Node(max, (_Node(min, (inner, _Const(1.0))), _Const(-1.0)))
     return _Blend(inner, factor, anchor)
+
+
+def _cone_form(center, offset, slope):
+    """The lowered form of a ``DistCone`` of centre ``center``, ``offset``
+    and slope ``orientation * scale``."""
+    if center and slope:
+        return _Cones(min, slope, ((center, offset),))
+    return _Const(slope * 0.0 + offset if center else offset)
+
+
+def _family_form(agg, children):
+    """The lowered form of a ``Min`` (``agg`` is ``min``) or ``Max`` of
+    ``children``: one cone family when every child lowers to a one-row
+    family and their slopes agree bit for bit, else a node."""
+    kids = tuple(c.form for c in children)
+    if all(isinstance(k, _Cones) and len(k.rows) == 1 for k in kids) and \
+            len({k.slope.hex() for k in kids}) == 1:
+        return _Cones(agg, kids[0].slope, tuple(k.rows[0] for k in kids))
+    return _Node(agg, kids)
+
+
+def _cone_family(family, C, offsets, orientation):
+    """``family(DistCone(c, o, 1.0, orientation) for c, o in zip(C,
+    offsets))``, with ``family`` ``Min`` or ``Max``, built from a ``(k, m)``
+    array ``C`` of centres and ``k`` offsets, all finite floats, with ``k >=
+    1``.  Every node holds the fields and the ``dim``, ``lip``, ``depth`` and
+    ``form`` its constructor gives; the constructors' checks are skipped,
+    since the arrays already pass them."""
+    slope = orientation * 1.0
+    cones = []
+    for center, offset in zip(map(tuple, C.tolist()), offsets.tolist()):
+        cone = object.__new__(DistCone)
+        vars(cone).update(center=center, offset=offset, scale=1.0, orientation=orientation,
+                          form=_cone_form(center, offset, slope))
+        cones.append(cone)
+    node = object.__new__(family)
+    vars(node).update(children=tuple(cones), dim=C.shape[1], lip=1.0, depth=2,
+                      form=_family_form(family.agg, cones))
+    return node
 
 
 def _family(k):

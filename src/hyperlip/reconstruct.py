@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxset import BoxLipschitzSet, violation_many
-from .lipfun import DistCone, Infinite, Max, Min
-from .metric import ConeDescriptor, Point, as_point, as_points, hat, sup_dists
+from .lipfun import Infinite, Max, Min, _cone_family
+from .metric import ConeDescriptor, Point, as_point, as_points, sup_dists
 
 __all__ = [
     "ConeOverlapError",
@@ -56,36 +56,40 @@ class ConeOverlapError(RuntimeError):
         self.inside = inside
 
 
-@dataclass(frozen=True)
+def _point(row) -> Point:
+    """A row of a float array as a point tuple."""
+    return tuple(row.tolist())
+
+
 class ReconstructionConfig:
     """Sampled data for bound synthesis.
 
-    ``a`` scales the apex pull-back; it must stay in (0, 1/8).  The
-    samples are kept as tuples of point tuples, and as the read-only
-    ``(N, n)`` arrays they were converted to once.
+    ``a`` scales the apex pull-back; it must stay in (0, 1/8).  Each sample
+    set is converted once, to the read-only ``(N, n)`` array (``_inside``,
+    ``_outside``) that synthesis reads; ``inside`` and ``outside`` build
+    tuples of point tuples from those arrays when read, for messages and
+    callers.
     """
 
-    inside: tuple
-    outside: tuple
-    a: float = 0.1
-
-    def __post_init__(self):
-        P, X = as_points(self.inside), as_points(self.outside)
+    def __init__(self, inside, outside, a: float = 0.1):
+        P, X = as_points(inside), as_points(outside)
         if not len(P):
             raise ValueError("need at least one inside sample")
         if len(X) and X.shape[1] != P.shape[1]:
             raise ValueError(f"mixed sample dimensions {sorted({P.shape[1], X.shape[1]})}")
-        if not 0.0 < self.a < A_MAX:
-            raise ValueError(f"a must lie strictly between 0 and {A_MAX}, got {self.a!r}")
+        if not 0.0 < a < A_MAX:
+            raise ValueError(f"a must lie strictly between 0 and {A_MAX}, got {a!r}")
         X = X.reshape(len(X), P.shape[1])       # no samples: (0, n)
-        for name, S in (("inside", P), ("outside", X)):
-            S.setflags(write=False)
-            object.__setattr__(self, name, tuple(map(tuple, S.tolist())))
-            object.__setattr__(self, f"_{name}", S)
+        P.setflags(write=False)
+        X.setflags(write=False)
+        self._inside, self._outside, self.a = P, X, a
+
+    inside = property(lambda self: tuple(map(tuple, self._inside.tolist())))
+    outside = property(lambda self: tuple(map(tuple, self._outside.tolist())))
 
     @property
     def n(self) -> int:
-        return len(self.inside[0])
+        return self._inside.shape[1]
 
 
 def epsilon_many(inside, X, chunk: int = 256):
@@ -102,9 +106,13 @@ def epsilon_many(inside, X, chunk: int = 256):
     minimum over fewer q is no smaller, so ``UB_A >= score`` holds in
     floating point.
 
-    A lead step settles most rows.  With A the first and the last of the
-    samples nearest to x, let ``M`` be the largest ``UB_A`` and ``p0`` the
-    first candidate reaching it; ``p0`` is scored, and when its score is
+    A lead step settles most rows.  With A = {a, z}, the first and the last
+    of the samples nearest to x (one ``argmin`` over the row and one over it
+    reversed), ``UB_A(p)`` is taken as ``d(x,p) + (h - max(d(a,p),
+    d(z,p)))``, with ``h`` the least distance: rounding is monotone and no
+    distance is ``-0.0``, so that has the bits of the minimum of the two
+    differences.  Let ``M`` be the largest ``UB_A`` and ``p0`` the first
+    candidate reaching it; ``p0`` is scored, and when its score is
     ``M`` the row is done with margin ``M`` and witness ``p0``: no candidate
     scores above ``M``, and every earlier one has ``UB_A < M``, so ``p0`` is
     the first best candidate.  The other rows take A as the ``_ANCHORS``
@@ -152,15 +160,15 @@ def _search(dx, D, eps, arg):
     what it can, and :func:`_pruned` takes the other rows."""
     b, S = dx.shape
     at = np.arange(b)
-    h = dx.min(axis=1, keepdims=True)
-    ties = dx == h
-    first = ties.argmax(axis=1)
-    last = S - 1 - ties[:, ::-1].argmax(axis=1)
+    first = dx.argmin(axis=1)
+    last = S - 1 - dx[:, ::-1].argmin(axis=1)
+    h = dx[at, first]
+    # min(h - D[first], h - D[last]) as h - max(D[first], D[last]): rounding
+    # is monotone, and every distance is +0.0 or above, so the bits agree
     ub = D[first]
-    np.subtract(h, ub, out=ub)
     T = D[last]
-    np.subtract(h, T, out=T)
-    np.minimum(ub, T, out=ub)
+    np.maximum(ub, T, out=ub)
+    np.subtract(h[:, None], ub, out=ub)
     ub += dx
     p = ub.argmax(axis=1)
     np.take(D, p, axis=0, out=T)
@@ -170,7 +178,7 @@ def _search(dx, D, eps, arg):
     eps[done] = score[done]
     arg[done] = p[done]
     rest = np.flatnonzero(~done)
-    del ties, ub, T             # the pruned search's table takes their room
+    del ub, T                   # the pruned search's table takes their room
     step = max(1, _BLOCK_BYTES // (8 * S * min(_ANCHORS, S)))
     for r in range(0, rest.size, step):
         live = rest[r:r + step]
@@ -412,9 +420,9 @@ def synthesize_bounds(cfg: ReconstructionConfig) -> BoxLipschitzSet:
     n = cfg.n
     lower = [Infinite(-1)] * n
     upper = [Infinite(1)] * n
-    if not cfg.outside:
-        return BoxLipschitzSet(lower, upper)
     P, X = cfg._inside, cfg._outside
+    if not len(X):
+        return BoxLipschitzSet(lower, upper)
     eps, arg = epsilon_many(P, X)
     axis, sign, apex, ok = _cones(X, P[arg], eps, cfg.a)
     bad = (eps <= 0.0) | ~ok
@@ -423,10 +431,10 @@ def synthesize_bounds(cfg: ReconstructionConfig) -> BoxLipschitzSet:
     overlap = _first_overlap(P, X[head], axis[head], sign[head], apex[head])
     if overlap is not None:
         j, q = overlap
-        x, q = cfg.outside[j], cfg.inside[q]
+        x, q = _point(X[j]), _point(P[q])
         raise ConeOverlapError(f"cone of exterior point {x} contains inside sample {q}", x, q)
     if first_bad < X.shape[0]:
-        x, e = cfg.outside[first_bad], float(eps[first_bad])
+        x, e = _point(X[first_bad]), float(eps[first_bad])
         if e <= 0.0:
             raise ValueError(
                 f"margin of {x} is not positive; the point is metrically "
@@ -449,9 +457,9 @@ def synthesize_bounds(cfg: ReconstructionConfig) -> BoxLipschitzSet:
             rows = np.flatnonzero((axis == i) & (sign == s))
             if rows.size == 0:
                 continue
-            kept = rows[_nondominated(np.delete(X[rows], i, axis=1), apex[rows], s)]
-            bounds[i] = family(tuple(DistCone(hat(cfg.outside[j], i), float(apex[j]), 1.0, s)
-                                     for j in kept))
+            C, o = np.delete(X[rows], i, axis=1), apex[rows]
+            kept = _nondominated(C, o, s)
+            bounds[i] = _cone_family(family, C[kept], o[kept], s)
     return BoxLipschitzSet(lower, upper)
 
 

@@ -648,6 +648,30 @@ class TestReconstruct:
         assert code == 1
         assert err is not None
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 1.07 GiB for an array with shape (12000, 12000) "
+                     "and data type float64"),
+         "out of memory: Unable to allocate 1.07 GiB for an array with shape (12000, 12000) "
+         "and data type float64"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_running_out_of_memory_is_one_json_line(self, capsys, tmp_path, monkeypatch,
+                                                    exc, message):
+        """A failed allocation exits 3 with one JSON line on stderr and
+        nothing on stdout; the synthesis raises it here, with no real
+        allocation."""
+        def synthesize_bounds(cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "synthesize_bounds", synthesize_bounds)
+        inside, outside, _ = self._square(tmp_path)
+        code = main(["reconstruct", "--inside", inside, "--outside", outside])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0]) == {"error": message}
+
 
 class TestVerify:
     def test_lipschitz_pass(self, capsys, tmp_path):

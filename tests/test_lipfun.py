@@ -18,7 +18,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperlip import lipfun
-from hyperlip.boxset import BoxLipschitzSet, cyclic_retract, cyclic_retract_many, enclosure_bounds
+from hyperlip.boxset import (
+    BoxLipschitzSet,
+    cyclic_retract,
+    cyclic_retract_many,
+    enclosure_bounds,
+    set_to_obj,
+)
 from hyperlip.lipfun import (
     Blend,
     Const,
@@ -983,6 +989,37 @@ def test_every_node_holds_the_walkers_form(f):
 @pytest.mark.parametrize("g", [Infinite(1), Infinite(-1)] + _EDGE_NODES, ids=repr)
 def test_edge_nodes_hold_the_walkers_form(g):
     _check_form(g)
+
+
+@pytest.mark.parametrize("centres, offsets", [
+    ([[]], [0.5]),                                      # n = 1, one cone
+    ([[], [], []], [-0.0, 2.0, 0.0]),                   # n = 1
+    ([[-0.0]], [-0.0]),                                 # n = 2, one cone
+    ([[1.0], [-0.0], [0.0], [-2.5]], [0.25, -0.0, 0.0, 3.0]),
+    ([[-0.0, 1.0], [2.0, -0.0], [-1e308, 0.75]], [1.5, -0.0, -1.7e308]),   # n = 3
+], ids=["n1-one", "n1", "n2-one", "n2", "n3"])
+@pytest.mark.parametrize("family, orientation", [(Min, 1), (Max, -1)])
+def test_families_built_from_arrays_are_the_constructed_ones(centres, offsets, family,
+                                                              orientation):
+    """``_cone_family`` from a centre array and offsets gives the node the
+    constructors give: equal, of equal hash, fields, held values, form and
+    JSON bytes, signed zeros included; in hat dimension 0 every cone is a
+    constant."""
+    C = np.array(centres, dtype=float).reshape(len(offsets), -1)
+    built = lipfun._cone_family(family, C, np.array(offsets), orientation)
+    made = family(tuple(DistCone(tuple(c), o, 1.0, orientation) for c, o in zip(centres, offsets)))
+    assert type(built) is family and built == made and hash(built) == hash(made)
+    assert repr(built) == repr(made)
+    for g, h in zip((built,) + built.children, (made,) + made.children):
+        assert type(g) is type(h) and tuple(vars(g)) == tuple(vars(h))
+        assert _same_form(g.form, h.form) and _same_form(g.form, _ref_lower(h))
+        assert (g.dim, g.lip.hex(), g.depth) == (h.dim, h.lip.hex(), h.depth)
+    if not C.shape[1]:
+        assert all(isinstance(c.form, lipfun._Const) for c in built.children)
+    n = C.shape[1] + 1
+    a, b = (json.dumps(set_to_obj(BoxLipschitzSet([Infinite(-1)] * n, [f] + [Infinite(1)] * (n - 1))))
+            for f in (built, made))
+    assert a == b
 
 
 def _ref_cones_closure(heads, cols):

@@ -1,6 +1,7 @@
 """Tests for margin computation, cone choice, and bound synthesis."""
 
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -411,7 +412,7 @@ class TestConfig:
 
     def test_the_converted_arrays_are_kept_read_only(self):
         """The arrays the samples were converted to once are what synthesis
-        reads; they hold the bits of the stored tuples."""
+        reads; the tuples read back hold their bits."""
         cfg = ReconstructionConfig([[0, 1], [-0.0, 2.5]], ())
         for name in ("inside", "outside"):
             S = getattr(cfg, f"_{name}")
@@ -439,6 +440,24 @@ class TestSynthesis:
         cfg = ReconstructionConfig(tuple(inside), tuple(outside), a=0.1)
         Q = synthesize_bounds(cfg)
         assert (violation_many(Q, np.asarray(outside)) > 0.0).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_synthesis_reads_no_sample_tuples(self, n, rng, monkeypatch):
+        """The config holds only its arrays, and a synthesis that succeeds
+        reads them alone: it builds no tuple of sample points, and its
+        cones are the reference's, bit for bit."""
+        inside = rng.uniform(-1, 1, (12, n))
+        outside = rng.uniform(-4, 4, (40, n))
+        cfg = ReconstructionConfig(inside, outside[np.abs(outside).max(axis=1) > 1.5], a=0.05)
+        assert not {"inside", "outside"} & set(vars(cfg))
+        monkeypatch.setattr(reconstruct, "_nondominated", _keep_all)
+        expected = json.dumps(set_to_obj(_reference_synthesis(cfg)))
+        reads = []
+        for name in ("inside", "outside"):
+            monkeypatch.setattr(ReconstructionConfig, name,
+                                property(lambda cfg, name=name: reads.append(name)))
+        assert json.dumps(set_to_obj(synthesize_bounds(cfg))) == expected
+        assert reads == []
 
     def test_no_exterior_means_no_constraints(self):
         cfg = ReconstructionConfig(((0.0, 0.0),), ())
@@ -921,6 +940,30 @@ class TestPrunedSearch:
             assert eps.tobytes() == ref_eps.tobytes()
             assert (arg == ref_arg).all()
             assert (eps == 0.0).any() and (eps > 0.0).any()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lattice_rows_with_many_tied_nearest_samples(self, n, monkeypatch):
+        """The lattice {-0.0, 1, 2, 3}^n inside, and the exterior points of
+        {-2, ..., 5}^n (0 as -0.0) that have three or more inside samples
+        at their least distance: the lead step settles every row, with the
+        reference's margins and witnesses.  They stay the reference's when
+        each sample is listed again, with +0.0 for -0.0, in a shuffled
+        order, so that the first and last nearest samples differ."""
+        lattice = np.array(list(itertools.product([-0.0, 1.0, 2.0, 3.0], repeat=n)))
+        span = np.array(list(itertools.product([-2.0, -1.0, -0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                                               repeat=n)))
+        dx = sup_dists(span, lattice)
+        ties = (dx == dx.min(axis=1, keepdims=True)).sum(axis=1)
+        outside = span[(dx.min(axis=1) > 0.0) & (ties >= 3)]
+        assert outside.shape[0] >= 24 and ties.max() >= 4
+        assert np.signbit(lattice).any() and np.signbit(outside).any()
+        fallback = _spy_fallback(monkeypatch)
+        _assert_reference_margins(lattice, outside)
+        assert fallback == []
+        twice = np.concatenate([lattice, lattice + 0.0])
+        assert not np.signbit(twice[len(lattice):]).any()
+        _assert_reference_margins(twice[np.random.default_rng(n).permutation(len(twice))],
+                                  outside)
 
     @pytest.mark.parametrize("inside, outside, message", [
         ([(0.0, np.nan)], [(1.0, 1.0)], "must be finite"),
