@@ -76,7 +76,7 @@ from .lipfun import (
     expr_to_obj,
     shrink,
 )
-from .metric import Point, as_point, as_points, hat, sup_dists
+from .metric import Point, _integer, as_point, as_points, hat, sup_dists
 
 __all__ = [
     "BoxLipschitzSet",
@@ -952,8 +952,10 @@ def set_from_obj(obj) -> BoxLipschitzSet:
         raw_upper = obj["upper"]
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in set object") from exc
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"set dimension n must be an integer, got {n!r}")
+    n = _integer(n, "set dimension n")
+    for field, raw in (("lower", raw_lower), ("upper", raw_upper)):
+        if not isinstance(raw, (list, tuple)):
+            raise ValueError(f"set field {field} must be a list of bounds, got {raw!r}")
     if len(raw_lower) != n or len(raw_upper) != n:
         raise ValueError("bound lists do not match the declared dimension")
 

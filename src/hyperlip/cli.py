@@ -52,10 +52,11 @@ from .boxset import (
     violation,
 )
 from .extension import NotLipschitzError, extend_into_Q, kuratowski_embed
-from .lipfun import _boolean_in, expr_from_obj, verify_lipschitz_on_grid
+from .lipfun import _box, expr_from_obj, verify_lipschitz_on_grid
 from .metric import (
     ConeDescriptor,
     FiniteMetricSpace,
+    _first_of,
     as_point,
     as_points,
     check_metric_axioms,
@@ -118,7 +119,7 @@ def _decode(text, path):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
-    b = _boolean_in(obj) if "true" in text or "false" in text else None
+    b = _first_of(obj, bool) if "true" in text or "false" in text else None
     if b is not None:
         raise ValueError(f"{path} holds the boolean {json.dumps(b)}, which no input takes")
     return obj
@@ -167,15 +168,6 @@ def _load_set(path) -> BoxLipschitzSet:
     return Q
 
 
-def _numbers(obj, what):
-    """``obj``, with no string in it: numpy and ``float`` read ``"12"`` as 12."""
-    if isinstance(obj, str):
-        raise ValueError(f"{what} must hold numbers, got {obj!r}")
-    for x in obj if isinstance(obj, list) else ():
-        _numbers(x, what)
-    return obj
-
-
 def _load_point(path):
     return as_point(_load_json(path))
 
@@ -184,18 +176,12 @@ def _load_matrix(path) -> FiniteMetricSpace:
     obj = _load_json(path)
     if isinstance(obj, dict) and "metric" in obj:
         obj = obj["metric"]
-    return FiniteMetricSpace(np.asarray(_numbers(obj, "a metric"), dtype=float))
+    return FiniteMetricSpace(obj)
 
 
 def _load_box(path):
     """A box file: one ``[lo, hi]`` side per axis."""
-    box = _numbers(_load_json(path), "a box")
-    if not isinstance(box, list):
-        raise ValueError(f"a box must be a list of [lo, hi] sides, got {json.dumps(box)}")
-    for i, side in enumerate(box):
-        if not isinstance(side, list) or len(side) != 2:
-            raise ValueError(f"box side {i} must be a [lo, hi] pair, got {json.dumps(side)}")
-    return [(float(a), float(b)) for a, b in box]
+    return _box(_load_json(path))
 
 
 def _stretch(points, X: FiniteMetricSpace) -> float:
@@ -312,8 +298,7 @@ def cmd_verify(args) -> int:
             return 0
         _emit({"ok": False, "witness": [list(witness[0]), list(witness[1])]})
         return 2
-    M = np.asarray(_numbers(_load_json(args.matrix), "a metric"), dtype=float)
-    report = check_metric_axioms(M, tol=args.tol)
+    report = check_metric_axioms(_load_json(args.matrix), tol=args.tol)
     _emit({"ok": report.ok,
            "violations": [{"kind": v.kind, "indices": list(v.indices),
                            "amount": _amount(v.amount)} for v in report.violations]})
@@ -328,11 +313,12 @@ _CONE_SIGNS = {"+": 1, "-": -1, 1: 1, -1: -1}
 
 
 def _load_cone(obj) -> ConeDescriptor:
-    """One cone of ``plot --cones``: an ``apex``, a JSON integer ``axis`` and
-    a ``sign`` of ``"+"``, ``"-"``, 1 or -1."""
-    apex, axis, sign = as_point(obj["apex"]), obj["axis"], obj["sign"]
-    if not isinstance(axis, int):
-        raise ValueError(f"cone axis must be an integer, got {axis!r}")
+    """One cone of ``plot --cones``: an ``apex``, an integer ``axis`` and a
+    ``sign`` of ``"+"``, ``"-"``, 1 or -1."""
+    try:
+        apex, axis, sign = as_point(obj["apex"]), obj["axis"], obj["sign"]
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc} in cone object") from exc
     if not isinstance(sign, (str, int)) or sign not in _CONE_SIGNS:
         raise ValueError(f"cone sign must be \"+\", \"-\", 1 or -1, got {sign!r}")
     return ConeDescriptor(apex, axis, _CONE_SIGNS[sign])

@@ -30,7 +30,7 @@ from .boxset import (
     violation,
     violation_many,
 )
-from .metric import FiniteMetricSpace, Point, as_points, sup_dists
+from .metric import FiniteMetricSpace, Point, _integer, as_points, sup_dists
 
 __all__ = [
     "NotLipschitzError",
@@ -51,7 +51,7 @@ class NotLipschitzError(ValueError):
 
 
 def _check_subset(B: FiniteMetricSpace, A) -> list:
-    A = [int(a) for a in A]
+    A = [_integer(a, "subset index") for a in A]
     if not A:
         raise ValueError("the subset must be nonempty")
     for a in A:
@@ -63,11 +63,13 @@ def _check_subset(B: FiniteMetricSpace, A) -> list:
 
 
 def _extend_all_components(B, A, phi_rows):
-    """Coordinate-wise inf-envelope extension to every point of B at once."""
+    """Coordinate-wise inf-envelope extension to every point of B at once,
+    folded one subset point at a time into one ``(|B|, n)`` array."""
     M = B.matrix
-    rows_a = M[np.asarray(A), :]                     # (|A|, |B|)
     vals = np.asarray(phi_rows, dtype=float)         # (|A|, n)
-    ext = (vals[:, None, :] + rows_a[:, :, None]).min(axis=0)  # (|B|, n)
+    ext = np.add.outer(M[A[0]], vals[0])             # (|B|, n)
+    for a, v in zip(A[1:], vals[1:]):
+        np.minimum(ext, np.add.outer(M[a], v), out=ext)
     for j, a in enumerate(A):
         ext[a] = vals[j]
     return ext
@@ -125,6 +127,7 @@ def kuratowski_embed(X: FiniteMetricSpace, basepoint: int = 0) -> list:
     ``y``; pairwise sup distances reproduce the metric exactly.
     """
     m = X.size
+    basepoint = _integer(basepoint, "basepoint")
     if not 0 <= basepoint < m:
         raise IndexError(f"basepoint {basepoint} out of range for size {m}")
     M = X.matrix

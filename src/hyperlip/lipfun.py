@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import types
 from dataclasses import dataclass
@@ -81,7 +82,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .metric import as_point, as_points, sup_dists
+from .metric import _first_of, as_point, as_points, sup_dists
 
 __all__ = [
     "LipExpr",
@@ -818,9 +819,35 @@ def shrink(f: LipExpr, factor: float, anchor: float) -> Blend:
     return Blend(f, factor, anchor)
 
 
+_SEQUENCES = (list, tuple, np.ndarray)
+_NUMBERS = (float, int, np.number)
+
+
+def _shown(x) -> str:
+    """``x`` as JSON text, with arrays as lists."""
+    return json.dumps(x, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v))
+
+
 def _box(box, sides=None) -> list:
     """``box`` as float pairs ``(lo, hi)``, ``sides`` of them when given,
-    each finite and nonempty."""
+    each finite and nonempty.  The box and its sides may be lists, tuples or
+    arrays; ``float`` reads ``"1"`` as 1.0, so a string anywhere in the box
+    is refused."""
+    if not isinstance(box, _SEQUENCES + (str,)):
+        raise ValueError(f"a box must be a list of [lo, hi] sides, got {_shown(box)}")
+    # sides that are pairs of numbers hold no string, so only another box is
+    # searched, for its first string and then its first side that is no pair
+    # (a level-1 request reads its box 1 + 2n times)
+    for side in box:
+        if not (isinstance(side, _SEQUENCES) and len(side) == 2 and
+                isinstance(side[0], _NUMBERS) and isinstance(side[1], _NUMBERS)):
+            s = _first_of(box, str)
+            if s is not None:
+                raise ValueError(f"a box must hold numbers, got {s!r}")
+            for i, side in enumerate(box):
+                if not isinstance(side, _SEQUENCES) or len(side) != 2:
+                    raise ValueError(f"box side {i} must be a [lo, hi] pair, got {_shown(side)}")
+            break
     box = [(float(a), float(b)) for a, b in box]
     if sides is not None and len(box) != sides:
         raise ValueError(f"expected a box with {sides} sides, got {len(box)}")
@@ -883,23 +910,11 @@ def expr_to_obj(f: LipExpr):
     raise TypeError(f"not a LipExpr: {f!r}")
 
 
-def _boolean_in(obj):
-    """The first boolean found in the decoded JSON value ``obj``, else
-    ``None``."""
-    items = [obj]
-    while items:
-        x = items.pop()
-        if isinstance(x, bool):
-            return x
-        items.extend(x.values() if isinstance(x, dict) else x if isinstance(x, list) else ())
-    return None
-
-
 def expr_from_obj(obj) -> LipExpr:
     """The expression of the JSON form ``obj``.  No field of it holds a
     boolean, and ``float`` reads ``true`` as 1.0, so a boolean anywhere in
     it is refused."""
-    b = _boolean_in(obj)
+    b = _first_of(obj, bool)
     if b is not None:
         raise ValueError(f"expression holds the boolean {str(b).lower()}, which is no number")
     return _from_obj(obj)

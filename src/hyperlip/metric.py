@@ -45,6 +45,27 @@ DEFAULT_TOL = 1e-12
 _SCRATCH_BYTES = 1 << 20
 
 
+def _first_of(obj, kind):
+    """The first value of type ``kind`` in ``obj`` in reading order, inside
+    lists, tuples, arrays and the values of dicts, else ``None``."""
+    items = [obj]
+    while items:
+        x = items.pop()
+        if isinstance(x, kind):
+            return x
+        x = x.tolist() if isinstance(x, np.ndarray) else x
+        if isinstance(x, (dict, list, tuple)):
+            items.extend(reversed(list(x.values()) if isinstance(x, dict) else x))
+    return None
+
+
+def _integer(i, what) -> int:
+    """``i`` as an ``int``: a Python or numpy integer, not a ``bool``."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {i!r}")
+    return int(i)
+
+
 def as_point(coords: Sequence[float]) -> Point:
     """Coerce a coordinate sequence to a point tuple.
 
@@ -162,6 +183,7 @@ class ConeDescriptor:
 
     def __post_init__(self):
         object.__setattr__(self, "apex", as_point(self.apex))
+        object.__setattr__(self, "axis", _integer(self.axis, "cone axis"))
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
         if not 0 <= self.axis < len(self.apex):
@@ -238,13 +260,18 @@ def check_metric_axioms(D, tol: float = DEFAULT_TOL) -> MetricCheckReport:
     each with witness indices and the size of the violation.  A matrix with
     entries that are not finite numbers gets only one ``finite`` violation
     per such entry, of size ``inf``: the other axioms are not checked on it.
-    Sums and differences too large for a float count as ``inf``.
+    Sums and differences too large for a float count as ``inf``.  A string
+    in ``D`` is refused, though numpy reads ``"1"`` as 1.0.
 
     The order of the violations is part of the result: first the diagonal
     entries by index; then the pairs ``i < j`` in (i, j) order, each with its
     symmetry violation before its positivity or separation one; then the
     triangles ``(i, k, j)`` by ``k``, and for one ``k`` in (i, j) order.
     """
+    if not (isinstance(D, np.ndarray) and D.dtype.kind in "biuf"):
+        s = _first_of(D, str)
+        if s is not None:
+            raise ValueError(f"a metric must hold numbers, got {s!r}")
     M = np.asarray(D, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
@@ -289,15 +316,15 @@ def check_metric_axioms(D, tol: float = DEFAULT_TOL) -> MetricCheckReport:
 class FiniteMetricSpace:
     """A finite metric space given by its distance matrix.
 
-    Points are the indices ``0 .. size-1``.  The matrix is validated against
-    the metric axioms on construction and kept read-only afterwards.
+    Points are the indices ``0 .. size-1``.  The matrix is read and validated
+    by :func:`check_metric_axioms` on construction and kept read-only.
     """
 
     def __init__(self, distances, tol: float = DEFAULT_TOL):
-        M = np.array(distances, dtype=float)
-        report = check_metric_axioms(M, tol=tol)
+        report = check_metric_axioms(distances, tol=tol)
         if not report.ok:
             raise ValueError(str(report))
+        M = np.array(distances, dtype=float)
         M.setflags(write=False)
         self._d = M
 

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .boxset import BoxLipschitzSet, violation_many
+from .lipfun import _box
 from .metric import ConeDescriptor, as_points
 
 __all__ = ["render_scene"]
@@ -47,7 +48,7 @@ def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
     :func:`~hyperlip.metric.as_points`, drawn as a polyline; ``cones`` is a
     sequence of planar :class:`ConeDescriptor`.
     """
-    (x0, x1), (y0, y1) = [(float(a), float(b)) for a, b in box]
+    (x0, x1), (y0, y1) = _box(box, 2)
     if not (x0 < x1 and y0 < y1):
         raise ValueError("box sides must have positive length")
     if Q is not None and Q.n != 2:
@@ -85,19 +86,14 @@ def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
         for iy in range(ny):
             row = np.column_stack([cx, np.full(nx, cy[iy])])
             member = violation_many(Q, row) <= MEMBER_TOL
-            ix = 0
-            while ix < nx:
-                if not member[ix]:
-                    ix += 1
-                    continue
-                run = ix
-                while run < nx and member[run]:
-                    run += 1
+            # each run of members starts where the padded mask rises and
+            # ends where it falls
+            edges = np.flatnonzero(np.diff(member, prepend=False, append=False))
+            for ix, run in edges.reshape(-1, 2).tolist():
                 parts.append(
                     f'<rect x="{_fmt(ix * cell_w)}" y="{_fmt(sy(cy[iy]) - cell_h / 2)}" '
                     f'width="{_fmt((run - ix) * cell_w)}" height="{_fmt(cell_h)}" '
                     f'fill="{REGION_FILL}"/>')
-                ix = run
 
     for cone in cones or ():
         if not isinstance(cone, ConeDescriptor) or len(cone.apex) != 2:

@@ -1589,6 +1589,15 @@ class TestSetJSON:
         with pytest.raises(ValueError, match="expression holds the boolean"):
             set_from_obj(json.loads(text))
 
+    @pytest.mark.parametrize("field", ["lower", "upper"])
+    @pytest.mark.parametrize("value", [5, None, "-inf", {"type": "const", "value": 0.0}])
+    def test_bounds_that_are_no_list_name_their_field(self, field, value):
+        obj = dict({"lower": ["-inf", "-inf"], "upper": ["+inf", "+inf"]}, n=2)
+        obj[field] = value
+        with pytest.raises(ValueError) as err:
+            set_from_obj(obj)
+        assert str(err.value) == f"set field {field} must be a list of bounds, got {value!r}"
+
     def test_malformed_objects_rejected(self):
         with pytest.raises(ValueError):
             set_from_obj({"n": 2, "lower": ["-inf"], "upper": ["+inf", "+inf"]})

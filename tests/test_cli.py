@@ -845,6 +845,59 @@ class TestPlot:
         assert code == 0
         assert [c.sign for c in (cli._load_cone(c) for c in obj)] == [1, -1, 1, -1]
 
+    @pytest.mark.parametrize("field", ["apex", "axis", "sign"])
+    def test_a_cone_without_a_field_names_it(self, capsys, tmp_path, field):
+        cone = {k: v for k, v in {"apex": [0, 0], "axis": 1, "sign": "+"}.items() if k != field}
+        err = input_error(capsys, [
+            "plot", "--box", dump(tmp_path, "b.json", [[-3.0, 3.0], [-3.0, 3.0]]),
+            "--cones", dump(tmp_path, "c.json", [cone]), "--resolution", "0.5",
+            "--out", str(tmp_path / "scene.svg")])
+        assert err == {"error": f"missing field '{field}' in cone object"}
+        assert not (tmp_path / "scene.svg").exists()
+
+    @staticmethod
+    def _cell_runs(box, Q, resolution):
+        """The region rectangles of ``render_scene``, merged from the member
+        mask one cell at a time."""
+        (x0, x1), (y0, y1) = box
+        span_x, span_y = x1 - x0, y1 - y0
+        height = svgplot.WIDTH * span_y / span_x
+        nx, ny = max(1, round(span_x / resolution)), max(1, round(span_y / resolution))
+        cx = x0 + (np.arange(nx) + 0.5) * span_x / nx
+        cy = y0 + (np.arange(ny) + 0.5) * span_y / ny
+        cell_w, cell_h, fmt = svgplot.WIDTH / nx, height / ny, svgplot._fmt
+        rects = []
+        for iy in range(ny):
+            member = boxset.violation_many(Q, np.column_stack([cx, np.full(nx, cy[iy])]))
+            member = member <= svgplot.MEMBER_TOL
+            ix = 0
+            while ix < nx:
+                if not member[ix]:
+                    ix += 1
+                    continue
+                run = ix
+                while run < nx and member[run]:
+                    run += 1
+                y = height - (cy[iy] - y0) / span_y * height - cell_h / 2
+                rects.append(f'<rect x="{fmt(ix * cell_w)}" y="{fmt(y)}" '
+                             f'width="{fmt((run - ix) * cell_w)}" height="{fmt(cell_h)}" '
+                             f'fill="{svgplot.REGION_FILL}"/>')
+                ix = run
+        return rects
+
+    @pytest.mark.parametrize("make, box", [
+        (vee_notch_instance, [(-3.0, 3.0), (-3.0, 3.0)]),
+        (diagonal_halfspace_instance, [(-2.0, 1.0), (-1.5, 2.5)]),
+        (lambda: random_mcshane_instance(2, 0.9, np.random.default_rng(5)),
+         [(-4.0, 4.0), (-1.0, 1.0)]),
+    ])
+    @pytest.mark.parametrize("resolution", [0.1, 0.037, 0.01])
+    def test_region_runs_are_the_cell_by_cell_runs(self, make, box, resolution):
+        Q = make()
+        lines = svgplot.render_scene(box, Q=Q, resolution=resolution).splitlines()
+        rects = [line for line in lines if svgplot.REGION_FILL in line]
+        assert rects and rects == self._cell_runs(box, Q, resolution)
+
     def test_unwritable_output(self, capsys, tmp_path, set_file):
         out_path = tmp_path / "missing" / "scene.svg"
         err = input_error(capsys, [
@@ -1120,6 +1173,21 @@ class TestBoxSides:
         err = input_error(capsys, ["plot", "--box", dump(tmp_path, "b.json", [[0, 1], [2]]),
                                    "--out", str(tmp_path / "scene.svg")])
         assert err == {"error": "box side 1 must be a [lo, hi] pair, got [2]"}
+
+    @pytest.mark.parametrize("sides", [1, 3])
+    def test_plot_box_of_another_dimension(self, capsys, tmp_path, sides):
+        err = input_error(capsys, ["plot", "--box", dump(tmp_path, "b.json", [[0, 1]] * sides),
+                                   "--out", str(tmp_path / "scene.svg")])
+        assert err == {"error": f"expected a box with 2 sides, got {sides}"}
+        assert not (tmp_path / "scene.svg").exists()
+
+    @pytest.mark.parametrize("text", ["[[-1e400, 1], [0, 1]]", "[[0, 1], [0, 1e400]]"])
+    def test_plot_box_with_an_infinite_limit(self, capsys, tmp_path, text):
+        box = tmp_path / "b.json"
+        box.write_text(text)
+        err = input_error(capsys, ["plot", "--box", str(box), "--out", str(tmp_path / "scene.svg")])
+        assert err == {"error": "box limits must be finite"}
+        assert not (tmp_path / "scene.svg").exists()
 
 
 def _const_set(value):

@@ -240,6 +240,7 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=
 @given(retract_requests())
 @example({"set": {"n": 1e400, "lower": [], "upper": []}, "point": [0.0]})
 @example({"set": {"n": 1.5, "lower": ["-inf"], "upper": ["+inf"]}, "point": [0.0]})
+@example({"set": {"n": 2, "lower": 5, "upper": ["+inf", "+inf"]}, "point": [0.0, 0.0]})
 @example({"set": set_to_obj(vee_notch_instance()), "point": [1e308, -1e308]})
 @example({"set": set_to_obj(vee_notch_instance()), "point": [0.0, -3.0],
           "box": [[1e308, -1e308], [0.0, 1.0]]})
@@ -352,6 +353,10 @@ def test_verify_lipschitz(request):
 @example(("0.5", {"box": [[-3, 3], [-3, 3]], "orbit": []}))
 @example(("0.5", {"box": [[-3, 3], [-3, 3]], "orbit": [[2 ** 64 + 1, True], [0, "1"]]}))
 @example(("0.5", {"box": [[-3, 3], [-3, 3]], "orbit": [[0, 0], [NAN, 0]]}))
+@example(("0.5", {"box": [[-3, 3]]}))
+@example(("0.5", {"box": [[-3, 3], [-3, 3], [-3, 3]]}))
+@example(("0.5", {"box": {"lo": -3, "hi": 3}}))
+@example(("0.5", {"box": [[-3, 3], [-3, 3]], "cones": [{"apex": [0, 0], "sign": "+"}]}))
 def test_plot(request):
     resolution, files = request
     _run(["plot", f"--resolution={resolution}"], files, out_name="scene.svg")

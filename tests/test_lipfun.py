@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperlip import lipfun
+from hyperlip import boxset, lipfun, svgplot
 from hyperlip.boxset import (
     BoxLipschitzSet,
     cyclic_retract,
@@ -47,7 +47,7 @@ from hyperlip.lipfun import (
     _compile_grid_pair,
     _compile_pair,
 )
-from hyperlip.instances import _mcshane_repair, linear_window
+from hyperlip.instances import _mcshane_repair, linear_window, vee_notch_instance
 from hyperlip.metric import sup_dist
 
 DIM = 2
@@ -1440,3 +1440,54 @@ class TestLinearWindow:
     def test_constant_is_one_lipschitz_certified(self):
         assert lip_bound(linear_window(1.0, 2.0)) == 1.0
         assert lip_bound(linear_window(0.25, 0.0)) == 0.25
+
+
+class TestBoxIntake:
+    """Every reader of a working box refuses, with one message, a string
+    limit (``float`` reads ``"4"`` as 4.0) and a side that is not a
+    ``[lo, hi]`` pair, whether the box and its sides are lists, tuples or
+    arrays."""
+
+    READERS = {
+        "bounds_of": lambda box: bounds_of(Const(1.0), box),
+        "enclosure_bounds": lambda box: enclosure_bounds(vee_notch_instance(), box),
+        "retract": lambda box: boxset.retract(vee_notch_instance(), (0.0, -3.0), 1e-3,
+                                              box=box, many=False),
+        "render_scene": lambda box: svgplot.render_scene(box),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("box, message", [
+        ([("-4", "4"), (-4, 4)], "a box must hold numbers, got '-4'"),
+        ([[-4, 4], [-4, "4"]], "a box must hold numbers, got '4'"),
+        (np.array([["-4", "4"], ["-4", "4"]]), "a box must hold numbers, got '-4'"),
+        ("12", "a box must hold numbers, got '12'"),
+        ([(-4, 4, 5), (-4, 4)], "box side 0 must be a [lo, hi] pair, got [-4, 4, 5]"),
+        (np.full((2, 3), 4.0), "box side 0 must be a [lo, hi] pair, got [4.0, 4.0, 4.0]"),
+        ([(-4, 4), 4], "box side 1 must be a [lo, hi] pair, got 4"),
+        ([(-4, 4), np.array([4])], "box side 1 must be a [lo, hi] pair, got [4]"),
+        (np.array([-4.0, 4.0]), "box side 0 must be a [lo, hi] pair, got -4.0"),
+        ({"lo": -4, "hi": 4}, 'a box must be a list of [lo, hi] sides, got {"lo": -4, "hi": 4}'),
+        (4, "a box must be a list of [lo, hi] sides, got 4"),
+    ])
+    def test_refusals(self, reader, box, message):
+        with pytest.raises(ValueError) as err:
+            self.READERS[reader](box)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_lists_tuples_and_arrays_read_alike(self, reader):
+        def read(box):
+            out = self.READERS[reader](box)
+            return (out[0], out[2]) if reader == "retract" else out   # no trace
+
+        want = read([[-4, 4], [-4, 4]])
+        for box in (((-4.0, 4.0), (-4.0, 4.0)), [np.array([-4, 4])] * 2,
+                    np.array([[-4.0, 4.0], [-4.0, 4.0]])):
+            assert read(box) == want
+
+    @pytest.mark.parametrize("sides", [1, 3])
+    def test_a_scene_box_has_two_sides(self, sides):
+        with pytest.raises(ValueError) as err:
+            svgplot.render_scene([(0.0, 1.0)] * sides)
+        assert str(err.value) == f"expected a box with 2 sides, got {sides}"

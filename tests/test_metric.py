@@ -397,6 +397,17 @@ class TestCones:
         assert cone_contains(cone, (-2.0, 1.0))
         assert not cone_contains(cone, (2.0, 1.0))
 
+    @pytest.mark.parametrize("axis", [1.5, 1.0, True, "1", None, np.float64(1.0)])
+    def test_axis_must_be_an_integer(self, axis):
+        with pytest.raises(ValueError) as err:
+            ConeDescriptor((0.0, 0.0), axis, 1)
+        assert str(err.value) == f"cone axis must be an integer, got {axis!r}"
+
+    def test_a_numpy_integer_axis_is_kept_as_an_int(self):
+        cone = ConeDescriptor((0.0, 0.0), np.int64(1), 1)
+        assert cone == ConeDescriptor((0.0, 0.0), 1, 1) and type(cone.axis) is int
+        assert cone_contains(cone, (1.0, 3.0))
+
     def test_strict_excludes_the_boundary(self):
         cone = ConeDescriptor((0.0, 0.0), 1, 1)
         assert cone_contains(cone, (1.0, 1.0))
@@ -598,6 +609,61 @@ class TestAxiomAudit:
         got = [(v.kind, v.indices) for v in check_metric_axioms(D).violations]
         assert got == [("diagonal", (0,)), ("symmetry", (0, 1)), ("separation", (1, 2)),
                        ("triangle", (0, 1, 2)), ("triangle", (2, 1, 0))]
+
+
+class TestMatrixIntake:
+    """``check_metric_axioms`` and ``FiniteMetricSpace`` read a matrix
+    through one intake, which refuses strings: numpy and ``float`` read
+    ``"1"`` as 1.0."""
+
+    @pytest.mark.parametrize("read", [check_metric_axioms, FiniteMetricSpace])
+    @pytest.mark.parametrize("D, s", [
+        ([["0", "1"], ["1", "0"]], "0"),
+        ([[0, "1"], [1, 0]], "1"),
+        (((0, 1), (1, "0")), "0"),
+        ([[0, 1, 2], [1, 0, 1], [2, "1", "0"]], "1"),
+        (np.array([["0", "1"], ["1", "0"]]), "0"),
+        ("1", "1"),
+    ])
+    def test_strings_are_refused(self, read, D, s):
+        with pytest.raises(ValueError) as err:
+            read(D)
+        assert str(err.value) == f"a metric must hold numbers, got {s!r}"
+
+    def test_numbers_read_as_before(self):
+        rows = [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]
+        want = np.array(rows, dtype=float)
+        for D in (rows, tuple(map(tuple, rows)), want, want.astype(np.float32)):
+            X = FiniteMetricSpace(D)
+            assert X.matrix.tobytes() == want.tobytes() and not X.matrix.flags.writeable
+            assert check_metric_axioms(D).ok
+        B = np.array([[False, True], [True, False]])
+        assert FiniteMetricSpace(B).matrix.tobytes() == B.astype(float).tobytes()
+
+    def test_the_space_keeps_its_own_copy(self):
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
+        X = FiniteMetricSpace(D)
+        D[0, 1] = 5.0
+        assert X.d(0, 1) == 1.0
+
+
+class TestFirstOf:
+    """``metric._first_of``: the one walker over decoded JSON."""
+
+    @pytest.mark.parametrize("obj, kind, want", [
+        ([[1, "a"], ["b"]], str, "a"),
+        ({"x": [0, ["s"]], "y": "t"}, str, "s"),
+        (((0, "u"), "v"), str, "u"),
+        ([np.array(["w", "z"])], str, "w"),
+        ([0, [1.5, {"k": [None, False]}], True], bool, False),
+        ([1, 0, 1.0, {"true": 1}], bool, None),
+        ([np.array([1, 0])], bool, None),
+        ("x", str, "x"),
+        (3, str, None),
+    ])
+    def test_first_in_reading_order(self, obj, kind, want):
+        got = metric._first_of(obj, kind)
+        assert got == want and type(got) is type(want)
 
 
 class TestFiniteMetricSpace:
