@@ -52,7 +52,7 @@ from .boxset import (
     violation,
 )
 from .extension import NotLipschitzError, extend_into_Q, kuratowski_embed
-from .lipfun import _box, expr_from_obj, verify_lipschitz_on_grid
+from .lipfun import _pairs, expr_from_obj, verify_lipschitz_on_grid
 from .metric import (
     ConeDescriptor,
     FiniteMetricSpace,
@@ -179,11 +179,6 @@ def _load_matrix(path) -> FiniteMetricSpace:
     return FiniteMetricSpace(obj)
 
 
-def _load_box(path):
-    """A box file: one ``[lo, hi]`` side per axis."""
-    return _box(_load_json(path))
-
-
 def _stretch(points, X: FiniteMetricSpace) -> float:
     """The largest ``sup_dist(points[i], points[j]) - X.d(i, j)`` over the
     pairs ``i < j``, or 0.0 when none is larger."""
@@ -210,7 +205,7 @@ def cmd_retract(args) -> int:
     x = _load_point(args.point)
     level_one = Q.lip_bound >= 1.0
     if level_one:
-        box = _load_box(args.box) if args.box else None
+        box = _pairs(_load_json(args.box)) if args.box else None
         witness = _load_point(args.witness) if args.witness else None
         point, trace, result = boxset.retract(
             Q, x, args.tol, box, witness, many=False, max_sweeps=args.max_sweeps)
@@ -240,7 +235,7 @@ def cmd_extend(args) -> int:
     phi = as_points(_load_json(args.map))
     Q = _load_set(args.set)
     witness = _load_point(args.witness) if args.witness else None
-    box = _load_box(args.box) if args.box else None
+    box = _pairs(_load_json(args.box)) if args.box else None
     ext = extend_into_Q(B, A, phi, Q, tol=args.tol, witness=witness, box=box)
     worst = _stretch(ext, B)
     _emit({
@@ -326,7 +321,7 @@ def _load_cone(obj) -> ConeDescriptor:
 
 def cmd_plot(args) -> int:
     Q = _load_set(args.set) if args.set else None
-    box = _load_box(args.box)
+    box = _pairs(_load_json(args.box))
     orbit = as_points(_load_json(args.orbit)) if args.orbit else None
     cones = [_load_cone(c) for c in _load_json(args.cones)] if args.cones else None
     svg = svgplot.render_scene(box, Q=Q, orbit=orbit, cones=cones,

@@ -63,13 +63,11 @@ def _check_subset(B: FiniteMetricSpace, A) -> list:
 
 
 def _extend_all_components(B, A, phi_rows):
-    """Coordinate-wise inf-envelope extension to every point of B at once,
-    folded one subset point at a time into one ``(|B|, n)`` array."""
+    """Coordinate-wise inf-envelope extension to every point of B at once."""
     M = B.matrix
+    rows_a = M[np.asarray(A), :]                     # (|A|, |B|)
     vals = np.asarray(phi_rows, dtype=float)         # (|A|, n)
-    ext = np.add.outer(M[A[0]], vals[0])             # (|B|, n)
-    for a, v in zip(A[1:], vals[1:]):
-        np.minimum(ext, np.add.outer(M[a], v), out=ext)
+    ext = (vals[:, None, :] + rows_a[:, :, None]).min(axis=0)  # (|B|, n)
     for j, a in enumerate(A):
         ext[a] = vals[j]
     return ext

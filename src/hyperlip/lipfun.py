@@ -820,7 +820,6 @@ def shrink(f: LipExpr, factor: float, anchor: float) -> Blend:
 
 
 _SEQUENCES = (list, tuple, np.ndarray)
-_NUMBERS = (float, int, np.number)
 
 
 def _shown(x) -> str:
@@ -828,27 +827,34 @@ def _shown(x) -> str:
     return json.dumps(x, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v))
 
 
-def _box(box, sides=None) -> list:
-    """``box`` as float pairs ``(lo, hi)``, ``sides`` of them when given,
-    each finite and nonempty.  The box and its sides may be lists, tuples or
-    arrays; ``float`` reads ``"1"`` as 1.0, so a string anywhere in the box
-    is refused."""
-    if not isinstance(box, _SEQUENCES + (str,)):
+def _no_string(x):
+    """Refuse a string where a box holds numbers: ``float`` reads ``"1"`` as 1.0."""
+    if isinstance(x, str):
+        raise ValueError(f"a box must hold numbers, got {str(x)!r}")
+
+
+def _pairs(box) -> list:
+    """``box`` as float pairs ``(lo, hi)``.  The box and its sides may be
+    lists, tuples or arrays, and hold no string."""
+    if not isinstance(box, _SEQUENCES):
+        _no_string(box)
         raise ValueError(f"a box must be a list of [lo, hi] sides, got {_shown(box)}")
-    # sides that are pairs of numbers hold no string, so only another box is
-    # searched, for its first string and then its first side that is no pair
-    # (a level-1 request reads its box 1 + 2n times)
-    for side in box:
-        if not (isinstance(side, _SEQUENCES) and len(side) == 2 and
-                isinstance(side[0], _NUMBERS) and isinstance(side[1], _NUMBERS)):
-            s = _first_of(box, str)
-            if s is not None:
-                raise ValueError(f"a box must hold numbers, got {s!r}")
-            for i, side in enumerate(box):
-                if not isinstance(side, _SEQUENCES) or len(side) != 2:
-                    raise ValueError(f"box side {i} must be a [lo, hi] pair, got {_shown(side)}")
-            break
-    box = [(float(a), float(b)) for a, b in box]
+    pairs = []
+    for i, side in enumerate(box):
+        if not isinstance(side, _SEQUENCES) or len(side) != 2:
+            _no_string(side)
+            raise ValueError(f"box side {i} must be a [lo, hi] pair, got {_shown(side)}")
+        lo, hi = side
+        if isinstance(lo, str) or isinstance(hi, str):
+            _no_string(lo if isinstance(lo, str) else hi)
+        pairs.append((float(lo), float(hi)))
+    return pairs
+
+
+def _box(box, sides=None) -> list:
+    """``box`` read by :func:`_pairs`, ``sides`` pairs when given, each
+    finite and nonempty."""
+    box = _pairs(box)
     if sides is not None and len(box) != sides:
         raise ValueError(f"expected a box with {sides} sides, got {len(box)}")
     for a, b in box:

@@ -251,6 +251,15 @@ class MetricCheckReport:
         return "\n".join(lines)
 
 
+def _matrix(D) -> np.ndarray:
+    """``D`` as a float array; numpy reads ``"1"`` as 1.0, so strings are refused."""
+    if not (isinstance(D, np.ndarray) and D.dtype.kind in "biuf"):
+        s = _first_of(D, str)
+        if s is not None:
+            raise ValueError(f"a metric must hold numbers, got {s!r}")
+    return np.asarray(D, dtype=float)
+
+
 @np.errstate(over="ignore")
 def check_metric_axioms(D, tol: float = DEFAULT_TOL) -> MetricCheckReport:
     """Audit a square matrix against the metric axioms.
@@ -268,11 +277,7 @@ def check_metric_axioms(D, tol: float = DEFAULT_TOL) -> MetricCheckReport:
     symmetry violation before its positivity or separation one; then the
     triangles ``(i, k, j)`` by ``k``, and for one ``k`` in (i, j) order.
     """
-    if not (isinstance(D, np.ndarray) and D.dtype.kind in "biuf"):
-        s = _first_of(D, str)
-        if s is not None:
-            raise ValueError(f"a metric must hold numbers, got {s!r}")
-    M = np.asarray(D, dtype=float)
+    M = _matrix(D)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if not tol >= 0.0:
@@ -316,15 +321,15 @@ def check_metric_axioms(D, tol: float = DEFAULT_TOL) -> MetricCheckReport:
 class FiniteMetricSpace:
     """A finite metric space given by its distance matrix.
 
-    Points are the indices ``0 .. size-1``.  The matrix is read and validated
-    by :func:`check_metric_axioms` on construction and kept read-only.
+    Points are the indices ``0 .. size-1``.  The matrix is validated against
+    the metric axioms on construction and kept read-only afterwards.
     """
 
     def __init__(self, distances, tol: float = DEFAULT_TOL):
-        report = check_metric_axioms(distances, tol=tol)
+        M = np.array(_matrix(distances))
+        report = check_metric_axioms(M, tol=tol)
         if not report.ok:
             raise ValueError(str(report))
-        M = np.array(distances, dtype=float)
         M.setflags(write=False)
         self._d = M
 

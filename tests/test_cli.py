@@ -246,6 +246,7 @@ class TestRetract:
         ([0.0, 0.0], [[1, -1], [-1, 1]], "empty box side (1.0, -1.0)"),
         ([0.0, 0.0], [[-1, 1]], "expected a box with 2 sides, got 1"),
         ([0.0, 0.0], [[-1, 1], [0, 1e400]], "box limits must be finite"),
+        ([0.0, 0.0], [[-1, 1], [0, 1e400], [0, 1]], "expected a box with 2 sides, got 3"),
     ])
     def test_level_one_box_and_witness_are_checked_whatever_the_strategy(
             self, capsys, set_file, tmp_path, make, witness, box, message):
@@ -391,6 +392,16 @@ class TestExtend:
         assert out["map"][1] == [0.9, 0.1]
         assert max(out["violations"]) <= 1e-6
         assert out["lipschitz_check"]["ok"]
+
+    @pytest.mark.parametrize("box", [[[1, -1], [0, 1]], [[0, 1e400], [0, 1]]])
+    def test_a_level_zero_set_accepts_a_well_formed_box(self, capsys, tmp_path, box):
+        """A level-0 retraction reads no box, so one with an empty or an
+        infinite side changes nothing: only its form is checked."""
+        space, phi, Q = self._files(tmp_path, [[0.2, 0.3], [0.9, 0.1]])
+        argv = ["extend", "--space", space, "--subset", "0,1", "--map", phi, "--set", Q]
+        code, want, err = run(capsys, argv)
+        assert (code, err) == (0, None)
+        assert run(capsys, argv + ["--box", dump(tmp_path, "b.json", box)]) == (0, want, None)
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_space_is_an_input_error(self, capsys, tmp_path):

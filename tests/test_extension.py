@@ -1,7 +1,6 @@
 """Tests for Lipschitz extension and the isometric sup-norm embedding."""
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,41 +111,6 @@ class TestScalarExtension:
         Q = box_instance([(-10.0, 10.0)])
         assert extend_into_Q(B, np.array([0, 2]), [(0.5,), (-0.25,)], Q) == \
             extend_into_Q(B, [0, 2], [(0.5,), (-0.25,)], Q)
-
-    @staticmethod
-    def _broadcast(B, A, vals):
-        """The envelope of every point from one ``(|A|, |B|, n)`` array."""
-        ext = (vals[:, None, :] + B.matrix[np.asarray(A)][:, :, None]).min(axis=0)
-        ext[A] = vals
-        return ext
-
-    def test_the_fold_gives_the_broadcast_bits(self, rng):
-        for _ in range(300):
-            m, n = int(rng.integers(1, 12)), int(rng.integers(1, 4))
-            B = embedded_metric([tuple(p) for p in rng.integers(-3, 4, (m, 2)) * 0.5 +
-                                 rng.uniform(0, 1e-3, (m, 2))])
-            A = list(rng.permutation(m)[:int(rng.integers(1, m + 1))])
-            # values on a coarse grid with signed zeros, so sums tie and
-            # +0.0 meets -0.0
-            vals = rng.integers(-2, 3, (len(A), n)) * 0.5
-            vals[rng.random(vals.shape) < 0.3] = -0.0
-            got = _extend_all_components(B, A, vals)
-            assert got.tobytes() == self._broadcast(B, A, vals).tobytes()
-
-    def test_peak_memory_does_not_grow_with_the_subset(self, rng):
-        P = [tuple(p) for p in rng.uniform(-1.0, 1.0, (600, 2))]
-        B = embedded_metric(P)
-        vals = rng.uniform(-1.0, 1.0, (600, 4))
-        peaks = []
-        for A in (list(range(8)), list(range(512))):
-            tracemalloc.start()
-            _extend_all_components(B, A, vals[:len(A)])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-        # only the copy of A the fold walks grows with A; the (|A|, |B|, n)
-        # temporary of a broadcast would be 512 (|B|, n) tables
-        assert peaks[1] <= peaks[0] + 512 * 8 + 1024
-        assert peaks[1] < 16 * (600 * 4 * 8)
 
     @pytest.mark.parametrize("phi, exc, message", [
         ([(1.0,), (1.0, 2.0)], ValueError, "mixed point dimensions [1, 2]"),
