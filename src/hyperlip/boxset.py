@@ -76,7 +76,7 @@ from .lipfun import (
     expr_to_obj,
     shrink,
 )
-from .metric import Point, _integer, as_point, as_points, hat, sup_dists
+from .metric import Point, _integer, _nonnegative, _positive, as_point, as_points, hat, sup_dists
 
 __all__ = [
     "BoxLipschitzSet",
@@ -299,9 +299,10 @@ def check_decay_certificate(trace: IterationTrace, lam: float, slack: float = 1e
         |d_k| <= D * lam ** (k // dim) + slack
 
     where ``D`` is the first-sweep maximum.  A power too large for a float
-    reads ``inf``, and at ``D = 0`` the second bound is 0.  Returns the list
-    of violating step indices (empty when the certificate holds).
+    reads ``inf``, and at ``D = 0`` the second bound is 0; ``lam`` and
+    ``slack`` must be finite and nonnegative.  Returns the violating step indices.
     """
+    lam, slack = _nonnegative(lam, "lam"), _nonnegative(slack, "slack")
     n = trace.dim
     d = [abs(v) for v in trace.displacements]
     D = trace.initial_block_max
@@ -537,13 +538,13 @@ def cyclic_iterate(Q: BoxLipschitzSet, x, steps: int) -> IterationTrace:
 def _threshold(Q, tol, max_sweeps):
     """The sweep stopping bound ``tol * (1 - lip_bound)`` of a cyclic
     retraction, after refusing a level of 1 or more, a ``tol`` that is not
-    positive and a sweep budget below 1."""
+    finite and positive (:func:`~hyperlip.metric._positive`) and a sweep
+    budget below 1."""
     lam = Q.lip_bound
     if lam >= 1.0:
         raise UnsupportedSetError(
             f"cyclic retraction requires Lipschitz level < 1, set has {lam:g}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    tol = _positive(tol, "tol")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
     return tol * (1.0 - lam)
@@ -634,8 +635,7 @@ def relaxation_order(span: float, tol: float) -> int:
     Refuses a ``tol`` so small that the shrink factor ``1 - 1/k`` of
     :func:`shrink_set` rounds to 1, which would leave the set at level 1.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    tol = _positive(tol, "tol")
     if span < 0:
         raise ValueError("span must be nonnegative")
     ratio = span / tol
@@ -695,8 +695,7 @@ def truncated_set(Q: BoxLipschitzSet, witness, r: float) -> BoxLipschitzSet:
     pairs are ``Q``'s clamped (``lipfun._clamp_pair``, :meth:`~BoxLipschitzSet._made`).
     """
     w = _point(Q, witness, "witness", "for")
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    r = _positive(r, "radius")
     lows, highs = [c - r for c in w], [c + r for c in w]
 
     def bounds():

@@ -172,13 +172,6 @@ def _load_point(path):
     return as_point(_load_json(path))
 
 
-def _load_matrix(path) -> FiniteMetricSpace:
-    obj = _load_json(path)
-    if isinstance(obj, dict) and "metric" in obj:
-        obj = obj["metric"]
-    return FiniteMetricSpace(obj)
-
-
 def _stretch(points, X: FiniteMetricSpace) -> float:
     """The largest ``sup_dist(points[i], points[j]) - X.d(i, j)`` over the
     pairs ``i < j``, or 0.0 when none is larger."""
@@ -230,8 +223,9 @@ def cmd_retract(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    B = _load_matrix(args.space)
-    A = [int(s) for s in args.subset.split(",") if s != ""]
+    B = FiniteMetricSpace(_load_json(args.space))
+    # the words as JSON values, which extend_into_Q checks as indices
+    A = _decode(f"[{args.subset}]", f"--subset [{args.subset}]")
     phi = as_points(_load_json(args.map))
     Q = _load_set(args.set)
     witness = _load_point(args.witness) if args.witness else None
@@ -252,7 +246,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_hull(args) -> int:
-    X = _load_matrix(args.metric)
+    X = FiniteMetricSpace(_load_json(args.metric))
     found = hull.enumerate_extremal_grid(X, args.resolution)
     _emit({"count": len(found), "functions": [list(f) for f in found]})
     return 0
@@ -308,8 +302,10 @@ _CONE_SIGNS = {"+": 1, "-": -1, 1: 1, -1: -1}
 
 
 def _load_cone(obj) -> ConeDescriptor:
-    """One cone of ``plot --cones``: an ``apex``, an integer ``axis`` and a
-    ``sign`` of ``"+"``, ``"-"``, 1 or -1."""
+    """One cone of ``plot --cones``: an object with an ``apex``, an integer
+    ``axis`` and a ``sign`` of ``"+"``, ``"-"``, 1 or -1."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a cone must be an object, got {json.dumps(obj)}")
     try:
         apex, axis, sign = as_point(obj["apex"]), obj["axis"], obj["sign"]
     except KeyError as exc:
@@ -323,8 +319,10 @@ def cmd_plot(args) -> int:
     Q = _load_set(args.set) if args.set else None
     box = _pairs(_load_json(args.box))
     orbit = as_points(_load_json(args.orbit)) if args.orbit else None
-    cones = [_load_cone(c) for c in _load_json(args.cones)] if args.cones else None
-    svg = svgplot.render_scene(box, Q=Q, orbit=orbit, cones=cones,
+    cones = _load_json(args.cones) if args.cones else []
+    if not isinstance(cones, list):
+        raise ValueError(f"--cones must be a list of cone objects, got {json.dumps(cones)}")
+    svg = svgplot.render_scene(box, Q=Q, orbit=orbit, cones=list(map(_load_cone, cones)),
                                resolution=args.resolution)
     with open(args.out, "w") as fh:
         fh.write(svg)
@@ -480,13 +478,15 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="grid checks of math contracts")
-    p.add_argument("target", choices=["lipschitz", "metric"])
-    p.add_argument("--expr")
-    p.add_argument("--grid")
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--matrix")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(func=cmd_verify)
+    targets = p.add_subparsers(dest="target", required=True)
+    lipschitz, metric = targets.add_parser("lipschitz"), targets.add_parser("metric")
+    lipschitz.add_argument("--expr", required=True)
+    lipschitz.add_argument("--grid", required=True)
+    lipschitz.add_argument("--lam", type=float, default=1.0)
+    metric.add_argument("--matrix", required=True)
+    for p in (lipschitz, metric):
+        p.add_argument("--tol", type=float, default=1e-12)
+        p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plot", help="render a planar scene to SVG")
     p.add_argument("--set")

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, _nonnegative, _positive, as_point
 
 __all__ = [
     "is_extremal",
@@ -48,7 +48,8 @@ def is_extremal(X: FiniteMetricSpace, f, tol: float = 1e-12) -> bool:
     Checks ``f(x) <= max_y (d(x, y) - f(y)) + tol`` for every ``x``; the
     reverse inequality is admissibility, which is a precondition here.
     """
-    C = _columns(X, f)
+    C = _columns(X, as_point(f))
+    tol = _nonnegative(tol, "tol")
     if not _admissible(X.matrix, C, tol)[0]:
         raise ValueError("function is not admissible on this space")
     return bool(_minimal(X.matrix, C, tol)[0])
@@ -209,8 +210,7 @@ def enumerate_extremal_grid(X: FiniteMetricSpace, resolution: float) -> list:
     runs in one thread, depth first, and no table of candidates it holds has
     more than 100 000 columns, one per candidate.
     """
-    if not (math.isfinite(resolution) and resolution > 0.0):
-        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
+    resolution = _positive(resolution, "resolution")
     m = X.size
     if m > 5:
         raise ValueError(f"grid enumeration supports at most 5 points, got {m}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boxset import BoxLipschitzSet, MaxSweepsExceededError, _scalar_sweeps, violation
-from .lipfun import Const, DistCone, Infinite, LipExpr, McShane, Min
+from .lipfun import Const, DistCone, Infinite, LipExpr, McShane, Min, _box
 from .metric import as_point, sup_dists
 
 __all__ = [
@@ -95,10 +95,7 @@ def half_rate_instance() -> BoxLipschitzSet:
 
 def box_instance(intervals) -> BoxLipschitzSet:
     """Product of closed intervals: constant bounds, level 0."""
-    intervals = [(float(a), float(b)) for a, b in intervals]
-    for a, b in intervals:
-        if a > b:
-            raise ValueError(f"empty interval ({a}, {b})")
+    intervals = _box(intervals)
     lower = [Const(a) for a, _ in intervals]
     upper = [Const(b) for _, b in intervals]
     return BoxLipschitzSet(lower, upper)

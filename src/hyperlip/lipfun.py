@@ -82,7 +82,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .metric import _first_of, as_point, as_points, sup_dists
+from .metric import _first_of, _nonnegative, as_point, as_points, sup_dists
 
 __all__ = [
     "LipExpr",
@@ -772,10 +772,7 @@ def verify_lipschitz_on_grid(f: LipExpr, grid, lam: float, tol: float = 1e-12):
     ``lam`` and ``tol`` must be finite and nonnegative, and the differences
     of grid coordinates and of values finite.
     """
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    lam, tol = _nonnegative(lam, "lam"), _nonnegative(tol, "tol")
     Y = as_points(grid)
     if not len(Y):
         raise ValueError("empty grid")

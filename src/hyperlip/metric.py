@@ -66,6 +66,20 @@ def _integer(i, what) -> int:
     return int(i)
 
 
+def _nonnegative(x, what, kind="nonnegative") -> float:
+    """``x``, a tolerance, grid step or radius, as a finite float at least 0;
+    a ``str`` or ``bool`` is refused, though ``float`` reads it as a number."""
+    v = math.nan if isinstance(x, (str, bytes, bool, np.bool_)) else float(x)
+    if not 0.0 <= v < math.inf or (v == 0.0 and kind == "positive"):
+        raise ValueError(f"{what} must be finite and {kind}, got {x!r}")
+    return v
+
+
+def _positive(x, what) -> float:
+    """``x`` as a finite float above 0, read as by :func:`_nonnegative`."""
+    return _nonnegative(x, what, "positive")
+
+
 def as_point(coords: Sequence[float]) -> Point:
     """Coerce a coordinate sequence to a point tuple.
 
@@ -199,6 +213,7 @@ def cone_contains(cone: ConeDescriptor, q: Sequence[float], strict: bool = False
     """
     if len(q) != len(cone.apex):
         raise ValueError("dimension mismatch between cone apex and query point")
+    tol = _nonnegative(tol, "tol")
     t = cone.sign * (q[cone.axis] - cone.apex[cone.axis])
     off = 0.0
     for j, (qj, aj) in enumerate(zip(q, cone.apex)):
@@ -280,8 +295,7 @@ def check_metric_axioms(D, tol: float = DEFAULT_TOL) -> MetricCheckReport:
     M = _matrix(D)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
+    tol = _nonnegative(tol, "tol")
     bad = np.argwhere(~np.isfinite(M))
     if len(bad):
         return MetricCheckReport([MetricViolation("finite", (int(i), int(j)), math.inf)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .boxset import BoxLipschitzSet, violation_many
 from .lipfun import Infinite, Max, Min, _cone_family
-from .metric import ConeDescriptor, Point, as_point, as_points, sup_dists
+from .metric import ConeDescriptor, Point, _nonnegative, _positive, as_point, as_points, sup_dists
 
 __all__ = [
     "ConeOverlapError",
@@ -246,8 +246,7 @@ def choose_cone(x: Point, p_x: Point, eps: float, a: float) -> ConeDescriptor:
     p_x = as_point(p_x)
     if len(x) != len(p_x):
         raise ValueError("point dimensions differ")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    eps = _positive(eps, "eps")
     if x == p_x:
         raise ValueError("witness coincides with the exterior point")
     axis, sign, apex, ok = _cones(np.array([x]), np.array([p_x]), np.array([eps]), a)
@@ -487,11 +486,6 @@ class ReconstructionReport:
                 f"{len(self.false_outside)} false outside")
 
 
-def _check_tol(tol):
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-
-
 def verify_reconstruction(membership, Q_rec: BoxLipschitzSet, grid,
                           tol: float = 1e-9) -> ReconstructionReport:
     """Compare an oracle with reconstructed membership on a point grid.
@@ -501,7 +495,7 @@ def verify_reconstruction(membership, Q_rec: BoxLipschitzSet, grid,
     boolean per grid point, as a bool array or a list of bools (an answer
     of any other dtype is refused, not read as indices).  ``tol`` must be
     finite and nonnegative."""
-    _check_tol(tol)
+    tol = _nonnegative(tol, "tol")
     G = as_points(grid)
     if not len(G):
         return ReconstructionReport(0, (), ())
@@ -573,5 +567,4 @@ def membership_from_samples(inside, tol: float = 1e-9):
     ``(N, n)`` array through its ``many`` method, with the same booleans.
     The sample must hold at least one point, all of one dimension, and
     ``tol`` must be finite and nonnegative, so that every sample passes."""
-    _check_tol(tol)
-    return _SampleMembership(inside, tol)
+    return _SampleMembership(inside, _nonnegative(tol, "tol"))

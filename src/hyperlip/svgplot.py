@@ -16,7 +16,7 @@ import numpy as np
 
 from .boxset import BoxLipschitzSet, violation_many
 from .lipfun import _box
-from .metric import ConeDescriptor, as_points
+from .metric import ConeDescriptor, _positive, as_points
 
 __all__ = ["render_scene"]
 
@@ -53,8 +53,7 @@ def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
         raise ValueError("box sides must have positive length")
     if Q is not None and Q.n != 2:
         raise ValueError(f"plotting needs a planar set, got dimension {Q.n}")
-    if not resolution > 0.0:
-        raise ValueError("resolution must be positive")
+    resolution = _positive(resolution, "resolution")
     span_x = x1 - x0
     span_y = y1 - y0
     height = WIDTH * span_y / span_x

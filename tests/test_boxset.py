@@ -146,6 +146,22 @@ class TestConstruction:
         assert half_rate_instance().lip_bound == 0.5
         assert box_instance([(0.0, 1.0), (0.0, 1.0)]).lip_bound == 0.0
 
+    @pytest.mark.parametrize("intervals, message", [
+        ([("0", "1")], "a box must hold numbers, got '0'"),
+        ([(0.0, 1.0), (0.0, "1")], "a box must hold numbers, got '1'"),
+        ([(1.0, 0.0)], "empty box side (1.0, 0.0)"),
+        ([(0.0, math.inf)], "box limits must be finite"),
+        ([(0.0, 1.0, 2.0)], "box side 0 must be a [lo, hi] pair, got [0.0, 1.0, 2.0]"),
+    ])
+    def test_box_instance_reads_its_intervals_as_a_box(self, intervals, message):
+        with pytest.raises(ValueError) as err:
+            box_instance(intervals)
+        assert str(err.value) == message
+
+    def test_box_instance_keeps_its_bounds(self):
+        Q = box_instance(np.array([[-1, 2], [0.5, 0.5]]))
+        assert Q.lower == (Const(-1.0), Const(0.5)) and Q.upper == (Const(2.0), Const(0.5))
+
     def test_wrong_infinity_sign_rejected(self):
         with pytest.raises(ValueError):
             BoxLipschitzSet([Infinite(1)], [Infinite(1)])

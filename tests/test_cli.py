@@ -94,6 +94,15 @@ class TestRetract:
         assert "tol" in err["error"]
 
     @pytest.mark.parametrize("make", [half_rate_instance, vee_notch_instance])
+    def test_infinite_tolerance_is_an_input_error(self, capsys, set_file, tmp_path, make):
+        """At level 1 an infinite ``--tol`` would relax by ``k = 1`` and
+        accept any violation."""
+        path = set_file(make())
+        err = input_error(capsys, ["retract", "--set", path, "--point",
+                                   dump(tmp_path, "x.json", [0.0, -3.0]), "--tol", "inf"])
+        assert err == {"error": "tol must be finite and positive, got inf"}
+
+    @pytest.mark.parametrize("make", [half_rate_instance, vee_notch_instance])
     @pytest.mark.parametrize("budget", ["-3", "-1"])
     def test_negative_sweep_budget_is_an_input_error(self, capsys, set_file, tmp_path,
                                                      make, budget):
@@ -403,6 +412,29 @@ class TestExtend:
         assert (code, err) == (0, None)
         assert run(capsys, argv + ["--box", dump(tmp_path, "b.json", box)]) == (0, want, None)
 
+    @pytest.mark.parametrize("subset, message", [
+        ("0,x", "malformed JSON in --subset [0,x]: Expecting value: line 1 column 4 (char 3)"),
+        ("0,,", "malformed JSON in --subset [0,,]: Expecting value: line 1 column 4 (char 3)"),
+        ("0,1.0", "subset index must be an integer, got 1.0"),
+        ("0,1e400", "subset index must be an integer, got inf"),
+        ("0,\"1\"", "subset index must be an integer, got '1'"),
+        ("0,true", "--subset [0,true] holds the boolean true, which no input takes"),
+        ("", "the subset must be nonempty"),
+        ("0,3", "index 3 out of range for a space of size 3"),
+    ])
+    def test_subset_words_are_read_as_json_indices(self, capsys, tmp_path, subset, message):
+        space, phi, Q = self._files(tmp_path, [[0.2, 0.3], [0.9, 0.1]])
+        err = input_error(capsys, ["extend", "--space", space, f"--subset={subset}",
+                                   "--map", phi, "--set", Q])
+        assert err == {"error": message}
+
+    def test_subset_words_may_be_spaced(self, capsys, tmp_path):
+        space, phi, Q = self._files(tmp_path, [[0.2, 0.3], [0.9, 0.1]])
+        argv = ["extend", "--space", space, "--map", phi, "--set", Q]
+        code, want, _ = run(capsys, argv + ["--subset", "0,1"])
+        assert code == 0
+        assert run(capsys, argv + ["--subset", " 0 , 1 "]) == (0, want, None)
+
     @pytest.mark.filterwarnings("error")
     def test_non_finite_space_is_an_input_error(self, capsys, tmp_path):
         _, phi, Q = self._files(tmp_path, [[0.2, 0.3], [0.9, 0.1]])
@@ -583,6 +615,19 @@ class TestHull:
                                    "--resolution", "0.25"])
         assert "invalid choice: 'bogus'" in err["error"]
 
+    def test_a_matrix_file_holds_the_matrix_alone(self, capsys, tmp_path):
+        """Every matrix flag reads one form: a wrapping object is refused
+        alike by ``hull --metric``, ``extend --space`` and ``verify metric``."""
+        wrapped = dump(tmp_path, "d.json", {"metric": [[0.0, 1.0], [1.0, 0.0]]})
+        phi = dump(tmp_path, "phi.json", [[0.5, 0.5]])
+        Q = dump(tmp_path, "q.json", set_to_obj(half_rate_instance()))
+        errors = [input_error(capsys, argv) for argv in (
+            ["hull", "enumerate", "--metric", wrapped, "--resolution", "0.5"],
+            ["extend", "--space", wrapped, "--subset", "0", "--map", phi, "--set", Q],
+            ["verify", "metric", "--matrix", wrapped])]
+        assert errors == [{"error": "float() argument must be a string or a real number, "
+                                    "not 'dict'"}] * 3
+
     def test_infinite_resolution_is_an_input_error(self, capsys, tmp_path):
         metric = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])
         err = input_error(capsys, ["hull", "enumerate", "--metric", metric,
@@ -747,6 +792,30 @@ class TestVerify:
         err = input_error(capsys, ["verify", "metric", "--matrix", matrix, "--tol", "nan"])
         assert "tol" in err["error"]
 
+    def test_metric_infinite_tolerance_is_an_input_error(self, capsys, tmp_path):
+        """At an infinite ``--tol`` every entry would be within it of 0, and a
+        valid metric would be reported as a ``separation`` failure."""
+        matrix = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])
+        err = input_error(capsys, ["verify", "metric", "--matrix", matrix, "--tol", "inf"])
+        assert err == {"error": "tol must be finite and nonnegative, got inf"}
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["verify", "metric"], "--matrix"),
+        (["verify", "metric", "--tol", "0.5"], "--matrix"),
+        (["verify", "lipschitz"], "--expr, --grid"),
+        (["verify", "lipschitz", "--grid", "g.json", "--lam", "0.5"], "--expr"),
+        (["verify", "lipschitz", "--expr", "f.json"], "--grid"),
+        (["verify"], "target"),
+    ])
+    def test_missing_files_are_usage_errors(self, capsys, argv, missing):
+        err = input_error(capsys, argv)
+        assert err == {"error": f"the following arguments are required: {missing}"}
+
+    def test_flags_of_the_other_target_are_usage_errors(self, capsys, tmp_path):
+        matrix = dump(tmp_path, "d.json", [[0.0, 1.0], [1.0, 0.0]])
+        err = input_error(capsys, ["verify", "metric", "--matrix", matrix, "--lam", "0.5"])
+        assert err == {"error": "unrecognized arguments: --lam 0.5"}
+
     def test_metric_with_nan_entries_fails(self, capsys, tmp_path):
         matrix = tmp_path / "d.json"
         matrix.write_text("[[0, NaN], [NaN, 0]]")
@@ -829,6 +898,37 @@ class TestPlot:
             "--box", dump(tmp_path, "b.json", [[0.0, 1.0], [0.0, 1.0]]),
             "--resolution", resolution, "--out", str(tmp_path / "scene.svg")])
         assert words in err["error"]
+        assert not (tmp_path / "scene.svg").exists()
+
+    def test_infinite_resolution_is_an_input_error(self, capsys, tmp_path, set_file):
+        """An infinite ``--resolution`` would raster one cell and draw no
+        region."""
+        err = input_error(capsys, [
+            "plot", "--set", set_file(vee_notch_instance()),
+            "--box", dump(tmp_path, "b.json", [[-3.0, 3.0], [-3.0, 3.0]]),
+            "--resolution", "inf", "--out", str(tmp_path / "scene.svg")])
+        assert err == {"error": "resolution must be finite and positive, got inf"}
+        assert not (tmp_path / "scene.svg").exists()
+
+    def test_render_scene_refuses_an_infinite_resolution(self):
+        with pytest.raises(ValueError) as err:
+            svgplot.render_scene([(-3.0, 3.0), (-3.0, 3.0)], Q=vee_notch_instance(),
+                                 resolution=float("inf"))
+        assert str(err.value) == "resolution must be finite and positive, got inf"
+
+    @pytest.mark.parametrize("cones, message", [
+        ([[0, 0]], "a cone must be an object, got [0, 0]"),
+        ([{"apex": [0, 0], "axis": 0, "sign": "+"}, "+"], 'a cone must be an object, got "+"'),
+        ({"apex": [0, 0], "axis": 0, "sign": "+"},
+         '--cones must be a list of cone objects, got {"apex": [0, 0], "axis": 0, "sign": "+"}'),
+        (3, "--cones must be a list of cone objects, got 3"),
+    ])
+    def test_a_cones_file_is_a_list_of_cone_objects(self, capsys, tmp_path, cones, message):
+        err = input_error(capsys, [
+            "plot", "--box", dump(tmp_path, "b.json", [[-3.0, 3.0], [-3.0, 3.0]]),
+            "--cones", dump(tmp_path, "c.json", cones), "--resolution", "0.5",
+            "--out", str(tmp_path / "scene.svg")])
+        assert err == {"error": message}
         assert not (tmp_path / "scene.svg").exists()
 
     @pytest.mark.parametrize("axis, sign, field", [

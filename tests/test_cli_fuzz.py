@@ -4,12 +4,12 @@ Each case is a well-formed ``retract``, ``extend``, ``hull enumerate``,
 ``verify metric``, ``reconstruct``, ``verify lipschitz`` or ``plot`` request
 in which at most one input file is replaced by a hypothesis-built malformed
 value, and whose numeric flags (``--a``, ``--lam``, ``--tol``,
-``--resolution``) are drawn from hostile numbers too.  Every run exits 0, 1
-or 2, with numpy warnings turned into errors.  A nonzero exit leaves exactly
-one JSON-object line: on stderr for an error, or on stdout for a report
-(``"verdict"`` from a level-1 retraction that missed the set, ``"ok": false``
-from ``verify``), never on both.  Every line is strict JSON: ``NaN`` and
-``Infinity`` fail the parse.
+``--resolution``) and ``--subset`` words are drawn from hostile values too.
+Every run exits 0, 1 or 2, with numpy warnings turned into errors.  A
+nonzero exit leaves exactly one JSON-object line: on stderr for an error,
+or on stdout for a report (``"verdict"`` from a level-1 retraction that
+missed the set, ``"ok": false`` from ``verify``), never on both.  Every line
+is strict JSON: ``NaN`` and ``Infinity`` fail the parse.
 """
 
 import contextlib
@@ -124,7 +124,7 @@ def retract_requests(draw):
                                      max_size=2))
     if draw(st.booleans()):
         files["witness"] = draw(st.sampled_from(MEMBERS[i]))
-    return _mutate(draw, files)
+    return draw(st.one_of(st.just("0.1"), flags)), _mutate(draw, files)
 
 
 @st.composite
@@ -136,19 +136,22 @@ def extend_requests(draw):
         files["box"] = [[-8.0, 8.0], [-8.0, 8.0]]
     if draw(st.booleans()):
         files["witness"] = draw(st.sampled_from(MEMBERS[i]))
-    return _mutate(draw, files)
+    subset = draw(st.one_of(st.just("0,1"), st.sampled_from(
+        ["1,0", "0", "0,0", "0,5", "0,-1", "", "0,,", "0,x", "0,1.0", "0,1e400", "0,true"])))
+    return subset, _mutate(draw, files)
 
 
 @st.composite
 def metric_requests(draw):
-    """A ``--resolution`` and a metric file.  The well-formed metric is
-    sometimes scaled near the largest float, and the resolution is a hostile
-    flag or a value near that scale, at which the grid stays small while
-    its sums overflow."""
+    """A ``--resolution``, a ``verify metric --tol`` and a metric file.  The
+    well-formed metric is sometimes scaled near the largest float, and the
+    resolution is a hostile flag or a value near that scale, at which the
+    grid stays small while its sums overflow."""
     scale = draw(st.sampled_from([1.0, 1e307]))
     metric = [[scale * d for d in row] for row in _sup_matrix(draw(grids))]
     resolution = draw(st.one_of(flags, st.sampled_from(["1e307", "2.5e307", "1e308"])))
-    return resolution, _mutate(draw, {"metric": metric})
+    tol = draw(st.one_of(st.just("1e-12"), flags))
+    return resolution, tol, _mutate(draw, {"metric": metric})
 
 
 @st.composite
@@ -238,70 +241,83 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 @SETTINGS
 @given(retract_requests())
-@example({"set": {"n": 1e400, "lower": [], "upper": []}, "point": [0.0]})
-@example({"set": {"n": 1.5, "lower": ["-inf"], "upper": ["+inf"]}, "point": [0.0]})
-@example({"set": {"n": 2, "lower": 5, "upper": ["+inf", "+inf"]}, "point": [0.0, 0.0]})
-@example({"set": set_to_obj(vee_notch_instance()), "point": [1e308, -1e308]})
-@example({"set": set_to_obj(vee_notch_instance()), "point": [0.0, -3.0],
-          "box": [[1e308, -1e308], [0.0, 1.0]]})
-@example({"set": set_to_obj(origin_cycle_instance()), "point": [0.0, 1.0],
-          "box": [[-1e308, 1e308], [-1e308, 1e308]]})
-@example({"set": set_to_obj(diagonal_halfspace_instance()), "point": [1e308, -1e308],
-          "witness": [-1e308, -1e308]})
-@example({"set": {"n": 2, "lower": [{"type": "const", "value": -1e308}, "-inf"],
-                  "upper": [{"type": "const", "value": 1e308}, "+inf"]},
-          "point": [-1e308, 1e308]})
-def test_retract(files):
+@example(("0.1", {"set": {"n": 1e400, "lower": [], "upper": []}, "point": [0.0]}))
+@example(("0.1", {"set": {"n": 1.5, "lower": ["-inf"], "upper": ["+inf"]}, "point": [0.0]}))
+@example(("0.1", {"set": {"n": 2, "lower": 5, "upper": ["+inf", "+inf"]}, "point": [0.0, 0.0]}))
+@example(("0.1", {"set": set_to_obj(vee_notch_instance()), "point": [1e308, -1e308]}))
+@example(("0.1", {"set": set_to_obj(vee_notch_instance()), "point": [0.0, -3.0],
+                  "box": [[1e308, -1e308], [0.0, 1.0]]}))
+@example(("0.1", {"set": set_to_obj(origin_cycle_instance()), "point": [0.0, 1.0],
+                  "box": [[-1e308, 1e308], [-1e308, 1e308]]}))
+@example(("0.1", {"set": set_to_obj(diagonal_halfspace_instance()), "point": [1e308, -1e308],
+                  "witness": [-1e308, -1e308]}))
+@example(("0.1", {"set": {"n": 2, "lower": [{"type": "const", "value": -1e308}, "-inf"],
+                          "upper": [{"type": "const", "value": 1e308}, "+inf"]},
+                  "point": [-1e308, 1e308]}))
+# an infinite tolerance would relax a level-1 set by k = 1 and accept any violation
+@example(("inf", {"set": set_to_obj(vee_notch_instance()), "point": [0.0, -3.0]}))
+def test_retract(request):
     """Each request runs twice, first with an empty set cache and then
     through the set the first run kept: both give the same bytes."""
+    tol, files = request
     with mock.patch.object(cli, "_SETS", cli._SetCache()):
-        first, second = _run(["retract", "--tol", "0.1", "--max-sweeps", "200"], files, times=2)
+        first, second = _run(["retract", f"--tol={tol}", "--max-sweeps", "200"], files,
+                             times=2)
     assert first == second
 
 
 @SETTINGS
 @given(extend_requests())
-@example({"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1e400], [1e400, 0]],
-          "map": [[0.0, 0.0], [1.0, 1.0]]})
-@example({"set": set_to_obj(vee_notch_instance()), "map": [[0.0, 0.0], [1e308, 3.0]],
-          "metric": [[0, 1e308, 0.5], [1e308, 0, 1e308], [0.5, 1e308, 0]]})
-@example({"set": set_to_obj(origin_cycle_instance()), "map": [[0.0, 0.0], [0.0, 0.0]],
-          "metric": [[0, 1], [1, 0]], "box": [[-1e308, 1e308], [-1e308, 1e308]]})
+@example(("0,1", {"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1e400], [1e400, 0]],
+                  "map": [[0.0, 0.0], [1.0, 1.0]]}))
+@example(("0,1", {"set": set_to_obj(vee_notch_instance()), "map": [[0.0, 0.0], [1e308, 3.0]],
+                  "metric": [[0, 1e308, 0.5], [1e308, 0, 1e308], [0.5, 1e308, 0]]}))
+@example(("0,1", {"set": set_to_obj(origin_cycle_instance()), "map": [[0.0, 0.0], [0.0, 0.0]],
+                  "metric": [[0, 1], [1, 0]], "box": [[-1e308, 1e308], [-1e308, 1e308]]}))
 # the batch engine's distances to a far cone centre overflow to inf
-@example({"set": {"n": 2, "lower": [{"type": "distcone", "center": [-1e308], "offset": 0.0,
+@example(("0,1", {"set": {"n": 2,
+                          "lower": [{"type": "distcone", "center": [-1e308], "offset": 0.0,
                                      "scale": 0.5, "orientation": "-"},
                                     {"type": "const", "value": -5.0}],
-                  "upper": [{"type": "const", "value": 5.0}, {"type": "const", "value": 5.0}]},
-          "metric": [[0, 1, 1e308], [1, 0, 1e308], [1e308, 1e308, 0]],
-          "map": [[0.0, 0.0], [0.0, 0.0]]})
+                          "upper": [{"type": "const", "value": 5.0},
+                                    {"type": "const", "value": 5.0}]},
+                  "metric": [[0, 1, 1e308], [1, 0, 1e308], [1e308, 1e308, 0]],
+                  "map": [[0.0, 0.0], [0.0, 0.0]]}))
 # point lists that numpy cannot read as one table, or reads differently from
 # the per-point conversion
-@example({"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
-          "map": [[0.0, 0.0], [1.0]]})
-@example({"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
-          "map": [[], []]})
-@example({"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
-          "map": [[0, 2 ** 64 + 1], [True, 1]]})
-@example({"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
-          "map": [["0", "1"], [0.0, 1.0]]})
-@example({"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
-          "map": [[0.0, 1.0], [0.0, INF]]})
-def test_extend(files):
-    _run(["extend", "--subset", "0,1", "--tol", "0.1"],
+@example(("0,1", {"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
+                  "map": [[0.0, 0.0], [1.0]]}))
+@example(("0,1", {"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
+                  "map": [[], []]}))
+@example(("0,1", {"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
+                  "map": [[0, 2 ** 64 + 1], [True, 1]]}))
+@example(("0,1", {"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
+                  "map": [["0", "1"], [0.0, 1.0]]}))
+@example(("0,1", {"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
+                  "map": [[0.0, 1.0], [0.0, INF]]}))
+@example(("0,x", {"set": set_to_obj(vee_notch_instance()), "metric": [[0, 1], [1, 0]],
+                          "map": [[0.0, 0.0], [1.0, 1.0]]}))
+def test_extend(request):
+    subset, files = request
+    _run(["extend", f"--subset={subset}", "--tol", "0.1"],
          {"space" if k == "metric" else k: v for k, v in files.items()})
 
 
 @SETTINGS
 @given(metric_requests())
-@example(("0.5", {"metric": [[0, NAN], [NAN, 0]]}))
-@example(("0.5", {"metric": [[0, 1e400], [1e400, 0]]}))
-@example(("0.5", {"metric": [[0, 1e308, 1e308], [1e308, 0, -1e308], [1e308, 1e308, 0]]}))
+@example(("0.5", "1e-12", {"metric": [[0, NAN], [NAN, 0]]}))
+@example(("0.5", "1e-12", {"metric": [[0, 1e400], [1e400, 0]]}))
+@example(("0.5", "1e-12", {"metric": [[0, 1e308, 1e308], [1e308, 0, -1e308], [1e308, 1e308, 0]]}))
 # candidate sums past the largest float
-@example(("1e307", {"metric": [[0, 1e308], [1e308, 0]]}))
+@example(("1e307", "1e-12", {"metric": [[0, 1e308], [1e308, 0]]}))
+# an infinite tolerance would read a valid metric's distances as zeros
+@example(("0.5", "inf", {"metric": [[0, 1], [1, 0]]}))
+@example(("0.5", "1e-12", {}))
 def test_hull_and_verify_metric(request):
-    resolution, files = request
+    resolution, tol, files = request
     _run(["hull", "enumerate", f"--resolution={resolution}"], files)
-    _run(["verify", "metric"], {"matrix": files["metric"]})
+    _run(["verify", "metric", f"--tol={tol}"],
+         {"matrix": files["metric"]} if "metric" in files else {})
 
 
 @SETTINGS
@@ -335,6 +351,7 @@ def test_reconstruct(request):
 @example(("1", "0", {"expr": {"type": "const", "value": 0.0},
                      "grid": [[2 ** 64 + 1, True], [-(2 ** 63), 0]]}))
 @example(("1", "0", {"expr": {"type": "const", "value": 0.0}, "grid": [[0, 0], [-INF, 0]]}))
+@example(("1", "0", {"grid": [[0, 0], [1, 1]]}))
 def test_verify_lipschitz(request):
     lam, tol, files = request
     _run(["verify", "lipschitz", f"--lam={lam}", f"--tol={tol}"], files)
@@ -357,6 +374,10 @@ def test_verify_lipschitz(request):
 @example(("0.5", {"box": [[-3, 3], [-3, 3], [-3, 3]]}))
 @example(("0.5", {"box": {"lo": -3, "hi": 3}}))
 @example(("0.5", {"box": [[-3, 3], [-3, 3]], "cones": [{"apex": [0, 0], "sign": "+"}]}))
+@example(("0.5", {"box": [[-3, 3], [-3, 3]], "cones": [[0, 0]]}))
+@example(("0.5", {"box": [[-3, 3], [-3, 3]], "cones": {"apex": [0, 0], "axis": 0, "sign": "+"}}))
+# an infinite resolution would raster one cell and draw no region
+@example(("inf", {"box": [[-3, 3], [-3, 3]], "set": set_to_obj(vee_notch_instance())}))
 def test_plot(request):
     resolution, files = request
     _run(["plot", f"--resolution={resolution}"], files, out_name="scene.svg")

@@ -81,6 +81,24 @@ class TestExtremality:
             assert is_extremal(X, [0.0, 1e308])
             assert not is_extremal(X, [1e308, 1e308])
 
+    @pytest.mark.parametrize("f, message", [
+        (["0.5", "0.5"], "point coordinates must be numbers, got ('0.5', '0.5')"),
+        ([0.5, "0.5"], "point coordinates must be numbers, got (0.5, '0.5')"),
+        ([math.inf, 1.0], "point coordinates must be finite, got inf"),
+        ([math.nan, 1.0], "point coordinates must be finite, got nan"),
+    ])
+    def test_values_are_read_as_a_point(self, f, message):
+        """``float`` reads ``"0.5"`` as a number, and an infinite value is
+        admissible and passes the test within any tolerance."""
+        with pytest.raises(ValueError) as err:
+            is_extremal(_two_point(), f)
+        assert str(err.value) == message
+
+    def test_an_infinite_tolerance_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            is_extremal(_two_point(), [5.0, 5.0], tol=math.inf)
+        assert str(err.value) == "tol must be finite and nonnegative, got inf"
+
     def test_inadmissible_input_is_an_error(self):
         with pytest.raises(ValueError):
             is_extremal(_two_point(), (0.1, 0.1))

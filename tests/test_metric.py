@@ -756,3 +756,100 @@ class TestFiniteMetricSpace:
         X = random_metric(rng, 4)
         with pytest.raises(ValueError):
             X.matrix[0, 1] = 5.0
+
+
+def _number_intakes():
+    """Every public intake of a tolerance, grid step, radius or slack: name
+    -> (what the message calls it, ``"positive"`` or ``"nonnegative"``, a call
+    that reads the value)."""
+    from hyperlip import boxset, hull, lipfun, reconstruct, svgplot
+    from hyperlip.instances import (diagonal_halfspace_instance, half_rate_instance,
+                                    vee_notch_instance)
+
+    Q, x = half_rate_instance(), (3.0, -2.0)
+    X = FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]])
+    D = 4.0 * X.matrix
+    trace = cyclic_iterate(Q, x, 8)
+    grid = [[0.0], [1.0]]
+    inside, outside = ((0.0, 0.0),), ((1.0, 0.0),)
+    Q_rec = reconstruct.synthesize_bounds(reconstruct.ReconstructionConfig(inside, outside))
+    cone = ConeDescriptor((0.0, 0.0), 0, 1)
+    return {
+        "cyclic_retract": ("tol", "positive", lambda v: boxset.cyclic_retract(Q, x, v)),
+        "cyclic_retract_many": ("tol", "positive",
+                                lambda v: boxset.cyclic_retract_many(Q, [x], v)),
+        "retract": ("tol", "positive", lambda v: boxset.retract(Q, x, v, many=False)),
+        "retract at level 1": ("tol", "positive", lambda v: boxset.retract(
+            vee_notch_instance(), (0.0, -3.0), v, many=False)),
+        "relaxation_order": ("tol", "positive", lambda v: boxset.relaxation_order(1.0, v)),
+        "truncated_set": ("radius", "positive", lambda v: boxset.truncated_set(
+            diagonal_halfspace_instance(), (0.0, 0.0), v)),
+        "check_decay_certificate": ("slack", "nonnegative",
+                                    lambda v: boxset.check_decay_certificate(trace, 0.5, v)),
+        "check_decay_certificate lam": ("lam", "nonnegative",
+                                        lambda v: boxset.check_decay_certificate(trace, v)),
+        "check_metric_axioms": ("tol", "nonnegative",
+                                lambda v: check_metric_axioms(D, v)),
+        "FiniteMetricSpace": ("tol", "nonnegative",
+                              lambda v: FiniteMetricSpace(D, v).matrix.tolist()),
+        "cone_contains": ("tol", "nonnegative", lambda v: cone_contains(cone, (1.0, 0.0), tol=v)),
+        "is_extremal": ("tol", "nonnegative", lambda v: hull.is_extremal(X, [0.5, 0.5], v)),
+        "enumerate_extremal_grid": ("resolution", "positive",
+                                    lambda v: hull.enumerate_extremal_grid(X, v)),
+        "verify_lipschitz_on_grid lam": ("lam", "nonnegative", lambda v: (
+            lipfun.verify_lipschitz_on_grid(Const(0.0), grid, v))),
+        "verify_lipschitz_on_grid tol": ("tol", "nonnegative", lambda v: (
+            lipfun.verify_lipschitz_on_grid(Const(0.0), grid, 1.0, v))),
+        "membership_from_samples": ("tol", "nonnegative", lambda v: (
+            reconstruct.membership_from_samples(inside, v).many(np.array(outside)).tolist())),
+        "verify_reconstruction": ("tol", "nonnegative", lambda v: (
+            reconstruct.verify_reconstruction(lambda p: True, Q_rec, inside, v))),
+        "render_scene": ("resolution", "positive", lambda v: svgplot.render_scene(
+            [(0.0, 1.0), (0.0, 1.0)], Q=Q, resolution=v)),
+        "choose_cone": ("eps", "positive",
+                        lambda v: reconstruct.choose_cone((1.0, 0.0), (0.0, 0.0), v, 0.1)),
+    }
+
+
+class TestNumberReaders:
+    """``metric._nonnegative`` and ``metric._positive`` read every
+    tolerance, grid step, radius and slack of the library, with one message:
+    a value that is infinite, NaN, below 0 (or 0, where it must be
+    positive), a string or a boolean is refused."""
+
+    INTAKES = _number_intakes()
+    BAD = [math.inf, -math.inf, math.nan, -1.0, -1e-300, "1e-3", "0.5", b"1", True, False,
+           np.True_, np.float64(math.inf), np.float32(math.nan)]
+
+    @pytest.mark.parametrize("name", sorted(INTAKES))
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_every_intake_refuses_with_one_message(self, name, value):
+        what, kind, call = self.INTAKES[name]
+        with pytest.raises(ValueError) as err:
+            call(value)
+        assert str(err.value) == f"{what} must be finite and {kind}, got {value!r}"
+
+    @pytest.mark.parametrize("name", sorted(INTAKES))
+    def test_zero_is_refused_only_where_the_value_must_be_positive(self, name):
+        what, kind, call = self.INTAKES[name]
+        for zero in (0, 0.0, -0.0):
+            if kind == "nonnegative":
+                call(zero)
+                continue
+            with pytest.raises(ValueError) as err:
+                call(zero)
+            assert str(err.value) == f"{what} must be finite and positive, got {zero!r}"
+
+    @pytest.mark.parametrize("name", sorted(INTAKES))
+    def test_numbers_of_any_type_read_alike(self, name):
+        call = self.INTAKES[name][2]
+        for value in (1, np.int64(1), np.float32(1.0), Fraction(1), Decimal(1)):
+            assert repr(call(value)) == repr(call(1.0))
+
+    @pytest.mark.parametrize("name", ["_nonnegative", "_positive"])
+    def test_a_reader_returns_a_python_float(self, name):
+        read = getattr(metric, name)
+        for value in (2, np.float32(0.5), np.int8(3), Fraction(1, 4), 1e-300, 1.7e308):
+            got = read(value, "tol")
+            assert type(got) is float and got == float(value)
+        assert metric._nonnegative(0, "tol") == 0.0
