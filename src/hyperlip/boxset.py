@@ -461,18 +461,18 @@ def _batch_sweeps(Q, X, threshold, max_sweeps, record):
     Each step reads its axis's paired evaluator, compiled once per call.
     The rows are held as the columns of a transposed copy ``XT`` of ``X``;
     the evaluator reads the hat points from ``XT`` itself (a cone family
-    gathers them into its distance table, :func:`_grid_pairs`), and the
-    clipped coordinate is written straight back into ``XT``.  Each sweep
-    starts from a copy of ``XT``.  Coordinate ``i`` moves only at step
-    ``i``, from its value in that copy, so after the sweep ``|XT - start|``
-    holds every step's ``|d|``: one reduction of it gives each row's largest
-    displacement of the sweep, and so the rows it moved.  A row whose full
-    sweep moved it by exactly 0.0 leaves the active set and is never
-    evaluated again: every step of that sweep saw the row's current point
-    and left it in place, so a later sweep sees the same inputs at every
-    step and moves it by 0.0 again.  The output therefore equals that of
-    running every row through every sweep, and the whole batch still goes
-    through one shared composition of projection steps.
+    reads its hat rows there, :func:`_grid_pairs`), and the clipped
+    coordinate is written straight back into ``XT``.  Each sweep starts from
+    a copy of ``XT``.  Coordinate ``i`` moves only at step ``i``, from its
+    value in that copy, so after the sweep ``|XT - start|``, taken in place
+    in the copy, holds every step's ``|d|``: one reduction of it gives each
+    row's largest displacement of the sweep, and so the rows it moved.  A
+    row whose full sweep moved it by exactly 0.0 leaves the active set and
+    is never evaluated again: every step of that sweep saw the row's current
+    point and left it in place, so a later sweep sees the same inputs at
+    every step and moves it by 0.0 again.  The output therefore equals that
+    of running every row through every sweep, and the whole batch still
+    goes through one shared composition of projection steps.
 
     Stops after the first full sweep whose largest displacement over the
     batch is at most ``threshold``, raising after ``max_sweeps`` with the
@@ -507,7 +507,7 @@ def _batch_sweeps(Q, X, threshold, max_sweeps, record):
                 full = np.zeros(len(out))
                 full[rows] = new - c
                 disp.append(full)
-        size = XT - start
+        size = np.subtract(XT, start, out=start)
         np.abs(size, out=size)
         size = np.maximum.reduce(size, axis=0)  # per row, the sweep's largest |d|
         if size.max(initial=0.0) <= threshold:

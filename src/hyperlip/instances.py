@@ -143,14 +143,15 @@ def random_mcshane_instance(n: int, lam: float, rng: np.random.Generator,
     samples and the matching upper bound is the inf-mode envelope of the
     same samples lifted by 1; the lift guarantees upper - lower >= 1
     everywhere, so the set has a uniformly thick interior.  Sample sites are
-    drawn from ``[-2, 2]^(n-1)``.
+    drawn from ``[-2, 2]^(n-1)`` and converted to Python floats once, so the
+    two envelopes of an axis share their coordinates.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
     lower = []
     upper = []
     for _ in range(n):
-        pts = [tuple(rng.uniform(-2.0, 2.0, n - 1)) for _ in range(samples)]
+        pts = [tuple(rng.uniform(-2.0, 2.0, n - 1).tolist()) for _ in range(samples)]
         raw = rng.uniform(-1.0, 1.0, samples)
         vals = _mcshane_repair(pts, raw, lam)
         lower.append(McShane(tuple(zip(pts, vals)), lam, "sup"))

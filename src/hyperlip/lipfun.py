@@ -106,16 +106,22 @@ __all__ = [
 BOUNDS_SLACK = 1e-12
 # bytes one block of the pairwise Lipschitz audit may hold per temporary
 _PAIR_BLOCK_BYTES = 1 << 20
-# bytes of the distance table one block of a cone family's batch kernel may
-# hold; 1 MiB blocks made the 12,000-row batch retractions ~1.8x slower
+# bytes of the tables one block of a cone family's batch kernel may hold: two
+# (R, block) tables, or a (dim * R, block) table and its distances.  1 MiB
+# blocks made the 12,000-row batch retractions ~13% faster (2-vCPU Xeon,
+# numpy 2.4), but cut the 4225-point grids of a reconstruction's check into
+# blocks, ~7% slower there
 _GRID_BLOCK_BYTES = 16 << 20
 # deepest expression a constructor builds.  The walkers (the evaluators,
 # ``bounds_of``, the JSON form) recurse, up to five Python frames per level
 # (a ``Blend`` of factor 0 at anchor ``-0.0`` lowers to three nodes), so
 # every one of them stays within the default recursion limit
 _MAX_DEPTH = 128
-# columns up to which a block of a cone family's batch kernel gathers its
-# difference table with one ``take``; above it, broadcasting is faster
+# columns up to which a block of a cone family's batch kernel over two or more
+# hat coordinates takes its difference table with one ``take``, in fewer
+# numpy calls than the coordinate fold.  Up to here the fold took 1.0-2.0x
+# the take's time at 4-16 rows, and past ~2700 columns the take was the
+# slower one by 1.3-2x; at 64 rows the fold won from ~1000 columns
 _TAKE_COLUMNS = 2000
 # rows up to which a scalar cone kernel is straight-line code, and of how
 # many shapes the code is kept.  A compile costs 1.4-3 ms at 16 rows and grows
@@ -466,31 +472,33 @@ def _cones_grid(heads, cols, hat=None):
     """Batch kernel of :func:`_cones_closure`, points as the columns of
     ``YT``; with ``hat``, an index array, the points are the rows ``hat`` of
     ``YT``, so that a caller holding whole points does not gather them
-    first.  The columns run in blocks whose difference table of ``dim * R *
-    block`` floats stays within ``_GRID_BLOCK_BYTES``; when they fit in one
-    block, as a batch engine step's usually do, the table is built once and
-    each reduction allocates its own output, otherwise each block reduces
-    into its slice of preallocated outputs.  The table has two layouts of
-    the same differences.  A block of at most ``_TAKE_COLUMNS`` columns
-    takes it as ``(dim * R, block)`` with one ``take`` of each point row
-    repeated once per centre, then subtracts a column of the centres in
-    place, which saves numpy calls on the few columns of an engine step; a
-    wider block gathers its points and broadcasts them against the centres
-    as ``(dim, R, block)``, which is faster there.  The centres are held
-    C-contiguous, so that the table is too and the reduction over ``dim``
-    reads whole ``(R, block)`` slabs; that reduction is of absolute values,
-    whose zeros are all ``+0.0``, so its order does not change a bit.  A
-    reduction over an axis of length 1 (a one-dimensional hat space, a
-    one-row family) is skipped, since it would return that element.
+    first.  The columns run in blocks whose tables stay within
+    ``_GRID_BLOCK_BYTES``; when they fit in one block, as a batch engine
+    step's usually do, each reduction allocates its own output, otherwise
+    each block reduces into its slice of preallocated outputs.
 
-    A block releases its difference table once its ``(R, block)`` distances
-    are taken; each family but the last scales a copy of them, the last
-    scales them in place.  So a block holds the difference table and the
-    distances, or the distances and one copy, never all three.  Two
-    families without blends (the bounds of a McShane set) in one block of
-    at most ``_TAKE_COLUMNS`` columns are scaled together into one ``(2, R,
-    block)`` array instead, each half reduced by its own aggregate: the same
-    operations per element, in fewer calls.
+    A block takes its ``(R, block)`` distances in one of two layouts of the
+    same operations.  It folds them coordinate by coordinate: from
+    ``|y_0 - c_0|``, each further hat row of ``YT`` is subtracted from its
+    centres into one ``(R, block)`` scratch, made absolute, and folded in by
+    ``maximum``; so a block holds two ``(R, block)`` tables, and nothing of
+    the size of ``dim * R * block``.  A block of at most ``_TAKE_COLUMNS``
+    columns in a hat space of two or more dimensions, whose ``(dim * R,
+    block)`` table and distances fit the budget, instead takes that table
+    with one ``take`` of each point row repeated once per centre, subtracts
+    a column of the centres in place and reduces it over ``dim``: fewer
+    numpy calls on the few columns of an engine step.  Either way the
+    maximum is over absolute values, whose zeros are all ``+0.0``, so the
+    layout and the order do not change a bit.
+
+    Each family but the last scales a copy of the distances, the last
+    scales them in place, so a block holds the distances and one more
+    table at a time.  Two families without blends (the bounds of a McShane
+    set) over at most ``_TAKE_COLUMNS`` columns in one block are scaled
+    together into one ``(2, R, block)`` array instead, each half reduced by
+    its own aggregate: the same operations per element, in fewer calls.  A
+    reduction over an axis of length 1 (a one-row family) is skipped, since
+    it would return that element.
 
     numpy reduces the rows of a one-column table as one 1-D run, which does
     not keep the same one of ``0.0`` and ``-0.0`` as its row-by-row
@@ -501,10 +509,12 @@ def _cones_grid(heads, cols, hat=None):
     dim, R = C.shape
     column, C = C.reshape(dim * R, 1), C[:, :, None]
     coords = np.arange(dim) if hat is None else np.asarray(hat, dtype=np.intp)
-    repeated = coords.repeat(R)             # the row of YT behind each table row
+    repeated = coords.repeat(R)             # the row of YT behind each taken row
+    first, *rest = coords.tolist()
     heads = [(slope, np.asarray(offs)[:, None], _UFUNC[agg], blends)
              for agg, slope, offs, blends in heads]
-    block = max(1, _GRID_BLOCK_BYTES // (8 * dim * R))
+    block = max(1, _GRID_BLOCK_BYTES // (16 * R))
+    take = min(_TAKE_COLUMNS, 2 * block // (dim + 1)) if dim > 1 else 0
     last = len(heads) - 1
     allocate = [None] * len(heads)
     plain = len(heads) == 2 and R > 1 and not any(blends for *_, blends in heads)
@@ -513,21 +523,27 @@ def _cones_grid(heads, cols, hat=None):
         offsets = np.stack([off for _, off, *_ in heads])                    # (2, R, 1)
         lower, upper = (ufunc for _, _, ufunc, _ in heads)
 
+    def distances(YT):
+        """The ``(R, N)`` distances from the centres to the columns of ``YT``."""
+        N = YT.shape[1]
+        if N <= take:
+            D = YT.take(repeated, axis=0)
+            D -= column
+            np.abs(D, out=D)
+            return np.maximum.reduce(D.reshape(dim, R, N), axis=0)
+        best = YT[first] - C[0]
+        np.abs(best, out=best)
+        T = np.empty_like(best) if rest else None
+        for h, c in zip(rest, C[1:]):
+            np.abs(np.subtract(YT[h], c, out=T), out=T)
+            np.maximum(best, T, out=best)
+        return best
+
     def table(YT, out):
         """Each family's values at the columns of ``YT``, reduced into its
         entry of ``out``, or into a new array where that entry is ``None``."""
-        N = YT.shape[1]
-        small = N <= _TAKE_COLUMNS
-        if small:
-            D = YT.take(repeated, axis=0)
-            D -= column
-            D = D.reshape(dim, R, N)
-        else:
-            D = (YT if hat is None else YT.take(coords, axis=0))[:, None, :] - C
-        np.abs(D, out=D)
-        best = D[0] if dim == 1 else np.maximum.reduce(D, axis=0)
-        del D
-        if small and plain and out is allocate:
+        best = distances(YT)
+        if plain and YT.shape[1] <= _TAKE_COLUMNS and out is allocate:
             V = best * slopes                   # (2, R, N)
             V += offsets
             return [lower.reduce(V[0], axis=0), upper.reduce(V[1], axis=0)]

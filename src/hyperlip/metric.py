@@ -228,16 +228,27 @@ def cone_contains(cone: ConeDescriptor, q: Sequence[float], strict: bool = False
 
 
 def hausdorff_distance(A, B) -> float:
-    """Hausdorff distance between two finite nonempty sets of points."""
+    """Hausdorff distance between two finite nonempty sets of points.
+
+    The distances are taken in blocks of rows of ``A`` of at most
+    ``_SCRATCH_BYTES`` (one row, when a row is larger), folded into a running
+    maximum of the row minima and a running minimum per point of ``B``, so
+    no ``(len(A), len(B))`` table is made.  Min and max are exact, so the
+    value does not depend on the blocks.
+    """
     pa, pb = as_points(A), as_points(B)
     if len(pa) == 0 or len(pb) == 0:
         raise ValueError("hausdorff_distance requires nonempty sets")
     if pa.shape[1] != pb.shape[1]:
         raise ValueError("dimension mismatch between the two sets")
-    diffs = sup_dists(pa, pb)
-    forward = diffs.min(axis=1).max()
-    backward = diffs.min(axis=0).max()
-    return float(max(forward, backward))
+    rows = max(1, _SCRATCH_BYTES // (8 * len(pb)))
+    forward, backward = 0.0, np.full(len(pb), math.inf)
+    for r in range(0, len(pa), rows):
+        D = sup_dists(pa[r:r + rows], pb)
+        forward = max(forward, D.min(axis=1).max())
+        np.minimum(backward, D.min(axis=0), out=backward)
+        del D                           # before the next block is made
+    return float(max(forward, backward.max()))
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,8 @@ def _point(row) -> Point:
 class ReconstructionConfig:
     """Sampled data for bound synthesis.
 
-    ``a`` scales the apex pull-back; it must stay in (0, 1/8).  Each sample
+    ``a`` scales the apex pull-back; it is read as by
+    :func:`hyperlip.metric._positive` and must stay below 1/8.  Each sample
     set is converted once, to the read-only ``(N, n)`` array (``_inside``,
     ``_outside``) that synthesis reads; ``inside`` and ``outside`` build
     tuples of point tuples from those arrays when read, for messages and
@@ -77,12 +78,12 @@ class ReconstructionConfig:
             raise ValueError("need at least one inside sample")
         if len(X) and X.shape[1] != P.shape[1]:
             raise ValueError(f"mixed sample dimensions {sorted({P.shape[1], X.shape[1]})}")
-        if not 0.0 < a < A_MAX:
+        if not (value := _positive(a, "a")) < A_MAX:
             raise ValueError(f"a must lie strictly between 0 and {A_MAX}, got {a!r}")
         X = X.reshape(len(X), P.shape[1])       # no samples: (0, n)
         P.setflags(write=False)
         X.setflags(write=False)
-        self._inside, self._outside, self.a = P, X, a
+        self._inside, self._outside, self.a = P, X, value
 
     inside = property(lambda self: tuple(map(tuple, self._inside.tolist())))
     outside = property(lambda self: tuple(map(tuple, self._outside.tolist())))
@@ -246,7 +247,7 @@ def choose_cone(x: Point, p_x: Point, eps: float, a: float) -> ConeDescriptor:
     p_x = as_point(p_x)
     if len(x) != len(p_x):
         raise ValueError("point dimensions differ")
-    eps = _positive(eps, "eps")
+    eps, a = _positive(eps, "eps"), _positive(a, "a")
     if x == p_x:
         raise ValueError("witness coincides with the exterior point")
     axis, sign, apex, ok = _cones(np.array([x]), np.array([p_x]), np.array([eps]), a)

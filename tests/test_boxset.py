@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,8 +288,8 @@ class TestPairedEvaluators:
         for Q in self._sets(n).values():
             assert Q._pairs is Q._pairs                          # built once
             XT = np.ascontiguousarray(X.T)
-            # the default, and blocks of 7 of the 40 columns
-            for block_bytes in (lipfun._GRID_BLOCK_BYTES, 8 * (n - 1) * 6 * 7):
+            # the default, and blocks of 7 of the 40 columns: two (6, 7) tables
+            for block_bytes in (lipfun._GRID_BLOCK_BYTES, 2 * 8 * 6 * 7):
                 monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
                 for i, grid in enumerate(boxset._grid_pairs(Q)):
                     H = np.delete(XT, i, axis=0)
@@ -302,8 +303,8 @@ class TestPairedEvaluators:
 
     @pytest.mark.parametrize("columns, block_columns", [
         (1, None), (2, None), (lipfun._TAKE_COLUMNS, None), (lipfun._TAKE_COLUMNS + 1, None),
-        # above one block: broadcast blocks and a last block of one column,
-        # and blocks gathered with one take each
+        # above one block: folded blocks and a last block of one column, and
+        # folded blocks of seven columns
         (2 * lipfun._TAKE_COLUMNS + 3, lipfun._TAKE_COLUMNS + 1),
         (lipfun._TAKE_COLUMNS + 1, 7),
     ])
@@ -319,7 +320,7 @@ class TestPairedEvaluators:
         X[:zeros] = np.where(rng.uniform(size=(zeros, n)) < 0.5, 0.0, -0.0)
         XT = np.ascontiguousarray(X.T)
         if block_columns is not None:
-            monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", 8 * (n - 1) * R * block_columns)
+            monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", 2 * 8 * R * block_columns)
         for name, Q in self._sets(n).items():
             for i, grid in enumerate(boxset._grid_pairs(Q)):
                 H = np.delete(XT, i, axis=0)
@@ -553,7 +554,7 @@ class TestBatchEngine:
         members = sample_members(Q, rng.uniform(-0.5, 0.5, (3, 4)))
         X = np.vstack([members, rng.uniform(-3, 3, (40, 4))])
         _assert_engine_matches_reference(Q, X, 1e-9, monkeypatch,
-                                         block_bytes=8 * 3 * 16 * columns)
+                                         block_bytes=2 * 8 * 16 * columns)
 
     def test_engine_matches_once_one_row_is_left(self, monkeypatch):
         """Members freeze after the first sweep; the one row left moves on
@@ -620,6 +621,23 @@ class TestBatchEngine:
             cyclic_retract_many(Q, X, 1e-6)
         assert str(got.value) == str(want.value) == (
             "bounds cross on axis 1 at (-0.0, 2.0, 4.8): lower=0.0 > upper=-0.3999999999999999")
+
+    def test_large_batch_memory_is_pinned(self):
+        """12,000 rows in dimension 4 on 16 samples, as the benchmark's large
+        op: the rows, their transposed copy and the sweep's start, then per
+        step two (16, 12000) tables of the kernel's fold; 5.6 MiB in all.
+        When the kernel broadcast a (3, 16, 12000) difference table and the
+        sweep's displacement took a new array, this read 8.45 MiB."""
+        rng = np.random.default_rng(7)
+        Q = random_mcshane_instance(4, 0.5, rng, samples=16)
+        X = rng.uniform(-3.0, 3.0, (12_000, 4))
+        tracemalloc.start()
+        try:
+            cyclic_retract_many(Q, X, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
     def test_every_row_meets_the_tolerance(self, rng):
         Q = random_mcshane_instance(3, 0.5, rng)

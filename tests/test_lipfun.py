@@ -596,9 +596,11 @@ def test_zero_dimensional_pairs_give_each_sides_bits():
 @pytest.mark.parametrize("dim", [1, 3])
 def test_paired_kernel_scratch_is_one_block(monkeypatch, dim):
     """A paired evaluation over 100k points allocates the two outputs and,
-    per block, one (dim, R, block) difference table, released before the
-    (R, block) distances are reduced: the families share one distance
-    table, the last one scaling it in place."""
+    per block, two ``(R, block)`` tables within the block budget: the
+    distances and the fold's scratch, or the distances and one family's
+    scaled copy, the last family scaling them in place; never a ``(dim, R,
+    block)`` table.  Beside them numpy holds its two ufunc buffers of
+    ``np.getbufsize()`` doubles."""
     monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", 1 << 20)
     rng = np.random.default_rng(4)
     R, N = 16, 100_000
@@ -608,17 +610,67 @@ def test_paired_kernel_scratch_is_one_block(monkeypatch, dim):
     upper = McShane(tuple((p, v + 1.0) for p, v in zip(sites, vals)), 0.9, "inf")
     YT = rng.uniform(-2, 2, (dim, N))
     grid = _compile_grid_pair(_pair(lower, upper))
-    block = lipfun._GRID_BLOCK_BYTES // (8 * dim * R)
     tracemalloc.start()
     try:
         lo, up = grid(YT)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    differences, distances, outputs = 8 * dim * R * block, 8 * R * block, 2 * 8 * N
-    assert peak <= differences + distances + outputs + (64 << 10)
+    assert peak <= lipfun._GRID_BLOCK_BYTES + 2 * 8 * N + 2 * 8 * np.getbufsize()
     assert lo.tobytes() == _compile_grid(lower)(YT).tobytes()
     assert up.tobytes() == _compile_grid(upper)(YT).tobytes()
+
+
+# coordinates of the fold tests: signed zeros, and magnitudes whose
+# differences overflow to inf
+FOLD_COORDS = (0.0, -0.0, 1.25, -2.5, 1e308, -1e308)
+
+
+def _fold_case(dim, columns, R=6):
+    """An axis's two bounds over ``dim`` hat coordinates, on ``R`` shared
+    sites with signed zeros and ±1e308 among their coordinates: the plain
+    envelope pair, and the pair under blends; and ``columns`` whole points
+    of ``dim + 1`` coordinates drawn the same way, as the columns of ``XT``."""
+    rng = np.random.default_rng(10 * dim + columns)
+    draw = lambda *shape: np.where(rng.uniform(size=shape) < 0.5, rng.choice(FOLD_COORDS, shape),
+                                   rng.uniform(-3.0, 3.0, shape))
+    sites = [tuple(p) for p in draw(R, dim).tolist()]
+    vals = rng.uniform(-1.0, 1.0, R).tolist()
+    lower = McShane(tuple(zip(sites, vals)), 0.5, "sup")
+    upper = McShane(tuple((p, v + 1.0) for p, v in zip(sites, vals)), 0.75, "inf")
+    pairs = [(lower, upper), (shrink(lower, 0.5, -2.0), shrink(upper, 0.25, 2.0))]
+    return pairs, np.ascontiguousarray(draw(columns, dim + 1).T)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("columns, block_columns", [
+    # one block on both sides of the take threshold, and past it
+    (lipfun._TAKE_COLUMNS, None), (lipfun._TAKE_COLUMNS + 1, None),
+    (2 * lipfun._TAKE_COLUMNS + 3, None),
+    # blocks of seven columns, and of one
+    (lipfun._TAKE_COLUMNS + 1, 7), (45, 1),
+])
+@np.errstate(over="ignore")
+def test_folded_layout_gives_the_reference_bits(dim, columns, block_columns, monkeypatch):
+    """Each family and each pair, read from whole points through a ``hat``
+    index array (every axis but the first, or but the last) or given its hat
+    points, against the broadcast reference ``_ref_compile_grid`` as bytes:
+    hat dimensions 1-4, distances that overflow to ``inf``, in blocks of the
+    default size, of seven columns and of one, at widths where a block takes
+    its table and where it folds."""
+    R = 6
+    if block_columns is not None:
+        monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", 2 * 8 * R * block_columns)
+    pairs, XT = _fold_case(dim, columns, R)
+    for pair, i in itertools.product(pairs, (0, dim)):      # the first or last axis
+        hat = np.array([j for j in range(dim + 1) if j != i], dtype=np.intp)
+        H = np.ascontiguousarray(XT[hat])
+        want = [_ref_compile_grid(side)(H).tobytes() for side in pair]
+        assert [_compile_grid(side)(H).tobytes() for side in pair] == want
+        lowered = lipfun._pair(*(side.form for side in pair))
+        assert lowered.heads is not None
+        assert [v.tobytes() for v in _compile_grid_pair(lowered)(H)] == want
+        assert [v.tobytes() for v in _compile_grid_pair(lowered, hat)(XT)] == want
 
 
 # ---------------------------------------------------------------------------

@@ -470,6 +470,35 @@ class TestHausdorff:
         backward = max(min(sup_dist(a, b) for a in A) for b in B)
         assert hausdorff_distance(A, B) == max(forward, backward)
 
+    @given(st.integers(0, 3).flatmap(lambda n: st.tuples(
+        row_lists(n, HUGE).filter(len), row_lists(n, HUGE).filter(len),
+        st.sampled_from((1, 8, 24, 100, metric._SCRATCH_BYTES)))))
+    def test_row_blocks_give_the_whole_tables_value(self, case):
+        """Row blocks of one row, of a few and of the default size give the
+        value read off the whole table, bit for bit, with ±0 coordinates and
+        distances that overflow to ``inf``."""
+        A, B, scratch_bytes = case
+        D = sup_dists(A, B)
+        want = float(max(D.min(axis=1).max(), D.min(axis=0).max()))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(metric, "_SCRATCH_BYTES", scratch_bytes)
+            got = hausdorff_distance(A, B)
+        assert type(got) is float and got.hex() == want.hex()
+
+    def test_memory_does_not_grow_with_the_table(self):
+        """6000 points against 6000, whose table would take 275 MiB: past
+        the two point arrays, one block of rows, the ``sup_dists`` scratch,
+        a running minimum per column and numpy's ufunc buffers."""
+        rng = np.random.default_rng(6)
+        A, B = rng.uniform(-1, 1, (6000, 2)), rng.uniform(-1, 1, (6000, 2))
+        tracemalloc.start()
+        try:
+            hausdorff_distance(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * metric._SCRATCH_BYTES + 2 * A.nbytes + 8 * len(B) + 2 * 8 * np.getbufsize()
+
 
 class TestMetricAxioms:
     def test_valid_matrix_passes(self, rng):
@@ -808,6 +837,8 @@ def _number_intakes():
             [(0.0, 1.0), (0.0, 1.0)], Q=Q, resolution=v)),
         "choose_cone": ("eps", "positive",
                         lambda v: reconstruct.choose_cone((1.0, 0.0), (0.0, 0.0), v, 0.1)),
+        "choose_cone a": ("a", "positive",
+                          lambda v: reconstruct.choose_cone((1.0, 0.0), (0.0, 0.0), 1.0, v)),
     }
 
 

@@ -371,6 +371,31 @@ class TestConfig:
             with pytest.raises(ValueError):
                 ReconstructionConfig(inside, outside, a=bad)
 
+    @pytest.mark.parametrize("bad", ["0.1", b"1", True, np.True_, math.nan], ids=repr)
+    def test_a_that_is_no_number_is_refused_by_the_number_reader(self, bad):
+        """A string, bytes or a boolean ``a`` is no number and a NaN is not
+        finite: the config and ``choose_cone`` refuse each with the one
+        message of ``metric._positive``, where the config raised Python's
+        ``TypeError`` on a string and ``choose_cone`` numpy's, and both read
+        a boolean as 0 or 1."""
+        calls = (lambda: ReconstructionConfig(((0.0, 0.0),), ((2.0, 0.0),), a=bad),
+                 lambda: choose_cone((1.0, 0.0), (0.0, 0.0), 1.0, bad))
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"a must be finite and positive, got {bad!r}"
+
+    def test_a_above_its_range_keeps_the_range_message(self):
+        for bad in (0.125, 0.2, np.float32(0.5), Fraction(1, 2)):
+            with pytest.raises(ValueError) as err:
+                ReconstructionConfig(((0.0, 0.0),), ((2.0, 0.0),), a=bad)
+            assert str(err.value) == f"a must lie strictly between 0 and 0.125, got {bad!r}"
+
+    def test_a_of_any_number_type_is_kept_as_a_float(self):
+        for a in (np.float32(0.0625), Fraction(1, 16), np.float64(0.0625)):
+            cfg = ReconstructionConfig(((0.0, 0.0),), ((2.0, 0.0),), a=a)
+            assert type(cfg.a) is float and cfg.a == 0.0625
+
     def test_dimension_consistency(self):
         with pytest.raises(ValueError):
             ReconstructionConfig(((0.0, 0.0), (1.0,)), ())
