@@ -64,6 +64,7 @@ from .lipfun import (
     Min,
     _compile,
     _MAX_DEPTH,
+    _SEQUENCES,
     _blend_pair,
     _box,
     _clamp_pair,
@@ -76,7 +77,8 @@ from .lipfun import (
     expr_to_obj,
     shrink,
 )
-from .metric import Point, _integer, _nonnegative, _positive, as_point, as_points, hat, sup_dists
+from .metric import (Point, _integer, _nonnegative, _positive, _real, as_point, as_points, hat,
+                     sup_dists)
 
 __all__ = [
     "BoxLipschitzSet",
@@ -526,11 +528,11 @@ def cyclic_iterate(Q: BoxLipschitzSet, x, steps: int) -> IterationTrace:
     """Run exactly ``steps`` single-coordinate projections, no stopping rule.
 
     This is the raw iteration, valid at any Lipschitz level; it is the
-    diagnostic used to watch level-1 sets stall or drift.
+    diagnostic used to watch level-1 sets stall or drift.  ``steps`` that is
+    no integer or below 0 is refused (:func:`~hyperlip.metric._integer`).
     """
     x = _point(Q, x)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    steps = _integer(steps, "steps", least=0)
     pos, disp = _scalar_sweeps(Q, x, None, None, fixed_steps=steps)
     return IterationTrace(Q.n, x, tuple(disp), tuple(pos))
 
@@ -539,14 +541,13 @@ def _threshold(Q, tol, max_sweeps):
     """The sweep stopping bound ``tol * (1 - lip_bound)`` of a cyclic
     retraction, after refusing a level of 1 or more, a ``tol`` that is not
     finite and positive (:func:`~hyperlip.metric._positive`) and a sweep
-    budget below 1."""
+    budget below 1 or no integer."""
     lam = Q.lip_bound
     if lam >= 1.0:
         raise UnsupportedSetError(
             f"cyclic retraction requires Lipschitz level < 1, set has {lam:g}")
     tol = _positive(tol, "tol")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
+    _integer(max_sweeps, "max_sweeps", least=1)
     return tol * (1.0 - lam)
 
 
@@ -635,7 +636,7 @@ def relaxation_order(span: float, tol: float) -> int:
     Refuses a ``tol`` so small that the shrink factor ``1 - 1/k`` of
     :func:`shrink_set` rounds to 1, which would leave the set at level 1.
     """
-    tol = _positive(tol, "tol")
+    tol, span = _positive(tol, "tol"), _real(span, "span")
     if span < 0:
         raise ValueError("span must be nonnegative")
     ratio = span / tol
@@ -661,23 +662,24 @@ def shrink_set(Q: BoxLipschitzSet, k: int, l, u) -> BoxLipschitzSet:
 
     The result's pairs are ``Q``'s with one more blend per side; a blend
     refuses a factor outside [0, 1], an anchor that is not finite and a
-    bound at the depth limit (:meth:`BoxLipschitzSet._made`).
+    bound at the depth limit (:meth:`BoxLipschitzSet._made`).  A ``k`` that
+    is no integer or below 1, and an anchor that is no number, are refused.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    k = _integer(k, "k", least=1)
     if not Q.all_finite:
         raise UnsupportedSetError("shrinking needs all bounds finite")
-    lows, ups = ([float(a)] * Q.n if np.isscalar(a) else [float(c) for c in a] for a in (l, u))
+    lows, ups = ([_real(c, w) for c in a] if isinstance(a, _SEQUENCES) else [_real(a, w)] * Q.n
+                 for a, w in ((l, "anchor l"), (u, "anchor u")))
     if len(lows) != Q.n or len(ups) != Q.n or any(a > b for a, b in zip(lows, ups)):
         raise ValueError(f"anchors must be one number or {Q.n} per side, with l <= u: "
                          f"got l={l!r}, u={u!r}")
-    lam_k = float(1.0 - 1.0 / k)
+    lam_k = 1.0 - 1.0 / k
 
     def bounds():
         return (tuple(shrink(b, lam_k, a) for b, a in zip(Q.lower, lows)),
                 tuple(shrink(b, lam_k, a) for b, a in zip(Q.upper, ups)))
 
-    if 0.0 <= lam_k <= 1.0 and all(map(math.isfinite, lows + ups)) and Q._depth < _MAX_DEPTH:
+    if all(map(math.isfinite, lows + ups)) and Q._depth < _MAX_DEPTH:
         # a blend's level is factor * lip, and rounding keeps the order of a max
         axes = tuple(_blend_pair(p, lam_k, a, b) for p, a, b in zip(Q._axes, lows, ups))
         return BoxLipschitzSet._made(lam_k * Q._lam, Q._depth + 1, axes, bounds)
@@ -818,15 +820,16 @@ def retract(Q: BoxLipschitzSet, X, tol: float, box=None, witness=None, *, many: 
     members of ``Q`` inside the box bit for bit.  The last run stops by the
     one-run rule, so the violation bound ``(u - l + tol)/k`` is unchanged.
     ``max_sweeps``, unless ``None`` or 0, caps the sweeps of all runs
-    together, counted on the trace, and running out of it raises.  The cap
-    is for a single point: a batch (``many``) given one at level 1 raises
-    ``ValueError`` before any run.
+    together, counted on the trace, and running out of it raises; one that
+    is no integer is refused.  The cap is for a single point: a batch
+    (``many``) given one at level 1 raises ``ValueError`` before any run.
 
     ``trace`` joins the runs' traces: one :class:`IterationTrace` for a
     point, per-row traces with ``many`` and ``record``, else ``None``.  Every
     run ends on a whole sweep, so step ``s`` still moves axis ``s % n``.
     """
     engine = partial(cyclic_retract_many, record=record) if many else cyclic_retract
+    max_sweeps = None if max_sweeps is None else _integer(max_sweeps, "max_sweeps")
     if Q.lip_bound < 1.0:
         points, trace = engine(Q, X, tol, max_sweeps or 100_000)
         return points, trace, {"strategy": "cyclic"}

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .boxset import BoxLipschitzSet, MaxSweepsExceededError, _scalar_sweeps, violation
-from .lipfun import Const, DistCone, Infinite, LipExpr, McShane, Min, _box
-from .metric import as_point, sup_dists
+from .lipfun import Const, DistCone, Infinite, LipExpr, McShane, Min, _box, _require_unit
+from .metric import _integer, _real, as_point, sup_dists
 
 __all__ = [
     "WINDOW_LIMIT",
@@ -42,10 +42,10 @@ WINDOW_LIMIT = float(2 ** 20)
 def linear_window(slope: float, intercept: float) -> LipExpr:
     """The affine map ``y -> slope * y + intercept`` on one coordinate,
     exact for every ``y <= WINDOW_LIMIT`` (a single distance cone with its
-    kink parked at the limit).  Requires ``|slope| <= 1``.
+    kink parked at the limit).  Requires ``|slope| <= 1``; a slope or
+    intercept that is no number is refused (:func:`~hyperlip.metric._real`).
     """
-    slope = float(slope)
-    intercept = float(intercept)
+    slope, intercept = _real(slope, "slope"), _real(intercept, "intercept")
     if abs(slope) > 1.0:
         raise ValueError(f"|slope| must be at most 1, got {slope!r}")
     M = WINDOW_LIMIT
@@ -144,10 +144,11 @@ def random_mcshane_instance(n: int, lam: float, rng: np.random.Generator,
     same samples lifted by 1; the lift guarantees upper - lower >= 1
     everywhere, so the set has a uniformly thick interior.  Sample sites are
     drawn from ``[-2, 2]^(n-1)`` and converted to Python floats once, so the
-    two envelopes of an axis share their coordinates.
+    two envelopes of an axis share their coordinates.  A count below 1 or
+    no integer, and a ``lam`` outside [0, 1] or no number, are refused.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
+    n, samples = _integer(n, "n", least=1), _integer(samples, "samples", least=1)
+    lam = _require_unit(lam, "lam")
     lower = []
     upper = []
     for _ in range(n):
@@ -170,6 +171,7 @@ def sample_members(Q: BoxLipschitzSet, starts, max_sweeps: int = 200_000) -> lis
     """
     if Q.lip_bound >= 1.0:
         raise ValueError("exact member sampling needs Lipschitz level < 1")
+    max_sweeps = _integer(max_sweeps, "max_sweeps", least=1)
     out = []
     for s in starts:
         s = as_point(s)

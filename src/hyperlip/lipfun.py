@@ -82,7 +82,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .metric import _first_of, _nonnegative, as_point, as_points, sup_dists
+from . import metric
+from .metric import _first_of, _nonnegative, _real, _sign, as_point, as_points, sup_dists
 
 __all__ = [
     "LipExpr",
@@ -104,8 +105,6 @@ __all__ = [
 ]
 
 BOUNDS_SLACK = 1e-12
-# bytes one block of the pairwise Lipschitz audit may hold per temporary
-_PAIR_BLOCK_BYTES = 1 << 20
 # bytes of the tables one block of a cone family's batch kernel may hold: two
 # (R, block) tables, or a (dim * R, block) table and its distances.  1 MiB
 # blocks made the 12,000-row batch retractions ~13% faster (2-vCPU Xeon,
@@ -147,22 +146,15 @@ def _depth(what, children):
     return depth
 
 
-def _number(value, what):
-    """``float(value)``, but a string is refused: ``"12"`` is no number."""
-    if isinstance(value, str):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def _require_finite(value, what):
-    v = _number(value, what)
+    v = _real(value, what)
     if not math.isfinite(v):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return v
 
 
 def _require_unit(value, what):
-    v = _number(value, what)
+    v = _real(value, what)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
     return v
@@ -206,8 +198,7 @@ class DistCone(LipExpr):
         object.__setattr__(self, "center", as_point(self.center))
         object.__setattr__(self, "offset", _require_finite(self.offset, "DistCone offset"))
         object.__setattr__(self, "scale", _require_unit(self.scale, "DistCone scale"))
-        if self.orientation not in (-1, 1):
-            raise ValueError(f"orientation must be +1 or -1, got {self.orientation!r}")
+        object.__setattr__(self, "orientation", _sign(self.orientation, "orientation"))
         object.__setattr__(self, "form", _cone_form(self.center, self.offset,
                                                     self.orientation * self.scale))
 
@@ -313,8 +304,7 @@ class Infinite(LipExpr):
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        object.__setattr__(self, "sign", _sign(self.sign, "sign"))
         object.__setattr__(self, "form", _Const(self.sign * math.inf))
 
 
@@ -807,9 +797,9 @@ def verify_lipschitz_on_grid(f: LipExpr, grid, lam: float, tol: float = 1e-12):
     if not np.isfinite(spread).all():
         raise ValueError("grid points or values are too far apart for finite differences")
     # rows i in blocks against the columns j > r, each (rows, N) temporary
-    # within _PAIR_BLOCK_BYTES.  The test is symmetric and never holds for
+    # within metric._SCRATCH_BYTES.  The test is symmetric and never holds for
     # i == j, so the first offending (i, j) in row-major order has j > i.
-    rows = max(1, _PAIR_BLOCK_BYTES // (8 * N))
+    rows = max(1, metric._SCRATCH_BYTES // (8 * N))
     for r in range(0, N - 1, rows):
         i = np.arange(r, min(r + rows, N - 1))
         d = sup_dists(Y[i], Y[r + 1:])
@@ -835,31 +825,28 @@ def shrink(f: LipExpr, factor: float, anchor: float) -> Blend:
 _SEQUENCES = (list, tuple, np.ndarray)
 
 
-def _shown(x) -> str:
-    """``x`` as JSON text, with arrays as lists."""
-    return json.dumps(x, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v))
-
-
-def _no_string(x):
-    """Refuse a string where a box holds numbers: ``float`` reads ``"1"`` as 1.0."""
-    if isinstance(x, str):
-        raise ValueError(f"a box must hold numbers, got {str(x)!r}")
-
-
 def _pairs(box) -> list:
-    """``box`` as float pairs ``(lo, hi)``.  The box and its sides may be
-    lists, tuples or arrays, and hold no string."""
+    """``box`` as float pairs ``(lo, hi)``.  The box and its sides may be lists,
+    tuples or arrays; a string, bytes or boolean in it is refused."""
+    words = (str, bytes, bool, np.bool_)
+
+    def refused(x, shape):
+        """The error for ``x``: a word is no number; anything else lacks ``shape``."""
+        if isinstance(x, words):
+            return ValueError(f"a box must hold numbers, got {str(x) if isinstance(x, str) else x!r}")
+        shown = json.dumps(x, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v))
+        return ValueError(f"{shape}, got {shown}")
+
     if not isinstance(box, _SEQUENCES):
-        _no_string(box)
-        raise ValueError(f"a box must be a list of [lo, hi] sides, got {_shown(box)}")
+        raise refused(box, "a box must be a list of [lo, hi] sides")
     pairs = []
     for i, side in enumerate(box):
         if not isinstance(side, _SEQUENCES) or len(side) != 2:
-            _no_string(side)
-            raise ValueError(f"box side {i} must be a [lo, hi] pair, got {_shown(side)}")
+            raise refused(side, f"box side {i} must be a [lo, hi] pair")
         lo, hi = side
-        if isinstance(lo, str) or isinstance(hi, str):
-            _no_string(lo if isinstance(lo, str) else hi)
+        if (type(lo) is not float or type(hi) is not float) and \
+                (isinstance(lo, words) or isinstance(hi, words)):
+            raise refused(lo if isinstance(lo, words) else hi, None)
         pairs.append((float(lo), float(hi)))
     return pairs
 

@@ -41,7 +41,8 @@ __all__ = [
 Point = tuple
 
 DEFAULT_TOL = 1e-12
-# bytes of the scratch table through which sup_dists folds coordinates
+# bytes of scratch one block may hold, read at call time here, by lipfun's
+# grid audit and by reconstruct (lipfun's batch kernels have their own)
 _SCRATCH_BYTES = 1 << 20
 
 
@@ -59,17 +60,41 @@ def _first_of(obj, kind):
     return None
 
 
-def _integer(i, what) -> int:
-    """``i`` as an ``int``: a Python or numpy integer, not a ``bool``."""
+def _real(x, what) -> float:
+    """``float(x)`` of a number taken on its own; a ``str``, ``bytes`` or
+    boolean, which ``float`` reads, is refused, as is what it cannot read."""
+    try:
+        v = float(x)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v is not x and isinstance(x, (str, bytes, bool, np.bool_)):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return v
+
+
+def _integer(i, what, least=None) -> int:
+    """``i`` as an ``int``: a Python or numpy integer, not a ``bool``, nor below ``least``."""
     if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {i!r}")
+    if least is not None and i < least:
+        raise ValueError(f"{what} must be at least {least}, got {i!r}")
     return int(i)
 
 
+def _sign(s, what) -> int:
+    """``s`` as the ``int`` 1 or -1, read by :func:`_integer`."""
+    if (v := _integer(s, what)) not in (-1, 1):
+        raise ValueError(f"{what} must be +1 or -1, got {s!r}")
+    return v
+
+
 def _nonnegative(x, what, kind="nonnegative") -> float:
-    """``x``, a tolerance, grid step or radius, as a finite float at least 0;
-    a ``str`` or ``bool`` is refused, though ``float`` reads it as a number."""
-    v = math.nan if isinstance(x, (str, bytes, bool, np.bool_)) else float(x)
+    """``x``, a tolerance, grid step or radius, read by :func:`_real` as a
+    finite float at least 0; what that refuses gets this message too."""
+    try:
+        v = _real(x, what)
+    except ValueError:
+        v = math.nan
     if not 0.0 <= v < math.inf or (v == 0.0 and kind == "positive"):
         raise ValueError(f"{what} must be finite and {kind}, got {x!r}")
     return v
@@ -83,12 +108,12 @@ def _positive(x, what) -> float:
 def as_point(coords: Sequence[float]) -> Point:
     """Coerce a coordinate sequence to a point tuple.
 
-    Rejects non-finite coordinates, and strings, which ``float`` would read
-    as numbers; the empty sequence is allowed.
+    Rejects non-finite coordinates, and strings and bytes, which ``float``
+    reads as numbers; the empty sequence is allowed.
     """
     raw = tuple(coords)
     pt = tuple(map(float, raw))
-    if pt != raw and any(map(isinstance, raw, repeat(str))):    # no string equals a float
+    if pt != raw and any(map(isinstance, raw, repeat((str, bytes)))):  # none equals a float
         raise ValueError(f"point coordinates must be numbers, got {raw!r}")
     if not all(map(math.isfinite, pt)):
         c = next(c for c in pt if not math.isfinite(c))
@@ -198,8 +223,7 @@ class ConeDescriptor:
     def __post_init__(self):
         object.__setattr__(self, "apex", as_point(self.apex))
         object.__setattr__(self, "axis", _integer(self.axis, "cone axis"))
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        object.__setattr__(self, "sign", _sign(self.sign, "sign"))
         if not 0 <= self.axis < len(self.apex):
             raise IndexError(f"axis {self.axis} out of range for apex of dimension {len(self.apex)}")
 
@@ -278,9 +302,9 @@ class MetricCheckReport:
 
 
 def _matrix(D) -> np.ndarray:
-    """``D`` as a float array; numpy reads ``"1"`` as 1.0, so strings are refused."""
+    """``D`` as a float array; numpy reads ``"1"`` and ``b"1"``, so both are refused."""
     if not (isinstance(D, np.ndarray) and D.dtype.kind in "biuf"):
-        s = _first_of(D, str)
+        s = _first_of(D, (str, bytes))
         if s is not None:
             raise ValueError(f"a metric must hold numbers, got {s!r}")
     return np.asarray(D, dtype=float)
@@ -296,7 +320,7 @@ def check_metric_axioms(D, tol: float = DEFAULT_TOL) -> MetricCheckReport:
     entries that are not finite numbers gets only one ``finite`` violation
     per such entry, of size ``inf``: the other axioms are not checked on it.
     Sums and differences too large for a float count as ``inf``.  A string
-    in ``D`` is refused, though numpy reads ``"1"`` as 1.0.
+    or bytes in ``D`` is refused, though numpy reads ``"1"`` as 1.0.
 
     The order of the violations is part of the result: first the diagonal
     entries by index; then the pairs ``i < j`` in (i, j) order, each with its

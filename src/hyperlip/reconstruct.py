@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metric
 from .boxset import BoxLipschitzSet, violation_many
 from .lipfun import Infinite, Max, Min, _cone_family
 from .metric import ConeDescriptor, Point, _nonnegative, _positive, as_point, as_points, sup_dists
@@ -39,9 +40,6 @@ __all__ = [
 ]
 
 A_MAX = 0.125
-# bytes of scratch one block may hold: the margin temporary, the overlap
-# test and the dominated-cone test are all blocked to this size
-_BLOCK_BYTES = 1 << 20
 # inside samples nearest to an exterior point whose distances bound every
 # candidate's margin score in the pruned witness search
 _ANCHORS = 8
@@ -122,17 +120,16 @@ def epsilon_many(inside, X, chunk: int = 256):
     best`` and an index above the witness's: no candidate left can then
     beat the witness or tie it with a lower index.
 
-    Rows go in blocks of at most ``chunk`` rows, as large as ``_BLOCK_BYTES``
-    allows for four ``(rows, S)`` tables, and the rows the lead leaves go
-    in sub-blocks that fit the ``(rows, anchors, S)`` bound table; the
-    result does not depend on the block sizes.  The ``(S, S)`` table of
-    inside distances is held whole.  Non-finite coordinates raise
-    ``ValueError``, and so do coordinates whose differences, doubled,
-    overflow.  So does a ``chunk`` below 1.  Both point sets are read by
-    :func:`~hyperlip.metric.as_points`.
+    Rows go in blocks of at most ``chunk`` rows, as large as
+    ``metric._SCRATCH_BYTES`` allows for four ``(rows, S)`` tables, and the
+    rows the lead leaves go in sub-blocks that fit the ``(rows, anchors,
+    S)`` bound table; the result does not depend on the block sizes.  The
+    ``(S, S)`` table of inside distances is held whole.  Non-finite
+    coordinates raise ``ValueError``, and so do coordinates whose
+    differences, doubled, overflow, and a ``chunk`` below 1 or no integer.
+    Both point sets are read by :func:`~hyperlip.metric.as_points`.
     """
-    if not chunk >= 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk!r}")
+    chunk = metric._integer(chunk, "chunk", least=1)
     P, X = as_points(inside), as_points(X)
     if X.shape[1] != P.shape[1]:
         raise ValueError(f"expected exterior shape (N, {P.shape[1]}), got {X.shape}")
@@ -146,7 +143,7 @@ def epsilon_many(inside, X, chunk: int = 256):
     if not np.isfinite(spread).all():
         raise ValueError("sample coordinates are too far apart for finite distances")
     D = sup_dists(P, P)
-    rows = min(chunk, max(1, _BLOCK_BYTES // (32 * S)))
+    rows = min(chunk, max(1, metric._SCRATCH_BYTES // (32 * S)))
     eps = np.empty(X.shape[0])
     arg = np.empty(X.shape[0], dtype=int)
     for r in range(0, X.shape[0], rows):
@@ -180,7 +177,7 @@ def _search(dx, D, eps, arg):
     arg[done] = p[done]
     rest = np.flatnonzero(~done)
     del ub, T                   # the pruned search's table takes their room
-    step = max(1, _BLOCK_BYTES // (8 * S * min(_ANCHORS, S)))
+    step = max(1, metric._SCRATCH_BYTES // (8 * S * min(_ANCHORS, S)))
     for r in range(0, rest.size, step):
         live = rest[r:r + step]
         _pruned(dx[live], D, live, eps, arg)
@@ -274,7 +271,7 @@ def _first_overlap(P, X, axis, sign, apex):
     top, bottom = P.max(axis=0), P.min(axis=0)
     reach = np.where(sign > 0, apex <= top[axis], apex >= bottom[axis])
     # about four (rows, S) temporaries per block
-    step = max(1, _BLOCK_BYTES // (32 * P.shape[0]))
+    step = max(1, metric._SCRATCH_BYTES // (32 * P.shape[0]))
     for i in range(P.shape[1]):
         rows = np.flatnonzero(reach & (axis == i))
         if not rows.size:
@@ -390,7 +387,7 @@ def _blocked_mask(C: np.ndarray, o: np.ndarray) -> np.ndarray:
     kept = order[:0]
     # each test is of at most (side, side) pairs, with about eight float
     # temporaries per pair
-    side = max(1, math.isqrt(_BLOCK_BYTES // 64))
+    side = max(1, math.isqrt(metric._SCRATCH_BYTES // 64))
     for start in range(0, o.size, side):
         J = order[start:start + side]
         for k in range(0, kept.size, side):
@@ -545,7 +542,7 @@ class _SampleMembership:
             far = ((G - self._top > tol) | (G - self._bottom < -tol)).any(axis=1)
         rows = np.flatnonzero(~far)
         out = np.zeros(G.shape[0], dtype=bool)
-        step = max(1, _BLOCK_BYTES // (8 * P.shape[0]))
+        step = max(1, metric._SCRATCH_BYTES // (8 * P.shape[0]))
         for r in range(0, rows.size, step):
             near = rows[r:r + step]
             out[near] = (sup_dists(G[near], P) <= tol).any(axis=1)

@@ -1224,11 +1224,12 @@ class TestRelaxedSets:
                     cyclic_retract_many(E, X, 1e-3)[0].tobytes()
 
     def test_refusals_are_the_blends(self):
-        """What a blend refuses, ``shrink_set`` refuses with its message."""
+        """What a blend refuses, ``shrink_set`` refuses with its message; a
+        ``k`` that is no integer is refused before any blend is made."""
         Q = vee_notch_instance()
         for k, l, message in ((7, -math.inf, "Blend anchor must be finite, got -inf"),
                               (7, math.nan, "Blend anchor must be finite, got nan"),
-                              (math.nan, -3.0, r"Blend factor must lie in \[0, 1\], got nan")):
+                              (math.nan, -3.0, "k must be an integer, got nan")):
             with pytest.raises(ValueError, match=message):
                 shrink_set(Q, k, l, 3.0)
         deep = DistCone((0.0,), 0.0, 0.5, 1)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperlip import boxset, lipfun, svgplot
+from hyperlip import boxset, lipfun, metric, svgplot
 from hyperlip.boxset import (
     BoxLipschitzSet,
     cyclic_retract,
@@ -1417,7 +1417,7 @@ class TestAudit:
         grid = [tuple(u) for u in U]
         f = DistCone((0.0,) * n, 0.0, 1.0, 1)
         if rows is not None:
-            monkeypatch.setattr(lipfun, "_PAIR_BLOCK_BYTES", 8 * len(grid) * rows)
+            monkeypatch.setattr(metric, "_SCRATCH_BYTES", 8 * len(grid) * rows)
         want = reference(f, grid, 0.5, 1e-12)
         assert (want is None) == (planted == 0)
         assert verify_lipschitz_on_grid(f, grid, 0.5, tol=1e-12) == want

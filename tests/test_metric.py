@@ -165,10 +165,11 @@ def _outcome(f, rows):
 
 def _old_as_point(coords):
     """``as_point`` as it was first written, the reference for its faster
-    form, with the refusal of strings that ``float`` reads as numbers."""
+    form, with the refusal of strings and bytes that ``float`` reads as
+    numbers."""
     raw = tuple(coords)
     pt = tuple(float(c) for c in raw)
-    if any(isinstance(c, str) for c in raw):
+    if any(isinstance(c, (str, bytes)) for c in raw):
         raise ValueError(f"point coordinates must be numbers, got {raw!r}")
     for c in pt:
         if not math.isfinite(c):
@@ -842,11 +843,76 @@ def _number_intakes():
     }
 
 
+def _moved_intakes():
+    """Every intake of a lone number or a count read by ``metric._real`` or
+    ``metric._integer``: name -> (what the message calls it, ``None`` for a
+    number or the least value of a count, a call that reads the value)."""
+    from hyperlip import boxset, instances, reconstruct
+    from hyperlip.lipfun import Blend, DistCone, McShane
+
+    Q, Q_half, x = instances.vee_notch_instance(), instances.half_rate_instance(), (3.0, -2.0)
+    rng = np.random.default_rng(0)
+    return {
+        "Const value": ("Const value", None, lambda v: Const(v)),
+        "DistCone offset": ("DistCone offset", None, lambda v: DistCone((0.0,), v, 0.5, 1)),
+        "DistCone scale": ("DistCone scale", None, lambda v: DistCone((0.0,), 0.0, v, 1)),
+        "Blend factor": ("Blend factor", None, lambda v: Blend(Const(0.0), v, 0.0)),
+        "Blend anchor": ("Blend anchor", None, lambda v: Blend(Const(0.0), 0.5, v)),
+        "McShane scale": ("McShane scale", None, lambda v: McShane((((0.0,), 0.0),), v, "inf")),
+        "McShane sample value": ("McShane sample value", None,
+                                 lambda v: McShane((((0.0,), v),), 0.5, "inf")),
+        "shrink_set l": ("anchor l", None, lambda v: boxset.shrink_set(Q, 7, v, 3.0)),
+        "shrink_set l per axis": ("anchor l", None,
+                                  lambda v: boxset.shrink_set(Q, 7, [-3.0, v], 3.0)),
+        "shrink_set u": ("anchor u", None, lambda v: boxset.shrink_set(Q, 7, -3.0, v)),
+        "relaxation_order span": ("span", None, lambda v: boxset.relaxation_order(v, 0.5)),
+        "linear_window slope": ("slope", None, lambda v: instances.linear_window(v, 0.0)),
+        "linear_window intercept": ("intercept", None,
+                                    lambda v: instances.linear_window(0.5, v)),
+        "random_mcshane_instance lam": ("lam", None,
+                                        lambda v: instances.random_mcshane_instance(2, v, rng)),
+        "shrink_set k": ("k", 1, lambda v: boxset.shrink_set(Q, v, -3.0, 3.0)),
+        "random_mcshane_instance n": ("n", 1,
+                                      lambda v: instances.random_mcshane_instance(v, 0.5, rng)),
+        "random_mcshane_instance samples": ("samples", 1, lambda v: (
+            instances.random_mcshane_instance(2, 0.5, rng, samples=v))),
+        "cyclic_iterate steps": ("steps", 0, lambda v: cyclic_iterate(Q_half, x, v)),
+        "cyclic_retract max_sweeps": ("max_sweeps", 1,
+                                      lambda v: boxset.cyclic_retract(Q_half, x, 1e-6, v)),
+        "cyclic_retract_many max_sweeps": ("max_sweeps", 1, lambda v: (
+            boxset.cyclic_retract_many(Q_half, [x], 1e-6, v))),
+        "retract max_sweeps": ("max_sweeps", 1, lambda v: (
+            boxset.retract(Q_half, x, 1e-6, many=False, max_sweeps=v))),
+        "retract at level 1 max_sweeps": ("max_sweeps", 1, lambda v: (
+            boxset.retract(Q, (0.0, -3.0), 1e-3, many=False, max_sweeps=v))),
+        "sample_members max_sweeps": ("max_sweeps", 1,
+                                      lambda v: instances.sample_members(Q_half, [x], v)),
+        "epsilon_many chunk": ("chunk", 1, lambda v: (
+            reconstruct.epsilon_many([[0.0, 0.0]], [[1.0, 1.0]], v))),
+    }
+
+
+_NO_NUMBERS = ["1", b"1", True, np.True_, None, 1 + 1j]
+
+
+def _moved_refusals(moved):
+    """``(name, value)`` for each refusal of the table: ``_NO_NUMBERS`` for
+    every intake, and for a count also ``2.5`` and ``"below"``, which stands
+    for a value below its least; a retraction's ``max_sweeps`` of ``None``
+    means no cap, so it is no refusal."""
+    return [(name, value) for name, (_, least, _) in sorted(moved.items())
+            for value in _NO_NUMBERS + ([] if least is None else [2.5, "below"])
+            if not (value is None and name.startswith("retract"))]
+
+
 class TestNumberReaders:
     """``metric._nonnegative`` and ``metric._positive`` read every
     tolerance, grid step, radius and slack of the library, with one message:
     a value that is infinite, NaN, below 0 (or 0, where it must be
-    positive), a string or a boolean is refused."""
+    positive), a string or a boolean is refused.  They read through
+    ``metric._real``, which with ``metric._integer`` reads every other lone
+    number and count: the grammar's fields, ``shrink_set``'s anchors and
+    ``k``, and every count, each refused with its own message."""
 
     INTAKES = _number_intakes()
     BAD = [math.inf, -math.inf, math.nan, -1.0, -1e-300, "1e-3", "0.5", b"1", True, False,
@@ -884,3 +950,85 @@ class TestNumberReaders:
             got = read(value, "tol")
             assert type(got) is float and got == float(value)
         assert metric._nonnegative(0, "tol") == 0.0
+
+    @pytest.mark.parametrize("name", sorted(INTAKES))
+    @pytest.mark.parametrize("value", [None, 1 + 1j], ids=repr)
+    def test_what_float_cannot_read_gets_the_same_message(self, name, value):
+        what, kind, call = self.INTAKES[name]
+        with pytest.raises(ValueError) as err:
+            call(value)
+        assert str(err.value) == f"{what} must be finite and {kind}, got {value!r}"
+
+    MOVED = _moved_intakes()
+
+    @pytest.mark.parametrize("name, value", _moved_refusals(MOVED), ids=repr)
+    def test_every_moved_intake_refuses_with_its_message(self, name, value):
+        what, least, call = self.MOVED[name]
+        if value == "below":
+            value, message = least - 2, f"{what} must be at least {least}, got {least - 2}"
+        else:
+            kind = "a number" if least is None else "an integer"
+            message = f"{what} must be {kind}, got {value!r}"
+        with pytest.raises(ValueError) as err:
+            call(value)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", sorted(MOVED))
+    def test_numbers_of_any_type_pass_every_moved_intake(self, name):
+        what, least, call = self.MOVED[name]
+        if least is None:
+            values = (0.5, np.float32(0.5), Fraction(1, 2))
+        else:
+            count = 5000 if what == "max_sweeps" else least + 2     # sweeps enough to converge
+            values = (count, np.int64(count))
+        for value in values:
+            call(value)
+
+    @pytest.mark.parametrize("name", ["DistCone", "Infinite", "ConeDescriptor"])
+    def test_a_sign_is_kept_as_the_int_one_or_minus_one(self, name):
+        from hyperlip.lipfun import DistCone
+
+        what, make = {
+            "DistCone": ("orientation", lambda s: DistCone((0.0,), 0.0, 0.5, s).orientation),
+            "Infinite": ("sign", lambda s: Infinite(s).sign),
+            "ConeDescriptor": ("sign", lambda s: ConeDescriptor((0.0,), 0, s).sign),
+        }[name]
+        for s in (1, -1, np.int64(1), np.int8(-1)):
+            got = make(s)
+            assert type(got) is int and got == s
+        for value in _NO_NUMBERS + [1.0, -1.0, np.float64(1.0)]:
+            with pytest.raises(ValueError) as err:
+                make(value)
+            assert str(err.value) == f"{what} must be an integer, got {value!r}"
+        for value in (0, 2, -2):
+            with pytest.raises(ValueError) as err:
+                make(value)
+            assert str(err.value) == f"{what} must be +1 or -1, got {value!r}"
+
+    def test_containers_refuse_bytes_and_keep_their_messages(self):
+        from hyperlip.lipfun import _box
+
+        for raw in ([b"1", 2.0], (2.0, np.bytes_(b"1"))):
+            with pytest.raises(ValueError) as err:
+                as_point(raw)
+            assert str(err.value) == f"point coordinates must be numbers, got {tuple(raw)!r}"
+        assert as_point([True, np.True_, 2]) == (1.0, 1.0, 2.0)
+        for limit in (b"0", True, np.True_, False):
+            for box in ([[limit, 1.0]], [(-1.0, 0.0), (0.0, limit)]):
+                with pytest.raises(ValueError) as err:
+                    _box(box)
+                assert str(err.value) == f"a box must hold numbers, got {limit!r}"
+        for one in (b"1", np.bytes_(b"1")):
+            for read in (check_metric_axioms, FiniteMetricSpace):
+                with pytest.raises(ValueError) as err:
+                    read([[0.0, one], [1.0, 0.0]])
+                assert str(err.value) == f"a metric must hold numbers, got {one!r}"
+        assert check_metric_axioms([[False, True], [True, False]]).ok
+
+    def test_real_reads_every_number_as_a_python_float(self):
+        for value in (2, np.float32(0.5), np.int8(3), Fraction(1, 4), Decimal("0.5"), math.inf,
+                      -0.0):
+            got = metric._real(value, "x")
+            assert type(got) is float and repr(got) == repr(float(value))
+        with pytest.raises(OverflowError):
+            metric._real(10 ** 400, "x")

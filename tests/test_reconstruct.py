@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperlip import reconstruct
+from hyperlip import metric, reconstruct
 from hyperlip.boxset import BoxLipschitzSet, set_to_obj, violation, violation_many
 from hyperlip.lipfun import DistCone, Infinite, Max, Min, expr_to_obj
 from hyperlip.metric import ConeDescriptor, cone_contains, hat, sup_dists
@@ -145,7 +145,7 @@ def _cone_groups(draw):
         slack = draw(st.sampled_from((0.0, 0.25, -0.25)))
         d = max(abs(a - b) for a, b in zip(c, base.center))
         cones.append(DistCone(c, base.offset + sign * (d + slack), 1.0, sign))
-    return cones, sign, draw(st.sampled_from((64, 256, 1024, reconstruct._BLOCK_BYTES)))
+    return cones, sign, draw(st.sampled_from((64, 256, 1024, metric._SCRATCH_BYTES)))
 
 
 # cluster bases of the hat-dimension-1 groups: small, both sides of the
@@ -713,7 +713,7 @@ class TestArrayPasses:
         C = np.array([c.center for c in cones], dtype=float).reshape(len(cones), -1)
         o = np.array([c.offset for c in cones])
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(reconstruct, "_BLOCK_BYTES", block_bytes)
+            m.setattr(metric, "_SCRATCH_BYTES", block_bytes)
             keep = reconstruct._blocked_mask(C, sign * o)
         want = {id(c) for c in _exact_nondominated(cones, sign)}
         assert keep.tolist() == [id(c) in want for c in cones]
@@ -860,7 +860,7 @@ class TestArrayPasses:
             return search(dx, *args)
 
         monkeypatch.setattr(reconstruct, "_search", spy)
-        monkeypatch.setattr(reconstruct, "_BLOCK_BYTES", 32 * len(inside) * rows)
+        monkeypatch.setattr(metric, "_SCRATCH_BYTES", 32 * len(inside) * rows)
         block_eps, block_arg = epsilon_many(inside, outside)
         assert seen == [(min(rows, len(outside) - r), len(inside))
                         for r in range(0, len(outside), rows)]
@@ -931,7 +931,7 @@ class TestPrunedSearch:
         """One row per block, in the lead step and in the pruned search."""
         inside = rng.normal(size=(40, 3))
         outside = rng.normal(scale=2.0, size=(60, 3))
-        monkeypatch.setattr(reconstruct, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(metric, "_SCRATCH_BYTES", 1)
         fallback = _spy_fallback(monkeypatch)
         _assert_reference_margins(inside, outside)
         assert fallback and set(fallback) == {1}
@@ -948,7 +948,7 @@ class TestPrunedSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 300 ** 2 + 2 * reconstruct._BLOCK_BYTES
+        assert peak < 8 * 300 ** 2 + 2 * metric._SCRATCH_BYTES
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_integer_lattice_with_duplicate_samples(self, n, rng):
