@@ -668,8 +668,8 @@ def shrink_set(Q: BoxLipschitzSet, k: int, l, u) -> BoxLipschitzSet:
     k = _integer(k, "k", least=1)
     if not Q.all_finite:
         raise UnsupportedSetError("shrinking needs all bounds finite")
-    lows, ups = ([_real(c, w) for c in a] if isinstance(a, _SEQUENCES) else [_real(a, w)] * Q.n
-                 for a, w in ((l, "anchor l"), (u, "anchor u")))
+    lows, ups = ([c if type(c) is float else _real(c, w) for c in a] if isinstance(a, _SEQUENCES)
+                 else [_real(a, w)] * Q.n for a, w in ((l, "anchor l"), (u, "anchor u")))
     if len(lows) != Q.n or len(ups) != Q.n or any(a > b for a, b in zip(lows, ups)):
         raise ValueError(f"anchors must be one number or {Q.n} per side, with l <= u: "
                          f"got l={l!r}, u={u!r}")

@@ -83,7 +83,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import metric
-from .metric import _first_of, _nonnegative, _real, _sign, as_point, as_points, sup_dists
+from .metric import _WORDS, _first_of, _nonnegative, _real, _sign, as_point, as_points, sup_dists
 
 __all__ = [
     "LipExpr",
@@ -825,28 +825,28 @@ def shrink(f: LipExpr, factor: float, anchor: float) -> Blend:
 _SEQUENCES = (list, tuple, np.ndarray)
 
 
+def _refused(x, shape) -> ValueError:
+    """The error for a part ``x`` of a box that breaks ``shape``, shown as JSON
+    text with arrays as lists; a string, bytes or boolean is no number."""
+    if isinstance(x, _WORDS):
+        return ValueError(f"a box must hold numbers, got {str(x) if isinstance(x, str) else x!r}")
+    shown = json.dumps(x, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v))
+    return ValueError(f"{shape}, got {shown}")
+
+
 def _pairs(box) -> list:
     """``box`` as float pairs ``(lo, hi)``.  The box and its sides may be lists,
     tuples or arrays; a string, bytes or boolean in it is refused."""
-    words = (str, bytes, bool, np.bool_)
-
-    def refused(x, shape):
-        """The error for ``x``: a word is no number; anything else lacks ``shape``."""
-        if isinstance(x, words):
-            return ValueError(f"a box must hold numbers, got {str(x) if isinstance(x, str) else x!r}")
-        shown = json.dumps(x, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v))
-        return ValueError(f"{shape}, got {shown}")
-
     if not isinstance(box, _SEQUENCES):
-        raise refused(box, "a box must be a list of [lo, hi] sides")
+        raise _refused(box, "a box must be a list of [lo, hi] sides")
     pairs = []
     for i, side in enumerate(box):
         if not isinstance(side, _SEQUENCES) or len(side) != 2:
-            raise refused(side, f"box side {i} must be a [lo, hi] pair")
+            raise _refused(side, f"box side {i} must be a [lo, hi] pair")
         lo, hi = side
         if (type(lo) is not float or type(hi) is not float) and \
-                (isinstance(lo, words) or isinstance(hi, words)):
-            raise refused(lo if isinstance(lo, words) else hi, None)
+                (isinstance(lo, _WORDS) or isinstance(hi, _WORDS)):
+            raise _refused(lo if isinstance(lo, _WORDS) else hi, f"box side {i} must hold numbers")
         pairs.append((float(lo), float(hi)))
     return pairs
 

@@ -41,9 +41,9 @@ __all__ = [
 Point = tuple
 
 DEFAULT_TOL = 1e-12
-# bytes of scratch one block may hold, read at call time here, by lipfun's
-# grid audit and by reconstruct (lipfun's batch kernels have their own)
+# bytes of scratch one block may hold, here, in lipfun's grid audit and in reconstruct
 _SCRATCH_BYTES = 1 << 20
+_WORDS = (str, bytes, bool, np.bool_)     # what float reads, though none is a number
 
 
 def _first_of(obj, kind):
@@ -61,15 +61,14 @@ def _first_of(obj, kind):
 
 
 def _real(x, what) -> float:
-    """``float(x)`` of a number taken on its own; a ``str``, ``bytes`` or
-    boolean, which ``float`` reads, is refused, as is what it cannot read."""
+    """``float(x)`` of a number taken on its own; one of ``_WORDS``, and what
+    ``float`` cannot read, is refused."""
     try:
-        v = float(x)
+        if (v := float(x)) is x or not isinstance(x, _WORDS):
+            return v
     except (TypeError, ValueError):
-        v = None
-    if v is None or v is not x and isinstance(x, (str, bytes, bool, np.bool_)):
-        raise ValueError(f"{what} must be a number, got {x!r}")
-    return v
+        pass
+    raise ValueError(f"{what} must be a number, got {x!r}")
 
 
 def _integer(i, what, least=None) -> int:
@@ -89,12 +88,9 @@ def _sign(s, what) -> int:
 
 
 def _nonnegative(x, what, kind="nonnegative") -> float:
-    """``x``, a tolerance, grid step or radius, read by :func:`_real` as a
-    finite float at least 0; what that refuses gets this message too."""
-    try:
-        v = _real(x, what)
-    except ValueError:
-        v = math.nan
+    """``x``, a tolerance, grid step or radius, as a finite float at least 0,
+    read by :func:`_real`; one of ``_WORDS`` gets this message too."""
+    v = math.nan if isinstance(x, _WORDS) else _real(x, what)
     if not 0.0 <= v < math.inf or (v == 0.0 and kind == "positive"):
         raise ValueError(f"{what} must be finite and {kind}, got {x!r}")
     return v

@@ -1225,13 +1225,17 @@ class TestRelaxedSets:
 
     def test_refusals_are_the_blends(self):
         """What a blend refuses, ``shrink_set`` refuses with its message; a
-        ``k`` that is no integer is refused before any blend is made."""
+        ``k`` that is no integer is refused before any blend is made, so the
+        blend's refusal of a NaN factor is asserted on the blend itself."""
         Q = vee_notch_instance()
         for k, l, message in ((7, -math.inf, "Blend anchor must be finite, got -inf"),
                               (7, math.nan, "Blend anchor must be finite, got nan"),
                               (math.nan, -3.0, "k must be an integer, got nan")):
             with pytest.raises(ValueError, match=message):
                 shrink_set(Q, k, l, 3.0)
+        with pytest.raises(ValueError) as err:
+            Blend(Const(0.0), math.nan, 0.0)
+        assert str(err.value) == "Blend factor must lie in [0, 1], got nan"
         deep = DistCone((0.0,), 0.0, 0.5, 1)
         while deep.depth < lipfun._MAX_DEPTH:
             deep = Min(deep)

@@ -910,7 +910,8 @@ class TestNumberReaders:
     tolerance, grid step, radius and slack of the library, with one message:
     a value that is infinite, NaN, below 0 (or 0, where it must be
     positive), a string or a boolean is refused.  They read through
-    ``metric._real``, which with ``metric._integer`` reads every other lone
+    ``metric._real``, whose own message is given to what ``float`` cannot
+    read, and which with ``metric._integer`` reads every other lone
     number and count: the grammar's fields, ``shrink_set``'s anchors and
     ``k``, and every count, each refused with its own message."""
 
@@ -953,11 +954,11 @@ class TestNumberReaders:
 
     @pytest.mark.parametrize("name", sorted(INTAKES))
     @pytest.mark.parametrize("value", [None, 1 + 1j], ids=repr)
-    def test_what_float_cannot_read_gets_the_same_message(self, name, value):
-        what, kind, call = self.INTAKES[name]
+    def test_what_float_cannot_read_gets_the_number_message(self, name, value):
+        what, _, call = self.INTAKES[name]
         with pytest.raises(ValueError) as err:
             call(value)
-        assert str(err.value) == f"{what} must be finite and {kind}, got {value!r}"
+        assert str(err.value) == f"{what} must be a number, got {value!r}"
 
     MOVED = _moved_intakes()
 
