@@ -394,19 +394,30 @@ def violation(Q: BoxLipschitzSet, x) -> float:
 
 
 def violation_many(Q: BoxLipschitzSet, X) -> np.ndarray:
-    """Vectorized :func:`violation` over the rows of ``X``."""
+    """Vectorized :func:`violation` over the rows of ``X``, with its bits.
+
+    A planar set's axis reads its bounds once per distinct value of its hat
+    column (``np.unique``) and gathers them back to the rows; a bound reads it
+    only via ``|y - c|``, so ``0.0`` and ``-0.0`` share one evaluation.  The
+    grids of ``verify_reconstruction`` and ``render_scene`` take this path.
+    Wider hat spaces read every row: exact dedup is a multi-key sort there (``np.lexsort``
+    of 12 000 x 3: 3.1 ms); sorting only on repeats made a 12 000-row check 3-4x slower."""
     X = _rows(Q, X)
     worst = np.zeros(X.shape[0])
     for i in range(Q.n):
-        H = np.delete(X, i, axis=1)
-        lo, up = eval_grid(Q.lower[i], H), eval_grid(Q.upper[i], H)
+        if Q.n == 2:
+            H, back = np.unique(X[:, 1 - i], return_inverse=True)
+            H = H[:, None]
+        else:
+            H, back = np.delete(X, i, axis=1), slice(None)
+        lo, up = eval_grid(Q.lower[i], H)[back], eval_grid(Q.upper[i], H)[back]
         crossed = lo > up
         if crossed.any():
             j = int(np.argmax(crossed))
             raise _crossed(i, X[j], lo[j], up[j])
         np.maximum(worst, lo - X[:, i], out=worst)
         np.maximum(worst, X[:, i] - up, out=worst)
-    return worst
+    return worst + 0.0      # np.maximum(0.0, -0.0) is -0.0; violation's max keeps 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,10 @@ _ROWS_IN_FLIGHT = 100_000
 
 
 def _columns(X, f):
-    """``f`` as one candidate: an ``(m, 1)`` table of one-element columns."""
-    vals = [float(v) for v in f]
-    if len(vals) != X.size:
-        raise ValueError(f"need {X.size} values, got {len(vals)}")
-    return np.array(vals)[:, None]
+    """The floats ``f`` as one candidate: an ``(m, 1)`` table of one-element columns."""
+    if len(f) != X.size:
+        raise ValueError(f"need {X.size} values, got {len(f)}")
+    return np.array(f)[:, None]
 
 
 @np.errstate(over="ignore")     # a sum past the largest float reads +inf

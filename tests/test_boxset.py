@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperlip import boxset, lipfun
 from hyperlip.boxset import (
@@ -59,6 +60,7 @@ from hyperlip.lipfun import (
     eval_grid,
 )
 from hyperlip.metric import sup_dist, sup_dists
+from hyperlip.reconstruct import ReconstructionConfig, synthesize_bounds
 
 
 def _all_rows_sweeps(Q, X, threshold, max_sweeps, record):
@@ -180,6 +182,22 @@ class TestConstruction:
         assert not diagonal_halfspace_instance().all_finite
 
 
+def _planar_sets():
+    """Planar sets of every kind of bound: McShane envelopes, a vee under a
+    cap, a half-space with infinite bounds, and a synthesized set."""
+    side = [i / 4 for i in range(-4, 13)]
+    grid = [(x, y) for x in side for y in side]
+    inside = [p for p in grid if 0.0 <= p[0] <= 2.0 and 0.0 <= p[1] <= 2.0]
+    outside = [p for p in grid if p not in inside]
+    return (random_mcshane_instance(2, 0.5, np.random.default_rng(3)),
+            random_mcshane_instance(2, 1.0, np.random.default_rng(4), samples=16),
+            vee_notch_instance(), diagonal_halfspace_instance(),
+            synthesize_bounds(ReconstructionConfig(inside, outside, a=0.1)))
+
+
+_PLANAR_SETS = _planar_sets()
+
+
 class TestViolation:
     def test_members_have_zero_violation(self):
         Q = box_instance([(0.0, 1.0), (0.0, 1.0)])
@@ -216,6 +234,53 @@ class TestViolation:
         Q = box_instance([(0.0, 1.0)])
         with pytest.raises(ValueError):
             violation(Q, (0.0, 0.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_planar_batch_has_the_scalar_bytes(self, data):
+        """A planar set reads each distinct hat value once: rows drawn from a
+        few values, so that hat values and whole rows repeat, with ``0.0``
+        and ``-0.0`` in one column and coordinates of ±1e300.  A member reads
+        ``+0.0`` on both paths, also where a deficit is ``-0.0`` (the
+        half-space at ``(0.0, -0.0)``), which ``np.maximum`` would keep."""
+        Q = data.draw(st.sampled_from(_PLANAR_SETS))
+        value = st.sampled_from((0.0, -0.0, 0.5, -1.25, 2.0, 3.5, 1e300, -1e300))
+        X = data.draw(st.lists(st.tuples(value, value), max_size=30))
+        X += data.draw(st.lists(st.sampled_from(X), max_size=5)) if X else []
+        batch = violation_many(Q, np.array(X).reshape(len(X), 2))
+        assert batch.tobytes() == np.array([violation(Q, x) for x in X]).tobytes()
+
+    def test_first_crossing_row_is_named_in_the_order_of_the_rows(self):
+        """Axis 1's bounds cross only where ``|x0| < 0.5``; the crossing rows
+        are not in sorted order of their hat values, and the error names the
+        first of them in ``X``, with the message of the scalar check."""
+        Q = BoxLipschitzSet([Const(-3.0), Const(0.0)],
+                            [Const(3.0), DistCone((0.0,), -0.5, 1.0, 1)])
+        X = [(2.0, 0.0), (0.25, 0.0), (-0.25, 1.0), (0.0, -1.0), (0.25, 0.0)]
+        with pytest.raises(InconsistentBoundsError) as one:
+            violation(Q, X[1])
+        with pytest.raises(InconsistentBoundsError) as many:
+            violation_many(Q, X)
+        assert str(many.value) == str(one.value) == \
+            "bounds cross on axis 1 at (0.25, 0.0): lower=0.0 > upper=-0.25"
+        assert violation_many(Q, [X[0], (-0.5, 0.0)]).tolist() == [0.0, 0.0]
+
+    def test_planar_grid_reads_each_bound_at_its_distinct_hat_values(self, rng, monkeypatch):
+        """On a 65 x 65 grid each bound is passed 65 rows, not 4225."""
+        Q = random_mcshane_instance(2, 0.5, rng)
+        side = np.linspace(-1.0, 3.0, 65)
+        G = np.array([(x, y) for x in side for y in side])
+        rows = []
+        grid = boxset.eval_grid
+
+        def spy(f, H):
+            rows.append(H.shape)
+            return grid(f, H)
+
+        monkeypatch.setattr(boxset, "eval_grid", spy)
+        got = violation_many(Q, G)
+        assert rows == [(65, 1)] * 4
+        assert got.tobytes() == np.array([violation(Q, g) for g in G]).tobytes()
 
 
 class TestPointSetIntake:

@@ -588,6 +588,24 @@ class TestVerification:
         assert report == verify_reconstruction(truth, Q, every)
         assert report.ok and report.checked == len(every)
 
+    def test_square16_check_builds_no_grid_wide_bound_table(self):
+        """The benchmark's square at step 1/16: a bound is read at the 65
+        distinct hat values of its axis, so no ``(cones, 4225)`` table is
+        built (the largest bound's alone is 65 x 4225 floats, 2.2 MB).  The
+        traced peak measured 1.62 MB, against 2.53 MB evaluating every row."""
+        inside, outside, grid = _bench_grid(16, _square_shape(16))
+        Q = synthesize_bounds(ReconstructionConfig(inside, outside, a=0.1))
+        oracle = membership_from_samples(inside)
+        report = verify_reconstruction(oracle, Q, grid)     # compiles the kernels
+        tracemalloc.start()
+        try:
+            assert verify_reconstruction(oracle, Q, grid) == report
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.checked == len(grid)
+        assert peak < 2_000_000
+
 
 class TestPointSetIntake:
     """Samples, exterior rows, grids and oracle queries are all read by
