@@ -41,10 +41,12 @@ kinds, each with its scalar closure (for :func:`_compile`), batch closure
 
 Every row does the float operations of its grammar node's definition and
 every reduction sees the same operands in the same order, so the values are
-those of evaluating the grammar node by node, bit for bit.  That is why a
-family with more than one row is not merged into its parent: numpy's 1-D
-min/max over more than 8 values does not choose between ``0.0`` and ``-0.0``
-by position.
+those of evaluating the grammar node by node, bit for bit, but for ties: a
+scalar ``min``/``max`` keeps the first of tied terms, as Python's does, and a
+batch one the second, as numpy's does, so at a tie of ``0.0`` and ``-0.0``
+the two evaluators may keep different zeros.  A family with more than one
+row is not merged into its parent: numpy's 1-D min/max over more than 8
+values does not choose between ``0.0`` and ``-0.0`` by position.
 
 A set's axis reads its two bounds at the same hat point, so the pair
 ``(lower_i, upper_i)`` lowers as one unit, a :class:`_Pair`, which
@@ -105,12 +107,6 @@ __all__ = [
 ]
 
 BOUNDS_SLACK = 1e-12
-# bytes of the tables one block of a cone family's batch kernel may hold: two
-# (R, block) tables, or a (dim * R, block) table and its distances.  1 MiB
-# blocks made the 12,000-row batch retractions ~13% faster (2-vCPU Xeon,
-# numpy 2.4), but cut the 4225-point grids of a reconstruction's check into
-# blocks, ~7% slower there
-_GRID_BLOCK_BYTES = 16 << 20
 # deepest expression a constructor builds.  The walkers (the evaluators,
 # ``bounds_of``, the JSON form) recurse, up to five Python frames per level
 # (a ``Blend`` of factor 0 at anchor ``-0.0`` lowers to three nodes), so
@@ -462,10 +458,11 @@ def _cones_grid(heads, cols, hat=None):
     """Batch kernel of :func:`_cones_closure`, points as the columns of
     ``YT``; with ``hat``, an index array, the points are the rows ``hat`` of
     ``YT``, so that a caller holding whole points does not gather them
-    first.  The columns run in blocks whose tables stay within
-    ``_GRID_BLOCK_BYTES``; when they fit in one block, as a batch engine
-    step's usually do, each reduction allocates its own output, otherwise
-    each block reduces into its slice of preallocated outputs.
+    first.  The columns run in blocks of two ``(R, block)`` tables (4096
+    columns at 16 rows) within ``metric._SCRATCH_BYTES``, read when the
+    kernel is built; when they fit in one block each reduction allocates
+    its own output, otherwise, as in an engine step over more columns, each
+    block reduces into its slice of preallocated outputs.
 
     A block takes its ``(R, block)`` distances in one of two layouts of the
     same operations.  It folds them coordinate by coordinate: from
@@ -503,7 +500,7 @@ def _cones_grid(heads, cols, hat=None):
     first, *rest = coords.tolist()
     heads = [(slope, np.asarray(offs)[:, None], _UFUNC[agg], blends)
              for agg, slope, offs, blends in heads]
-    block = max(1, _GRID_BLOCK_BYTES // (16 * R))
+    block = max(1, metric._SCRATCH_BYTES // (16 * R))
     take = min(_TAKE_COLUMNS, 2 * block // (dim + 1)) if dim > 1 else 0
     last = len(heads) - 1
     allocate = [None] * len(heads)
@@ -720,8 +717,8 @@ def _compile(f: LipExpr) -> Callable:
 def _compile_grid(f: LipExpr) -> Callable:
     """Build a batch evaluator of one expression: points as the columns of a
     ``(dim, N)`` array in, their ``N`` values out, equal to :func:`_compile`'s
-    bit for bit.  The batch engine reads an axis's two bounds through
-    :func:`_compile_grid_pair`."""
+    values, with its bits wherever a value is not a zero.  The batch engine
+    reads an axis's two bounds through :func:`_compile_grid_pair`."""
     return f.form.grid()
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperlip import boxset, lipfun
+from hyperlip import boxset, lipfun, metric
 from hyperlip.boxset import (
     BoxLipschitzSet,
     DivergenceDetectedError,
@@ -108,7 +108,7 @@ def _assert_engine_matches_reference(Q, X, tol, monkeypatch, block_bytes=None):
         want, want_traces = cyclic_retract_many(Q, X, tol, record=True)
     with monkeypatch.context() as m:
         if block_bytes is not None:
-            m.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
+            m.setattr(metric, "_SCRATCH_BYTES", block_bytes)
         got, traces = cyclic_retract_many(Q, X, tol, record=True)
     assert got.tobytes() == want.tobytes()
     D = np.array([t.displacements for t in traces])
@@ -350,12 +350,13 @@ class TestPairedEvaluators:
         X = rng.uniform(-3.0, 3.0, (40, n))
         X[:5] = np.where(rng.uniform(size=(5, n)) < 0.5, 0.0, -0.0)
         hexes = lambda values: [float(v).hex() for v in values]
+        default = metric._SCRATCH_BYTES
         for Q in self._sets(n).values():
             assert Q._pairs is Q._pairs                          # built once
             XT = np.ascontiguousarray(X.T)
             # the default, and blocks of 7 of the 40 columns: two (6, 7) tables
-            for block_bytes in (lipfun._GRID_BLOCK_BYTES, 2 * 8 * 6 * 7):
-                monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
+            for block_bytes in (default, 2 * 8 * 6 * 7):
+                monkeypatch.setattr(metric, "_SCRATCH_BYTES", block_bytes)
                 for i, grid in enumerate(boxset._grid_pairs(Q)):
                     H = np.delete(XT, i, axis=0)
                     for got, bound in zip(grid(XT), (Q.lower[i], Q.upper[i])):
@@ -385,7 +386,7 @@ class TestPairedEvaluators:
         X[:zeros] = np.where(rng.uniform(size=(zeros, n)) < 0.5, 0.0, -0.0)
         XT = np.ascontiguousarray(X.T)
         if block_columns is not None:
-            monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", 2 * 8 * R * block_columns)
+            monkeypatch.setattr(metric, "_SCRATCH_BYTES", 2 * 8 * R * block_columns)
         for name, Q in self._sets(n).items():
             for i, grid in enumerate(boxset._grid_pairs(Q)):
                 H = np.delete(XT, i, axis=0)
@@ -690,9 +691,11 @@ class TestBatchEngine:
     def test_large_batch_memory_is_pinned(self):
         """12,000 rows in dimension 4 on 16 samples, as the benchmark's large
         op: the rows, their transposed copy and the sweep's start, then per
-        step two (16, 12000) tables of the kernel's fold; 5.6 MiB in all.
-        When the kernel broadcast a (3, 16, 12000) difference table and the
-        sweep's displacement took a new array, this read 8.45 MiB."""
+        step the kernel's fold in blocks of two (16, 4096) tables, within
+        the 1 MiB scratch budget; 3.86 MiB in all.  With one (16, 12000)
+        block (a 16 MiB kernel budget) this read 5.6 MiB, and when the
+        kernel broadcast a (3, 16, 12000) difference table and the sweep's
+        displacement took a new array, 8.45 MiB."""
         rng = np.random.default_rng(7)
         Q = random_mcshane_instance(4, 0.5, rng, samples=16)
         X = rng.uniform(-3.0, 3.0, (12_000, 4))
@@ -702,7 +705,7 @@ class TestBatchEngine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 << 20
+        assert peak < 4.5 * (1 << 20)
 
     def test_every_row_meets_the_tolerance(self, rng):
         Q = random_mcshane_instance(3, 0.5, rng)
@@ -1568,6 +1571,24 @@ class TestZeroSignsOfBounds:
         out.append(points.tobytes())
         out += [np.array(t.displacements).tobytes() for t in traces]
         return out
+
+    def test_the_engines_and_checks_agree_at_a_tie_of_zeros(self):
+        """The lower bound of axis 1 is ``-0.0`` in scalar and ``0.0`` in
+        batch at ``x_0 = 0`` (a tie of ``-0.0`` and ``0.0``).  From starts of
+        signed zeros on it and below it both engines give the same bytes, and
+        so do ``violation`` and ``violation_many``."""
+        f = McShane((((0.0,), -0.0), ((2.0,), 1.0)), 0.5, "sup")
+        Q = BoxLipschitzSet([Const(-5.0), f], [Const(5.0), Const(5.0)])
+        rows = [(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0, -1.0)]
+        scalar = [cyclic_retract(Q, x, 1e-9) for x in rows]
+        assert np.array([p for p, _ in scalar]).tobytes() == \
+            cyclic_retract_many(Q, rows, 1e-9)[0].tobytes()
+        for x, (point, trace) in zip(rows, scalar):
+            points, traces = cyclic_retract_many(Q, [x], 1e-9, record=True)
+            assert (np.array(point).tobytes(), np.array(trace.displacements).tobytes()) == \
+                (points[0].tobytes(), np.array(traces[0].displacements).tobytes())
+        assert np.array([violation(Q, x) for x in rows]).tobytes() == \
+            violation_many(Q, rows).tobytes()
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_flipped_zero_bounds_leave_the_bytes(self, monkeypatch, seed):

@@ -264,6 +264,14 @@ def _hex(values):
 
 VALUES = (-1.25, -0.0, 0.0, 2.5)
 BOXES = ([(-0.0, 0.0)] * 3, [(-2.5, 1.25)] * 3, [(-2.5, -0.0), (0.0, 1.25), (-1.25, 2.5)])
+# at y = 0 the two samples tie at -0.0 and 0.0: Python's max keeps the first
+# of tied terms, so the scalar value is -0.0, and numpy's the second, 0.0
+TIE = McShane((((0.0,), -0.0), ((2.0,), 1.0)), 0.5, "sup")
+
+
+def test_a_tie_of_zeros_keeps_the_first_in_scalar_and_the_second_in_batch():
+    assert _compile(TIE)((0.0,)).hex() == "-0x0.0p+0"
+    assert eval_grid(TIE, [[0.0]])[0].hex() == "0x0.0p+0"
 
 
 @st.composite
@@ -288,22 +296,28 @@ def _signed_exprs(draw):
 @example((1, Max(DistCone((0.0,), 0.0, 0.0, -1),
                  McShane(tuple(((float(i),), 0.0) for i in range(7)) + (((7.0,), -0.0),),
                          0.0, "sup"))))
+@example((1, TIE))
 def test_evaluators_match_the_per_node_reference(case):
     """Scalar and batch values and bounds_of, compared as float bits (so
     ``0.0`` against ``-0.0`` counts), at points and boxes with signed zeros;
     the batch closure also at a single column, where numpy reduces in 1-D,
-    and with a family's columns cut into blocks of one and of a few."""
+    and with a family's columns cut into blocks of one and of a few.  The
+    two evaluators give equal values, with equal bits wherever the value is
+    not a zero."""
     dim, f = case
     Y = list(itertools.product(VALUES, repeat=dim))
     scalar, ref = _compile(f), _ref_compile(f)
     assert _hex(scalar(y) for y in Y) == _hex(ref(y) for y in Y)
     YT = np.ascontiguousarray(np.asarray(Y, dtype=float).reshape(len(Y), dim).T)
     grid, ref_grid = _compile_grid(f), _ref_compile_grid(f)
+    values, batch = [scalar(y) for y in Y], grid(YT).tolist()
+    assert batch == values
+    assert _hex(v for v in batch if v) == _hex(v for v in values if v)
     for cols in (YT, YT[:, :1].copy()):
         assert grid(cols).tobytes() == ref_grid(cols).tobytes()
     for block_bytes in (1, 56):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
+            mp.setattr(metric, "_SCRATCH_BYTES", block_bytes)
             assert _compile_grid(f)(YT).tobytes() == ref_grid(YT).tobytes()
     for box in BOXES:
         lo, hi = _ref_interval(f, box[:dim])
@@ -314,7 +328,7 @@ def test_evaluators_match_the_per_node_reference(case):
 def test_family_kernel_scratch_is_capped(monkeypatch):
     """A family of R cones over N points never holds its whole (dim, R, N)
     distance table: numpy's allocations stay within a few blocks."""
-    monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", 1 << 20)
+    monkeypatch.setattr(metric, "_SCRATCH_BYTES", 1 << 20)
     rng = np.random.default_rng(3)
     dim, R, N = 3, 100, 10_000                   # table: 24 MB, 24 blocks
     f = McShane(tuple((tuple(rng.uniform(-1, 1, dim)), float(rng.uniform()))
@@ -327,7 +341,7 @@ def test_family_kernel_scratch_is_capped(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * lipfun._GRID_BLOCK_BYTES
+    assert peak < 3 * metric._SCRATCH_BYTES
     assert got.tobytes() == _ref_compile_grid(f)(YT).tobytes()
 
 
@@ -350,7 +364,7 @@ def _assert_pair_matches_sides(lower, upper, Y):
     for block_bytes in (None, 1, 56):
         with pytest.MonkeyPatch.context() as mp:
             if block_bytes is not None:
-                mp.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
+                mp.setattr(metric, "_SCRATCH_BYTES", block_bytes)
             grid = _compile_grid_pair(_pair(lower, upper))
             want = [_compile_grid(b) for b in (lower, upper)]
             for cols in (YT, YT[:, :1].copy()):
@@ -411,7 +425,7 @@ def test_batch_values_do_not_depend_on_the_block_layout():
     for block_bytes in (None, 1):
         with pytest.MonkeyPatch.context() as mp:
             if block_bytes is not None:
-                mp.setattr(lipfun, "_GRID_BLOCK_BYTES", block_bytes)
+                mp.setattr(metric, "_SCRATCH_BYTES", block_bytes)
             grid, pair = _compile_grid(f), _compile_grid_pair(_pair(f, g))
             assert grid(YT).tobytes() == want.tobytes()
             assert [v.tobytes() for v in pair(YT)] == want_pair
@@ -601,7 +615,7 @@ def test_paired_kernel_scratch_is_one_block(monkeypatch, dim):
     scaled copy, the last family scaling them in place; never a ``(dim, R,
     block)`` table.  Beside them numpy holds its two ufunc buffers of
     ``np.getbufsize()`` doubles."""
-    monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", 1 << 20)
+    monkeypatch.setattr(metric, "_SCRATCH_BYTES", 1 << 20)
     rng = np.random.default_rng(4)
     R, N = 16, 100_000
     sites = [tuple(rng.uniform(-1, 1, dim)) for _ in range(R)]
@@ -616,7 +630,7 @@ def test_paired_kernel_scratch_is_one_block(monkeypatch, dim):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= lipfun._GRID_BLOCK_BYTES + 2 * 8 * N + 2 * 8 * np.getbufsize()
+    assert peak <= metric._SCRATCH_BYTES + 2 * 8 * N + 2 * 8 * np.getbufsize()
     assert lo.tobytes() == _compile_grid(lower)(YT).tobytes()
     assert up.tobytes() == _compile_grid(upper)(YT).tobytes()
 
@@ -660,7 +674,7 @@ def test_folded_layout_gives_the_reference_bits(dim, columns, block_columns, mon
     its table and where it folds."""
     R = 6
     if block_columns is not None:
-        monkeypatch.setattr(lipfun, "_GRID_BLOCK_BYTES", 2 * 8 * R * block_columns)
+        monkeypatch.setattr(metric, "_SCRATCH_BYTES", 2 * 8 * R * block_columns)
     pairs, XT = _fold_case(dim, columns, R)
     for pair, i in itertools.product(pairs, (0, dim)):      # the first or last axis
         hat = np.array([j for j in range(dim + 1) if j != i], dtype=np.intp)

@@ -82,3 +82,17 @@ def test_code_is_generated_in_one_place():
                     scope = parents[scope]
                 found.append((path.stem, getattr(scope, "name", None), node.id))
     assert found == [("lipfun", "_kernel_code", "exec")]
+
+
+def test_one_module_sets_a_byte_budget():
+    """Only ``hyperlip.metric`` assigns a module-level name ending in
+    ``_BYTES`` (``_SCRATCH_BYTES``), so one decision sizes every block of
+    scratch in the package."""
+    found = []
+    for path in sorted(Path(hyperlip.__file__).parent.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                found += [(path.stem, name.id) for name in ast.walk(node)
+                          if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                          and name.id.endswith("_BYTES")]
+    assert found == [("metric", "_SCRATCH_BYTES")]
