@@ -914,13 +914,27 @@ def expr_to_obj(f: LipExpr):
 
 
 def expr_from_obj(obj) -> LipExpr:
-    """The expression of the JSON form ``obj``.  No field of it holds a
-    boolean, and ``float`` reads ``true`` as 1.0, so a boolean anywhere in
-    it is refused."""
-    b = _first_of(obj, bool)
-    if b is not None:
-        raise ValueError(f"expression holds the boolean {str(b).lower()}, which is no number")
-    return _from_obj(obj)
+    """The expression of the JSON form ``obj``.  ``float`` reads ``true`` as
+    1.0, so a boolean is refused: the number fields and :func:`_coords`
+    refuse one as they read it, and a form that fails is walked for its
+    first boolean, which then names the refusal.  A valid form is not
+    walked, so a boolean in a key the grammar does not read is ignored."""
+    try:
+        return _from_obj(obj)
+    # an OverflowError is a JSON integer too large for a float
+    except (ValueError, TypeError, RecursionError, OverflowError):
+        if (b := _first_of(obj, bool)) is None:
+            raise
+    raise ValueError(f"expression holds the boolean {str(b).lower()}, which is no number")
+
+
+def _coords(p) -> tuple:
+    """The point field ``p`` as a tuple, refused if it holds a boolean,
+    which :func:`as_point` reads as a number."""
+    p = tuple(p)
+    if bool in map(type, p):
+        raise ValueError("a point coordinate is a boolean")
+    return p
 
 
 def _from_obj(obj) -> LipExpr:
@@ -931,14 +945,14 @@ def _from_obj(obj) -> LipExpr:
         if kind == "const":
             return Const(obj["value"])
         if kind == "distcone":
-            return DistCone(tuple(obj["center"]), obj["offset"], obj["scale"],
+            return DistCone(_coords(obj["center"]), obj["offset"], obj["scale"],
                             _sign_from_obj(obj, "orientation", kind))
         if kind in ("min", "max"):
             return (Min if kind == "min" else Max)(tuple(_from_obj(c) for c in obj["children"]))
         if kind == "blend":
             return Blend(_from_obj(obj["inner"]), obj["factor"], obj["anchor"])
         if kind == "mcshane":
-            return McShane(tuple((tuple(p), v) for p, v in obj["samples"]),
+            return McShane(tuple((_coords(p), v) for p, v in obj["samples"]),
                            obj["scale"], obj["mode"])
         if kind == "inf":
             return Infinite(_sign_from_obj(obj, "sign", kind))

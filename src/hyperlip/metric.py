@@ -41,7 +41,8 @@ __all__ = [
 Point = tuple
 
 DEFAULT_TOL = 1e-12
-# bytes of scratch one block may hold: here, in reconstruct, in lipfun's audit and cones
+# bytes of scratch one block may hold: here, in reconstruct, in lipfun's audit and cones,
+# and in svgplot's raster
 _SCRATCH_BYTES = 1 << 20
 _WORDS = (str, bytes, bool, np.bool_)     # what float reads, though none is a number
 

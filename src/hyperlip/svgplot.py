@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .boxset import BoxLipschitzSet, violation_many
+from . import metric
+from .boxset import BoxLipschitzSet, InconsistentBoundsError, violation_many
 from .lipfun import _box
 from .metric import ConeDescriptor, _positive, as_points
 
@@ -82,15 +83,26 @@ def render_scene(box, Q: BoxLipschitzSet = None, orbit=None, cones=None,
         cy = y0 + (np.arange(ny) + 0.5) * span_y / ny
         cell_w = WIDTH / nx
         cell_h = height / ny
-        for iy in range(ny):
-            row = np.column_stack([cx, np.full(nx, cy[iy])])
-            member = violation_many(Q, row) <= MEMBER_TOL
-            # each run of members starts where the padded mask rises and
-            # ends where it falls
-            edges = np.flatnonzero(np.diff(member, prepend=False, append=False))
-            for ix, run in edges.reshape(-1, 2).tolist():
+        # rows of cells one violation_many call checks: about 64 bytes of
+        # scratch a cell within the scratch budget
+        step = max(1, metric._SCRATCH_BYTES // (64 * nx))
+        for top in range(0, ny, step):
+            rows = cy[top:top + step]
+            try:
+                worst = violation_many(Q, np.column_stack([np.tile(cx, len(rows)),
+                                                           np.repeat(rows, nx)]))
+            except InconsistentBoundsError:
+                # the error names the first crossing row, as one row at a time
+                for y in rows:
+                    violation_many(Q, np.column_stack([cx, np.full(nx, y)]))
+                raise
+            member = (worst <= MEMBER_TOL).reshape(len(rows), nx)
+            # each run of members starts where its padded row rises and ends
+            # where it falls
+            r, c = np.nonzero(np.diff(member, axis=1, prepend=False, append=False))
+            for iy, ix, run in zip(r[::2].tolist(), c[::2].tolist(), c[1::2].tolist()):
                 parts.append(
-                    f'<rect x="{_fmt(ix * cell_w)}" y="{_fmt(sy(cy[iy]) - cell_h / 2)}" '
+                    f'<rect x="{_fmt(ix * cell_w)}" y="{_fmt(sy(rows[iy]) - cell_h / 2)}" '
                     f'width="{_fmt((run - ix) * cell_w)}" height="{_fmt(cell_h)}" '
                     f'fill="{REGION_FILL}"/>')
 

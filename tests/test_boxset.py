@@ -1708,6 +1708,22 @@ class TestSetJSON:
         assert obj["upper"][0] == "+inf"
         assert obj["lower"][1] == "-inf"
 
+    @pytest.mark.parametrize("Q", [
+        empty_drift_instance(), origin_cycle_instance(), half_rate_instance(),
+        box_instance([(0.0, 1.0), (-2.0, 0.5), (1.0, 1.0)]), vee_notch_instance(),
+        diagonal_halfspace_instance(),
+        random_mcshane_instance(2, 0.5, np.random.default_rng(3), samples=16),
+        random_mcshane_instance(4, 1.0, np.random.default_rng(7), samples=16),
+        _PLANAR_SETS[-1],
+    ])
+    def test_a_valid_set_is_built_without_the_boolean_walk(self, monkeypatch, Q):
+        """The walk for booleans runs only on a form that fails to build."""
+        def no_walk(obj, kind):
+            raise AssertionError("a valid form was walked for booleans")
+
+        monkeypatch.setattr(lipfun, "_first_of", no_walk)
+        assert set_from_obj(set_to_obj(Q)) == Q
+
     @pytest.mark.parametrize("bound", ['{"type": "const", "value": true}', "false"])
     def test_a_boolean_is_no_number(self, bound):
         text = '{"n": 2, "lower": [%s, "-inf"], "upper": ["+inf", "+inf"]}' % bound

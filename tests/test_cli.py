@@ -8,14 +8,16 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyperlip import boxset, cli, lipfun, svgplot
-from hyperlip.boxset import BoxLipschitzSet, UnsupportedSetError, retract, set_to_obj
+from hyperlip import boxset, cli, lipfun, metric, svgplot
+from hyperlip.boxset import (BoxLipschitzSet, UnsupportedSetError, retract, set_from_obj,
+                             set_to_obj)
 from hyperlip.cli import main
 from hyperlip.instances import (
     box_instance,
@@ -1009,6 +1011,45 @@ class TestPlot:
         rects = [line for line in lines if svgplot.REGION_FILL in line]
         assert rects and rects == self._cell_runs(box, Q, resolution)
 
+    SQUARE = [(-3.0, 3.0), (-3.0, 3.0)]
+
+    @pytest.mark.parametrize("make, digest", [
+        (vee_notch_instance, "d78631eddc61f7041d96bce94b8e7e1f98cbb915cfa78f4c9ed15c1cd9745723"),
+        (lambda: random_mcshane_instance(2, 0.5, np.random.default_rng(3), samples=16),
+         "485883d6126c4867a2d25976d1b5df509708655d2e87f5b926010d127bedefe6"),
+    ])
+    def test_scene_bytes_are_pinned(self, monkeypatch, make, digest):
+        """300 x 300 cells, checked in blocks of rows or one row at a time."""
+        Q = make()
+        for budget in (metric._SCRATCH_BYTES, 1):
+            monkeypatch.setattr(metric, "_SCRATCH_BYTES", budget)
+            svg = svgplot.render_scene(self.SQUARE, Q=Q, resolution=0.02)
+            assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    def test_crossing_bounds_name_the_first_crossing_row(self):
+        """The whole raster is one block, and its first crossing cell in
+        axis order is on axis 0 of a later row."""
+        Q = BoxLipschitzSet([DistCone((2.0,), 1.0, 1.0, -1), DistCone((0.0,), 1.0, 1.0, -1)],
+                            [Const(0.5), Const(0.5)])
+        with pytest.raises(boxset.InconsistentBoundsError) as err:
+            svgplot.render_scene([(-3.0, 3.0), (1.0, 3.0)], Q=Q, resolution=0.1)
+        assert str(err.value) == ("bounds cross on axis 1 at (-0.4500000000000002, 1.05): "
+                                  "lower=0.5499999999999998 > upper=0.5")
+
+    @pytest.mark.parametrize("resolution", [0.01, 0.004])
+    def test_raster_memory_is_one_block(self, resolution):
+        """No membership mask of the whole raster is held: at 1500 x 1500
+        cells one would be 2.1 MiB."""
+        Q = random_mcshane_instance(2, 0.5, np.random.default_rng(3), samples=16)
+        svgplot.render_scene(self.SQUARE, Q=Q, resolution=0.5)
+        tracemalloc.start()
+        try:
+            svgplot.render_scene(self.SQUARE, Q=Q, resolution=resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2 ** 20
+
     def test_unwritable_output(self, capsys, tmp_path, set_file):
         out_path = tmp_path / "missing" / "scene.svg"
         err = input_error(capsys, [
@@ -1141,6 +1182,68 @@ class TestBooleansAreNoNumbers:
         inside = dump(tmp_path, "in.json", [[0, 0], [0, True]])
         self._refused(capsys, ["reconstruct", "--inside", inside,
                                "--outside", dump(tmp_path, "out.json", [[2, 2]])], inside)
+
+    def test_a_boolean_the_grammar_does_not_read(self, capsys, tmp_path):
+        """The library ignores a key it does not read; the CLI refuses a
+        boolean anywhere in the file."""
+        Q = {"n": 2, "lower": [{"type": "const", "value": 1.0, "note": True}, "-inf"],
+             "upper": ["+inf", "+inf"]}
+        assert set_from_obj(Q).lower[0] == Const(1.0)
+        path = dump(tmp_path, "s.json", Q)
+        self._refused(capsys, ["retract", "--set", path,
+                               "--point", dump(tmp_path, "x.json", [0.0, 0.0])], path)
+
+
+class TestDeepNesting:
+    """``min`` expressions nested ``depth`` deep over a cone with no boolean,
+    a boolean offset or a boolean centre: the library and the CLI refuse each
+    as they did when every expression was walked for booleans first."""
+
+    CAP = "Min would be 129 levels deep; expressions may be at most 128 deep"
+    LIBRARY_DEPTH = "maximum recursion depth exceeded"
+    JSON_DEPTH = LIBRARY_DEPTH + " while decoding a JSON array from a unicode string"
+    BOOLEAN = "expression holds the boolean true, which is no number"
+
+    @staticmethod
+    def _leaf(where):
+        leaf = {"type": "distcone", "center": [0.0, 0.0], "offset": 1.0, "scale": 0.5,
+                "orientation": "+"}
+        if where == "centre":
+            leaf["center"][1] = True
+        elif where == "offset":
+            leaf["offset"] = True
+        return leaf
+
+    @pytest.mark.parametrize("where", ["none", "offset", "centre"])
+    @pytest.mark.parametrize("depth, library, error", [
+        (100, None, None), (200, CAP, CAP), (400, CAP, CAP),
+        (800, LIBRARY_DEPTH, JSON_DEPTH), (3000, LIBRARY_DEPTH, JSON_DEPTH)])
+    def test_each_depth_keeps_its_refusal(self, capsys, tmp_path, fresh_sets, where,
+                                          depth, library, error):
+        obj = self._leaf(where)
+        for _ in range(depth):
+            obj = {"type": "min", "children": [obj]}
+        if where != "none":
+            library = self.BOOLEAN
+        if library is None:
+            assert lipfun.expr_from_obj(obj).depth == depth + 1
+        else:
+            with pytest.raises((ValueError, RecursionError)) as err:
+                lipfun.expr_from_obj(obj)
+            assert str(err.value) == library
+        # written as text: json.dump itself overflows the stack at these depths
+        bound = ('{"type": "min", "children": [' * depth + json.dumps(self._leaf(where))
+                 + "]}" * depth)
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 3, "lower": [%s, "-inf", "-inf"], '
+                        '"upper": ["+inf", "+inf", "+inf"]}' % bound)
+        if where != "none" and error is not self.JSON_DEPTH:
+            error = f"{path} holds the boolean true, which no input takes"
+        code = main(["retract", "--set", str(path),
+                     "--point", dump(tmp_path, "x.json", [0.0, 0.0, 0.0])])
+        want = (0, "") if error is None else \
+            (1, json.dumps({"error": error}, separators=(",", ":")) + "\n")
+        assert (code, capsys.readouterr().err) == want
 
 
 class TestSelftest:

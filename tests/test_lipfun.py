@@ -7,9 +7,11 @@ interval enclosures, structural rewrites) hangs off the same strategy.
 """
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import operator
 import re
 import tracemalloc
 
@@ -23,6 +25,7 @@ from hyperlip.boxset import (
     cyclic_retract,
     cyclic_retract_many,
     enclosure_bounds,
+    set_from_obj,
     set_to_obj,
 )
 from hyperlip.lipfun import (
@@ -1467,6 +1470,38 @@ class TestJSONForm:
         with pytest.raises(ValueError, match="expression holds the boolean"):
             expr_from_obj(json.loads(text))
 
+    @pytest.mark.parametrize("leaf", [
+        {"type": "distcone", "center": [0.0, True], "offset": 1.0, "scale": 0.5,
+         "orientation": "+"},
+        {"type": "mcshane", "mode": "sup", "scale": 0.5,
+         "samples": [[[0.0, 1.0], 2.0], [[False, 0.0], 1.0]]},
+    ])
+    @pytest.mark.parametrize("wrap", [
+        lambda e: {"type": "min", "children": [{"type": "const", "value": 1.0}, e]},
+        lambda e: {"type": "blend", "inner": e, "factor": 0.5, "anchor": 0.0},
+    ])
+    def test_a_boolean_coordinate_is_no_number(self, leaf, wrap):
+        """``as_point`` reads a boolean as a number, so the point fields
+        refuse one themselves, with the message of every boolean."""
+        b = "true" if "distcone" in leaf.values() else "false"
+        with pytest.raises(ValueError) as err:
+            expr_from_obj(wrap(leaf))
+        assert str(err.value) == f"expression holds the boolean {b}, which is no number"
+
+    def test_a_boolean_beside_a_number_too_large_names_the_refusal(self):
+        """The first failure of a form holding a boolean, a number too large
+        for a float here, gives way to the boolean's message."""
+        obj = {"type": "min", "children": [{"type": "const", "value": 10 ** 400},
+                                           {"type": "const", "value": False}]}
+        with pytest.raises(ValueError) as err:
+            expr_from_obj(obj)
+        assert str(err.value) == "expression holds the boolean false, which is no number"
+        with pytest.raises(OverflowError):
+            expr_from_obj(obj["children"][0])
+
+    def test_a_boolean_in_a_field_the_grammar_does_not_read_is_ignored(self):
+        assert expr_from_obj({"type": "const", "value": 1.0, "note": True}) == Const(1.0)
+
     @pytest.mark.parametrize("obj, field", [
         ({"type": "distcone", "center": [0.0], "offset": 0.0, "scale": 1.0,
           "orientation": "?"}, "orientation"),
@@ -1479,6 +1514,45 @@ class TestJSONForm:
         del obj[field]
         with pytest.raises(ValueError, match=f"missing field '{field}'"):
             expr_from_obj(obj)
+
+
+def _number_paths(obj, path=()):
+    """The path of every number in the JSON form ``obj``, in reading order."""
+    if isinstance(obj, float):
+        yield path
+    elif isinstance(obj, (dict, list)):
+        for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _number_paths(v, path + (k,))
+
+
+def _no_walk(obj, kind):
+    raise AssertionError("a valid form was walked for booleans")
+
+
+@given(exprs)
+@settings(deadline=None)
+def test_a_valid_form_is_built_without_the_boolean_walk(f):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lipfun, "_first_of", _no_walk)
+        assert expr_from_obj(expr_to_obj(f)) == f
+
+
+@given(exprs, st.data(), st.booleans())
+@settings(deadline=None)
+def test_a_boolean_for_any_number_is_refused(f, data, b):
+    """One number or coordinate of a valid form made a boolean: the form is
+    refused with the boolean's message, alone and as a bound of a set."""
+    obj = json.loads(json.dumps(expr_to_obj(f)))
+    *head, last = data.draw(st.sampled_from(list(_number_paths(obj))))
+    functools.reduce(operator.getitem, head, obj)[last] = b
+    want = f"expression holds the boolean {str(b).lower()}, which is no number"
+    with pytest.raises(ValueError) as err:
+        expr_from_obj(obj)
+    assert str(err.value) == want
+    with pytest.raises(ValueError) as err:
+        set_from_obj({"n": DIM + 1, "lower": [obj] + ["-inf"] * DIM,
+                      "upper": ["+inf"] * (DIM + 1)})
+    assert str(err.value) == want
 
 
 class TestLinearWindow:
